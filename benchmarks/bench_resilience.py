@@ -89,15 +89,15 @@ def build_overhead_flood(database) -> List:
 
 
 def adversarial_database() -> Database:
-    """A dense digraph whose 6-cycle query runs for seconds under naive
-    search — the workload deadlines exist to bound."""
+    """A dense digraph whose 6-cycle query, head on opposite corners, runs
+    for seconds on every route — the workload deadlines exist to bound."""
     rng = random.Random(11)
     rows = {(rng.randrange(60), rng.randrange(60)) for _ in range(1400)}
     return Database.from_tuples({"E": sorted(rows)})
 
 
 ADVERSARIAL_QUERY = (
-    "Q(x1) :- E(x1, x2), E(x2, x3), E(x3, x4), E(x4, x5), E(x5, x6), E(x6, x1)."
+    "Q(x1, x4) :- E(x1, x2), E(x2, x3), E(x3, x4), E(x4, x5), E(x5, x6), E(x6, x1)."
 )
 
 

@@ -9,9 +9,9 @@ Machine-readable output: every standalone benchmark script supports a
 ``--json PATH`` flag through :func:`add_json_argument` /
 :func:`emit_json_report`, writing the same schema as the committed
 ``BENCH_*.json`` baselines (top-level ``bench`` / ``smoke`` / ``repeats``
-keys plus benchmark-specific sections).  The CI regression gate
-(``benchmarks/check_regressions.py``) and local runs therefore share one
-code path — the gate compares whatever a fresh ``--json`` run emits
+/ ``environment`` keys plus benchmark-specific sections).  The CI
+regression gate (``benchmarks/check_regressions.py``) and local runs
+therefore share one code path — the gate compares whatever a fresh ``--json`` run emits
 against the committed baseline, leaf by leaf.
 """
 
@@ -19,6 +19,9 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
+import platform
+import subprocess
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -107,6 +110,25 @@ def add_json_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def environment() -> Dict[str, Any]:
+    """Where a report's numbers come from: CPU count, Python, commit."""
+    try:
+        head = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=12"],
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+            capture_output=True,
+            text=True,
+            timeout=10,
+        ).stdout.strip()
+    except (OSError, subprocess.SubprocessError):
+        head = ""
+    return {
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "git_head": head or "unknown (not a git checkout)",
+    }
+
+
 def json_report_payload(
     bench: str, *, smoke: bool, repeats: int, **sections: Any
 ) -> Dict[str, Any]:
@@ -114,11 +136,17 @@ def json_report_payload(
 
     Every committed baseline and every ``--json`` run goes through this
     helper, so the regression gate can rely on the shape: ``bench`` names
-    the benchmark, ``smoke``/``repeats`` describe the configuration, and
-    each section holds either a mapping or a list of record dicts whose
-    timing leaves are keyed ``*seconds*``.
+    the benchmark, ``smoke``/``repeats`` describe the configuration,
+    ``environment`` the machine and commit, and each section holds either
+    a mapping or a list of record dicts whose timing leaves are keyed
+    ``*seconds*``.
     """
-    payload: Dict[str, Any] = {"bench": bench, "smoke": smoke, "repeats": repeats}
+    payload: Dict[str, Any] = {
+        "bench": bench,
+        "smoke": smoke,
+        "repeats": repeats,
+        "environment": environment(),
+    }
     for name, section in sections.items():
         payload[name] = section
     return payload

@@ -48,7 +48,7 @@ from .plan import (
     TREEWIDTH,
     YANNAKAKIS,
 )
-from .planner import DEFAULT_SHARD_THRESHOLD_ROWS, Planner, default_shard_count
+from .planner import Planner
 from .stats import EngineStats, ShapeStats
 
 __all__ = [
@@ -67,7 +67,6 @@ __all__ = [
     "DEFAULT_BATCH_WIDE_THRESHOLD",
     "DEFAULT_REPLAN_DRIFT",
     "DEFAULT_REPLAN_LIMIT",
-    "DEFAULT_SHARD_THRESHOLD_ROWS",
     "DEFAULT_TREEWIDTH_THRESHOLD",
     "EVALUATORS",
     "EngineStats",
@@ -88,7 +87,6 @@ __all__ = [
     "analyze",
     "counting_mode",
     "covering_atom",
-    "default_shard_count",
     "plan_cache_key",
     "schema_signature",
     "shape_signature",

@@ -1,4 +1,4 @@
-"""The :class:`QueryEngine` facade: plan, cache, dispatch, batch, parallel.
+"""The :class:`QueryEngine` facade: plan, cache, dispatch, batch.
 
 The engine is the production entry point the ROADMAP asks for on top of the
 PR 1 kernel: callers stop hand-picking among ``NaiveEvaluator``,
@@ -8,20 +8,18 @@ and instead say ``engine.execute(query, database)``.  Internally:
 1. the *analyzer* classifies the query's structure (acyclic / bounded
    treewidth / bounded variables / general — the paper's tractability map);
 2. the *planner* turns the analysis plus kernel statistics into an
-   explainable :class:`QueryPlan`, including the sharding decision for the
-   parallel execution layer;
+   explainable :class:`QueryPlan`;
 3. the *plan cache* (LRU, keyed on query shape + schema) lets repeated and
    parameterized queries skip both steps — every constant binding of one
    prepared shape reuses the same plan;
-4. the *executor* dispatches to the chosen evaluator.  Sharded acyclic
-   plans run through the parallel Yannakakis executor
-   (``repro.parallel``): co-partitioned hash shards, bucket-centric
-   semijoin kernels, and a worker pool (threads by default, processes
-   optionally, inline on one core);
+4. the *executor* dispatches to the chosen evaluator — one per
+   structural class; every acyclic plan runs through the one
+   :class:`~repro.evaluation.yannakakis.YannakakisEvaluator`;
 5. ``run_batch`` groups same-shape operations under one plan and — for
    large constant-variant groups — *lifts* the group into a single N-wide
    execution through a parameter relation, falling back to per-member
-   execution fanned across the pool.
+   execution fanned across the worker pool (threads by default,
+   processes optionally, inline on one core).
 
 After every planned execution the engine records the actual result
 cardinality on the plan (``QueryPlan.runtime``) and feeds a bounded
@@ -31,8 +29,8 @@ hit/miss counters.  When the observed cardinality drifts ≥
 *re-plans* the shape with the observation as corrected statistics
 (adaptive re-planning — the second half of the cost-model feedback loop);
 re-plan events surface in ``explain`` and ``stats()``.  ``explain``
-returns the plan rendering (with cache status, sharding decision, and
-estimate-vs-actual feedback) without executing anything; passing
+returns the plan rendering (with cache status and estimate-vs-actual
+feedback) without executing anything; passing
 ``evaluator=...`` to ``execute``/``decide`` forces a specific engine,
 which keeps the benchmark suite on a single code path even where a fixed
 evaluator is the point of the measurement.
@@ -43,8 +41,8 @@ engine: plan cache, ledger and plan runtimes are locked, kernel cache
 fills are convergent, and the evaluators themselves are stateless across
 calls.
 
-Constructing with ``parallel=False`` reproduces the sequential PR 2
-behavior exactly: no pool, no sharded dispatch, no batch lifting.
+Constructing with ``parallel=False`` drops the worker pool and the N-wide
+batch lifting; single operations take the same route either way.
 """
 
 from __future__ import annotations
@@ -83,7 +81,6 @@ from ..operations import (
     EXPLAIN as OP_EXPLAIN,
 )
 from ..parallel.batch import LiftedBatch, lift_batch_group
-from ..parallel.executor import ParallelYannakakisEvaluator
 from ..parallel.pool import THREADS, WorkerPool
 from ..query.conjunctive import ConjunctiveQuery
 from ..relational.database import Database
@@ -141,8 +138,8 @@ class QueryEngine:
     planner:
         Optional custom planner (tests inject instrumented ones).
     parallel:
-        Enable the sharded execution layer.  ``False`` restores purely
-        sequential execution (no pool, no sharding, no batch lifting).
+        Enable the worker pool and N-wide batch lifting.  ``False`` runs
+        every batch member inline, one at a time.
     max_workers:
         Worker budget for the pool (defaults to the CPU count; 1 runs
         every task inline).
@@ -199,24 +196,13 @@ class QueryEngine:
         self._yannakakis = YannakakisEvaluator()
         self._treewidth = TreewidthEvaluator()
         self._inequality = AcyclicInequalityEvaluator()
-        self._parallel = parallel
         self._batch_wide_threshold = batch_wide_threshold
-        if parallel:
-            self._pool: Optional[WorkerPool] = WorkerPool(max_workers, pool_mode)
-            self._parallel_yannakakis: Optional[ParallelYannakakisEvaluator] = (
-                ParallelYannakakisEvaluator(pool=self._pool)
-            )
-        else:
-            self._pool = None
-            self._parallel_yannakakis = None
+        self._pool: Optional[WorkerPool] = (
+            WorkerPool(max_workers, pool_mode) if parallel else None
+        )
         self._backend = backend
         self._arbiter = PushdownArbiter(backend) if backend is not None else None
-        self._counting = CountingYannakakisEvaluator(reducer=self._yannakakis)
-        self._parallel_counting = (
-            CountingYannakakisEvaluator(reducer=self._parallel_yannakakis)
-            if self._parallel_yannakakis is not None
-            else None
-        )
+        self._counting = CountingYannakakisEvaluator()
         # The per-layer dispatch table the Operation API rides on: adding
         # an operation kind means one entry here (plus its thin facade),
         # not a parallel copy of the plan/record/batch plumbing.
@@ -467,11 +453,6 @@ class QueryEngine:
         plans from planners predating ``count_mode``)."""
         return plan.count_mode or counting_mode(query, plan.structural_class)
 
-    def _counting_evaluator(self, plan: QueryPlan) -> CountingYannakakisEvaluator:
-        if plan.shard_count > 1 and self._parallel_counting is not None:
-            return self._parallel_counting
-        return self._counting
-
     def _count_with_plan(
         self, plan: QueryPlan, query: ConjunctiveQuery, database: Database
     ) -> int:
@@ -486,12 +467,8 @@ class QueryEngine:
         if mode in FAST_COUNTING_MODES:
             reusable = plan.analysis.variable_layout == variable_layout(query)
             tree = plan.analysis.join_tree if reusable else None
-            return self._counting_evaluator(plan).count(
-                query,
-                database,
-                join_tree=tree,
-                mode=mode,
-                shard_count=plan.shard_count,
+            return self._counting.count(
+                query, database, join_tree=tree, mode=mode
             ).total
         # Hard modes (uncovered projection, cyclic core, constraints):
         # evaluate through the plan's evaluator and read the cardinality.
@@ -510,7 +487,7 @@ class QueryEngine:
         if mode in FAST_COUNTING_MODES:
             reusable = plan.analysis.variable_layout == variable_layout(query)
             tree = plan.analysis.join_tree if reusable else None
-            fast = self._counting_evaluator(plan).grouped_count(
+            fast = self._counting.grouped_count(
                 query, database, group_by, join_tree=tree, mode=mode
             )
             if fast is not None:
@@ -627,7 +604,7 @@ class QueryEngine:
             )
             return [shared] * len(members)
         if (
-            self._parallel
+            self._pool is not None
             and len(members) >= self._batch_wide_threshold
             and plan.structural_class == ACYCLIC
         ):
@@ -670,18 +647,9 @@ class QueryEngine:
         tree = plan.analysis.join_tree if reusable else None
         root = len(lifted.query.atoms) - 1  # the parameter atom
         start = perf_counter()
-        if plan.shard_count > 1 and self._parallel_yannakakis is not None:
-            reduced = self._parallel_yannakakis.reduce_bottom_up(
-                lifted.query,
-                lifted.database,
-                join_tree=tree,
-                root=root,
-                shard_count=plan.shard_count,
-            )
-        else:
-            reduced = self._yannakakis.reduce_bottom_up(
-                lifted.query, lifted.database, join_tree=tree, root=root
-            )
+        reduced = self._yannakakis.reduce_bottom_up(
+            lifted.query, lifted.database, join_tree=tree, root=root
+        )
         decisions = lifted.decide_members(reduced)
         self._record(
             key, plan, perf_counter() - start, None, lifted.query, lifted.database
@@ -716,21 +684,6 @@ class QueryEngine:
             # Reuse the plan's join tree: a cache hit must not pay for the
             # GYO reduction again.
             tree = plan.analysis.join_tree if reusable else None
-            if (
-                plan is not None
-                and plan.shard_count > 1
-                and self._parallel_yannakakis is not None
-            ):
-                engine = self._parallel_yannakakis
-                return (
-                    engine.decide(
-                        query, database, join_tree=tree, shard_count=plan.shard_count
-                    )
-                    if decide
-                    else engine.evaluate(
-                        query, database, join_tree=tree, shard_count=plan.shard_count
-                    )
-                )
             engine = self._yannakakis
             return (
                 engine.decide(query, database, join_tree=tree)
@@ -868,8 +821,8 @@ class QueryEngine:
         """The engine's worker pool (``None`` when ``parallel=False``).
 
         The async service front-end (:mod:`repro.service`) feeds its
-        request queue into this pool so service dispatch and sharded
-        execution share one worker budget.
+        request queue into this pool so service dispatch and batch
+        fan-out share one worker budget.
         """
         return self._pool
 
@@ -883,7 +836,7 @@ class QueryEngine:
 
     def close(self) -> None:
         """Shut the worker pool down (idempotent; the engine stays usable —
-        a closed pool restarts lazily on the next sharded execution)."""
+        a closed pool restarts lazily on the next batch fan-out)."""
         if self._pool is not None:
             self._pool.close()
 

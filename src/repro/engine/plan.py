@@ -3,8 +3,8 @@
 A plan is everything the executor needs that does *not* depend on the
 constant bindings of the query: the structural analysis, the chosen
 evaluator, the join order for the backtracking engine, the semijoin program
-read off the join tree for the acyclic engines, the sharding decision for
-the parallel execution layer, and the cost model's per-candidate estimates
+read off the join tree for the acyclic engines, and the cost model's
+per-candidate estimates
 (kept for transparency — ``explain`` shows why the planner chose what it
 chose).
 
@@ -113,10 +113,6 @@ class QueryPlan:
     cost_estimates:
         Abstract row-operation counts per candidate evaluator, from the
         planner's cost model.
-    shard_count:
-        Hash-shard fan-in for the parallel execution layer; 1 means the
-        inputs are below the sharding threshold and execution stays on the
-        sequential kernels.
     estimated_rows:
         The cost model's satisfying-assignment estimate, compared against
         actual cardinalities in ``explain``.
@@ -143,7 +139,6 @@ class QueryPlan:
     join_order: Tuple[int, ...]
     semijoin_program: Tuple[str, ...] = ()
     cost_estimates: Dict[str, float] = field(default_factory=dict)
-    shard_count: int = 1
     estimated_rows: float = 0.0
     count_mode: str = ""
     replans: int = 0
@@ -170,15 +165,6 @@ class QueryPlan:
                 for name, estimate in sorted(self.cost_estimates.items())
             )
             lines.append(f"  costs    : {costs}")
-        if self.shard_count > 1:
-            lines.append(
-                f"  sharding : {self.shard_count}-way hash partitions "
-                "(parallel semijoin passes)"
-            )
-        else:
-            # Off either because the inputs are small or because the chosen
-            # evaluator has no sharded executor — don't claim a reason.
-            lines.append("  sharding : off")
         if self.count_mode:
             lines.append(f"  counting : {self.count_mode}")
         if self.replans:

@@ -17,7 +17,6 @@ the caches it plans for.
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..query.atoms import Atom
@@ -63,18 +62,6 @@ _NUM_PASSES = 3
 #: many times cheaper — structural guarantees beat small modelled margins.
 _BASELINE_MARGIN = 4.0
 
-#: Largest-input cardinality from which acyclic plans are sharded for the
-#: parallel execution layer; below it, sharding overhead beats the win.
-DEFAULT_SHARD_THRESHOLD_ROWS = 1024
-
-
-def default_shard_count() -> int:
-    """Shard fan-in matched to the machine: a couple of shards per worker
-    (so the pool always has tasks to steal), at least 4 so the
-    bucket-centric kernels and empty-partner pruning engage even on
-    single-core containers."""
-    return max(4, min(16, 2 * (os.cpu_count() or 1)))
-
 
 class Planner:
     """Turns (query, database) into an explainable :class:`QueryPlan`."""
@@ -82,13 +69,9 @@ class Planner:
     def __init__(
         self,
         treewidth_threshold: int = DEFAULT_TREEWIDTH_THRESHOLD,
-        shard_threshold_rows: int = DEFAULT_SHARD_THRESHOLD_ROWS,
-        shard_count: Optional[int] = None,
         calibration: Optional[Callable[[], Dict[str, float]]] = None,
     ) -> None:
         self.treewidth_threshold = treewidth_threshold
-        self.shard_threshold_rows = shard_threshold_rows
-        self.shard_count = shard_count or default_shard_count()
         # Zero-argument feed of observed per-evaluator unit costs (the
         # engine wires its ledger's ``observed_unit_costs`` here).  Pulled
         # fresh on every plan, so the model tracks the workload.
@@ -159,7 +142,9 @@ class Planner:
         program: Tuple[str, ...] = ()
 
         if structural_class == ACYCLIC:
-            costs[YANNAKAKIS] = self._acyclic_cost(query, database, answer_estimate)
+            costs[YANNAKAKIS] = self._acyclic_cost(
+                query, database, answer_estimate, self._pass_weight()
+            )
             evaluator = self._arbitrate(YANNAKAKIS, costs)
             program = self._semijoin_program(query, analysis)
         elif structural_class == ACYCLIC_NEQ:
@@ -191,28 +176,9 @@ class Planner:
             join_order=join_order,
             semijoin_program=program,
             cost_estimates=costs,
-            shard_count=self._shard_decision(evaluator, query, database),
             estimated_rows=answer_estimate,
             count_mode=counting_mode(query, structural_class),
         )
-
-    def _shard_decision(
-        self, evaluator: str, query: ConjunctiveQuery, database: Database
-    ) -> int:
-        """Shard fan-in for the parallel layer, from the data scale.
-
-        The schema signature already tracks each relation's cardinality at
-        bit-length grain — the same scale measure decides here: acyclic
-        plans whose largest input meets the threshold are sharded
-        ``shard_count`` ways (the parallel Yannakakis executor consumes
-        this); everything else stays sequential.
-        """
-        if evaluator != YANNAKAKIS:
-            return 1
-        largest = max(database[atom.relation].cardinality for atom in query.atoms)
-        if largest < self.shard_threshold_rows:
-            return 1
-        return self.shard_count
 
     # ------------------------------------------------------------------
     # Statistics (from the kernel's cached indexes)
@@ -318,12 +284,13 @@ class Planner:
         query: ConjunctiveQuery,
         database: Database,
         answer_estimate: float,
+        pass_weight: float,
     ) -> float:
         total = sum(
             self._candidate_cardinality(atom, database[atom.relation])
             for atom in query.atoms
         )
-        return self._pass_weight() * _NUM_PASSES * total + answer_estimate
+        return pass_weight * _NUM_PASSES * total + answer_estimate
 
     def _inequality_cost(
         self,
@@ -332,7 +299,13 @@ class Planner:
         answer_estimate: float,
     ) -> float:
         trials = float(2 ** min(len(query.inequalities), 16))
-        return trials * self._acyclic_cost(query, database, answer_estimate)
+        # The static prior, not the calibrated weight: that one is evidence
+        # about YannakakisEvaluator's passes, and Theorem 2's evaluator is
+        # other code (hashed colourings, its own merges) — a faster
+        # Yannakakis must not make it look cheaper.
+        return trials * self._acyclic_cost(
+            query, database, answer_estimate, _PASS_WEIGHT
+        )
 
     def _treewidth_cost(
         self,

@@ -86,7 +86,6 @@ class ShapeStats:
     shape: str
     evaluator: str
     structural_class: str
-    shard_count: int
     executions: int
     total_seconds: float
     last_seconds: float
@@ -200,7 +199,6 @@ class ShapeLedger:
                         shape=entry.label(),
                         evaluator=plan.evaluator,
                         structural_class=plan.structural_class,
-                        shard_count=plan.shard_count,
                         executions=entry.executions,
                         total_seconds=entry.total_seconds,
                         last_seconds=entry.last_seconds,

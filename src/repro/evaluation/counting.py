@@ -31,12 +31,6 @@ star size), cyclic cores, constraint atoms — is #P-hard in general
 (Chen–Mengel's trichotomy); the engine falls back to evaluation plus a
 cardinality read for those.  Classification lives in
 :func:`repro.engine.analysis.counting_mode`.
-
-Sharding merges associatively: hash-partitioning a relation on the
-counted key positions means no key spans two shards, so per-shard
-distinct counts (covered) and per-shard annotation sums (full) add up
-exactly.  :class:`CountResult` exposes the partials so tests can pin the
-merge.
 """
 
 from __future__ import annotations
@@ -55,11 +49,10 @@ from .yannakakis import YannakakisEvaluator
 
 
 class CountResult(NamedTuple):
-    """A count plus the per-shard partials that merged into it."""
+    """A count and the counting mode that produced it."""
 
     total: int
     mode: str
-    partials: Tuple[int, ...]
 
 
 def _head_variable_names(query: ConjunctiveQuery) -> Tuple[str, ...]:
@@ -72,17 +65,10 @@ def _head_variable_names(query: ConjunctiveQuery) -> Tuple[str, ...]:
 
 
 class CountingYannakakisEvaluator:
-    """Multiplicity-annotated Yannakakis counting for acyclic queries.
+    """Multiplicity-annotated Yannakakis counting for acyclic queries."""
 
-    Composes with any reducer exposing the sequential evaluator's
-    ``_prepare``/``full_reduction``/``reduce_bottom_up`` surface — the
-    engine passes its shard-parallel evaluator when the plan says the
-    inputs are large, so the reduction phase shards for free and only the
-    linear fold stays sequential.
-    """
-
-    def __init__(self, reducer: Optional[YannakakisEvaluator] = None) -> None:
-        self._reducer = reducer or YannakakisEvaluator()
+    def __init__(self) -> None:
+        self._reducer = YannakakisEvaluator()
 
     # ------------------------------------------------------------------
 
@@ -92,15 +78,12 @@ class CountingYannakakisEvaluator:
         database: Database,
         join_tree: Optional[JoinTree] = None,
         mode: Optional[str] = None,
-        shard_count: int = 1,
     ) -> CountResult:
         """``|Q(d)|`` for the fast counting modes.
 
         *mode* is the precomputed :func:`~repro.engine.analysis.counting_mode`
         (recomputed here when absent); raises :class:`QueryError` on the
         hard modes — the caller owns the evaluate-then-count fallback.
-        *shard_count* > 1 splits the final count into hash-disjoint
-        partials merged by addition (see :class:`CountResult`).
         """
         from ..engine.analysis import (  # local import: engine imports us
             ACYCLIC,
@@ -128,11 +111,11 @@ class CountingYannakakisEvaluator:
                 self._reducer.reduce_bottom_up(query, database, join_tree)
                 is not None
             )
-            return CountResult(int(nonempty), mode, (int(nonempty),))
+            return CountResult(int(nonempty), mode)
 
         prepared = self._reducer._prepare(query, database, join_tree)
         if prepared is None:
-            return CountResult(0, mode, (0,) * max(1, shard_count))
+            return CountResult(0, mode)
         relations, tree = prepared
 
         # Both fast modes read only root-side state, so the upward half of
@@ -145,14 +128,13 @@ class CountingYannakakisEvaluator:
             if node != tree.root:
                 tree = tree.rooted_at(node)
             reduced = self._reducer.bottom_up_reduction(relations, tree)
-            return self._count_covered(query, reduced[node], shard_count)
+            return self._count_covered(query, reduced[node])
 
         reduced = self._reducer.bottom_up_reduction(relations, tree)
         if reduced[tree.root].is_empty():
-            return CountResult(0, mode, (0,) * max(1, shard_count))
+            return CountResult(0, mode)
         annotations = self._annotate(reduced, tree)
-        partials = _hash_partials(annotations, shard_count)
-        return CountResult(sum(partials), COUNT_FULL, partials)
+        return CountResult(sum(annotations.values()), COUNT_FULL)
 
     def grouped_count(
         self,
@@ -236,26 +218,14 @@ class CountingYannakakisEvaluator:
 
     # ------------------------------------------------------------------
 
-    def _count_covered(
-        self, query: ConjunctiveQuery, reduced: Relation, shard_count: int
-    ) -> CountResult:
-        """Distinct-key count of the covering atom's reduced relation.
-
-        With ``shard_count > 1`` the relation is hash-partitioned on the
-        head positions first: no key spans two shards, so the per-shard
-        distinct counts sum exactly — the same merge the sharded executor
-        performs across workers.
-        """
+    def _count_covered(self, query: ConjunctiveQuery, reduced: Relation) -> CountResult:
+        """Distinct-key count of the covering atom's reduced relation."""
         from ..engine.analysis import COUNT_COVERED
 
         head_names = _head_variable_names(query)
         positions = tuple(reduced.attributes.index(name) for name in head_names)
-        if shard_count <= 1 or reduced.cardinality == 0:
-            total = len(reduced._index(positions)) if reduced.cardinality else 0
-            return CountResult(total, COUNT_COVERED, (total,))
-        shards = reduced._partition(positions, shard_count)
-        partials = tuple(len(shard._index(positions)) for shard in shards)
-        return CountResult(sum(partials), COUNT_COVERED, partials)
+        total = len(reduced._index(positions)) if reduced.cardinality else 0
+        return CountResult(total, COUNT_COVERED)
 
     def _distinct_head(
         self, query: ConjunctiveQuery, reduced: Relation
@@ -366,18 +336,6 @@ def _group_relation(group: Tuple[str, ...], counts: Dict[Tuple, int]) -> Relatio
     attributes = group + (_count_attribute(group),)
     rows = frozenset(key + (n,) for key, n in counts.items())
     return Relation._from_frozen(attributes, rows)
-
-
-def _hash_partials(
-    annotations: Dict[Tuple, int], shard_count: int
-) -> Tuple[int, ...]:
-    """Split an annotation sum into hash-disjoint per-shard partials."""
-    if shard_count <= 1:
-        return (sum(annotations.values()),)
-    partials = [0] * shard_count
-    for row, annotation in annotations.items():
-        partials[hash(row) % shard_count] += annotation
-    return tuple(partials)
 
 
 def grouped_count_reference(

@@ -15,9 +15,9 @@ variant lives in :mod:`repro.reductions.datalog_fixed_arity`.
 Rule bodies are routed through the adaptive :class:`~repro.engine.QueryEngine`
 by default: rule shapes repeat across fixpoint iterations (the
 parameterized-query pattern), so every iteration after the first hits the
-plan cache, acyclic rule bodies run through Yannakakis (sharded when
-large), and cyclic ones get the cost-based join order — instead of every
-stage re-running uniform backtracking.  The semi-naive fixpoint goes one
+plan cache, acyclic rule bodies run through Yannakakis, and cyclic ones
+get the cost-based join order — instead of every stage re-running uniform
+backtracking.  The semi-naive fixpoint goes one
 step further: each round's delta-instantiated rule bodies all see one
 shared snapshot, so they are handed to the engine as ONE
 ``run_batch`` call and same-shape delta rules ride the N-wide batch

@@ -4,13 +4,17 @@ The classical polynomial-combined-complexity evaluation of acyclic joins
 ([18] in the paper; the basis of §5):
 
 1. compute the candidate relation S_j = π_{U_j} σ_{F_j}(R_{i_j}) per atom;
-2. build a join tree of the query hypergraph;
+2. build a join tree of the query hypergraph and root it at the node
+   covering the most head variables;
 3. *full reducer*: a bottom-up then a top-down semijoin pass, after which
    the relations are globally consistent (every tuple participates in the
    join);
 4. a final bottom-up join-and-project pass that assembles the projection of
-   the join onto the output variables, with intermediates bounded by
-   |input| · |output|.
+   the join onto the output variables.  Edges that would add no column to
+   their parent are skipped — on a globally consistent tree they are the
+   identity — so a query whose head sits inside one atom runs no join at
+   all, and only a head spread over several atoms pays Yannakakis'
+   |input| · |output| intermediates.
 
 The emptiness / decision variants stop after the bottom-up pass.  Queries
 with inequality or comparison atoms are rejected here — that is exactly the
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Sequence, Tuple
 
-from ..errors import NotAcyclicError, QueryError
+from ..errors import QueryError
 from ..hypergraph.join_tree import JoinTree
 from ..query.conjunctive import ConjunctiveQuery
 from ..relational.database import Database
@@ -112,6 +116,8 @@ class YannakakisEvaluator:
         if prepared is None:
             return answers_relation(query.head_terms, Relation.from_rows(head_names))
         relations, tree = prepared
+        head_set = set(head_names)
+        tree = _reroot_for_head(tree, head_set)
 
         relations = self.full_reduction(relations, tree)
         if relations[tree.root].is_empty():
@@ -124,18 +130,22 @@ class YannakakisEvaluator:
         # never materialized; a custom join algorithm gets the explicit
         # project-then-join equivalent.
         fused = self._join is hash_join
-        head_set = set(head_names)
         for node in tree.bottom_up_order():
             parent = tree.parent(node)
             if parent is None:
                 continue
-            check_cancelled()
-            parent_vars = {v for v in relations[parent].attributes}
+            parent_vars = set(relations[parent].attributes)
             keep = tuple(
                 a
                 for a in relations[node].attributes
                 if a in parent_vars or a in head_set
             )
+            if parent_vars.issuperset(keep):
+                # The edge adds no column, so it could only filter — and
+                # after the full reducer every parent tuple already has a
+                # partner in the child: the join is the identity.
+                continue
+            check_cancelled()
             if fused:
                 relations[parent] = relations[parent]._join_keep(
                     relations[node], keep
@@ -145,10 +155,10 @@ class YannakakisEvaluator:
                     relations[parent], relations[node].project(keep)
                 )
 
-        answer_vars = relations[tree.root].project(
-            tuple(a for a in relations[tree.root].attributes if a in head_set)
-        ).project(head_names)
-        return answers_relation(query.head_terms, answer_vars)
+        # Every head variable has been carried up into the root.
+        return answers_relation(
+            query.head_terms, relations[tree.root].project(head_names)
+        )
 
     # ------------------------------------------------------------------
 
@@ -207,13 +217,36 @@ class YannakakisEvaluator:
         if join_tree is not None:
             tree = join_tree
         else:
-            hypergraph = query.hypergraph()
-            try:
-                tree = JoinTree.from_hypergraph(hypergraph)
-            except NotAcyclicError:
-                raise
+            tree = JoinTree.from_hypergraph(query.hypergraph())
         candidates = candidate_relations(query.atoms, database)
         relations = {i: rel for i, rel in enumerate(candidates)}
         if any(rel.is_empty() for rel in relations.values()):
             return None
         return relations, tree
+
+
+def _reroot_for_head(tree: JoinTree, head_names: set) -> JoinTree:
+    """The same undirected join tree, rooted where the head lives.
+
+    Picks the node whose variable set covers the most head variables
+    (lowest index on ties) and re-roots there
+    (:meth:`~repro.hypergraph.join_tree.JoinTree.rooted_at`) — sound for
+    any root, the join tree property being one of the undirected tree.
+    With the head concentrated at the root the upward join-project pass
+    stops dragging head columns through every intermediate: most edges
+    add no column and are skipped.
+
+    Deliberately recomputed per evaluation: the walk is O(query), noise
+    next to the data passes, and caching it would need an identity-safe
+    key on the (plan-owned) input tree.
+    """
+    if not head_names:
+        return tree
+    best = max(
+        tree.nodes(),
+        key=lambda i: (
+            len(head_names & {v.name for v in tree.node_vars[i]}),
+            -i,
+        ),
+    )
+    return tree.rooted_at(best)

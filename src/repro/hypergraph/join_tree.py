@@ -140,8 +140,8 @@ class JoinTree:
 
         Any rooting of a join tree is a join tree (the running-intersection
         property is a property of the undirected tree), so the semijoin
-        passes stay correct under any choice of root.  The parallel
-        executor roots where the head lives; the decision-only batch path
+        passes stay correct under any choice of root.  The Yannakakis
+        evaluator roots where the head lives; the decision-only batch path
         roots at the parameter atom so the bottom-up pass ends there.
         """
         if node not in self._parent:

@@ -1,9 +1,16 @@
-"""Sharded, parallel execution layer for the relational engines.
+"""Worker pool and batch lifting for the engine, plus a sharding library.
 
 The tractable classes the paper maps out (acyclic, bounded treewidth,
 bounded variables) are exactly the queries whose evaluation cost is
 dominated by data access rather than combinatorics — which makes them
-partitionable.  This package provides:
+partitionable.  The engine uses two pieces of this package:
+
+* :class:`WorkerPool` — serial / thread / process fan-out;
+* batch lifting (:func:`lift_batch_group`) — N-wide execution of
+  same-shape query batches through a parameter relation.
+
+The rest is a library off the engine's route (``docs/parallel.md`` says
+why it is still here):
 
 * :class:`ShardedRelation` — hash-partitioned relations with a
   co-partitioning contract for traffic-free shard-by-shard joins;
@@ -11,13 +18,7 @@ partitionable.  This package provides:
   :func:`parallel_hash_join`, :func:`parallel_select_eq`) built on
   bucket-centric per-shard kernels;
 * :class:`ParallelYannakakisEvaluator` — level-parallel, sharded
-  Yannakakis passes for acyclic queries;
-* batch lifting (:func:`lift_batch_group`) — N-wide execution of
-  same-shape query batches through a parameter relation;
-* :class:`WorkerPool` — serial / thread / process fan-out.
-
-See ``docs/parallel.md`` for the sharding scheme, the co-partitioning
-contract, and how the planner decides shard counts.
+  Yannakakis passes for acyclic queries.
 """
 
 from .batch import LiftedBatch, lift_batch_group

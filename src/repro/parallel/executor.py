@@ -1,5 +1,12 @@
 """Shard-parallel Yannakakis evaluation for acyclic queries.
 
+A library off the engine's route: ``QueryEngine`` evaluates every acyclic
+plan with the sequential
+:class:`~repro.evaluation.yannakakis.YannakakisEvaluator`, which beats
+this evaluator on every measured workload (``docs/performance.md``).  It
+stays because the e2e benchmark's tracer names its entry points
+(``docs/parallel.md``).
+
 Durand–Grandjean show acyclic conjunctive queries are evaluable in
 essentially linear time; operationally that means the Yannakakis passes are
 *data-parallel* — every per-edge semijoin of one join-tree level touches a
@@ -27,9 +34,8 @@ axes:
   cross-product-sized carriers.
 
 Results are identical to :class:`~repro.evaluation.yannakakis.YannakakisEvaluator`
-— the engine's property tests pin this — and the evaluator degrades to the
-sequential kernels on small inputs (``min_shard_rows``) and on one-worker
-pools, so there is no sharding tax on small queries.
+— ``tests/test_parallel_engine.py`` pins this — and the evaluator degrades
+to the sequential kernels on small inputs (``min_shard_rows``).
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..evaluation.instantiation import answers_relation
-from ..evaluation.yannakakis import YannakakisEvaluator
+from ..evaluation.yannakakis import YannakakisEvaluator, _reroot_for_head
 from ..hypergraph.join_tree import JoinTree
 from ..query.conjunctive import ConjunctiveQuery
 from ..relational.database import Database
@@ -60,8 +66,8 @@ class ParallelYannakakisEvaluator(YannakakisEvaluator):
         Worker pool for level fan-out (defaults to a serial pool; the
         sharded kernels carry the single-core win on their own).
     shard_count:
-        Default hash-shard fan-in per semijoin; ``execute``-time callers
-        (the engine) override it per plan.
+        Default hash-shard fan-in per semijoin; callers may override it
+        per call.
     min_shard_rows:
         Probe-side cardinality under which semijoins stay sequential.
     """
@@ -268,36 +274,6 @@ class ParallelYannakakisEvaluator(YannakakisEvaluator):
         if len(tasks) > 1 and self._pool.supports_closures:
             return self._pool.map(fn, tasks)
         return [fn(task) for task in tasks]
-
-
-# ----------------------------------------------------------------------
-# Head-aware rooting
-# ----------------------------------------------------------------------
-
-
-def _reroot_for_head(tree: JoinTree, head_names: set) -> JoinTree:
-    """The same undirected join tree, rooted where the head lives.
-
-    Picks the node whose variable set covers the most head variables
-    (lowest index on ties) and re-roots there
-    (:meth:`~repro.hypergraph.join_tree.JoinTree.rooted_at`).  This
-    rooting makes the upward join-project pass reach the head with the
-    fewest column-carrying (non-semijoin) edges.
-
-    Deliberately recomputed per evaluation: the walk is O(query), noise
-    next to the data passes, and caching it would need an identity-safe
-    key on the (plan-owned) input tree.
-    """
-    if not head_names:
-        return tree
-    best = max(
-        tree.nodes(),
-        key=lambda i: (
-            len(head_names & {v.name for v in tree.node_vars[i]}),
-            -i,
-        ),
-    )
-    return tree.rooted_at(best)
 
 
 # ----------------------------------------------------------------------

@@ -35,7 +35,8 @@ Kernel notes (see ``docs/kernel.md`` for the full contract):
   (``rename``, and the candidate-relation fast path) share the source
   relation's index and column caches, since positional caches only depend
   on rows;
-* the parallel execution layer (``repro.parallel``) shards relations by
+* the sharding library (``repro.parallel``, off the engine's route — see
+  ``docs/parallel.md``) shards relations by
   join-key *code* through :meth:`Relation._partition`, a lazy cache exactly
   like :meth:`Relation._index`: shards are built from the cached index on
   the key positions, each shard is born with that index preseeded, and —

@@ -2,7 +2,7 @@
 
 The production-service layer the ROADMAP's north star asks for: concurrent
 callers multiplex onto one engine — one plan cache, one stats ledger, one
-set of warm kernel indexes and shard partitions — through an ``asyncio``
+set of warm kernel indexes — through an ``asyncio``
 facade with a bounded request queue, single-flight coalescing of identical
 in-flight queries, and micro-batching of same-shape requests into the
 engine's N-wide batch lifting.  See ``docs/service.md``.

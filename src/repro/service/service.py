@@ -3,8 +3,8 @@
 Vardi's combined-complexity point — when queries arrive as inputs, the
 query side dominates — is the regime a multi-tenant service lives in:
 many distinct query *shapes*, endlessly repeated parameterizations.  The
-engine already amortizes that shape work (plan cache, warm kernel indexes,
-shard partitions), but only for callers who share one engine.
+engine already amortizes that shape work (plan cache, warm kernel
+indexes), but only for callers who share one engine.
 :class:`QueryService` is the sharing layer:
 
 * an ``asyncio`` facade built around one generic ``run`` / ``run_batch``
@@ -43,8 +43,8 @@ Blocking engine calls run on a service-owned dispatch
 :class:`~repro.parallel.pool.WorkerPool`, deliberately separate from the
 engine's own pool: the event loop never blocks on query evaluation, and —
 because a dispatch thread is not a task of the *engine's* pool — the
-sharded intra-query fan-out of ``repro.parallel`` still engages beneath
-every service request.
+engine's per-member batch fan-out still engages beneath every service
+request.
 
 A service instance is bound to the first event loop that uses it; all
 internal state (in-flight map, batch collectors, counters) is touched
@@ -230,9 +230,8 @@ class QueryService:
         # Dispatch runs on a service-owned thread pool, deliberately
         # SEPARATE from the engine's: a dispatch thread blocking on an
         # engine call is not a task *of the engine's pool*, so the
-        # engine's re-entrancy guard stays cold and the sharded
-        # intra-query fan-out (per-level semijoins, per-member batch
-        # execution) still engages beneath the service.  Running dispatch
+        # engine's re-entrancy guard stays cold and its per-member batch
+        # fan-out still engages beneath the service.  Running dispatch
         # on the engine's own pool would mark its workers in-task and
         # silently serialize every inner map.  No deadlock either way:
         # the two pools' wait graphs are acyclic (dispatch waits on

@@ -1,5 +1,5 @@
-"""The counting subsystem: modes, the annotated Yannakakis pass, sharded
-partial counts, grouped counts, and the aggregate facades."""
+"""The counting subsystem: modes, the annotated Yannakakis pass, grouped
+counts, and the aggregate facades."""
 
 import pytest
 
@@ -106,7 +106,6 @@ class TestCountingEvaluator:
         result = CountingYannakakisEvaluator().count(query, chain)
         assert result.mode == COUNT_FULL
         assert result.total == naive_count(query, chain)
-        assert sum(result.partials) == result.total
 
     @pytest.mark.parametrize("head_arity", [1, 2])
     def test_covered_mode_matches_naive(self, chain, head_arity):
@@ -133,21 +132,6 @@ class TestCountingEvaluator:
         evaluator = CountingYannakakisEvaluator()
         with pytest.raises(QueryError):
             evaluator.count(headed_cycle_query(4), chain)
-
-    @pytest.mark.parametrize("shard_count", [2, 4])
-    @pytest.mark.parametrize("head_arity", [2, 4])
-    def test_sharded_partials_merge_exactly(self, chain, shard_count, head_arity):
-        # The per-shard partial counts must sum to the serial total: the
-        # covered mode routes whole index buckets so no key spans shards,
-        # and the full mode hash-partitions root annotations.
-        query = path_query(3, head_arity=head_arity)
-        serial = CountingYannakakisEvaluator().count(query, chain)
-        sharded = CountingYannakakisEvaluator().count(
-            query, chain, shard_count=shard_count
-        )
-        assert len(sharded.partials) == shard_count
-        assert sum(sharded.partials) == serial.total
-        assert sharded.total == serial.total
 
     def test_star_quantified_count(self):
         # STAR(hub) :- A1(hub,l1)..Ak(hub,lk) with the leaves existential:
@@ -226,13 +210,17 @@ class TestEngineCountingFacade:
             assert engine.plan_for(query, chain).count_mode == COUNT_HARD
             assert engine.count(query, chain) == naive_count(query, chain)
 
-    def test_sharded_count_matches_serial(self, chain):
+    @pytest.mark.parametrize(
+        "kwargs", [{}, {"max_workers": 3}, {"pool_mode": "serial"}]
+    )
+    def test_pooled_count_matches_serial_and_naive(self, chain, kwargs):
         query = path_query(3, head_arity=2)
-        with QueryEngine(
-            planner=Planner(shard_threshold_rows=1, shard_count=4)
-        ) as sharded, QueryEngine(parallel=False) as serial:
-            assert sharded.plan_for(query, chain).shard_count == 4
-            assert sharded.count(query, chain) == serial.count(query, chain)
+        with QueryEngine(**kwargs) as pooled, QueryEngine(parallel=False) as serial:
+            assert (
+                pooled.count(query, chain)
+                == serial.count(query, chain)
+                == naive_count(query, chain)
+            )
 
     def test_count_batch(self, chain):
         queries = [path_query(n, head_arity=1) for n in (1, 2, 3)]
@@ -318,6 +306,16 @@ class TestPlannerCalibration:
         assert extreme._pass_weight() == pytest.approx(4.0 * static._pass_weight())
         tiny = Planner(calibration=lambda: {"yannakakis": 1.0, "naive": 1000.0})
         assert tiny._pass_weight() == pytest.approx(0.25 * static._pass_weight())
+
+    def test_calibration_does_not_price_the_inequality_evaluator(self, chain):
+        # Evidence about Yannakakis' passes says nothing about Theorem 2's
+        # evaluator: a fast Yannakakis must not tip a ≠ query over to it.
+        query = parse_query("Q(a) :- E(a, b), E(b, c), E(c, d), a != d.")
+        tiny = Planner(calibration=lambda: {"yannakakis": 1.0, "naive": 1000.0})
+        assert (
+            tiny.plan(query, chain).cost_estimates["inequality"]
+            == Planner().plan(query, chain).cost_estimates["inequality"]
+        )
 
     def test_engine_feeds_its_own_ledger(self, chain):
         with QueryEngine() as engine:

@@ -1,6 +1,6 @@
 """Differential counting properties (hypothesis): ``count(Q)`` equals
-``len(execute(Q).rows)`` whatever the query shape, the shard plan, or the
-layer — serial engine, sharded engine, or over the wire — and grouped
+``len(execute(Q).rows)`` whatever the query shape or the layer — serial
+engine, pooled engine (each pool mode), or over the wire — and grouped
 counts equal the naive group-by over the materialized answers.
 
 The fast modes never materialize the join, so this is the property that
@@ -12,7 +12,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro import QueryEngine
-from repro.engine import FAST_COUNTING_MODES, Planner
+from repro.engine import FAST_COUNTING_MODES
 from repro.evaluation import (
     CountingYannakakisEvaluator,
     NaiveEvaluator,
@@ -34,7 +34,11 @@ SETTINGS = settings(max_examples=25, deadline=None)
 # One engine per flavor for the whole module: plan caching across examples
 # is exactly the production shape, and it keeps the property fast.
 SERIAL = QueryEngine(parallel=False)
-SHARDED = QueryEngine(planner=Planner(shard_threshold_rows=1, shard_count=3))
+POOLED = (
+    QueryEngine(),
+    QueryEngine(max_workers=3, pool_mode="threads"),
+    QueryEngine(pool_mode="serial"),
+)
 
 
 def acyclic_case(seed: int, head_arity: int):
@@ -56,11 +60,12 @@ def acyclic_case(seed: int, head_arity: int):
 class TestCountMatchesExecute:
     @SETTINGS
     @given(st.integers(0, 10_000), st.integers(0, 3))
-    def test_acyclic_serial_and_sharded(self, seed, head_arity):
+    def test_acyclic_serial_and_pooled(self, seed, head_arity):
         query, database = acyclic_case(seed, head_arity)
         reference = NaiveEvaluator().evaluate(query, database).cardinality
         assert SERIAL.count(query, database) == reference
-        assert SHARDED.count(query, database) == reference
+        for engine in POOLED:
+            assert engine.count(query, database) == reference
         assert len(SERIAL.execute(query, database).rows) == reference
 
     @SETTINGS
@@ -77,7 +82,8 @@ class TestCountMatchesExecute:
         database = chain_database(layers=4, width=4, p=0.6, seed=seed)
         reference = NaiveEvaluator().evaluate(query, database).cardinality
         assert SERIAL.count(query, database) == reference
-        assert SHARDED.count(query, database) == reference
+        for engine in POOLED:
+            assert engine.count(query, database) == reference
 
     @SETTINGS
     @given(st.integers(0, 10_000), st.integers(1, 3))
@@ -92,7 +98,6 @@ class TestCountMatchesExecute:
         assert result.total == NaiveEvaluator().evaluate(
             query, database
         ).cardinality
-        assert sum(result.partials) == result.total
 
 
 class TestGroupedCountEquivalence:
@@ -110,7 +115,8 @@ class TestGroupedCountEquivalence:
         grouped = SERIAL.grouped_count(query, database, group)
         answers = NaiveEvaluator().evaluate(query, database)
         assert grouped == grouped_count_reference(query, answers, group)
-        assert SHARDED.grouped_count(query, database, group) == grouped
+        for engine in POOLED:
+            assert engine.grouped_count(query, database, group) == grouped
 
 
 class TestOverTheWire:

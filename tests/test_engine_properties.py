@@ -8,16 +8,21 @@ the treewidth evaluator, and the Theorem 2 machinery return.
 """
 
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro import Database, QueryEngine
+from repro import Database, QueryEngine, Relation
 from repro.evaluation import (
     NaiveEvaluator,
     TreewidthEvaluator,
     YannakakisEvaluator,
 )
+from repro.hypergraph.join_tree import JoinTree
 from repro.inequalities import AcyclicInequalityEvaluator
+from repro.query.conjunctive import ConjunctiveQuery
+from repro.query.terms import Constant
 from repro.relational.schema import DatabaseSchema, RelationSchema
 from repro.workloads import (
     chain_database,
@@ -74,6 +79,52 @@ class TestAcyclicAgreement:
         assert (
             AcyclicInequalityEvaluator().evaluate(query, database) == reference
         )
+
+
+class TestRootingInvariance:
+    """Whatever root the caller's join tree has, ``evaluate`` equals the
+    naive oracle — and never runs an upward join that adds no column to
+    its parent (after the full reducer that join is the identity)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 10_000),
+        st.integers(0, 3),
+        st.sampled_from(("plain", "repeated", "constant")),
+    )
+    def test_every_supplied_root_matches_naive(self, seed, head_arity, head_shape):
+        rng = random.Random(seed)
+        base = random_acyclic_query(
+            num_atoms=rng.randint(1, 5),
+            max_arity=3,
+            seed=seed,
+            head_arity=head_arity,
+        )
+        head = list(base.head_terms)
+        if head_shape == "repeated" and head:
+            head.append(head[0])
+        elif head_shape == "constant":
+            head.insert(rng.randint(0, len(head)), Constant(7))
+        query = ConjunctiveQuery(tuple(head), list(base.atoms), head_name="RND")
+        database = database_for(query, domain_size=5, tuples=20, seed=seed)
+        reference = NaiveEvaluator().evaluate(query, database)
+        tree = JoinTree.from_hypergraph(query.hypergraph())
+
+        joins = []
+        join_keep = Relation._join_keep
+
+        def spy(self, other, other_keep):
+            joins.append((self.attributes, tuple(other_keep)))
+            return join_keep(self, other, other_keep)
+
+        with mock.patch.object(Relation, "_join_keep", spy):
+            for node in tree.nodes():
+                answer = YannakakisEvaluator().evaluate(
+                    query, database, join_tree=tree.rooted_at(node)
+                )
+                assert answer == reference, f"root={node}"
+        for parent_attributes, keep in joins:
+            assert not set(keep) <= set(parent_attributes)
 
 
 class TestCyclicAgreement:

@@ -149,6 +149,46 @@ class TestYannakakis:
             )
             assert yannakakis.evaluate(query, db) == naive.evaluate(query, db)
 
+    @pytest.mark.parametrize("head_arity", [2, 3])
+    def test_intermediates_stay_within_input_plus_output(
+        self, yannakakis, monkeypatch, head_arity
+    ):
+        # 5 layers x 200 nodes, out-degree 5: 4000 edges, and every path
+        # out of layer 0 extends to 4 hops.  With the head on the first
+        # atom(s) the tree is rooted there and no join may grow past
+        # |input| + |output|; an evaluator that leaves the head in a leaf
+        # drags x0, x1 through every edge (125 000-row intermediates).
+        width, degree = 200, 5
+        edges = [
+            (layer * 1000 + i, (layer + 1) * 1000 + (i * degree + j) % width)
+            for layer in range(4)
+            for i in range(width)
+            for j in range(degree)
+        ]
+        db = Database.from_tuples({"E": edges})
+        successors = {}
+        for a, b in edges:
+            successors.setdefault(a, []).append(b)
+        expected = {(a, b) for a, b in edges if a < 1000}
+        if head_arity == 3:
+            expected = {(a, b, c) for a, b in expected for c in successors[b]}
+        bound = len(edges) + len(expected)
+
+        intermediates = []
+        for name in ("_join_keep", "natural_join"):
+            original = getattr(Relation, name)
+
+            def spy(self, *args, _original=original, **kwargs):
+                result = _original(self, *args, **kwargs)
+                intermediates.append(result.cardinality)
+                return result
+
+            monkeypatch.setattr(Relation, name, spy)
+
+        answer = yannakakis.evaluate(path_query(4, head_arity=head_arity), db)
+        assert answer.rows == expected
+        assert all(rows <= bound for rows in intermediates), max(intermediates)
+
 
 class TestParameterVTransform:
     def test_groups_atoms_with_same_variable_set(self, naive):

@@ -1,8 +1,8 @@
 """The parallel execution layer behind the engine facade.
 
-Dispatch through sharded executors, N-wide batch lifting, the per-shape
-stats ledger, and cost-model feedback must all be invisible at the API:
-every result equals what the sequential PR 2 engine returns.
+The worker pool, N-wide batch lifting, the per-shape stats ledger, and
+cost-model feedback must all be invisible at the API: every result equals
+what ``QueryEngine(parallel=False)`` returns, under the same plan.
 """
 
 import random
@@ -10,7 +10,6 @@ import random
 import pytest
 
 from repro import Database, DatalogEvaluator, NaiveEvaluator, QueryEngine
-from repro.engine import Planner
 from repro.evaluation import YannakakisEvaluator
 from repro.operations import EXECUTE, operations_of
 from repro.parallel import (
@@ -31,39 +30,24 @@ from repro.workloads import (
 from repro.relational.schema import DatabaseSchema, RelationSchema
 
 
-def sharding_engine(**kwargs) -> QueryEngine:
-    """An engine whose planner shards everything (threshold 1 row)."""
-    return QueryEngine(
-        planner=Planner(shard_threshold_rows=1, shard_count=4), **kwargs
-    )
-
-
 @pytest.fixture
 def big_chain():
     return chain_database(layers=5, width=24, p=0.3, seed=11)
 
 
 class TestParallelDispatch:
-    def test_sharded_plan_recorded_and_explained(self, big_chain):
-        engine = sharding_engine()
+    def test_one_acyclic_plan_whatever_the_size_or_the_pool(self, big_chain):
         query = path_query(4, head_arity=1)
-        plan = engine.plan_for(query, big_chain)
-        assert plan.evaluator == "yannakakis"
-        assert plan.shard_count == 4
-        text = engine.explain(query, big_chain)
-        assert "sharding : 4-way hash partitions" in text
-
-    def test_small_inputs_stay_sequential(self):
-        engine = QueryEngine()
-        database = chain_database(layers=5, width=8, p=0.3, seed=1)
-        plan = engine.plan_for(path_query(4, head_arity=1), database)
-        assert plan.shard_count == 1
-        text = engine.explain(path_query(4, head_arity=1), database)
-        assert "sharding : off" in text
+        small_chain = chain_database(layers=5, width=8, p=0.3, seed=1)
+        for database in (big_chain, small_chain):
+            parallel = QueryEngine().plan_for(query, database)
+            sequential = QueryEngine(parallel=False).plan_for(query, database)
+            assert parallel.evaluator == "yannakakis"
+            assert parallel.explain() == sequential.explain()
 
     def test_parallel_execution_matches_sequential(self, big_chain):
         query = path_query(4, head_arity=2)
-        parallel = sharding_engine()
+        parallel = QueryEngine()
         sequential = QueryEngine(parallel=False)
         assert parallel.execute(query, big_chain) == sequential.execute(
             query, big_chain
@@ -75,7 +59,7 @@ class TestParallelDispatch:
     def test_star_query_parallel_matches(self):
         query = star_query(5)
         database = star_database(5, 64, seed=3)
-        parallel = sharding_engine()
+        parallel = QueryEngine()
         assert parallel.execute(query, database) == QueryEngine(
             parallel=False
         ).execute(query, database)
@@ -110,11 +94,11 @@ class TestParallelDispatch:
             {"max_workers": 3, "pool_mode": "threads"},
             {"pool_mode": "serial"},
         ):
-            with sharding_engine(**kwargs) as engine:
+            with QueryEngine(**kwargs) as engine:
                 assert engine.execute(query, big_chain) == expected
 
     def test_forced_evaluator_still_works(self, big_chain):
-        engine = sharding_engine()
+        engine = QueryEngine()
         query = path_query(4, head_arity=1)
         assert engine.execute(query, big_chain, evaluator="naive") == (
             engine.execute(query, big_chain)

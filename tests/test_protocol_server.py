@@ -488,7 +488,7 @@ class TestDisconnectTeardown:
         rows = {(rng.randrange(60), rng.randrange(60)) for _ in range(1400)}
         slow_db = Database.from_tuples({"E": sorted(rows)})
         slow = parse_query(
-            "Q(x1) :- E(x1, x2), E(x2, x3), E(x3, x4), E(x4, x5), "
+            "Q(x1, x4) :- E(x1, x2), E(x2, x3), E(x3, x4), E(x4, x5), "
             "E(x5, x6), E(x6, x1)."
         )
         fast = path_query(3, head_arity=1)
