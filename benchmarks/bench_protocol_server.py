@@ -4,13 +4,13 @@ The acceptance claims of the networked protocol layer:
 
 * **shared server beats isolated engines** — N TCP clients multiplexed
   onto one *subprocess* ``QueryServer`` (one plan cache, single-flight,
-  micro-batching, fairness lanes — plus real wire costs: JSON framing,
+  backlog batching, fairness lanes — plus real wire costs: JSON framing,
   loopback TCP, process isolation) finish the mixed workload faster than
   the same clients each running their own in-process ``QueryEngine``;
-* **the batching window survives the wire** — a same-shape flood
-  pipelined over one connection with the server's micro-batch window
-  open runs through N-wide lifted executions and beats the window-off
-  server configuration;
+* **backlog batching survives the wire** — a same-shape flood pipelined
+  over one connection queues up behind the server's dispatchers, joins
+  one group and runs through N-wide lifted executions, beating the same
+  requests sent one at a time over the same connection;
 * **binary relation frames shrink bulk payloads** — a connection that
   negotiates the dictionary-encoded binary framing receives the same
   result relations in measurably fewer bytes than the JSON lines, with
@@ -94,7 +94,7 @@ def build_workload(clients: int, per_client: int, database) -> List[List]:
 class ServerProcess:
     """A ``repro.protocol.server`` subprocess bound to a free port."""
 
-    def __init__(self, database_path: str, *extra_args: str) -> None:
+    def __init__(self, database_path: str) -> None:
         src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
         env = dict(os.environ)
         existing = env.get("PYTHONPATH", "")
@@ -108,7 +108,6 @@ class ServerProcess:
                 "0",
                 "--database",
                 f"chain={database_path}",
-                *extra_args,
             ],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
@@ -202,7 +201,7 @@ def run_clients_vs_isolated(
         [sequential.execute(q, database) for q in requests] for requests in workload
     ]
 
-    with ServerProcess(database_path, "--batch-window", "0.002") as server:
+    with ServerProcess(database_path) as server:
         shared = asyncio.run(tcp_clients_run(workload, server.host, server.port))
         for got_list, want_list in zip(shared, reference):
             for got, want in zip(got_list, want_list):
@@ -235,19 +234,19 @@ def run_clients_vs_isolated(
     }
 
 
-async def flood_run(instances: List, host: str, port: int) -> List:
+async def flood_run(instances: List, host: str, port: int, pipelined: bool) -> List:
     async with await AsyncQueryClient.connect(host, port) as client:
-        return list(
-            await asyncio.gather(
-                *(client.execute(query, "chain") for query in instances)
+        if pipelined:
+            return list(
+                await asyncio.gather(
+                    *(client.execute(query, "chain") for query in instances)
+                )
             )
-        )
+        return [await client.execute(query, "chain") for query in instances]
 
 
-def run_flood_with_window(
-    repeats: int, database, database_path: str
-) -> Dict[str, Any]:
-    """Same-shape flood pipelined on one connection: window on vs off."""
+def run_flood(repeats: int, database, database_path: str) -> Dict[str, Any]:
+    """Same-shape flood on one connection: pipelined vs one at a time."""
     query = path_query(4, head_arity=1)
     starts = sorted({row[0] for row in database["E"].rows})
     instances = [
@@ -258,22 +257,28 @@ def run_flood_with_window(
     reference = [sequential.execute(q, database) for q in instances]
 
     timings = {}
-    for label, window in [("window_on", "0.01"), ("window_off", "0.0")]:
-        with ServerProcess(database_path, "--batch-window", window) as server:
-            flood = asyncio.run(flood_run(instances, server.host, server.port))
+    with ServerProcess(database_path) as server:
+        for label, pipelined in [("pipelined", True), ("one_at_a_time", False)]:
+            flood = asyncio.run(
+                flood_run(instances, server.host, server.port, pipelined)
+            )
             assert flood == reference, f"{label} flood diverged from sequential"
             timings[label], _ = time_thunk(
-                lambda host=server.host, port=server.port: asyncio.run(
-                    flood_run(instances, host, port)
+                lambda pipelined=pipelined: asyncio.run(
+                    flood_run(instances, server.host, server.port, pipelined)
                 ),
                 repeats=repeats,
             )
+        with QueryClient(server.host, server.port) as probe:
+            max_group = probe.stats()["service"]["max_group"]
+    assert max_group > 1, max_group  # the pipelined backlog batched itself
     return {
         "requests": len(instances),
-        "window_off_seconds": timings["window_off"],
-        "window_on_seconds": timings["window_on"],
+        "max_group": max_group,
+        "one_at_a_time_seconds": timings["one_at_a_time"],
+        "pipelined_seconds": timings["pipelined"],
         "batching_speedup": round(
-            speedup(timings["window_off"], timings["window_on"]), 2
+            speedup(timings["one_at_a_time"], timings["pipelined"]), 2
         ),
     }
 
@@ -301,7 +306,7 @@ def run_binary_frames(
     sequential = QueryEngine(parallel=False)
     reference = [sequential.execute(q, database) for q in instances]
 
-    with ServerProcess(database_path, "--batch-window", "0.0") as server:
+    with ServerProcess(database_path) as server:
         json_results = asyncio.run(
             bulk_run(instances, server.host, server.port, binary=False)
         )
@@ -365,7 +370,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         database_path = os.path.join(tmp, "chain.json")
         save_database_json(database, database_path)
         concurrent = run_clients_vs_isolated(repeats, database, database_path)
-        flood = run_flood_with_window(repeats, database, database_path)
+        flood = run_flood(repeats, database, database_path)
         frames = run_binary_frames(repeats, database, database_path)
 
     print_table(
@@ -385,16 +390,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         ),
     )
     print_table(
-        ("requests", "window off s", "window on s", "speedup"),
+        ("requests", "max group", "one at a time s", "pipelined s", "speedup"),
         [
             (
                 flood["requests"],
-                flood["window_off_seconds"],
-                flood["window_on_seconds"],
+                flood["max_group"],
+                flood["one_at_a_time_seconds"],
+                flood["pipelined_seconds"],
                 flood["batching_speedup"],
             )
         ],
-        title="Same-shape flood over one connection: server batch window on vs off",
+        title="Same-shape flood over one connection: pipelined vs one at a time",
     )
     print_table(
         ("requests", "json s", "binary s", "json bytes", "binary bytes", "ratio"),

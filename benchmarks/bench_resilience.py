@@ -141,7 +141,7 @@ def run_no_fault_overhead(database, database_path: str) -> Dict[str, Any]:
     previous = os.environ.pop(FAULTS_ENV_VAR, None)
     os.environ[FAULTS_ENV_VAR] = idle_plan.to_env()
     try:
-        server_cm = ServerProcess(database_path, "--batch-window", "0.002")
+        server_cm = ServerProcess(database_path)
     finally:
         os.environ.pop(FAULTS_ENV_VAR, None)
         if previous is not None:

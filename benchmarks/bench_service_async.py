@@ -4,12 +4,14 @@ The acceptance claims of the async service front-end:
 
 * **shared beats isolated** — N concurrent clients multiplexed onto one
   ``QueryService`` (one plan cache, single-flight coalescing of hot
-  queries, micro-batching) finish a mixed workload faster than the same
-  clients each running their own ``QueryEngine``;
-* **the batching window wins on same-shape floods** — a flood of
-  distinct-constant same-shape requests with the micro-batch window open
-  runs through N-wide lifted executions and beats the window-off
-  (one-dispatch-per-request) configuration;
+  queries, batching of queued same-shape requests) finish a mixed
+  workload faster than the same clients each running their own
+  ``QueryEngine``;
+* **a same-shape flood batches itself** — distinct-constant same-shape
+  requests submitted concurrently queue up behind the dispatchers, join
+  one group and run through N-wide lifted executions, beating the same
+  requests awaited one at a time (each its own dispatch) with no batching
+  knob anywhere;
 * **single-flight is exact** — N identical concurrent queries cost one
   plan and one execution (asserted in every mode; this is correctness,
   not a timing).
@@ -77,12 +79,10 @@ def engine_kwargs(max_workers: Optional[int]) -> Dict[str, Any]:
 
 
 async def shared_run(
-    workload: List[List], database, window: float, max_workers: Optional[int]
+    workload: List[List], database, max_workers: Optional[int]
 ) -> List[List]:
     """All clients against one QueryService (the shared configuration)."""
-    async with QueryService(
-        batch_window=window, **engine_kwargs(max_workers)
-    ) as service:
+    async with QueryService(**engine_kwargs(max_workers)) as service:
 
         async def client(requests):
             return [await service.execute(q, database) for q in requests]
@@ -138,13 +138,13 @@ def run_concurrent_clients(
         [sequential.execute(q, database) for q in requests]
         for requests in workload
     ]
-    shared = asyncio.run(shared_run(workload, database, 0.002, max_workers))
+    shared = asyncio.run(shared_run(workload, database, max_workers))
     isolated = asyncio.run(per_client_run(workload, database, max_workers))
     assert shared == reference, "shared service diverged from sequential"
     assert isolated == reference, "per-client engines diverged from sequential"
 
     shared_seconds, _ = time_thunk(
-        lambda: asyncio.run(shared_run(workload, database, 0.002, max_workers)),
+        lambda: asyncio.run(shared_run(workload, database, max_workers)),
         repeats=repeats,
     )
     per_client_seconds, _ = time_thunk(
@@ -163,7 +163,7 @@ def run_concurrent_clients(
 def run_flood(
     repeats: int, requests: int, max_workers: Optional[int]
 ) -> Dict[str, Any]:
-    """Same-shape flood: batching window on vs off."""
+    """Same-shape flood: submitted concurrently vs awaited one at a time."""
     database = chain_database(layers=5, width=48, p=0.25, seed=7)
     query = path_query(4, head_arity=1)
     starts = sorted({row[0] for row in database["E"].rows})
@@ -172,33 +172,41 @@ def run_flood(
         for i in range(requests)
     ]
 
-    async def flood(window: float):
-        async with QueryService(
-            batch_window=window, **engine_kwargs(max_workers)
-        ) as service:
-            return list(
-                await asyncio.gather(
-                    *(service.execute(q, database) for q in instances)
+    async def flood(concurrent: bool):
+        async with QueryService(**engine_kwargs(max_workers)) as service:
+            if concurrent:
+                results = list(
+                    await asyncio.gather(
+                        *(service.execute(q, database) for q in instances)
+                    )
                 )
-            )
+            else:
+                results = [await service.execute(q, database) for q in instances]
+            return results, (await service.stats()).service
 
     sequential = QueryEngine(parallel=False)
     reference = [sequential.execute(q, database) for q in instances]
-    assert asyncio.run(flood(0.01)) == reference
-    assert asyncio.run(flood(0.0)) == reference
+    results, counters = asyncio.run(flood(True))
+    assert results == reference
+    assert counters.max_group > 1, counters  # the backlog batched itself
+    results, alone = asyncio.run(flood(False))
+    assert results == reference
+    assert alone.batched == 0 and alone.groups == len(instances), alone
 
-    window_on_seconds, _ = time_thunk(
-        lambda: asyncio.run(flood(0.01)), repeats=repeats
+    concurrent_seconds, _ = time_thunk(
+        lambda: asyncio.run(flood(True)), repeats=repeats
     )
-    window_off_seconds, _ = time_thunk(
-        lambda: asyncio.run(flood(0.0)), repeats=repeats
+    one_at_a_time_seconds, _ = time_thunk(
+        lambda: asyncio.run(flood(False)), repeats=repeats
     )
     return {
         "requests": len(instances),
-        "window_off_seconds": window_off_seconds,
-        "window_on_seconds": window_on_seconds,
+        "groups": counters.groups,
+        "max_group": counters.max_group,
+        "one_at_a_time_seconds": one_at_a_time_seconds,
+        "concurrent_seconds": concurrent_seconds,
         "batching_speedup": round(
-            speedup(window_off_seconds, window_on_seconds), 2
+            speedup(one_at_a_time_seconds, concurrent_seconds), 2
         ),
     }
 
@@ -210,7 +218,7 @@ def run_single_flight_check(requests: int = 32) -> Dict[str, Any]:
     query = path_query(4, head_arity=1)
 
     async def scenario():
-        async with QueryService(batch_window=0.0) as service:
+        async with QueryService() as service:
             results = await asyncio.gather(
                 *(service.execute(query, database) for _ in range(requests))
             )
@@ -306,16 +314,25 @@ def main(argv: Optional[List[str]] = None) -> int:
         ),
     )
     print_table(
-        ("requests", "window off s", "window on s", "speedup"),
+        (
+            "requests",
+            "groups",
+            "max group",
+            "one at a time s",
+            "concurrent s",
+            "speedup",
+        ),
         [
             (
                 flood["requests"],
-                flood["window_off_seconds"],
-                flood["window_on_seconds"],
+                flood["groups"],
+                flood["max_group"],
+                flood["one_at_a_time_seconds"],
+                flood["concurrent_seconds"],
                 flood["batching_speedup"],
             )
         ],
-        title="Same-shape flood: micro-batching window on vs off",
+        title="Same-shape flood: submitted concurrently vs awaited one at a time",
     )
 
     if not args.smoke:

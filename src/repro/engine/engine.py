@@ -71,6 +71,7 @@ from ..operations import (
     AGG_FORALL,
     AGG_GROUP,
     Operation,
+    OperationFacade,
     operations_of,
 )
 from ..operations import (
@@ -125,7 +126,7 @@ DEFAULT_REPLAN_DRIFT = 10.0
 DEFAULT_REPLAN_LIMIT = 5
 
 
-class QueryEngine:
+class QueryEngine(OperationFacade):
     """Adaptive evaluation of conjunctive queries with plan caching.
 
     Parameters
@@ -241,7 +242,7 @@ class QueryEngine:
         return plan, "miss", key
 
     # ------------------------------------------------------------------
-    # The generic Operation path (facades below are one-line wrappers)
+    # The generic Operation path (OperationFacade's methods route here)
     # ------------------------------------------------------------------
 
     def run(self, operation: Operation, database: Database) -> Any:
@@ -496,53 +497,8 @@ class QueryEngine:
         return grouped_count_reference(query, answers, group_by)
 
     # ------------------------------------------------------------------
-    # Facades (thin typed wrappers over the Operation path)
+    # Engine-only facades (the per-kind ones come from OperationFacade)
     # ------------------------------------------------------------------
-
-    def explain(self, query: ConjunctiveQuery, database: Database) -> str:
-        """The plan rendering for (query, database), without executing."""
-        return self.run(Operation.explain(query), database)
-
-    def execute(
-        self,
-        query: ConjunctiveQuery,
-        database: Database,
-        evaluator: Optional[str] = None,
-    ) -> Relation:
-        """Q(d) through the adaptive pipeline (or a forced *evaluator*)."""
-        return self.run(Operation.execute(query, evaluator), database)
-
-    def decide(
-        self,
-        query: ConjunctiveQuery,
-        database: Database,
-        evaluator: Optional[str] = None,
-    ) -> bool:
-        """Is Q(d) nonempty?"""
-        return self.run(Operation.decide(query, evaluator), database)
-
-    def count(self, query: ConjunctiveQuery, database: Database) -> int:
-        """|Q(d)| — equal to ``len(execute(query, database).rows)``, but on
-        the tractable counting modes computed from the reducer passes plus
-        a linear fold, never the materialized join."""
-        return self.run(Operation.count(query), database)
-
-    def grouped_count(
-        self,
-        query: ConjunctiveQuery,
-        database: Database,
-        group_by: Sequence[str],
-    ) -> Relation:
-        """Per-group answer counts over the *group_by* head variables."""
-        return self.run(Operation.grouped_count(query, group_by), database)
-
-    def exists(self, query: ConjunctiveQuery, database: Database) -> bool:
-        """Is Q(d) nonempty?  (The quantified-star ∃ aggregate.)"""
-        return self.run(Operation.exists(query), database)
-
-    def forall(self, query: ConjunctiveQuery, database: Database) -> bool:
-        """Does every candidate head tuple belong to Q(d)?"""
-        return self.run(Operation.forall(query), database)
 
     def contains(
         self,

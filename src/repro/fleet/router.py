@@ -40,10 +40,9 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..engine.stats import LatencyReservoir
 from ..errors import FleetDrainedError, WorkerUnavailableError
-from ..operations import Operation
+from ..operations import Operation, OperationFacade
 from ..protocol.client import QueryClient
 from ..protocol.messages import query_text
-from ..relational.relation import Relation
 from ..resilience.policy import RetryPolicy
 from .supervisor import FleetSupervisor
 
@@ -57,7 +56,7 @@ DEFAULT_FLEET_RETRY = RetryPolicy(
 )
 
 
-class FleetRouter:
+class FleetRouter(OperationFacade):
     """Route operations across a supervised fleet, failing over on death.
 
     Parameters
@@ -244,7 +243,7 @@ class FleetRouter:
         ) from last
 
     # ------------------------------------------------------------------
-    # The facade: generic run/run_batch, typed one-line wrappers
+    # The facade: generic run/run_batch (per-kind: OperationFacade)
     # ------------------------------------------------------------------
 
     def run(
@@ -279,26 +278,6 @@ class FleetRouter:
             lambda client: client.run_batch(operations, database, deadline=deadline),
             key,
         )
-
-    def execute(
-        self, query: Any, database: str, *, deadline: Optional[float] = None
-    ) -> Relation:
-        return self.run(Operation.execute(query), database, deadline=deadline)
-
-    def decide(
-        self, query: Any, database: str, *, deadline: Optional[float] = None
-    ) -> bool:
-        return self.run(Operation.decide(query), database, deadline=deadline)
-
-    def count(
-        self, query: Any, database: str, *, deadline: Optional[float] = None
-    ) -> int:
-        return self.run(Operation.count(query), database, deadline=deadline)
-
-    def explain(
-        self, query: Any, database: str, *, deadline: Optional[float] = None
-    ) -> str:
-        return self.run(Operation.explain(query), database, deadline=deadline)
 
     def register_database(self, name: str, database: Any) -> List[int]:
         """Install *database* fleet-wide (broadcast + replay on respawn)."""
@@ -338,7 +317,7 @@ class FleetRouter:
         self.close()
 
 
-class AsyncFleetRouter:
+class AsyncFleetRouter(OperationFacade):
     """Asyncio facade over :class:`FleetRouter`.
 
     Each call runs the blocking router on a worker thread
@@ -371,21 +350,6 @@ class AsyncFleetRouter:
         return await asyncio.to_thread(
             self._router.run_batch, operations, database, deadline=deadline
         )
-
-    async def execute(
-        self, query: Any, database: str, *, deadline: Optional[float] = None
-    ) -> Relation:
-        return await self.run(Operation.execute(query), database, deadline=deadline)
-
-    async def decide(
-        self, query: Any, database: str, *, deadline: Optional[float] = None
-    ) -> bool:
-        return await self.run(Operation.decide(query), database, deadline=deadline)
-
-    async def count(
-        self, query: Any, database: str, *, deadline: Optional[float] = None
-    ) -> int:
-        return await self.run(Operation.count(query), database, deadline=deadline)
 
     async def register_database(self, name: str, database: Any) -> List[int]:
         return await asyncio.to_thread(

@@ -153,7 +153,7 @@ class FleetSupervisor:
         after ``breaker_stable_after`` stable seconds.
     server_args:
         Extra CLI arguments appended to every worker's command line
-        (e.g. ``("--batch-window", "0.002")``).
+        (e.g. ``("--dispatchers", "2")``).
     fault_plan:
         Chaos injection at the ``fleet.*`` sites; the plan is *also*
         exported to each worker's ``REPRO_FAULTS`` only when the caller

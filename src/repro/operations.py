@@ -7,7 +7,8 @@ clients.  An :class:`Operation` names the *what* once — an operation kind,
 the query it applies to, and an options mapping — so each layer keeps a
 single generic ``run()`` / ``run_batch()`` path plus one dispatch table,
 and the familiar ``execute`` / ``decide`` / ``explain`` / ``count`` /
-``aggregate`` methods become one-line typed wrappers.
+``grouped_count`` / ``exists`` / ``forall`` methods are defined once, in
+the :class:`OperationFacade` mixin every layer inherits.
 
 Operations are *values*: frozen, hashable, and comparable.  That is
 load-bearing — the service keys its single-flight map and micro-batch
@@ -218,10 +219,58 @@ class Operation:
         return f"Operation({self.kind!r}, {self.query!r}{options})"
 
 
+class OperationFacade:
+    """The per-kind methods, spelled once for every host of a generic ``run``.
+
+    A host (engine, service, wire clients, fleet routers) defines
+    ``run(operation, database, **call)``; each method here builds the
+    :class:`Operation` and hands it over, passing the host's own keyword
+    arguments (``client=``, ``deadline=``) through untouched.  Plain ``def``
+    on purpose: an async host's ``run`` returns the awaitable, so
+    ``await service.count(q, db)`` works unchanged.
+    """
+
+    def execute(
+        self, query: Any, database: Any, evaluator: Optional[str] = None, **call: Any
+    ) -> Any:
+        """Q(d) as a relation (through a forced *evaluator* when given)."""
+        return self.run(Operation.execute(query, evaluator), database, **call)
+
+    def decide(
+        self, query: Any, database: Any, evaluator: Optional[str] = None, **call: Any
+    ) -> Any:
+        """Is Q(d) nonempty?"""
+        return self.run(Operation.decide(query, evaluator), database, **call)
+
+    def explain(self, query: Any, database: Any, **call: Any) -> Any:
+        """The plan rendering for (query, database), without executing."""
+        return self.run(Operation.explain(query), database, **call)
+
+    def count(self, query: Any, database: Any, **call: Any) -> Any:
+        """\\|Q(d)\\| — equal to ``len(execute(query, database).rows)``, but on
+        the tractable counting modes never the materialized join."""
+        return self.run(Operation.count(query), database, **call)
+
+    def grouped_count(
+        self, query: Any, database: Any, group_by: Sequence[str], **call: Any
+    ) -> Any:
+        """Per-group answer counts over the *group_by* head variables."""
+        return self.run(Operation.grouped_count(query, group_by), database, **call)
+
+    def exists(self, query: Any, database: Any, **call: Any) -> Any:
+        """Is Q(d) nonempty? — the aggregate spelling of ``decide``."""
+        return self.run(Operation.exists(query), database, **call)
+
+    def forall(self, query: Any, database: Any, **call: Any) -> Any:
+        """Does every tuple over the head variables' candidate domains
+        belong to Q(d)?  (``count == |domain|``.)"""
+        return self.run(Operation.forall(query), database, **call)
+
+
 def operations_of(
     kind: str, queries: Iterable[Any], options: Optional[Mapping[str, Any]] = None
 ) -> Tuple[Operation, ...]:
-    """One *kind* operation per query — the shape the ``*_batch`` shims use."""
+    """One *kind* operation per query, sharing one canonical option tuple."""
     frozen = canonical_options(options)
     out = []
     for query in queries:
@@ -244,6 +293,7 @@ __all__ = [
     "EXPLAIN",
     "OP_KINDS",
     "Operation",
+    "OperationFacade",
     "canonical_options",
     "operations_of",
 ]

@@ -46,8 +46,7 @@ from itertools import count
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..errors import ConnectionLostError, RequestTimeoutError, RetryExhaustedError
-from ..operations import Operation
-from ..relational.relation import Relation
+from ..operations import Operation, OperationFacade
 from ..resilience.policy import RetryPolicy
 from .codec import MAX_LINE_BYTES, decode, encode
 from .frames import (
@@ -108,7 +107,7 @@ def _decode_members(result: Any) -> List[Any]:
     return members
 
 
-class AsyncQueryClient:
+class AsyncQueryClient(OperationFacade):
     """Pipelined asyncio client: many requests in flight per connection."""
 
     def __init__(
@@ -321,8 +320,8 @@ class AsyncQueryClient:
         ) from last
 
     # ------------------------------------------------------------------
-    # The facade, over the wire: one generic run/run_batch pair, with the
-    # typed methods as one-line wrappers
+    # The facade, over the wire: one generic run/run_batch pair (the
+    # per-kind methods come from OperationFacade)
     # ------------------------------------------------------------------
 
     async def run(
@@ -336,7 +335,7 @@ class AsyncQueryClient:
 
         The operation kind travels as the wire op verbatim; the result is
         decoded by the response's declared kind (relation / boolean /
-        count / text), so every typed facade is a one-liner over this.
+        count / text), which is all the per-kind methods need.
         """
         operation.validate()
         response = await self._call(
@@ -365,48 +364,6 @@ class AsyncQueryClient:
             deadline=deadline,
         )
         return _decode_members(response.result)
-
-    async def execute(
-        self, query: Any, database: str, *, deadline: Optional[float] = None
-    ) -> Relation:
-        return await self.run(Operation.execute(query), database, deadline=deadline)
-
-    async def decide(
-        self, query: Any, database: str, *, deadline: Optional[float] = None
-    ) -> bool:
-        return await self.run(Operation.decide(query), database, deadline=deadline)
-
-    async def explain(
-        self, query: Any, database: str, *, deadline: Optional[float] = None
-    ) -> str:
-        return await self.run(Operation.explain(query), database, deadline=deadline)
-
-    async def count(
-        self, query: Any, database: str, *, deadline: Optional[float] = None
-    ) -> int:
-        return await self.run(Operation.count(query), database, deadline=deadline)
-
-    async def grouped_count(
-        self,
-        query: Any,
-        database: str,
-        group_by: Sequence[str],
-        *,
-        deadline: Optional[float] = None,
-    ) -> Relation:
-        return await self.run(
-            Operation.grouped_count(query, group_by), database, deadline=deadline
-        )
-
-    async def exists(
-        self, query: Any, database: str, *, deadline: Optional[float] = None
-    ) -> bool:
-        return await self.run(Operation.exists(query), database, deadline=deadline)
-
-    async def forall(
-        self, query: Any, database: str, *, deadline: Optional[float] = None
-    ) -> bool:
-        return await self.run(Operation.forall(query), database, deadline=deadline)
 
     async def register_database(self, name: str, database: Any) -> List[str]:
         """Install *database* under *name* on the server, without restart.
@@ -469,7 +426,7 @@ class AsyncQueryClient:
         await self.aclose()
 
 
-class QueryClient:
+class QueryClient(OperationFacade):
     """Blocking client over a plain socket (threads, scripts, REPLs).
 
     A socket timeout (default 30 s) or any transport/framing failure is
@@ -621,7 +578,7 @@ class QueryClient:
         ) from last
 
     # ------------------------------------------------------------------
-    # The facade: one generic run/run_batch pair, typed one-line wrappers
+    # The facade: one generic run/run_batch pair (per-kind: OperationFacade)
     # ------------------------------------------------------------------
 
     def run(
@@ -659,48 +616,6 @@ class QueryClient:
             deadline=deadline,
         )
         return _decode_members(response.result)
-
-    def execute(
-        self, query: Any, database: str, *, deadline: Optional[float] = None
-    ) -> Relation:
-        return self.run(Operation.execute(query), database, deadline=deadline)
-
-    def decide(
-        self, query: Any, database: str, *, deadline: Optional[float] = None
-    ) -> bool:
-        return self.run(Operation.decide(query), database, deadline=deadline)
-
-    def explain(
-        self, query: Any, database: str, *, deadline: Optional[float] = None
-    ) -> str:
-        return self.run(Operation.explain(query), database, deadline=deadline)
-
-    def count(
-        self, query: Any, database: str, *, deadline: Optional[float] = None
-    ) -> int:
-        return self.run(Operation.count(query), database, deadline=deadline)
-
-    def grouped_count(
-        self,
-        query: Any,
-        database: str,
-        group_by: Sequence[str],
-        *,
-        deadline: Optional[float] = None,
-    ) -> Relation:
-        return self.run(
-            Operation.grouped_count(query, group_by), database, deadline=deadline
-        )
-
-    def exists(
-        self, query: Any, database: str, *, deadline: Optional[float] = None
-    ) -> bool:
-        return self.run(Operation.exists(query), database, deadline=deadline)
-
-    def forall(
-        self, query: Any, database: str, *, deadline: Optional[float] = None
-    ) -> bool:
-        return self.run(Operation.forall(query), database, deadline=deadline)
 
     def register_database(self, name: str, database: Any) -> List[str]:
         """Install *database* under *name* on the server (see the async

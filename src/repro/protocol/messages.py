@@ -1,9 +1,9 @@
 """Wire message types: versioned requests, responses, and error payloads.
 
-The protocol keeps the service facade's *three evaluation modes* —
-evaluation (``execute``), decision (``decide``), and batch
-(``execute_batch`` / ``decide_batch``) — first-class on the wire, plus
-``explain`` and ``stats`` for observability and ``ping`` for liveness.
+The protocol keeps the service facade's operation kinds (``execute`` /
+``decide`` / ``explain`` / ``count`` / ``aggregate``) and the mixed-kind
+``run_batch`` first-class on the wire, plus ``stats`` for observability
+and ``ping`` for liveness.
 Every message is one JSON object on one line (see :mod:`.codec` for the
 framing) carrying the protocol version ``v``; a server rejects versions it
 does not speak with a structured ``unsupported_version`` error instead of
@@ -45,8 +45,6 @@ DECIDE = "decide"
 EXPLAIN = "explain"
 COUNT = "count"
 AGGREGATE = "aggregate"
-EXECUTE_BATCH = "execute_batch"
-DECIDE_BATCH = "decide_batch"
 RUN_BATCH = "run_batch"
 STATS = "stats"
 PING = "ping"
@@ -59,8 +57,6 @@ OPS = (
     EXPLAIN,
     COUNT,
     AGGREGATE,
-    EXECUTE_BATCH,
-    DECIDE_BATCH,
     RUN_BATCH,
     STATS,
     PING,
@@ -71,15 +67,10 @@ OPS = (
 #: Ops that carry one query and a database name (one engine operation).
 QUERY_OPS = (EXECUTE, DECIDE, EXPLAIN, COUNT, AGGREGATE)
 
-#: Legacy homogeneous-batch ops: a list of queries and a database name.
-BATCH_OPS = (EXECUTE_BATCH, DECIDE_BATCH)
-
 # Response result kinds.
 RELATION = "relation"
 BOOLEAN = "boolean"
 COUNT_RESULT = "count"
-RELATIONS = "relations"
-BOOLEANS = "booleans"
 RESULTS = "results"
 TEXT = "text"
 STATS_RESULT = "stats"
@@ -92,8 +83,6 @@ RESULT_KINDS = (
     RELATION,
     BOOLEAN,
     COUNT_RESULT,
-    RELATIONS,
-    BOOLEANS,
     RESULTS,
     TEXT,
     STATS_RESULT,
@@ -205,7 +194,6 @@ class Request:
     op: str
     id: int
     query: Optional[str] = None
-    queries: Optional[Tuple[str, ...]] = None
     database: Optional[str] = None
     #: Optional per-request budget in seconds (query/batch ops only):
     #: past it the server answers ``deadline_exceeded`` and cancels the
@@ -234,8 +222,6 @@ class Request:
         payload: Dict[str, Any] = {"v": PROTOCOL_VERSION, "op": self.op, "id": self.id}
         if self.query is not None:
             payload["query"] = self.query
-        if self.queries is not None:
-            payload["queries"] = list(self.queries)
         if self.database is not None:
             payload["database"] = self.database
         if self.deadline is not None:
@@ -261,11 +247,7 @@ class Request:
         if not isinstance(self.id, int) or isinstance(self.id, bool) or self.id < 0:
             raise ProtocolError("request id must be a non-negative integer")
         if self.deadline is not None:
-            if (
-                self.op not in QUERY_OPS
-                and self.op not in BATCH_OPS
-                and self.op != RUN_BATCH
-            ):
+            if self.op not in QUERY_OPS and self.op != RUN_BATCH:
                 raise ProtocolError(f"{self.op} takes no 'deadline'", op=self.op)
             if (
                 isinstance(self.deadline, bool)
@@ -297,8 +279,6 @@ class Request:
                 raise ProtocolError(f"{self.op} needs a 'query' string", op=self.op)
             if not isinstance(self.database, str):
                 raise ProtocolError(f"{self.op} needs a 'database' name", op=self.op)
-            if self.queries is not None:
-                raise ProtocolError(f"{self.op} takes 'query', not 'queries'")
         elif self.op == RUN_BATCH:
             if self.operations is None or not all(
                 _valid_operation_entry(entry) for entry in self.operations
@@ -311,21 +291,8 @@ class Request:
                 )
             if not isinstance(self.database, str):
                 raise ProtocolError(f"{self.op} needs a 'database' name", op=self.op)
-            if self.query is not None or self.queries is not None:
-                raise ProtocolError(
-                    f"{self.op} takes 'operations', not 'query'/'queries'"
-                )
-        elif self.op in BATCH_OPS:
-            if self.queries is None or not all(
-                isinstance(query, str) for query in self.queries
-            ):
-                raise ProtocolError(
-                    f"{self.op} needs a 'queries' list of strings", op=self.op
-                )
-            if not isinstance(self.database, str):
-                raise ProtocolError(f"{self.op} needs a 'database' name", op=self.op)
             if self.query is not None:
-                raise ProtocolError(f"{self.op} takes 'queries', not 'query'")
+                raise ProtocolError(f"{self.op} takes 'operations', not 'query'")
         elif self.op == REGISTER_DATABASE:
             if not isinstance(self.database, str) or not self.database:
                 raise ProtocolError(
@@ -339,7 +306,7 @@ class Request:
                     "mapping",
                     op=self.op,
                 )
-            if self.query is not None or self.queries is not None:
+            if self.query is not None:
                 raise ProtocolError(
                     f"{self.op} takes 'database' and 'data' only", op=self.op
                 )
@@ -352,18 +319,10 @@ class Request:
                 raise ProtocolError(
                     "cancel needs a non-negative integer 'target'", op=self.op
                 )
-            if (
-                self.query is not None
-                or self.queries is not None
-                or self.database is not None
-            ):
+            if self.query is not None or self.database is not None:
                 raise ProtocolError("cancel takes only a 'target'", op=self.op)
         else:  # stats / ping carry no operands
-            if (
-                self.query is not None
-                or self.queries is not None
-                or self.database is not None
-            ):
+            if self.query is not None or self.database is not None:
                 raise ProtocolError(f"{self.op} takes no operands", op=self.op)
 
     @classmethod
@@ -373,7 +332,6 @@ class Request:
             "op",
             "id",
             "query",
-            "queries",
             "database",
             "deadline",
             "target",
@@ -387,11 +345,6 @@ class Request:
                 f"unknown request field(s): {sorted(unknown)}",
                 fields=sorted(map(str, unknown)),
             )
-        queries = payload.get("queries")
-        if queries is not None:
-            if not isinstance(queries, list):
-                raise ProtocolError("'queries' must be a list")
-            queries = tuple(queries)
         operations = payload.get("operations")
         if operations is not None:
             if not isinstance(operations, list):
@@ -406,7 +359,6 @@ class Request:
             op=payload.get("op"),
             id=payload.get("id"),
             query=payload.get("query"),
-            queries=queries,
             database=payload.get("database"),
             deadline=payload.get("deadline"),
             target=payload.get("target"),
@@ -634,18 +586,14 @@ def query_text(query: Any) -> str:
 
 __all__ = [
     "AGGREGATE",
-    "BATCH_OPS",
     "BOOLEAN",
-    "BOOLEANS",
     "CANCEL",
     "CANCELLED",
     "COUNT",
     "COUNT_RESULT",
     "DECIDE",
-    "DECIDE_BATCH",
     "ERROR",
     "EXECUTE",
-    "EXECUTE_BATCH",
     "EXPLAIN",
     "ErrorInfo",
     "OPS",
@@ -657,7 +605,6 @@ __all__ = [
     "REGISTERED",
     "REGISTER_DATABASE",
     "RELATION",
-    "RELATIONS",
     "RESULTS",
     "RESULT_KINDS",
     "RUN_BATCH",

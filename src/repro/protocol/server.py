@@ -2,8 +2,8 @@
 
 One listening socket, one :class:`~repro.service.QueryService`, one shared
 :class:`~repro.engine.QueryEngine` — every connection's requests flow
-through the same plan cache, single-flight map, and micro-batch
-collectors, which is the entire point: the concurrency machinery PR 4
+through the same plan cache, single-flight map, and open batch
+groups, which is the entire point: the concurrency machinery PR 4
 built in-process now serves *cross-process* traffic.
 
 Per-connection mechanics:
@@ -58,9 +58,7 @@ from itertools import count
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from ..errors import CancelledRequestError, ReproError, ServerBusyError
-from ..operations import DECIDE as OP_DECIDE
-from ..operations import EXECUTE as OP_EXECUTE
-from ..operations import Operation, operations_of
+from ..operations import Operation
 from ..relational.database import Database
 from ..relational.io import load_database_json
 from ..resilience.faults import FaultPlan
@@ -76,18 +74,14 @@ from .frames import (
     read_frame_async,
 )
 from .messages import (
-    BOOLEANS,
     CANCEL,
     CANCELLED,
-    DECIDE_BATCH,
-    EXECUTE_BATCH,
     PING,
     PONG,
     ProtocolError,
     QUERY_OPS,
     REGISTER_DATABASE,
     REGISTERED,
-    RELATIONS,
     RESULTS,
     RUN_BATCH,
     Request,
@@ -95,7 +89,6 @@ from .messages import (
     STATS,
     STATS_RESULT,
     decode_database,
-    encode_relation,
     encode_result,
 )
 
@@ -211,8 +204,6 @@ class QueryServer:
         self._op_table = {
             **{op: self._op_query for op in QUERY_OPS},
             RUN_BATCH: self._op_run_batch,
-            EXECUTE_BATCH: self._op_execute_batch,
-            DECIDE_BATCH: self._op_decide_batch,
             PING: self._op_ping,
             STATS: self._op_stats,
             CANCEL: self._op_cancel,
@@ -553,42 +544,6 @@ class QueryServer:
             members.append({"kind": kind, "result": payload})
         return Response(id=request.id, kind=RESULTS, result=members)
 
-    async def _op_execute_batch(
-        self, request: Request, connection: _Connection
-    ) -> Response:
-        # Legacy homogeneous-batch op: kept wire-compatible (an untagged
-        # list of relation payloads) for clients predating run_batch.
-        # Served through the generic path directly — the deprecated
-        # ``execute_batch`` facade shim is for external callers only.
-        database = self._database(request)
-        relations = await self._service.run_batch(
-            operations_of(OP_EXECUTE, request.queries or ()),
-            database,
-            client=connection.client,
-            deadline=request.deadline,
-        )
-        return Response(
-            id=request.id,
-            kind=RELATIONS,
-            result=[encode_relation(relation) for relation in relations],
-        )
-
-    async def _op_decide_batch(
-        self, request: Request, connection: _Connection
-    ) -> Response:
-        database = self._database(request)
-        decisions = await self._service.run_batch(
-            operations_of(OP_DECIDE, request.queries or ()),
-            database,
-            client=connection.client,
-            deadline=request.deadline,
-        )
-        return Response(
-            id=request.id,
-            kind=BOOLEANS,
-            result=[bool(decision) for decision in decisions],
-        )
-
     async def _op_ping(self, request: Request, connection: _Connection) -> Response:
         if request.frames is not None:
             # Frame negotiation: accept the intersection with what this
@@ -755,7 +710,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         metavar="NAME=PATH.json",
         help="expose the database at PATH.json under NAME (repeatable)",
     )
-    parser.add_argument("--batch-window", type=float, default=None)
     parser.add_argument("--batch-limit", type=int, default=None)
     parser.add_argument("--max-pending", type=int, default=None)
     parser.add_argument("--dispatchers", type=int, default=None)
@@ -804,8 +758,6 @@ def _load_databases(pairs: Sequence[Tuple[str, str]]) -> Dict[str, Database]:
 
 async def _serve(args: argparse.Namespace, databases: Dict[str, Database]) -> int:
     service_kwargs: Dict[str, Any] = {}
-    if args.batch_window is not None:
-        service_kwargs["batch_window"] = args.batch_window
     if args.batch_limit is not None:
         service_kwargs["batch_limit"] = args.batch_limit
     if args.max_pending is not None:

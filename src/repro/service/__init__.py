@@ -4,14 +4,14 @@ The production-service layer the ROADMAP's north star asks for: concurrent
 callers multiplex onto one engine — one plan cache, one stats ledger, one
 set of warm kernel indexes — through an ``asyncio``
 facade with a bounded request queue, single-flight coalescing of identical
-in-flight queries, and micro-batching of same-shape requests into the
-engine's N-wide batch lifting.  See ``docs/service.md``.
+in-flight queries, and batching of same-shape requests that queue up
+behind busy dispatchers into the engine's N-wide batch lifting.  See
+``docs/service.md``.
 """
 
 from .fairness import ANONYMOUS, FairQueue
 from .service import (
     DEFAULT_BATCH_LIMIT,
-    DEFAULT_BATCH_WINDOW,
     DEFAULT_MAX_PENDING,
     MAX_TRACKED_CLIENTS,
     QueryService,
@@ -22,7 +22,6 @@ __all__ = [
     "ANONYMOUS",
     "ClientStats",
     "DEFAULT_BATCH_LIMIT",
-    "DEFAULT_BATCH_WINDOW",
     "DEFAULT_MAX_PENDING",
     "FairQueue",
     "MAX_TRACKED_CLIENTS",

@@ -8,10 +8,11 @@ indexes), but only for callers who share one engine.
 :class:`QueryService` is the sharing layer:
 
 * an ``asyncio`` facade built around one generic ``run`` / ``run_batch``
-  pair over :class:`~repro.operations.Operation` values — the typed
+  pair over :class:`~repro.operations.Operation` values — the per-kind
   methods (``execute`` / ``decide`` / ``explain`` / ``count`` /
-  ``grouped_count`` / ``exists`` / ``forall`` / ``stats``) are one-line
-  wrappers — multiplexing every concurrent client onto one thread-safe
+  ``grouped_count`` / ``exists`` / ``forall``) come from
+  :class:`~repro.operations.OperationFacade` — multiplexing every
+  concurrent client onto one thread-safe
   :class:`~repro.engine.QueryEngine`;
 * a **bounded request queue** between admission and execution — when all
   dispatchers are busy and the queue is full, new work awaits (natural
@@ -21,10 +22,13 @@ indexes), but only for callers who share one engine.
   execute again;
   it awaits the in-flight result, which is safe to share because results
   are immutable relations;
-* **micro-batching** — same-shape requests arriving within
-  ``batch_window`` seconds collect into one group and run through the
-  engine's N-wide batch lifting (``run_batch`` over generic operations),
-  turning a flood of single queries into a handful of lifted executions;
+* **batching on backlog** — a request's group goes onto the queue the
+  moment it is created and stays *open* until a dispatcher takes it: a
+  request that finds a dispatcher idle runs at once, and same-shape
+  requests of the same client that arrive while the group is still
+  queued join it and run through the engine's N-wide batch lifting
+  (``run_batch`` over generic operations) — a flood of single queries
+  becomes a handful of lifted executions, and nobody waits for a timer;
 * **per-client fairness** — requests tagged with a ``client`` (the
   network front-end of :mod:`repro.protocol` tags every connection) land
   in per-client lanes of a :class:`~repro.service.fairness.FairQueue`
@@ -47,7 +51,7 @@ engine's per-member batch fan-out still engages beneath every service
 request.
 
 A service instance is bound to the first event loop that uses it; all
-internal state (in-flight map, batch collectors, counters) is touched
+internal state (in-flight map, open groups, counters) is touched
 only from that loop's thread, which is what makes the front-end itself
 lock-free — the engine below it carries the thread-safety contracts
 (locked plan cache, ledger and runtimes, convergent kernel cache fills;
@@ -70,18 +74,14 @@ from ..errors import (
     ServiceOverloadedError,
 )
 from ..operations import (
-    COUNT,
-    DECIDE,
-    EXECUTE,
     EXPLAIN,
     Operation,
-    operations_of,
+    OperationFacade,
 )
 from ..parallel.pool import THREADS, WorkerPool, default_worker_count
 from ..query.conjunctive import ConjunctiveQuery
 from ..query.parser import parse_query
 from ..relational.database import Database
-from ..relational.relation import Relation
 from ..resilience.token import CancelToken, activate
 from .fairness import ANONYMOUS, FairQueue
 from .stats import MutableClientStats, MutableCounters, ServiceStats
@@ -89,13 +89,10 @@ from .stats import MutableClientStats, MutableCounters, ServiceStats
 #: Queries cross the facade as objects or as rule-notation text.
 QueryLike = Union[str, ConjunctiveQuery]
 
-#: Seconds one micro-batch collector stays open for same-shape arrivals.
-DEFAULT_BATCH_WINDOW = 0.002
-
 #: Bound of the request queue (groups, each ≥ 1 request).
 DEFAULT_MAX_PENDING = 256
 
-#: Largest group one collector may grow to before it flushes early.
+#: Largest size an open group may grow to; a full group takes no more.
 DEFAULT_BATCH_LIMIT = 64
 
 #: Most client tags the per-client stats rollup tracks (LRU eviction).
@@ -111,7 +108,7 @@ class _Group:
         "database",
         "queries",
         "futures",
-        "flushed",
+        "shape",
         "client",
         "token",
         "abandoned",
@@ -126,15 +123,19 @@ class _Group:
         client: str = ANONYMOUS,
         token: Optional[CancelToken] = None,
         options: Tuple[Tuple[str, Any], ...] = (),
+        shape: Optional[Tuple] = None,
     ) -> None:
         self.kind = kind
         #: Canonical option tuple shared by every member (part of the
-        #: collector shape — members with different options never mix).
+        #: shape key — members with different options never mix).
         self.options = options
         self.database = database
         self.queries = queries
         self.futures = futures
-        self.flushed = False
+        #: Key under which the group is open to joiners in
+        #: ``QueryService._collecting``; ``None`` for groups that never
+        #: take joiners (explicit batches, ``explain``).
+        self.shape = shape
         self.client = client
         #: Cancellation/deadline token the dispatcher activates around the
         #: engine call.  ``None`` for plain requests; created lazily when a
@@ -169,7 +170,7 @@ class _Flight:
         self.abandoned = False
 
 
-class QueryService:
+class QueryService(OperationFacade):
     """Async multiplexer of concurrent callers onto one shared engine.
 
     Parameters
@@ -177,13 +178,11 @@ class QueryService:
     engine:
         The shared engine.  ``None`` constructs one (forwarding
         ``engine_kwargs``) that the service owns and closes.
-    batch_window:
-        Micro-batching window in seconds; ``0`` disables batching and
-        every request dispatches alone.
     max_pending:
         Bound of the request queue (admission backpressure).
     batch_limit:
-        A collector flushes early once it holds this many requests.
+        A queued group takes no more joiners once it holds this many
+        requests; the next same-shape request starts a new group.
     dispatchers:
         Number of dispatcher coroutines pulling from the queue (defaults
         to the worker pool's budget) — the cap on concurrently executing
@@ -201,7 +200,6 @@ class QueryService:
         self,
         engine: Optional[QueryEngine] = None,
         *,
-        batch_window: float = DEFAULT_BATCH_WINDOW,
         max_pending: int = DEFAULT_MAX_PENDING,
         batch_limit: int = DEFAULT_BATCH_LIMIT,
         dispatchers: Optional[int] = None,
@@ -237,7 +235,6 @@ class QueryService:
         # the two pools' wait graphs are acyclic (dispatch waits on
         # engine workers, never the reverse).
         self._pool = WorkerPool(max(2, default_worker_count()), THREADS)
-        self._batch_window = batch_window
         self._max_pending = max_pending
         self._batch_limit = batch_limit
         self._dispatcher_count = dispatchers or self._pool.max_workers
@@ -257,10 +254,9 @@ class QueryService:
         #: for the entry's lifetime guarantees that id cannot be reused
         #: by a different database while a lookup could still hit it.
         self._inflight: Dict[Tuple, _Flight] = {}
+        #: shape → the group still open to same-shape joiners: created,
+        #: not yet full, not yet taken by a dispatcher, not torn down.
         self._collecting: Dict[Tuple, _Group] = {}
-        #: Groups created but not yet on the queue — ``aclose`` enqueues
-        #: any survivors so no admitted request is ever stranded.
-        self._unenqueued: Set[_Group] = set()
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -278,7 +274,7 @@ class QueryService:
         """Run one :class:`~repro.operations.Operation` through the shared
         engine — the generic path every typed facade wraps.
 
-        Single-flight coalescing and micro-batching key on the full
+        Single-flight coalescing and batching key on the full
         operation (kind *and* options), so two callers issuing the same
         operation share one execution, while operations that differ only
         in options never mix.  *deadline* bounds the request in seconds
@@ -305,7 +301,7 @@ class QueryService:
         client: str = ANONYMOUS,
         deadline: Optional[float] = None,
     ) -> List[Any]:
-        """Run an explicit batch of operations (no window wait).
+        """Run an explicit batch of operations (never joined by others).
 
         Operations sharing ``(kind, options)`` dispatch as one group
         through the engine's N-wide batch lifting; a mixed batch splits
@@ -349,112 +345,6 @@ class QueryService:
                 results[index] = answer
         return results
 
-    async def execute(
-        self,
-        query: QueryLike,
-        database: Database,
-        *,
-        client: str = ANONYMOUS,
-        deadline: Optional[float] = None,
-    ) -> Relation:
-        """Q(d) through the shared engine (single-flight, micro-batched).
-
-        *deadline* bounds the request in seconds from admission: past it
-        the call raises :class:`~repro.errors.DeadlineExceededError` and
-        the underlying execution is cooperatively cancelled (unless other
-        waiters still ride it).  Deadline'd requests skip micro-batch
-        collectors — one group, one token, one budget.
-        """
-        return await self.run(
-            Operation(EXECUTE, query), database, client=client, deadline=deadline
-        )
-
-    async def decide(
-        self,
-        query: QueryLike,
-        database: Database,
-        *,
-        client: str = ANONYMOUS,
-        deadline: Optional[float] = None,
-    ) -> bool:
-        """Is Q(d) nonempty?  Decision requests micro-batch through the
-        engine's decision-only N-wide lifting (``run_batch``)."""
-        return await self.run(
-            Operation(DECIDE, query), database, client=client, deadline=deadline
-        )
-
-    async def explain(
-        self,
-        query: QueryLike,
-        database: Database,
-        *,
-        client: str = ANONYMOUS,
-        deadline: Optional[float] = None,
-    ) -> str:
-        """The engine's plan rendering, without executing (coalesced but
-        never batched — explaining is per-query by definition)."""
-        return await self.run(
-            Operation(EXPLAIN, query), database, client=client, deadline=deadline
-        )
-
-    async def count(
-        self,
-        query: QueryLike,
-        database: Database,
-        *,
-        client: str = ANONYMOUS,
-        deadline: Optional[float] = None,
-    ) -> int:
-        """\\|Q(d)\\| through the engine's counting pass (single-flight,
-        micro-batched like decisions — counts share the reduction)."""
-        return await self.run(
-            Operation(COUNT, query), database, client=client, deadline=deadline
-        )
-
-    async def grouped_count(
-        self,
-        query: QueryLike,
-        database: Database,
-        group_by: Sequence[str],
-        *,
-        client: str = ANONYMOUS,
-        deadline: Optional[float] = None,
-    ) -> Relation:
-        """Grouped answer counts over *group_by* head variables."""
-        return await self.run(
-            Operation.grouped_count(query, group_by),
-            database,
-            client=client,
-            deadline=deadline,
-        )
-
-    async def exists(
-        self,
-        query: QueryLike,
-        database: Database,
-        *,
-        client: str = ANONYMOUS,
-        deadline: Optional[float] = None,
-    ) -> bool:
-        """Is Q(d) nonempty? — the aggregate spelling of ``decide``."""
-        return await self.run(
-            Operation.exists(query), database, client=client, deadline=deadline
-        )
-
-    async def forall(
-        self,
-        query: QueryLike,
-        database: Database,
-        *,
-        client: str = ANONYMOUS,
-        deadline: Optional[float] = None,
-    ) -> bool:
-        """Does every tuple over the head variables' candidate domains
-        satisfy the query body?  (``count == |domain|``.)"""
-        return await self.run(
-            Operation.forall(query), database, client=client, deadline=deadline
-        )
-
     async def stats(self) -> ServiceStats:
         """Service counters, per-client rollups, and the engine snapshot."""
         self._ensure_open()
@@ -470,7 +360,7 @@ class QueryService:
         return self._engine
 
     # ------------------------------------------------------------------
-    # Admission: single-flight, then batching, then the bounded queue
+    # Admission: single-flight, then an open group or a new queued one
     # ------------------------------------------------------------------
 
     def _coerce_query(self, query: QueryLike, client: str) -> ConjunctiveQuery:
@@ -652,6 +542,8 @@ class QueryService:
         if token is None:
             token = group.token = CancelToken()
         token.cancel(reason)
+        # A purged group that stayed open would strand every later joiner.
+        self._close(group)
         if self._queue is not None and self._queue.purge(
             lambda item: item is group
         ):
@@ -770,8 +662,6 @@ class QueryService:
             CancelToken(deadline),
             options,
         )
-        group.flushed = True  # explicit batches never collect further
-        self._unenqueued.add(group)
         await self._put(group)
         try:
             if deadline is None:
@@ -817,9 +707,9 @@ class QueryService:
         query: ConjunctiveQuery,
         database: Database,
         future: "asyncio.Future[Any]",
-        client: str = ANONYMOUS,
-        flight: Optional[_Flight] = None,
-        options: Tuple[Tuple[str, Any], ...] = (),
+        client: str,
+        flight: _Flight,
+        options: Tuple[Tuple[str, Any], ...],
     ) -> None:
         # Every group carries a (deadline-free) token from birth so that
         # the dispatch closure and the teardown path always see the SAME
@@ -829,64 +719,43 @@ class QueryService:
         # a deadline'd request batches and coalesces like any other, and
         # its engine work stops via last-waiter abandonment, so deadlines
         # cost none of the sharing the service exists to provide.
-        window = self._batch_window
-        if window <= 0.0 or kind == EXPLAIN:
-            group = _Group(
-                kind, database, [query], [future], client, CancelToken(), options
+        shape = None
+        if kind != EXPLAIN:
+            # Groups are client-pure (the client tag is part of the shape
+            # key): a group sits in exactly one fairness lane, so a
+            # flooding client's batches cannot ride a polite client's
+            # admission slot.
+            shape = (
+                kind,
+                options,
+                client,
+                id(database),
+                plan_cache_key(query, database),
             )
-            group.flushed = True
-            if flight is not None:
+            group = self._collecting.get(shape)
+            # A cancelled token cannot be revived: a newcomer joining a
+            # torn-down group would inherit a cancellation it never asked for.
+            if group is not None and not group.token.cancelled:
+                group.queries.append(query)
+                group.futures.append(future)
                 flight.group = group
-            self._unenqueued.add(group)
-            await self._put(group)
-            return
-        # Collectors are client-pure (the client tag is part of the shape
-        # key): a group sits in exactly one fairness lane, so a flooding
-        # client's batches cannot ride a polite client's admission slot.
-        shape = (kind, options, client, id(database), plan_cache_key(query, database))
-        group = self._collecting.get(shape)
-        if group is not None and not group.flushed:
-            group.queries.append(query)
-            group.futures.append(future)
-            if flight is not None:
-                flight.group = group
-            self._counters.batched += 1
-            self._client_stats(client).batched += 1
-            if len(group.queries) >= self._batch_limit:
-                await self._flush(shape, group)
-            return
+                self._counters.batched += 1
+                self._client_stats(client).batched += 1
+                if len(group.queries) >= self._batch_limit:
+                    self._close(group)
+                return
         group = _Group(
-            kind, database, [query], [future], client, CancelToken(), options
+            kind, database, [query], [future], client, CancelToken(), options, shape
         )
-        if flight is not None:
-            flight.group = group
-        self._unenqueued.add(group)
-        self._collecting[shape] = group
-        assert self._loop is not None
-        flusher = self._loop.create_task(self._flush_later(shape, group, window))
-        self._background.add(flusher)
-        flusher.add_done_callback(self._background.discard)
-
-    async def _flush_later(self, shape: Tuple, group: _Group, window: float) -> None:
-        await asyncio.sleep(window)
-        await self._flush(shape, group)
-
-    async def _flush(self, shape: Tuple, group: _Group) -> None:
-        """Close a collector and enqueue it (idempotent, loop thread).
-
-        The collector-map entry is removed *before* the (possibly
-        blocking) put: the service-owned put task completes even if this
-        caller is cancelled at the await, so leaving the entry behind
-        would only accumulate dead flushed groups — and a group cancelled
-        before its put ran stays recoverable through ``_unenqueued``,
-        which ``aclose`` re-enqueues.
-        """
-        if group.flushed:
-            return
-        group.flushed = True
-        if self._collecting.get(shape) is group:
-            del self._collecting[shape]
+        flight.group = group
+        if shape is not None and self._batch_limit > 1:
+            self._collecting[shape] = group
         await self._put(group)
+
+    def _close(self, group: _Group) -> None:
+        """*group* takes no more joiners: full, dequeued, or torn down."""
+        if self._collecting.get(group.shape) is group:
+            del self._collecting[group.shape]
 
     async def _put(self, group: _Group) -> None:
         """Enqueue *group*, surviving the caller's cancellation.
@@ -906,7 +775,6 @@ class QueryService:
     async def _enqueue_task(self, group: _Group) -> None:
         assert self._queue is not None
         await self._queue.put(group, group.client)
-        self._unenqueued.discard(group)
         depth = self._queue.qsize()
         if depth > self._counters.max_queue_depth:
             self._counters.max_queue_depth = depth
@@ -925,6 +793,9 @@ class QueryService:
                 self._queue.task_done()
 
     async def _run_group(self, group: _Group) -> None:
+        # Dequeued: whatever joined while the group waited behind busy
+        # dispatchers is the batch; later arrivals start the next one.
+        self._close(group)
         self._counters.groups += 1
         if len(group.queries) > self._counters.max_group:
             self._counters.max_group = len(group.queries)
@@ -1006,24 +877,15 @@ class QueryService:
             )
 
     async def aclose(self) -> None:
-        """Flush collectors, drain the queue, stop dispatchers, release
-        owned resources.  Idempotent."""
+        """Drain the queue, stop dispatchers, release owned resources.
+        Idempotent."""
         if self._closed:
             return
         self._closed = True
         if self._loop is not None:
-            for task in list(self._background):
-                task.cancel()
+            # Every admitted group owns a put task; once those land, the
+            # queue holds all outstanding work and ``join`` sees it through.
             await asyncio.gather(*self._background, return_exceptions=True)
-            # Whatever a cancelled flusher left behind — still-collecting
-            # groups, and groups closed but never enqueued — goes onto the
-            # queue now, so every admitted request completes.
-            for group in list(self._collecting.values()):
-                group.flushed = True
-            self._collecting.clear()
-            for group in list(self._unenqueued):
-                group.flushed = True
-                await self._put(group)
             assert self._queue is not None
             await self._queue.join()
             for task in self._dispatchers:
@@ -1046,7 +908,6 @@ class QueryService:
         else:
             state = "idle" if self._loop is None else "serving"
         return (
-            f"QueryService({state}, window={self._batch_window}, "
-            f"max_pending={self._max_pending}, "
+            f"QueryService({state}, max_pending={self._max_pending}, "
             f"dispatchers={self._dispatcher_count})"
         )

@@ -43,7 +43,7 @@ from repro.protocol.frames import (
     negotiate_frames,
     read_frame_blocking,
 )
-from repro.protocol.messages import PING, PONG, RELATION, RELATIONS
+from repro.protocol.messages import PING, PONG, RELATION, RESULTS
 from repro.workloads import chain_database, path_query
 
 ids = st.integers(min_value=0, max_value=2**31)
@@ -78,8 +78,11 @@ def relation_responses(draw):
         return Response(id=rid, kind=RELATION, result=draw(relation_payloads()))
     return Response(
         id=rid,
-        kind=RELATIONS,
-        result=draw(st.lists(relation_payloads(), min_size=1, max_size=4)),
+        kind=RESULTS,
+        result=[
+            {"kind": RELATION, "result": payload}
+            for payload in draw(st.lists(relation_payloads(), min_size=1, max_size=4))
+        ],
     )
 
 
@@ -104,7 +107,7 @@ class TestCodecRoundTrip:
         if frame is None:
             # Only empty relation lists decline; kinds above always carry
             # at least the payload shape, so a relation response encodes.
-            assert response.kind == RELATIONS and response.result == []
+            assert response.kind == RESULTS and response.result == []
             return
         decoded = decode_binary(body_of(frame))
         assert encode(decoded) == encode(response)

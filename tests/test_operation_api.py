@@ -5,7 +5,10 @@ The "add an op" property this redesign buys: ``explain`` (and ``count``,
 and every aggregate) flows through the SAME generic dispatch at the
 engine, the service, and the wire — no per-op plumbing anywhere."""
 
+import ast
 import asyncio
+import inspect
+import json
 
 import pytest
 
@@ -22,9 +25,11 @@ from repro.operations import (
     EXECUTE,
     EXPLAIN,
     Operation,
+    OperationFacade,
     canonical_options,
     operations_of,
 )
+from repro.fleet import AsyncFleetRouter, FleetRouter
 from repro.protocol import AsyncQueryClient, QueryClient, QueryServer
 from repro.protocol.messages import query_text
 from repro.service import QueryService
@@ -88,6 +93,65 @@ class TestOperationValue:
         ops = operations_of(DECIDE, queries)
         assert [op.kind for op in ops] == [DECIDE, DECIDE]
         assert [op.query for op in ops] == queries
+
+
+PER_KIND = (
+    "execute",
+    "decide",
+    "explain",
+    "count",
+    "grouped_count",
+    "exists",
+    "forall",
+)
+
+
+class TestOneSpelling:
+    """The per-kind methods live in ``OperationFacade`` and nowhere else."""
+
+    @pytest.mark.parametrize(
+        "host",
+        [
+            QueryEngine,
+            QueryService,
+            AsyncQueryClient,
+            QueryClient,
+            FleetRouter,
+            AsyncFleetRouter,
+        ],
+    )
+    def test_hosts_inherit_the_per_kind_methods(self, host):
+        for name in PER_KIND:
+            assert getattr(host, name) is getattr(OperationFacade, name)
+        # No class in the host's own file spells one out by hand.
+        tree = ast.parse(inspect.getsource(inspect.getmodule(host)))
+        redefined = [
+            f"{cls.name}.{node.name}"
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name in PER_KIND
+        ]
+        assert redefined == []
+
+    def test_facade_passes_call_keywords_through(self):
+        seen = []
+
+        class Host(OperationFacade):
+            def run(self, operation, database, **call):
+                seen.append((operation, database, call))
+                return len(seen)
+
+        host = Host()
+        text = "Q(x) :- E(x, y)."
+        assert host.grouped_count(text, "db", ("x",), deadline=2.0) == 1
+        assert host.execute(text, "db", "naive", client="c") == 2
+        (grouped, _, first), (executed, _, second) = seen
+        assert grouped == Operation.grouped_count(text, ("x",))
+        assert first == {"deadline": 2.0}
+        assert executed == Operation.execute(text, "naive")
+        assert second == {"client": "c"}
 
 
 class TestEngineDispatch:
@@ -298,31 +362,38 @@ class TestWireDispatch:
             assert grouped == engine.grouped_count(query, chain, ("x0",))
         assert exists is True and forall is False
 
-    def test_client_batch_shims_removed_wire_ops_stay(self, chain):
-        # The client-side shims are gone, but the ``execute_batch`` /
-        # ``decide_batch`` WIRE ops remain as server-side compatibility
-        # shims for old clients: a raw wire call still answers.
+    def test_legacy_batch_wire_ops_are_unknown_ops(self, chain):
+        # ``execute_batch`` / ``decide_batch`` are not ops: a raw frame
+        # naming one answers a typed ``bad_request`` under its own id,
+        # and the connection carries on.
         queries = [path_query(n, head_arity=1) for n in (1, 2)]
 
         async def main():
             async with QueryServer({"chain": chain}) as server:
                 host, port = server.address
+                reader, writer = await asyncio.open_connection(host, port)
+                answers = []
+                for op in ("execute_batch", "decide_batch"):
+                    frame = {
+                        "v": 1,
+                        "op": op,
+                        "id": 7,
+                        "queries": [query_text(q) for q in queries],
+                        "database": "chain",
+                    }
+                    writer.write(json.dumps(frame).encode() + b"\n")
+                    answers.append(json.loads(await reader.readline()))
+                writer.write(b'{"v": 1, "op": "ping", "id": 8}\n')
+                answers.append(json.loads(await reader.readline()))
+                writer.close()
+                await writer.wait_closed()
                 async with await AsyncQueryClient.connect(host, port) as client:
-                    assert not hasattr(client, "execute_batch")
-                    assert not hasattr(client, "decide_batch")
                     new_e = await client.run_batch(
                         operations_of(EXECUTE, queries), "chain"
-                    )
-                    wire_e = await client._call(
-                        "execute_batch",
-                        queries=[query_text(q) for q in queries],
-                        database="chain",
                     )
 
                     def sync_work():
                         with QueryClient(host, port) as sync_client:
-                            assert not hasattr(sync_client, "execute_batch")
-                            assert not hasattr(sync_client, "decide_batch")
                             return (
                                 sync_client.run_batch(
                                     operations_of(EXECUTE, queries), "chain"
@@ -331,15 +402,16 @@ class TestWireDispatch:
                             )
 
                     sync_new, sync_count = await asyncio.to_thread(sync_work)
-            return new_e, wire_e, sync_new, sync_count
+            return answers, new_e, sync_new, sync_count
 
-        new_e, wire_e, sync_new, sync_count = run(main())
+        answers, new_e, sync_new, sync_count = run(main())
+        for answer in answers[:2]:
+            assert answer["ok"] is False and answer["id"] == 7
+            assert answer["error"]["code"] == "bad_request"
+        assert answers[2]["ok"] is True and answers[2]["kind"] == "pong"
         assert new_e == sync_new
-        wire_rows = [
-            {tuple(row) for row in payload["rows"]} for payload in wire_e.result
-        ]
-        assert [set(r.rows) for r in new_e] == wire_rows
         with QueryEngine() as engine:
+            assert new_e == [engine.execute(q, chain) for q in queries]
             assert sync_count == engine.count(queries[0], chain)
 
     def test_invalid_wire_operation_is_structured_error(self, chain):

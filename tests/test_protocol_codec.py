@@ -31,15 +31,14 @@ from repro.protocol import (
     request_id_of,
 )
 from repro.protocol.messages import (
-    BATCH_OPS,
     BOOLEAN,
-    BOOLEANS,
     ERROR,
     PING,
     PONG,
     QUERY_OPS,
     RELATION,
-    RELATIONS,
+    RESULTS,
+    RUN_BATCH,
     STATS,
     STATS_RESULT,
     TEXT,
@@ -64,12 +63,14 @@ query_requests = st.builds(
 
 # "Oversized": far beyond DEFAULT_BATCH_LIMIT (64) — framing must not care.
 batch_requests = st.builds(
-    lambda op, rid, queries, database: Request(
-        op=op, id=rid, queries=tuple(queries), database=database
+    lambda rid, members, database: Request(
+        op=RUN_BATCH,
+        id=rid,
+        operations=tuple({"op": op, "query": query} for op, query in members),
+        database=database,
     ),
-    op=st.sampled_from(BATCH_OPS),
     rid=ids,
-    queries=st.lists(texts, max_size=200),
+    members=st.lists(st.tuples(st.sampled_from(QUERY_OPS), texts), max_size=200),
     database=names,
 )
 
@@ -111,7 +112,7 @@ def relation_payloads(draw):
 def responses(draw):
     kind = draw(
         st.sampled_from(
-            (RELATION, BOOLEAN, RELATIONS, BOOLEANS, TEXT, STATS_RESULT, PONG, ERROR)
+            (RELATION, BOOLEAN, RESULTS, TEXT, STATS_RESULT, PONG, ERROR)
         )
     )
     rid = draw(st.one_of(st.none(), ids))
@@ -124,12 +125,16 @@ def responses(draw):
         return Response(id=rid, kind=ERROR, error=error)
     if kind == RELATION:
         result = draw(relation_payloads())
-    elif kind == RELATIONS:
-        result = draw(st.lists(relation_payloads(), max_size=5))
+    elif kind == RESULTS:
+        result = [
+            {"kind": RELATION, "result": payload}
+            for payload in draw(st.lists(relation_payloads(), max_size=5))
+        ] + [
+            {"kind": BOOLEAN, "result": flag}
+            for flag in draw(st.lists(st.booleans(), max_size=100))
+        ]
     elif kind == BOOLEAN:
         result = draw(st.booleans())
-    elif kind == BOOLEANS:
-        result = draw(st.lists(st.booleans(), max_size=100))
     elif kind == TEXT:
         result = draw(texts)
     elif kind == STATS_RESULT:
@@ -215,7 +220,13 @@ class TestRejects:
             (b'{"v": 1, "op": "execute", "id": 1}\n', "bad_request"),
             (b'{"v": 1, "op": "execute", "id": 1, "query": "Q", '
              b'"database": "d", "extra": 1}\n', "bad_request"),
-            (b'{"v": 1, "op": "execute_batch", "id": 1, "queries": "Q", '
+            # 'execute_batch' / 'decide_batch' are not ops and 'queries' is
+            # not a field: rejected like any other unknown op or field.
+            (b'{"v": 1, "op": "execute_batch", "id": 1, "queries": ["Q"], '
+             b'"database": "d"}\n', "bad_request"),
+            (b'{"v": 1, "op": "decide_batch", "id": 1, "database": "d"}\n',
+             "bad_request"),
+            (b'{"v": 1, "op": "run_batch", "id": 1, "queries": ["Q"], '
              b'"database": "d"}\n', "bad_request"),
             (b'{"v": 1, "ok": true, "kind": "nope", "result": 1}\n', "bad_request"),
             (b'{"v": 1, "ok": false, "kind": "error", "result": 1}\n', "bad_request"),

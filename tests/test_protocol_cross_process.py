@@ -54,8 +54,6 @@ def server_process(chain_db, tmp_path_factory):
             "0",
             "--database",
             f"chain={path}",
-            "--batch-window",
-            "0.002",
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,

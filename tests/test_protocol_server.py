@@ -53,9 +53,7 @@ class TestFacadeOverTheWire:
         instances = [query.decision_instance((value,)) for value in starts]
 
         async def main():
-            async with QueryServer(
-                {"chain": chain_db, "star": star_db}, batch_window=0.002
-            ) as server:
+            async with QueryServer({"chain": chain_db, "star": star_db}) as server:
                 host, port = server.address
                 async with await AsyncQueryClient.connect(host, port) as client:
                     executed = await client.execute(query, "chain")
@@ -197,7 +195,7 @@ class TestSingleFlightAcrossConnections:
         clients, per_client = 4, 8
 
         async def main():
-            async with QueryServer({"chain": chain_db}, batch_window=0.0) as server:
+            async with QueryServer({"chain": chain_db}) as server:
                 host, port = server.address
                 connections = [
                     await AsyncQueryClient.connect(host, port)
@@ -243,8 +241,10 @@ class TestFairnessAndBackpressure:
         ]
 
         async def main():
+            # batch_limit=1: every flood request is its own queued group,
+            # so the flood's lane really is 40+ deep.
             async with QueryServer(
-                {"chain": chain_db}, batch_window=0.0, dispatchers=1
+                {"chain": chain_db}, batch_limit=1, dispatchers=1
             ) as server:
                 host, port = server.address
                 flooder = await AsyncQueryClient.connect(host, port)
@@ -301,6 +301,7 @@ class TestFairnessAndBackpressure:
         assert p95 < total_seconds / 2, (p95, total_seconds)
         # The per-client rollup saw all four lanes.
         assert len(stats["clients"]) >= 4
+        assert stats["service"]["max_group"] == 1
 
     def test_backpressure_rejections_are_structured(self, chain_db):
         query = path_query(4, head_arity=1)
@@ -310,7 +311,6 @@ class TestFairnessAndBackpressure:
         async def main():
             async with QueryServer(
                 {"chain": chain_db},
-                batch_window=0.0,
                 dispatchers=1,
                 max_pending_per_client=4,
             ) as server:
@@ -532,7 +532,7 @@ class TestLifecycle:
         query = path_query(4, head_arity=1)
 
         async def main():
-            server = QueryServer({"chain": chain_db}, batch_window=0.0)
+            server = QueryServer({"chain": chain_db})
             await server.start()
             host, port = server.address
             client = await AsyncQueryClient.connect(host, port)
@@ -563,4 +563,4 @@ class TestLifecycle:
         from repro import QueryService
 
         with pytest.raises(ValueError):
-            QueryServer({"chain": chain_db}, service=QueryService(), batch_window=0.5)
+            QueryServer({"chain": chain_db}, service=QueryService(), batch_limit=8)

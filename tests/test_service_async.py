@@ -5,12 +5,14 @@ multiplex onto one ``QueryEngine`` with results identical to sequential
 ``QueryEngine(parallel=False)`` execution, no plan-cache corruption, and a
 stats ledger whose totals are consistent with the request count.  Plus the
 front-end's own semantics: single-flight coalescing (N identical in-flight
-queries → one plan, one execution), micro-batching of same-shape floods
-into N-wide lifted executions, bounded-queue backpressure, and error
-propagation to every coalesced caller.
+queries → one plan, one execution), batching of same-shape requests that
+queue up behind busy dispatchers into N-wide lifted executions (with no
+timer: a lonely request runs at once), bounded-queue backpressure, and
+error propagation to every coalesced caller.
 """
 
 import asyncio
+import contextlib
 import random
 import threading
 
@@ -19,7 +21,7 @@ import pytest
 from repro import QueryEngine, QueryService, parse_query
 from repro.engine import PlanCache
 from repro.errors import SchemaError
-from repro.operations import DECIDE, EXECUTE, operations_of
+from repro.operations import DECIDE, EXECUTE, EXPLAIN, operations_of
 from repro.workloads import chain_database, path_query, star_database, star_query
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
@@ -33,6 +35,37 @@ def chain_db():
 @pytest.fixture(scope="module")
 def star_db():
     return star_database(3, 120, seed=5)
+
+
+class GatedEngine(QueryEngine):
+    """An engine whose ``explain`` blocks until the test opens the gate —
+    the way to keep a dispatcher busy for exactly as long as a test needs
+    (``explain`` never batches, so the blocker is always its own group)."""
+
+    def __init__(self):
+        super().__init__()
+        self.entered = threading.Event()
+        self.gate = threading.Event()
+
+    def run(self, operation, database):
+        if operation.kind == EXPLAIN:
+            self.entered.set()
+            assert self.gate.wait(30)
+        return super().run(operation, database)
+
+
+@contextlib.asynccontextmanager
+async def busy_dispatcher(service, query, database):
+    """Keep one dispatcher of *service* (built over a GatedEngine) busy for
+    the duration of the block; on exit the gate opens and the blocker
+    finishes."""
+    blocker = asyncio.ensure_future(service.explain(query, database))
+    try:
+        assert await asyncio.to_thread(service.engine.entered.wait, 30)
+        yield
+    finally:
+        service.engine.gate.set()
+        await blocker
 
 
 def _mixed_workload(chain_db, star_db, clients, per_client):
@@ -75,7 +108,7 @@ class TestStress:
             return [await service.execute(query, db) for query, db in requests]
 
         async def main():
-            async with QueryService(batch_window=0.002) as service:
+            async with QueryService() as service:
                 results = await asyncio.gather(
                     *(client(service, requests) for requests in workload)
                 )
@@ -95,8 +128,9 @@ class TestStress:
         assert cache.size <= cache.capacity
 
     def test_ledger_totals_consistent_with_request_count(self, chain_db):
-        """No batching, no duplicates: every request is one recorded
-        execution — the ledger's totals must agree exactly."""
+        """No batching (every client has its own tag and awaits its
+        requests one at a time), no duplicates: every request is one
+        recorded execution — the ledger's totals must agree exactly."""
         clients, per_client = 32, 4
         query = path_query(4, head_arity=1)
         starts = sorted({row[0] for row in chain_db["E"].rows})
@@ -107,20 +141,25 @@ class TestStress:
         ]
 
         async def main():
-            async with QueryService(batch_window=0.0) as service:
+            async with QueryService() as service:
                 chunks = [
                     instances[i * per_client : (i + 1) * per_client]
                     for i in range(clients)
                 ]
 
-                async def client(chunk):
-                    return [await service.execute(q, chain_db) for q in chunk]
+                async def client(tag, chunk):
+                    return [
+                        await service.execute(q, chain_db, client=tag) for q in chunk
+                    ]
 
-                await asyncio.gather(*(client(chunk) for chunk in chunks))
+                await asyncio.gather(
+                    *(client(f"c{i}", chunk) for i, chunk in enumerate(chunks))
+                )
                 return await service.stats()
 
         stats = asyncio.run(main())
         assert stats.service.coalesced == 0
+        assert stats.service.batched == 0
         assert stats.engine.executions == clients * per_client
         assert stats.service.completed == clients * per_client
         # One shape, planned once, shared by every client.
@@ -136,7 +175,7 @@ class TestStress:
         reference = [sequential.decide(q, star_db) for q in instances]
 
         async def main():
-            async with QueryService(batch_window=0.01) as service:
+            async with QueryService() as service:
                 return await asyncio.gather(
                     *(service.decide(q, star_db) for q in instances)
                 )
@@ -152,7 +191,7 @@ class TestSingleFlight:
         query = path_query(4, head_arity=1)
 
         async def main():
-            async with QueryService(batch_window=0.0) as service:
+            async with QueryService() as service:
                 results = await asyncio.gather(
                     *(service.execute(query, chain_db) for _ in range(n))
                 )
@@ -171,29 +210,33 @@ class TestSingleFlight:
         instances = [query.decision_instance((value,)) for value in starts]
 
         async def main():
-            async with QueryService(batch_window=0.0) as service:
+            async with QueryService() as service:
                 await asyncio.gather(
                     *(service.execute(q, chain_db) for q in instances)
                 )
                 return await service.stats()
 
         stats = asyncio.run(main())
+        # Same shape, different constants: they may share a batch, never
+        # a flight.
         assert stats.service.coalesced == 0
-        assert stats.engine.executions == len(instances)
+        assert stats.service.submitted == len(instances)
+        assert stats.service.completed == len(instances)
 
-    @pytest.mark.parametrize("window", [0.0, 0.01])
-    def test_error_propagates_to_every_coalesced_caller(self, chain_db, window):
-        """Both failure sites — admission (the shape key is computed
-        before enqueue when the window is open) and execution — must
+    @pytest.mark.parametrize("kind", ["execute", "explain"])
+    def test_error_propagates_to_every_coalesced_caller(self, chain_db, kind):
+        """Both failure sites — admission (``execute``: the shape key is
+        computed before enqueue) and execution (``explain`` has no shape
+        key, so the unknown relation surfaces in the engine) — must
         complete the shared future; neither may leave coalesced callers
         hanging."""
         bad = parse_query("Q(x) :- NoSuchRelation(x, y).")
 
         async def main():
-            async with QueryService(batch_window=window) as service:
+            async with QueryService() as service:
                 return await asyncio.wait_for(
                     asyncio.gather(
-                        *(service.execute(bad, chain_db) for _ in range(6)),
+                        *(getattr(service, kind)(bad, chain_db) for _ in range(6)),
                         return_exceptions=True,
                     ),
                     timeout=10,
@@ -204,7 +247,66 @@ class TestSingleFlight:
         assert all(isinstance(outcome, SchemaError) for outcome in outcomes)
 
 
-class TestMicroBatching:
+class TestBatchingOnBacklog:
+    def test_lonely_request_waits_for_no_timer(self, chain_db, monkeypatch):
+        """One request on an idle service dispatches at once: nothing on
+        the deadline-free path sleeps or arms a timer, and the request is
+        its own group."""
+        query = path_query(4, head_arity=1)
+
+        async def main():
+            async with QueryService() as service:
+                await service.execute(path_query(3, head_arity=1), chain_db)  # warm
+                loop = asyncio.get_running_loop()
+                timers = []
+                for name in ("call_later", "call_at"):
+                    real = getattr(loop, name)
+
+                    def spy(*args, _real=real, _name=name, **kwargs):
+                        timers.append(_name)
+                        return _real(*args, **kwargs)
+
+                    monkeypatch.setattr(loop, name, spy)
+                before = (await service.stats()).service
+                result = await service.execute(query, chain_db)
+                after = (await service.stats()).service
+                return result, timers, before, after
+
+        result, timers, before, after = asyncio.run(main())
+        assert result == QueryEngine(parallel=False).execute(query, chain_db)
+        assert timers == []  # asyncio.sleep is a call_later too
+        assert after.groups - before.groups == 1
+        assert after.batched == 0 and after.max_group == 1
+
+    def test_backlog_behind_a_busy_dispatcher_is_one_batch(self, chain_db):
+        """What arrives while the only dispatcher is busy is the next
+        batch — all of it, in one group."""
+        query = path_query(4, head_arity=1)
+        starts = sorted({row[0] for row in chain_db["E"].rows})[:40]
+        instances = [query.decision_instance((value,)) for value in starts]
+        sequential = QueryEngine(parallel=False)
+        reference = [sequential.execute(q, chain_db) for q in instances]
+
+        async def main():
+            async with QueryService(GatedEngine(), dispatchers=1) as service:
+                tasks = []
+                async with busy_dispatcher(service, query, chain_db):
+                    for instance in instances:  # one arrival per loop turn
+                        tasks.append(
+                            asyncio.ensure_future(service.execute(instance, chain_db))
+                        )
+                        await asyncio.sleep(0)
+                results = await asyncio.gather(*tasks)
+                stats = await service.stats()
+                service.engine.close()
+                return results, stats
+
+        results, stats = asyncio.run(main())
+        assert list(results) == reference
+        assert stats.service.groups == 2  # the blocker, then the backlog
+        assert stats.service.max_group == len(instances)
+        assert stats.service.batched == len(instances) - 1
+
     def test_same_shape_flood_collapses_into_groups(self, chain_db):
         query = path_query(4, head_arity=1)
         starts = sorted({row[0] for row in chain_db["E"].rows})[:48]
@@ -213,7 +315,7 @@ class TestMicroBatching:
         reference = [sequential.execute(q, chain_db) for q in instances]
 
         async def main():
-            async with QueryService(batch_window=0.05) as service:
+            async with QueryService() as service:
                 results = await asyncio.gather(
                     *(service.execute(q, chain_db) for q in instances)
                 )
@@ -226,41 +328,24 @@ class TestMicroBatching:
         assert stats.service.max_group > 1
         assert stats.service.batched > 0
 
-    def test_batch_limit_flushes_early(self, chain_db):
+    def test_batch_limit_closes_a_full_group(self, chain_db):
         query = path_query(3, head_arity=1)
         starts = sorted({row[0] for row in chain_db["E"].rows})[:20]
         instances = [query.decision_instance((value,)) for value in starts]
 
         async def main():
-            async with QueryService(
-                batch_window=0.2, batch_limit=8
-            ) as service:
+            async with QueryService(batch_limit=8) as service:
                 results = await asyncio.gather(
                     *(service.execute(q, chain_db) for q in instances)
                 )
                 return results, await service.stats()
 
         results, stats = asyncio.run(main())
-        assert stats.service.max_group <= 8
+        assert stats.service.max_group == 8
+        assert stats.service.groups == 3  # 8 + 8 + 4
         sequential = QueryEngine(parallel=False)
         for got, instance in zip(results, instances):
             assert got == sequential.execute(instance, chain_db)
-
-    def test_window_zero_disables_batching(self, chain_db):
-        query = path_query(3, head_arity=1)
-        starts = sorted({row[0] for row in chain_db["E"].rows})[:10]
-        instances = [query.decision_instance((value,)) for value in starts]
-
-        async def main():
-            async with QueryService(batch_window=0.0) as service:
-                await asyncio.gather(
-                    *(service.execute(q, chain_db) for q in instances)
-                )
-                return await service.stats()
-
-        stats = asyncio.run(main())
-        assert stats.service.batched == 0
-        assert stats.service.max_group == 1
 
     def test_decide_flood_routes_through_decision_lifting(self, chain_db):
         query = path_query(4, head_arity=1)
@@ -271,7 +356,7 @@ class TestMicroBatching:
         reference = [sequential.decide(q, chain_db) for q in instances]
 
         async def main():
-            async with QueryService(batch_window=0.05) as service:
+            async with QueryService() as service:
                 decisions = await asyncio.gather(
                     *(service.decide(q, chain_db) for q in instances)
                 )
@@ -341,16 +426,20 @@ class TestFacade:
         instances = [query.decision_instance((value,)) for value in starts]
 
         async def main():
-            async with QueryService(
-                batch_window=0.0, max_pending=1, dispatchers=1
-            ) as service:
+            # One client tag per request: every request is its own group,
+            # so 24 groups squeeze through a one-slot queue.
+            async with QueryService(max_pending=1, dispatchers=1) as service:
                 results = await asyncio.gather(
-                    *(service.execute(q, chain_db) for q in instances)
+                    *(
+                        service.execute(q, chain_db, client=f"c{i}")
+                        for i, q in enumerate(instances)
+                    )
                 )
                 return results, await service.stats()
 
         results, stats = asyncio.run(main())
         assert stats.service.completed == len(instances)
+        assert stats.service.groups == len(instances)
         sequential = QueryEngine(parallel=False)
         assert list(results) == [
             sequential.execute(q, chain_db) for q in instances
@@ -370,19 +459,20 @@ class TestFacade:
         asyncio.run(main())
 
     def test_pending_work_completes_through_aclose(self, chain_db):
-        """Requests still collecting in a batch window when aclose runs
-        are flushed and answered, never stranded."""
+        """Requests admitted but not yet dispatched when aclose runs —
+        queued, or still waiting for a queue slot — are answered, never
+        stranded."""
         query = path_query(3, head_arity=1)
         starts = sorted({row[0] for row in chain_db["E"].rows})[:6]
         instances = [query.decision_instance((value,)) for value in starts]
 
         async def main():
-            service = QueryService(batch_window=5.0)  # would wait 5 s
+            service = QueryService(max_pending=1, dispatchers=1)
             tasks = [
-                asyncio.ensure_future(service.execute(q, chain_db))
-                for q in instances
+                asyncio.ensure_future(service.execute(q, chain_db, client=f"c{i}"))
+                for i, q in enumerate(instances)
             ]
-            await asyncio.sleep(0.05)  # all collecting, none dispatched
+            await asyncio.sleep(0)  # all admitted, at most one dispatched
             await service.aclose()
             return await asyncio.gather(*tasks)
 
@@ -400,7 +490,7 @@ class TestCancellation:
         query = path_query(4, head_arity=1)
 
         async def main():
-            async with QueryService(batch_window=0.0) as service:
+            async with QueryService() as service:
                 first = asyncio.ensure_future(service.execute(query, chain_db))
                 await asyncio.sleep(0)  # originator registers in flight
                 second = asyncio.ensure_future(service.execute(query, chain_db))
@@ -422,12 +512,12 @@ class TestCancellation:
         instances = [query.decision_instance((value,)) for value in starts]
 
         async def main():
-            async with QueryService(
-                batch_window=0.0, max_pending=1, dispatchers=1
-            ) as service:
+            async with QueryService(max_pending=1, dispatchers=1) as service:
                 tasks = [
-                    asyncio.ensure_future(service.execute(q, chain_db))
-                    for q in instances
+                    asyncio.ensure_future(
+                        service.execute(q, chain_db, client=f"c{i}")
+                    )
+                    for i, q in enumerate(instances)
                 ]
                 await asyncio.sleep(0.005)
                 tasks[-1].cancel()
@@ -444,32 +534,97 @@ class TestCancellation:
         assert completed >= len(instances) - 1
 
     def test_cancelled_member_does_not_strand_batch(self, chain_db):
-        """Cancelling one member of a collecting micro-batch leaves the
-        rest of the group intact and correctly answered."""
+        """Cancelling one member of a queued batch leaves the rest of the
+        group intact and correctly answered."""
         query = path_query(3, head_arity=1)
         starts = sorted({row[0] for row in chain_db["E"].rows})[:6]
         instances = [query.decision_instance((value,)) for value in starts]
 
         async def main():
-            async with QueryService(batch_window=0.05) as service:
-                tasks = [
-                    asyncio.ensure_future(service.execute(q, chain_db))
-                    for q in instances
-                ]
-                await asyncio.sleep(0.01)  # all collecting, none flushed
-                tasks[2].cancel()
+            async with QueryService(GatedEngine(), dispatchers=1) as service:
+                async with busy_dispatcher(service, query, chain_db):
+                    tasks = [
+                        asyncio.ensure_future(service.execute(q, chain_db))
+                        for q in instances
+                    ]
+                    await asyncio.sleep(0.01)  # all in one queued group
+                    assert len(service._collecting) == 1
+                    tasks[2].cancel()
                 outcomes = await asyncio.gather(*tasks, return_exceptions=True)
-                # No dead flushed groups may linger in the collector map.
+                # A dequeued group is no longer open to joiners.
                 assert service._collecting == {}
-                return outcomes
+                stats = await service.stats()
+                service.engine.close()
+                return outcomes, stats
 
-        outcomes = asyncio.run(main())
+        outcomes, stats = asyncio.run(main())
+        assert stats.service.max_group == len(instances)
         sequential = QueryEngine(parallel=False)
         for position, (instance, outcome) in enumerate(zip(instances, outcomes)):
             if position == 2:
                 assert isinstance(outcome, asyncio.CancelledError)
             else:
                 assert outcome == sequential.execute(instance, chain_db)
+
+    def test_newcomer_never_inherits_a_cancellation(self, chain_db):
+        """Submit A, cancel A, submit same-shape B: B is answered.  (With
+        the batch window, B joined A's torn-down collector and raised
+        ``CancelledRequestError`` — a cancellation it never asked for.)"""
+        query = path_query(3, head_arity=1)
+        first, second = (
+            query.decision_instance((value,))
+            for value in sorted({row[0] for row in chain_db["E"].rows})[:2]
+        )
+
+        async def main():
+            async with QueryService() as service:
+                await service.execute(query, chain_db)  # loop bound, plan warm
+                doomed = asyncio.ensure_future(service.execute(first, chain_db))
+                await asyncio.sleep(0)
+                doomed.cancel()
+                await asyncio.sleep(0)
+                answer = await service.execute(second, chain_db)
+                assert doomed.cancelled()
+                return answer, await service.stats()
+
+        answer, stats = asyncio.run(main())
+        assert answer == QueryEngine(parallel=False).execute(second, chain_db)
+        assert stats.service.failed == 0
+
+    def test_torn_down_group_is_closed_to_joiners(self, chain_db):
+        """A queued group whose every waiter left is purged from the queue
+        and its token cancelled; it must stop being open too, or every
+        later same-shape request would join a group no dispatcher will
+        ever see."""
+        query = path_query(3, head_arity=1)
+        first, second = (
+            query.decision_instance((value,))
+            for value in sorted({row[0] for row in chain_db["E"].rows})[:2]
+        )
+
+        async def main():
+            async with QueryService(GatedEngine(), dispatchers=1) as service:
+                async with busy_dispatcher(service, query, chain_db):
+                    doomed = asyncio.ensure_future(service.execute(first, chain_db))
+                    await asyncio.sleep(0.005)  # queued behind the blocker, open
+                    assert len(service._collecting) == 1
+                    doomed.cancel()
+                    await asyncio.sleep(0)  # last waiter gone: torn down
+                    assert service._collecting == {}
+                    newcomer = asyncio.ensure_future(
+                        service.execute(second, chain_db)
+                    )
+                    await asyncio.sleep(0.005)
+                answer = await asyncio.wait_for(newcomer, 10)
+                stats = await service.stats()
+                service.engine.close()
+                return answer, stats
+
+        answer, stats = asyncio.run(main())
+        assert answer == QueryEngine(parallel=False).execute(second, chain_db)
+        assert stats.service.cancelled == 1
+        assert stats.service.groups == 2  # blocker + newcomer; the dead one never ran
+        assert stats.service.failed == 0
 
 
 class TestEngineThreadSafety:

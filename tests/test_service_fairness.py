@@ -191,7 +191,7 @@ class TestPerClientBudget:
 
         async def main():
             async with QueryService(
-                batch_window=0.0, dispatchers=1, max_pending_per_client=3
+                dispatchers=1, max_pending_per_client=3
             ) as service:
                 flood_outcomes = await asyncio.gather(
                     *(
@@ -237,7 +237,7 @@ class TestPerClientBudget:
         instances = [query.decision_instance((value,)) for value in starts]
 
         async def main():
-            async with QueryService(batch_window=0.0, dispatchers=1) as service:
+            async with QueryService(dispatchers=1) as service:
                 results = await asyncio.gather(
                     *(
                         service.execute(q, chain_db, client="one")
@@ -255,9 +255,7 @@ class TestPerClientBudget:
         query = path_query(4, head_arity=1)
 
         async def main():
-            async with QueryService(
-                batch_window=0.0, max_pending_per_client=2
-            ) as service:
+            async with QueryService(max_pending_per_client=2) as service:
                 results = await asyncio.gather(
                     *(
                         service.execute(query, chain_db, client="hot")
@@ -283,7 +281,7 @@ class TestPerClientStats:
         beta = [query.decision_instance((value,)) for value in starts[6:9]]
 
         async def main():
-            async with QueryService(batch_window=0.0) as service:
+            async with QueryService() as service:
                 await asyncio.gather(
                     *(service.execute(q, chain_db, client="alpha") for q in alpha),
                     *(service.decide(q, chain_db, client="beta") for q in beta),
@@ -308,7 +306,7 @@ class TestPerClientStats:
         query = path_query(3, head_arity=1)
 
         async def main():
-            async with QueryService(batch_window=0.0) as service:
+            async with QueryService() as service:
                 await service.execute(query, chain_db)
                 stats = await service.stats()
             return stats
