@@ -1,16 +1,13 @@
-"""SQLBACK — native engine vs sqlite3 pushdown on join/count workloads.
+"""SQLBACK — what the sqlite3 oracle costs: table load and per-channel calls.
 
-What the pushdown PR buys and what it costs: tables are loaded once per
-``Database`` (amortized across every query against it), then each channel
-is a straight SQL round-trip.  The native engine keeps its columnar
-indexes and adaptive planning; sqlite brings a mature join machine.  The
-arbiter section runs the integrated ``QueryEngine(backend=...)`` loop and
-reports which arm the per-shape latency race settled on — the decision the
-engine makes unsupervised in production.
+The SQL backend is the differential oracle, on no serving route; this
+benchmark prices it so the differential suites stay affordable.  Tables are
+loaded once per ``Database`` (amortized across every query against it),
+then each channel (execute / decide / count) is a straight SQL round-trip,
+timed next to the native engine answering the same operation.
 
-No row asserts a winner: the point of the adaptive dispatch is that either
-side may win per shape and size, and the committed baseline pins the
-*costs* (load, per-call latency) against regression, not the ranking.
+No row asserts a winner: the committed baseline pins the *costs* (load,
+per-call latency on both sides) against regression, not the ranking.
 
 Usage::
 
@@ -41,7 +38,7 @@ from repro.workloads import chain_database, path_query, star_database, star_quer
 
 
 def load_section(smoke: bool, repeats: int) -> Dict[str, Any]:
-    """One-time table build: the cost every later pushdown amortizes."""
+    """One-time table build: the cost every later call amortizes."""
     layers, width = (4, 8) if smoke else (6, 24)
     database = chain_database(layers=layers, width=width, p=0.6, seed=11)
 
@@ -63,8 +60,8 @@ def channel_rows(smoke: bool, repeats: int) -> List[Dict[str, Any]]:
     layers, width = (4, 8) if smoke else (6, 20)
     # Star stays modest on purpose: SELECT DISTINCT hub enumerates the
     # full leaf cross-product (fanout/2)^arms per hub before deduping,
-    # while the native side semijoins it away — the asymmetry the arbiter
-    # exists to detect, but a benchmark must terminate on both arms.
+    # while the native side semijoins it away — and a benchmark must
+    # terminate on both sides.
     arms, fanout = (4, 6) if smoke else (4, 12)
     cases = [
         ("path3_execute", path_query(3, head_arity=1),
@@ -116,40 +113,6 @@ def channel_rows(smoke: bool, repeats: int) -> List[Dict[str, Any]]:
     return records
 
 
-def arbiter_section(smoke: bool) -> Dict[str, Any]:
-    """The integrated loop: let the engine race the arms and settle."""
-    layers, width = (4, 8) if smoke else (5, 16)
-    database = chain_database(layers=layers, width=width, p=0.5, seed=19)
-    query = path_query(3, head_arity=1)
-    calls = 12 if smoke else 48
-    backend = SqliteBackend()
-    with QueryEngine(max_workers=1, backend=backend) as engine:
-        reference = engine.execute(query, database)
-        loop_seconds, _ = time_thunk(
-            lambda: [
-                (engine.execute(query, database), engine.count(query, database))
-                for _ in range(calls)
-            ],
-            repeats=1,
-        )
-        stats = engine.pushdown_stats()
-        settled = {
-            f"{channel}": {
-                "calls": info["calls"],
-                "native_samples": info["native_samples"],
-                "backend_samples": info["backend_samples"],
-            }
-            for (_, channel), info in stats.items()
-        }
-        assert engine.execute(query, database) == reference
-    backend.close()
-    return {
-        "calls_per_channel": calls,
-        "loop_seconds": loop_seconds,
-        "channels": settled,
-    }
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -164,7 +127,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     load = load_section(args.smoke, repeats)
     channels = channel_rows(args.smoke, repeats)
-    arbiter = arbiter_section(args.smoke)
 
     print_table(
         ("workload:channel", "answers", "native s", "sqlite s", "sqlite speedup"),
@@ -178,30 +140,18 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
             for r in channels
         ],
-        title=f"Native vs sqlite3 pushdown (best of {repeats}, warm)",
+        title=f"Native vs the sqlite3 oracle (best of {repeats}, warm)",
     )
     print_table(
         ("rows", "load s"),
         [(load["rows"], load["load_seconds"])],
         title="One-time table load (fresh backend per repeat)",
     )
-    print_table(
-        ("channel", "calls", "native samples", "backend samples"),
-        [
-            (name, c["calls"], c["native_samples"], c["backend_samples"])
-            for name, c in sorted(arbiter["channels"].items())
-        ],
-        title="Arbiter race through QueryEngine(backend=...)",
-    )
 
     if not args.smoke:
-        # Sanity, not ranking: every channel answered, and the arbiter
-        # explored both arms before settling.
+        # Sanity, not ranking: every channel answered on both sides.
         for record in channels:
             assert record["native_seconds"] > 0 and record["backend_seconds"] > 0
-        for info in arbiter["channels"].values():
-            assert info["native_samples"] > 0
-            assert info["backend_samples"] > 0
 
     output = args.json
     if output is None and not args.smoke:
@@ -212,7 +162,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         repeats=repeats,
         load=load,
         channels=channels,
-        arbiter=arbiter,
     )
     emit_json_report(output, payload)
     return 0

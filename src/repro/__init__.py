@@ -8,7 +8,6 @@ README.md for a tour and DESIGN.md for the paper-to-module map.
 from .errors import (
     ArityError,
     BackendError,
-    BackendUnavailableError,
     CancelledRequestError,
     ConnectionLostError,
     DeadlineExceededError,
@@ -49,7 +48,7 @@ from .evaluation import (
     YannakakisEvaluator,
 )
 from .engine import QueryEngine, QueryPlan
-from .backends import DuckDbBackend, SqlBackend, SqliteBackend
+from .backends import SqlBackend, SqliteBackend
 from .operations import Operation
 from .parallel import ParallelYannakakisEvaluator, ShardedRelation, WorkerPool
 from .resilience import CancelToken, FaultPlan, RetryPolicy
@@ -64,7 +63,6 @@ __all__ = [
     "AsyncQueryClient",
     "Atom",
     "BackendError",
-    "BackendUnavailableError",
     "CancelToken",
     "CancelledRequestError",
     "Comparison",
@@ -75,7 +73,6 @@ __all__ = [
     "DatalogEvaluator",
     "DatalogProgram",
     "DeadlineExceededError",
-    "DuckDbBackend",
     "FaultPlan",
     "FleetDrainedError",
     "FleetRouter",

@@ -1,13 +1,13 @@
-"""SQL pushdown backends: one driver interface, many engines.
+"""The SQL oracle: whole operations answered by an independent SQL engine.
 
-The CQ version of the many-adapters-one-driver shape: a
-:class:`~.base.SqlBackend` executes whole operations against an
-independent SQL engine over tables of value-pool codes, the
+A :class:`~.base.SqlBackend` executes whole operations against an
+independent SQL engine over tables of value-pool codes, and the
 :mod:`~.compiler` turns conjunctive queries into single-statement
-``SELECT DISTINCT`` / ``EXISTS`` / ``COUNT`` pushdowns, and the
-:class:`~.dispatch.PushdownArbiter` lets
-``QueryEngine(backend=SqliteBackend())`` choose native-vs-pushdown per
-shape from observed latencies.  See ``docs/backends.md``.
+``SELECT DISTINCT`` / ``EXISTS`` / ``COUNT`` pushdowns.  Nothing here is
+on a serving route: the engine never calls a backend.  The package is the
+reference the differential tests (``tests/test_differential_sql.py``) and
+the e2e benchmark's native-vs-sqlite A/B compare the engine against.
+See ``docs/backends.md``.
 """
 
 from .base import (
@@ -19,17 +19,11 @@ from .base import (
 )
 from .compiler import CompiledSql, compile_query
 from .dbapi import DbApiBackend
-from .dispatch import BACKEND, NATIVE, PushdownArbiter
-from .duckdb import DuckDbBackend, duckdb_available
 from .sqlite import SqliteBackend
 
 __all__ = [
-    "BACKEND",
     "CompiledSql",
     "DbApiBackend",
-    "DuckDbBackend",
-    "NATIVE",
-    "PushdownArbiter",
     "SqlBackend",
     "SqliteBackend",
     "canonical_relation",
@@ -37,5 +31,4 @@ __all__ = [
     "canonical_rows",
     "canonical_value",
     "compile_query",
-    "duckdb_available",
 ]

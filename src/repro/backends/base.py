@@ -1,9 +1,8 @@
 """The backend driver interface and the answer canonicalization contract.
 
 A :class:`SqlBackend` executes whole :class:`~repro.operations.Operation`\\ s
-against an independent SQL engine — the pushdown side of the engine's
-native-vs-pushdown dispatch, and the oracle side of the differential
-harness.  Adapters (``sqlite3`` in-process, DuckDB optional) implement
+against an independent SQL engine — the oracle side of the differential
+harness, on no serving route.  Adapters (``sqlite3`` in-process) implement
 ``load``/``execute``/``decide``/``count``; this base class supplies the
 generic ``run``/``run_batch`` dispatch every other layer of the repo uses,
 plus compile-based capability probing.
@@ -54,11 +53,11 @@ class SqlBackend:
     Subclasses provide ``load`` plus the three typed entry points; the
     base class turns them into the generic operation surface.  A backend
     answers an operation *entirely* or raises :class:`BackendError` —
-    there are no partial/hybrid answers, which is what lets the engine
-    treat any backend failure as "run natively instead".
+    there are no partial/hybrid answers, so a comparison against it is
+    always a comparison of whole results.
     """
 
-    #: Short adapter name, shown in ``explain`` pushdown lines.
+    #: Short adapter name, shown in :class:`BackendError` messages.
     name = "sql"
 
     # -- adapter surface ------------------------------------------------

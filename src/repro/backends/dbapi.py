@@ -4,9 +4,9 @@
 surface over an abstract ``_connect()``: loading a
 :class:`~repro.relational.database.Database` into code-valued tables,
 compiling against the physical table map, binding constants as pool
-codes, and decoding result codes back to pool representatives.  Concrete
-adapters (:mod:`repro.backends.sqlite`, :mod:`repro.backends.duckdb`)
-supply a connection and the driver's error types — nothing else.
+codes, and decoding result codes back to pool representatives.  A
+concrete adapter (:mod:`repro.backends.sqlite`) supplies a connection and
+the driver's error types — nothing else.
 
 Loading
 -------
@@ -17,14 +17,13 @@ becomes one table ``d<n>_r<m>(c0 BIGINT, ...)`` holding the relation's
 pool-code columns (:meth:`Relation._code_column` — the same arrays the
 native kernel runs on), with one single-column index per attribute so
 the SQL planner can drive joins.  Zero-arity relations are skipped;
-queries referencing them fail compilation and fall back to native.
+queries referencing them fail compilation.
 A :mod:`weakref` finalizer drops the tables when the database object is
 collected, so long-lived backends do not accumulate dead tables.
 
 Concurrency: one lock serializes every statement — DBAPI connections are
-not generally thread-safe, and the engine may call a backend from pool
-threads.  Pushdown is for shapes where the SQL engine wins wholesale;
-serializing it keeps the adapter trivially correct.
+not generally thread-safe, and a harness may call a backend from several
+threads.  Serializing keeps the adapter trivially correct.
 """
 
 from __future__ import annotations

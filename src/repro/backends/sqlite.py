@@ -6,7 +6,7 @@ persisted file is only meaningful within one process lifetime — it
 exists for inspection, not for sharing).
 
 ``check_same_thread=False`` plus the :class:`~.dbapi.DbApiBackend` lock
-makes the adapter safe to call from the engine's pool threads.
+makes the adapter safe to call from several threads.
 """
 
 from __future__ import annotations

@@ -26,9 +26,11 @@ cardinality on the plan (``QueryPlan.runtime``) and feeds a bounded
 per-shape ledger; ``stats()`` exposes both together with the plan cache's
 hit/miss counters.  When the observed cardinality drifts ≥
 ``replan_drift_threshold``× from the plan's estimate, the engine
-*re-plans* the shape with the observation as corrected statistics
-(adaptive re-planning — the second half of the cost-model feedback loop);
-re-plan events surface in ``explain`` and ``stats()``.  ``explain``
+*re-plans* the shape with the observation as corrected statistics;
+re-plan events surface in ``explain`` and ``stats()``.  Row counts are
+the only feedback the planner takes — recorded latencies are
+observability, so a plan is a function of the query and the data, never
+of which requests arrived first or how fast they ran.  ``explain``
 returns the plan rendering (with cache status and estimate-vs-actual
 feedback) without executing anything; passing
 ``evaluator=...`` to ``execute``/``decide`` forces a specific engine,
@@ -47,14 +49,11 @@ batch lifting; single operations take the same route either way.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import replace
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..backends.base import SqlBackend
-from ..backends.dispatch import BACKEND, NATIVE, PushdownArbiter
-from ..errors import BackendError, QueryError
+from ..errors import QueryError
 from ..evaluation.bounded_variable import parameter_v_transform
 from ..evaluation.counting import (
     CountingYannakakisEvaluator,
@@ -92,7 +91,6 @@ from .analysis import (
     COUNT_BOOLEAN,
     DEFAULT_TREEWIDTH_THRESHOLD,
     FAST_COUNTING_MODES,
-    counting_mode,
     plan_cache_key,
     variable_layout,
 )
@@ -152,17 +150,6 @@ class QueryEngine(OperationFacade):
         Estimate-vs-actual cardinality ratio at which the cached plan is
         invalidated and the shape re-planned with observed statistics
         (``None`` disables adaptive re-planning).
-    backend:
-        Optional SQL pushdown backend
-        (e.g. :class:`~repro.backends.SqliteBackend`).  When wired, the
-        engine arbitrates native-vs-pushdown per shape and operation
-        channel from observed latencies (explore both arms once, then
-        take the lower median, re-probing the loser periodically — see
-        :class:`~repro.backends.dispatch.PushdownArbiter`); ``explain``
-        shows the decision and the generated SQL.  Backend latencies
-        never feed the shape ledger or plan runtimes, so planner
-        calibration stays a pure native signal.  The backend's lifecycle
-        belongs to the caller (``close()`` does not close it).
     """
 
     def __init__(
@@ -175,24 +162,11 @@ class QueryEngine(OperationFacade):
         pool_mode: str = THREADS,
         batch_wide_threshold: int = DEFAULT_BATCH_WIDE_THRESHOLD,
         replan_drift_threshold: Optional[float] = DEFAULT_REPLAN_DRIFT,
-        backend: Optional[SqlBackend] = None,
     ) -> None:
         self._cache = PlanCache(plan_cache_size)
         self._ledger = ShapeLedger()
-        # The default planner is calibrated from this engine's own ledger:
-        # observed per-evaluator unit costs replace the static pass-weight
-        # prior once shapes warm up.  An injected planner keeps whatever
-        # calibration (usually none) it was built with.
-        self._planner = planner or Planner(
-            treewidth_threshold, calibration=self._ledger.observed_unit_costs
-        )
+        self._planner = planner or Planner(treewidth_threshold)
         self._replan_drift = replan_drift_threshold
-        # Checked once, precisely: a legacy planner subclass without the
-        # corrected-statistics parameter re-plans without it, while a
-        # genuine TypeError raised *inside* planning still propagates.
-        self._planner_takes_observed = (
-            "observed_rows" in inspect.signature(self._planner.plan).parameters
-        )
         self._naive = NaiveEvaluator()
         self._yannakakis = YannakakisEvaluator()
         self._treewidth = TreewidthEvaluator()
@@ -201,8 +175,6 @@ class QueryEngine(OperationFacade):
         self._pool: Optional[WorkerPool] = (
             WorkerPool(max_workers, pool_mode) if parallel else None
         )
-        self._backend = backend
-        self._arbiter = PushdownArbiter(backend) if backend is not None else None
         self._counting = CountingYannakakisEvaluator()
         # The per-layer dispatch table the Operation API rides on: adding
         # an operation kind means one entry here (plus its thin facade),
@@ -280,10 +252,7 @@ class QueryEngine(OperationFacade):
             members = [operations[position] for position in positions]
             first = members[0]
             if len(members) == 1:
-                # Singleton groups gain nothing from the batch machinery;
-                # ``run`` keeps them on the adaptive path (including SQL
-                # pushdown arbitration, which the lifted batch paths
-                # deliberately bypass — lifting is the native strength).
+                # Singleton groups gain nothing from the batch machinery.
                 group_results = [self.run(first, database)]
             elif (
                 kind in (OP_EXECUTE, OP_DECIDE)
@@ -328,14 +297,11 @@ class QueryEngine(OperationFacade):
         if forced is not None:
             return self._dispatch(forced, None, query, database, decide=False)
         plan, _, key = self._plan_entry(query, database)
-        served, pushed = self._maybe_pushdown(OP_EXECUTE, query, key, database)
-        if served:
-            return pushed
         start = perf_counter()
         result = self._dispatch(plan.evaluator, plan, query, database, decide=False)
-        elapsed = perf_counter() - start
-        self._note_native(key, OP_EXECUTE, elapsed)
-        self._record(key, plan, elapsed, result.cardinality, query, database)
+        self._record(
+            key, plan, perf_counter() - start, result.cardinality, query, database
+        )
         return result
 
     def _op_decide(self, operation: Operation, database: Database) -> bool:
@@ -344,83 +310,30 @@ class QueryEngine(OperationFacade):
         if forced is not None:
             return self._dispatch(forced, None, query, database, decide=True)
         plan, _, key = self._plan_entry(query, database)
-        served, pushed = self._maybe_pushdown(OP_DECIDE, query, key, database)
-        if served:
-            return pushed
         start = perf_counter()
         result = self._dispatch(plan.evaluator, plan, query, database, decide=True)
-        elapsed = perf_counter() - start
-        self._note_native(key, OP_DECIDE, elapsed)
-        self._record(key, plan, elapsed, None, query, database)
+        self._record(key, plan, perf_counter() - start, None, query, database)
         return result
 
     def _op_explain(self, operation: Operation, database: Database) -> str:
-        plan, status, key = self._plan_entry(operation.query, database)
+        plan, status, _ = self._plan_entry(operation.query, database)
         stats = self._cache.stats
         footer = (
             f"  cache    : {status} "
             f"(hits={stats.hits}, misses={stats.misses}, "
             f"evictions={stats.evictions}, size={stats.size}/{stats.capacity})"
         )
-        rendering = plan.explain(cache_status=status) + "\n" + footer
-        if self._arbiter is not None:
-            rendering += "\n" + self._arbiter.describe(key, operation.query)
-        return rendering
+        return plan.explain(cache_status=status) + "\n" + footer
 
     def _op_count(self, operation: Operation, database: Database) -> int:
         query = operation.query
         plan, _, key = self._plan_entry(query, database)
-        served, pushed = self._maybe_pushdown(OP_COUNT, query, key, database)
-        if served:
-            return pushed
         start = perf_counter()
         total = self._count_with_plan(plan, query, database)
-        elapsed = perf_counter() - start
-        self._note_native(key, OP_COUNT, elapsed)
         # count *is* |Q(d)|, so it feeds estimate-vs-actual drift exactly
         # like an execute's cardinality does.
-        self._record(key, plan, elapsed, total, query, database)
+        self._record(key, plan, perf_counter() - start, total, query, database)
         return total
-
-    # ------------------------------------------------------------------
-    # SQL pushdown (the backend side of dispatch)
-    # ------------------------------------------------------------------
-
-    def _maybe_pushdown(
-        self, channel: str, query: ConjunctiveQuery, key: Tuple, database: Database
-    ) -> Tuple[bool, Any]:
-        """(served, result) — whether the SQL backend answered this call.
-
-        The arbiter picks the arm per (shape, channel) from observed
-        latencies; a :class:`~repro.errors.BackendError` mid-pushdown
-        marks the shape backend-unservable and falls back to native
-        transparently.  Pushdown-served calls feed only the arbiter's
-        reservoirs — never the shape ledger or the plan's runtime — so
-        planner calibration stays a pure native signal.
-        """
-        arbiter = self._arbiter
-        if arbiter is None or not arbiter.supports(key, query):
-            return False, None
-        if arbiter.choose(key, channel) != BACKEND:
-            return False, None
-        backend = self._backend
-        start = perf_counter()
-        try:
-            if channel == OP_EXECUTE:
-                result: Any = backend.execute(query, database)
-            elif channel == OP_DECIDE:
-                result = backend.decide(query, database)
-            else:
-                result = backend.count(query, database)
-        except BackendError as exc:
-            arbiter.mark_failed(key, str(exc))
-            return False, None
-        arbiter.record(key, channel, BACKEND, perf_counter() - start)
-        return True, result
-
-    def _note_native(self, key: Tuple, channel: str, seconds: float) -> None:
-        if self._arbiter is not None:
-            self._arbiter.record(key, channel, NATIVE, seconds)
 
     def _op_aggregate(self, operation: Operation, database: Database) -> Any:
         mode = operation.option("mode")
@@ -449,15 +362,10 @@ class QueryEngine(OperationFacade):
     # Counting strategies (trichotomy-aware)
     # ------------------------------------------------------------------
 
-    def _count_mode(self, plan: QueryPlan, query: ConjunctiveQuery) -> str:
-        """The plan's counting classification (computed on the fly for
-        plans from planners predating ``count_mode``)."""
-        return plan.count_mode or counting_mode(query, plan.structural_class)
-
     def _count_with_plan(
         self, plan: QueryPlan, query: ConjunctiveQuery, database: Database
     ) -> int:
-        mode = self._count_mode(plan, query)
+        mode = plan.count_mode
         if mode == COUNT_BOOLEAN:
             # Counting IS deciding here, and the plan's decide path works
             # on every structural class (the annotated pass would not —
@@ -484,7 +392,7 @@ class QueryEngine(OperationFacade):
         database: Database,
         group_by: Tuple[str, ...],
     ) -> Relation:
-        mode = self._count_mode(plan, query)
+        mode = plan.count_mode
         if mode in FAST_COUNTING_MODES:
             reusable = plan.analysis.variable_layout == variable_layout(query)
             tree = plan.analysis.join_tree if reusable else None
@@ -733,10 +641,7 @@ class QueryEngine(OperationFacade):
         if drift < threshold:
             return
         corrected = float(rows)
-        if self._planner_takes_observed:
-            new_plan = self._planner.plan(query, database, observed_rows=corrected)
-        else:
-            new_plan = self._planner.plan(query, database)
+        new_plan = self._planner.plan(query, database, observed_rows=corrected)
         new_plan = replace(new_plan, replans=plan.replans + 1, corrected_rows=corrected)
         # Seed the fresh runtime with the observation that triggered the
         # re-plan, so explain's estimate-vs-actual line survives the swap.
@@ -751,22 +656,6 @@ class QueryEngine(OperationFacade):
     def stats(self) -> EngineStats:
         """Cache counters plus the per-shape execution ledger."""
         return EngineStats(cache=self._cache.stats, shapes=self._ledger.snapshot())
-
-    @property
-    def backend(self) -> Optional[SqlBackend]:
-        """The wired SQL pushdown backend (``None`` for native-only)."""
-        return self._backend
-
-    def pushdown_stats(self) -> Dict[Tuple, Dict[str, Any]]:
-        """Per-(shape, channel) native/backend latency observations.
-
-        Empty without a wired backend.  Keys are ``(plan-cache key,
-        channel)`` pairs; values carry call counts, per-arm medians and
-        sample counts, and whether the shape is still pushdown-eligible.
-        """
-        if self._arbiter is None:
-            return {}
-        return self._arbiter.snapshot()
 
     @property
     def cache_stats(self) -> CacheStats:

@@ -13,10 +13,9 @@ A plan also carries one deliberately *mutable* attachment: a
 execution counts after each run.  The estimates above are what the planner
 believed; the runtime is what the data said — ``explain`` shows both side
 by side, and when they drift far enough apart the engine *re-plans* the
-shape with the observed cardinality as corrected statistics (the second
-half of the ROADMAP's cost-model feedback loop).  A re-planned plan
-records its provenance in ``replans`` / ``corrected_rows``, which
-``explain`` renders.
+shape with the observed cardinality as corrected statistics.  A
+re-planned plan records its provenance in ``replans`` /
+``corrected_rows``, which ``explain`` renders.
 """
 
 from __future__ import annotations
@@ -119,9 +118,8 @@ class QueryPlan:
     count_mode:
         The Chen–Mengel counting classification of the shape (one of
         :data:`repro.engine.analysis.COUNTING_MODES`) — which counting
-        strategy a ``count`` operation on this plan uses.  Empty for
-        plans from planners predating the counting subsystem; the engine
-        then classifies on the fly.
+        strategy a ``count`` operation on this plan uses.  Always set by
+        :meth:`~repro.engine.planner.Planner.plan`.
     replans:
         How many times this shape has been adaptively re-planned (0 for a
         first plan); the engine bumps it when estimate-vs-actual drift

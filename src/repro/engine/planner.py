@@ -17,8 +17,10 @@ the caches it plans for.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from ..evaluation.yannakakis import reroot_for_head
+from ..hypergraph.join_tree import JoinTree
 from ..query.atoms import Atom
 from ..query.conjunctive import ConjunctiveQuery
 from ..query.terms import Constant, Variable
@@ -45,15 +47,9 @@ from .plan import (
 
 #: Per-row constant factor of the semijoin/join passes relative to one
 #: backtracking probe (hash build + probe + row assembly vs a dict lookup).
-#: A static prior: planners constructed with a *calibration* feed replace
-#: it with the ledger's observed per-evaluator unit costs once enough
-#: executions have been recorded (see :meth:`Planner._pass_weight`).
+#: A constant: the plan is a function of the query's shape and the
+#: database's row counts, never of how fast earlier requests happened to run.
 _PASS_WEIGHT = 1.5
-
-#: Observed-over-static correction is clamped to this band: calibration
-#: tilts arbitration, it must not let one noisy burst of samples swing the
-#: model by orders of magnitude.
-_CALIBRATION_CLAMP = (0.25, 4.0)
 
 #: Semijoin passes of the acyclic pipeline (bottom-up, top-down, join-up).
 _NUM_PASSES = 3
@@ -66,39 +62,8 @@ _BASELINE_MARGIN = 4.0
 class Planner:
     """Turns (query, database) into an explainable :class:`QueryPlan`."""
 
-    def __init__(
-        self,
-        treewidth_threshold: int = DEFAULT_TREEWIDTH_THRESHOLD,
-        calibration: Optional[Callable[[], Dict[str, float]]] = None,
-    ) -> None:
+    def __init__(self, treewidth_threshold: int = DEFAULT_TREEWIDTH_THRESHOLD) -> None:
         self.treewidth_threshold = treewidth_threshold
-        # Zero-argument feed of observed per-evaluator unit costs (the
-        # engine wires its ledger's ``observed_unit_costs`` here).  Pulled
-        # fresh on every plan, so the model tracks the workload.
-        self._calibration = calibration
-
-    def _pass_weight(self) -> float:
-        """The semijoin pass weight: calibrated when evidence exists.
-
-        The static :data:`_PASS_WEIGHT` says how expensive the planner
-        *assumes* one acyclic-pass row operation is relative to one
-        backtracking probe.  When the calibration feed has observed unit
-        costs for both sides (p95 latency per modelled row op, from the
-        ledger), their ratio replaces the assumption — clamped, so the
-        correction tilts arbitration rather than dominating it.  Without
-        evidence (fresh engine, injected planner, cold shapes) the static
-        prior applies unchanged.
-        """
-        if self._calibration is None:
-            return _PASS_WEIGHT
-        units = self._calibration()
-        yannakakis_unit = units.get(YANNAKAKIS)
-        naive_unit = units.get(NAIVE)
-        if not yannakakis_unit or not naive_unit:
-            return _PASS_WEIGHT
-        low, high = _CALIBRATION_CLAMP
-        ratio = min(high, max(low, yannakakis_unit / naive_unit))
-        return _PASS_WEIGHT * ratio
 
     # ------------------------------------------------------------------
 
@@ -111,11 +76,11 @@ class Planner:
         """The plan for (query, database).
 
         *observed_rows*, when given, is an actually observed result
-        cardinality for this shape (adaptive re-planning, the second half
-        of the cost-model feedback loop): it replaces the simulated
-        satisfying-assignment estimate everywhere the cost model consumes
-        one, so evaluator arbitration re-runs against what the data said
-        rather than what the histogram-free model guessed.
+        cardinality for this shape (drift-triggered re-planning): it
+        replaces the simulated satisfying-assignment estimate everywhere
+        the cost model consumes one, so evaluator arbitration re-runs
+        against what the data said rather than what the histogram-free
+        model guessed.
         """
         analysis = analyze(query, self.treewidth_threshold)
         join_order = self.naive_order(query, database)
@@ -142,11 +107,13 @@ class Planner:
         program: Tuple[str, ...] = ()
 
         if structural_class == ACYCLIC:
-            costs[YANNAKAKIS] = self._acyclic_cost(
-                query, database, answer_estimate, self._pass_weight()
-            )
+            costs[YANNAKAKIS] = self._acyclic_cost(query, database, answer_estimate)
             evaluator = self._arbitrate(YANNAKAKIS, costs)
-            program = self._semijoin_program(query, analysis)
+            # The tree YannakakisEvaluator.evaluate walks: same rooting call.
+            head_names = {v.name for v in query.head_variables()}
+            program = self._semijoin_program(
+                query, reroot_for_head(analysis.join_tree, head_names)
+            )
         elif structural_class == ACYCLIC_NEQ:
             costs[INEQUALITY] = self._inequality_cost(query, database, answer_estimate)
             # No structural preference here: Theorem 2's hash-family factor
@@ -154,7 +121,8 @@ class Planner:
             # picks the cheaper side directly.
             if costs[INEQUALITY] < costs[NAIVE]:
                 evaluator = INEQUALITY
-            program = self._semijoin_program(query, analysis)
+            # Theorem 2's engine keeps the tree as GYO rooted it.
+            program = self._semijoin_program(query, analysis.join_tree)
         elif structural_class == BOUNDED_TREEWIDTH:
             treewidth_cost, bag_program = self._treewidth_cost(
                 query, database, analysis
@@ -284,13 +252,12 @@ class Planner:
         query: ConjunctiveQuery,
         database: Database,
         answer_estimate: float,
-        pass_weight: float,
     ) -> float:
         total = sum(
             self._candidate_cardinality(atom, database[atom.relation])
             for atom in query.atoms
         )
-        return pass_weight * _NUM_PASSES * total + answer_estimate
+        return _PASS_WEIGHT * _NUM_PASSES * total + answer_estimate
 
     def _inequality_cost(
         self,
@@ -299,13 +266,7 @@ class Planner:
         answer_estimate: float,
     ) -> float:
         trials = float(2 ** min(len(query.inequalities), 16))
-        # The static prior, not the calibrated weight: that one is evidence
-        # about YannakakisEvaluator's passes, and Theorem 2's evaluator is
-        # other code (hashed colourings, its own merges) — a faster
-        # Yannakakis must not make it look cheaper.
-        return trials * self._acyclic_cost(
-            query, database, answer_estimate, _PASS_WEIGHT
-        )
+        return trials * self._acyclic_cost(query, database, answer_estimate)
 
     def _treewidth_cost(
         self,
@@ -361,7 +322,7 @@ class Planner:
             bag_vars = ",".join(sorted(v.name for v in bag))
             program.append(f"materialize BAG_{i}[{bag_vars}] = ⋈ {atoms_text}")
         program.append("run Yannakakis full reducer + join-project over the bag tree")
-        cost += self._pass_weight() * _NUM_PASSES * sum(bag_sizes)
+        cost += _PASS_WEIGHT * _NUM_PASSES * sum(bag_sizes)
         return cost, tuple(program)
 
     def _grouped_cost(self, query: ConjunctiveQuery, database: Database) -> float:
@@ -397,13 +358,8 @@ class Planner:
         return preferred
 
     @staticmethod
-    def _semijoin_program(
-        query: ConjunctiveQuery, analysis: StructuralAnalysis
-    ) -> Tuple[str, ...]:
-        """The full-reducer schedule read off the join tree."""
-        tree = analysis.join_tree
-        if tree is None:
-            return ()
+    def _semijoin_program(query: ConjunctiveQuery, tree: JoinTree) -> Tuple[str, ...]:
+        """The full-reducer schedule read off the rooted join tree."""
         steps: List[str] = []
         for node in tree.bottom_up_order():
             parent = tree.parent(node)

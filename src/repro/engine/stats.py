@@ -7,7 +7,8 @@ work.  ``QueryEngine.stats()`` returns an :class:`EngineStats` snapshot
 combining the plan cache's hit/miss/eviction counters with a per-shape
 ledger: executions, cumulative and last wall-clock latency, and the last
 observed result cardinality next to the planner's estimate (the
-estimate-vs-actual drift that feeds the cost-model feedback loop).
+estimate-vs-actual drift that triggers re-planning).  Latencies are
+observability only: nothing recorded here routes a query.
 
 The ledger is bounded (LRU on shapes, like the plan cache) so a service
 executing unboundedly many distinct shapes cannot grow it without limit,
@@ -23,8 +24,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from statistics import median
-from typing import Deque, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Deque, Hashable, Iterable, Optional, Tuple
 
 from .cache import CacheStats
 from .plan import QueryPlan
@@ -209,33 +209,6 @@ class ShapeLedger:
                     )
                 )
             return tuple(out)
-
-    def observed_unit_costs(self, min_samples: int = 3) -> Dict[str, float]:
-        """Observed seconds-per-modelled-row-op, per evaluator.
-
-        For every shape with at least *min_samples* recorded latencies, the
-        ratio ``p95(latencies) / cost_estimates[evaluator]`` says what one
-        abstract row operation of that evaluator *actually* costs here; the
-        per-evaluator median across shapes smooths out shape-specific
-        noise.  This is the planner's calibration feed (its static pass
-        weights are priors; these are the posteriors): an empty dict — a
-        fresh engine, or one whose shapes are all cold — means "no
-        evidence", and the planner falls back to the static constants.
-        """
-        ratios: Dict[str, List[float]] = {}
-        with self._lock:
-            for entry in self._entries.values():
-                if len(entry.latencies) < max(1, min_samples):
-                    continue
-                plan = entry.plan
-                modelled = plan.cost_estimates.get(plan.evaluator, 0.0)
-                if modelled <= 0.0:
-                    continue
-                p95 = quantile(entry.latencies, 0.95)
-                if p95 <= 0.0:
-                    continue
-                ratios.setdefault(plan.evaluator, []).append(p95 / modelled)
-        return {evaluator: median(values) for evaluator, values in ratios.items()}
 
     def clear(self) -> None:
         with self._lock:

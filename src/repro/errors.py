@@ -242,21 +242,10 @@ class RetryExhaustedError(ReproError):
 
 
 class BackendError(ReproError):
-    """A SQL pushdown backend could not serve a request.
+    """A SQL backend could not serve a request.
 
-    Base class of every deliberate failure in :mod:`repro.backends`.  The
-    engine treats any :class:`BackendError` raised mid-pushdown as "this
-    shape is not backend-servable": it marks the shape, falls back to the
-    native evaluators, and never surfaces the error to the caller.
-    """
-
-
-class BackendUnavailableError(BackendError):
-    """The backend's driver module is not importable in this process.
-
-    Raised at adapter construction time (e.g. :class:`DuckDbBackend` when
-    ``duckdb`` is not installed), never mid-query — an engine is wired to
-    a backend that exists or to none.
+    Base class of every deliberate failure in :mod:`repro.backends` (the
+    differential oracle; the engine never calls a backend).
     """
 
 
@@ -265,9 +254,8 @@ class SqlCompilationError(BackendError):
 
     The compiler covers conjunctive bodies with equality/inequality
     predicates over pool codes; order comparisons (``<`` / ``<=``),
-    zero-arity atoms, and unhashable constants are outside it.  Carries no
-    user-facing meaning: pushdown-eligibility is an optimization decision,
-    so callers of the engine never see this error.
+    zero-arity atoms, and unhashable constants are outside it.  Only
+    callers of :mod:`repro.backends` see it; the engine compiles no SQL.
     """
 
 

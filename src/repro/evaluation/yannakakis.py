@@ -117,7 +117,7 @@ class YannakakisEvaluator:
             return answers_relation(query.head_terms, Relation.from_rows(head_names))
         relations, tree = prepared
         head_set = set(head_names)
-        tree = _reroot_for_head(tree, head_set)
+        tree = reroot_for_head(tree, head_set)
 
         relations = self.full_reduction(relations, tree)
         if relations[tree.root].is_empty():
@@ -225,7 +225,7 @@ class YannakakisEvaluator:
         return relations, tree
 
 
-def _reroot_for_head(tree: JoinTree, head_names: set) -> JoinTree:
+def reroot_for_head(tree: JoinTree, head_names: set) -> JoinTree:
     """The same undirected join tree, rooted where the head lives.
 
     Picks the node whose variable set covers the most head variables

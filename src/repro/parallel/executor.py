@@ -43,7 +43,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..evaluation.instantiation import answers_relation
-from ..evaluation.yannakakis import YannakakisEvaluator, _reroot_for_head
+from ..evaluation.yannakakis import YannakakisEvaluator, reroot_for_head
 from ..hypergraph.join_tree import JoinTree
 from ..query.conjunctive import ConjunctiveQuery
 from ..relational.database import Database
@@ -153,7 +153,7 @@ class ParallelYannakakisEvaluator(YannakakisEvaluator):
         if prepared is None:
             return answers_relation(query.head_terms, Relation.from_rows(head_names))
         relations, tree = prepared
-        tree = _reroot_for_head(tree, set(head_names))
+        tree = reroot_for_head(tree, set(head_names))
         shards = shard_count or self._default_shard_count
 
         relations = self.full_reduction(relations, tree, shard_count=shards)

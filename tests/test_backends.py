@@ -1,30 +1,20 @@
-"""Unit tests for the SQL pushdown backend: compiler, adapters, arbiter.
+"""Unit tests for the SQL oracle backend: compiler and sqlite adapter.
 
 The differential oracle (``tests/test_differential_sql.py``) proves the
 backend *agrees* with the native engine; this file pins the pieces in
 isolation — the SQL the compiler emits, the fragment boundary
-(:class:`SqlCompilationError`), the generic operation surface, table
-lifecycle/eviction, the latency arbiter's explore/exploit policy, and the
-gated DuckDB adapter.
+(:class:`SqlCompilationError`), the generic operation surface, and table
+lifecycle/eviction.
 """
 
 import gc
 
 import pytest
 
-from repro import Database, QueryEngine, Relation
-from repro.backends import (
-    BACKEND,
-    NATIVE,
-    PushdownArbiter,
-    SqliteBackend,
-    canonical_value,
-    compile_query,
-    duckdb_available,
-)
+from repro import Database, Relation
+from repro.backends import SqliteBackend, canonical_value, compile_query
 from repro.errors import (
     BackendError,
-    BackendUnavailableError,
     InvalidOperationError,
     SchemaError,
     SqlCompilationError,
@@ -177,102 +167,7 @@ class TestSqliteBackend:
         assert canonical_value(1.0) == canonical_value(1)
 
 
-class TestDuckDbGate:
-    def test_adapter_raises_when_driver_missing(self):
-        if duckdb_available():  # pragma: no cover - not in this container
-            pytest.skip("duckdb installed; gate not exercised")
-        from repro.backends import DuckDbBackend
-
-        with pytest.raises(BackendUnavailableError):
-            DuckDbBackend()
-
-
-class TestArbiter:
-    def make(self):
-        return PushdownArbiter(SqliteBackend(), probe_stride=4)
-
-    def test_explore_then_exploit(self):
-        arbiter = self.make()
-        key = ("shape", 1)
-        # Nothing observed: native first, then the backend arm.
-        assert arbiter.choose(key, "execute") == NATIVE
-        arbiter.record(key, "execute", NATIVE, 0.010)
-        assert arbiter.choose(key, "execute") == BACKEND
-        arbiter.record(key, "execute", BACKEND, 0.001)
-        # Backend is 10x faster: exploited on non-probe calls.
-        choices = [arbiter.choose(key, "execute") for _ in range(5)]
-        assert BACKEND in choices
-        assert choices.count(NATIVE) <= 2  # the periodic loser probe
-
-    def test_probe_stride_revisits_loser(self):
-        arbiter = self.make()
-        key = "k"
-        arbiter.record(key, "count", NATIVE, 0.001)
-        arbiter.record(key, "count", BACKEND, 0.100)
-        choices = [arbiter.choose(key, "count") for _ in range(8)]
-        assert NATIVE in choices  # winner
-        assert BACKEND in choices  # probed every 4th call
-
-    def test_mark_failed_is_permanent(self):
-        arbiter = self.make()
-        key = "bad"
-        assert arbiter.supports(key, PATH)
-        arbiter.mark_failed(key, "driver exploded")
-        assert not arbiter.supports(key, PATH)
-        assert arbiter.choose(key, "execute") == NATIVE
-
-    def test_unsupported_shape_cached_with_reason(self):
-        arbiter = self.make()
-        query = q(
-            (V("x"),),
-            [Atom("E", (V("x"), V("y")))],
-            comparisons=[Comparison(V("x"), V("y"))],
-        )
-        assert not arbiter.supports("c", query)
-        rendering = arbiter.describe("c", query)
-        assert "ineligible" in rendering
-
-    def test_snapshot_reports_both_arms(self):
-        arbiter = self.make()
-        arbiter.record("s", "execute", NATIVE, 0.002)
-        arbiter.record("s", "execute", BACKEND, 0.001)
-        arbiter.choose("s", "execute")
-        snap = arbiter.snapshot()
-        ((_, info),) = [
-            (k, v) for k, v in snap.items() if k == ("s", "execute")
-        ]
-        assert info["native_samples"] == 1
-        assert info["backend_samples"] == 1
-
-
 class TestEngineWiring:
-    def test_engine_without_backend_has_no_arbiter(self):
-        with QueryEngine(max_workers=1) as engine:
-            assert engine.backend is None
-            assert engine.pushdown_stats() == {}
-
-    def test_backend_failure_falls_back_to_native(self):
-        class ExplodingBackend(SqliteBackend):
-            def execute(self, query, database):
-                raise BackendError("synthetic failure")
-
-            def count(self, query, database):
-                raise BackendError("synthetic failure")
-
-            def decide(self, query, database):
-                raise BackendError("synthetic failure")
-
-        backend = ExplodingBackend()
-        with QueryEngine(max_workers=1, backend=backend) as engine:
-            expected = None
-            for _ in range(6):  # backend arm tried, fails, marked dead
-                result = engine.execute(PATH, EDGES)
-                expected = expected or result
-                assert result == expected
-            stats = engine.pushdown_stats()
-            assert any(not info["supported"] for info in stats.values())
-        backend.close()
-
     def test_naive_evaluator_run_surface(self):
         from repro.evaluation import NaiveEvaluator
 

@@ -3,7 +3,7 @@ counts, and the aggregate facades."""
 
 import pytest
 
-from repro import Database, QueryEngine, Relation, parse_query
+from repro import Database, QueryEngine, Relation
 from repro.engine import (
     COUNT_BOOLEAN,
     COUNT_COVERED,
@@ -11,7 +11,6 @@ from repro.engine import (
     COUNT_GENERAL,
     COUNT_HARD,
     FAST_COUNTING_MODES,
-    Planner,
     analyze,
     counting_mode,
     covering_atom,
@@ -278,58 +277,6 @@ class TestHeadDomainSize:
 
 
 class TestPlannerCalibration:
-    def test_observed_unit_costs_need_samples(self, chain):
-        with QueryEngine() as engine:
-            query = path_query(3, head_arity=2)
-            engine.execute(query, chain)
-            ledger = engine._ledger
-            assert ledger.observed_unit_costs(min_samples=3) == {}
-            engine.execute(query, chain)
-            engine.execute(query, chain)
-            units = ledger.observed_unit_costs(min_samples=3)
-            assert set(units) == {"yannakakis"}
-            assert units["yannakakis"] > 0.0
-
-    def test_pass_weight_scales_with_evidence(self):
-        # Yannakakis observed 3x slower than naive per modelled row-op →
-        # the acyclic cost estimate triples relative to the static prior.
-        static = Planner()
-        fast = Planner(calibration=lambda: {"yannakakis": 3.0, "naive": 1.0})
-        assert fast._pass_weight() == pytest.approx(3.0 * static._pass_weight())
-        # Evidence for only one evaluator keeps the static prior.
-        partial = Planner(calibration=lambda: {"yannakakis": 3.0})
-        assert partial._pass_weight() == static._pass_weight()
-
-    def test_calibration_clamped(self):
-        static = Planner()
-        extreme = Planner(calibration=lambda: {"yannakakis": 1000.0, "naive": 1.0})
-        assert extreme._pass_weight() == pytest.approx(4.0 * static._pass_weight())
-        tiny = Planner(calibration=lambda: {"yannakakis": 1.0, "naive": 1000.0})
-        assert tiny._pass_weight() == pytest.approx(0.25 * static._pass_weight())
-
-    def test_calibration_does_not_price_the_inequality_evaluator(self, chain):
-        # Evidence about Yannakakis' passes says nothing about Theorem 2's
-        # evaluator: a fast Yannakakis must not tip a ≠ query over to it.
-        query = parse_query("Q(a) :- E(a, b), E(b, c), E(c, d), a != d.")
-        tiny = Planner(calibration=lambda: {"yannakakis": 1.0, "naive": 1000.0})
-        assert (
-            tiny.plan(query, chain).cost_estimates["inequality"]
-            == Planner().plan(query, chain).cost_estimates["inequality"]
-        )
-
-    def test_engine_feeds_its_own_ledger(self, chain):
-        with QueryEngine() as engine:
-            assert engine._planner._calibration is not None
-            query = path_query(3, head_arity=2)
-            for _ in range(3):
-                engine.execute(query, chain)
-            # Re-planning with warmed calibration still picks a sound
-            # evaluator and the same answers.
-            evicted = parse_query(repr(query))
-            assert engine.execute(evicted, chain) == NaiveEvaluator().evaluate(
-                query, chain
-            )
-
     def test_fast_counting_modes_subset(self):
         assert set(FAST_COUNTING_MODES) <= {
             COUNT_BOOLEAN,

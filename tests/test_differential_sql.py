@@ -465,55 +465,5 @@ class TestSeedCorpus:
                 ) is False
 
 
-class TestEngineIntegration:
-    """The same oracle through ``QueryEngine(backend=...)``: whichever arm
-    the arbiter picks per call, answers must not change."""
-
-    def test_answers_stable_across_arbitration(self):
-        query, database = acyclic_case(7, 2)
-        backend = SqliteBackend()
-        with QueryEngine(max_workers=1, backend=backend) as engine:
-            expected = ENGINE.execute(query, database)
-            for _ in range(12):  # covers explore (both arms) + exploit
-                assert engine.execute(query, database) == expected
-                assert engine.decide(query, database) == bool(expected.rows)
-                assert engine.count(query, database) == expected.cardinality
-            stats = engine.pushdown_stats()
-            assert stats, "arbiter should have observations"
-            assert any(
-                info["backend_samples"] > 0 for info in stats.values()
-            ), "the backend arm must have been explored"
-        backend.close()
-
-    def test_explain_shows_pushdown_decision_and_sql(self):
-        query, database = acyclic_case(3, 1)
-        backend = SqliteBackend()
-        with QueryEngine(max_workers=1, backend=backend) as engine:
-            engine.execute(query, database)
-            rendering = engine.explain(query, database)
-        backend.close()
-        assert "pushdown : sqlite eligible" in rendering
-        assert "SELECT DISTINCT" in rendering
-
-    def test_ineligible_shapes_fall_back_natively(self):
-        from repro.query.atoms import Comparison
-
-        database = Database(
-            {"R": Relation.from_rows(("a", "b"), [(1, 2), (2, 1)])}
-        )
-        query = ConjunctiveQuery(
-            (V("x"),),
-            [Atom("R", (V("x"), V("y")))],
-            comparisons=[Comparison(V("x"), V("y"))],
-        )
-        backend = SqliteBackend()
-        with QueryEngine(max_workers=1, backend=backend) as engine:
-            result = engine.execute(query, database)
-            assert result.rows == frozenset({(1,)})
-            rendering = engine.explain(query, database)
-        backend.close()
-        assert "ineligible" in rendering
-
-
 if __name__ == "__main__":
     raise SystemExit(pytest.main([__file__, "-q"]))

@@ -1,8 +1,10 @@
 """Unit tests for the adaptive engine: analyzer, planner, cache, facade."""
 
+from unittest import mock
+
 import pytest
 
-from repro import Database, QueryEngine, parse_query
+from repro import Database, QueryEngine, Relation, parse_query
 from repro.engine import (
     ACYCLIC,
     ACYCLIC_NEQ,
@@ -174,9 +176,9 @@ class CountingPlanner(Planner):
         super().__init__()
         self.calls = 0
 
-    def plan(self, query, database):
+    def plan(self, query, database, observed_rows=None):
         self.calls += 1
-        return super().plan(query, database)
+        return super().plan(query, database, observed_rows)
 
 
 class TestQueryEngine:
@@ -255,6 +257,32 @@ class TestQueryEngine:
         again = engine.explain(query, edge_db)
         assert "cache    : hit" in again
 
+    @pytest.mark.parametrize("head", ["a, b", "b, c", "d, e"])
+    def test_explain_program_is_the_schedule_execute_runs(self, head):
+        # The plan's tree is rooted where GYO left it; evaluation re-roots at
+        # the head.  explain must print the steps of the tree that is walked.
+        query = parse_query(f"Q({head}) :- E(a, b), E(b, c), E(c, d), E(d, e).")
+        database = chain_database(layers=5, width=8, p=0.5, seed=3)
+        engine = QueryEngine()
+        plan = engine.plan_for(query, database)
+        assert plan.evaluator == "yannakakis"
+        atom_of = {
+            tuple(v.name for v in atom.variables()): f"a{i}({atom.relation})"
+            for i, atom in enumerate(query.atoms)
+        }
+        executed = []
+        semijoin = Relation.semijoin
+
+        def spy(self, other):
+            executed.append(f"{atom_of[self.attributes]} ⋉ {atom_of[other.attributes]}")
+            return semijoin(self, other)
+
+        with mock.patch.object(Relation, "semijoin", spy):
+            engine.execute(query, database)
+        bottom_up = len(query.atoms) - 1
+        assert len(executed) == 2 * bottom_up  # then the top-down pass
+        assert list(plan.semijoin_program[:bottom_up]) == executed[:bottom_up]
+
     def test_eviction_forces_replanning(self, edge_db):
         planner = CountingPlanner()
         engine = QueryEngine(plan_cache_size=1, planner=planner)
@@ -302,6 +330,16 @@ class TestQueryEngine:
         assert engine.execute(query, database) == NaiveEvaluator().evaluate(
             query, database
         )
+
+    def test_comparison_query_runs_on_the_general_route(self):
+        database = Database.from_tuples({"R": [(1, 2), (2, 1)]})
+        x, y = Variable("x"), Variable("y")
+        query = ConjunctiveQuery(
+            (x,), [Atom("R", (x, y))], comparisons=[Comparison(x, y)]
+        )
+        engine = QueryEngine()
+        assert engine.plan_for(query, database).structural_class == GENERAL
+        assert engine.execute(query, database).rows == frozenset({(1,)})
 
     def test_star_dispatch(self):
         engine = QueryEngine()

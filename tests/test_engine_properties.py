@@ -13,7 +13,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import Database, QueryEngine, Relation
+from repro import Database, QueryEngine, Relation, parse_query
+from repro.engine import Planner
 from repro.evaluation import (
     NaiveEvaluator,
     TreewidthEvaluator,
@@ -31,6 +32,7 @@ from repro.workloads import (
     random_acyclic_query,
     random_database,
     random_graph,
+    star_database,
 )
 
 
@@ -125,6 +127,56 @@ class TestRootingInvariance:
                 assert answer == reference, f"root={node}"
         for parent_attributes, keep in joins:
             assert not set(keep) <= set(parent_attributes)
+
+
+class TestPlanOrderInvariance:
+    """A plan is a function of (query shape, row counts, observed result
+    cardinality) — never of which requests ran first or how fast they ran.
+    Shapes and sizes (≈ 960 chain edges, 200 rows per star arm) are the e2e
+    benchmark's ``wire_small_mix``."""
+
+    SHAPES = (
+        ("chain", "Q() :- E(a, b), E(b, c), E(c, d), E(d, e)."),
+        ("chain", "Q(a) :- E(a, b), E(b, c), E(c, d), E(d, e)."),
+        ("chain", "Q(a, b) :- E(a, b), E(b, c), E(c, d), E(d, e)."),
+        ("star", "Q(h, x) :- A1(h, x), A2(h, y), A3(h, z)."),
+        ("chain", "Q() :- E(a, b), E(b, c), E(c, a)."),
+        ("chain", "Q(a, b) :- E(a, b), E(b, c), a != c."),
+        ("chain", "Q(a) :- E(a, b), E(b, c), E(c, d), a != d."),
+        ("chain", "Q(x, y) :- E(x, y)."),
+    )
+    ORDERS = 20
+    REPEATS = 3
+
+    @pytest.mark.parametrize("plan_cache_size", [128, 1])
+    def test_plans_do_not_depend_on_arrival_order(self, plan_cache_size):
+        # plan_cache_size=1 evicts every shape when the next one arrives, so
+        # each final plan_for re-plans on an engine whose ledger is warm.
+        databases = {
+            "chain": chain_database(layers=5, width=60, p=4 / 60, seed=3),
+            "star": star_database(3, 20, seed=1),
+        }
+        shapes = [
+            (text, parse_query(text), databases[name]) for name, text in self.SHAPES
+        ]
+        planner = Planner()
+        for order in range(self.ORDERS):
+            schedule = shapes * self.REPEATS
+            random.Random(order).shuffle(schedule)
+            with QueryEngine(plan_cache_size=plan_cache_size) as engine:
+                for _, query, database in schedule:
+                    engine.execute(query, database)
+                for text, query, database in shapes:
+                    plan = engine.plan_for(query, database)
+                    # Equal to what a planner that has seen nothing makes of
+                    # the same inputs, hence the same in every order.  A drift
+                    # re-plan carries the row count it observed; a first plan
+                    # carries None.
+                    cold = planner.plan(
+                        query, database, observed_rows=plan.corrected_rows
+                    )
+                    assert plan.evaluator == cold.evaluator, (order, text)
+                    assert plan.cost_estimates == cold.cost_estimates, (order, text)
 
 
 class TestCyclicAgreement:

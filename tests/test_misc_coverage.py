@@ -1,7 +1,11 @@
 """Coverage for smaller surfaces: errors, attributes, formulas, demo entry."""
 
+import importlib
+import pkgutil
+
 import pytest
 
+import repro
 from repro.errors import (
     ArityError,
     InconsistentConstraintsError,
@@ -161,3 +165,19 @@ class TestBenchlibMeasurement:
         m = Measurement(label="x", parameters={"n": 3}, seconds=0.5, result=9)
         assert m.label == "x"
         assert m.parameters["n"] == 3
+
+
+PACKAGES = ["repro"] + [
+    module.name
+    for module in pkgutil.iter_modules(repro.__path__, "repro.")
+    if module.ispkg
+]
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_every_exported_name_resolves(package):
+    """A deletion that forgets its ``__all__`` entry fails here, not in a
+    user's ``from repro import *``."""
+    module = importlib.import_module(package)
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert not missing, f"{package}.__all__ names nothing for {missing}"

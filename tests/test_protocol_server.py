@@ -422,14 +422,19 @@ class TestReviewRegressions:
     def test_sync_client_timeout_poisons_the_connection(self, chain_db):
         """A socket timeout can fire mid-frame; the blocking client must
         refuse reuse instead of decoding a desynchronized stream."""
+        from repro import FaultPlan
+
+        # The reply is held back far longer than the client waits (the
+        # socket layer rounds a sub-millisecond timeout up to 1 ms, which a
+        # small query can beat), so the mid-read failure is deterministic.
+        plan = FaultPlan({"server.delay": {"times": 1, "delay": 0.1}})
+
         async def main():
-            async with QueryServer({"chain": chain_db}) as server:
+            async with QueryServer({"chain": chain_db}, fault_plan=plan) as server:
                 host, port = server.address
 
                 def work():
                     client = QueryClient(host, port)
-                    # A timeout no real response can beat forces the
-                    # mid-read failure path deterministically.
                     client._sock.settimeout(0.0001)
                     with pytest.raises(OSError):
                         client.execute(path_query(3, head_arity=1), "chain")
