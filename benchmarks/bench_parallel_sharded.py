@@ -5,7 +5,14 @@ What this file measures:
 * the engine's one acyclic route
   (:class:`~repro.evaluation.yannakakis.YannakakisEvaluator`, join tree
   rooted at the head) as absolute ``execute`` / ``decide`` / ``count`` times
-  per workload — three inputs of 2k–225k rows and the small PR 2 workload;
+  per workload — three inputs of 2k–225k rows and the small PR 2 workload —
+  next to the bottom-up semijoin pass alone (``pass_seconds``): with the
+  head inside one atom ``execute`` and ``count`` are that pass plus a
+  read-off of the root, and a satisfiable ``decide`` finds its first
+  witness long before it;
+* ``decide`` on an unsatisfiable adversary — a 5-hop path over a 5-layer
+  chain, where every 4-hop prefix exists — which spends the whole
+  first-witness budget and then pays the pass: the linear worst case;
 * a ≥32-member same-shape batch through ``run_batch`` against per-member
   execution (N-wide lifting through a parameter relation), ≥2× faster;
 * with ``--assert-multicore``, serial vs thread vs process pools on
@@ -38,7 +45,7 @@ import argparse
 import sys
 from typing import Any, Dict, List, Optional
 
-from repro import NaiveEvaluator, QueryEngine
+from repro import Database, NaiveEvaluator, QueryEngine, YannakakisEvaluator
 from repro.benchlib import (
     add_json_argument,
     emit_json_report,
@@ -80,7 +87,9 @@ def acyclic_workloads() -> List[Dict[str, Any]]:
 
 
 def run_acyclic(repeats: int) -> List[Dict[str, Any]]:
-    """Absolute execute / decide / count times on each acyclic workload."""
+    """Absolute execute / decide / count times on each acyclic workload,
+    and the bottom-up pass on its own."""
+    reducer = YannakakisEvaluator()
     records: List[Dict[str, Any]] = []
     for item in acyclic_workloads():
         query, database = item["query"], item["database"]
@@ -100,6 +109,9 @@ def run_acyclic(repeats: int) -> List[Dict[str, Any]]:
         count_seconds, _ = time_thunk(
             lambda: engine.count(query, database), repeats=repeats
         )
+        pass_seconds, _ = time_thunk(
+            lambda: reducer.reduce_bottom_up(query, database), repeats=repeats
+        )
         records.append(
             {
                 "name": item["name"],
@@ -110,6 +122,51 @@ def run_acyclic(repeats: int) -> List[Dict[str, Any]]:
                 "execute_seconds": execute_seconds,
                 "decide_seconds": decide_seconds,
                 "count_seconds": count_seconds,
+                "pass_seconds": pass_seconds,
+            }
+        )
+    return records
+
+
+def fixed_degree_chain(layers: int, width: int, degree: int) -> Database:
+    """A layered DAG in which every node of a layer has exactly *degree*
+    successors in the next, so every path extends to the last layer."""
+    return Database.from_tuples(
+        {
+            "E": [
+                (layer * width + i, (layer + 1) * width + (i * degree + j) % width)
+                for layer in range(layers - 1)
+                for i in range(width)
+                for j in range(degree)
+            ]
+        }
+    )
+
+
+def run_unsatisfiable(repeats: int) -> List[Dict[str, Any]]:
+    """``decide`` where no witness exists but every proper prefix of one
+    does: the first-witness search spends its whole budget, then the
+    bottom-up pass (timed alone beside it) gives the answer."""
+    query = path_query(5, head_arity=0)
+    reducer = YannakakisEvaluator()
+    records: List[Dict[str, Any]] = []
+    for width in (500, 1000):
+        database = fixed_degree_chain(layers=5, width=width, degree=5)
+        engine = QueryEngine()
+        assert engine.decide(query, database) is False
+        assert engine.plan_for(query, database).evaluator == "yannakakis"
+        decide_seconds, _ = time_thunk(
+            lambda: engine.decide(query, database), repeats=repeats
+        )
+        pass_seconds, _ = time_thunk(
+            lambda: reducer.reduce_bottom_up(query, database), repeats=repeats
+        )
+        records.append(
+            {
+                "name": f"path5_unsat_w{width}",
+                "input_rows": database["E"].cardinality,
+                "decide_unsat_seconds": decide_seconds,
+                "pass_seconds": pass_seconds,
             }
         )
     return records
@@ -226,6 +283,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     repeats = 3
 
     acyclic = run_acyclic(repeats)
+    unsatisfiable = run_unsatisfiable(repeats)
     batch = run_batch(repeats)
     pool_modes = (
         run_pool_modes(repeats, args.max_workers)
@@ -234,7 +292,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
 
     print_table(
-        ("workload", "rows in", "rows out", "execute s", "decide s", "count s"),
+        (
+            "workload",
+            "rows in",
+            "rows out",
+            "execute s",
+            "decide s",
+            "count s",
+            "pass s",
+        ),
         [
             (
                 r["name"],
@@ -243,10 +309,24 @@ def main(argv: Optional[List[str]] = None) -> int:
                 r["execute_seconds"],
                 r["decide_seconds"],
                 r["count_seconds"],
+                r["pass_seconds"],
             )
             for r in acyclic
         ],
         title=f"The acyclic route, one engine (best of {repeats})",
+    )
+    print_table(
+        ("adversary", "rows in", "decide s", "pass s"),
+        [
+            (
+                r["name"],
+                r["input_rows"],
+                r["decide_unsat_seconds"],
+                r["pass_seconds"],
+            )
+            for r in unsatisfiable
+        ],
+        title="decide with no witness: budget spent, then the pass",
     )
     print_table(
         ("batch size", "sequential s", "N-wide s", "speedup"),
@@ -291,6 +371,19 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if not args.smoke:
         assert batch["batch_speedup"] >= 2.0, batch
+        # Every workload here has its head inside one atom: count is the
+        # pass plus a read-off of the root's code columns, and execute adds
+        # one projection of the root onto the head column (a third of the
+        # pass on the star, whose semijoins filter nothing and so copy
+        # nothing).
+        for record in acyclic:
+            assert record["count_seconds"] <= 1.3 * record["pass_seconds"], record
+            assert record["execute_seconds"] <= 1.5 * record["count_seconds"], record
+        # A spent first-witness budget must stay a small tax on the pass.
+        for record in unsatisfiable:
+            assert (
+                record["decide_unsat_seconds"] <= 1.3 * record["pass_seconds"]
+            ), record
     if pool_modes is not None:
         # The multicore claim: with real cores, the best real pool beats
         # serial on the compute-bound workload (the process pool — pure
@@ -311,6 +404,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     sections: Dict[str, Any] = {
         "workers": default_worker_count(),
         "acyclic": acyclic,
+        "unsatisfiable": unsatisfiable,
         "batch": batch,
     }
     if pool_modes is not None:

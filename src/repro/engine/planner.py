@@ -19,7 +19,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..evaluation.yannakakis import reroot_for_head
+from ..evaluation.yannakakis import (
+    WITNESS_BUDGET_DIVISOR,
+    carrying_edges,
+    reroot_for_head,
+)
 from ..hypergraph.join_tree import JoinTree
 from ..query.atoms import Atom
 from ..query.conjunctive import ConjunctiveQuery
@@ -109,11 +113,7 @@ class Planner:
         if structural_class == ACYCLIC:
             costs[YANNAKAKIS] = self._acyclic_cost(query, database, answer_estimate)
             evaluator = self._arbitrate(YANNAKAKIS, costs)
-            # The tree YannakakisEvaluator.evaluate walks: same rooting call.
-            head_names = {v.name for v in query.head_variables()}
-            program = self._semijoin_program(
-                query, reroot_for_head(analysis.join_tree, head_names)
-            )
+            program = self._acyclic_program(query, analysis.join_tree)
         elif structural_class == ACYCLIC_NEQ:
             costs[INEQUALITY] = self._inequality_cost(query, database, answer_estimate)
             # No structural preference here: Theorem 2's hash-family factor
@@ -121,8 +121,12 @@ class Planner:
             # picks the cheaper side directly.
             if costs[INEQUALITY] < costs[NAIVE]:
                 evaluator = INEQUALITY
-            # Theorem 2's engine keeps the tree as GYO rooted it.
-            program = self._semijoin_program(query, analysis.join_tree)
+            # Theorem 2's engine keeps the tree as GYO rooted it and walks
+            # all of it, once per hash function.
+            program = self._bottom_up_steps(query, analysis.join_tree) + (
+                "per hash function: every edge again top-down, "
+                "then join-project onto the head",
+            )
         elif structural_class == BOUNDED_TREEWIDTH:
             treewidth_cost, bag_program = self._treewidth_cost(
                 query, database, analysis
@@ -358,16 +362,43 @@ class Planner:
         return preferred
 
     @staticmethod
-    def _semijoin_program(query: ConjunctiveQuery, tree: JoinTree) -> Tuple[str, ...]:
-        """The full-reducer schedule read off the rooted join tree."""
-        steps: List[str] = []
-        for node in tree.bottom_up_order():
-            parent = tree.parent(node)
-            if parent is None:
-                continue
-            steps.append(
-                f"a{parent}({query.atoms[parent].relation}) ⋉ "
-                f"a{node}({query.atoms[node].relation})"
-            )
-        steps.append("top-down pass (reversed), then join-project onto head")
+    def _bottom_up_steps(query: ConjunctiveQuery, tree: JoinTree) -> Tuple[str, ...]:
+        """One ``parent ⋉ child`` line per edge of *tree*, leaves first."""
+        return tuple(
+            f"{_atom_label(query, tree.parent(node))} ⋉ {_atom_label(query, node)}"
+            for node in tree.bottom_up_order()
+            if tree.parent(node) is not None
+        )
+
+    @classmethod
+    def _acyclic_program(
+        cls, query: ConjunctiveQuery, join_tree: JoinTree
+    ) -> Tuple[str, ...]:
+        """The schedule :class:`YannakakisEvaluator` runs, step for step:
+        the bottom-up pass over the head-rooted tree, then — on the edges
+        that hand a head column up, if any — the top-down semijoins and the
+        join-projects, and what ``decide`` tries before any of it."""
+        head_names = {v.name for v in query.head_variables()}
+        # The tree and the edges evaluate walks: same two calls.
+        tree = reroot_for_head(join_tree, head_names)
+        carrying = carrying_edges(tree, head_names)
+        steps = list(cls._bottom_up_steps(query, tree))
+        steps += [
+            f"{_atom_label(query, node)} ⋉ {_atom_label(query, tree.parent(node))}"
+            for node in reversed(carrying)
+        ]
+        steps += [
+            f"{_atom_label(query, tree.parent(node))} ⋈ {_atom_label(query, node)}"
+            ", projected onto join and head columns"
+            for node in carrying
+        ]
+        steps.append(
+            "decide: first-witness search, at most "
+            f"⌊input rows / {WITNESS_BUDGET_DIVISOR}⌋ steps; "
+            "one bottom-up pass only if that budget is spent"
+        )
         return tuple(steps)
+
+
+def _atom_label(query: ConjunctiveQuery, index: int) -> str:
+    return f"a{index}({query.atoms[index].relation})"

@@ -23,8 +23,8 @@ the head.  Two shapes guarantee that:
   annotated fold applies as-is (``count-full``);
 * **head-covered queries** (head variables inside one atom): rooted at
   that atom, one upward pass leaves its relation globally consistent, so
-  its distinct head projections *are* the answers — count the distinct
-  keys of one cached index, no fold needed (``count-covered``).
+  its distinct head projections *are* the answers — read their number off
+  the reduced relation's code columns, no fold needed (``count-covered``).
 
 Everything else — acyclic with an uncovered projection (high quantified
 star size), cyclic cores, constraint atoms — is #P-hard in general
@@ -107,10 +107,7 @@ class CountingYannakakisEvaluator:
             )
 
         if mode == COUNT_BOOLEAN:
-            nonempty = (
-                self._reducer.reduce_bottom_up(query, database, join_tree)
-                is not None
-            )
+            nonempty = self._reducer.decide(query, database, join_tree)
             return CountResult(int(nonempty), mode)
 
         prepared = self._reducer._prepare(query, database, join_tree)
@@ -219,13 +216,16 @@ class CountingYannakakisEvaluator:
     # ------------------------------------------------------------------
 
     def _count_covered(self, query: ConjunctiveQuery, reduced: Relation) -> CountResult:
-        """Distinct-key count of the covering atom's reduced relation."""
+        """Distinct head keys of the covering atom's reduced relation: its
+        cardinality when the head is all of its columns, else the size of
+        its (cached) key-code set on the head's columns."""
         from ..engine.analysis import COUNT_COVERED
 
         head_names = _head_variable_names(query)
+        if len(head_names) == reduced.arity:
+            return CountResult(reduced.cardinality, COUNT_COVERED)
         positions = tuple(reduced.attributes.index(name) for name in head_names)
-        total = len(reduced._index(positions)) if reduced.cardinality else 0
-        return CountResult(total, COUNT_COVERED)
+        return CountResult(len(reduced._key_code_set(positions)), COUNT_COVERED)
 
     def _distinct_head(
         self, query: ConjunctiveQuery, reduced: Relation
@@ -248,9 +248,12 @@ class CountingYannakakisEvaluator:
         nodes never materialize per-row annotations: each folds its
         children's *upward sums* (annotation totals per shared join key)
         in one pass over its rows, emitting its own upward sums as it
-        goes, and leaves read bucket sizes straight off the index the
-        reducer's semijoins already built — same positions, same key
-        convention, so the fold costs one warm pass per node.
+        goes, and leaves read bucket sizes straight off the value-keyed
+        index on their join columns.  For every relation the pass has
+        filtered that index is built here, on every call: the reducer's
+        semijoins run on key *codes* and leave no value-keyed index behind
+        (a lead — folding over ``_key_codes`` would save the build — not
+        taken here).
         """
         upward: Dict[int, Dict[Any, int]] = {}
         children_of: Dict[Optional[int], List[int]] = {}
@@ -279,7 +282,7 @@ class CountingYannakakisEvaluator:
                 for a in reduced[parent].attributes
                 if a in rel_attrs
             )
-            buckets = rel._index(positions_up)  # warm: the reducer built it
+            buckets = rel._index(positions_up)
             if not lookups:
                 upward[node] = {
                     key: len(rows) for key, rows in buckets.items()

@@ -13,6 +13,7 @@ Theorem 1's upper bounds, the Yannakakis evaluator, and Algorithms 1–2.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 from ..errors import QueryError, SchemaError
@@ -24,6 +25,14 @@ from ..relational.database import Database
 from ..relational.relation import Relation
 
 
+def check_atom_arity(atom: Atom, relation: Relation) -> None:
+    """Raise :class:`SchemaError` unless *atom* has *relation*'s arity."""
+    if relation.arity != atom.arity:
+        raise SchemaError(
+            f"atom {atom!r} has arity {atom.arity}, relation has {relation.arity}"
+        )
+
+
 def atom_candidate_relation(atom: Atom, relation: Relation) -> Relation:
     """The relation S = π_U σ_F (R) of candidate variable bindings for *atom*.
 
@@ -32,10 +41,7 @@ def atom_candidate_relation(atom: Atom, relation: Relation) -> Relation:
     maps the atom into *relation*.  For a variable-free atom the result is
     the nullary TRUE/FALSE relation.
     """
-    if relation.arity != atom.arity:
-        raise SchemaError(
-            f"atom {atom!r} has arity {atom.arity}, relation has {relation.arity}"
-        )
+    check_atom_arity(atom, relation)
     variables = atom.variables()
     var_names = tuple(v.name for v in variables)
     first_position: Dict[Variable, int] = {}
@@ -126,8 +132,7 @@ def answers_relation(
     names = tuple(f"o{i}" for i in range(len(head_terms)))
     attribute_index = {name: i for i, name in enumerate(assignments.attributes)}
     # Compile each head term once: column position for a variable, or the
-    # constant value itself (position None) — then build all rows in one
-    # comprehension instead of re-dispatching per term per row.
+    # constant value itself (position None).
     sources = []
     for term in head_terms:
         if isinstance(term, Constant):
@@ -141,6 +146,19 @@ def answers_relation(
             sources.append((position, None))
     if not sources:
         rows = frozenset([()]) if assignments.rows else frozenset()
+        return Relation._from_frozen(names, rows)
+    positions = tuple(position for position, _ in sources)
+    if None not in positions and len(set(positions)) == len(positions):
+        # Distinct variables only: a column selection, no per-row Python.
+        if positions == tuple(range(assignments.arity)):
+            # The head *is* the assignments' columns: the rows pass through
+            # untouched — only the names change, so the caches are shared.
+            out = Relation._from_frozen(names, assignments.rows)
+            return out._share_indexes_with(assignments)
+        if len(positions) == 1:
+            rows = frozenset(zip(map(itemgetter(positions[0]), assignments.rows)))
+        else:
+            rows = frozenset(map(itemgetter(*positions), assignments.rows))
         return Relation._from_frozen(names, rows)
     rows = frozenset(
         tuple(value if position is None else row[position]

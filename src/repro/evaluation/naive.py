@@ -20,7 +20,18 @@ chains, no isinstance checks in the hot path.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+import sys
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..errors import InvalidOperationError, QueryError
 from ..operations import DECIDE, EXECUTE, Operation
@@ -29,33 +40,38 @@ from ..query.conjunctive import ConjunctiveQuery
 from ..query.terms import Constant, Variable
 from ..relational.columns import values_equal
 from ..relational.database import Database
-from ..relational.index import IndexPool
 from ..relational.relation import Relation
 from ..resilience.token import check_cancelled
-from .instantiation import answers_relation
+from .instantiation import answers_relation, check_atom_arity
 
 #: One compiled probe plan per atom:
 #: (rows_for(valuation) -> bucket, intra-atom equality (pos, pos) pairs,
 #:  (pos, slot) new-variable bindings, constraint checks ready at this depth)
 _Plan = Tuple[
-    Callable[[List[Any]], Sequence[Tuple]],
+    Callable[[List[Any]], Iterable[Tuple]],
     Tuple[Tuple[int, int], ...],
     Tuple[Tuple[int, int], ...],
     Tuple[Callable[[List[Any]], bool], ...],
 ]
 
 
+#: Search steps between two polls of the ambient cancel token.
+_POLL_STRIDE = 2048
+
+
+class _BudgetSpent(Exception):
+    """A budgeted search ran out of steps before finding or refuting a
+    witness (internal to :meth:`NaiveEvaluator.first_witness`)."""
+
+
 class NaiveEvaluator:
     """Backtracking join evaluation with index probing and constraint checks.
 
-    The evaluator is stateless between queries apart from its
-    :class:`IndexPool`, which pins the database relations it has probed;
-    the index buckets themselves are cached on the (immutable) relations,
-    so they are shared across evaluators and with the relational algebra.
+    The evaluator holds no state: the index buckets it probes are cached
+    on the (immutable) relations themselves, so they are shared across
+    evaluators and with the relational algebra, and freed with the
+    relation.
     """
-
-    def __init__(self) -> None:
-        self._pool = IndexPool()
 
     # ------------------------------------------------------------------
     # Public API
@@ -87,7 +103,7 @@ class NaiveEvaluator:
         """All satisfying instantiations, one column per query variable."""
         return Relation.from_rows(
             tuple(v.name for v in query.variables()),
-            self._search(query, database, find_all=True, atom_order=atom_order),
+            self._search(query, database, atom_order=atom_order),
         )
 
     def decide(
@@ -97,8 +113,26 @@ class NaiveEvaluator:
         atom_order: Optional[Sequence[int]] = None,
     ) -> bool:
         """Is Q(d) nonempty?  Stops at the first satisfying instantiation."""
-        for _ in self._search(query, database, find_all=False, atom_order=atom_order):
+        for _ in self._search(query, database, atom_order=atom_order):
             return True
+        return False
+
+    def first_witness(
+        self, query: ConjunctiveQuery, database: Database, max_steps: int
+    ) -> Optional[bool]:
+        """``decide`` within *max_steps* search steps, or ``None``.
+
+        ``True`` at the first satisfying instantiation, ``False`` when the
+        search space is exhausted inside the budget, ``None`` when the
+        budget is spent first — the caller then owns the answer.  The
+        built-in connected atom order is used, so every atom after the
+        first of its component is an index probe on a bound variable.
+        """
+        try:
+            for _ in self._search(query, database, max_steps=max_steps):
+                return True
+        except _BudgetSpent:
+            return None
         return False
 
     def run(self, operation: Operation, database: Database) -> Any:
@@ -173,6 +207,7 @@ class NaiveEvaluator:
         bound_slots: set = set()
         for depth, atom in enumerate(atoms):
             relation = database[atom.relation]
+            check_atom_arity(atom, relation)
             # Static shape of the probe at this depth: which positions carry
             # constants, which carry variables bound at earlier depths, which
             # bind new slots, and which repeat a variable first seen in this
@@ -194,9 +229,7 @@ class NaiveEvaluator:
                 else:
                     first_seen[term] = position
                     bindings.append((position, slot_of[term]))
-            self._pool.index(relation, key_positions)  # pin + warm the cache
-            buckets = relation._index(tuple(key_positions))
-            rows_for = _make_probe(buckets, key_parts, relation)
+            rows_for = _make_probe(relation, tuple(key_positions), key_parts)
             checks = tuple(
                 ineq_checks.get(depth, ()) + comp_checks.get(depth, ())
             )
@@ -212,9 +245,12 @@ class NaiveEvaluator:
         self,
         query: ConjunctiveQuery,
         database: Database,
-        find_all: bool,
         atom_order: Optional[Sequence[int]] = None,
+        max_steps: Optional[int] = None,
     ) -> Iterator[Tuple]:
+        """Every satisfying valuation, depth first (callers that want one
+        stop iterating).  With *max_steps*, raises :class:`_BudgetSpent`
+        once that many rows have been visited."""
         plans, num_slots = self._compile(query, database, atom_order=atom_order)
         valuation: List[Any] = [None] * num_slots
 
@@ -227,14 +263,20 @@ class NaiveEvaluator:
         iters: List[Iterator[Tuple]] = [iter(())] * len(plans)
         iters[0] = iter(plans[0][0](valuation))
         depth = 0
+        # One step per row visited and per backtrack.  The search has no
+        # level boundaries to check at, so the cancel token is polled on a
+        # stride — n^k nodes is exactly the blow-up deadlines exist for —
+        # and the step budget is checked at the same point.
         steps = 0
+        stop_after = sys.maxsize if max_steps is None else max_steps
+        poll_at = min(_POLL_STRIDE, stop_after + 1)
         while depth >= 0:
-            # The backtracking search has no level boundaries to check at,
-            # so poll the cancel token on a stride: n^k nodes is exactly
-            # the blow-up deadlines exist for.
             steps += 1
-            if not steps & 2047:
+            if steps >= poll_at:
+                if steps > stop_after:
+                    raise _BudgetSpent
                 check_cancelled()
+                poll_at = min(steps + _POLL_STRIDE, stop_after + 1)
             rows_for, equalities, bindings, checks = plans[depth]
             descended = False
             for row in iters[depth]:
@@ -245,6 +287,7 @@ class NaiveEvaluator:
                             ok = False
                             break
                     if not ok:
+                        steps += 1
                         continue
                 for position, slot in bindings:
                     valuation[slot] = row[position]
@@ -255,6 +298,7 @@ class NaiveEvaluator:
                             ok = False
                             break
                     if not ok:
+                        steps += 1
                         continue
                 if depth == last:
                     yield tuple(valuation)
@@ -301,20 +345,22 @@ class NaiveEvaluator:
 
 
 def _make_probe(
-    buckets: Dict[Any, Sequence[Tuple]],
-    key_parts: List[Tuple[bool, Any]],
     relation: Relation,
-) -> Callable[[List[Any]], Sequence[Tuple]]:
+    key_positions: Tuple[int, ...],
+    key_parts: List[Tuple[bool, Any]],
+) -> Callable[[List[Any]], Iterable[Tuple]]:
     """Compile ``valuation -> rows matching the probe key`` for one atom.
 
     Key conventions follow :meth:`Relation._index`: raw values for a single
     indexed position, tuples otherwise.  Fully static keys (all constants)
-    are resolved to their bucket at compile time.
+    are resolved to their bucket at compile time; an atom with nothing
+    bound iterates the relation's rows as they are, with no index at all.
     """
     empty: Tuple = ()
     if not key_parts:
-        all_rows = buckets.get((), empty)
+        all_rows = relation.rows
         return lambda valuation: all_rows
+    buckets = relation._index(key_positions)
     if len(key_parts) == 1:
         is_slot, payload = key_parts[0]
         if not is_slot:

@@ -6,19 +6,22 @@ The classical polynomial-combined-complexity evaluation of acyclic joins
 1. compute the candidate relation S_j = π_{U_j} σ_{F_j}(R_{i_j}) per atom;
 2. build a join tree of the query hypergraph and root it at the node
    covering the most head variables;
-3. *full reducer*: a bottom-up then a top-down semijoin pass, after which
-   the relations are globally consistent (every tuple participates in the
-   join);
-4. a final bottom-up join-and-project pass that assembles the projection of
-   the join onto the output variables.  Edges that would add no column to
-   their parent are skipped — on a globally consistent tree they are the
-   identity — so a query whose head sits inside one atom runs no join at
-   all, and only a head spread over several atoms pays Yannakakis'
-   |input| · |output| intermediates.
+3. one bottom-up semijoin pass, after which the root is globally
+   consistent (every root tuple participates in the join);
+4. the other half of the *full reducer* — the top-down semijoin pass — and
+   the final bottom-up join-and-project pass, both **only on the edges that
+   hand a head column up** (:func:`carrying_edges`).  Every other edge
+   could only filter its parent, which the bottom-up pass has already
+   done, so a query whose head sits inside one atom costs one pass plus a
+   read-off of the root, and only a head spread over several atoms pays
+   Yannakakis' |input| · |output| intermediates.
 
-The emptiness / decision variants stop after the bottom-up pass.  Queries
-with inequality or comparison atoms are rejected here — that is exactly the
-extension Theorem 2 (``repro.inequalities``) provides.
+``decide`` first looks for one witness with the backtracking search under
+a step budget proportional to the input (:data:`WITNESS_BUDGET_DIVISOR`);
+only an instance that spends the budget pays for the bottom-up pass, so the
+worst case stays linear and the satisfiable common case is near-constant.
+Queries with inequality or comparison atoms are rejected here — that is
+exactly the extension Theorem 2 (``repro.inequalities``) provides.
 """
 
 from __future__ import annotations
@@ -33,6 +36,20 @@ from ..relational.joins import JoinAlgorithm, hash_join
 from ..relational.relation import Relation
 from ..resilience.token import check_cancelled
 from .instantiation import answers_relation, candidate_relations
+from .naive import NaiveEvaluator
+
+#: ``decide`` searches for a first witness for at most (input rows of the
+#: query's atoms) // this many steps before it falls back to the bottom-up
+#: pass.  A search step costs about what the pass spends on one or two
+#: rows, so a spent budget adds about a tenth to the linear worst case
+#: (``BENCH_parallel_sharded.json``, ``unsatisfiable``).
+WITNESS_BUDGET_DIVISOR = 16
+
+
+def witness_budget(query: ConjunctiveQuery, database: Database) -> int:
+    """The step budget of ``decide``'s first-witness search."""
+    rows = sum(database[atom.relation].cardinality for atom in query.atoms)
+    return rows // WITNESS_BUDGET_DIVISOR
 
 
 class YannakakisEvaluator:
@@ -40,6 +57,7 @@ class YannakakisEvaluator:
 
     def __init__(self, join_algorithm: JoinAlgorithm = hash_join) -> None:
         self._join = join_algorithm
+        self._search = NaiveEvaluator()
 
     # ------------------------------------------------------------------
 
@@ -49,13 +67,22 @@ class YannakakisEvaluator:
         database: Database,
         join_tree: Optional[JoinTree] = None,
     ) -> bool:
-        """Is Q(d) nonempty?  One bottom-up semijoin pass.
+        """Is Q(d) nonempty?  A budgeted first-witness search, then — only
+        if the budget is spent — one bottom-up semijoin pass.
 
         *join_tree* optionally supplies a precomputed join tree of the
         query hypergraph (the adaptive engine's cached plans carry one),
-        skipping the GYO reduction.
+        skipping the GYO reduction.  The tree is resolved before anything
+        is searched, so cyclic and constrained queries raise their typed
+        errors whatever the data holds.
         """
-        return self.reduce_bottom_up(query, database, join_tree) is not None
+        tree = self._join_tree(query, join_tree)
+        witness = self._search.first_witness(
+            query, database, witness_budget(query, database)
+        )
+        if witness is not None:
+            return witness
+        return self.reduce_bottom_up(query, database, tree) is not None
 
     def reduce_bottom_up(
         self,
@@ -119,9 +146,18 @@ class YannakakisEvaluator:
         head_set = set(head_names)
         tree = reroot_for_head(tree, head_set)
 
-        relations = self.full_reduction(relations, tree)
+        relations = self.bottom_up_reduction(relations, tree)
         if relations[tree.root].is_empty():
             return answers_relation(query.head_terms, Relation.from_rows(head_names))
+
+        # The root is globally consistent now.  Only the edges that hand a
+        # head column up are walked again: top-down, so every tuple below
+        # them takes part in an answer (which is what bounds the joins by
+        # |input| · |output|), then bottom-up to join those columns in.
+        carrying = carrying_edges(tree, head_set)
+        for node in reversed(carrying):
+            check_cancelled()
+            relations[node] = relations[node].semijoin(relations[tree.parent(node)])
 
         # Upward join-and-project pass (paper's Algorithm 2, step 2, in the
         # plain setting): carry shared attributes plus output attributes.
@@ -130,21 +166,14 @@ class YannakakisEvaluator:
         # never materialized; a custom join algorithm gets the explicit
         # project-then-join equivalent.
         fused = self._join is hash_join
-        for node in tree.bottom_up_order():
+        for node in carrying:
             parent = tree.parent(node)
-            if parent is None:
-                continue
             parent_vars = set(relations[parent].attributes)
             keep = tuple(
                 a
                 for a in relations[node].attributes
                 if a in parent_vars or a in head_set
             )
-            if parent_vars.issuperset(keep):
-                # The edge adds no column, so it could only filter — and
-                # after the full reducer every parent tuple already has a
-                # partner in the child: the join is the identity.
-                continue
             check_cancelled()
             if fused:
                 relations[parent] = relations[parent]._join_keep(
@@ -170,9 +199,10 @@ class YannakakisEvaluator:
         After it, every relation is reduced against its entire *subtree*
         (leaves first), so the root is globally consistent while non-root
         relations may keep upward-dangling tuples.  Enough for any reader
-        that only consumes root-side state — the counting fold reads root
-        annotations and the covered count re-roots at the covering atom —
-        at half the passes of :meth:`full_reduction`.
+        that only consumes root-side state: ``evaluate`` with the head
+        inside the root atom, the counting fold (it reads root
+        annotations) and the covered count (it re-roots at the covering
+        atom).
         """
         reduced = dict(relations)
         for node in tree.bottom_up_order():
@@ -183,24 +213,21 @@ class YannakakisEvaluator:
             reduced[parent] = reduced[parent].semijoin(reduced[node])
         return reduced
 
-    def full_reduction(
-        self, relations: Dict[int, Relation], tree: JoinTree
-    ) -> Dict[int, Relation]:
-        """Semijoin full reducer: bottom-up then top-down pass.
-
-        Returns a new mapping in which the relations are globally
-        consistent: P_u = π_{attrs(P_u)}(P_1 ⋈ ... ⋈ P_s).
-        """
-        reduced = self.bottom_up_reduction(relations, tree)
-        for node in tree.top_down_order():
-            parent = tree.parent(node)
-            if parent is None:
-                continue
-            check_cancelled()
-            reduced[node] = reduced[node].semijoin(reduced[parent])
-        return reduced
-
     # ------------------------------------------------------------------
+
+    def _join_tree(
+        self, query: ConjunctiveQuery, join_tree: Optional[JoinTree]
+    ) -> JoinTree:
+        """The supplied tree or a fresh GYO one; raises on queries this
+        evaluator does not handle (constraint atoms, cyclic bodies)."""
+        if query.inequalities or query.comparisons:
+            raise QueryError(
+                "YannakakisEvaluator handles purely relational acyclic "
+                "queries; use repro.inequalities for queries with != atoms"
+            )
+        if join_tree is not None:
+            return join_tree
+        return JoinTree.from_hypergraph(query.hypergraph())
 
     def _prepare(
         self,
@@ -209,15 +236,7 @@ class YannakakisEvaluator:
         join_tree: Optional[JoinTree] = None,
     ) -> Optional[Tuple[Dict[int, Relation], JoinTree]]:
         """Candidate relations + join tree; None when trivially empty."""
-        if query.inequalities or query.comparisons:
-            raise QueryError(
-                "YannakakisEvaluator handles purely relational acyclic "
-                "queries; use repro.inequalities for queries with != atoms"
-            )
-        if join_tree is not None:
-            tree = join_tree
-        else:
-            tree = JoinTree.from_hypergraph(query.hypergraph())
+        tree = self._join_tree(query, join_tree)
         candidates = candidate_relations(query.atoms, database)
         relations = {i: rel for i, rel in enumerate(candidates)}
         if any(rel.is_empty() for rel in relations.values()):
@@ -250,3 +269,28 @@ def reroot_for_head(tree: JoinTree, head_names: set) -> JoinTree:
         ),
     )
     return tree.rooted_at(best)
+
+
+def carrying_edges(tree: JoinTree, head_names: set) -> Tuple[int, ...]:
+    """The children of the edges that hand a head column up, leaves first.
+
+    An edge carries when the child's subtree holds a head variable its
+    parent's atom lacks.  By the running-intersection property such a
+    variable occurs nowhere outside that subtree, so the edges that carry
+    form a subtree around the root, and every other edge could only filter
+    its parent — which one bottom-up semijoin pass has already done.  Empty
+    when the head sits inside the root atom (or is empty).
+    """
+    names_below: Dict[int, set] = {}
+    carrying = []
+    for node in tree.bottom_up_order():
+        below = head_names & {v.name for v in tree.node_vars[node]}
+        for child in tree.children(node):
+            below |= names_below.pop(child)
+        names_below[node] = below
+        parent = tree.parent(node)
+        if parent is not None and not below <= {
+            v.name for v in tree.node_vars[parent]
+        }:
+            carrying.append(node)
+    return tuple(carrying)

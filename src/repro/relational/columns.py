@@ -94,11 +94,6 @@ class ValuePool:
         return self._values[code]
 
 
-def select_codes(column: array, indices: Sequence[int]) -> array:
-    """``column[i]`` for each ``i`` in *indices*, as a new code array."""
-    return array(CODE_TYPECODE, map(column.__getitem__, indices))
-
-
 def zip_key_codes(pool: ValuePool, columns: Sequence[array]) -> array:
     """Composite key codes for aligned code *columns* (interned in *pool*)."""
     return pool.encode_column(list(zip(*columns)))

@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import warnings
 from array import array
+from itertools import compress
 from operator import itemgetter
 from typing import (
     Any,
@@ -69,13 +70,14 @@ from typing import (
     Iterator,
     List,
     Mapping,
+    Optional,
     Sequence,
     Tuple,
 )
 
 from ..errors import ArityError, SchemaError
 from .attributes import check_attribute_names, positions_of
-from .columns import CODE_TYPECODE, KEYS, VALUES, select_codes, values_equal
+from .columns import CODE_TYPECODE, KEYS, VALUES, values_equal
 
 Row = Tuple[Any, ...]
 
@@ -84,6 +86,9 @@ Row = Tuple[Any, ...]
 IndexBuckets = Dict[Any, Tuple[Row, ...]]
 
 _EMPTY_ROWSET: FrozenSet[Row] = frozenset()
+
+#: ``mask.translate(_FLIP_MASK)`` swaps the 0 and 1 bytes of a row mask.
+_FLIP_MASK = bytes([1, 0]) + bytes(range(2, 256))
 
 _DEPRECATED_INIT = (
     "positional Relation(attributes, rows) construction is deprecated; use "
@@ -261,20 +266,25 @@ class Relation:
             found = self._columnar.setdefault(cache_key, frozen)
         return found
 
-    def _take(self, order: Tuple[Row, ...], indices: List[int]) -> "Relation":
-        """A relation of ``order[i] for i in indices`` over the same
-        attributes, inheriting the selected code arrays so the child never
-        re-encodes what this relation already paid for.
+    def _take(self, mask: bytes) -> "Relation":
+        """The rows whose *mask* byte is nonzero, over the same attributes,
+        inheriting the selected code arrays so the child never re-encodes
+        what this relation already paid for.
 
-        Trusted: *indices* must be distinct positions into *order*, which
-        must be this relation's row order.
+        Trusted: *mask* holds one byte per row, aligned with
+        :meth:`_row_order`.  Rows and every cached code column go through
+        one C-level ``itertools.compress`` each (collected into a list
+        first: ``array`` presizes from a list but grows item by item from
+        an iterator, a third slower).
         """
-        kept = tuple(map(order.__getitem__, indices))
+        kept = tuple(compress(self._row_order(), mask))
         child = Relation._from_frozen(self._attributes, frozenset(kept))
         child._columnar["order"] = kept
         for cache_key, column in list(self._columnar.items()):
             if type(cache_key) is tuple and cache_key[0] in ("col", "key"):
-                child._columnar[cache_key] = select_codes(column, indices)
+                child._columnar[cache_key] = array(
+                    CODE_TYPECODE, list(compress(column, mask))
+                )
         return child
 
     def _partition(
@@ -788,35 +798,39 @@ class Relation:
 
         Membership is an int probe of *other*'s cached key-code set against
         this relation's key-code array (codes are process-global, so equal
-        keys carry equal codes in both relations).  When nothing is
-        filtered, ``self`` is returned unchanged so its caches stay live;
-        otherwise the result inherits the selected code columns and never
-        re-encodes.
+        keys carry equal codes in both relations), mapped at C level into a
+        one-byte-per-row mask.  When nothing is filtered, ``self`` is
+        returned unchanged so its caches stay live; otherwise the result
+        inherits the selected code columns and never re-encodes.
         """
-        other_set = set(other._attributes)
-        shared = tuple(a for a in self._attributes if a in other_set)
-        if not shared:
+        mask = self._match_mask(other)
+        if mask is None:
             if other._rows:
                 return self
             return Relation._from_frozen(self._attributes, _EMPTY_ROWSET)
-        right_keys = other._key_code_set(positions_of(other._attributes, shared))
-        codes = self._key_codes(positions_of(self._attributes, shared))
-        kept = [i for i, code in enumerate(codes) if code in right_keys]
-        if len(kept) == len(codes):
+        if 0 not in mask:
             return self
-        return self._take(self._row_order(), kept)
+        return self._take(mask)
 
     def antijoin(self, other: "Relation") -> "Relation":
         """Antijoin ``self ▷ other``: rows of self that join with no row of other."""
-        other_set = set(other._attributes)
-        shared = tuple(a for a in self._attributes if a in other_set)
-        if not shared:
+        mask = self._match_mask(other)
+        if mask is None:
             if other._rows:
                 return Relation._from_frozen(self._attributes, _EMPTY_ROWSET)
             return self
+        if 1 not in mask:
+            return self
+        return self._take(mask.translate(_FLIP_MASK))
+
+    def _match_mask(self, other: "Relation") -> Optional[bytes]:
+        """One byte per row of :meth:`_row_order`: 1 iff the row's key on
+        the attributes shared with *other* occurs in *other*.  ``None``
+        when the two share no attribute."""
+        other_set = set(other._attributes)
+        shared = tuple(a for a in self._attributes if a in other_set)
+        if not shared:
+            return None
         right_keys = other._key_code_set(positions_of(other._attributes, shared))
         codes = self._key_codes(positions_of(self._attributes, shared))
-        kept = [i for i, code in enumerate(codes) if code not in right_keys]
-        if len(kept) == len(codes):
-            return self
-        return self._take(self._row_order(), kept)
+        return bytes(map(right_keys.__contains__, codes))

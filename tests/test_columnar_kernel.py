@@ -31,17 +31,22 @@ from repro.relational.columns import KEYS, VALUES, key_code_of
 # so the dictionary encoding must collapse them identically.
 mixed_values = st.sampled_from([0, 1, 2, True, False, 1.0, "a", "b", None, ""])
 
+# The same plus one NaN *object*: it equals nothing under ``==`` yet is
+# found by identity in every hash table, and so must it be by its code.
+NAN = float("nan")
+mixed_values_with_nan = st.sampled_from([0, 1, 2, True, 1.0, "a", None, NAN])
+
 attr_pool = ("u", "v", "w", "x")
 
 
 @st.composite
-def relations(draw, min_arity=1, max_arity=3, attributes=None):
+def relations(draw, min_arity=1, max_arity=3, attributes=None, values=mixed_values):
     if attributes is None:
         arity = draw(st.integers(min_value=min_arity, max_value=max_arity))
         attributes = draw(
             st.permutations(attr_pool).map(lambda p: tuple(p[:arity]))
         )
-    row = st.tuples(*([mixed_values] * len(attributes)))
+    row = st.tuples(*([values] * len(attributes)))
     rows = draw(st.lists(row, max_size=20))
     return Relation.from_rows(attributes, rows)
 
@@ -151,6 +156,47 @@ class TestKernelEquivalence:
         assert left.antijoin(right) == Relation.from_rows(
             left.attributes, left.rows - expected.rows
         )
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_filtered_children_inherit_aligned_code_columns(self, data):
+        left = data.draw(relations(values=mixed_values_with_nan))
+        right = data.draw(relations(values=mixed_values_with_nan))
+        # Warm every single column and the whole-row composite key, so the
+        # children have all of them to inherit.
+        every = tuple(range(left.arity))
+        for position in every:
+            left._code_column(position)
+        left._key_codes(every)
+        warmed = {("col", position) for position in every}
+        if left.arity > 1:
+            warmed.add(("key", every))
+
+        kept = ref_semijoin(left, right).rows
+        for child, expected in (
+            (left.semijoin(right), kept),
+            (left.antijoin(right), left.rows - kept),
+        ):
+            assert child.rows == expected
+            if child is left or not set(left.attributes) & set(right.attributes):
+                continue  # nothing filtered, or decided without a mask
+            order = child._columnar["order"]
+            assert len(order) == len(expected) and frozenset(order) == expected
+            arrays = {
+                key: list(column)
+                for key, column in child._columnar.items()
+                if key[0] in ("col", "key")
+            }
+            # (The operation's own join-key array is inherited as well.)
+            assert warmed <= set(arrays)
+            for (kind, where), codes in arrays.items():
+                if kind == "col":
+                    assert codes == [VALUES.encode(row[where]) for row in order]
+                else:
+                    assert codes == [
+                        KEYS.encode(tuple(VALUES.encode(row[p]) for p in where))
+                        for row in order
+                    ]
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())

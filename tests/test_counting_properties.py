@@ -100,6 +100,32 @@ class TestCountMatchesExecute:
         ).cardinality
 
 
+class TestCoveredCountReadsTheRoot:
+    """The covered count is read off the reduced covering atom: its
+    cardinality when the head is all of its columns (in any order), a
+    projection when the head is a strict subset of them."""
+
+    @SETTINGS
+    @given(st.integers(0, 10_000), st.booleans())
+    def test_head_inside_one_atom(self, seed, whole_atom):
+        rng = random.Random(seed)
+        base, database = acyclic_case(seed, head_arity=0)
+        columns = list(rng.choice(base.atoms).variables())
+        rng.shuffle(columns)
+        if not whole_atom:
+            if len(columns) == 1:
+                return
+            columns = columns[: rng.randint(1, len(columns) - 1)]
+        query = ConjunctiveQuery(tuple(columns), list(base.atoms), head_name="COV")
+        assert SERIAL.plan_for(query, database).count_mode in FAST_COUNTING_MODES
+        reference = NaiveEvaluator().evaluate(query, database).cardinality
+        assert SERIAL.count(query, database) == reference
+        assert len(SERIAL.execute(query, database).rows) == reference
+        assert (
+            CountingYannakakisEvaluator().count(query, database).total == reference
+        )
+
+
 class TestGroupedCountEquivalence:
     @SETTINGS
     @given(st.integers(0, 10_000), st.integers(1, 3))

@@ -1,5 +1,6 @@
 """Unit tests for the adaptive engine: analyzer, planner, cache, facade."""
 
+import gc
 from unittest import mock
 
 import pytest
@@ -257,31 +258,82 @@ class TestQueryEngine:
         again = engine.explain(query, edge_db)
         assert "cache    : hit" in again
 
-    @pytest.mark.parametrize("head", ["a, b", "b, c", "d, e"])
+    @pytest.mark.parametrize("head", ["a, b", "b, c", "d, e", "a, e"])
     def test_explain_program_is_the_schedule_execute_runs(self, head):
         # The plan's tree is rooted where GYO left it; evaluation re-roots at
-        # the head.  explain must print the steps of the tree that is walked.
+        # the head and revisits only the edges that carry a head column.
+        # explain must print the steps that run, in the order they run.
+        # Head inside one atom (the first, a middle one, the last): one
+        # bottom-up pass towards that atom, nothing else.  Head spread over
+        # the two ends: the root is a0 and every edge of the path hands e
+        # up, so top-down semijoins and join-projects run all along it.
+        carrying = 3 if head == "a, e" else 0
         query = parse_query(f"Q({head}) :- E(a, b), E(b, c), E(c, d), E(d, e).")
         database = chain_database(layers=5, width=8, p=0.5, seed=3)
         engine = QueryEngine()
         plan = engine.plan_for(query, database)
         assert plan.evaluator == "yannakakis"
-        atom_of = {
-            tuple(v.name for v in atom.variables()): f"a{i}({atom.relation})"
+        labels = [f"a{i}({atom.relation})" for i, atom in enumerate(query.atoms)]
+        label_of = {
+            tuple(v.name for v in atom.variables()): labels[i]
             for i, atom in enumerate(query.atoms)
         }
         executed = []
         semijoin = Relation.semijoin
+        join_keep = Relation._join_keep
 
-        def spy(self, other):
-            executed.append(f"{atom_of[self.attributes]} ⋉ {atom_of[other.attributes]}")
+        def semijoin_spy(self, other):
+            executed.append(
+                f"{label_of[self.attributes]} ⋉ {label_of[other.attributes]}"
+            )
             return semijoin(self, other)
 
-        with mock.patch.object(Relation, "semijoin", spy):
-            engine.execute(query, database)
+        def join_spy(self, other, other_keep):
+            # The left side has grown by carried columns; its own atom's
+            # variables still lead.
+            executed.append(
+                f"{label_of[self.attributes[:2]]} ⋈ {label_of[other.attributes[:2]]}"
+            )
+            return join_keep(self, other, other_keep)
+
+        with mock.patch.object(Relation, "semijoin", semijoin_spy), mock.patch.object(
+            Relation, "_join_keep", join_spy
+        ):
+            answer = engine.execute(query, database)
+        assert answer == NaiveEvaluator().evaluate(query, database)
+        listed = [
+            step.split(",")[0]
+            for step in plan.semijoin_program
+            if not step.startswith("decide:")
+        ]
+        assert listed == executed
         bottom_up = len(query.atoms) - 1
-        assert len(executed) == 2 * bottom_up  # then the top-down pass
-        assert list(plan.semijoin_program[:bottom_up]) == executed[:bottom_up]
+        assert len(executed) == bottom_up + 2 * carrying
+        assert sum("⋈" in step for step in executed) == carrying
+        assert plan.semijoin_program[-1].startswith("decide: first-witness search")
+
+    def test_dropped_databases_are_freed_after_naive_and_probed_queries(self):
+        # The engine holds its evaluators for life; a database it has
+        # searched (the naive route, and every first-witness decide) must
+        # not stay reachable from them once the caller drops it.
+        def live_relations():
+            gc.collect()
+            return sum(1 for o in gc.get_objects() if type(o) is Relation)
+
+        engine = QueryEngine()
+        triangle = parse_query("Q() :- E(x, y), E(y, z), E(z, x).")
+        two_hop = parse_query("Q() :- E(x, y), E(y, z).")
+        before = live_relations()
+        for generation in range(5):
+            base = 10 * generation
+            database = Database.from_tuples(
+                {"E": [(base, base + 1), (base + 1, base + 2), (base + 2, base)]}
+            )
+            assert engine.plan_for(triangle, database).evaluator == "naive"
+            assert engine.decide(triangle, database)
+            assert engine.decide(two_hop, database)
+            del database
+        assert live_relations() == before
 
     def test_eviction_forces_replanning(self, edge_db):
         planner = CountingPlanner()

@@ -15,16 +15,20 @@ from hypothesis import given, settings, strategies as st
 
 from repro import Database, QueryEngine, Relation, parse_query
 from repro.engine import Planner
+from repro.errors import DeadlineExceededError
 from repro.evaluation import (
     NaiveEvaluator,
     TreewidthEvaluator,
     YannakakisEvaluator,
+    yannakakis,
 )
 from repro.hypergraph.join_tree import JoinTree
 from repro.inequalities import AcyclicInequalityEvaluator
+from repro.query.atoms import Atom
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.terms import Constant
 from repro.relational.schema import DatabaseSchema, RelationSchema
+from repro.resilience import CancelToken, activate
 from repro.workloads import (
     chain_database,
     cycle_query,
@@ -127,6 +131,97 @@ class TestRootingInvariance:
                 assert answer == reference, f"root={node}"
         for parent_attributes, keep in joins:
             assert not set(keep) <= set(parent_attributes)
+
+
+class TestFirstWitness:
+    """``YannakakisEvaluator.decide`` is a budgeted first-witness search
+    followed — only when the budget is spent — by the bottom-up pass.
+    Whatever the budget, it answers like the pass and like the oracle."""
+
+    @staticmethod
+    def case(seed, head_arity, shape):
+        """A generated acyclic query with a constant or a repeated variable
+        put in (both substitutions keep the hypergraph acyclic) and a
+        database sparse enough that both answers occur."""
+        rng = random.Random(seed)
+        base = random_acyclic_query(
+            num_atoms=rng.randint(1, 5), max_arity=3, seed=seed, head_arity=head_arity
+        )
+        replace = {}
+        if shape == "constant":
+            replace[rng.choice(base.variables())] = Constant(rng.randrange(4))
+        elif shape == "repeated":
+            wide = [a for a in base.atoms if len(a.variables()) > 1]
+            if wide:
+                kept, merged = rng.sample(rng.choice(wide).variables(), 2)
+                replace[merged] = kept
+        atoms = [
+            Atom(atom.relation, tuple(replace.get(t, t) for t in atom.terms))
+            for atom in base.atoms
+        ]
+        head = tuple(replace.get(t, t) for t in base.head_terms)
+        query = ConjunctiveQuery(head, atoms, head_name="RND")
+        assert query.is_acyclic()
+        database = database_for(
+            query, domain_size=4, tuples=rng.choice((2, 5, 12)), seed=seed
+        )
+        return query, database
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 10_000),
+        st.integers(0, 2),
+        st.sampled_from(("plain", "constant", "repeated")),
+    )
+    def test_every_budget_agrees_with_the_pass_and_the_oracle(
+        self, seed, head_arity, shape
+    ):
+        query, database = self.case(seed, head_arity, shape)
+        evaluator = YannakakisEvaluator()
+        expected = NaiveEvaluator().decide(query, database)
+        semijoins = []
+        semijoin = Relation.semijoin
+
+        def spy(self, other):
+            semijoins.append((self.attributes, other.attributes))
+            return semijoin(self, other)
+
+        with mock.patch.object(Relation, "semijoin", spy):
+            assert (evaluator.reduce_bottom_up(query, database) is not None) == expected
+            the_pass = list(semijoins)
+            for budget in (0, 1, 7, None):
+                del semijoins[:]
+                if budget is None:
+                    budget = yannakakis.witness_budget(query, database)
+                    decided = evaluator.decide(query, database)
+                else:
+                    with mock.patch.object(
+                        yannakakis, "witness_budget", lambda q, d, _b=budget: _b
+                    ):
+                        decided = evaluator.decide(query, database)
+                assert decided == expected, budget
+                searched = NaiveEvaluator().first_witness(query, database, budget)
+                if searched is None:  # budget spent: the reducer's semijoins
+                    assert semijoins == the_pass, budget
+                else:  # found or refuted inside the budget: no pass at all
+                    assert searched == expected
+                    assert semijoins == [], budget
+
+    def test_an_expired_deadline_is_noticed_inside_the_search(self):
+        # No 5-hop path on a 5-layer chain, and far more than one polling
+        # stride of 4-hop prefixes to refute inside a budget of
+        # 5 * 7 200 // 16 steps: the search itself must see the token.
+        database = chain_database(layers=5, width=60, p=0.5, seed=1)
+        query = parse_query("Q() :- E(a, b), E(b, c), E(c, d), E(d, e), E(e, f).")
+        evaluator = YannakakisEvaluator()
+        assert yannakakis.witness_budget(query, database) > 2048
+        assert evaluator.decide(query, database) is False
+        with mock.patch.object(
+            YannakakisEvaluator, "reduce_bottom_up"
+        ) as the_pass, activate(CancelToken(deadline=0)):
+            with pytest.raises(DeadlineExceededError):
+                evaluator.decide(query, database)
+        the_pass.assert_not_called()
 
 
 class TestPlanOrderInvariance:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.errors import NotAcyclicError, QueryError
+from repro.errors import NotAcyclicError, QueryError, SchemaError
 from repro.evaluation import atom_candidate_relation, parameter_v_transform
 from repro.query import Atom, parse_query
 from repro.relational import Database, Relation
@@ -86,6 +86,12 @@ class TestNaiveEvaluator:
         assignments = naive.satisfying_assignments(q, edge_db)
         assert set(assignments.attributes) == {"x", "y"}
         assert assignments.cardinality == 4
+
+    def test_rejects_atoms_of_the_wrong_arity(self, naive, edge_db):
+        # Too short an atom used to match on a prefix of the rows.
+        for text in ("Q() :- E(x).", "Q() :- E(x, y, z)."):
+            with pytest.raises(SchemaError):
+                naive.decide(parse_query(text), edge_db)
 
     def test_cyclic_queries_supported(self, naive):
         db = Database.from_tuples({"E": [(1, 2), (2, 3), (3, 1)]})
@@ -188,6 +194,12 @@ class TestYannakakis:
         answer = yannakakis.evaluate(path_query(4, head_arity=head_arity), db)
         assert answer.rows == expected
         assert all(rows <= bound for rows in intermediates), max(intermediates)
+        if head_arity == 2:
+            # The head is the root atom's columns: one bottom-up pass and a
+            # read-off, no join of any kind.
+            assert intermediates == []
+        else:
+            assert intermediates
 
 
 class TestParameterVTransform:
