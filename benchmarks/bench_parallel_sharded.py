@@ -372,7 +372,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not args.smoke:
         assert batch["batch_speedup"] >= 2.0, batch
         # Every workload here has its head inside one atom: count is the
-        # pass plus a read-off of the root's code columns, and execute adds
+        # pass plus a read-off of the root's cached key set, and execute adds
         # one projection of the root onto the head column (a third of the
         # pass on the star, whose semijoins filter nothing and so copy
         # nothing).

@@ -4,6 +4,9 @@ Times the four primitive operations every engine in the library bottoms out
 in — project, semijoin, natural join, and point index probes — at n ∈
 {1e3, 1e4, 1e5}, plus the two end-to-end acceptance workloads the kernel
 rewrite targets (the Yannakakis path query and the naive clique query).
+``semijoin_*`` and ``natural_join`` join on the two-attribute key ``(b, c)``
+(every probe hashes a tuple); their ``_1key`` twins join on ``b`` alone (a
+probe hashes the raw value), the only key shape the e2e workloads read.
 Results are written as machine-readable JSON (``BENCH_relation_kernel.json``
 by default) via :func:`repro.benchlib.write_json_report` so future PRs can
 track the perf trajectory.
@@ -89,13 +92,22 @@ def run_micro(sizes, repeats: int) -> List[Dict[str, Any]]:
             fresh = Relation._from_frozen(right.attributes, right.rows)
             return left.semijoin(fresh)
 
-        left.semijoin(right)  # pre-warm: build right's index once
+        # Same rows with ``c`` renamed away: shares only ``b`` with left.
+        right_b = right.rename({"c": "e"})
+        left.semijoin(right)  # pre-warm: key lists and right's key set
+        left.semijoin(right_b)
 
         def semijoin_warm():
             return left.semijoin(right)
 
+        def semijoin_warm_1key():
+            return left.semijoin(right_b)
+
         def join():
             return left.natural_join(right)
+
+        def join_1key():
+            return left.natural_join(right_b)
 
         def index_probe():
             total = 0
@@ -107,7 +119,9 @@ def run_micro(sizes, repeats: int) -> List[Dict[str, Any]]:
             "project": project,
             "semijoin_cold": semijoin_cold,
             "semijoin_warm": semijoin_warm,
+            "semijoin_warm_1key": semijoin_warm_1key,
             "natural_join": join,
+            "natural_join_1key": join_1key,
             "index_probe_1k": index_probe,
         }
         for op, thunk in cells.items():

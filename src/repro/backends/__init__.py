@@ -1,7 +1,7 @@
 """The SQL oracle: whole operations answered by an independent SQL engine.
 
 A :class:`~.base.SqlBackend` executes whole operations against an
-independent SQL engine over tables of value-pool codes, and the
+independent SQL engine over tables of value codes, and the
 :mod:`~.compiler` turns conjunctive queries into single-statement
 ``SELECT DISTINCT`` / ``EXISTS`` / ``COUNT`` pushdowns.  Nothing here is
 on a serving route: the engine never calls a backend.  The package is the

@@ -10,25 +10,27 @@ plus compile-based capability probing.
 Canonicalization contract (``docs/backends.md``)
 ------------------------------------------------
 
-Backend tables store value-pool *codes*, so a backend answer row decodes
-each code to its pool representative — the first value interned for that
-equality class.  Native answers select original row objects instead.  The
-two spellings always compare ``==`` (that is the pool invariant), but they
-may differ observably: where a database holds ``1`` and ``True`` (equal,
-one code), the native row may spell the value ``True`` while the backend
-spells the representative.  :func:`canonical_row` maps any row onto the
-representative spelling, making engine and backend answers *identical*,
-not merely equal — which is what the differential harness compares, and
-what any byte-level result comparison must apply first.  NaN follows pool
-semantics too: distinct NaN objects are distinct values (distinct codes),
-one NaN object equals itself — exactly frozenset/dict membership
-semantics, and the backend reproduces it because codes travel, not
-floats.
+Backend tables store *codes* from the oracle's private :class:`CodeTable`
+(:data:`CODES`, below — the native kernel has no dictionary), so a backend
+answer row decodes each code to its representative — the first value
+interned for that equality class.  Native answers select original row
+objects instead.  The two spellings always compare ``==`` (that is the
+table's invariant), but they may differ observably: where a database holds
+``1`` and ``True`` (equal, one code), the native row may spell the value
+``True`` while the backend spells the representative.
+:func:`canonical_row` maps any row onto the representative spelling,
+making engine and backend answers *identical*, not merely equal — which is
+what the differential harness compares, and what any byte-level result
+comparison must apply first.  NaN follows the same semantics: distinct NaN
+objects are distinct values (distinct codes), one NaN object equals itself
+— exactly frozenset/dict membership semantics, and the backend reproduces
+it because codes travel, not floats.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Sequence, Tuple
+import threading
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 from ..errors import BackendError, SqlCompilationError
 from ..operations import (
@@ -41,10 +43,50 @@ from ..operations import (
     Operation,
 )
 from ..query.conjunctive import ConjunctiveQuery
-from ..relational.columns import VALUES
 from ..relational.database import Database
 from ..relational.relation import Relation
 from .compiler import CompiledSql, compile_query
+
+
+class CodeTable:
+    """An append-only intern table: hashable value → dense int code.
+
+    Interning goes through a ``dict`` — identity, then ``==``, the
+    kernel's own equality — so code equality *is* value equality and
+    sqlite's type affinity never decides a comparison.  The table grows
+    for the life of the process; it is the oracle's, and nothing on a
+    serving route touches it.
+    """
+
+    __slots__ = ("_codes", "_values", "_lock")
+
+    def __init__(self) -> None:
+        self._codes: Dict[Any, int] = {}
+        self._values: List[Any] = []
+        self._lock = threading.Lock()
+
+    def encode(self, value: Any) -> int:
+        """The code for *value*, interning it on first sight."""
+        code = self._codes.get(value)
+        if code is None:
+            with self._lock:
+                code = self._codes.get(value)
+                if code is None:
+                    code = len(self._values)
+                    self._values.append(value)
+                    self._codes[value] = code
+        return code
+
+    def encode_column(self, values: Iterable[Any]) -> List[int]:
+        return list(map(self.encode, values))
+
+    def decode(self, code: int) -> Any:
+        """The first-seen representative value for *code*."""
+        return self._values[code]
+
+
+#: The one table every backend instance and :func:`canonical_value` share.
+CODES = CodeTable()
 
 
 class SqlBackend:
@@ -145,13 +187,13 @@ class SqlBackend:
 
 
 def canonical_value(value: Any) -> Any:
-    """The pool representative of *value*'s equality class.
+    """The :data:`CODES` representative of *value*'s equality class.
 
     Interns on first sight, so the representative is stable for the rest
     of the process — calling this on both sides of a comparison is what
     makes ``1`` vs ``True`` vs ``1.0`` spellings literally identical.
     """
-    return VALUES.decode(VALUES.encode(value))
+    return CODES.decode(CODES.encode(value))
 
 
 def canonical_row(row: Sequence[Any]) -> Tuple[Any, ...]:

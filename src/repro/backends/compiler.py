@@ -7,8 +7,8 @@ of the variable's first occurrence, constants become ``= ?`` parameters,
 and inequality atoms become ``<>`` predicates.  The head projects the
 bound columns (aliased ``o0..``); a boolean head compiles to ``EXISTS``.
 
-The load-bearing trick is *what the tables hold*: not raw values but the
-process-wide value-pool codes of :mod:`repro.relational.columns`.  Code
+The load-bearing trick is *what the tables hold*: not raw values but codes
+from the oracle's private table (:data:`repro.backends.base.CODES`).  Code
 equality is exactly Python value equality — ``1``/``True``/``1.0`` share
 one code, distinct NaN objects get distinct codes — so SQL ``=`` / ``<>``
 / ``DISTINCT`` over the code columns reproduce the frozenset-of-rows
@@ -17,10 +17,10 @@ kernel semantics bit-for-bit, with none of SQL's own equality quirks
 play.  The flip side: codes carry no order, so comparison atoms (``<`` /
 ``<=``) are outside the fragment and raise
 :class:`~repro.errors.SqlCompilationError` — as do zero-arity atoms
-(no columns to join on) and unhashable constants (not poolable).
+(no columns to join on) and unhashable constants (not encodable).
 
 Constants stay *raw values* in :class:`CompiledSql.params`; the adapter
-encodes them through the pool at bind time, so the compiler itself is
+encodes them through the code table at bind time, so the compiler itself is
 backend- and process-state-independent.
 """
 
@@ -41,7 +41,7 @@ class CompiledSql:
     ``select_sql`` is ``None`` for boolean heads (nothing to project —
     adapters answer ``execute`` through ``exists_sql``).  Each statement
     binds its own parameter tuple of *raw* constant values, in placeholder
-    order; adapters pool-encode them at bind time.
+    order; adapters encode them at bind time.
     """
 
     select_sql: Optional[str]
@@ -76,7 +76,7 @@ def compile_query(
     if query.comparisons:
         raise SqlCompilationError(
             "order comparisons (< / <=) are outside the pushdown fragment: "
-            "pool codes are equality-only"
+            "codes are equality-only"
         )
     resolve = _resolver(table_names)
     column_of: Dict[Variable, str] = {}

@@ -3,8 +3,8 @@
 :class:`DbApiBackend` implements the whole :class:`~.base.SqlBackend`
 surface over an abstract ``_connect()``: loading a
 :class:`~repro.relational.database.Database` into code-valued tables,
-compiling against the physical table map, binding constants as pool
-codes, and decoding result codes back to pool representatives.  A
+compiling against the physical table map, binding constants as codes,
+and decoding result codes back to their representatives.  A
 concrete adapter (:mod:`repro.backends.sqlite`) supplies a connection and
 the driver's error types — nothing else.
 
@@ -14,10 +14,10 @@ Loading
 Each database loads once per backend, keyed by object identity
 (``Database`` is unhashable by design).  Every relation of arity ≥ 1
 becomes one table ``d<n>_r<m>(c0 BIGINT, ...)`` holding the relation's
-pool-code columns (:meth:`Relation._code_column` — the same arrays the
-native kernel runs on), with one single-column index per attribute so
-the SQL planner can drive joins.  Zero-arity relations are skipped;
-queries referencing them fail compilation.
+value columns (:meth:`Relation._column`) encoded through the oracle's own
+code table (:data:`~.base.CODES`), with one single-column index per
+attribute so the SQL planner can drive joins.  Zero-arity relations are
+skipped; queries referencing them fail compilation.
 A :mod:`weakref` finalizer drops the tables when the database object is
 collected, so long-lived backends do not accumulate dead tables.
 
@@ -34,10 +34,9 @@ from typing import Any, Dict, Optional, Tuple
 
 from ..errors import BackendError, SqlCompilationError
 from ..query.conjunctive import ConjunctiveQuery
-from ..relational.columns import VALUES
 from ..relational.database import Database
 from ..relational.relation import Relation
-from .base import SqlBackend
+from .base import CODES, SqlBackend
 from .compiler import CompiledSql, compile_query
 
 
@@ -117,7 +116,10 @@ class DbApiBackend(SqlBackend):
     def _insert(connection: Any, table: str, relation: Relation) -> None:
         if not relation.rows:
             return
-        columns = [relation._code_column(p) for p in range(relation.arity)]
+        columns = [
+            CODES.encode_column(relation._column(p))
+            for p in range(relation.arity)
+        ]
         placeholders = ", ".join("?" for _ in columns)
         connection.executemany(
             f"INSERT INTO {table} VALUES ({placeholders})",
@@ -163,10 +165,10 @@ class DbApiBackend(SqlBackend):
     @staticmethod
     def _bind(params: Tuple[Any, ...]) -> Tuple[int, ...]:
         try:
-            return tuple(VALUES.encode(value) for value in params)
+            return tuple(CODES.encode(value) for value in params)
         except TypeError as exc:
             raise SqlCompilationError(
-                f"unhashable constant cannot be pool-encoded: {exc}"
+                f"unhashable constant cannot be encoded: {exc}"
             ) from exc
 
     def execute(self, query: ConjunctiveQuery, database: Database) -> Relation:
@@ -182,7 +184,7 @@ class DbApiBackend(SqlBackend):
                 fetched = cursor.fetchall()
             except self._driver_errors() as exc:
                 raise BackendError(f"{self.name} backend failed: {exc}") from exc
-        decode = VALUES.decode
+        decode = CODES.decode
         return Relation._from_frozen(
             compiled.head_attributes,
             frozenset(tuple(decode(code) for code in row) for row in fetched),

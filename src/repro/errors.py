@@ -253,7 +253,7 @@ class SqlCompilationError(BackendError):
     """The query lies outside the SQL pushdown fragment.
 
     The compiler covers conjunctive bodies with equality/inequality
-    predicates over pool codes; order comparisons (``<`` / ``<=``),
+    predicates over value codes; order comparisons (``<`` / ``<=``),
     zero-arity atoms, and unhashable constants are outside it.  Only
     callers of :mod:`repro.backends` see it; the engine compiles no SQL.
     """

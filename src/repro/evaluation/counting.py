@@ -24,7 +24,7 @@ the head.  Two shapes guarantee that:
 * **head-covered queries** (head variables inside one atom): rooted at
   that atom, one upward pass leaves its relation globally consistent, so
   its distinct head projections *are* the answers — read their number off
-  the reduced relation's code columns, no fold needed (``count-covered``).
+  the reduced relation's cached key set, no fold needed (``count-covered``).
 
 Everything else — acyclic with an uncovered projection (high quantified
 star size), cyclic cores, constraint atoms — is #P-hard in general
@@ -218,14 +218,14 @@ class CountingYannakakisEvaluator:
     def _count_covered(self, query: ConjunctiveQuery, reduced: Relation) -> CountResult:
         """Distinct head keys of the covering atom's reduced relation: its
         cardinality when the head is all of its columns, else the size of
-        its (cached) key-code set on the head's columns."""
+        its (cached) key set on the head's columns."""
         from ..engine.analysis import COUNT_COVERED
 
         head_names = _head_variable_names(query)
         if len(head_names) == reduced.arity:
             return CountResult(reduced.cardinality, COUNT_COVERED)
         positions = tuple(reduced.attributes.index(name) for name in head_names)
-        return CountResult(len(reduced._key_code_set(positions)), COUNT_COVERED)
+        return CountResult(len(reduced._key_set(positions)), COUNT_COVERED)
 
     def _distinct_head(
         self, query: ConjunctiveQuery, reduced: Relation
@@ -248,12 +248,11 @@ class CountingYannakakisEvaluator:
         nodes never materialize per-row annotations: each folds its
         children's *upward sums* (annotation totals per shared join key)
         in one pass over its rows, emitting its own upward sums as it
-        goes, and leaves read bucket sizes straight off the value-keyed
-        index on their join columns.  For every relation the pass has
-        filtered that index is built here, on every call: the reducer's
-        semijoins run on key *codes* and leave no value-keyed index behind
-        (a lead — folding over ``_key_codes`` would save the build — not
-        taken here).
+        goes, and leaves read bucket sizes straight off the index on
+        their join columns.  For every relation the pass has filtered that
+        index is built here, on every call: the reducer's semijoins read
+        key lists and key sets and leave no index behind (a lead — folding
+        over ``_keys`` would save the build — not taken here).
         """
         upward: Dict[int, Dict[Any, int]] = {}
         children_of: Dict[Optional[int], List[int]] = {}

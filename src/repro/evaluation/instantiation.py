@@ -20,9 +20,8 @@ from ..errors import QueryError, SchemaError
 from ..query.atoms import Atom
 from ..query.terms import Constant, Term, Variable
 from ..relational.attributes import check_attribute_names
-from ..relational.columns import values_equal
 from ..relational.database import Database
-from ..relational.relation import Relation
+from ..relational.relation import Relation, values_equal
 
 
 def check_atom_arity(atom: Atom, relation: Relation) -> None:

@@ -38,9 +38,8 @@ from ..operations import DECIDE, EXECUTE, Operation
 from ..query.atoms import Atom, Comparison, Inequality
 from ..query.conjunctive import ConjunctiveQuery
 from ..query.terms import Constant, Variable
-from ..relational.columns import values_equal
 from ..relational.database import Database
-from ..relational.relation import Relation
+from ..relational.relation import Relation, values_equal
 from ..resilience.token import check_cancelled
 from .instantiation import answers_relation, check_atom_arity
 

@@ -19,9 +19,8 @@ from ..errors import QueryError
 from ..query.atoms import Inequality
 from ..query.conjunctive import ConjunctiveQuery
 from ..query.terms import Variable
-from ..relational.columns import values_equal
 from ..relational.database import Database
-from ..relational.relation import Relation
+from ..relational.relation import Relation, values_equal
 from ..evaluation.instantiation import atom_candidate_relation
 
 

@@ -3,12 +3,13 @@
 These drivers are the data-parallel counterparts of the kernel operations
 the evaluators lean on.  They share one structure:
 
-1. partition both operands by the pool code of their shared join-key
-   values (``Relation._partition`` — lazy, cached, shards born with the
-   key index preseeded; codes are process-global, see
-   ``relational.columns``), which *co-partitions* them: rows that can
-   match meet in the shard of the same index, so every shard pair is an
-   independent task with no cross-shard traffic;
+1. partition both operands by the hash of their shared join key
+   (``Relation._partition`` — lazy, cached, shards born with the key
+   index preseeded), which *co-partitions* them: equal keys hash equal,
+   so rows that can match meet in the shard of the same index and every
+   shard pair is an independent task with no cross-shard traffic.  Both
+   operands are always partitioned here, in the driver's process, before
+   any shard is shipped — ``str`` hashes differ between processes;
 2. run the per-shard kernel across a :class:`~repro.parallel.pool.WorkerPool`
    (inline on one core, threads/processes otherwise);
 3. recombine — a C-level ``frozenset().union`` of shard row sets, or the
@@ -29,7 +30,6 @@ from itertools import chain
 from typing import Any, Mapping, Optional, Tuple
 
 from ..relational.attributes import positions_of
-from ..relational.columns import KEYS, VALUES, key_code_of
 from ..relational.relation import Relation
 from ..resilience.token import check_cancelled
 from .pool import WorkerPool
@@ -144,7 +144,7 @@ def parallel_semijoin(
         return Relation._from_frozen(
             left.attributes, frozenset().union(*(part.rows for part in parts))
         )
-    if left_positions in left._indexes:
+    if ("index", left_positions) in left._cache:
         return bucket_semijoin(left, right, left_positions, right_positions)
     return left.semijoin(right)
 
@@ -190,12 +190,11 @@ def parallel_select_eq(
 ) -> Relation:
     """Sharded point selection (equal to ``Relation.select_eq``).
 
-    The condition key's pool code names the one shard that can contain
-    matches (``_partition`` routes buckets by ``key_code % shard_count``);
+    The condition key's hash names the one shard that can contain
+    matches (``_partition`` routes buckets by ``hash(key) % shard_count``);
     only that shard is probed — partition pruning, so no worker pool is
-    involved.  A key absent from the value pool provably matches nothing:
-    partitioning interned every key the relation holds.  Unhashable
-    condition values fall back to the kernel's linear scan.
+    involved.  Unhashable condition values fall back to the kernel's
+    linear scan.
     """
     if shard_count <= 1 or not relation.rows:
         return relation.select_eq(conditions)
@@ -204,18 +203,14 @@ def parallel_select_eq(
         key: Any = next(iter(conditions.values()))
     else:
         key = tuple(conditions.values())
-    # Resolve the probe's pool code *before* partitioning: an unhashable
-    # probe (TypeError) routes to the kernel's linear-scan fallback and a
-    # never-interned probe (None) proves emptiness — neither should pay
-    # for building the shards it will not probe.
+    # Hash the probe *before* partitioning: an unhashable probe routes to
+    # the kernel's linear-scan fallback and should not pay for building
+    # shards it will not probe.
     try:
-        key_code = key_code_of(VALUES, KEYS, key, len(positions))
+        shard_index = hash(key) % shard_count
     except TypeError:
         return relation.select_eq(conditions)
-    if key_code is None:
-        return Relation._from_frozen(relation.attributes, frozenset())
-    shards = relation._partition(positions, shard_count)
-    shard = shards[key_code % shard_count]
+    shard = relation._partition(positions, shard_count)[shard_index]
     bucket = shard._index(positions).get(key, ())
     return Relation._from_frozen(relation.attributes, frozenset(bucket))
 

@@ -1,7 +1,7 @@
 """Hash-partitioned relations: the :class:`ShardedRelation` value type.
 
 A sharded relation is a :class:`~repro.relational.relation.Relation` split
-into ``shard_count`` immutable shard relations by the pool code of its values on
+into ``shard_count`` immutable shard relations by the hash of its values on
 chosen *key* attributes (the intended join keys).  Shards come out of the
 kernel's lazy partition cache (``Relation._partition``), so they are built
 once per (key, count) for a relation's lifetime, each shard carries its key
@@ -14,10 +14,8 @@ Co-partitioning contract
 Two sharded relations are **co-partitioned** when they have equal
 ``shard_count`` and equal key attribute *names*.  Rows that can join on the
 key then meet in the shard of the same index (both sides route by
-``key_code % shard_count``, where the code is the process-global dictionary
-code of the key values — see ``relational.columns``), so a semijoin or
-natural join between
-them decomposes into ``shard_count`` independent shard-pair tasks with no
+``hash(key) % shard_count``, and equal keys hash equal within a process),
+so a semijoin or natural join between them decomposes into ``shard_count`` independent shard-pair tasks with no
 cross-shard traffic — and a shard pair with an empty partner is dropped
 without scanning anything.  Against a non-co-partitioned operand, every
 shard works against the full operand relation: still correct (a partition

@@ -8,7 +8,6 @@ evaluation algorithm in the library is written against.
 from .attributes import HASH_PREFIX, hashed, is_hashed, unhashed
 from .algebra import divide, join_all, project_join, union_all
 from .database import Database
-from .index import HashIndex, IndexPool
 from .io import (
     database_from_json,
     database_to_json,
@@ -30,8 +29,6 @@ __all__ = [
     "Database",
     "DatabaseSchema",
     "HASH_PREFIX",
-    "HashIndex",
-    "IndexPool",
     "JOIN_ALGORITHMS",
     "Relation",
     "RelationSchema",

@@ -52,9 +52,7 @@ def hash_join(left: Relation, right: Relation) -> Relation:
     extra = tuple(a for a in right.attributes if a not in left_set)
     extra_pos = positions_of(right.attributes, extra)
 
-    # Code-keyed build and probe: pool codes are global, so left's bucket
-    # codes and right's per-row key codes name the same keys.
-    buckets = left._code_buckets(left_pos)
+    buckets = left._index(left_pos)
     if len(extra_pos) == 1:
         (ep,) = extra_pos
         suffix_of = lambda row: (row[ep],)  # noqa: E731
@@ -65,8 +63,8 @@ def hash_join(left: Relation, right: Relation) -> Relation:
 
     out: List[Row] = []
     append = out.append
-    for row, code in zip(right._row_order(), right._key_codes(right_pos)):
-        bucket = buckets.get(code)
+    for row, key in zip(right._row_order(), right._keys(right_pos)):
+        bucket = buckets.get(key)
         if bucket:
             suffix = suffix_of(row)
             for left_row in bucket:

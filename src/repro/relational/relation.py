@@ -16,49 +16,43 @@ Kernel notes (see ``docs/kernel.md`` for the full contract):
   (validated), :meth:`Relation.from_columns` (validated, column-major), and
   the *trusted* :meth:`Relation._from_frozen` fast path, which does not
   validate and through which every algebra operation builds its result so
-  rows are frozen and validated exactly once.  The legacy positional
-  ``Relation(attributes, rows)`` form still works but warns
-  ``DeprecationWarning``;
-* the backing store is columnar: each relation lazily dictionary-encodes
-  its columns against the process-wide value pool (``relational.columns``)
-  into one code array per attribute.  Code equality is value equality
-  across all relations, so the kernel ops — semijoin/antijoin membership,
-  join bucketing, projection dedup, partition routing — run over small-int
-  code arrays instead of re-hashing row values.  Operations that filter or
-  slice rows (semijoin, projection) hand their result the selected code
-  arrays, so derived relations never pay the encoding again;
-* each relation also lazily caches value-keyed hash indexes (column
-  positions → key → rows) in :meth:`Relation._index`; ``select_eq`` and the
-  explicit index views probe these.  Relations are immutable, so cached
-  indexes and code columns are never invalidated;
+  rows are frozen and validated exactly once;
+* there is one equality, the one a Python ``set`` of the raw values
+  already has (identity, then ``==``: ``1 == True == 1.0`` are one value,
+  a NaN object matches only itself).  The row set, the key sets and the
+  bucket index are all hash tables over raw values, and the linear scans
+  use :func:`values_equal`, which spells the same test out;
+* each relation lazily caches *value columns* — one ``list`` per
+  attribute, and one list of keys per join-key position tuple, all
+  aligned with one fixed row order — so the kernel ops (semijoin/antijoin
+  membership, join probing, projection dedup) are single C-level passes
+  over a list instead of per-row tuple indexing.  Operations that filter
+  rows (semijoin, antijoin) hand their result the selected slices, so
+  derived relations never rebuild them;
+* each relation lazily caches **one** hash index per position tuple
+  (:meth:`Relation._index`: key → rows).  Joins, ``select_eq``, the naive
+  search, the counting fold and the planner's distinct counts all read
+  it.  Relations are immutable, so nothing cached is ever invalidated;
 * operations that permute or rename columns without touching rows
   (``rename``, and the candidate-relation fast path) share the source
-  relation's index and column caches, since positional caches only depend
-  on rows;
+  relation's whole cache, since positional caches only depend on rows;
 * the sharding library (``repro.parallel``, off the engine's route — see
-  ``docs/parallel.md``) shards relations by
-  join-key *code* through :meth:`Relation._partition`, a lazy cache exactly
-  like :meth:`Relation._index`: shards are built from the cached index on
-  the key positions, each shard is born with that index preseeded, and —
-  relations being immutable — a cached partition is never invalidated.
-  Routing by pool code (``key_code % count``) keeps join-compatible
-  relations co-partitioned, because codes are global to the process;
+  ``docs/parallel.md``) shards relations by ``hash(key) % count`` through
+  :meth:`Relation._partition`, a lazy cache like :meth:`Relation._index`:
+  shards are built from the cached index on the key positions and each
+  shard is born with that index preseeded;
 * all lazy caches are safe to fill from concurrent threads (the shared
   engine behind ``repro.service`` does): fills race only on *cold* slots,
   every racer builds an equivalent value from the immutable rows, and the
   publish goes through ``dict.setdefault`` so all callers converge on one
   canonical object (CPython's per-opcode atomicity makes the setdefault
   itself atomic);
-* pickling drops the columnar caches: pool codes are meaningless in
-  another process (each process grows its own pools), so a shipped
-  relation re-encodes lazily on the receiving side.  Value-keyed index
-  and partition caches travel, exactly as before.
+* every cache holds plain values, so default slot pickling is right: a
+  shipped relation arrives with its warm columns, key sets and indexes.
 """
 
 from __future__ import annotations
 
-import warnings
-from array import array
 from itertools import compress
 from operator import itemgetter
 from typing import (
@@ -77,7 +71,6 @@ from typing import (
 
 from ..errors import ArityError, SchemaError
 from .attributes import check_attribute_names, positions_of
-from .columns import CODE_TYPECODE, KEYS, VALUES, values_equal
 
 Row = Tuple[Any, ...]
 
@@ -90,11 +83,19 @@ _EMPTY_ROWSET: FrozenSet[Row] = frozenset()
 #: ``mask.translate(_FLIP_MASK)`` swaps the 0 and 1 bytes of a row mask.
 _FLIP_MASK = bytes([1, 0]) + bytes(range(2, 256))
 
-_DEPRECATED_INIT = (
-    "positional Relation(attributes, rows) construction is deprecated; use "
-    "Relation.from_rows(...) / Relation.from_columns(...) (or the trusted "
-    "Relation._from_frozen fast path for pre-validated frozensets)"
-)
+
+def values_equal(left: Any, right: Any) -> bool:
+    """Value equality as dict/frozenset membership defines it.
+
+    Identity first, then ``==`` — the containment test Python's hash
+    tables use, and therefore exactly when two values are one key of a
+    relation's index or one element of its key set.  Every linear-scan
+    comparison in the kernel and the evaluators must use this instead of
+    bare ``==``/``!=``: the two differ only on non-reflexive values (NaN
+    compares ``!=`` to itself, but a dict key matches itself by identity),
+    and bare ``==`` there silently drops rows the hashed fast paths keep.
+    """
+    return left is right or left == right
 
 
 class Relation:
@@ -104,8 +105,6 @@ class Relation:
     :meth:`from_rows` (row-major, validated), :meth:`from_columns`
     (column-major, validated), :meth:`from_dicts`, :meth:`unit`,
     :meth:`empty`, or — for trusted pre-frozen data — :meth:`_from_frozen`.
-    The legacy positional form ``Relation(attributes, rows)`` still works
-    but emits :class:`DeprecationWarning`.
 
     Examples
     --------
@@ -114,16 +113,7 @@ class Relation:
     frozenset({(1,)})
     """
 
-    __slots__ = ("_attributes", "_rows", "_indexes", "_partitions", "_columnar")
-
-    def __init__(self, attributes: Sequence[str], rows: Iterable[Row] = ()) -> None:
-        warnings.warn(_DEPRECATED_INIT, DeprecationWarning, stacklevel=2)
-        validated = Relation.from_rows(attributes, rows)
-        self._attributes = validated._attributes
-        self._rows = validated._rows
-        self._indexes = {}
-        self._partitions = {}
-        self._columnar = {}
+    __slots__ = ("_attributes", "_rows", "_cache", "_partitions")
 
     # ------------------------------------------------------------------
     # Trusted constructor + lazy caches (the kernel's internal contract)
@@ -146,20 +136,9 @@ class Relation:
         self = object.__new__(cls)
         self._attributes = attributes
         self._rows = rows
-        self._indexes = {}
+        self._cache = {}
         self._partitions = {}
-        self._columnar = {}
         return self
-
-    def __getstate__(self):
-        # The columnar caches hold process-local pool codes; they must not
-        # cross a pickle boundary (a worker process has different pools).
-        # Value-keyed index/partition caches remain valid anywhere.
-        return (self._attributes, self._rows, self._indexes, self._partitions)
-
-    def __setstate__(self, state) -> None:
-        self._attributes, self._rows, self._indexes, self._partitions = state
-        self._columnar = {}
 
     def _index(self, positions: Tuple[int, ...]) -> IndexBuckets:
         """The cached hash index on *positions* (built on first use).
@@ -167,9 +146,12 @@ class Relation:
         Maps each key — ``row[p]`` for a single position, ``tuple(row[p]
         for p in positions)`` otherwise — to the tuple of rows having that
         key.  The empty position tuple indexes everything under ``()``.
-        Relations are immutable, so the cache is never invalidated.
+        This is the relation's only bucket index: joins probe it with
+        :meth:`_keys`, and ``select_eq``, the naive search, the counting
+        fold and the planner read it too.
         """
-        found = self._indexes.get(positions)
+        cache_key = ("index", positions)
+        found = self._cache.get(cache_key)
         if found is not None:
             return found
         buckets: Dict[Any, List[Row]] = {}
@@ -199,92 +181,67 @@ class Relation:
         # concurrently (the shared-engine service does this) both built the
         # same buckets, and every caller must agree on ONE canonical object
         # so downstream identity checks and shard preseeds stay consistent.
-        return self._indexes.setdefault(positions, frozen_buckets)
+        return self._cache.setdefault(cache_key, frozen_buckets)
 
-    # -- columnar store -------------------------------------------------
+    # -- value columns --------------------------------------------------
 
     def _row_order(self) -> Tuple[Row, ...]:
-        """The rows in one fixed (arbitrary) order; code arrays align to it."""
-        found = self._columnar.get("order")
+        """The rows in one fixed (arbitrary) order; columns align to it."""
+        found = self._cache.get("order")
         if found is None:
-            found = self._columnar.setdefault("order", tuple(self._rows))
+            found = self._cache.setdefault("order", tuple(self._rows))
         return found
 
-    def _code_column(self, position: int) -> array:
-        """Pool codes of column *position*, aligned with :meth:`_row_order`."""
-        key = ("col", position)
-        found = self._columnar.get(key)
+    def _column(self, position: int) -> List[Any]:
+        """Raw values of column *position*, aligned with :meth:`_row_order`."""
+        cache_key = ("col", position)
+        found = self._cache.get(cache_key)
         if found is None:
-            order = self._row_order()
-            column = VALUES.encode_column([row[position] for row in order])
-            found = self._columnar.setdefault(key, column)
+            column = list(map(itemgetter(position), self._row_order()))
+            found = self._cache.setdefault(cache_key, column)
         return found
 
-    def _key_codes(self, positions: Tuple[int, ...]) -> array:
-        """Per-row join-key codes on *positions* (value code for a single
-        position, composite KEYS code otherwise), aligned with
-        :meth:`_row_order`.  Codes are process-global: equal keys get equal
-        codes in every relation."""
+    def _keys(self, positions: Tuple[int, ...]) -> List[Any]:
+        """Per-row join keys on *positions* in :meth:`_index`'s convention
+        (the raw value for a single position, the value tuple otherwise,
+        ``()`` for none), aligned with :meth:`_row_order`."""
         if len(positions) == 1:
-            return self._code_column(positions[0])
-        key = ("key", positions)
-        found = self._columnar.get(key)
+            return self._column(positions[0])
+        cache_key = ("key", positions)
+        found = self._cache.get(cache_key)
         if found is None:
             if positions:
-                columns = [self._code_column(p) for p in positions]
-                found = KEYS.encode_column(list(zip(*columns)))
+                keys = list(map(itemgetter(*positions), self._row_order()))
             else:
-                unit_code = KEYS.encode(())
-                found = array(CODE_TYPECODE, [unit_code]) * len(self._rows)
-            found = self._columnar.setdefault(key, found)
+                keys = [()] * len(self._rows)
+            found = self._cache.setdefault(cache_key, keys)
         return found
 
-    def _key_code_set(self, positions: Tuple[int, ...]) -> frozenset:
-        """The distinct key codes on *positions* (semijoin build side)."""
-        key = ("keyset", positions)
-        found = self._columnar.get(key)
+    def _key_set(self, positions: Tuple[int, ...]) -> frozenset:
+        """The distinct keys on *positions* (semijoin build side)."""
+        cache_key = ("keyset", positions)
+        found = self._cache.get(cache_key)
         if found is None:
-            found = self._columnar.setdefault(
-                key, frozenset(self._key_codes(positions))
+            found = self._cache.setdefault(
+                cache_key, frozenset(self._keys(positions))
             )
-        return found
-
-    def _code_buckets(self, positions: Tuple[int, ...]) -> Dict[int, Tuple[Row, ...]]:
-        """Key code → rows with that key (join build side; int-keyed twin of
-        :meth:`_index`)."""
-        cache_key = ("buckets", positions)
-        found = self._columnar.get(cache_key)
-        if found is None:
-            buckets: Dict[int, List[Row]] = {}
-            for row, code in zip(self._row_order(), self._key_codes(positions)):
-                bucket = buckets.get(code)
-                if bucket is None:
-                    buckets[code] = [row]
-                else:
-                    bucket.append(row)
-            frozen = {code: tuple(rows) for code, rows in buckets.items()}
-            found = self._columnar.setdefault(cache_key, frozen)
         return found
 
     def _take(self, mask: bytes) -> "Relation":
         """The rows whose *mask* byte is nonzero, over the same attributes,
-        inheriting the selected code arrays so the child never re-encodes
-        what this relation already paid for.
+        inheriting the selected slice of every cached column so the child
+        never rebuilds what this relation already paid for.
 
         Trusted: *mask* holds one byte per row, aligned with
-        :meth:`_row_order`.  Rows and every cached code column go through
-        one C-level ``itertools.compress`` each (collected into a list
-        first: ``array`` presizes from a list but grows item by item from
-        an iterator, a third slower).
+        :meth:`_row_order`.  Rows and every cached column go through one
+        C-level ``itertools.compress`` each.
         """
         kept = tuple(compress(self._row_order(), mask))
         child = Relation._from_frozen(self._attributes, frozenset(kept))
-        child._columnar["order"] = kept
-        for cache_key, column in list(self._columnar.items()):
+        child._cache["order"] = kept
+        for cache_key, column in list(self._cache.items()):
             if type(cache_key) is tuple and cache_key[0] in ("col", "key"):
-                child._columnar[cache_key] = array(
-                    CODE_TYPECODE, list(compress(column, mask))
-                )
+                child._cache[cache_key] = list(compress(column, mask))
         return child
 
     def _partition(
@@ -292,18 +249,20 @@ class Relation:
     ) -> Tuple["Relation", ...]:
         """Hash-partition into *count* shards by the key on *positions*.
 
-        Shard ``s`` holds the rows whose join-key *pool code* is ``s``
-        modulo *count* (the value code for a single position, the composite
-        KEYS code otherwise — see ``relational.columns``).  Built from the
+        Shard ``s`` holds the rows whose key (in :meth:`_index`'s
+        convention) satisfies ``hash(key) % count == s``.  Built from the
         cached index on *positions* — whole buckets are routed, so every
-        key lands in exactly one shard, and because pool codes are global
-        to the process, two relations partitioned on join-compatible keys
-        with equal *count* are co-partitioned: matching keys meet in the
-        same shard index.  Each shard is a full :class:`Relation` over the
-        same attributes, created with its index on *positions* preseeded
-        from the routed buckets (sharding never pays the index build
-        twice).  Like :meth:`_index`, the result is cached for the
-        relation's lifetime and never invalidated.
+        key lands in exactly one shard.  Equal keys hash equal, so two
+        relations partitioned on join-compatible keys with equal *count*
+        are co-partitioned — matching keys meet in the same shard index —
+        wherever both are partitioned **in one process** (``str`` hashes
+        are salted per process); every driver in ``parallel/ops.py``
+        partitions both operands itself before shipping shard pairs.  Each
+        shard is a full :class:`Relation` over the same attributes,
+        created with its index on *positions* preseeded from the routed
+        buckets (sharding never pays the index build twice).  Like
+        :meth:`_index`, the result is cached for the relation's lifetime
+        and never invalidated.
         """
         if count < 1:
             raise ValueError(f"partition count must be >= 1, got {count}")
@@ -312,23 +271,15 @@ class Relation:
         if found is not None:
             return found
         routed: List[Dict[Any, Tuple[Row, ...]]] = [{} for _ in range(count)]
-        if len(positions) == 1:
-            encode = VALUES.encode
-            for key, bucket in self._index(positions).items():
-                routed[encode(key) % count][key] = bucket
-        else:
-            value_code = VALUES.encode
-            key_code = KEYS.encode
-            for key, bucket in self._index(positions).items():
-                code = key_code(tuple(value_code(v) for v in key))
-                routed[code % count][key] = bucket
+        for key, bucket in self._index(positions).items():
+            routed[hash(key) % count][key] = bucket
         shards = []
         for shard_buckets in routed:
             rows = frozenset(
                 row for bucket in shard_buckets.values() for row in bucket
             )
             shard = Relation._from_frozen(self._attributes, rows)
-            shard._indexes[positions] = shard_buckets
+            shard._cache[("index", positions)] = shard_buckets
             shards.append(shard)
         frozen_shards = tuple(shards)
         # setdefault, like _index: concurrent cold fills converge on one
@@ -346,16 +297,14 @@ class Relation:
         return itemgetter(*positions)
 
     def _share_indexes_with(self, other: "Relation") -> "Relation":
-        """Share *other*'s index + columnar caches (caller guarantees
-        identical rows).
+        """Share *other*'s whole cache (caller guarantees identical rows).
 
         The partition cache is *not* shared: cached shards are Relations
         carrying their source's attribute names, which a rename-shaped twin
-        must not inherit.  Positional indexes and code columns only depend
-        on rows, so both transfer.
+        must not inherit.  Indexes and value columns are positional and
+        only depend on rows, so they transfer.
         """
-        self._indexes = other._indexes
-        self._columnar = other._columnar
+        self._cache = other._cache
         return self
 
     # ------------------------------------------------------------------
@@ -522,13 +471,12 @@ class Relation:
     def project(self, attributes: Sequence[str]) -> "Relation":
         """Projection π_attributes, preserving the requested column order.
 
-        Duplicate result rows collapse (set semantics).  When the kept
-        columns' code arrays are already cached the dedupe runs over key
-        codes and value tuples are built only for the distinct rows; a
-        cold relation projects its row tuples directly instead of paying
-        to intern them.  Projecting onto the empty attribute list yields
-        the nullary TRUE/FALSE relation depending on whether any row
-        exists.
+        Duplicate result rows collapse (set semantics).  When the key
+        list on the kept columns is already cached the dedupe is one
+        ``dict.fromkeys`` over it; otherwise the row tuples are projected
+        directly instead of paying to build a list first.  Projecting
+        onto the empty attribute list yields the nullary TRUE/FALSE
+        relation depending on whether any row exists.
         """
         names = check_attribute_names(attributes)
         if names == self._attributes:
@@ -537,36 +485,24 @@ class Relation:
         if not positions:
             projected = frozenset([()]) if self._rows else _EMPTY_ROWSET
             return Relation._from_frozen(names, projected)
-        columnar = self._columnar
-        if ("key", positions) in columnar or all(
-            ("col", p) in columnar for p in positions
-        ):
-            # Codes already exist (a derived relation, or the columns were
-            # warmed by a join/semijoin): dedupe by key code — per-row work
-            # is one C-level dict insert, and value tuples are built only
-            # for one representative row per code (last wins — equal codes
-            # mean value-equal projections).  Child code arrays are left
-            # to lazy re-encode: every value is already interned, so
-            # re-encoding later costs about what preseeding would here.
-            order = self._row_order()
-            codes = self._key_codes(positions)
-            representatives = dict(zip(codes, order)).values()
-            if len(positions) == 1:
-                (p,) = positions
-                projected_rows = tuple(zip(map(itemgetter(p), representatives)))
-            else:
-                projected_rows = tuple(
-                    map(itemgetter(*positions), representatives)
-                )
+        single = len(positions) == 1
+        keys = self._cache.get(
+            ("col", positions[0]) if single else ("key", positions)
+        )
+        if keys is not None:
+            # The key list on these columns exists (inherited, or a
+            # join/semijoin built it): its distinct keys *are* the projected
+            # rows, so per-row work is one C-level dict insert (the first
+            # spelling of each equality class wins) and no tuple is rebuilt.
+            distinct = dict.fromkeys(keys)
+            projected_rows = tuple(zip(distinct)) if single else tuple(distinct)
             out = Relation._from_frozen(names, frozenset(projected_rows))
-            out._columnar["order"] = projected_rows
+            out._cache["order"] = projected_rows
             return out
-        # Cold relation: interning every value just to dedupe would cost
-        # more than the projection itself — let frozenset dedupe the
-        # projected tuples directly (value equality, same set semantics).
-        if len(positions) == 1:
-            (p,) = positions
-            projected = frozenset(zip(map(itemgetter(p), self._rows)))
+        # No list to reuse: let frozenset dedupe the projected tuples
+        # directly (same value equality, same set semantics).
+        if single:
+            projected = frozenset(zip(map(itemgetter(positions[0]), self._rows)))
         else:
             projected = frozenset(map(itemgetter(*positions), self._rows))
         return Relation._from_frozen(names, projected)
@@ -706,9 +642,8 @@ class Relation:
         non-shared attributes.  With no shared attributes this degenerates to
         the Cartesian product; with identical schemas, to intersection.
 
-        Probing uses *other*'s cached code buckets on the shared positions,
-        so repeated joins against the same relation build its hash table
-        once — and the table is keyed by small-int pool codes.
+        Probing uses *other*'s cached index on the shared positions, so
+        repeated joins against the same relation build its hash table once.
         """
         other_set = set(other._attributes)
         shared = tuple(a for a in self._attributes if a in other_set)
@@ -728,8 +663,8 @@ class Relation:
         *other_keep* must be a subset of *other*'s attributes containing all
         attributes shared with ``self``.  The projection of *other* is never
         materialized: build-side suffixes are extracted (and deduplicated)
-        straight into hash buckets keyed by join-key pool codes, so wide
-        build-side intermediates never exist.  This is the kernel behind
+        straight into hash buckets keyed by join key, so wide build-side
+        intermediates never exist.  This is the kernel behind
         the Yannakakis upward pass and the Theorem 2 bottom-up merges.
         """
         self_attrs = self._attributes
@@ -743,9 +678,9 @@ class Relation:
         right_pos = positions_of(other._attributes, shared)
 
         if tuple(other_keep) == other._attributes:
-            # Plain natural join: probe other's cached code buckets.
+            # Plain natural join: probe other's cached index.
             extra_pos = positions_of(other._attributes, extra)
-            buckets = other._code_buckets(right_pos)
+            buckets = other._index(right_pos)
             if len(extra_pos) == 1:
                 (ep,) = extra_pos
                 suffix_of = lambda row: (row[ep],)  # noqa: E731
@@ -763,20 +698,20 @@ class Relation:
                 raw_suffix = lambda row: ()  # noqa: E731
             else:
                 raw_suffix = itemgetter(*extra_pos)
-            grouped: Dict[int, set] = {}
-            for row, code in zip(other._row_order(), other._key_codes(right_pos)):
-                group = grouped.get(code)
+            grouped: Dict[Any, set] = {}
+            for row, key in zip(other._row_order(), other._keys(right_pos)):
+                group = grouped.get(key)
                 if group is None:
-                    grouped[code] = {raw_suffix(row)}
+                    grouped[key] = {raw_suffix(row)}
                 else:
                     group.add(raw_suffix(row))
-            buckets = {code: tuple(group) for code, group in grouped.items()}
+            buckets = {key: tuple(group) for key, group in grouped.items()}
             suffix_of = lambda suffix: suffix  # noqa: E731
 
         out: List[Row] = []
         append = out.append
-        for row, code in zip(self._row_order(), self._key_codes(left_pos)):
-            bucket = buckets.get(code)
+        for row, key in zip(self._row_order(), self._keys(left_pos)):
+            bucket = buckets.get(key)
             if bucket:
                 for item in bucket:
                     append(row + suffix_of(item))
@@ -796,12 +731,11 @@ class Relation:
         The schema of the result equals self's schema.  With no shared
         attributes the semijoin keeps everything iff *other* is nonempty.
 
-        Membership is an int probe of *other*'s cached key-code set against
-        this relation's key-code array (codes are process-global, so equal
-        keys carry equal codes in both relations), mapped at C level into a
+        Membership is a probe of *other*'s cached key set with this
+        relation's cached key list, mapped at C level into a
         one-byte-per-row mask.  When nothing is filtered, ``self`` is
         returned unchanged so its caches stay live; otherwise the result
-        inherits the selected code columns and never re-encodes.
+        inherits the selected slice of every cached column.
         """
         mask = self._match_mask(other)
         if mask is None:
@@ -831,6 +765,6 @@ class Relation:
         shared = tuple(a for a in self._attributes if a in other_set)
         if not shared:
             return None
-        right_keys = other._key_code_set(positions_of(other._attributes, shared))
-        codes = self._key_codes(positions_of(self._attributes, shared))
-        return bytes(map(right_keys.__contains__, codes))
+        right_keys = other._key_set(positions_of(other._attributes, shared))
+        keys = self._keys(positions_of(self._attributes, shared))
+        return bytes(map(right_keys.__contains__, keys))

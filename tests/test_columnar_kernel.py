@@ -1,22 +1,22 @@
-"""Property tests for the columnar relation store and constructor family.
+"""Property tests for the value-column relation store and constructor family.
 
 Three contract groups:
 
 * **Construction** — ``from_rows`` / ``from_columns`` agree, round-trip
-  through ``to_columns``-style access, validate strictly, and the
-  deprecated positional ``Relation(attrs, rows)`` still works (with a
-  ``DeprecationWarning``) and builds the identical value.
-* **Kernel equivalence** — every code-array kernel (semijoin, antijoin,
+  through ``to_columns``-style access, validate strictly, and a positional
+  ``Relation(attrs, rows)`` call raises ``TypeError``.
+* **Kernel equivalence** — every column kernel (semijoin, antijoin,
   natural join, project, select_eq, partition) returns exactly what a
   straightforward frozenset/dict reference implementation computes,
   including mixed-type domains where Python equality crosses types
   (``1 == True == 1.0``).
-* **Process hygiene** — pickling drops the process-local ``_columnar``
-  cache but preserves the relation and its value-keyed caches.
+* **Process hygiene** — every cache holds plain values, so a relation
+  pickles by default and arrives with its warm caches, answering the same.
 """
 
 import pickle
 import warnings
+from operator import is_
 
 import pytest
 from hypothesis import given, settings
@@ -24,15 +24,14 @@ from hypothesis import strategies as st
 
 from repro import Relation
 from repro.errors import ArityError, SchemaError
-from repro.relational.columns import KEYS, VALUES, key_code_of
 
 # A small mixed-type domain where cross-type equality bites: 1 == True
 # == 1.0 and 0 == False collapse under Python (and frozenset) equality,
-# so the dictionary encoding must collapse them identically.
+# so the value columns, key sets and indexes must collapse them identically.
 mixed_values = st.sampled_from([0, 1, 2, True, False, 1.0, "a", "b", None, ""])
 
 # The same plus one NaN *object*: it equals nothing under ``==`` yet is
-# found by identity in every hash table, and so must it be by its code.
+# found by identity in every hash table, and so must it be in a column.
 NAN = float("nan")
 mixed_values_with_nan = st.sampled_from([0, 1, 2, True, 1.0, "a", None, NAN])
 
@@ -90,12 +89,11 @@ class TestConstructors:
         rebuilt = Relation.from_columns(relation.attributes, columns)
         assert rebuilt == relation
 
-    @settings(max_examples=100, deadline=None)
-    @given(relations())
-    def test_positional_constructor_deprecated_but_equal(self, relation):
-        with pytest.deprecated_call():
-            legacy = Relation(relation.attributes, relation.rows)
-        assert legacy == relation
+    def test_positional_constructor_raises_type_error(self):
+        with pytest.raises(TypeError):
+            Relation(("a", "b"), [(1, 2)])
+        with pytest.raises(TypeError):
+            Relation(attributes=("a", "b"), rows=[(1, 2)])
 
     def test_from_rows_validates(self):
         with pytest.raises(SchemaError):
@@ -119,32 +117,6 @@ class TestConstructors:
         assert relation.rows is rows
 
 
-class TestValuePool:
-    def test_cross_type_equality_shares_codes(self):
-        # Value-equality interning: the pool must agree with frozenset
-        # semantics, where 1, True and 1.0 are the same element.
-        assert VALUES.encode(1) == VALUES.encode(True) == VALUES.encode(1.0)
-        assert VALUES.encode(0) == VALUES.encode(False)
-        assert VALUES.encode(1) != VALUES.encode(2)
-        assert VALUES.encode("1") != VALUES.encode(1)
-
-    def test_key_code_of_width_one_and_many(self):
-        VALUES.encode("seen-key")
-        assert key_code_of(VALUES, KEYS, "seen-key", 1) == VALUES.encode("seen-key")
-        # A composite key resolves only once some relation interned it
-        # (partitioning interns every key the relation holds).
-        composite = (VALUES.encode("seen-key"), VALUES.encode("seen-key"))
-        assert key_code_of(VALUES, KEYS, ("seen-key", "seen-key"), 2) in (
-            None,
-            KEYS.code_of(composite),
-        )
-        interned = KEYS.encode(composite)
-        assert key_code_of(VALUES, KEYS, ("seen-key", "seen-key"), 2) == interned
-
-    def test_key_code_of_unseen_value_is_none(self):
-        assert key_code_of(VALUES, KEYS, object(), 1) is None
-
-
 class TestKernelEquivalence:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -159,15 +131,15 @@ class TestKernelEquivalence:
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
-    def test_filtered_children_inherit_aligned_code_columns(self, data):
+    def test_filtered_children_inherit_aligned_columns(self, data):
         left = data.draw(relations(values=mixed_values_with_nan))
         right = data.draw(relations(values=mixed_values_with_nan))
         # Warm every single column and the whole-row composite key, so the
         # children have all of them to inherit.
         every = tuple(range(left.arity))
         for position in every:
-            left._code_column(position)
-        left._key_codes(every)
+            left._column(position)
+        left._keys(every)
         warmed = {("col", position) for position in every}
         if left.arity > 1:
             warmed.add(("key", every))
@@ -180,23 +152,26 @@ class TestKernelEquivalence:
             assert child.rows == expected
             if child is left or not set(left.attributes) & set(right.attributes):
                 continue  # nothing filtered, or decided without a mask
-            order = child._columnar["order"]
+            order = child._cache["order"]
             assert len(order) == len(expected) and frozenset(order) == expected
-            arrays = {
-                key: list(column)
-                for key, column in child._columnar.items()
+            columns = {
+                key: column
+                for key, column in child._cache.items()
                 if key[0] in ("col", "key")
             }
-            # (The operation's own join-key array is inherited as well.)
-            assert warmed <= set(arrays)
-            for (kind, where), codes in arrays.items():
+            # (The operation's own join-key list is inherited as well.)
+            assert warmed <= set(columns)
+            for (kind, where), column in columns.items():
+                assert type(column) is list
+                # Row for row the very objects of the row tuples (the NaN
+                # object included), not merely equal ones.
                 if kind == "col":
-                    assert codes == [VALUES.encode(row[where]) for row in order]
+                    expected_column = [row[where] for row in order]
+                    assert all(map(is_, column, expected_column))
                 else:
-                    assert codes == [
-                        KEYS.encode(tuple(VALUES.encode(row[p]) for p in where))
-                        for row in order
-                    ]
+                    expected_column = [tuple(row[p] for p in where) for row in order]
+                    assert column == expected_column
+                assert len(column) == len(order)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -233,16 +208,31 @@ class TestKernelEquivalence:
 
     @settings(max_examples=100, deadline=None)
     @given(st.data(), st.integers(min_value=1, max_value=5))
-    def test_partition_is_a_partition_routed_by_code(self, data, count):
-        relation = data.draw(relations())
-        positions = (0,)
-        shards = relation._partition(positions, count)
-        assert len(shards) == count
-        assert frozenset().union(*(s.rows for s in shards)) == relation.rows
-        assert sum(s.cardinality for s in shards) == relation.cardinality
-        for index, shard in enumerate(shards):
-            for row in shard.rows:
-                assert VALUES.encode(row[0]) % count == index
+    def test_partition_is_a_partition_routed_by_hash(self, data, count):
+        # Pairs of relations over the 1 / True / 1.0 / NaN / string domain,
+        # partitioned on a one- or a two-attribute key that sits at
+        # different positions in the two.
+        left = data.draw(
+            relations(attributes=("u", "v", "w"), values=mixed_values_with_nan)
+        )
+        right = data.draw(
+            relations(attributes=("x", "v", "u"), values=mixed_values_with_nan)
+        )
+        key = data.draw(st.sampled_from([("u",), ("u", "v")]))
+        home = {}
+        for relation in (left, right):
+            positions = tuple(relation.attributes.index(a) for a in key)
+            shards = relation._partition(positions, count)
+            # A partition: every row in exactly one shard.
+            assert len(shards) == count
+            assert frozenset().union(*(s.rows for s in shards)) == relation.rows
+            assert sum(s.cardinality for s in shards) == relation.cardinality
+            # Whole buckets, and co-partitioning: a key — 1, True and 1.0
+            # are one key — has one home shard across both relations.
+            getter = Relation._key_getter(positions)
+            for index, shard in enumerate(shards):
+                for row in shard.rows:
+                    assert home.setdefault(getter(row), index) == index
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -258,16 +248,31 @@ class TestKernelEquivalence:
 
 
 class TestProcessHygiene:
-    def test_pickle_drops_columnar_cache(self):
-        relation = Relation.from_rows(("a", "b"), [(1, 2), (3, 4), (1, 4)])
-        relation.semijoin(Relation.from_rows(("a",), [(1,)]))  # warm caches
-        assert relation._columnar
-        clone = pickle.loads(pickle.dumps(relation))
-        assert clone == relation
-        assert clone._columnar == {}
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_pickle_round_trip_keeps_warm_caches(self, data):
+        relation = data.draw(relations(attributes=("u", "v", "w")))
+        other = data.draw(relations(attributes=("v", "w", "x")))
+        probe = data.draw(mixed_values)
+        # Warm columns, key lists, key sets and an index on both sides.
+        relation.semijoin(other)
+        other.semijoin(relation)
+        relation.natural_join(other)
+        relation.select_eq({"u": probe})
+        warm = set(relation._cache)
+        assert {"order", ("key", (1, 2)), ("keyset", (1, 2)), ("index", (0,))} <= warm
+
+        clone, other_clone = pickle.loads(pickle.dumps((relation, other)))
+        assert clone == relation and clone.attributes == relation.attributes
+        assert set(clone._cache) == warm  # default slot pickling: all of it
+        assert clone.semijoin(other_clone) == relation.semijoin(other)
+        assert clone.semijoin(other) == relation.semijoin(other)
+        assert clone.natural_join(other_clone) == relation.natural_join(other)
+        assert clone.select_eq({"u": probe}) == relation.select_eq({"u": probe})
+        assert clone.project(("w", "v")) == relation.project(("w", "v"))
 
     def test_rows_are_selected_not_decoded(self):
-        # 1 and True share a pool code; the kernel must still return the
+        # 1 and True are one key; the kernel must still return the
         # relation's own row objects, not re-decoded lookalikes.
         relation = Relation.from_rows(("a",), [(True,)])
         probe = Relation.from_rows(("a",), [(1,)])

@@ -1,6 +1,7 @@
 """Unit tests for the adaptive engine: analyzer, planner, cache, facade."""
 
 import gc
+import sys
 from unittest import mock
 
 import pytest
@@ -334,6 +335,34 @@ class TestQueryEngine:
             assert engine.decide(two_hop, database)
             del database
         assert live_relations() == before
+
+    def test_dropped_generations_leave_no_allocations_behind(self):
+        # A server re-registers databases of fresh values for ever; what a
+        # generation allocated (rows, columns, key sets, indexes — and no
+        # process-wide dictionary entry) must go when it is dropped.
+        engine = QueryEngine()
+        three_hop = parse_query("Q(a, d) :- E(a, b), E(b, c), E(c, d).")
+        size, generations = 2000, 8
+
+        def run_generation(generation):
+            base = generation * 10**6
+            database = Database.from_tuples(
+                {"E": [(base + i, base + (i + 1) % size) for i in range(size)]}
+            )
+            assert engine.execute(three_hop, database).cardinality == size
+            assert engine.count(three_hop, database) == size
+            assert engine.decide(three_hop, database)
+
+        def allocated_blocks():
+            gc.collect()
+            return sys.getallocatedblocks()
+
+        run_generation(0)  # plan cache, ledgers, first-use allocations
+        before = allocated_blocks()
+        for generation in range(1, generations):
+            run_generation(generation)
+        growth = (allocated_blocks() - before) / (generations - 1)
+        assert growth < 200, f"{growth:.0f} blocks leaked per generation"
 
     def test_eviction_forces_replanning(self, edge_db):
         planner = CountingPlanner()

@@ -18,7 +18,6 @@ from repro.parallel import (
     shard_relation,
 )
 from repro.relational.attributes import positions_of
-from repro.relational.columns import VALUES
 from repro.relational.relation import Relation
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -27,6 +26,10 @@ values = st.integers(min_value=0, max_value=7)
 rows2 = st.sets(st.tuples(values, values), max_size=40)
 rows3 = st.sets(st.tuples(values, values, values), max_size=40)
 shard_counts = st.integers(min_value=1, max_value=7)
+# Where Python equality crosses types: 1 == True == 1.0 must route as one key.
+mixed = st.sampled_from([0, 1, True, 1.0, 2, "a", "b", "1", None])
+mixed_rows3 = st.sets(st.tuples(mixed, mixed, mixed), max_size=30)
+partition_keys = st.sampled_from([("y",), ("y", "z")])
 
 
 def rel(attributes, rows):
@@ -44,22 +47,30 @@ class TestKernelPartition:
         assert frozenset().union(*(s.rows for s in shards)) == relation.rows
 
     @SETTINGS
-    @given(rows2, shard_counts)
-    def test_partition_routes_whole_buckets(self, rows, count):
-        relation = rel(("x", "y"), rows)
-        shards = relation._partition((0,), count)
-        for index, shard in enumerate(shards):
-            for row in shard.rows:
-                # Routing is by process-global pool code, so co-partitioned
-                # relations agree on shard indexes (see relational.columns).
-                assert VALUES.encode(row[0]) % count == index
+    @given(mixed_rows3, mixed_rows3, shard_counts, partition_keys)
+    def test_partition_routes_whole_buckets(self, left_rows, right_rows, count, key):
+        # Routing is by ``hash(key) % count`` and equal keys hash equal
+        # (1, True and 1.0 are one key), so a key's whole bucket lands in
+        # one shard and two relations partitioned on the same key agree on
+        # its shard index — whatever positions the key sits at.
+        home = {}
+        left, right = rel(("x", "y", "z"), left_rows), rel(("z", "w", "y"), right_rows)
+        for relation in (left, right):
+            positions = positions_of(relation.attributes, key)
+            shards = relation._partition(positions, count)
+            assert frozenset().union(*(s.rows for s in shards)) == relation.rows
+            assert sum(s.cardinality for s in shards) == relation.cardinality
+            getter = Relation._key_getter(positions)
+            for index, shard in enumerate(shards):
+                for row in shard.rows:
+                    assert home.setdefault(getter(row), index) == index
 
     def test_partition_is_cached_and_preseeds_indexes(self):
         relation = rel(("x", "y"), {(i, i % 3) for i in range(30)})
         shards = relation._partition((1,), 4)
         assert relation._partition((1,), 4) is shards
         for shard in shards:
-            assert (1,) in shard._indexes  # born with the key index
+            assert ("index", (1,)) in shard._cache  # born with the key index
 
 
 class TestShardedRelationAgreement:
@@ -142,9 +153,9 @@ class TestDrivers:
 
     def test_parallel_select_eq_unhashable_probe_routes_to_fallback(self):
         """Regression (ISSUE 10): an unhashable probe key must take the
-        kernel's linear-scan fallback — ``key_code_of`` probes a dict with
-        the key, which raises ``TypeError`` for unhashables — instead of
-        crashing or silently returning empty."""
+        kernel's linear-scan fallback — routing hashes the key, which raises
+        ``TypeError`` for unhashables — instead of crashing or silently
+        returning empty."""
         relation = rel(("x", "y"), {(i, i % 4) for i in range(24)})
         for count in (2, 4, 7):
             result = parallel_select_eq(relation, {"y": [1, 2]}, count)

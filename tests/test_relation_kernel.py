@@ -13,13 +13,9 @@ import random
 import pytest
 
 from repro.evaluation.yannakakis import YannakakisEvaluator
-from repro.relational import (
-    HashIndex,
-    IndexPool,
-    Relation,
-    hash_join,
-    sort_merge_join,
-)
+from repro.evaluation.naive import NaiveEvaluator
+from repro.query.parser import parse_query
+from repro.relational import Database, Relation, hash_join, sort_merge_join
 
 # ---------------------------------------------------------------------------
 # Reference implementations (the seed's straightforward semantics)
@@ -134,16 +130,10 @@ def test_select_eq_unhashable_condition_value():
     assert r.select_eq({"a": [1]}).is_empty()
 
 
-def test_hash_index_wrong_arity_key_misses():
-    r = Relation.from_rows(("a", "b"), [(1, 2), (1, 3)])
-    index = HashIndex(r, (0,))
-    assert index.lookup((1, 2)) == []  # wrong-length key: no match, no raise
-
-
 def test_column_reads_without_building_an_index():
     r = Relation.from_rows(("a", "b"), [(1, 2), (1, 3), (2, 4)])
     assert r.column("a") == frozenset({1, 2})
-    assert r._indexes == {}  # distinct-values read must not pin an index
+    assert r._cache == {}  # distinct-values read must not pin an index
 
 
 def test_join_keep_matches_join_then_project():
@@ -183,52 +173,58 @@ class TestIndexCache:
         first = r._index((0,))
         second = r._index((0,))
         assert first is second
+        # One position: raw values; a wrong-arity (tuple) key just misses.
+        assert sorted(first[1]) == [(1, 2), (1, 3)]
+        assert first.get((1,), ()) == () and first.get((1, 2), ()) == ()
+        # No position: everything under (), and no bucket for no rows.
+        assert sorted(r._index(())[()]) == sorted(r.rows)
+        assert Relation.empty(("a",))._index(()) == {}
 
     def test_semijoin_reuses_cache_across_repeated_calls(self):
         left = Relation.from_rows(("a", "b"), [(1, 2), (5, 6)])
         right = Relation.from_rows(("b", "c"), [(2, 7), (9, 9)])
-        assert right._columnar == {}
+        assert right._cache == {}
         first = left.semijoin(right)
-        cached = dict(right._columnar)
-        assert ("keyset", (0,)) in cached  # semijoin built right's key codes
+        cached = dict(right._cache)
+        assert ("keyset", (0,)) in cached  # semijoin built right's key set
         second = left.semijoin(right)
         # Never invalidated (relations are immutable): same cached objects.
         for cache_key, value in cached.items():
-            assert right._columnar[cache_key] is value
+            assert right._cache[cache_key] is value
         assert first == second
 
-    def test_natural_join_shares_semijoin_key_codes(self):
+    def test_join_and_semijoin_share_keys_and_one_index(self):
         left = Relation.from_rows(("a", "b"), [(1, 2), (5, 2)])
         right = Relation.from_rows(("b", "c"), [(2, 7), (3, 8)])
         left.semijoin(right)
-        key_codes = right._columnar[("col", 0)]
-        left.natural_join(right)
-        # The join's code buckets are grouped from the very key-code array
-        # the semijoin built; the column is never re-encoded.
-        assert right._columnar[("col", 0)] is key_codes
-        assert ("buckets", (0,)) in right._columnar
+        keys = left._cache[("col", 1)]
+        assert left.natural_join(right) == Relation.from_rows(
+            ("a", "b", "c"), [(1, 2, 7), (5, 2, 7)]
+        )
+        # The join probed with the very key list the semijoin built ...
+        assert left._keys((1,)) is keys and left._cache[("col", 1)] is keys
+        # ... into right's one bucket index, which select_eq and the naive
+        # search then read without building another.
+        index = right._cache[("index", (0,))]
+        right.select_eq({"b": 2})
+        query = parse_query("Q(c) :- R(2, c).")
+        assert NaiveEvaluator().evaluate(query, Database({"R": right})).rows == {(7,)}
+        assert right._index((0,)) is index
+        assert [key for key in right._cache if key[0] == "index"] == [("index", (0,))]
 
     def test_rename_shares_index_cache(self):
         r = Relation.from_rows(("a", "b"), [(1, 2), (3, 4)])
         r._index((1,))
         renamed = r.rename({"a": "x"})
-        assert renamed._indexes is r._indexes
-        assert renamed._columnar is r._columnar
-
-    def test_hash_index_and_pool_share_relation_cache(self):
-        r = Relation.from_rows(("a", "b"), [(1, 2), (1, 3)])
-        pool = IndexPool()
-        via_pool = pool.index(r, (0,))
-        direct = HashIndex(r, (0,))
-        assert via_pool._buckets is direct._buckets
-        assert sorted(direct.lookup((1,))) == [(1, 2), (1, 3)]
-        assert direct.lookup((9,)) == []
+        assert renamed._cache is r._cache
 
     def test_select_eq_uses_index(self):
         r = Relation.from_rows(("a", "b"), [(1, 2), (1, 3), (2, 4)])
         assert r.select_eq({"a": 1}) == Relation.from_rows(("a", "b"), [(1, 2), (1, 3)])
-        assert (0,) in r._indexes
+        assert ("index", (0,)) in r._cache
         assert r.select_eq({"a": 1, "b": 3}) == Relation.from_rows(("a", "b"), [(1, 3)])
+        assert r.select_eq({"a": 9}).is_empty()  # a miss
+        assert r.select_eq({}) == r  # no condition: the empty-position index
 
 
 class TestYannakakisFusedPass:

@@ -1,4 +1,4 @@
-"""Tests for algebra helpers, join algorithms, indexes, schema, database."""
+"""Tests for algebra helpers, join algorithms, schema, database."""
 
 import pytest
 
@@ -6,8 +6,6 @@ from repro.errors import SchemaError
 from repro.relational import (
     Database,
     DatabaseSchema,
-    HashIndex,
-    IndexPool,
     Relation,
     RelationSchema,
     divide,
@@ -106,30 +104,6 @@ class TestDivision:
         quotient = divide(dividend, divisor)
         rebuilt = quotient.natural_join(divisor)
         assert rebuilt.rows <= dividend.project(rebuilt.attributes).rows
-
-
-class TestIndexes:
-    def test_hash_index_lookup(self):
-        r = Relation.from_rows(("a", "b"), [(1, 2), (1, 3), (2, 4)])
-        index = HashIndex(r, (0,))
-        assert sorted(index.lookup((1,))) == [(1, 2), (1, 3)]
-        assert index.lookup((9,)) == []
-        assert len(index) == 2
-
-    def test_index_on_no_positions(self):
-        r = Relation.from_rows(("a",), [(1,), (2,)])
-        index = HashIndex(r, ())
-        assert sorted(index.lookup(())) == [(1,), (2,)]
-
-    def test_index_pool_caches(self):
-        r = Relation.from_rows(("a", "b"), [(1, 2)])
-        pool = IndexPool()
-        first = pool.index(r, (0,))
-        second = pool.index(r, (0,))
-        assert first is second
-        assert len(pool) == 1
-        pool.index(r, (1,))
-        assert len(pool) == 2
 
 
 class TestSchema:
