@@ -11,12 +11,13 @@ The acceptance claims of the networked protocol layer:
   over one connection queues up behind the server's dispatchers, joins
   one group and runs through N-wide lifted executions, beating the same
   requests sent one at a time over the same connection;
-* **binary relation frames shrink bulk payloads** — a connection that
-  negotiates the dictionary-encoded binary framing receives the same
-  result relations in measurably fewer bytes than the JSON lines, with
-  byte-identical decoded results.
+* **binary relation frames shrink bulk payloads and are no slower** — a
+  connection that negotiates the dictionary-encoded binary framing
+  receives the same result relations in measurably fewer bytes than the
+  JSON lines, in no more time (``binary_over_json`` <= 1.0: the ROADMAP's
+  condition for keeping the framing), with equal decoded results.
 
-Results are byte-compared against sequential ``QueryEngine(parallel=False)``
+Results are compared against sequential ``QueryEngine(parallel=False)``
 execution before anything is timed; server processes are spawned once per
 configuration and excluded from the timings.
 
@@ -315,18 +316,19 @@ def run_binary_frames(
         )
         assert json_results == reference, "JSON bulk run diverged from sequential"
         assert binary_results == reference, "binary bulk run diverged"
-        json_seconds, _ = time_thunk(
-            lambda: asyncio.run(
-                bulk_run(instances, server.host, server.port, binary=False)
-            ),
-            repeats=repeats,
-        )
-        binary_seconds, _ = time_thunk(
-            lambda: asyncio.run(
-                bulk_run(instances, server.host, server.port, binary=True)
-            ),
-            repeats=repeats,
-        )
+        # Best of *repeats* each, taken in turn: the two timings are read
+        # as a ratio, and a core that changes speed must hit both alike.
+        best = {False: float("inf"), True: float("inf")}
+        for _ in range(repeats):
+            for binary in best:
+                seconds, _ = time_thunk(
+                    lambda: asyncio.run(
+                        bulk_run(instances, server.host, server.port, binary=binary)
+                    ),
+                    repeats=1,
+                )
+                best[binary] = min(best[binary], seconds)
+        json_seconds, binary_seconds = best[False], best[True]
 
     # Payload accounting: the exact bytes each framing puts on the wire
     # for the result relations of this workload.
@@ -344,6 +346,7 @@ def run_binary_frames(
         "requests": len(instances),
         "json_seconds": json_seconds,
         "binary_seconds": binary_seconds,
+        "binary_over_json": round(binary_seconds / json_seconds, 2),
         "json_payload_bytes": json_bytes,
         "binary_payload_bytes": binary_bytes,
         "payload_ratio": round(binary_bytes / json_bytes, 3),
@@ -403,12 +406,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         title="Same-shape flood over one connection: pipelined vs one at a time",
     )
     print_table(
-        ("requests", "json s", "binary s", "json bytes", "binary bytes", "ratio"),
+        (
+            "requests", "json s", "binary s", "binary/json",
+            "json bytes", "binary bytes", "ratio",
+        ),
         [
             (
                 frames["requests"],
                 frames["json_seconds"],
                 frames["binary_seconds"],
+                frames["binary_over_json"],
                 frames["json_payload_bytes"],
                 frames["binary_payload_bytes"],
                 frames["payload_ratio"],
@@ -421,6 +428,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         assert concurrent["shared_speedup"] >= 1.2, concurrent
         assert flood["batching_speedup"] >= 1.2, flood
         assert frames["payload_ratio"] <= 0.75, frames
+        assert frames["binary_over_json"] <= 1.0, frames
 
     output = args.json
     if output is None and not args.smoke:

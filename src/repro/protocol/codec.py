@@ -6,9 +6,10 @@ whitespace, terminated by ``\\n``.  JSON escapes embedded newlines, so a
 message can never split a frame, and :data:`MAX_LINE_BYTES` bounds what a
 peer can make the reader buffer.
 
-``encode``/``decode`` are exact inverses on valid messages —
-``decode(encode(m)) == m`` and ``encode(decode(encode(m))) ==
-encode(m)`` byte-for-byte (the Hypothesis suite pins both).  ``decode``
+``encode``/``decode`` are inverses on valid messages: ``decode(encode(m))``
+carries what ``m`` carries (relations as their JSON payloads, see
+:mod:`.messages`) and ``encode(decode(encode(m))) == encode(m)``
+byte-for-byte (the Hypothesis suite pins both).  ``decode``
 rejects garbage with a typed :class:`~.messages.ProtocolError` whose
 ``code`` lands verbatim in the error response, never a raw traceback.
 
@@ -49,7 +50,7 @@ same way on a second attempt and is not retried.
 from __future__ import annotations
 
 import json
-from typing import Any, Optional, Union
+from typing import Any, Callable, Dict, Optional, Union
 
 from ..errors import (
     InconsistentConstraintsError,
@@ -60,6 +61,7 @@ from ..errors import (
     RequestRejectedError,
     SchemaError,
 )
+from ..relational.relation import Relation
 from .messages import (
     ERROR,
     PROTOCOL_VERSION,
@@ -75,13 +77,32 @@ MAX_LINE_BYTES = 16 * 1024 * 1024
 
 Message = Union[Request, Response]
 
+#: ``json`` encoder settings of the canonical spelling, both framings'.
+CANONICAL = {"sort_keys": True, "separators": (",", ":"), "ensure_ascii": False}
+
+
+def canonical_json(payload: Any, spell: Callable[[Relation], Any]) -> str:
+    """*payload* as canonical JSON text — sorted keys, no insignificant
+    whitespace — with every relation it holds spelled as ``spell(relation)``
+    (the encoder's ``default=`` hook: once per relation, in document order)."""
+
+    def default(value: Any) -> Any:
+        if isinstance(value, Relation):
+            return spell(value)
+        raise TypeError(f"{type(value).__name__} is not JSON-representable")
+
+    return json.dumps(payload, default=default, **CANONICAL)
+
+
+def _rows_payload(relation: Relation) -> Dict[str, Any]:
+    """Attributes and rows in the relation's own order.  The encoder spells
+    tuples as arrays, so no row is copied."""
+    return {"attributes": relation.attributes, "rows": relation._row_order()}
+
 
 def encode(message: Message) -> bytes:
     """One canonical ``\\n``-terminated JSON line for *message*."""
-    payload = message.to_wire()
-    text = json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False
-    )
+    text = canonical_json(message.to_wire(), _rows_payload)
     data = text.encode("utf-8") + b"\n"
     if len(data) > MAX_LINE_BYTES:
         raise ProtocolError(

@@ -16,9 +16,8 @@ JSON and binary frames freely.
 The body is::
 
     u32  header length
-    ...  header: the message's canonical JSON with every relation payload
-         ({"attributes": [...], "rows": [[...], ...]} objects) replaced by
-         a {"__relation_frame__": i} marker
+    ...  header: the message's canonical JSON with every relation it holds
+         replaced by a {"__relation_frame__": i} marker
     u32  relation count
     ...  one block per relation, in marker order:
            u16  attribute count, then per attribute: u16 length + UTF-8 name
@@ -29,13 +28,14 @@ The body is::
            ...  column-major codes: attribute count × row count fixed-width
                 big-endian unsigned integers indexing the pool
 
-The pool is keyed by the value's canonical **JSON text**, not the Python
-value — ``true`` and ``1`` (or ``-0.0`` and ``0.0``) stay distinct
-entries, so decode→re-encode round-trips are byte-exact and the protocol's
-byte-comparison properties carry over unchanged.
+A pool entry is a canonical **JSON text**, not a Python value — ``true``
+and ``1`` (or ``-0.0`` and ``0.0``) stay distinct entries, so a value
+arrives spelled exactly as the JSON framing would have spelled it.  Both
+directions work on whole columns (``Relation._column`` in,
+:meth:`Relation.from_columns` out): no row list exists on either side.
 
 ``encode_binary`` returns ``None`` whenever the binary form is not
-applicable — no relation payloads in the message, or the (pathological)
+applicable — the message holds no relation, or the (pathological)
 case of a payload already containing a ``__relation_frame__`` key — and
 the caller falls back to the JSON line.  Frames are negotiated per
 connection: a client announces :data:`BINARY_FRAMES_V1` in the ``frames``
@@ -49,9 +49,15 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
+import sys
+from array import array
+from itertools import chain, count
+from operator import itemgetter
 from typing import Any, BinaryIO, Dict, List, Optional, Tuple
 
-from .codec import MAX_LINE_BYTES, Message, decode_payload
+from ..errors import SchemaError
+from ..relational.relation import Relation
+from .codec import CANONICAL, MAX_LINE_BYTES, Message, canonical_json, decode_payload
 from .messages import ProtocolError
 
 #: First byte of every binary frame.  JSON lines start with ``{`` (0x7b),
@@ -68,50 +74,20 @@ BINARY_FRAMES_V1 = "relation-columns-v1"
 SUPPORTED_FRAMES = (BINARY_FRAMES_V1,)
 
 _MARKER = "__relation_frame__"
-_WIRE_SCALARS = (str, int, float, bool, type(None))
-_WIDTHS = ((0xFF, 1, "B"), (0xFFFF, 2, "H"), (0xFFFFFFFF, 4, "I"))
+#: Bytes per code → ``array`` typecode.
+_TYPECODES = {1: "B", 2: "H", 4: "I"}
+#: Codes are big-endian on the wire; ``array`` holds them in native order.
+_SWAP = sys.byteorder == "little"
+#: Exact types whose equal values have one JSON spelling: a pool of nothing
+#: else is keyed by value.  Not ``bool`` or ``float`` — ``True == 1 == 1.0``
+#: and ``-0.0 == 0.0``, all spelled apart.
+_SPELLED_BY_VALUE = frozenset((int, str, type(None)))
+#: The canonical JSON spelling the line codec uses, per value.
+_dumps = json.JSONEncoder(**CANONICAL).encode
 
 
-def _dumps(value: Any) -> str:
-    """The canonical JSON spelling the line codec uses, per value."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-
-
-def _is_relation_payload(node: Any) -> bool:
-    """Exactly the shape :func:`~.messages.encode_relation` emits."""
-    if not isinstance(node, dict) or set(node) != {"attributes", "rows"}:
-        return False
-    attributes = node["attributes"]
-    rows = node["rows"]
-    if not isinstance(attributes, list) or not isinstance(rows, list):
-        return False
-    if not all(isinstance(name, str) for name in attributes):
-        return False
-    width = len(attributes)
-    for row in rows:
-        if not isinstance(row, list) or len(row) != width:
-            return False
-        if not all(isinstance(value, _WIRE_SCALARS) for value in row):
-            return False
-    return True
-
-
-def _extract(node: Any, relations: List[Dict[str, Any]]) -> Any:
-    """Copy *node* with relation payloads swapped for markers (post-order)."""
-    if isinstance(node, dict):
-        if _MARKER in node:
-            raise _MarkerCollision()
-        if _is_relation_payload(node):
-            relations.append(node)
-            return {_MARKER: len(relations) - 1}
-        return {key: _extract(value, relations) for key, value in node.items()}
-    if isinstance(node, list):
-        return [_extract(item, relations) for item in node]
-    return node
-
-
-def _restore(node: Any, relations: List[Dict[str, Any]]) -> Any:
-    """Inverse of :func:`_extract` (mutating the decoded header in place)."""
+def _restore(node: Any, relations: List[Relation]) -> Any:
+    """The decoded header with every marker swapped for its relation."""
     if isinstance(node, dict):
         if set(node) == {_MARKER}:
             index = node[_MARKER]
@@ -131,68 +107,63 @@ def _restore(node: Any, relations: List[Dict[str, Any]]) -> Any:
     return node
 
 
-class _MarkerCollision(Exception):
-    """A payload already contains the marker key; binary is not applicable."""
-
-
 # ----------------------------------------------------------------------
 # Encoding
 # ----------------------------------------------------------------------
 
 
-def _encode_relation_block(payload: Dict[str, Any], out: List[bytes]) -> None:
-    attributes: List[str] = payload["attributes"]
-    rows: List[List[Any]] = payload["rows"]
+def _encode_relation_block(relation: Relation, out: List[bytes]) -> None:
+    attributes = relation.attributes
     out.append(struct.pack(">H", len(attributes)))
     for name in attributes:
         raw = name.encode("utf-8")
         out.append(struct.pack(">H", len(raw)))
         out.append(raw)
-    # Dictionary-encode by canonical JSON text: distinct spellings stay
-    # distinct codes, so decode→re-encode is byte-exact.  The memo keys
-    # by (type, value) so each distinct value is JSON-spelled once, not
-    # once per cell; floats key by hex() to keep -0.0 and 0.0 apart.
-    pool: Dict[str, int] = {}
-    memo: Dict[Any, int] = {}
-    columns: List[List[int]] = [[] for _ in attributes]
-    for row in rows:
-        for position, value in enumerate(row):
-            cls = value.__class__
-            memo_key = (cls, value.hex()) if cls is float else (cls, value)
-            code = memo.get(memo_key)
-            if code is None:
-                code = pool.setdefault(_dumps(value), len(pool))
-                memo[memo_key] = code
-            columns[position].append(code)
-    out.append(struct.pack(">I", len(pool)))
-    for text in pool:  # insertion order == code order
+    columns: List[List[Any]] = [
+        relation._column(position) for position in range(len(attributes))
+    ]
+    by_value = _SPELLED_BY_VALUE.issuperset(map(type, chain.from_iterable(columns)))
+    if not by_value:
+        # Key every cell by (type, value, repr): cells that agree on all
+        # three spell alike — repr is what tells -0.0 from 0.0.
+        columns = [
+            list(zip(map(type, column), column, map(repr, column)))
+            for column in columns
+        ]
+    # key → code, in first-seen order; the pool is the keys' spellings.
+    code_of = dict(zip(dict.fromkeys(chain.from_iterable(columns)), count()))
+    out.append(struct.pack(">I", len(code_of)))
+    for text in map(_dumps, code_of if by_value else map(itemgetter(1), code_of)):
         raw = text.encode("utf-8")
         out.append(struct.pack(">I", len(raw)))
         out.append(raw)
-    for bound, width, fmt in _WIDTHS:
-        if len(pool) <= bound + 1:
-            break
-    out.append(struct.pack(">IB", len(rows), width))
-    for codes in columns:
-        out.append(struct.pack(f">{len(codes)}{fmt}", *codes))
+    width = 1 if len(code_of) <= 0x100 else 2 if len(code_of) <= 0x10000 else 4
+    out.append(struct.pack(">IB", len(relation), width))
+    for column in columns:
+        codes = array(_TYPECODES[width], map(code_of.__getitem__, column))
+        if _SWAP:
+            codes.byteswap()
+        out.append(codes.tobytes())
 
 
 def encode_binary(message: Message) -> Optional[bytes]:
     """The binary frame for *message*, or ``None`` when not applicable.
 
-    ``None`` means "use the JSON line": the message carries no relation
-    payloads (the frame would only add overhead), a payload already uses
+    ``None`` means "use the JSON line": the message holds no relation
+    (the frame would only add overhead), a payload already uses
     the marker key, or the frame would exceed :data:`~.codec.MAX_LINE_BYTES`.
     """
-    payload = message.to_wire()
-    relations: List[Dict[str, Any]] = []
-    try:
-        header_payload = _extract(payload, relations)
-    except _MarkerCollision:
+    relations: List[Relation] = []
+
+    def mark(relation: Relation) -> Dict[str, int]:
+        relations.append(relation)
+        return {_MARKER: len(relations) - 1}
+
+    text = canonical_json(message.to_wire(), mark)
+    # As many marker keys as relations, or the payload had one of its own.
+    if not relations or text.count(f'"{_MARKER}"') != len(relations):
         return None
-    if not relations:
-        return None
-    header = _dumps(header_payload).encode("utf-8")
+    header = text.encode("utf-8")
     parts: List[bytes] = [struct.pack(">I", len(header)), header]
     parts.append(struct.pack(">I", len(relations)))
     for relation in relations:
@@ -245,7 +216,7 @@ class _Cursor:
             raise ProtocolError(f"binary frame text is not UTF-8: {error}") from error
 
 
-def _decode_relation_block(cursor: _Cursor) -> Dict[str, Any]:
+def _decode_relation_block(cursor: _Cursor) -> Relation:
     attributes = [cursor.text(cursor.u16()) for _ in range(cursor.u16())]
     pool: List[Any] = []
     for _ in range(cursor.u32()):
@@ -258,25 +229,27 @@ def _decode_relation_block(cursor: _Cursor) -> Dict[str, Any]:
             ) from error
     nrows = cursor.u32()
     width = cursor.u8()
-    for bound, expected_width, fmt in _WIDTHS:
-        if expected_width == width:
-            break
-    else:
+    typecode = _TYPECODES.get(width)
+    if typecode is None:
         raise ProtocolError(f"binary frame code width {width} is not 1, 2 or 4")
-    value_columns: List[List[Any]] = []
+    columns = []
     for _ in attributes:
-        codes = struct.unpack(f">{nrows}{fmt}", cursor.take(nrows * width))
+        codes = array(typecode, cursor.take(nrows * width))
+        if _SWAP:
+            codes.byteswap()
         if codes and max(codes) >= len(pool):
             raise ProtocolError(
                 f"binary frame code {max(codes)} exceeds pool of {len(pool)}"
             )
-        value_columns.append([pool[code] for code in codes])
-    if attributes:
-        rows = [list(values) for values in zip(*value_columns)]
-    else:
-        # Zero-arity relations still carry 0 or 1 (empty) rows.
-        rows = [[] for _ in range(nrows)]
-    return {"attributes": attributes, "rows": rows}
+        columns.append(map(pool.__getitem__, codes))
+    if nrows and not attributes:
+        return Relation.unit()  # TRUE has no column-major spelling
+    try:
+        return Relation.from_columns(attributes, columns)
+    except (SchemaError, TypeError) as error:
+        # SchemaError: the attribute names.  TypeError: a pool entry that
+        # is an array or object cannot be frozen into a row.
+        raise ProtocolError(f"malformed relation block: {error}") from error
 
 
 def decode_binary(body: bytes) -> Message:

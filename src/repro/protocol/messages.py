@@ -11,27 +11,33 @@ guessing.
 
 Messages are plain frozen dataclasses with a *canonical* wire form:
 ``to_wire`` emits only the fields the message actually uses, and
-``from_wire`` validates shape and types strictly — the round-trip
-``decode(encode(m)) == m`` is byte-exact (the codec property suite pins
-this with Hypothesis, including unicode constants, empty relations, and
-oversized batches).
+``from_wire`` validates shape and types strictly — a decoded frame
+re-encodes to the same bytes (the codec property suite pins this with
+Hypothesis, including unicode constants, empty relations, and oversized
+batches).
 
 Queries travel as rule-notation *text* (``"G(x) :- E(x, y)."``) — the
 format :func:`repro.query.parser.parse_query` reads and
 ``ConjunctiveQuery.__repr__`` emits, so objects round-trip through the
-wire without a second serialization scheme.  Relations travel as
-``{"attributes": [...], "rows": [[...], ...]}`` with rows sorted
-deterministically, so two byte-equal relation payloads mean equal
-relations and vice versa — the cross-process stress suite byte-compares
-server responses against in-process evaluation.
+wire without a second serialization scheme.
+
+A message to be sent holds each relation as the
+:class:`~repro.relational.relation.Relation` itself (:func:`encode_result`
+and :func:`encode_database` only check that its values are JSON scalars)
+and its framing spells it: ``{"attributes": [...], "rows": [[...], ...]}``
+on a JSON line, a column block in a binary frame.  A received message holds
+that JSON object, or the relation the binary framing built;
+:func:`decode_relation` takes both.  The wire carries a *set* of rows —
+their order is the sender's and means nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-from ..errors import ReproError, RequestRejectedError
+from ..errors import ReproError, RequestRejectedError, SchemaError
 from ..relational.relation import Relation
 
 #: The one protocol version this build speaks.
@@ -209,8 +215,8 @@ class Request:
     #: member operation.
     operations: Optional[Tuple[Dict[str, Any], ...]] = None
     #: For ``register_database``: the database document —
-    #: ``{"relations": {name: {"attributes", "rows"}}, "domain"?: [...]}``
-    #: (the shape :func:`encode_database` emits).
+    #: ``{"relations": {name: relation}, "domain"?: [...]}``
+    #: (what :func:`encode_database` returns).
     data: Optional[Dict[str, Any]] = None
     #: For ``ping``: frame formats the client can read (e.g. the binary
     #: relation framing of :mod:`.frames`).  The server answers with the
@@ -450,35 +456,49 @@ class Response:
 # ----------------------------------------------------------------------
 
 
-def encode_relation(relation: Relation) -> Dict[str, Any]:
-    """A deterministic JSON payload for *relation*.
+def encode_relation(relation: Relation) -> Relation:
+    """*relation* as a message holds it — itself — once every value is known
+    to be a JSON scalar (``unrepresentable`` otherwise).
 
-    Rows are sorted by ``repr`` (the same order the CSV/JSON io uses), so
-    equal relations encode to byte-equal payloads — the property the
-    cross-process byte-comparison stress relies on.
+    One C-level pass over the cells' types; the cells are walked only when
+    some type is not exactly a scalar type, to name the offender (or to find
+    that all of them subclass one, like an ``IntEnum``).
     """
-    for row in relation.rows:
-        for value in row:
+    types = set(map(type, chain.from_iterable(relation.rows)))
+    if not types.issubset(_WIRE_SCALARS):
+        for value in chain.from_iterable(relation.rows):
             if not isinstance(value, _WIRE_SCALARS):
                 raise ProtocolError(
                     f"relation value {value!r} is not JSON-representable",
                     code="unrepresentable",
                 )
-    return {
-        "attributes": list(relation.attributes),
-        "rows": [list(row) for row in sorted(relation.rows, key=repr)],
-    }
+    return relation
 
 
 def decode_relation(payload: Any) -> Relation:
-    """Inverse of :func:`encode_relation`."""
+    """The relation a received message holds.
+
+    One the binary framing built passes through.  A JSON payload must be
+    ``{"attributes": [...], "rows": [[...], ...]}``, every row an array of
+    one scalar per attribute; anything else is a ``bad_request``, found by
+    C-level passes over the rows' types and (in ``from_rows``) lengths.
+    """
+    if isinstance(payload, Relation):
+        return payload
     if not isinstance(payload, dict):
         raise ProtocolError("relation payload must be an object")
     attributes = payload.get("attributes")
     rows = payload.get("rows")
     if not isinstance(attributes, list) or not isinstance(rows, list):
         raise ProtocolError("relation payload needs 'attributes' and 'rows' lists")
-    return Relation.from_rows(tuple(attributes), (tuple(row) for row in rows))
+    if not set(map(type, rows)) <= {list}:
+        raise ProtocolError("relation rows must be arrays")
+    try:
+        return Relation.from_rows(attributes, rows)
+    except (SchemaError, TypeError) as error:
+        # SchemaError: a row's length, or the attribute names.  TypeError: an
+        # array or object for a value cannot be frozen into a row.
+        raise ProtocolError(f"malformed relation payload: {error}") from error
 
 
 def encode_result(value: Any) -> Tuple[str, Any]:
@@ -521,14 +541,13 @@ def decode_result(kind: str, payload: Any) -> Any:
 
 
 def encode_database(database: Any) -> Dict[str, Any]:
-    """A deterministic JSON document for a whole database.
+    """The document of a whole database, as a message holds it.
 
-    The payload of the ``register_database`` op: one
-    :func:`encode_relation` payload per relation (so the same
-    byte-determinism guarantees hold) plus the declared domain when it is
-    JSON-representable.  Mirrors the on-disk document of
+    The payload of the ``register_database`` op: every relation under its
+    name (checked by :func:`encode_relation`) plus the domain when it is
+    JSON-representable.  On the wire it mirrors the on-disk document of
     :mod:`repro.relational.io`, so a fixture file and a wire registration
-    describe the same database identically.
+    describe the same database.
     """
     relations = {
         name: encode_relation(database[name]) for name in sorted(database.names())
@@ -566,7 +585,7 @@ def decode_database(payload: Any) -> Any:
             raise ProtocolError("database 'domain' must be a list")
         try:
             return Database(decoded, domain=domain)
-        except ReproError as error:
+        except (ReproError, TypeError) as error:
             raise ProtocolError(
                 f"database domain is inconsistent with its rows: {error}"
             ) from error

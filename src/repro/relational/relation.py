@@ -389,16 +389,19 @@ class Relation:
         *attributes* are checked to be distinct nonempty strings; every row
         is tupled, checked against the arity, and frozen.  This is the
         public entry point for untrusted data — algebra results use the
-        trusted :meth:`_from_frozen` fast path instead.
+        trusted :meth:`_from_frozen` fast path instead.  Tupling, freezing
+        and the arity check are one C-level pass each; the rows are walked
+        only to name an offender.
         """
         names = check_attribute_names(attributes)
         arity = len(names)
-        frozen = frozenset(tuple(row) for row in rows)
-        for row in frozen:
-            if len(row) != arity:
-                raise ArityError(
-                    f"row {row!r} has arity {len(row)}, expected {arity}"
-                )
+        frozen = frozenset(map(tuple, rows))
+        if set(map(len, frozen)) != {arity}:
+            for row in frozen:
+                if len(row) != arity:
+                    raise ArityError(
+                        f"row {row!r} has arity {len(row)}, expected {arity}"
+                    )
         return cls._from_frozen(names, frozen)
 
     @classmethod

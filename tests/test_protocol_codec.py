@@ -1,9 +1,12 @@
 """Property tests for the wire codec: byte-exact round-trips, strict rejects.
 
 The framing contract the server and both clients rely on: for every valid
-message ``m``, ``decode(encode(m)) == m`` and — because ``encode`` is
-canonical (sorted keys, no insignificant whitespace, deterministic row
-order) — ``encode(decode(encode(m))) == encode(m)`` byte for byte.
+message ``m``, ``decode(encode(m))`` carries what ``m`` carries — a sent
+message holds its relations as ``Relation`` objects, a received one as the
+JSON payloads ``decode_relation`` reads — and, because ``encode`` is
+canonical (sorted keys, no insignificant whitespace),
+``encode(decode(encode(m))) == encode(m)`` byte for byte.  Row order on the
+wire is the sender's and means nothing.
 Hypothesis drives the message space: every request and response kind,
 unicode constants (including newlines and quotes, which JSON escaping must
 neutralize), empty relations, and batches far beyond the service's
@@ -24,6 +27,7 @@ from repro.protocol import (
     Response,
     decode,
     decode_relation,
+    decode_result,
     encode,
     encode_relation,
     error_response,
@@ -97,8 +101,9 @@ json_values = st.recursive(
 
 
 @st.composite
-def relation_payloads(draw):
-    """Canonical relation payloads, arity 0–4, 0–20 rows, unicode values."""
+def relations(draw):
+    """Relations as a message holds them: arity 0–4, 0–20 rows, unicode
+    values."""
     arity = draw(st.integers(min_value=0, max_value=4))
     attributes = draw(
         st.lists(names, min_size=arity, max_size=arity, unique=True)
@@ -106,6 +111,11 @@ def relation_payloads(draw):
     row = st.tuples(*([scalars] * arity))
     rows = draw(st.lists(row, max_size=20))
     return encode_relation(Relation.from_rows(tuple(attributes), rows))
+
+
+def wire_payload(relation):
+    """What the JSON framing makes of *relation*: the parsed payload."""
+    return json.loads(encode(Response(id=0, kind=RELATION, result=relation)))["result"]
 
 
 @st.composite
@@ -124,11 +134,11 @@ def responses(draw):
         )
         return Response(id=rid, kind=ERROR, error=error)
     if kind == RELATION:
-        result = draw(relation_payloads())
+        result = draw(relations())
     elif kind == RESULTS:
         result = [
-            {"kind": RELATION, "result": payload}
-            for payload in draw(st.lists(relation_payloads(), max_size=5))
+            {"kind": RELATION, "result": relation}
+            for relation in draw(st.lists(relations(), max_size=5))
         ] + [
             {"kind": BOOLEAN, "result": flag}
             for flag in draw(st.lists(st.booleans(), max_size=100))
@@ -165,8 +175,16 @@ class TestRoundTrips:
         data = encode(message)
         assert data.endswith(b"\n") and data.count(b"\n") == 1
         decoded = decode(data)
-        assert decoded == message
         assert encode(decoded) == data
+        if message.kind == RELATION:
+            assert decode_result(RELATION, decoded.result) == message.result
+        elif message.kind == RESULTS:
+            assert [
+                decode_result(member["kind"], member["result"])
+                for member in decoded.result
+            ] == [member["result"] for member in message.result]
+        else:
+            assert decoded == message
 
     @given(message=st.one_of(requests, responses()))
     def test_encode_is_canonical_json(self, message):
@@ -178,20 +196,30 @@ class TestRoundTrips:
         ).encode("utf-8")
         assert data == recanonical + b"\n"
 
-    @given(payload=relation_payloads())
-    def test_relation_payload_round_trip(self, payload):
-        relation = decode_relation(payload)
-        assert encode_relation(relation) == payload
+    @given(relation=relations())
+    def test_relation_payload_round_trip(self, relation):
+        payload = wire_payload(relation)
+        assert payload["attributes"] == list(relation.attributes)
+        assert len(payload["rows"]) == len(relation)
+        assert decode_relation(payload) == relation
+        # What a framing already built (binary frames do) passes through.
+        assert decode_relation(relation) is relation
 
     def test_empty_relation_round_trips(self):
         relation = Relation.from_rows(("a", "b"))
-        payload = encode_relation(relation)
+        payload = wire_payload(relation)
         assert payload == {"attributes": ["a", "b"], "rows": []}
         assert decode_relation(payload) == relation
 
+    def test_zero_arity_relations_round_trip(self):
+        assert wire_payload(Relation.unit()) == {"attributes": [], "rows": [[]]}
+        assert wire_payload(Relation.empty()) == {"attributes": [], "rows": []}
+        for relation in (Relation.unit(), Relation.empty()):
+            assert decode_relation(wire_payload(relation)) == relation
+
     def test_unicode_constants_survive(self):
         relation = Relation.from_rows(("name",), [("héllo wörld",), ("改行\nあり",), ("'q'",)])
-        assert decode_relation(encode_relation(relation)) == relation
+        assert decode_relation(wire_payload(relation)) == relation
 
     def test_query_text_round_trips_through_parser(self):
         query = parse_query("G(e) :- EP(e, p), EP(e, q), p != q.")
@@ -245,6 +273,53 @@ class TestRejects:
         with pytest.raises(ProtocolError) as excinfo:
             encode_relation(relation)
         assert excinfo.value.code == "unrepresentable"
+        nested = Relation.from_rows(("x", "y"), [(1, 2), (3, (4, 5))])
+        with pytest.raises(ProtocolError, match=r"\(4, 5\)") as excinfo:
+            encode_relation(nested)
+        assert excinfo.value.code == "unrepresentable"
+
+    def test_scalar_subclasses_stay_representable(self):
+        import enum
+
+        class Colour(enum.IntEnum):
+            RED = 1
+
+        relation = Relation.from_rows(("c",), [(Colour.RED,)])
+        assert wire_payload(relation)["rows"] == [[1]]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ["ab"],  # a string is not a row, whatever tuple() makes of it
+            [{"x": 1, "y": 2}],  # nor is an object
+            [5],
+            [[1, [2]]],  # an array is not a value
+            [[1, {"k": 2}]],
+            [[1, 2], [3]],  # a short row
+            [[1, 2, 3]],
+        ],
+    )
+    def test_malformed_rows_are_bad_requests(self, rows):
+        with pytest.raises(ProtocolError) as excinfo:
+            decode_relation({"attributes": ["x", "y"], "rows": rows})
+        assert excinfo.value.code == "bad_request"
+
+    def test_unhashable_domain_is_a_bad_request(self):
+        from repro.protocol import decode_database
+
+        document = {
+            "relations": {"E": {"attributes": ["x"], "rows": [[1]]}},
+            "domain": [1, [2]],
+        }
+        with pytest.raises(ProtocolError) as excinfo:
+            decode_database(document)
+        assert excinfo.value.code == "bad_request"
+
+    @pytest.mark.parametrize("attributes", [["x", "x"], ["x", 7], ["x", ""]])
+    def test_malformed_attributes_are_bad_requests(self, attributes):
+        with pytest.raises(ProtocolError) as excinfo:
+            decode_relation({"attributes": attributes, "rows": [[1, 2]]})
+        assert excinfo.value.code == "bad_request"
 
     def test_request_id_recovery(self):
         assert request_id_of(b'{"v": 1, "op": "bad", "id": 17}') == 17

@@ -188,6 +188,95 @@ class TestErrorTaxonomy:
 
         assert run(main()) == "parse_error"
 
+    def test_malformed_rows_are_bad_requests_not_data(self, chain_db):
+        """A ``register_database`` whose rows are not arrays of one scalar
+        per attribute is refused as ``bad_request`` — it used to register
+        ``"ab"`` as the row ``('a', 'b')`` and an object's keys as a row,
+        and to answer ``internal_error`` / ``schema_error`` for the rest —
+        and the connection keeps serving."""
+        import json
+
+        malformed = [["ab"], [{"x": 1, "y": 2}], [5], [[1, [2]]], [[1, 2], [3]]]
+
+        async def main():
+            async with QueryServer({"chain": chain_db}) as server:
+                host, port = server.address
+                reader, writer = await asyncio.open_connection(host, port)
+                answers = []
+                for number, rows in enumerate(malformed + [[[1, 2], [2, 3]]]):
+                    frame = {
+                        "v": 1, "op": "register_database", "id": number,
+                        "database": "fresh",
+                        "data": {"relations": {
+                            "E": {"attributes": ["x", "y"], "rows": rows}
+                        }},
+                    }
+                    writer.write(json.dumps(frame).encode() + b"\n")
+                    await writer.drain()
+                    answers.append(json.loads(await reader.readline()))
+                writer.close()
+                async with await AsyncQueryClient.connect(host, port) as client:
+                    registered = await client.execute("Q(x, y) :- E(x, y).", "fresh")
+            return answers, registered
+
+        answers, registered = run(main())
+        for number, answer in enumerate(answers[:-1]):
+            assert (answer["id"], answer["ok"]) == (number, False)
+            assert answer["error"]["code"] == "bad_request", malformed[number]
+        assert answers[-1]["ok"] and answers[-1]["kind"] == "registered"
+        assert registered.rows == {(1, 2), (2, 3)}
+
+    @pytest.mark.parametrize("binary_frames", [False, True], ids=["json", "binary"])
+    def test_unrepresentable_result_is_a_typed_error(
+        self, binary_frames, monkeypatch
+    ):
+        """A result holding a value JSON cannot carry answers
+        ``unrepresentable`` on either framing — found when the result is
+        checked, before any response is built, never inside ``send`` — and
+        the connection keeps serving."""
+        import repro.protocol.server as server_module
+        from repro import Database, Relation
+
+        nested = Database(
+            {"E": Relation.from_rows(("x", "y"), [(1, 2), (2, (3, 4))])}
+        )
+        sent = []
+        send = server_module._Connection.send
+
+        async def spy(connection, response):
+            sent.append(response)
+            await send(connection, response)
+
+        monkeypatch.setattr(server_module._Connection, "send", spy)
+
+        async def main():
+            async with QueryServer({"nested": nested}) as server:
+                host, port = server.address
+                async with await AsyncQueryClient.connect(
+                    host, port, binary_frames=binary_frames
+                ) as client:
+                    assert client.binary_frames == binary_frames
+                    with pytest.raises(RemoteQueryError) as excinfo:
+                        await client.execute("Q(x, y) :- E(x, y).", "nested")
+                    batch = client.run_batch(
+                        operations_of(EXECUTE, ["Q(x, y) :- E(x, y)."]), "nested"
+                    )
+                    with pytest.raises(RemoteQueryError) as in_batch:
+                        await batch
+                    # Same connection, next requests: served.
+                    count = await client.count("Q(x, y) :- E(x, y).", "nested")
+                    firsts = await client.execute("Q(x) :- E(x, y).", "nested")
+            return excinfo.value, in_batch.value, count, firsts
+
+        error, in_batch, count, firsts = run(main())
+        assert error.code == in_batch.code == "unrepresentable"
+        assert "(3, 4)" in error.remote_message
+        assert (count, firsts.rows) == (2, {(1,), (2,)})
+        # send() was handed the two errors, never a response to fail on.
+        assert [r.kind for r in sent if r.kind != "pong"] == [
+            "error", "error", "count", "relation",
+        ]
+
 
 class TestSingleFlightAcrossConnections:
     def test_identical_pipelined_requests_coalesce(self, chain_db):
@@ -394,7 +483,7 @@ class TestReviewRegressions:
         """AsyncQueryClient's reader must use the protocol's frame bound,
         not asyncio's 64 KiB default — a big result relation killed the
         pipelined connection before the fix."""
-        from repro.protocol import encode_relation
+        from repro.protocol import Response, encode
 
         big = "Q(x, y, z) :- E(x, y), E(y, z)."
 
@@ -410,9 +499,7 @@ class TestReviewRegressions:
             return result
 
         result = run(main())
-        import json
-
-        encoded = json.dumps(encode_relation(result))
+        encoded = encode(Response(id=1, kind="relation", result=result))
         assert len(encoded) > 64 * 1024, "workload no longer exercises the limit"
         from repro import parse_query
 
