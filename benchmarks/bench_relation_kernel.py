@@ -7,6 +7,12 @@ rewrite targets (the Yannakakis path query and the naive clique query).
 ``semijoin_*`` and ``natural_join`` join on the two-attribute key ``(b, c)``
 (every probe hashes a tuple); their ``_1key`` twins join on ``b`` alone (a
 probe hashes the raw value), the only key shape the e2e workloads read.
+``reduce_read_off`` is the shape ``bulk_acyclic`` serves, past its sizes: a
+warm ``evaluate`` of the 4-hop path with the head inside the root atom (one
+upward pass on survivor masks, one ``_take``, one projection) on layered
+chains of 20 k / 320 k / 1.28 M edges with the e2e generator's fixed
+out-degree 5, reported in seconds with the log-log growth exponent between
+sizes — linear in the input is 1.0.
 Results are written as machine-readable JSON (``BENCH_relation_kernel.json``
 by default) via :func:`repro.benchlib.write_json_report` so future PRs can
 track the perf trajectory.
@@ -16,14 +22,16 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_relation_kernel.py
     PYTHONPATH=src python benchmarks/bench_relation_kernel.py --smoke  # CI, <60s
 
-``--smoke`` restricts the sweep to n ≤ 1e4 (still best-of-3 — the CI
-regression gate compares against the committed best-of-3 baseline) and
-skips the JSON write unless ``--json``/``--output`` is given explicitly.
+``--smoke`` restricts the sweep to n ≤ 1e4 and the chains to the first two
+sizes (still best-of-3 — the CI regression gate compares against the
+committed best-of-3 baseline) and skips the JSON write unless
+``--json``/``--output`` is given explicitly.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 from typing import Any, Dict, List, Optional
@@ -39,7 +47,8 @@ from repro.benchlib import (
 from repro.evaluation import NaiveEvaluator, YannakakisEvaluator
 from repro.parametric.problems import CliqueInstance
 from repro.reductions import clique_to_cq
-from repro.relational import Relation
+from repro.query import parse_query
+from repro.relational import Database, Relation
 from repro.workloads import chain_database, path_query, random_graph
 
 #: Seed-kernel numbers for the acceptance workloads, measured on this
@@ -52,6 +61,10 @@ SEED_BASELINE_SECONDS = {
 
 FULL_SIZES = (1_000, 10_000, 100_000)
 SMOKE_SIZES = (1_000, 10_000)
+
+#: Edges of the layered chains of ``reduce_read_off`` (5 layers, out-degree 5).
+FULL_CHAIN_EDGES = (20_000, 320_000, 1_280_000)
+SMOKE_CHAIN_EDGES = FULL_CHAIN_EDGES[:2]
 
 
 def _make_pair(n: int, seed: int = 7) -> tuple:
@@ -130,6 +143,46 @@ def run_micro(sizes, repeats: int) -> List[Dict[str, Any]]:
     return records
 
 
+def _chain(edges: int, layers: int = 5, degree: int = 5, seed: int = 5) -> Database:
+    """A layered chain with a fixed out-degree, like ``benchmarks/e2e``'s:
+    row counts and path counts depend on the size alone."""
+    width = edges // ((layers - 1) * degree)
+    rng = random.Random(seed)
+    nodes = list(range(layers * width))  # one int object per node
+    rows = [
+        (nodes[layer * width + node], nodes[(layer + 1) * width + target])
+        for layer in range(layers - 1)
+        for node in range(width)
+        for target in rng.sample(range(width), degree)
+    ]
+    return Database({"E": Relation.from_rows(("s", "t"), rows)})
+
+
+def run_reduce_read_off(sizes, repeats: int) -> Dict[str, Any]:
+    """Warm head-in-root ``evaluate`` of the 4-hop path per chain size, and
+    the growth exponent ``log(t2 / t1) / log(n2 / n1)`` between sizes."""
+    query = parse_query("Q(a, b) :- E(a, b), E(b, c), E(c, d), E(d, e).")
+    evaluator = YannakakisEvaluator()
+    records: List[Dict[str, Any]] = []
+    for edges in sizes:
+        database = _chain(edges)
+        evaluator.evaluate(query, database)  # warm the key lists and key sets
+        seconds, answer = time_thunk(
+            lambda: evaluator.evaluate(query, database), repeats=repeats
+        )
+        records.append(
+            {"op": "reduce_read_off_4hop", "n": edges, "seconds": seconds,
+             "rows_out": len(answer)}
+        )
+    exponents = {
+        f"{a['n']}->{b['n']}": round(
+            math.log(b["seconds"] / a["seconds"]) / math.log(b["n"] / a["n"]), 3
+        )
+        for a, b in zip(records, records[1:])
+    }
+    return {"records": records, "growth_exponent": exponents}
+
+
 def run_acceptance(repeats: int) -> Dict[str, float]:
     """The two end-to-end workloads the acceptance criteria are pinned to."""
     db = chain_database(layers=5, width=16, p=0.25, seed=3)
@@ -174,6 +227,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     repeats = 3
 
     micro = run_micro(sizes, repeats)
+    reduce_read_off = run_reduce_read_off(
+        SMOKE_CHAIN_EDGES if args.smoke else FULL_CHAIN_EDGES, repeats
+    )
     acceptance = run_acceptance(repeats)
 
     by_op: Dict[str, List] = {}
@@ -187,6 +243,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         ],
         title="Relational kernel micro-benchmarks (seconds, best of "
         f"{repeats})",
+    )
+    print_table(
+        ("edges", "seconds", "rows out"),
+        [(r["n"], r["seconds"], r["rows_out"]) for r in reduce_read_off["records"]],
+        title="Warm 4-hop reduce + read-off (growth exponents "
+        f"{reduce_read_off['growth_exponent']})",
     )
     print_table(
         ("workload", "seed s", "now s", "speedup"),
@@ -210,6 +272,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         smoke=args.smoke,
         repeats=repeats,
         microbenchmarks=micro,
+        reduce_read_off=reduce_read_off,
         acceptance_workloads={
             name: {
                 "seed_seconds": SEED_BASELINE_SECONDS[name],

@@ -206,7 +206,7 @@ def canonical_rows(rows: Iterable[Sequence[Any]]) -> frozenset:
 
 def canonical_relation(relation: Relation) -> Relation:
     """*relation* with every value in representative spelling."""
-    return Relation._from_frozen(relation.attributes, canonical_rows(relation.rows))
+    return Relation._from_frozen(relation.attributes, canonical_rows(relation))
 
 
 __all__ = [

@@ -114,7 +114,7 @@ class DbApiBackend(SqlBackend):
 
     @staticmethod
     def _insert(connection: Any, table: str, relation: Relation) -> None:
-        if not relation.rows:
+        if relation.is_empty():
             return
         columns = [
             CODES.encode_column(relation._column(p))

@@ -35,17 +35,23 @@ cardinality read for those.  Classification lives in
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from collections import Counter
+from functools import partial, reduce
+from itertools import repeat
+from operator import mul
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import QueryError
 from ..hypergraph.join_tree import JoinTree
 from ..query.conjunctive import ConjunctiveQuery
-from ..query.terms import Constant, Variable
+from ..query.terms import Variable
+from ..relational.attributes import positions_of
 from ..relational.database import Database
+from ..relational.joins import shared_attributes
 from ..relational.relation import Relation
 from ..resilience.token import check_cancelled
 from .instantiation import candidate_relations
-from .yannakakis import YannakakisEvaluator
+from .yannakakis import Survivors, YannakakisEvaluator
 
 
 class CountResult(NamedTuple):
@@ -124,14 +130,12 @@ class CountingYannakakisEvaluator:
             assert node is not None
             if node != tree.root:
                 tree = tree.rooted_at(node)
-            reduced = self._reducer.bottom_up_reduction(relations, tree)
-            return self._count_covered(query, reduced[node])
-
         reduced = self._reducer.bottom_up_reduction(relations, tree)
-        if reduced[tree.root].is_empty():
+        if reduced is None:
             return CountResult(0, mode)
-        annotations = self._annotate(reduced, tree)
-        return CountResult(sum(annotations.values()), COUNT_FULL)
+        if mode == COUNT_COVERED:
+            return self._count_covered(query, reduced[tree.root])
+        return CountResult(sum(self._annotate(reduced, tree)), COUNT_FULL)
 
     def grouped_count(
         self,
@@ -180,13 +184,16 @@ class CountingYannakakisEvaluator:
             if node != tree.root:
                 tree = tree.rooted_at(node)
             reduced = self._reducer.bottom_up_reduction(relations, tree)
-            distinct = self._distinct_head(query, reduced[node])
-            counts: Dict[Tuple, int] = {}
+            if reduced is None:
+                return _group_relation(group, {})
             positions = tuple(head_names.index(name) for name in group)
-            for row in distinct:
-                key = tuple(row[p] for p in positions)
-                counts[key] = counts.get(key, 0) + 1
-            return _group_relation(group, counts)
+            return _group_relation(
+                group,
+                Counter(
+                    tuple(row[p] for p in positions)
+                    for row in self._distinct_head(query, reduced[node])
+                ),
+            )
 
         # count-full: group the fold's root annotations.  The root must
         # cover the grouping variables; re-root at a covering atom when
@@ -202,120 +209,89 @@ class CountingYannakakisEvaluator:
         if root != tree.root:
             tree = tree.rooted_at(root)
         reduced = self._reducer.bottom_up_reduction(relations, tree)
-        if reduced[tree.root].is_empty():
+        if reduced is None:
             return _group_relation(group, {})
-        annotations = self._annotate(reduced, tree)
-        root_rel = reduced[tree.root]
-        positions = tuple(root_rel.attributes.index(name) for name in group)
-        counts = {}
-        for row, annotation in annotations.items():
-            key = tuple(row[p] for p in positions)
+        root_node = reduced[tree.root]
+        positions = positions_of(root_node.relation.attributes, group)
+        keys = root_node.keys(positions)
+        counts: Dict[Tuple, int] = {}
+        for key, annotation in zip(
+            zip(keys) if len(positions) == 1 else keys,
+            self._annotate(reduced, tree),
+        ):
             counts[key] = counts.get(key, 0) + annotation
         return _group_relation(group, counts)
 
     # ------------------------------------------------------------------
 
-    def _count_covered(self, query: ConjunctiveQuery, reduced: Relation) -> CountResult:
-        """Distinct head keys of the covering atom's reduced relation: its
-        cardinality when the head is all of its columns, else the size of
-        its (cached) key set on the head's columns."""
+    def _count_covered(
+        self, query: ConjunctiveQuery, reduced: Survivors
+    ) -> CountResult:
+        """Distinct head keys of the covering atom's survivors: their
+        number when the head is all of its columns, else the size of their
+        key set on the head's columns.  Nothing is materialised."""
         from ..engine.analysis import COUNT_COVERED
 
         head_names = _head_variable_names(query)
-        if len(head_names) == reduced.arity:
-            return CountResult(reduced.cardinality, COUNT_COVERED)
-        positions = tuple(reduced.attributes.index(name) for name in head_names)
-        return CountResult(len(reduced._key_set(positions)), COUNT_COVERED)
+        if len(head_names) == reduced.relation.arity:
+            return CountResult(reduced.count(), COUNT_COVERED)
+        positions = positions_of(reduced.relation.attributes, head_names)
+        return CountResult(len(reduced.live_keys(positions)), COUNT_COVERED)
 
     def _distinct_head(
-        self, query: ConjunctiveQuery, reduced: Relation
-    ) -> Tuple[Tuple, ...]:
-        """Distinct head-variable assignments from a covering relation."""
-        head_names = _head_variable_names(query)
-        positions = tuple(reduced.attributes.index(name) for name in head_names)
-        seen = set()
-        for row in reduced.rows:
-            seen.add(tuple(row[p] for p in positions))
-        return tuple(seen)
+        self, query: ConjunctiveQuery, reduced: Survivors
+    ) -> Iterable[Tuple]:
+        """Distinct head-variable assignments from the covering survivors."""
+        positions = positions_of(
+            reduced.relation.attributes, _head_variable_names(query)
+        )
+        distinct = dict.fromkeys(reduced.keys(positions))
+        return zip(distinct) if len(positions) == 1 else distinct
 
-    def _annotate(
-        self, reduced: Dict[int, Relation], tree: JoinTree
-    ) -> Dict[Tuple, int]:
-        """Root annotations of the bottom-up multiplicity fold.
+    def _annotate(self, reduced: Dict[int, Survivors], tree: JoinTree) -> Iterable[int]:
+        """Root annotations of the bottom-up multiplicity fold, one per
+        surviving root row, in row order.
 
-        ``result[row]`` = the number of edge-consistent ways to extend the
-        root tuple *row* with one tuple per node of the tree.  Interior
-        nodes never materialize per-row annotations: each folds its
-        children's *upward sums* (annotation totals per shared join key)
-        in one pass over its rows, emitting its own upward sums as it
-        goes, and leaves read bucket sizes straight off the index on
-        their join columns.  For every relation the pass has filtered that
-        index is built here, on every call: the reducer's semijoins read
-        key lists and key sets and leave no index behind (a lead — folding
-        over ``_keys`` would save the build — not taken here).
+        A row's annotation is the number of edge-consistent ways to extend
+        it with one tuple per node of the tree: the product, over its
+        children, of the child's *upward sum* (annotation total per shared
+        join key) under the row's key.  Nothing is materialised and no
+        index is built on anything the pass filtered: every node folds
+        over the key lists of its unfiltered relation — the database
+        relation's, warm across requests — selected by the pass's survivor
+        mask, and a leaf (no children, so no pass ever filters it) reads
+        bucket sizes off the warm index on its join columns.  A surviving
+        row's keys are live in every child by construction, so the lookups
+        cannot miss.
         """
         upward: Dict[int, Dict[Any, int]] = {}
-        children_of: Dict[Optional[int], List[int]] = {}
-        order = tree.bottom_up_order()
-        for node in order:
-            children_of.setdefault(tree.parent(node), []).append(node)
-        for node in order:
-            rel = reduced[node]
-            lookups = []
-            for kid in children_of.get(node, ()):
-                kid_attrs = set(reduced[kid].attributes)
-                shared = tuple(a for a in rel.attributes if a in kid_attrs)
-                key = Relation._key_getter(
-                    tuple(rel.attributes.index(a) for a in shared)
-                )
-                lookups.append((key, upward.pop(kid)))
+        for node in tree.bottom_up_order():
+            survivors = reduced[node]
+            attributes = survivors.relation.attributes
+            factors = []
+            for kid in tree.children(node):
+                shared = shared_attributes(survivors.relation, reduced[kid].relation)
+                keys = survivors.keys(positions_of(attributes, shared))
+                factors.append(map(upward.pop(kid).__getitem__, keys))
+            if factors:
+                annotations: Iterable[int] = reduce(partial(map, mul), factors)
+            else:
+                annotations = repeat(1, survivors.count())
             parent = tree.parent(node)
             if parent is None:
-                return {
-                    row: self._fold_row(row, lookups) for row in rel.rows
-                }
+                return annotations
             check_cancelled()
-            rel_attrs = set(rel.attributes)
-            positions_up = tuple(
-                rel.attributes.index(a)
-                for a in reduced[parent].attributes
-                if a in rel_attrs
-            )
-            buckets = rel._index(positions_up)
-            if not lookups:
-                upward[node] = {
-                    key: len(rows) for key, rows in buckets.items()
-                }
+            shared_up = shared_attributes(reduced[parent].relation, survivors.relation)
+            positions_up = positions_of(attributes, shared_up)
+            if not factors:
+                index = survivors.relation._index(positions_up)
+                upward[node] = {key: len(rows) for key, rows in index.items()}
                 continue
             sums_out: Dict[Any, int] = {}
-            if len(lookups) == 1:
-                (child_key, child_sums) = lookups[0]
-                get = child_sums.get
-                for key, rows in buckets.items():
-                    total = 0
-                    for row in rows:
-                        total += get(child_key(row), 0)
-                    if total:
-                        sums_out[key] = total
-            else:
-                for key, rows in buckets.items():
-                    total = 0
-                    for row in rows:
-                        total += self._fold_row(row, lookups)
-                    if total:
-                        sums_out[key] = total
+            for key, annotation in zip(survivors.keys(positions_up), annotations):
+                sums_out[key] = sums_out.get(key, 0) + annotation
             upward[node] = sums_out
         raise QueryError("join tree has no root")  # pragma: no cover
-
-    @staticmethod
-    def _fold_row(row: Tuple, lookups: List[Tuple[Any, Dict[Any, int]]]) -> int:
-        """One tuple's annotation: the product of its children's sums."""
-        total = 1
-        for key, sums in lookups:
-            total *= sums.get(key(row), 0)
-            if not total:
-                break
-        return total
 
 
 # ----------------------------------------------------------------------
@@ -367,7 +343,7 @@ def grouped_count_reference(
             )
         positions.append(position)
     counts: Dict[Tuple, int] = {}
-    for row in answers.rows:
+    for row in answers:
         key = tuple(row[p] for p in positions)
         counts[key] = counts.get(key, 0) + 1
     return _group_relation(group, counts)

@@ -173,9 +173,7 @@ class DatalogEvaluator:
         cached indexes) instead of re-validating every tuple.
         """
         schema = RelationSchema(rule.head.relation, rule.head.arity)
-        return Relation._from_frozen(
-            schema.default_attributes(), derived.rows
-        )._share_indexes_with(derived)
+        return derived._renamed(schema.default_attributes())
 
     def _apply_rule(self, rule: Rule, database: Database) -> Relation:
         """One rule application: evaluate the body CQ, project to the head."""
@@ -281,9 +279,7 @@ class DatalogEvaluator:
                 pending, self._evaluate_bodies(queries, patched)
             ):
                 name = rule.head.relation
-                schema_rel = Relation._from_frozen(
-                    idbs[name].attributes, derived.rows
-                )._share_indexes_with(derived)
+                schema_rel = derived._renamed(idbs[name].attributes)
                 fresh = schema_rel.difference(idbs[name])
                 if not fresh.is_empty():
                     next_deltas[name] = next_deltas[name].union(fresh)

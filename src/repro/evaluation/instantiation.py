@@ -13,7 +13,6 @@ Theorem 1's upper bounds, the Yannakakis evaluator, and Algorithms 1–2.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 from ..errors import QueryError, SchemaError
@@ -62,17 +61,19 @@ def atom_candidate_relation(atom: Atom, relation: Relation) -> Relation:
         # variables are listed in first-occurrence order): the rows pass
         # through untouched — only the column names change, so the
         # relation's cached indexes stay valid and are shared.
-        out = Relation._from_frozen(check_attribute_names(var_names), relation.rows)
-        return out._share_indexes_with(relation)
+        return relation._renamed(check_attribute_names(var_names))
 
-    rows = set()
-    for row in relation.rows:
-        if any(not values_equal(row[p], value) for p, value in constant_checks):
-            continue
-        if any(not values_equal(row[a], row[b]) for a, b in equality_checks):
-            continue
-        rows.add(tuple(row[p] for p in out_positions))
-    return Relation.from_rows(var_names, rows)
+    names = relation.attributes
+    selected = relation
+    if constant_checks:
+        # σ_{a=c,...} is a probe of the cached index on the constant
+        # positions (select_eq; its fallback scans for an unhashable
+        # constant), so repeated-variable equality only walks that bucket.
+        selected = relation.select_eq({names[p]: value for p, value in constant_checks})
+    for a, b in equality_checks:
+        selected = selected.select_attr_eq(names[a], names[b])
+    kept = selected.project(tuple(names[p] for p in out_positions))
+    return kept._renamed(check_attribute_names(var_names))
 
 
 def candidate_relations(
@@ -143,25 +144,17 @@ def answers_relation(
                     f"assignments relation misses head variable {term!r}"
                 )
             sources.append((position, None))
-    if not sources:
-        rows = frozenset([()]) if assignments.rows else frozenset()
-        return Relation._from_frozen(names, rows)
     positions = tuple(position for position, _ in sources)
     if None not in positions and len(set(positions)) == len(positions):
-        # Distinct variables only: a column selection, no per-row Python.
-        if positions == tuple(range(assignments.arity)):
-            # The head *is* the assignments' columns: the rows pass through
-            # untouched — only the names change, so the caches are shared.
-            out = Relation._from_frozen(names, assignments.rows)
-            return out._share_indexes_with(assignments)
-        if len(positions) == 1:
-            rows = frozenset(zip(map(itemgetter(positions[0]), assignments.rows)))
-        else:
-            rows = frozenset(map(itemgetter(*positions), assignments.rows))
-        return Relation._from_frozen(names, rows)
-    rows = frozenset(
+        # Distinct variables only: a column selection (the rows themselves
+        # when the head *is* the assignments' columns), no per-row Python;
+        # only the names change, so the caches are shared.
+        attributes = assignments.attributes
+        selected = assignments.project(tuple(attributes[p] for p in positions))
+        return selected._renamed(names)
+    rows = dict.fromkeys(
         tuple(value if position is None else row[position]
               for position, value in sources)
-        for row in assignments.rows
+        for row in assignments
     )
-    return Relation._from_frozen(names, rows)
+    return Relation._from_order(names, tuple(rows))

@@ -357,7 +357,7 @@ def _make_probe(
     """
     empty: Tuple = ()
     if not key_parts:
-        all_rows = relation.rows
+        all_rows = relation._row_order()
         return lambda valuation: all_rows
     buckets = relation._index(key_positions)
     if len(key_parts) == 1:

@@ -7,7 +7,16 @@ The classical polynomial-combined-complexity evaluation of acyclic joins
 2. build a join tree of the query hypergraph and root it at the node
    covering the most head variables;
 3. one bottom-up semijoin pass, after which the root is globally
-   consistent (every root tuple participates in the join);
+   consistent (every root tuple participates in the join).  Key sets go
+   up, rows stay put: per node the pass keeps the *unfiltered* candidate
+   relation — whose key lists and key sets are the database relation's,
+   warm across requests — and one survivor byte per row
+   (:class:`Survivors`); an edge is one C-level probe per parent row
+   against the child's live keys, and a relation is materialised
+   (``_take``) only for a node whose rows are read: the root, and for
+   ``evaluate`` the children of the carrying edges of step 4.  ``decide``,
+   the batch decision, the covered count and a head-in-root ``evaluate``
+   materialise at most that one; the counting fold reads keys and masks;
 4. the other half of the *full reducer* — the top-down semijoin pass — and
    the final bottom-up join-and-project pass, both **only on the edges that
    hand a head column up** (:func:`carrying_edges`).  Every other edge
@@ -26,13 +35,15 @@ exactly the extension Theorem 2 (``repro.inequalities``) provides.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence, Tuple
+from itertools import compress
+from typing import Any, Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import QueryError
 from ..hypergraph.join_tree import JoinTree
 from ..query.conjunctive import ConjunctiveQuery
+from ..relational.attributes import positions_of
 from ..relational.database import Database
-from ..relational.joins import JoinAlgorithm, hash_join
+from ..relational.joins import JoinAlgorithm, hash_join, shared_attributes
 from ..relational.relation import Relation
 from ..resilience.token import check_cancelled
 from .instantiation import answers_relation, candidate_relations
@@ -40,16 +51,73 @@ from .naive import NaiveEvaluator
 
 #: ``decide`` searches for a first witness for at most (input rows of the
 #: query's atoms) // this many steps before it falls back to the bottom-up
-#: pass.  A search step costs about what the pass spends on one or two
-#: rows, so a spent budget adds about a tenth to the linear worst case
+#: pass.  A search step costs about what the pass spends on five rows, so
+#: a spent budget adds about a tenth to the linear worst case
 #: (``BENCH_parallel_sharded.json``, ``unsatisfiable``).
-WITNESS_BUDGET_DIVISOR = 16
+WITNESS_BUDGET_DIVISOR = 48
 
 
 def witness_budget(query: ConjunctiveQuery, database: Database) -> int:
     """The step budget of ``decide``'s first-witness search."""
     rows = sum(database[atom.relation].cardinality for atom in query.atoms)
     return rows // WITNESS_BUDGET_DIVISOR
+
+
+class Survivors(NamedTuple):
+    """A node of the upward pass: its unfiltered candidate relation and one
+    byte per row (aligned with the relation's row order), 1 for the rows
+    that join with their whole subtree — ``None`` while every row does."""
+
+    relation: Relation
+    mask: Optional[bytes] = None
+
+    def is_empty(self) -> bool:
+        if self.mask is None:
+            return self.relation.is_empty()
+        return 1 not in self.mask
+
+    def count(self) -> int:
+        if self.mask is None:
+            return self.relation.cardinality
+        return self.mask.count(1)
+
+    def keys(self, positions: Tuple[int, ...]) -> Iterable[Any]:
+        """The surviving rows' keys on *positions*, in row order."""
+        keys = self.relation._keys(positions)
+        return keys if self.mask is None else compress(keys, self.mask)
+
+    def live_keys(self, positions: Tuple[int, ...]) -> frozenset:
+        """The distinct keys of :meth:`keys` — the relation's cached key
+        set while nothing is filtered."""
+        if self.mask is None:
+            return self.relation._key_set(positions)
+        return frozenset(self.keys(positions))
+
+    def take(self) -> Relation:
+        """The surviving rows as a relation (materialised here, once)."""
+        if self.mask is None:
+            return self.relation
+        return self.relation._take(self.mask)
+
+    def semijoin(self, child: "Survivors") -> "Survivors":
+        """``self ⋉ child`` as a mask: one probe of the child's live keys
+        per row of the unfiltered relation, ANDed into the mask so far."""
+        relation, other = self.relation, child.relation
+        shared = shared_attributes(relation, other)
+        if not shared:
+            # A cross-product component filters nothing: the pass never
+            # hands an empty child on (it returns ``None`` instead).
+            return self
+        mask = relation._probe_mask(
+            positions_of(relation.attributes, shared),
+            child.live_keys(positions_of(other.attributes, shared)),
+        )
+        if 0 not in mask:
+            return self
+        if self.mask is not None:
+            both = int.from_bytes(mask, "little") & int.from_bytes(self.mask, "little")
+            mask = both.to_bytes(len(mask), "little")
+        return Survivors(relation, mask)
 
 
 class YannakakisEvaluator:
@@ -108,18 +176,8 @@ class YannakakisEvaluator:
         relations, tree = prepared
         if root is not None and root != tree.root:
             tree = tree.rooted_at(root)
-        for node in tree.bottom_up_order():
-            parent = tree.parent(node)
-            if parent is None:
-                continue
-            # Per-node cancellation check-point: between semijoins no
-            # external state is held, so aborting here is always safe.
-            check_cancelled()
-            relations[parent] = relations[parent].semijoin(relations[node])
-            if relations[parent].is_empty():
-                return None
-        reduced = relations[tree.root]
-        return None if reduced.is_empty() else reduced
+        reduced = self.bottom_up_reduction(relations, tree)
+        return None if reduced is None else reduced[tree.root].take()
 
     def contains(
         self, query: ConjunctiveQuery, database: Database, candidate: Sequence[Any]
@@ -146,15 +204,18 @@ class YannakakisEvaluator:
         head_set = set(head_names)
         tree = reroot_for_head(tree, head_set)
 
-        relations = self.bottom_up_reduction(relations, tree)
-        if relations[tree.root].is_empty():
+        reduced = self.bottom_up_reduction(relations, tree)
+        if reduced is None:
             return answers_relation(query.head_terms, Relation.from_rows(head_names))
 
         # The root is globally consistent now.  Only the edges that hand a
-        # head column up are walked again: top-down, so every tuple below
-        # them takes part in an answer (which is what bounds the joins by
-        # |input| · |output|), then bottom-up to join those columns in.
+        # head column up are walked again — their nodes are the only ones
+        # whose rows are read, so the only ones materialised: top-down, so
+        # every tuple below them takes part in an answer (which is what
+        # bounds the joins by |input| · |output|), then bottom-up to join
+        # those columns in.
         carrying = carrying_edges(tree, head_set)
+        relations = {node: reduced[node].take() for node in (tree.root, *carrying)}
         for node in reversed(carrying):
             check_cancelled()
             relations[node] = relations[node].semijoin(relations[tree.parent(node)])
@@ -193,24 +254,30 @@ class YannakakisEvaluator:
 
     def bottom_up_reduction(
         self, relations: Dict[int, Relation], tree: JoinTree
-    ) -> Dict[int, Relation]:
-        """The upward half of the full reducer — one semijoin pass.
+    ) -> Optional[Dict[int, Survivors]]:
+        """The upward half of the full reducer — one semijoin pass, as
+        survivor masks; ``None`` as soon as some node is left empty (the
+        query then is, globally).
 
-        After it, every relation is reduced against its entire *subtree*
+        After it, every node is reduced against its entire *subtree*
         (leaves first), so the root is globally consistent while non-root
-        relations may keep upward-dangling tuples.  Enough for any reader
+        nodes may keep upward-dangling tuples.  Enough for any reader
         that only consumes root-side state: ``evaluate`` with the head
         inside the root atom, the counting fold (it reads root
         annotations) and the covered count (it re-roots at the covering
         atom).
         """
-        reduced = dict(relations)
+        reduced = {node: Survivors(relation) for node, relation in relations.items()}
         for node in tree.bottom_up_order():
             parent = tree.parent(node)
             if parent is None:
                 continue
+            # Per-edge cancellation check-point: between semijoins no
+            # external state is held, so aborting here is always safe.
             check_cancelled()
             reduced[parent] = reduced[parent].semijoin(reduced[node])
+            if reduced[parent].is_empty():
+                return None
         return reduced
 
     # ------------------------------------------------------------------

@@ -94,10 +94,10 @@ class LiftedBatch:
         for member, key in zip(self.members, self.member_keys):
             bucket = index.get(key, ())
             if positions:
-                rows = frozenset(tuple(row[p] for p in positions) for row in bucket)
+                rows = dict.fromkeys(tuple(row[p] for p in positions) for row in bucket)
             else:
-                rows = frozenset([()]) if bucket else frozenset()
-            assignments = Relation._from_frozen(self.head_variable_names, rows)
+                rows = ((),) if bucket else ()
+            assignments = Relation._from_order(self.head_variable_names, tuple(rows))
             results.append(answers_relation(member.head_terms, assignments))
         return results
 
@@ -115,9 +115,9 @@ class LiftedBatch:
         param_names = tuple(term.name for term in self.query.atoms[-1].terms)
         aligned = reduced_root.project(param_names)
         if len(param_names) == 1:
-            surviving = {row[0] for row in aligned.rows}
+            surviving = {row[0] for row in aligned}
         else:
-            surviving = set(aligned.rows)
+            surviving = aligned.rows
         return [key in surviving for key in self.member_keys]
 
 

@@ -190,30 +190,6 @@ class ParallelYannakakisEvaluator(YannakakisEvaluator):
 
     # ------------------------------------------------------------------
 
-    def bottom_up_reduction(
-        self,
-        relations: Dict[int, Relation],
-        tree: JoinTree,
-        shard_count: Optional[int] = None,
-    ) -> Dict[int, Relation]:
-        """The upward half of the reducer, one level-parallel pass.
-
-        Same contract as the sequential
-        :meth:`~repro.evaluation.yannakakis.YannakakisEvaluator.bottom_up_reduction`
-        (root globally consistent, subtrees reduced), with per-parent
-        semijoin chains fanned across the pool.
-        """
-        shards = shard_count or self._default_shard_count
-        reduced = dict(relations)
-        for level in _levels(tree):
-            check_cancelled()
-            groups = _by_parent(tree, level)
-            for (parent, _), result in zip(
-                groups, self._reduce_level(reduced, groups, shards)
-            ):
-                reduced[parent] = result
-        return reduced
-
     def full_reduction(
         self,
         relations: Dict[int, Relation],
@@ -227,7 +203,14 @@ class ParallelYannakakisEvaluator(YannakakisEvaluator):
         the same way (every child is written exactly once).
         """
         shards = shard_count or self._default_shard_count
-        reduced = self.bottom_up_reduction(relations, tree, shard_count=shards)
+        reduced = dict(relations)
+        for level in _levels(tree):
+            check_cancelled()
+            groups = _by_parent(tree, level)
+            for (parent, _), result in zip(
+                groups, self._reduce_level(reduced, groups, shards)
+            ):
+                reduced[parent] = result
 
         for level in reversed(_levels(tree)):
             check_cancelled()

@@ -69,16 +69,16 @@ def bucket_semijoin(
     *right*'s index.  Returns *left* itself when nothing is filtered, so
     warm index/partition caches survive the pass.
     """
-    if not left._rows:
+    if left.is_empty():
         return left
-    if not right._rows:
-        return Relation._from_frozen(left.attributes, frozenset())
+    if right.is_empty():
+        return Relation._from_order(left.attributes, ())
     left_index = left._index(left_positions)
     right_index = right._index(right_positions)
     kept = [bucket for key, bucket in left_index.items() if key in right_index]
-    if sum(map(len, kept)) == len(left._rows):
+    if sum(map(len, kept)) == len(left):
         return left
-    return Relation._from_frozen(left.attributes, frozenset(chain.from_iterable(kept)))
+    return Relation._from_order(left.attributes, tuple(chain.from_iterable(kept)))
 
 
 def _semijoin_task(
@@ -90,7 +90,7 @@ def _semijoin_task(
 
 def _join_task(task: Tuple[Relation, Relation]) -> Optional[Relation]:
     left_shard, right_shard = task
-    if not left_shard.rows or not right_shard.rows:
+    if left_shard.is_empty() or right_shard.is_empty():
         return None
     return left_shard.natural_join(right_shard)
 
@@ -127,7 +127,7 @@ def parallel_semijoin(
         return left.semijoin(right)
     left_positions = positions_of(left.attributes, shared)
     right_positions = positions_of(right.attributes, shared)
-    if shard_count <= 1 or not left.rows or not right.rows:
+    if shard_count <= 1 or left.is_empty() or right.is_empty():
         return bucket_semijoin(left, right, left_positions, right_positions)
     workers = pool.max_workers if pool is not None else 1
     partition_warm = (left_positions, shard_count) in left._partitions
@@ -141,9 +141,7 @@ def parallel_semijoin(
         parts = _map(pool, _semijoin_task, tasks)
         if all(part is shard for part, shard in zip(parts, left_shards)):
             return left
-        return Relation._from_frozen(
-            left.attributes, frozenset().union(*(part.rows for part in parts))
-        )
+        return Relation._from_order(left.attributes, tuple(chain.from_iterable(parts)))
     if ("index", left_positions) in left._cache:
         return bucket_semijoin(left, right, left_positions, right_positions)
     return left.semijoin(right)
@@ -163,7 +161,7 @@ def parallel_hash_join(
     cartesian product runs unsharded.
     """
     shared = shared_attributes(left.attributes, right.attributes)
-    if not shared or shard_count <= 1 or not left.rows or not right.rows:
+    if not shared or shard_count <= 1 or left.is_empty() or right.is_empty():
         return left.natural_join(right)
     left_positions = positions_of(left.attributes, shared)
     right_positions = positions_of(right.attributes, shared)
@@ -172,15 +170,13 @@ def parallel_hash_join(
     tasks = [
         (ls, rs)
         for ls, rs in zip(left_shards, right_shards)
-        if ls.rows and rs.rows
+        if len(ls) and len(rs)
     ]
     parts = [part for part in _map(pool, _join_task, tasks) if part is not None]
     if not parts:
         extra = tuple(a for a in right.attributes if a not in set(left.attributes))
-        return Relation._from_frozen(left.attributes + extra, frozenset())
-    return Relation._from_frozen(
-        parts[0].attributes, frozenset().union(*(part.rows for part in parts))
-    )
+        return Relation._from_order(left.attributes + extra, ())
+    return Relation._from_order(parts[0].attributes, tuple(chain.from_iterable(parts)))
 
 
 def parallel_select_eq(
@@ -196,7 +192,7 @@ def parallel_select_eq(
     involved.  Unhashable condition values fall back to the kernel's
     linear scan.
     """
-    if shard_count <= 1 or not relation.rows:
+    if shard_count <= 1 or relation.is_empty():
         return relation.select_eq(conditions)
     positions = positions_of(relation.attributes, tuple(conditions))
     if len(positions) == 1:
@@ -212,7 +208,7 @@ def parallel_select_eq(
         return relation.select_eq(conditions)
     shard = relation._partition(positions, shard_count)[shard_index]
     bucket = shard._index(positions).get(key, ())
-    return Relation._from_frozen(relation.attributes, frozenset(bucket))
+    return Relation._from_order(relation.attributes, bucket)
 
 
 def _map(pool: Optional[WorkerPool], fn, tasks):

@@ -464,9 +464,9 @@ def encode_relation(relation: Relation) -> Relation:
     some type is not exactly a scalar type, to name the offender (or to find
     that all of them subclass one, like an ``IntEnum``).
     """
-    types = set(map(type, chain.from_iterable(relation.rows)))
+    types = set(map(type, chain.from_iterable(relation)))
     if not types.issubset(_WIRE_SCALARS):
-        for value in chain.from_iterable(relation.rows):
+        for value in chain.from_iterable(relation):
             if not isinstance(value, _WIRE_SCALARS):
                 raise ProtocolError(
                     f"relation value {value!r} is not JSON-representable",

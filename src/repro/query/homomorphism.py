@@ -119,7 +119,7 @@ def find_homomorphism(
     if assignments.is_empty():
         return None
 
-    row = next(iter(assignments.rows))
+    row = next(iter(assignments))
     names = assignments.attributes
 
     def unfreeze(value: Any) -> Term:

@@ -127,8 +127,7 @@ class Database:
         if self._active is None:
             values: set = set()
             for rel in self._relations.values():
-                for row in rel.rows:
-                    values.update(row)
+                values.update(rel.active_values())
             self._active = frozenset(values)
         return self._active
 

@@ -42,7 +42,7 @@ def save_database_csv(database: Database, directory: PathLike) -> None:
         with open(root / f"{name}.csv", "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(relation.attributes)
-            for row in sorted(relation.rows, key=repr):
+            for row in sorted(relation, key=repr):
                 writer.writerow(row)
 
 
@@ -72,7 +72,7 @@ def database_to_json(database: Database) -> str:
         "relations": {
             name: {
                 "attributes": list(database[name].attributes),
-                "rows": [list(row) for row in sorted(database[name].rows, key=repr)],
+                "rows": [list(row) for row in sorted(database[name], key=repr)],
             }
             for name in database.names()
         },

@@ -69,7 +69,7 @@ def hash_join(left: Relation, right: Relation) -> Relation:
             suffix = suffix_of(row)
             for left_row in bucket:
                 append(left_row + suffix)
-    return Relation._from_frozen(left.attributes + extra, frozenset(out))
+    return Relation._from_order(left.attributes + extra, tuple(out))
 
 
 def sort_merge_join(left: Relation, right: Relation) -> Relation:
@@ -112,7 +112,7 @@ def sort_merge_join(left: Relation, right: Relation) -> Relation:
     left_items: List[Tuple[Tuple, Row, Row]] = sorted(
         (
             (decorate(key), key, row)
-            for row in left.rows
+            for row in left
             for key in (tuple(row[p] for p in left_pos),)
         ),
         key=itemgetter(0),
@@ -120,7 +120,7 @@ def sort_merge_join(left: Relation, right: Relation) -> Relation:
     right_items: List[Tuple[Tuple, Row, Row]] = sorted(
         (
             (decorate(key), key, tuple(row[p] for p in extra_pos))
-            for row in right.rows
+            for row in right
             for key in (tuple(row[p] for p in right_pos),)
         ),
         key=itemgetter(0),

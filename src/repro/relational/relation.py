@@ -8,15 +8,24 @@ keeps the evaluation algorithms (Yannakakis passes, the Theorem 2 bottom-up
 merge) easy to reason about and safe to share.
 
 Set semantics are used throughout, matching the paper's model of relational
-databases (no duplicate tuples, no ordering).
+databases (no duplicate tuples; row order is never part of a relation's
+value, only of how its lists are laid out).
 
 Kernel notes (see ``docs/kernel.md`` for the full contract):
 
 * construction goes through an explicit family: :meth:`Relation.from_rows`
   (validated), :meth:`Relation.from_columns` (validated, column-major), and
-  the *trusted* :meth:`Relation._from_frozen` fast path, which does not
-  validate and through which every algebra operation builds its result so
-  rows are frozen and validated exactly once;
+  the *trusted* :meth:`Relation._from_order` / :meth:`Relation._from_frozen`
+  fast paths, which do not validate and through which every algebra
+  operation builds its result so rows are checked exactly once;
+* a relation holds **two row stores and is born with one**: the distinct
+  rows in order (the constructors — arrival order, deduplicated once with
+  ``dict.fromkeys`` — and every filter, projection and join, which hold
+  distinct rows by construction) or a ``frozenset`` (the set algebra,
+  :meth:`Relation._from_frozen`).  The other is derived at most once, on
+  demand: ``len``, iteration, the column, key and index builders read the
+  order, and only :attr:`Relation.rows`, ``in``, ``==``, ``hash`` and
+  ``union`` / ``difference`` / ``intersection`` ever hash a row;
 * there is one equality, the one a Python ``set`` of the raw values
   already has (identity, then ``==``: ``1 == True == 1.0`` are one value,
   a NaN object matches only itself).  The row set, the key sets and the
@@ -26,34 +35,37 @@ Kernel notes (see ``docs/kernel.md`` for the full contract):
   attribute, and one list of keys per join-key position tuple, all
   aligned with one fixed row order — so the kernel ops (semijoin/antijoin
   membership, join probing, projection dedup) are single C-level passes
-  over a list instead of per-row tuple indexing.  Operations that filter
-  rows (semijoin, antijoin) hand their result the selected slices, so
-  derived relations never rebuild them;
+  over a list instead of per-row tuple indexing.  A filtered child
+  (:meth:`Relation._take`) is born with its rows only and derives a
+  column from them if somebody reads one — most are never read;
 * each relation lazily caches **one** hash index per position tuple
   (:meth:`Relation._index`: key → rows).  Joins, ``select_eq``, the naive
   search, the counting fold and the planner's distinct counts all read
   it.  Relations are immutable, so nothing cached is ever invalidated;
-* operations that permute or rename columns without touching rows
-  (``rename``, and the candidate-relation fast path) share the source
-  relation's whole cache, since positional caches only depend on rows;
+* operations that rename columns without touching rows (``rename``, the
+  candidate-relation fast path: :meth:`Relation._renamed`) share the source
+  relation's whole cache — row stores included — since everything in it
+  is positional and depends on rows only;
 * the sharding library (``repro.parallel``, off the engine's route — see
   ``docs/parallel.md``) shards relations by ``hash(key) % count`` through
   :meth:`Relation._partition`, a lazy cache like :meth:`Relation._index`:
   shards are built from the cached index on the key positions and each
   shard is born with that index preseeded;
-* all lazy caches are safe to fill from concurrent threads (the shared
-  engine behind ``repro.service`` does): fills race only on *cold* slots,
+* all lazy caches — the missing row store is one — are safe to fill from
+  concurrent threads (the shared engine behind ``repro.service`` does):
+  fills race only on *cold* slots,
   every racer builds an equivalent value from the immutable rows, and the
   publish goes through ``dict.setdefault`` so all callers converge on one
   canonical object (CPython's per-opcode atomicity makes the setdefault
   itself atomic);
 * every cache holds plain values, so default slot pickling is right: a
-  shipped relation arrives with its warm columns, key sets and indexes.
+  shipped relation arrives with whichever row store it has and its warm
+  columns, key sets and indexes.
 """
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import chain, compress, repeat
 from operator import itemgetter
 from typing import (
     Any,
@@ -77,8 +89,6 @@ Row = Tuple[Any, ...]
 #: positions → (key → tuple of rows).  Keys are raw values for
 #: single-position indexes and tuples of values otherwise.
 IndexBuckets = Dict[Any, Tuple[Row, ...]]
-
-_EMPTY_ROWSET: FrozenSet[Row] = frozenset()
 
 #: ``mask.translate(_FLIP_MASK)`` swaps the 0 and 1 bytes of a row mask.
 _FLIP_MASK = bytes([1, 0]) + bytes(range(2, 256))
@@ -113,32 +123,48 @@ class Relation:
     frozenset({(1,)})
     """
 
-    __slots__ = ("_attributes", "_rows", "_cache", "_partitions")
+    __slots__ = ("_attributes", "_cache", "_partitions")
 
     # ------------------------------------------------------------------
     # Trusted constructor + lazy caches (the kernel's internal contract)
     # ------------------------------------------------------------------
 
     @classmethod
+    def _over(cls, attributes: Tuple[str, ...], cache: Dict[Any, Any]) -> "Relation":
+        """A relation over *cache*, which holds a row store (see below) and
+        may be another relation's: positional caches depend on rows only."""
+        self = object.__new__(cls)
+        self._attributes = attributes
+        self._cache = cache
+        self._partitions = {}
+        return self
+
+    @classmethod
     def _from_frozen(
         cls, attributes: Tuple[str, ...], rows: FrozenSet[Row]
     ) -> "Relation":
-        """Trusted constructor: no validation, no re-freezing.
+        """Trusted constructor, born a *set*: no validation, no re-freezing.
 
         Contract — the caller guarantees that *attributes* is a tuple of
         pairwise-distinct nonempty strings (e.g. taken from an existing
         relation or passed through :func:`check_attribute_names`) and that
         *rows* is a frozenset of tuples whose length equals
         ``len(attributes)``.  Every algebra operation routes its result
-        through here so each row is tupled, checked and frozen exactly once,
-        at the boundary where it first enters the system.
+        through here or through :meth:`_from_order`, so each row is tupled,
+        checked and deduplicated exactly once, at the boundary where it
+        first enters the system.
         """
-        self = object.__new__(cls)
-        self._attributes = attributes
-        self._rows = rows
-        self._cache = {}
-        self._partitions = {}
-        return self
+        return cls._over(attributes, {"rows": rows})
+
+    @classmethod
+    def _from_order(
+        cls, attributes: Tuple[str, ...], order: Tuple[Row, ...]
+    ) -> "Relation":
+        """Trusted constructor, born *ordered*: like :meth:`_from_frozen`, but
+        *order* is a tuple of pairwise-distinct rows — what a filter, a
+        ``dict.fromkeys`` dedupe or a join already holds — and no row is
+        hashed until someone asks for :attr:`rows`."""
+        return cls._over(attributes, {"order": order})
 
     def _index(self, positions: Tuple[int, ...]) -> IndexBuckets:
         """The cached hash index on *positions* (built on first use).
@@ -155,27 +181,14 @@ class Relation:
         if found is not None:
             return found
         buckets: Dict[Any, List[Row]] = {}
-        if len(positions) == 1:
-            (p,) = positions
-            for row in self._rows:
-                key = row[p]
-                bucket = buckets.get(key)
-                if bucket is None:
-                    buckets[key] = [row]
-                else:
-                    bucket.append(row)
-        elif not positions:
-            if self._rows:
-                buckets[()] = list(self._rows)
-        else:
-            getter = itemgetter(*positions)
-            for row in self._rows:
-                key = getter(row)
-                bucket = buckets.get(key)
-                if bucket is None:
-                    buckets[key] = [row]
-                else:
-                    bucket.append(row)
+        order = self._row_order()
+        keys = map(itemgetter(*positions), order) if positions else repeat(())
+        for row, key in zip(order, keys):
+            bucket = buckets.get(key)
+            if bucket is None:
+                buckets[key] = [row]
+            else:
+                bucket.append(row)
         frozen_buckets: IndexBuckets = {k: tuple(v) for k, v in buckets.items()}
         # Publish with setdefault: two threads filling the same cold slot
         # concurrently (the shared-engine service does this) both built the
@@ -183,13 +196,14 @@ class Relation:
         # so downstream identity checks and shard preseeds stay consistent.
         return self._cache.setdefault(cache_key, frozen_buckets)
 
-    # -- value columns --------------------------------------------------
+    # -- the two row stores, and the value columns ------------------------
 
     def _row_order(self) -> Tuple[Row, ...]:
-        """The rows in one fixed (arbitrary) order; columns align to it."""
+        """The rows in one fixed order — arrival order for a relation born
+        ordered, the set's for one born a set; columns align to it."""
         found = self._cache.get("order")
         if found is None:
-            found = self._cache.setdefault("order", tuple(self._rows))
+            found = self._cache.setdefault("order", tuple(self._cache["rows"]))
         return found
 
     def _column(self, position: int) -> List[Any]:
@@ -213,7 +227,7 @@ class Relation:
             if positions:
                 keys = list(map(itemgetter(*positions), self._row_order()))
             else:
-                keys = [()] * len(self._rows)
+                keys = [()] * len(self)
             found = self._cache.setdefault(cache_key, keys)
         return found
 
@@ -227,22 +241,23 @@ class Relation:
             )
         return found
 
-    def _take(self, mask: bytes) -> "Relation":
-        """The rows whose *mask* byte is nonzero, over the same attributes,
-        inheriting the selected slice of every cached column so the child
-        never rebuilds what this relation already paid for.
+    def _probe_mask(self, positions: Tuple[int, ...], live: Any) -> bytes:
+        """One byte per row of :meth:`_row_order`: 1 iff the row's key on
+        *positions* is in *live* (a set of keys, or a dict keyed by them)."""
+        return bytes(map(live.__contains__, self._keys(positions)))
 
-        Trusted: *mask* holds one byte per row, aligned with
-        :meth:`_row_order`.  Rows and every cached column go through one
-        C-level ``itertools.compress`` each.
+    def _take(self, mask: bytes) -> "Relation":
+        """The rows whose *mask* byte is nonzero, over the same attributes:
+        one C-level ``itertools.compress`` over :meth:`_row_order`.
+
+        Trusted: *mask* holds one byte per row, aligned with that order.
+        The child is born ordered and inherits nothing else — a column of
+        it that somebody reads is rebuilt from its own rows, and most are
+        never read.
         """
-        kept = tuple(compress(self._row_order(), mask))
-        child = Relation._from_frozen(self._attributes, frozenset(kept))
-        child._cache["order"] = kept
-        for cache_key, column in list(self._cache.items()):
-            if type(cache_key) is tuple and cache_key[0] in ("col", "key"):
-                child._cache[cache_key] = list(compress(column, mask))
-        return child
+        return Relation._from_order(
+            self._attributes, tuple(compress(self._row_order(), mask))
+        )
 
     def _partition(
         self, positions: Tuple[int, ...], count: int
@@ -275,10 +290,9 @@ class Relation:
             routed[hash(key) % count][key] = bucket
         shards = []
         for shard_buckets in routed:
-            rows = frozenset(
-                row for bucket in shard_buckets.values() for row in bucket
+            shard = Relation._from_order(
+                self._attributes, tuple(chain.from_iterable(shard_buckets.values()))
             )
-            shard = Relation._from_frozen(self._attributes, rows)
             shard._cache[("index", positions)] = shard_buckets
             shards.append(shard)
         frozen_shards = tuple(shards)
@@ -286,26 +300,15 @@ class Relation:
         # canonical shard tuple (first writer wins, later fills discarded).
         return self._partitions.setdefault(cache_key, frozen_shards)
 
-    @staticmethod
-    def _key_getter(positions: Tuple[int, ...]) -> Callable[[Row], Any]:
-        """Row → index key, matching :meth:`_index`'s key convention."""
-        if len(positions) == 1:
-            (p,) = positions
-            return lambda row: row[p]
-        if not positions:
-            return lambda row: ()
-        return itemgetter(*positions)
-
-    def _share_indexes_with(self, other: "Relation") -> "Relation":
-        """Share *other*'s whole cache (caller guarantees identical rows).
+    def _renamed(self, attributes: Tuple[str, ...]) -> "Relation":
+        """The same rows under *attributes* (trusted, like
+        :meth:`_from_frozen`), sharing this relation's whole cache — both
+        row stores included, so whichever twin derives one, both have it.
 
         The partition cache is *not* shared: cached shards are Relations
-        carrying their source's attribute names, which a rename-shaped twin
-        must not inherit.  Indexes and value columns are positional and
-        only depend on rows, so they transfer.
+        carrying their source's attribute names.
         """
-        self._cache = other._cache
-        return self
+        return Relation._over(attributes, self._cache)
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -318,8 +321,13 @@ class Relation:
 
     @property
     def rows(self) -> FrozenSet[Row]:
-        """The set of rows, as a frozenset of tuples."""
-        return self._rows
+        """The set of rows, as a frozenset of tuples.  A relation born
+        ordered hashes its rows here, once; iterate the relation (or take
+        its ``len``) to read the rows without that."""
+        found = self._cache.get("rows")
+        if found is None:
+            found = self._cache.setdefault("rows", frozenset(self._cache["order"]))
+        return found
 
     @property
     def arity(self) -> int:
@@ -329,20 +337,21 @@ class Relation:
     @property
     def cardinality(self) -> int:
         """Number of rows."""
-        return len(self._rows)
+        return len(self)
 
     def is_empty(self) -> bool:
         """True iff the relation holds no rows."""
-        return not self._rows
+        return not len(self)
 
     def __len__(self) -> int:
-        return len(self._rows)
+        cache = self._cache
+        return len(cache["order"] if "order" in cache else cache["rows"])
 
     def __iter__(self) -> Iterator[Row]:
-        return iter(self._rows)
+        return iter(self._row_order())
 
     def __contains__(self, row: Row) -> bool:
-        return tuple(row) in self._rows
+        return tuple(row) in self.rows
 
     def __eq__(self, other: object) -> bool:
         """Equality is schema-sensitive but column-order-insensitive.
@@ -355,24 +364,19 @@ class Relation:
         if set(self._attributes) != set(other._attributes):
             return False
         if self._attributes == other._attributes:
-            return self._rows == other._rows
-        aligned = other.project(self._attributes)
-        return self._rows == aligned._rows
+            return self.rows == other.rows
+        return self.rows == other.project(self._attributes).rows
 
     def __hash__(self) -> int:
         # Order-insensitive: hash over the canonical column order.
         canonical = tuple(sorted(self._attributes))
-        if canonical == self._attributes:
-            rows = self._rows
-        else:
-            rows = self.project(canonical)._rows
-        return hash((canonical, rows))
+        return hash((canonical, self.project(canonical).rows))
 
     def __repr__(self) -> str:
-        preview = sorted(self._rows, key=repr)[:4]
-        suffix = ", ..." if len(self._rows) > 4 else ""
+        preview = sorted(self, key=repr)[:4]
+        suffix = ", ..." if len(self) > 4 else ""
         return (
-            f"Relation({self._attributes!r}, {len(self._rows)} rows: "
+            f"Relation({self._attributes!r}, {len(self)} rows: "
             f"{preview!r}{suffix})"
         )
 
@@ -387,22 +391,23 @@ class Relation:
         """The validated row-major constructor.
 
         *attributes* are checked to be distinct nonempty strings; every row
-        is tupled, checked against the arity, and frozen.  This is the
+        is tupled, checked against the arity, and deduplicated — the
+        relation is born ordered, its rows in *arrival* order.  This is the
         public entry point for untrusted data — algebra results use the
-        trusted :meth:`_from_frozen` fast path instead.  Tupling, freezing
-        and the arity check are one C-level pass each; the rows are walked
-        only to name an offender.
+        trusted constructors instead.  Tupling, the dedupe
+        (``dict.fromkeys``) and the arity check are one C-level pass each;
+        the rows are walked only to name an offender.
         """
         names = check_attribute_names(attributes)
         arity = len(names)
-        frozen = frozenset(map(tuple, rows))
-        if set(map(len, frozen)) != {arity}:
-            for row in frozen:
+        order = tuple(dict.fromkeys(map(tuple, rows)))
+        if set(map(len, order)) != {arity}:
+            for row in order:
                 if len(row) != arity:
                     raise ArityError(
                         f"row {row!r} has arity {len(row)}, expected {arity}"
                     )
-        return cls._from_frozen(names, frozen)
+        return cls._from_order(names, order)
 
     @classmethod
     def from_columns(
@@ -426,19 +431,17 @@ class Relation:
             raise ArityError(
                 f"columns have unequal lengths {sorted(lengths)}"
             )
-        if not materialized:
-            return cls._from_frozen(names, _EMPTY_ROWSET)
-        return cls._from_frozen(names, frozenset(zip(*materialized)))
+        return cls._from_order(names, tuple(dict.fromkeys(zip(*materialized))))
 
     @classmethod
     def unit(cls) -> "Relation":
         """The nullary relation containing the empty tuple (logical TRUE)."""
-        return cls._from_frozen((), frozenset([()]))
+        return cls._from_order((), ((),))
 
     @classmethod
     def empty(cls, attributes: Sequence[str] = ()) -> "Relation":
         """An empty relation over *attributes* (logical FALSE when nullary)."""
-        return cls._from_frozen(check_attribute_names(attributes), _EMPTY_ROWSET)
+        return cls._from_order(check_attribute_names(attributes), ())
 
     @classmethod
     def from_dicts(
@@ -455,17 +458,17 @@ class Relation:
     def iter_dicts(self) -> Iterator[Dict[str, Any]]:
         """Yield each row as an ``attribute -> value`` dict."""
         names = self._attributes
-        for row in self._rows:
+        for row in self._row_order():
             yield dict(zip(names, row))
 
     def column(self, attribute: str) -> FrozenSet[Any]:
         """The set of values appearing in *attribute*'s column."""
         (pos,) = positions_of(self._attributes, (attribute,))
-        return frozenset(row[pos] for row in self._rows)
+        return frozenset(map(itemgetter(pos), self._row_order()))
 
     def active_values(self) -> FrozenSet[Any]:
         """All values appearing anywhere in the relation."""
-        return frozenset(v for row in self._rows for v in row)
+        return frozenset(chain.from_iterable(self._row_order()))
 
     # ------------------------------------------------------------------
     # Unary algebra
@@ -474,10 +477,11 @@ class Relation:
     def project(self, attributes: Sequence[str]) -> "Relation":
         """Projection π_attributes, preserving the requested column order.
 
-        Duplicate result rows collapse (set semantics).  When the key
-        list on the kept columns is already cached the dedupe is one
-        ``dict.fromkeys`` over it; otherwise the row tuples are projected
-        directly instead of paying to build a list first.  Projecting
+        Duplicate result rows collapse (set semantics): the distinct keys
+        on the kept columns *are* the projected rows, so the dedupe is one
+        ``dict.fromkeys`` (the first spelling of each equality class wins)
+        over the key list when a join or semijoin already cached it, and
+        over the row tuples projected on the fly otherwise.  Projecting
         onto the empty attribute list yields the nullary TRUE/FALSE
         relation depending on whether any row exists.
         """
@@ -486,37 +490,25 @@ class Relation:
             return self
         positions = positions_of(self._attributes, names)
         if not positions:
-            projected = frozenset([()]) if self._rows else _EMPTY_ROWSET
-            return Relation._from_frozen(names, projected)
+            return Relation._from_order(names, ((),) if len(self) else ())
         single = len(positions) == 1
         keys = self._cache.get(
             ("col", positions[0]) if single else ("key", positions)
         )
-        if keys is not None:
-            # The key list on these columns exists (inherited, or a
-            # join/semijoin built it): its distinct keys *are* the projected
-            # rows, so per-row work is one C-level dict insert (the first
-            # spelling of each equality class wins) and no tuple is rebuilt.
-            distinct = dict.fromkeys(keys)
-            projected_rows = tuple(zip(distinct)) if single else tuple(distinct)
-            out = Relation._from_frozen(names, frozenset(projected_rows))
-            out._cache["order"] = projected_rows
-            return out
-        # No list to reuse: let frozenset dedupe the projected tuples
-        # directly (same value equality, same set semantics).
-        if single:
-            projected = frozenset(zip(map(itemgetter(positions[0]), self._rows)))
-        else:
-            projected = frozenset(map(itemgetter(*positions), self._rows))
-        return Relation._from_frozen(names, projected)
+        if keys is None:
+            keys = map(itemgetter(*positions), self._row_order())
+        distinct = dict.fromkeys(keys)
+        return Relation._from_order(
+            names, tuple(zip(distinct)) if single else tuple(distinct)
+        )
 
     def select(self, predicate: Callable[[Dict[str, Any]], bool]) -> "Relation":
         """Selection by an arbitrary row predicate over attribute dicts."""
         names = self._attributes
-        kept = frozenset(
-            row for row in self._rows if predicate(dict(zip(names, row)))
+        kept = tuple(
+            row for row in self._row_order() if predicate(dict(zip(names, row)))
         )
-        return Relation._from_frozen(names, kept)
+        return Relation._from_order(names, kept)
 
     def select_eq(self, conditions: Mapping[str, Any]) -> "Relation":
         """Selection σ_{a=c, ...}: keep rows matching every constant condition.
@@ -539,26 +531,26 @@ class Relation:
             values = tuple(conditions.values())
             bucket = tuple(
                 row
-                for row in self._rows
+                for row in self._row_order()
                 if all(values_equal(row[p], v) for p, v in zip(positions, values))
             )
-        return Relation._from_frozen(self._attributes, frozenset(bucket))
+        return Relation._from_order(self._attributes, bucket)
 
     def select_attr_eq(self, left: str, right: str) -> "Relation":
         """Selection σ_{left = right} between two columns."""
         (lp, rp) = positions_of(self._attributes, (left, right))
-        return Relation._from_frozen(
+        return Relation._from_order(
             self._attributes,
-            frozenset(row for row in self._rows if values_equal(row[lp], row[rp])),
+            tuple(row for row in self._row_order() if values_equal(row[lp], row[rp])),
         )
 
     def select_attr_neq(self, left: str, right: str) -> "Relation":
         """Selection σ_{left ≠ right} between two columns."""
         (lp, rp) = positions_of(self._attributes, (left, right))
-        return Relation._from_frozen(
+        return Relation._from_order(
             self._attributes,
-            frozenset(
-                row for row in self._rows if not values_equal(row[lp], row[rp])
+            tuple(
+                row for row in self._row_order() if not values_equal(row[lp], row[rp])
             ),
         )
 
@@ -573,9 +565,8 @@ class Relation:
             return self
         if len(set(new_names)) != len(new_names):
             raise SchemaError(f"rename produces duplicate attributes: {new_names}")
-        out = Relation._from_frozen(check_attribute_names(new_names), self._rows)
         # Rows are untouched, so positional caches remain valid — share them.
-        return out._share_indexes_with(self)
+        return self._renamed(check_attribute_names(new_names))
 
     def extend(self, attribute: str, fn: Callable[[Dict[str, Any]], Any]) -> "Relation":
         """Append a computed column named *attribute* with value ``fn(row)``.
@@ -587,9 +578,9 @@ class Relation:
             raise SchemaError(f"attribute {attribute!r} already present")
         names = check_attribute_names(self._attributes + (attribute,))
         old = self._attributes
-        return Relation._from_frozen(
+        return Relation._from_order(
             names,
-            frozenset(row + (fn(dict(zip(old, row))),) for row in self._rows),
+            tuple(row + (fn(dict(zip(old, row))),) for row in self._row_order()),
         )
 
     def _extend_positional(
@@ -600,8 +591,8 @@ class Relation:
         if attribute in self._attributes:
             raise SchemaError(f"attribute {attribute!r} already present")
         names = check_attribute_names(self._attributes + (attribute,))
-        return Relation._from_frozen(
-            names, frozenset(row + (fn(row[position]),) for row in self._rows)
+        return Relation._from_order(
+            names, tuple(row + (fn(row[position]),) for row in self._row_order())
         )
 
     # ------------------------------------------------------------------
@@ -620,23 +611,23 @@ class Relation:
     def union(self, other: "Relation") -> "Relation":
         """Set union; schemas must agree as attribute sets."""
         aligned = self._check_union_compatible(other)
-        if not aligned._rows:
+        if aligned.is_empty():
             return self
-        if not self._rows:
+        if self.is_empty():
             return aligned
-        return Relation._from_frozen(self._attributes, self._rows | aligned._rows)
+        return Relation._from_frozen(self._attributes, self.rows | aligned.rows)
 
     def difference(self, other: "Relation") -> "Relation":
         """Set difference; schemas must agree as attribute sets."""
         aligned = self._check_union_compatible(other)
-        if not aligned._rows:
+        if aligned.is_empty():
             return self
-        return Relation._from_frozen(self._attributes, self._rows - aligned._rows)
+        return Relation._from_frozen(self._attributes, self.rows - aligned.rows)
 
     def intersection(self, other: "Relation") -> "Relation":
         """Set intersection; schemas must agree as attribute sets."""
         aligned = self._check_union_compatible(other)
-        return Relation._from_frozen(self._attributes, self._rows & aligned._rows)
+        return Relation._from_frozen(self._attributes, self.rows & aligned.rows)
 
     def natural_join(self, other: "Relation") -> "Relation":
         """Natural join on all shared attribute names (hash join).
@@ -718,15 +709,17 @@ class Relation:
             if bucket:
                 for item in bucket:
                     append(row + suffix_of(item))
-        return Relation._from_frozen(self_attrs + extra, frozenset(out))
+        return Relation._from_order(self_attrs + extra, tuple(out))
 
     def _cartesian_product(self, other: "Relation") -> "Relation":
         overlap = set(self._attributes) & set(other._attributes)
         if overlap:
             raise SchemaError(f"product requires disjoint schemas; shared: {overlap}")
         names = check_attribute_names(self._attributes + other._attributes)
-        rows = frozenset(a + b for a in self._rows for b in other._rows)
-        return Relation._from_frozen(names, rows)
+        right = other._row_order()
+        return Relation._from_order(
+            names, tuple(a + b for a in self._row_order() for b in right)
+        )
 
     def semijoin(self, other: "Relation") -> "Relation":
         """Semijoin ``self ⋉ other``: rows of self that join with some row of other.
@@ -737,14 +730,11 @@ class Relation:
         Membership is a probe of *other*'s cached key set with this
         relation's cached key list, mapped at C level into a
         one-byte-per-row mask.  When nothing is filtered, ``self`` is
-        returned unchanged so its caches stay live; otherwise the result
-        inherits the selected slice of every cached column.
+        returned unchanged so its caches stay live.
         """
         mask = self._match_mask(other)
         if mask is None:
-            if other._rows:
-                return self
-            return Relation._from_frozen(self._attributes, _EMPTY_ROWSET)
+            return self if len(other) else Relation._from_order(self._attributes, ())
         if 0 not in mask:
             return self
         return self._take(mask)
@@ -753,9 +743,7 @@ class Relation:
         """Antijoin ``self ▷ other``: rows of self that join with no row of other."""
         mask = self._match_mask(other)
         if mask is None:
-            if other._rows:
-                return Relation._from_frozen(self._attributes, _EMPTY_ROWSET)
-            return self
+            return Relation._from_order(self._attributes, ()) if len(other) else self
         if 1 not in mask:
             return self
         return self._take(mask.translate(_FLIP_MASK))
@@ -768,6 +756,7 @@ class Relation:
         shared = tuple(a for a in self._attributes if a in other_set)
         if not shared:
             return None
-        right_keys = other._key_set(positions_of(other._attributes, shared))
-        keys = self._keys(positions_of(self._attributes, shared))
-        return bytes(map(right_keys.__contains__, keys))
+        return self._probe_mask(
+            positions_of(self._attributes, shared),
+            other._key_set(positions_of(other._attributes, shared)),
+        )

@@ -1,6 +1,6 @@
 """Property tests for the value-column relation store and constructor family.
 
-Three contract groups:
+Four contract groups:
 
 * **Construction** — ``from_rows`` / ``from_columns`` agree, round-trip
   through ``to_columns``-style access, validate strictly, and a positional
@@ -10,11 +10,16 @@ Three contract groups:
   straightforward frozenset/dict reference implementation computes,
   including mixed-type domains where Python equality crosses types
   (``1 == True == 1.0``).
+* **Row stores** — whatever constructor and chain of algebra operations a
+  relation came through, its ordered store and its set agree, whichever it
+  was born with, and every cached column, key list and index aligns.
 * **Process hygiene** — every cache holds plain values, so a relation
   pickles by default and arrives with its warm caches, answering the same.
 """
 
 import pickle
+import sys
+import threading
 import warnings
 from operator import is_
 
@@ -145,33 +150,31 @@ class TestKernelEquivalence:
             warmed.add(("key", every))
 
         kept = ref_semijoin(left, right).rows
+        parent_order = left._row_order()
         for child, expected in (
             (left.semijoin(right), kept),
             (left.antijoin(right), left.rows - kept),
         ):
-            assert child.rows == expected
             if child is left or not set(left.attributes) & set(right.attributes):
+                assert child.rows == expected
                 continue  # nothing filtered, or decided without a mask
+            # Born ordered — the parent's rows, in the parent's order, none
+            # of them hashed — and with nothing else: the parent's warm
+            # lists are not copied for a child most of which nobody reads.
+            assert list(child._cache) == ["order"]
             order = child._cache["order"]
-            assert len(order) == len(expected) and frozenset(order) == expected
-            columns = {
-                key: column
-                for key, column in child._cache.items()
-                if key[0] in ("col", "key")
-            }
-            # (The operation's own join-key list is inherited as well.)
-            assert warmed <= set(columns)
-            for (kind, where), column in columns.items():
-                assert type(column) is list
-                # Row for row the very objects of the row tuples (the NaN
-                # object included), not merely equal ones.
-                if kind == "col":
-                    expected_column = [row[where] for row in order]
-                    assert all(map(is_, column, expected_column))
-                else:
-                    expected_column = [tuple(row[p] for p in where) for row in order]
-                    assert column == expected_column
-                assert len(column) == len(order)
+            assert list(order) == [row for row in parent_order if row in expected]
+            assert len(order) == len(expected) and child.rows == expected
+            # A column somebody does read is derived on first use from the
+            # child's own rows, aligned with its order row for row: the very
+            # objects of the row tuples (the NaN object included).
+            for position in every:
+                column = child._column(position)
+                assert type(column) is list and child._column(position) is column
+                assert all(map(is_, column, [row[position] for row in order]))
+            keys = child._keys(every)
+            assert keys == [row if left.arity > 1 else row[0] for row in order]
+            assert warmed <= {key for key in child._cache if key[0] in ("col", "key")}
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -229,10 +232,9 @@ class TestKernelEquivalence:
             assert sum(s.cardinality for s in shards) == relation.cardinality
             # Whole buckets, and co-partitioning: a key — 1, True and 1.0
             # are one key — has one home shard across both relations.
-            getter = Relation._key_getter(positions)
             for index, shard in enumerate(shards):
-                for row in shard.rows:
-                    assert home.setdefault(getter(row), index) == index
+                for row_key in shard._keys(positions):
+                    assert home.setdefault(row_key, index) == index
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -245,6 +247,192 @@ class TestKernelEquivalence:
         joined = reduced.natural_join(b)
         assert joined == ref_join(reduced, b)
         assert joined.project(("x", "w")) == ref_join(reduced, b).project(("x", "w"))
+
+
+def constructed(draw, attributes, values):
+    """A relation over *attributes* through any constructor of the family:
+    three are born ordered, ``_from_frozen`` is born a set."""
+    row = st.tuples(*([values] * len(attributes)))
+    rows = draw(st.lists(row, max_size=12))
+    how = draw(st.sampled_from(("rows", "columns", "dicts", "frozen", "order")))
+    if how == "rows":
+        return Relation.from_rows(attributes, rows)
+    if how == "columns":
+        columns = [[r[p] for r in rows] for p in range(len(attributes))]
+        return Relation.from_columns(attributes, columns)
+    if how == "dicts":
+        return Relation.from_dicts(attributes, [dict(zip(attributes, r)) for r in rows])
+    if how == "frozen":
+        return Relation._from_frozen(attributes, frozenset(rows))
+    return Relation._from_order(attributes, tuple(dict.fromkeys(rows)))
+
+
+@st.composite
+def derived_relations(draw, values=mixed_values_with_nan):
+    """A relation reached through any constructor and a chain of algebra
+    operations, each fed by freshly constructed operands."""
+    relation = constructed(draw, ("u", "v", "w"), values)
+    for _ in range(draw(st.integers(0, 4))):
+        names = relation.attributes
+        op = draw(
+            st.sampled_from(
+                ("semijoin", "antijoin", "join", "project", "select_eq", "attr_eq",
+                 "attr_neq", "union", "difference", "intersection", "rename", "take",
+                 "extend", "product")
+            )
+        )
+        if op in ("semijoin", "antijoin", "join"):
+            other = constructed(draw, draw(st.sampled_from([("v", "x"), ("w", "v"), ("y",)])), values)
+            if op == "join" and len(names) > 4:
+                continue
+            relation = {
+                "semijoin": relation.semijoin,
+                "antijoin": relation.antijoin,
+                "join": relation.natural_join,
+            }[op](other)
+        elif op == "project":
+            keep = draw(st.lists(st.sampled_from(names), unique=True, min_size=1))
+            relation = relation.project(keep)
+        elif op == "select_eq":
+            relation = relation.select_eq({draw(st.sampled_from(names)): draw(values)})
+        elif op in ("attr_eq", "attr_neq") and len(names) > 1:
+            left, right = draw(st.permutations(names))[:2]
+            select = relation.select_attr_eq if op == "attr_eq" else relation.select_attr_neq
+            relation = select(left, right)
+        elif op in ("union", "difference", "intersection"):
+            other = constructed(draw, tuple(draw(st.permutations(names))), values)
+            relation = getattr(relation, op)(other)
+        elif op == "rename":
+            relation = relation.rename({names[0]: names[0] + "_"})
+        elif op == "take":
+            mask = bytes(draw(st.lists(st.integers(0, 1), min_size=len(relation), max_size=len(relation))))
+            relation = relation._take(mask)
+        elif op == "extend" and len(names) < 5:
+            relation = relation._extend_positional("e%d" % len(names), 0, repr)
+        elif op == "product" and len(names) < 4 and "p" not in names:
+            relation = relation.natural_join(constructed(draw, ("p",), values))
+    return relation
+
+
+class TestRowStoreInvariant:
+    """A relation is born with one row store — distinct rows in order, or a
+    set — and derives the other at most once, on demand.  Whichever came
+    first, the two agree and everything cached aligns with the order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(derived_relations())
+    def test_the_two_stores_agree_and_every_cached_list_aligns(self, relation):
+        born = set(relation._cache) & {"order", "rows"}
+        assert born  # at least one store, whatever the producer
+        assert len(relation) == relation.cardinality
+        assert relation.is_empty() == (len(relation) == 0)
+        order, rows = relation._row_order(), relation.rows
+        assert type(order) is tuple and type(rows) is frozenset
+        assert len(order) == len(rows) == len(relation)
+        assert frozenset(order) == rows
+        assert tuple(relation) == order  # iteration reads the order
+        assert relation._row_order() is order and relation.rows is rows  # once
+        for position in range(relation.arity):
+            column = relation._column(position)
+            assert len(column) == len(order)
+            assert all(map(is_, column, [row[position] for row in order]))
+        every = tuple(range(relation.arity))
+        for positions in (every, every[::-1], every[:1], ()):
+            keys = relation._keys(positions)
+            if len(positions) == 1:
+                expected = [row[positions[0]] for row in order]
+            else:
+                expected = [tuple(row[p] for p in positions) for row in order]
+            assert keys == expected
+            assert relation._key_set(positions) == frozenset(expected)
+            index = relation._index(positions)
+            assert sum(map(len, index.values())) == len(order)
+            assert all(row in rows for bucket in index.values() for row in bucket)
+
+    @settings(max_examples=100, deadline=None)
+    @given(derived_relations(values=mixed_values))
+    def test_pickling_round_trips_whichever_store_exists(self, relation):
+        stores = set(relation._cache) & {"order", "rows"}
+        clone = pickle.loads(pickle.dumps(relation))
+        assert set(clone._cache) & {"order", "rows"} == stores
+        if "order" in stores:
+            assert clone._row_order() == relation._row_order()  # order survives
+        assert clone == relation and clone.attributes == relation.attributes
+        assert len(clone) == len(relation) and hash(clone) == hash(relation)
+
+    @pytest.mark.parametrize("born", ["order", "rows"])
+    def test_threads_racing_the_lazy_fill_converge(self, born):
+        # Both stores are published with setdefault, like every cache slot:
+        # racers may each build the missing store, all of them get one object.
+        rows = [(i, i % 7) for i in range(2000)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                if born == "order":
+                    relation = Relation.from_rows(("a", "b"), rows)
+                    read = lambda r: r.rows  # noqa: E731
+                else:
+                    relation = Relation._from_frozen(("a", "b"), frozenset(rows))
+                    read = Relation._row_order
+                twin = relation.rename({"a": "x"})  # shares the cache: the stores too
+                barrier = threading.Barrier(6)
+                seen = []
+
+                def racer(which):
+                    barrier.wait(timeout=10)
+                    seen.append(read(which))
+
+                threads = [
+                    threading.Thread(target=racer, args=(which,))
+                    for which in (relation, twin) * 3
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(seen) == 6 and all(store is seen[0] for store in seen)
+                assert read(relation) is seen[0] and read(twin) is seen[0]
+                assert len(seen[0]) == len(rows)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_producers_are_born_with_the_store_they_already_hold(self):
+        r = Relation.from_rows(("a", "b"), [(3, 1), (1, 2), (3, 1), (2, 2)])
+        s = Relation.from_columns(("b", "c"), [[2, 1, 2], ["x", "y", "x"]])
+        assert r._row_order() == ((3, 1), (1, 2), (2, 2))  # arrival order, deduped
+        assert s._row_order() == ((2, "x"), (1, "y"))
+        ordered = {
+            "semijoin": r.semijoin(Relation.from_rows(("b",), [(2,)])),
+            "antijoin": r.antijoin(Relation.from_rows(("b",), [(2,)])),
+            "project": r.project(("b",)),
+            "join": r.natural_join(s),
+            "join_keep": r._join_keep(s, ("b",)),
+            "select_eq": r.select_eq({"a": 3}),
+            "select": r.select(lambda row: row["a"] > 1),
+            "extend": r.extend("c", lambda row: row["a"] + row["b"]),
+            "product": r.natural_join(Relation.from_rows(("z",), [(0,), (1,)])),
+            "unit": Relation.unit(),
+            "empty": Relation.empty(("a",)),
+        }
+        for name, relation in ordered.items():
+            assert list(relation._cache)[0] == "order" and "rows" not in relation._cache, name
+        assert ordered["project"]._row_order() == ((1,), (2,))
+        assert ordered["join"]._row_order() == ((3, 1, "y"), (1, 2, "x"), (2, 2, "x"))
+        for name, relation in {
+            "union": r.union(Relation.from_rows(("a", "b"), [(9, 9)])),
+            "difference": r.difference(Relation.from_rows(("a", "b"), [(3, 1)])),
+            "intersection": r.intersection(Relation.from_rows(("b", "a"), [(1, 3)])),
+        }.items():
+            assert "rows" in relation._cache and "order" not in relation._cache, name
+        # Only the set algebra (and .rows / in / == / hash) hashed r's rows.
+        assert "rows" in r._cache
+        fresh = Relation.from_rows(("a", "b"), [(3, 1), (1, 2)])
+        len(fresh), list(fresh), fresh.cardinality, fresh.is_empty(), repr(fresh)
+        fresh.project(("a",)), fresh.column("a"), fresh._index((0,)), fresh._key_set((1,))
+        assert "rows" not in fresh._cache
+        assert (3, 1) in fresh and "rows" in fresh._cache
 
 
 class TestProcessHygiene:
@@ -261,10 +449,11 @@ class TestProcessHygiene:
         relation.select_eq({"u": probe})
         warm = set(relation._cache)
         assert {"order", ("key", (1, 2)), ("keyset", (1, 2)), ("index", (0,))} <= warm
+        assert "rows" not in warm  # none of the above hashed a row
 
         clone, other_clone = pickle.loads(pickle.dumps((relation, other)))
-        assert clone == relation and clone.attributes == relation.attributes
         assert set(clone._cache) == warm  # default slot pickling: all of it
+        assert clone == relation and clone.attributes == relation.attributes
         assert clone.semijoin(other_clone) == relation.semijoin(other)
         assert clone.semijoin(other) == relation.semijoin(other)
         assert clone.natural_join(other_clone) == relation.natural_join(other)

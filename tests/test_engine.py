@@ -22,6 +22,7 @@ from repro.engine import (
 from repro.errors import NotAcyclicError, QueryError
 from repro.operations import EXECUTE, operations_of
 from repro.evaluation import NaiveEvaluator
+from repro.evaluation.yannakakis import Survivors
 from repro.query import Atom, ConjunctiveQuery
 from repro.query.atoms import Comparison, Inequality
 from repro.query.terms import Variable
@@ -280,10 +281,20 @@ class TestQueryEngine:
             for i, atom in enumerate(query.atoms)
         }
         executed = []
+        survivors_semijoin = Survivors.semijoin
         semijoin = Relation.semijoin
         join_keep = Relation._join_keep
 
+        def survivors_spy(self, child):
+            # The bottom-up pass: one step per edge, on survivor masks.
+            executed.append(
+                f"{label_of[self.relation.attributes]} ⋉ "
+                f"{label_of[child.relation.attributes]}"
+            )
+            return survivors_semijoin(self, child)
+
         def semijoin_spy(self, other):
+            # The top-down pass, on the materialised carrying nodes only.
             executed.append(
                 f"{label_of[self.attributes]} ⋉ {label_of[other.attributes]}"
             )
@@ -297,9 +308,9 @@ class TestQueryEngine:
             )
             return join_keep(self, other, other_keep)
 
-        with mock.patch.object(Relation, "semijoin", semijoin_spy), mock.patch.object(
-            Relation, "_join_keep", join_spy
-        ):
+        with mock.patch.object(Survivors, "semijoin", survivors_spy), mock.patch.object(
+            Relation, "semijoin", semijoin_spy
+        ), mock.patch.object(Relation, "_join_keep", join_spy):
             answer = engine.execute(query, database)
         assert answer == NaiveEvaluator().evaluate(query, database)
         listed = [
@@ -310,6 +321,7 @@ class TestQueryEngine:
         assert listed == executed
         bottom_up = len(query.atoms) - 1
         assert len(executed) == bottom_up + 2 * carrying
+        assert all("⋉" in step for step in executed[:bottom_up])
         assert sum("⋈" in step for step in executed) == carrying
         assert plan.semijoin_program[-1].startswith("decide: first-witness search")
 

@@ -15,13 +15,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro import Database, QueryEngine, Relation, parse_query
 from repro.engine import Planner
-from repro.errors import DeadlineExceededError
+from repro.errors import DeadlineExceededError, QueryError
 from repro.evaluation import (
+    CountingYannakakisEvaluator,
     NaiveEvaluator,
     TreewidthEvaluator,
     YannakakisEvaluator,
     yannakakis,
 )
+from repro.evaluation.yannakakis import Survivors
 from repro.hypergraph.join_tree import JoinTree
 from repro.inequalities import AcyclicInequalityEvaluator
 from repro.query.atoms import Atom
@@ -180,13 +182,13 @@ class TestFirstWitness:
         evaluator = YannakakisEvaluator()
         expected = NaiveEvaluator().decide(query, database)
         semijoins = []
-        semijoin = Relation.semijoin
+        semijoin = Survivors.semijoin
 
-        def spy(self, other):
-            semijoins.append((self.attributes, other.attributes))
-            return semijoin(self, other)
+        def spy(self, child):
+            semijoins.append((self.relation.attributes, child.relation.attributes))
+            return semijoin(self, child)
 
-        with mock.patch.object(Relation, "semijoin", spy):
+        with mock.patch.object(Survivors, "semijoin", spy):
             assert (evaluator.reduce_bottom_up(query, database) is not None) == expected
             the_pass = list(semijoins)
             for budget in (0, 1, 7, None):
@@ -210,8 +212,8 @@ class TestFirstWitness:
     def test_an_expired_deadline_is_noticed_inside_the_search(self):
         # No 5-hop path on a 5-layer chain, and far more than one polling
         # stride of 4-hop prefixes to refute inside a budget of
-        # 5 * 7 200 // 16 steps: the search itself must see the token.
-        database = chain_database(layers=5, width=60, p=0.5, seed=1)
+        # 5 * 24 200 // 48 steps: the search itself must see the token.
+        database = chain_database(layers=5, width=110, p=0.5, seed=1)
         query = parse_query("Q() :- E(a, b), E(b, c), E(c, d), E(d, e), E(e, f).")
         evaluator = YannakakisEvaluator()
         assert yannakakis.witness_budget(query, database) > 2048
@@ -222,6 +224,134 @@ class TestFirstWitness:
             with pytest.raises(DeadlineExceededError):
                 evaluator.decide(query, database)
         the_pass.assert_not_called()
+
+
+def semijoin_fold(relations, tree):
+    """The upward pass as it was before the key-set form — a relation per
+    edge — kept here as the reference the masks are checked against."""
+    reduced = dict(relations)
+    for node in tree.bottom_up_order():
+        parent = tree.parent(node)
+        if parent is None:
+            continue
+        reduced[parent] = reduced[parent].semijoin(reduced[node])
+    return reduced
+
+
+class TestUpwardPass:
+    """Key sets go up, rows stay put: per node the pass keeps the unfiltered
+    candidate relation and a survivor mask.  Whatever the tree, the root and
+    the values, the survivors are the rows the plain ``Relation.semijoin``
+    fold over the node's subtree leaves, and ``execute`` / ``count`` /
+    ``decide`` read the same answers off them."""
+
+    @staticmethod
+    def check_every_root(query, database):
+        evaluator = YannakakisEvaluator()
+        counter = CountingYannakakisEvaluator()
+        reference = NaiveEvaluator().evaluate(query, database)
+        prepared = evaluator._prepare(query, database)
+        for root in range(len(query.atoms)):
+            tree = JoinTree.from_hypergraph(query.hypergraph()).rooted_at(root)
+            assert evaluator.evaluate(query, database, tree) == reference, root
+            with mock.patch.object(yannakakis, "witness_budget", lambda q, d: 0):
+                decided = evaluator.decide(query, database, tree)
+            assert decided == (not reference.is_empty()), root
+            reduced_root = evaluator.reduce_bottom_up(query, database, root=root)
+            if prepared is None:
+                assert reduced_root is None and reference.is_empty()
+                continue
+            relations, _ = prepared
+            expected = semijoin_fold(relations, tree)
+            survivors = evaluator.bottom_up_reduction(relations, tree)
+            if survivors is None:
+                assert expected[root].is_empty() and reduced_root is None, root
+                continue
+            assert reduced_root == expected[root]
+            for node, relation in expected.items():
+                taken = survivors[node].take()
+                assert taken == relation and len(taken) == survivors[node].count()
+                assert survivors[node].relation is relations[node]  # rows stay put
+        try:
+            counted = counter.count(query, database).total
+        except QueryError:
+            return  # a hard counting mode: the engine evaluates and counts
+        assert counted == reference.cardinality
+
+    def test_a_cross_product_component_that_reduces_to_empty_empties_the_answer(self):
+        # S and T share v but no v matches; R shares nothing with either.
+        query = parse_query("Q(x) :- R(x, y), S(u, v), T(v, w).")
+        database = Database.from_tuples(
+            {"R": [(1, 2), (3, 4)], "S": [(5, 6), (7, 8)], "T": [(9, 1)]}
+        )
+        assert NaiveEvaluator().evaluate(query, database).is_empty()
+        self.check_every_root(query, database)
+        engine = QueryEngine()
+        assert engine.execute(query, database).is_empty()
+        assert engine.count(query, database) == 0
+        assert engine.decide(query, database) is False
+        # ... and filters nothing once it is not empty.
+        matched = Database.from_tuples(
+            {"R": [(1, 2), (3, 4)], "S": [(5, 6), (7, 8)], "T": [(6, 1)]}
+        )
+        assert engine.execute(query, matched).rows == {(1,), (3,)}
+        assert engine.count(query, matched) == 2
+        self.check_every_root(query, matched)
+
+    def test_a_node_with_several_children_keeps_the_conjunction_of_their_masks(self):
+        # Each child knocks a different row out of A; one row survives all.
+        query = parse_query("Q(h, x) :- A(h, x), B(h, y), C(x, z), D(h, x, w).")
+        database = Database.from_tuples(
+            {
+                "A": [(1, 10), (2, 20), (3, 30), (4, 40)],
+                "B": [(1, 0), (2, 0), (3, 0)],
+                "C": [(10, 0), (20, 0), (40, 0)],
+                "D": [(1, 10, 0), (3, 30, 0), (4, 40, 0)],
+            }
+        )
+        assert QueryEngine().execute(query, database).rows == {(1, 10)}
+        assert QueryEngine().count(query, database) == 1
+        self.check_every_root(query, database)
+
+    def test_composite_join_keys(self):
+        query = parse_query("Q(a, e) :- R(a, b, c), S(b, c, d), T(c, d, e).")
+        database = Database.from_tuples(
+            {
+                "R": [(1, 2, 3), (1, 3, 2), (4, 2, 2)],
+                "S": [(2, 3, 5), (2, 2, 6), (3, 3, 7)],
+                "T": [(3, 5, 8), (2, 6, 9), (2, 5, 9)],
+            }
+        )
+        assert QueryEngine().execute(query, database).rows == {(1, 8), (4, 9)}
+        self.check_every_root(query, database)
+
+    def test_keys_match_as_hash_tables_do(self):
+        # 1 == True == 1.0 are one key; a NaN object joins only with itself.
+        nan = float("nan")
+        database = Database(
+            {
+                "R": Relation.from_rows(("a", "b"), [("r1", 1), ("r2", nan), ("r3", 2)]),
+                "S": Relation.from_rows(
+                    ("b", "c"), [(True, "s1"), (nan, "s2"), (float("nan"), "s3"), (1.0, "s4")]
+                ),
+                "T": Relation.from_rows(("c", "b"), [("s1", 1.0), ("s2", nan), ("s3", nan)]),
+            }
+        )
+        query = parse_query("Q(a, c) :- R(a, b), S(b, c), T(c, b).")
+        answer = YannakakisEvaluator().evaluate(query, database)
+        assert answer.rows == {("r1", "s1"), ("r2", "s2")}
+        self.check_every_root(query, database)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 10_000),
+        st.integers(0, 2),
+        st.sampled_from(("plain", "constant", "repeated")),
+    )
+    def test_survivors_equal_the_semijoin_fold_at_every_node_and_root(
+        self, seed, head_arity, shape
+    ):
+        self.check_every_root(*TestFirstWitness.case(seed, head_arity, shape))
 
 
 class TestPlanOrderInvariance:

@@ -60,10 +60,9 @@ class TestKernelPartition:
             shards = relation._partition(positions, count)
             assert frozenset().union(*(s.rows for s in shards)) == relation.rows
             assert sum(s.cardinality for s in shards) == relation.cardinality
-            getter = Relation._key_getter(positions)
             for index, shard in enumerate(shards):
-                for row in shard.rows:
-                    assert home.setdefault(getter(row), index) == index
+                for row_key in shard._keys(positions):
+                    assert home.setdefault(row_key, index) == index
 
     def test_partition_is_cached_and_preseeds_indexes(self):
         relation = rel(("x", "y"), {(i, i % 3) for i in range(30)})

@@ -132,8 +132,13 @@ def test_select_eq_unhashable_condition_value():
 
 def test_column_reads_without_building_an_index():
     r = Relation.from_rows(("a", "b"), [(1, 2), (1, 3), (2, 4)])
+    born = dict(r._cache)
+    assert list(born) == ["order"]  # born ordered: rows in arrival order
     assert r.column("a") == frozenset({1, 2})
-    assert r._cache == {}  # distinct-values read must not pin an index
+    assert r.active_values() == frozenset({1, 2, 3, 4})
+    assert list(r.iter_dicts())[0] == {"a": 1, "b": 2}
+    # Reads that only iterate pin no index, no column and no row set.
+    assert r._cache == born
 
 
 def test_join_keep_matches_join_then_project():
@@ -183,10 +188,11 @@ class TestIndexCache:
     def test_semijoin_reuses_cache_across_repeated_calls(self):
         left = Relation.from_rows(("a", "b"), [(1, 2), (5, 6)])
         right = Relation.from_rows(("b", "c"), [(2, 7), (9, 9)])
-        assert right._cache == {}
+        assert list(right._cache) == ["order"]
         first = left.semijoin(right)
         cached = dict(right._cache)
         assert ("keyset", (0,)) in cached  # semijoin built right's key set
+        assert "rows" not in cached and "rows" not in left._cache  # hashed no row
         second = left.semijoin(right)
         # Never invalidated (relations are immutable): same cached objects.
         for cache_key, value in cached.items():
