@@ -8,54 +8,60 @@ parametrically-intractable behaviour the paper analyzes.  It supports the
 full conjunctive fragment with inequalities and comparisons, so it doubles
 as the ground-truth oracle for the Theorem 2 and Theorem 3 machinery.
 
-Kernel notes: the search is *compiled* per query.  Variables map to integer
-slots in a flat valuation list, and each atom (in join order) becomes a
-static probe plan: which index to probe (built once per search, cached on
-the relation), how to assemble the probe key (constants and already-bound
-slots are known statically), which positions bind new slots, and which
-intra-atom repeated-variable equalities to check.  The enumeration itself is
-an iterative depth-first loop — no per-node dicts, no recursive generator
-chains, no isinstance checks in the hot path.
+The search is *generated*, not interpreted.  For one (query shape, atom
+order, emitted terms) :func:`_generate` writes the source of one generator
+function: a ``for r<d> in ...`` loop per atom in join order — over the
+atom's rows (or its constant-key bucket) when nothing bound reaches it,
+over ``idx<d>(key, ())`` otherwise, the key spelled from the variables and
+constants in its indexed positions — and inside each loop the step
+counter, the atom's repeated-variable equalities, the bindings ``v<i> =
+r<d>[p]`` of the variables somebody reads later, and every ≠ / < / ≤ as an
+``if ...: continue`` at the depth where its last variable is bound
+(:func:`~repro.relational.relation.values_equal` spelled ``a is b or a ==
+b``).  The innermost body yields the emitted tuple — the head for
+``evaluate``, every variable for ``satisfying_assignments``, ``()`` for
+the deciders — so nothing is built per assignment that the caller did not
+ask for.  CPython nests at most 20 loops in one function; a query with more
+atoms continues in a nested generator function per further 20.
+
+The text names only ``v<i>`` / ``r<d>`` / ``k<i>`` / ``idx<d>`` /
+``rows<d>`` slots: constants, relation names and data never reach it —
+they are the function's *arguments* — so one text serves every request of
+a shape and :func:`_compiled` keeps one function per text in a bounded
+memo.
+
+One *step* is one row visited, at any depth.  Every ``_POLL_STRIDE`` steps
+the ambient cancel token is polled, and a budgeted search raises
+:class:`_BudgetSpent` on the first row past its budget.  The search stays
+depth-first rather than set-at-a-time: its memory is O(depth) whatever the
+data, and n^k nodes are exactly where a deadline has to be seen from
+inside.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from functools import lru_cache
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import InvalidOperationError, QueryError
 from ..operations import DECIDE, EXECUTE, Operation
-from ..query.atoms import Atom, Comparison, Inequality
+from ..query.atoms import Inequality
 from ..query.conjunctive import ConjunctiveQuery
-from ..query.terms import Constant, Variable
+from ..query.terms import Constant, Term
 from ..relational.database import Database
-from ..relational.relation import Relation, values_equal
+from ..relational.relation import Relation
 from ..resilience.token import check_cancelled
-from .instantiation import answers_relation, check_atom_arity
-
-#: One compiled probe plan per atom:
-#: (rows_for(valuation) -> bucket, intra-atom equality (pos, pos) pairs,
-#:  (pos, slot) new-variable bindings, constraint checks ready at this depth)
-_Plan = Tuple[
-    Callable[[List[Any]], Iterable[Tuple]],
-    Tuple[Tuple[int, int], ...],
-    Tuple[Tuple[int, int], ...],
-    Tuple[Callable[[List[Any]], bool], ...],
-]
-
+from .instantiation import check_atom_arity
 
 #: Search steps between two polls of the ambient cancel token.
 _POLL_STRIDE = 2048
+
+#: Distinct search texts whose compiled function is kept.
+_MEMO_SIZE = 256
+
+#: CPython's limit on statically nested blocks in one function.
+_MAX_NESTING = 20
 
 
 class _BudgetSpent(Exception):
@@ -88,10 +94,11 @@ class NaiveEvaluator:
         with an explicit permutation of atom indices — the adaptive
         engine's planner supplies its cost-based order this way.
         """
-        return answers_relation(
-            query.head_terms,
-            self.satisfying_assignments(query, database, atom_order=atom_order),
+        heads = dict.fromkeys(
+            self._search(query, database, query.head_terms, atom_order)
         )
+        names = tuple(f"o{i}" for i in range(len(query.head_terms)))
+        return Relation._from_order(names, tuple(heads))
 
     def satisfying_assignments(
         self,
@@ -100,9 +107,10 @@ class NaiveEvaluator:
         atom_order: Optional[Sequence[int]] = None,
     ) -> Relation:
         """All satisfying instantiations, one column per query variable."""
+        variables = query.variables()
         return Relation.from_rows(
-            tuple(v.name for v in query.variables()),
-            self._search(query, database, atom_order=atom_order),
+            tuple(v.name for v in variables),
+            self._search(query, database, variables, atom_order),
         )
 
     def decide(
@@ -112,7 +120,7 @@ class NaiveEvaluator:
         atom_order: Optional[Sequence[int]] = None,
     ) -> bool:
         """Is Q(d) nonempty?  Stops at the first satisfying instantiation."""
-        for _ in self._search(query, database, atom_order=atom_order):
+        for _ in self._search(query, database, (), atom_order):
             return True
         return False
 
@@ -128,7 +136,7 @@ class NaiveEvaluator:
         first of its component is an index probe on a bound variable.
         """
         try:
-            for _ in self._search(query, database, max_steps=max_steps):
+            for _ in self._search(query, database, (), max_steps=max_steps):
                 return True
         except _BudgetSpent:
             return None
@@ -176,18 +184,20 @@ class NaiveEvaluator:
         return self.decide(decided, database)
 
     # ------------------------------------------------------------------
-    # Plan compilation
+    # Search
     # ------------------------------------------------------------------
 
-    def _compile(
+    def _search(
         self,
         query: ConjunctiveQuery,
         database: Database,
+        emit: Sequence[Term],
         atom_order: Optional[Sequence[int]] = None,
-    ) -> Tuple[List[_Plan], int]:
-        """Compile the per-atom probe plans for one search."""
-        variables = query.variables()
-        slot_of: Dict[Variable, int] = {v: i for i, v in enumerate(variables)}
+        max_steps: Optional[int] = None,
+    ) -> Iterator[Tuple]:
+        """The *emit* tuple of every satisfying valuation, depth first
+        (callers that want one stop iterating).  With *max_steps*, raises
+        :class:`_BudgetSpent` on the first row visited past that many."""
         if atom_order is None:
             order = self._atom_order(query)
         else:
@@ -197,117 +207,9 @@ class NaiveEvaluator:
                     f"atom_order {order!r} is not a permutation of "
                     f"0..{len(query.atoms) - 1}"
                 )
-        atoms = [query.atoms[i] for i in order]
-
-        ineq_checks = _constraint_schedule(query.inequalities, atoms, slot_of)
-        comp_checks = _constraint_schedule(query.comparisons, atoms, slot_of)
-
-        plans: List[_Plan] = []
-        bound_slots: set = set()
-        for depth, atom in enumerate(atoms):
-            relation = database[atom.relation]
-            check_atom_arity(atom, relation)
-            # Static shape of the probe at this depth: which positions carry
-            # constants, which carry variables bound at earlier depths, which
-            # bind new slots, and which repeat a variable first seen in this
-            # very atom (intra-atom equality).
-            key_positions: List[int] = []
-            key_parts: List[Tuple[bool, Any]] = []  # (is_slot, slot-or-value)
-            bindings: List[Tuple[int, int]] = []
-            equalities: List[Tuple[int, int]] = []
-            first_seen: Dict[Variable, int] = {}
-            for position, term in enumerate(atom.terms):
-                if isinstance(term, Constant):
-                    key_positions.append(position)
-                    key_parts.append((False, term.value))
-                elif slot_of[term] in bound_slots:
-                    key_positions.append(position)
-                    key_parts.append((True, slot_of[term]))
-                elif term in first_seen:
-                    equalities.append((first_seen[term], position))
-                else:
-                    first_seen[term] = position
-                    bindings.append((position, slot_of[term]))
-            rows_for = _make_probe(relation, tuple(key_positions), key_parts)
-            checks = tuple(
-                ineq_checks.get(depth, ()) + comp_checks.get(depth, ())
-            )
-            plans.append((rows_for, tuple(equalities), tuple(bindings), checks))
-            bound_slots.update(slot_of[v] for v in atom.variables())
-        return plans, len(variables)
-
-    # ------------------------------------------------------------------
-    # Search
-    # ------------------------------------------------------------------
-
-    def _search(
-        self,
-        query: ConjunctiveQuery,
-        database: Database,
-        atom_order: Optional[Sequence[int]] = None,
-        max_steps: Optional[int] = None,
-    ) -> Iterator[Tuple]:
-        """Every satisfying valuation, depth first (callers that want one
-        stop iterating).  With *max_steps*, raises :class:`_BudgetSpent`
-        once that many rows have been visited."""
-        plans, num_slots = self._compile(query, database, atom_order=atom_order)
-        valuation: List[Any] = [None] * num_slots
-
-        if not plans:
-            # No atoms: the empty instantiation satisfies vacuously.
-            yield tuple(valuation)
-            return
-
-        last = len(plans) - 1
-        iters: List[Iterator[Tuple]] = [iter(())] * len(plans)
-        iters[0] = iter(plans[0][0](valuation))
-        depth = 0
-        # One step per row visited and per backtrack.  The search has no
-        # level boundaries to check at, so the cancel token is polled on a
-        # stride — n^k nodes is exactly the blow-up deadlines exist for —
-        # and the step budget is checked at the same point.
-        steps = 0
+        source, arguments = _generate(query, database, order, emit)
         stop_after = sys.maxsize if max_steps is None else max_steps
-        poll_at = min(_POLL_STRIDE, stop_after + 1)
-        while depth >= 0:
-            steps += 1
-            if steps >= poll_at:
-                if steps > stop_after:
-                    raise _BudgetSpent
-                check_cancelled()
-                poll_at = min(steps + _POLL_STRIDE, stop_after + 1)
-            rows_for, equalities, bindings, checks = plans[depth]
-            descended = False
-            for row in iters[depth]:
-                if equalities:
-                    ok = True
-                    for a, b in equalities:
-                        if not values_equal(row[a], row[b]):
-                            ok = False
-                            break
-                    if not ok:
-                        steps += 1
-                        continue
-                for position, slot in bindings:
-                    valuation[slot] = row[position]
-                if checks:
-                    ok = True
-                    for check in checks:
-                        if not check(valuation):
-                            ok = False
-                            break
-                    if not ok:
-                        steps += 1
-                        continue
-                if depth == last:
-                    yield tuple(valuation)
-                else:
-                    depth += 1
-                    iters[depth] = iter(plans[depth][0](valuation))
-                    descended = True
-                    break
-            if not descended:
-                depth -= 1
+        return _compiled(source)(stop_after, *arguments)
 
     @staticmethod
     def _atom_order(query: ConjunctiveQuery) -> List[int]:
@@ -343,82 +245,143 @@ class NaiveEvaluator:
         return order
 
 
-def _make_probe(
-    relation: Relation,
-    key_positions: Tuple[int, ...],
-    key_parts: List[Tuple[bool, Any]],
-) -> Callable[[List[Any]], Iterable[Tuple]]:
-    """Compile ``valuation -> rows matching the probe key`` for one atom.
+# ----------------------------------------------------------------------
+# The generated search
+# ----------------------------------------------------------------------
 
-    Key conventions follow :meth:`Relation._index`: raw values for a single
-    indexed position, tuples otherwise.  Fully static keys (all constants)
-    are resolved to their bucket at compile time; an atom with nothing
-    bound iterates the relation's rows as they are, with no index at all.
-    """
-    empty: Tuple = ()
-    if not key_parts:
-        all_rows = relation._row_order()
-        return lambda valuation: all_rows
-    buckets = relation._index(key_positions)
-    if len(key_parts) == 1:
-        is_slot, payload = key_parts[0]
-        if not is_slot:
-            bucket = buckets.get(payload, empty)
-            return lambda valuation: bucket
-        return lambda valuation: buckets.get(valuation[payload], empty)
-    if all(not is_slot for is_slot, _ in key_parts):
-        bucket = buckets.get(tuple(v for _, v in key_parts), empty)
-        return lambda valuation: bucket
-    parts = tuple(key_parts)
-    return lambda valuation: buckets.get(
-        tuple(valuation[p] if is_slot else p for is_slot, p in parts), empty
-    )
+#: Opens every loop body: one step per row, the poll and the budget.
+_COUNT_STEP = (
+    "steps += 1",
+    "if steps >= poll_at:",
+    "    if steps > stop_after:",
+    "        raise _BudgetSpent",
+    "    check_cancelled()",
+    "    poll_at = min(steps + _POLL_STRIDE, stop_after + 1)",
+)
 
 
-def _constraint_schedule(
-    constraints, atoms: List[Atom], slot_of: Dict[Variable, int]
-) -> Dict[int, Tuple]:
-    """Map each atom depth to the constraint checks that become ready there.
+def _generate(
+    query: ConjunctiveQuery,
+    database: Database,
+    order: Sequence[int],
+    emit: Sequence[Term],
+) -> Tuple[str, List[Any]]:
+    """The source of the search for *query* with its atoms taken in *order*
+    and *emit* yielded per satisfying valuation, and the arguments — after
+    ``stop_after`` — that bind that text to *database* and the query's
+    constants."""
+    parameters = ["stop_after"]
+    arguments: List[Any] = []
+    names: Dict[Term, str] = {}  # variable -> its name in the text
+    bound_at: Dict[str, int] = {}  # that name -> the depth that binds it
+    # Names somebody reads — a later probe key, a constraint, the emitted
+    # tuple; the others are never assigned.
+    read = set()
 
-    A constraint is *ready* at the first depth where all of its variables
-    are bound; the returned closures read the flat slot valuation.
-    """
-    first_bound: Dict[Variable, int] = {}
-    for depth, atom in enumerate(atoms):
-        for v in atom.variables():
-            first_bound.setdefault(v, depth)
+    def parameter(name: str, value: Any) -> str:
+        parameters.append(name)
+        arguments.append(value)
+        return name
 
-    schedule: Dict[int, List] = {}
-    for constraint in constraints:
-        depths = [first_bound[v] for v in constraint.variables()]
-        ready_at = max(depths) if depths else 0
-        schedule.setdefault(ready_at, []).append(_make_check(constraint, slot_of))
-    return {depth: tuple(checks) for depth, checks in schedule.items()}
-
-
-def _make_check(constraint, slot_of: Dict[Variable, int]):
-    """Compile one ≠ / < / ≤ constraint into a slot-valuation closure."""
-
-    def reader(term):
+    def spell(term: Term) -> str:
         if isinstance(term, Constant):
-            value = term.value
-            return lambda valuation: value
-        slot = slot_of[term]
-        return lambda valuation: valuation[slot]
+            return parameter(f"k{len(arguments)}", term.value)
+        read.add(names[term])
+        return names[term]
 
-    left = reader(constraint.left)
-    right = reader(constraint.right)
+    loops = []  # per depth: what to iterate, equality checks, name -> cell
+    for depth, index in enumerate(order):
+        atom = query.atoms[index]
+        relation = database[atom.relation]
+        check_atom_arity(atom, relation)
+        # Static shape of the probe at this depth: positions holding a
+        # constant or a variable bound earlier are the key; the others bind
+        # a new variable or repeat one first seen in this very atom.
+        key: List[Tuple[int, Term]] = []
+        cells: Dict[str, str] = {}
+        equalities: List[str] = []
+        for position, term in enumerate(atom.terms):
+            if isinstance(term, Constant):
+                key.append((position, term))
+                continue
+            name = names.get(term)
+            if name is None:
+                name = names[term] = f"v{len(names)}"
+                bound_at[name] = depth
+                cells[name] = f"r{depth}[{position}]"
+            elif name in cells:
+                a, b = cells[name], f"r{depth}[{position}]"
+                equalities.append(f"if not ({a} is {b} or {a} == {b}): continue")
+            else:
+                key.append((position, term))
+        # Keys follow Relation._index: the raw value for one position, a
+        # tuple otherwise.
+        positions = tuple(position for position, _ in key)
+        if not key:
+            rows = parameter(f"rows{depth}", relation._row_order())
+        elif all(isinstance(term, Constant) for _, term in key):
+            values = tuple(term.value for _, term in key)
+            bucket = relation._index(positions).get(
+                values[0] if len(values) == 1 else values, ()
+            )
+            rows = parameter(f"rows{depth}", bucket)
+        else:
+            probe = parameter(f"idx{depth}", relation._index(positions).get)
+            spelled = [spell(term) for _, term in key]
+            probe_key = spelled[0] if len(key) == 1 else f"({', '.join(spelled)})"
+            rows = f"{probe}({probe_key}, ())"
+        loops.append((rows, equalities, cells))
 
-    if isinstance(constraint, Inequality):
-        def check(valuation, _l=left, _r=right):
-            return not values_equal(_l(valuation), _r(valuation))
-        return check
-    if isinstance(constraint, Comparison):
-        strict = constraint.strict
+    # A constraint is checked at the depth that binds its last variable.
+    checks: List[List[str]] = [[] for _ in loops]
+    for constraint in query.inequalities + query.comparisons:
+        left, right = spell(constraint.left), spell(constraint.right)
+        if isinstance(constraint, Inequality):
+            check = f"if {left} is {right} or {left} == {right}: continue"
+        else:
+            check = f"if not {left} {constraint.op} {right}: continue"
+        checks[max(bound_at.get(left, 0), bound_at.get(right, 0))].append(check)
+    emitted = "".join([f"{spell(term)}, " for term in emit])
 
-        def check(valuation, _l=left, _r=right, _s=strict):
-            lv = _l(valuation)
-            rv = _r(valuation)
-            return lv < rv if _s else lv <= rv
-        return check
-    raise QueryError(f"unknown constraint type: {constraint!r}")
+    # Innermost first.  CPython compiles at most _MAX_NESTING statically
+    # nested loops, so every further run of them becomes a nested generator
+    # function that the loop above it delegates to.
+    lines = [f"yield ({emitted})"]
+    for start in reversed(range(0, len(loops), _MAX_NESTING)):
+        nest: List[str] = []
+        pad = ""
+        for depth in range(start, min(start + _MAX_NESTING, len(loops))):
+            rows, equalities, cells = loops[depth]
+            bindings = [
+                f"{name} = {cell}" for name, cell in cells.items() if name in read
+            ]
+            nest.append(f"{pad}for r{depth} in {rows}:")
+            pad += "    "
+            inside = (*_COUNT_STEP, *equalities, *bindings, *checks[depth])
+            nest.extend([pad + line for line in inside])
+        nest.extend([pad + line for line in lines])
+        lines = nest
+        if start:
+            lines = [
+                "def deeper():",
+                "    nonlocal steps, poll_at",
+                *["    " + line for line in nest],
+                "yield from deeper()",
+            ]
+    lines[:0] = ["steps = 0", "poll_at = min(_POLL_STRIDE, stop_after + 1)"]
+    source = f"def search({', '.join(parameters)}):\n    " + "\n    ".join(lines)
+    return source + "\n", arguments
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _compiled(source: str) -> Callable[..., Iterator[Tuple]]:
+    """The generator function *source* defines.  The text holds slots, not
+    data (see the module docstring), so the memo holds no data either."""
+    # All a text may name besides its arguments and the builtins.
+    namespace = {
+        "_BudgetSpent": _BudgetSpent,
+        "check_cancelled": check_cancelled,
+        "_POLL_STRIDE": _POLL_STRIDE,
+    }
+    exec(compile(source, "<naive search>", "exec"), namespace)
+    return namespace["search"]

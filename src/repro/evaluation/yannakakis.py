@@ -51,9 +51,9 @@ from .naive import NaiveEvaluator
 
 #: ``decide`` searches for a first witness for at most (input rows of the
 #: query's atoms) // this many steps before it falls back to the bottom-up
-#: pass.  A search step costs about what the pass spends on five rows, so
-#: a spent budget adds about a tenth to the linear worst case
-#: (``BENCH_parallel_sharded.json``, ``unsatisfiable``).
+#: pass.  A search step — one row visited — costs about what the pass
+#: spends on two or three rows, so a spent budget adds 6–8 % to the linear
+#: worst case (``BENCH_parallel_sharded.json``, ``unsatisfiable``).
 WITNESS_BUDGET_DIVISOR = 48
 
 

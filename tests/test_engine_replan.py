@@ -12,6 +12,8 @@ Two halves of this PR's engine work:
   matching per-member ``decide``.
 """
 
+import time
+
 import pytest
 
 from repro import (
@@ -25,6 +27,7 @@ from repro.engine import DEFAULT_REPLAN_LIMIT, Planner
 from repro.parallel import ParallelYannakakisEvaluator, lift_batch_group
 from repro.operations import DECIDE, operations_of
 from repro.query.atoms import Atom
+from repro.query.parser import parse_query
 from repro.query.terms import Constant, Variable
 from repro.workloads import (
     chain_database,
@@ -98,6 +101,28 @@ class TestAdaptiveReplanning:
         # Corrected estimate equals the observation: no further drift.
         assert engine.plan_for(query, database).replans == 1
         assert engine.stats().replans == 1
+
+    def test_a_replan_does_not_trade_the_baseline_for_a_modelled_sliver(self):
+        """ROADMAP item 4, reproducer 1: planned ``naive``, then the drift
+        re-plan corrected |Q(d)| to 120, the colour-coding estimate came out
+        5 % under the baseline's (2.78e4 vs 2.94e4 row ops), a bare ``<``
+        took it and every later call ran ~15× slower.  Theorem 2's engine
+        now has to win by the margin the class evaluators are protected by."""
+        database = chain_database(layers=5, width=60, p=4 / 60, seed=1)
+        query = parse_query("Q(a) :- E(a, b), E(b, c), E(c, d), a != d.")
+        engine = QueryEngine()
+        seconds = []
+        for _ in range(4):
+            assert engine.plan_for(query, database).evaluator == "naive"
+            started = time.perf_counter()
+            answer = engine.execute(query, database)
+            seconds.append(time.perf_counter() - started)
+            assert answer.cardinality == 120
+        plan = engine.plan_for(query, database)
+        assert plan.replans == 1 and plan.evaluator == "naive"
+        costs = plan.cost_estimates
+        assert costs["inequality"] < costs["naive"] < 4 * costs["inequality"]
+        assert seconds[3] < 3 * seconds[0]
 
     def test_oscillating_parameterizations_stop_at_the_replan_limit(self):
         """One shape whose constants alternate between a hub (many rows)
