@@ -1,4 +1,4 @@
-"""PARALLEL — the acyclic route, N-wide batch lifting, and the pool modes.
+"""ACYCLIC ROUTE — one pass and a read-off, and what ``run_batch`` adds.
 
 What this file measures:
 
@@ -15,37 +15,34 @@ What this file measures:
   first-witness budget and then pays the pass: the linear worst case;
 * a ≥32-member same-shape batch through ``run_batch`` against per-member
   execution (N-wide lifting through a parameter relation), ≥2× faster;
-* with ``--assert-multicore``, serial vs thread vs process pools on
-  compute-bound tasks.
+* the groups ``run_batch`` does *not* lift — too few members, ``≠``
+  members, ``count`` — under ``QueryEngine()`` and ``parallel=False``:
+  both run them as a plain loop on the calling thread, so the two columns
+  read the same (``docs/performance.md``, "PR 24", has what the thread
+  fan-out that used to sit there cost).
 
 Single queries take the same route with and without ``parallel=``, so the
 acyclic leaves are absolute times, not a ratio between two engines.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_parallel_sharded.py
-    PYTHONPATH=src python benchmarks/bench_parallel_sharded.py --smoke  # CI
+    PYTHONPATH=src python benchmarks/bench_acyclic_route.py
+    PYTHONPATH=src python benchmarks/bench_acyclic_route.py --smoke  # CI
 
 ``--smoke`` skips the perf assertions (CI machines are noisy; the
 regression gate applies its own tolerance instead); ``--json PATH`` writes
-the machine-readable report (``BENCH_parallel_sharded.json`` by default in
+the machine-readable report (``BENCH_acyclic_route.json`` by default in
 full mode).
-
-The multicore CI job adds ``--assert-multicore --max-workers $(nproc)``:
-that runs an extra serial-vs-threads-vs-processes comparison and asserts
-the best real pool beats serial execution — the ROADMAP's multicore
-fan-out measurement, meaningless on a 1-CPU container (where every pool
-collapses to serial) and therefore kept out of the committed baseline and
-the regression gate.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from statistics import median
 from typing import Any, Dict, List, Optional
 
-from repro import Database, NaiveEvaluator, QueryEngine, YannakakisEvaluator
+from repro import Database, QueryEngine, YannakakisEvaluator
 from repro.benchlib import (
     add_json_argument,
     emit_json_report,
@@ -54,9 +51,8 @@ from repro.benchlib import (
     speedup,
     time_thunk,
 )
-from repro.operations import EXECUTE, operations_of
-from repro.parallel import WorkerPool, default_worker_count
-from repro.parallel.pool import PROCESSES, SERIAL, THREADS
+from repro.operations import COUNT, EXECUTE, operations_of
+from repro.query.parser import parse_query
 from repro.workloads import chain_database, path_query, star_database, star_query
 
 
@@ -200,61 +196,56 @@ def run_batch(repeats: int, batch_size: int = 48) -> Dict[str, Any]:
     }
 
 
-#: Tasks of the multicore fan-out measurement (one per seed).
-_POOL_MODE_SEEDS = tuple(range(8))
+def run_unlifted(calls: int = 15) -> List[Dict[str, Any]]:
+    """The groups ``run_batch`` runs member by member, and the lifted one
+    beside them: median of *calls* ``run_batch`` calls per engine flavor.
 
-
-def _naive_unsat_decide_task(seed: int) -> bool:
-    """One compute-bound task: full backtracking search with no answer.
-
-    A length-5 path query on a 5-layer chain is unsatisfiable, so the
-    naive engine explores the entire search space — heavy CPU, trivial
-    result.  The task builds its own database from the seed, so only an
-    integer crosses the process boundary: this measures task fan-out, not
-    serialization.  Module-level with a picklable argument, as the
-    process pool requires.
+    ``QueryEngine()`` and ``parallel=False`` differ only in N-wide lifting,
+    so on every row but the last they run the same loop.
     """
-    database = chain_database(layers=5, width=32, p=0.3, seed=seed)
-    query = path_query(5, head_arity=1)
-    return NaiveEvaluator().decide(query, database)
+    database = chain_database(layers=5, width=200, p=0.05, seed=3)
+    starts = sorted({row[0] for row in database["E"].rows})
+    path = path_query(4, head_arity=1)
 
+    def acyclic(size: int) -> List[Any]:
+        return [path.decision_instance((value,)) for value in starts[:size]]
 
-def run_pool_modes(
-    repeats: int, max_workers: Optional[int]
-) -> Dict[str, Any]:
-    """Serial vs thread-pool vs process-pool on compute-bound tasks.
+    unequal = [
+        parse_query(f"Q(b) :- E({value},b), E(b,c), E(c,d), b != d.")
+        for value in starts[:16]
+    ]
+    groups = [
+        ("acyclic_execute_6", operations_of(EXECUTE, acyclic(6))),
+        ("acyclic_count_6", operations_of(COUNT, acyclic(6))),
+        ("neq_execute_16", operations_of(EXECUTE, unequal)),
+        ("neq_count_16", operations_of(COUNT, unequal)),
+        ("acyclic_count_32", operations_of(COUNT, acyclic(32))),
+        ("acyclic_execute_32_lifted", operations_of(EXECUTE, acyclic(32))),
+    ]
+    plain, default = QueryEngine(parallel=False), QueryEngine()
 
-    The ROADMAP's multicore fan-out measurement.  What real cores add is
-    *task* parallelism, and for pure-Python search that means the process
-    pool (threads stay interpreter-bound and are reported to show exactly
-    that).  Only meaningful with > 1 core — on the 1-CPU dev container
-    every mode degrades to inline execution plus overhead.
-    """
-    workers = max_workers or default_worker_count()
-    expected = [False] * len(_POOL_MODE_SEEDS)
-    timings: Dict[str, float] = {}
-    for mode in (SERIAL, THREADS, PROCESSES):
-        pool = WorkerPool(1 if mode == SERIAL else workers, mode)
-        assert (
-            pool.map(_naive_unsat_decide_task, _POOL_MODE_SEEDS) == expected
-        ), f"pool mode {mode} diverged"
-        timings[mode], _ = time_thunk(
-            lambda: pool.map(_naive_unsat_decide_task, _POOL_MODE_SEEDS),
-            repeats=repeats,
+    def median_seconds(engine: QueryEngine, operations: Any) -> float:
+        return median(
+            time_thunk(lambda: engine.run_batch(operations, database), repeats=1)[0]
+            for _ in range(calls)
         )
-        pool.close()
-    return {
-        "workload": "naive_unsat_path5_w32",
-        "tasks": len(_POOL_MODE_SEEDS),
-        "workers": workers,
-        "serial_seconds": timings[SERIAL],
-        "threads_seconds": timings[THREADS],
-        "processes_seconds": timings[PROCESSES],
-        "threads_speedup": round(speedup(timings[SERIAL], timings[THREADS]), 2),
-        "processes_speedup": round(
-            speedup(timings[SERIAL], timings[PROCESSES]), 2
-        ),
-    }
+
+    records: List[Dict[str, Any]] = []
+    for name, operations in groups:
+        # The first call of each flavor warms its plan cache and pins that
+        # the two agree before anything is timed.
+        assert plain.run_batch(operations, database) == default.run_batch(
+            operations, database
+        ), name
+        records.append(
+            {
+                "name": name,
+                "members": len(operations),
+                "plain_seconds": median_seconds(plain, operations),
+                "default_seconds": median_seconds(default, operations),
+            }
+        )
+    return records
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -265,19 +256,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="skip perf assertions and the default JSON write — the CI "
         "configuration (timings stay best-of-3 for the regression gate)",
     )
-    parser.add_argument(
-        "--max-workers",
-        type=int,
-        default=None,
-        help="worker budget for the pool-mode comparison (the multicore "
-        "CI job passes the runner's core count)",
-    )
-    parser.add_argument(
-        "--assert-multicore",
-        action="store_true",
-        help="run the serial/threads/processes comparison and assert the "
-        "best real pool beats serial on the large workload (needs >1 core)",
-    )
     add_json_argument(parser)
     args = parser.parse_args(argv)
     repeats = 3
@@ -285,11 +263,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     acyclic = run_acyclic(repeats)
     unsatisfiable = run_unsatisfiable(repeats)
     batch = run_batch(repeats)
-    pool_modes = (
-        run_pool_modes(repeats, args.max_workers)
-        if args.assert_multicore
-        else None
-    )
+    batch["unlifted"] = run_unlifted()
 
     print_table(
         (
@@ -340,34 +314,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         ],
         title="run_batch: N-wide lifted execution vs per-member",
     )
-
-    if pool_modes is not None:
-        print_table(
-            (
-                "tasks",
-                "workers",
-                "serial s",
-                "threads s",
-                "processes s",
-                "thr ×",
-                "proc ×",
-            ),
-            [
-                (
-                    pool_modes["tasks"],
-                    pool_modes["workers"],
-                    pool_modes["serial_seconds"],
-                    pool_modes["threads_seconds"],
-                    pool_modes["processes_seconds"],
-                    pool_modes["threads_speedup"],
-                    pool_modes["processes_speedup"],
-                )
-            ],
-            title=(
-                "Pool modes on compute-bound search tasks "
-                "(multicore fan-out measurement)"
-            ),
-        )
+    print_table(
+        ("group", "members", "parallel=False s", "QueryEngine() s"),
+        [
+            (r["name"], r["members"], r["plain_seconds"], r["default_seconds"])
+            for r in batch["unlifted"]
+        ],
+        title="run_batch groups that do not lift (median of 15), and one that does",
+    )
 
     if not args.smoke:
         assert batch["batch_speedup"] >= 2.0, batch
@@ -384,40 +338,17 @@ def main(argv: Optional[List[str]] = None) -> int:
             assert (
                 record["decide_unsat_seconds"] <= 1.3 * record["pass_seconds"]
             ), record
-    if pool_modes is not None:
-        # The multicore claim: with real cores, the best real pool beats
-        # serial on the compute-bound workload (the process pool — pure
-        # Python search stays interpreter-bound under threads, which the
-        # report shows), and the thread pool costs no pathological
-        # overhead.
-        best = min(
-            pool_modes["threads_seconds"], pool_modes["processes_seconds"]
-        )
-        assert best < pool_modes["serial_seconds"], pool_modes
-        assert pool_modes["threads_seconds"] < pool_modes["serial_seconds"] * 2.0, (
-            pool_modes
-        )
 
     output = args.json
     if output is None and not args.smoke:
-        output = "BENCH_parallel_sharded.json"
-    sections: Dict[str, Any] = {
-        "workers": default_worker_count(),
-        "acyclic": acyclic,
-        "unsatisfiable": unsatisfiable,
-        "batch": batch,
-    }
-    if pool_modes is not None:
-        # Only present under --assert-multicore, which the bench-gate job
-        # never passes: the committed baseline comes from a 1-CPU
-        # container where pool-mode timings are meaningless, so these
-        # leaves must never reach the regression comparison.
-        sections["pool_modes"] = pool_modes
+        output = "BENCH_acyclic_route.json"
     payload = json_report_payload(
-        "parallel_sharded",
+        "acyclic_route",
         smoke=args.smoke,
         repeats=repeats,
-        **sections,
+        acyclic=acyclic,
+        unsatisfiable=unsatisfiable,
+        batch=batch,
     )
     emit_json_report(output, payload)
     return 0

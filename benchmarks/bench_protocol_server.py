@@ -1,12 +1,14 @@
-"""PROTOCOL — a real server process over TCP vs one engine per client.
+"""PROTOCOL — a real server process over TCP.
 
-The acceptance claims of the networked protocol layer:
+What this file measures of the networked protocol layer:
 
-* **shared server beats isolated engines** — N TCP clients multiplexed
-  onto one *subprocess* ``QueryServer`` (one plan cache, single-flight,
-  backlog batching, fairness lanes — plus real wire costs: JSON framing,
-  loopback TCP, process isolation) finish the mixed workload faster than
-  the same clients each running their own in-process ``QueryEngine``;
+* **concurrent TCP clients** — N clients multiplexed onto one
+  *subprocess* ``QueryServer`` (one plan cache, single-flight, backlog
+  batching, fairness lanes — plus real wire costs: JSON framing, loopback
+  TCP, process isolation) finishing the mixed workload, as an absolute
+  time with the server's coalesced / batched counts beside it (the
+  end-to-end cost of a request is the e2e benchmark's question,
+  ``benchmarks/e2e``);
 * **backlog batching survives the wire** — a same-shape flood pipelined
   over one connection queues up behind the server's dispatchers, joins
   one group and runs through N-wide lifted executions, beating the same
@@ -51,8 +53,6 @@ from repro.benchlib import (
     speedup,
     time_thunk,
 )
-from repro.parallel import WorkerPool, default_worker_count
-from repro.parallel.pool import THREADS
 from repro.protocol import (
     AsyncQueryClient,
     QueryClient,
@@ -163,37 +163,7 @@ async def tcp_clients_run(workload: List[List], host: str, port: int) -> List[Li
             await client.aclose()
 
 
-async def per_client_run(workload: List[List], database) -> List[List]:
-    """One private in-process engine per client: no shared plan cache, no
-    coalescing, no batching, and no wire either — the strongest version
-    of the configuration the server replaces."""
-    pool = WorkerPool(max(2, default_worker_count()), THREADS)
-    engines = [QueryEngine() for _ in workload]
-
-    async def client(engine, requests):
-        results = []
-        for query in requests:
-            results.append(
-                await asyncio.wrap_future(pool.submit(engine.execute, query, database))
-            )
-        return results
-
-    try:
-        return list(
-            await asyncio.gather(
-                *(
-                    client(engine, requests)
-                    for engine, requests in zip(engines, workload)
-                )
-            )
-        )
-    finally:
-        for engine in engines:
-            engine.close()
-        pool.close()
-
-
-def run_clients_vs_isolated(
+def run_concurrent_clients(
     repeats: int, database, database_path: str
 ) -> Dict[str, Any]:
     workload = build_workload(CLIENTS, PER_CLIENT, database)
@@ -218,18 +188,10 @@ def run_clients_vs_isolated(
         with QueryClient(server.host, server.port) as probe:
             stats = probe.stats()
 
-    isolated = asyncio.run(per_client_run(workload, database))
-    assert isolated == reference, "per-client engines diverged from sequential"
-    per_client_seconds, _ = time_thunk(
-        lambda: asyncio.run(per_client_run(workload, database)),
-        repeats=repeats,
-    )
     return {
         "clients": CLIENTS,
         "requests": CLIENTS * PER_CLIENT,
         "shared_seconds": shared_seconds,
-        "per_client_seconds": per_client_seconds,
-        "shared_speedup": round(speedup(per_client_seconds, shared_seconds), 2),
         "coalesced": stats["service"]["coalesced"],
         "batched": stats["service"]["batched"],
     }
@@ -365,31 +327,28 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     repeats = 3
 
-    # Wider than the in-process service bench: per-request evaluation has
-    # to dominate the ~1 ms/request wire cost for the sharing comparison
-    # to measure *sharing* rather than loopback TCP.
     database = chain_database(layers=6, width=72, p=0.22, seed=7)
     with tempfile.TemporaryDirectory() as tmp:
         database_path = os.path.join(tmp, "chain.json")
         save_database_json(database, database_path)
-        concurrent = run_clients_vs_isolated(repeats, database, database_path)
+        concurrent = run_concurrent_clients(repeats, database, database_path)
         flood = run_flood(repeats, database, database_path)
         frames = run_binary_frames(repeats, database, database_path)
 
     print_table(
-        ("clients", "requests", "shared TCP s", "per-client s", "speedup"),
+        ("clients", "requests", "shared TCP s", "coalesced", "batched"),
         [
             (
                 concurrent["clients"],
                 concurrent["requests"],
                 concurrent["shared_seconds"],
-                concurrent["per_client_seconds"],
-                concurrent["shared_speedup"],
+                concurrent["coalesced"],
+                concurrent["batched"],
             )
         ],
         title=(
-            f"{CLIENTS} TCP clients on one subprocess QueryServer vs one "
-            f"in-process engine per client (best of {repeats})"
+            f"{CLIENTS} TCP clients on one subprocess QueryServer "
+            f"(best of {repeats})"
         ),
     )
     print_table(
@@ -425,7 +384,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
 
     if not args.smoke:
-        assert concurrent["shared_speedup"] >= 1.2, concurrent
         assert flood["batching_speedup"] >= 1.2, flood
         assert frames["payload_ratio"] <= 0.75, frames
         assert frames["binary_over_json"] <= 1.0, frames

@@ -69,7 +69,7 @@ def channel_rows(smoke: bool, repeats: int) -> List[Dict[str, Any]]:
         ("star_count", star_query(arms), star_database(arms, fanout, seed=3)),
     ]
     records: List[Dict[str, Any]] = []
-    engine = QueryEngine(max_workers=1)
+    engine = QueryEngine()
     backend = SqliteBackend()
     for name, query, database in cases:
         native_result = engine.execute(query, database)  # warm plan cache

@@ -15,11 +15,11 @@ and instead say ``engine.execute(query, database)``.  Internally:
 4. the *executor* dispatches to the chosen evaluator — one per
    structural class; every acyclic plan runs through the one
    :class:`~repro.evaluation.yannakakis.YannakakisEvaluator`;
-5. ``run_batch`` groups same-shape operations under one plan and — for
-   large constant-variant groups — *lifts* the group into a single N-wide
-   execution through a parameter relation, falling back to per-member
-   execution fanned across the worker pool (threads by default,
-   processes optionally, inline on one core).
+5. ``run_batch`` groups same-shape operations under one plan key:
+   identical members share one execution, a large constant-variant group
+   of an acyclic ``execute`` / ``decide`` is *lifted* into a single N-wide
+   execution through a parameter relation, and everything else is a plain
+   loop over the members.
 
 After every planned execution the engine records the actual result
 cardinality on the plan (``QueryPlan.runtime``) and feeds a bounded
@@ -43,8 +43,10 @@ engine: plan cache, ledger and plan runtimes are locked, kernel cache
 fills are convergent, and the evaluators themselves are stateless across
 calls.
 
-Constructing with ``parallel=False`` drops the worker pool and the N-wide
-batch lifting; single operations take the same route either way.
+Evaluation runs on the thread that called the engine and nowhere else:
+the engine owns no pool.  Constructing with ``parallel=False`` turns the
+N-wide batch lifting off; single operations take the same route either
+way.
 """
 
 from __future__ import annotations
@@ -80,8 +82,7 @@ from ..operations import (
     EXECUTE as OP_EXECUTE,
     EXPLAIN as OP_EXPLAIN,
 )
-from ..parallel.batch import LiftedBatch, lift_batch_group
-from ..parallel.pool import THREADS, WorkerPool
+from ..parallel.batch import lift_batch_group
 from ..query.conjunctive import ConjunctiveQuery
 from ..relational.database import Database
 from ..relational.relation import Relation
@@ -137,15 +138,9 @@ class QueryEngine(OperationFacade):
     planner:
         Optional custom planner (tests inject instrumented ones).
     parallel:
-        Enable the worker pool and N-wide batch lifting.  ``False`` runs
-        every batch member inline, one at a time.
-    max_workers:
-        Worker budget for the pool (defaults to the CPU count; 1 runs
-        every task inline).
-    pool_mode:
-        ``"threads"`` (default), ``"processes"``, or ``"serial"``.
-    batch_wide_threshold:
-        Minimum same-shape group size for N-wide batch lifting.
+        N-wide batch lifting on or off, and nothing else: ``False`` runs
+        the members of every ``run_batch`` group one at a time.  Nothing
+        in the engine runs on another thread either way.
     replan_drift_threshold:
         Estimate-vs-actual cardinality ratio at which the cached plan is
         invalidated and the shape re-planned with observed statistics
@@ -158,9 +153,6 @@ class QueryEngine(OperationFacade):
         treewidth_threshold: int = DEFAULT_TREEWIDTH_THRESHOLD,
         planner: Optional[Planner] = None,
         parallel: bool = True,
-        max_workers: Optional[int] = None,
-        pool_mode: str = THREADS,
-        batch_wide_threshold: int = DEFAULT_BATCH_WIDE_THRESHOLD,
         replan_drift_threshold: Optional[float] = DEFAULT_REPLAN_DRIFT,
     ) -> None:
         self._cache = PlanCache(plan_cache_size)
@@ -171,10 +163,7 @@ class QueryEngine(OperationFacade):
         self._yannakakis = YannakakisEvaluator()
         self._treewidth = TreewidthEvaluator()
         self._inequality = AcyclicInequalityEvaluator()
-        self._batch_wide_threshold = batch_wide_threshold
-        self._pool: Optional[WorkerPool] = (
-            WorkerPool(max_workers, pool_mode) if parallel else None
-        )
+        self._lift_batches = parallel
         self._counting = CountingYannakakisEvaluator()
         # The per-layer dispatch table the Operation API rides on: adding
         # an operation kind means one entry here (plus its thin facade),
@@ -221,23 +210,27 @@ class QueryEngine(OperationFacade):
         """Run one :class:`~repro.operations.Operation` — the single entry
         point every facade method routes through.  Dispatches on the
         operation kind via the engine's runner table."""
+        return self._run(operation, database, None)
+
+    def _run(
+        self, operation: Operation, database: Database, key: Optional[Tuple]
+    ) -> Any:
+        # *key* is the operation's plan-cache key when the caller already
+        # has it (``run_batch`` groups by it), else ``None``.
         runner = self._op_runners.get(operation.kind)
         if runner is None:
             raise QueryError(
                 f"engine has no runner for operation kind {operation.kind!r}"
             )
-        return runner(operation, database)
+        return runner(operation, database, key)
 
     def run_batch(
         self, operations: Sequence[Operation], database: Database
     ) -> List[Any]:
-        """Run many operations, planning once per distinct (kind, options,
-        shape) group.
+        """Run many operations, grouped by (kind, options, shape).
 
-        ``execute``/``decide`` groups keep the full batching machinery —
-        duplicate sharing, N-wide lifting, pool fan-out; other kinds share
-        duplicates and fan members across the pool.  Results come back in
-        input order, equal to running each operation on its own.
+        Results come back in input order, equal to running each operation
+        on its own.
         """
         groups: Dict[Tuple, List[int]] = {}
         for position, operation in enumerate(operations):
@@ -248,55 +241,56 @@ class QueryEngine(OperationFacade):
             )
             groups.setdefault(key, []).append(position)
         results: List[Any] = [None] * len(operations)
-        for (kind, options, plan_key), positions in groups.items():
+        for (_, _, plan_key), positions in groups.items():
             members = [operations[position] for position in positions]
-            first = members[0]
-            if len(members) == 1:
-                # Singleton groups gain nothing from the batch machinery.
-                group_results = [self.run(first, database)]
-            elif (
-                kind in (OP_EXECUTE, OP_DECIDE)
-                and first.option("evaluator") is None
-            ):
-                queries = [member.query for member in members]
-                plan, _, _ = self._plan_entry(queries[0], database, key=plan_key)
-                group_results = self._run_group(
-                    plan_key, plan, queries, database, decide=(kind == OP_DECIDE)
-                )
-            else:
-                group_results = self._run_generic_group(members, database)
+            group_results = self._run_group(plan_key, members, database)
             for position, result in zip(positions, group_results):
                 results[position] = result
         return results
 
-    def _run_generic_group(
-        self, members: List[Operation], database: Database
+    def _run_group(
+        self, key: Tuple, members: List[Operation], database: Database
     ) -> List[Any]:
-        """Same-kind/options/shape operations without a specialized batch
-        path: identical duplicates run once, the rest fan across the pool
-        (``run`` itself records per-member observability)."""
+        """One group of same-kind, same-options, same-shape operations.
+
+        Identical members share one execution (one ledger/runtime entry,
+        however many members it served); a large constant-variant group of
+        an acyclic ``execute`` / ``decide`` runs N-wide, recording only the
+        *lifted* query under its own shape; everything else is a plain
+        loop, each member recorded as if it had been run on its own.
+        """
         first = members[0]
-        if len(members) > 1 and all(member == first for member in members[1:]):
-            return [self.run(first, database)] * len(members)
-
-        def run_member(member: Operation) -> Any:
-            return self.run(member, database)
-
-        pool = self._pool
-        if pool is not None and pool.supports_closures and len(members) > 1:
-            return pool.map(run_member, members)
-        return [run_member(member) for member in members]
+        if all(member == first for member in members[1:]):
+            return [self._run(first, database, key)] * len(members)
+        if (
+            self._lift_batches
+            and len(members) >= DEFAULT_BATCH_WIDE_THRESHOLD
+            and first.kind in (OP_EXECUTE, OP_DECIDE)
+            and first.option("evaluator") is None
+        ):
+            plan, _, _ = self._plan_entry(first.query, database, key=key)
+            if plan.structural_class == ACYCLIC:
+                lifted = self._run_lifted(
+                    [member.query for member in members],
+                    database,
+                    decide=(first.kind == OP_DECIDE),
+                )
+                if lifted is not None:
+                    return lifted
+        return [self._run(member, database, key) for member in members]
 
     # ------------------------------------------------------------------
     # Per-kind runners (the dispatch table's targets)
     # ------------------------------------------------------------------
 
-    def _op_execute(self, operation: Operation, database: Database) -> Relation:
+    def _op_execute(
+        self, operation: Operation, database: Database, key: Optional[Tuple]
+    ) -> Relation:
         query = operation.query
         forced = operation.option("evaluator")
         if forced is not None:
             return self._dispatch(forced, None, query, database, decide=False)
-        plan, _, key = self._plan_entry(query, database)
+        plan, _, key = self._plan_entry(query, database, key)
         start = perf_counter()
         result = self._dispatch(plan.evaluator, plan, query, database, decide=False)
         self._record(
@@ -304,19 +298,23 @@ class QueryEngine(OperationFacade):
         )
         return result
 
-    def _op_decide(self, operation: Operation, database: Database) -> bool:
+    def _op_decide(
+        self, operation: Operation, database: Database, key: Optional[Tuple]
+    ) -> bool:
         query = operation.query
         forced = operation.option("evaluator")
         if forced is not None:
             return self._dispatch(forced, None, query, database, decide=True)
-        plan, _, key = self._plan_entry(query, database)
+        plan, _, key = self._plan_entry(query, database, key)
         start = perf_counter()
         result = self._dispatch(plan.evaluator, plan, query, database, decide=True)
         self._record(key, plan, perf_counter() - start, None, query, database)
         return result
 
-    def _op_explain(self, operation: Operation, database: Database) -> str:
-        plan, status, _ = self._plan_entry(operation.query, database)
+    def _op_explain(
+        self, operation: Operation, database: Database, key: Optional[Tuple]
+    ) -> str:
+        plan, status, _ = self._plan_entry(operation.query, database, key)
         stats = self._cache.stats
         footer = (
             f"  cache    : {status} "
@@ -325,9 +323,11 @@ class QueryEngine(OperationFacade):
         )
         return plan.explain(cache_status=status) + "\n" + footer
 
-    def _op_count(self, operation: Operation, database: Database) -> int:
+    def _op_count(
+        self, operation: Operation, database: Database, key: Optional[Tuple]
+    ) -> int:
         query = operation.query
-        plan, _, key = self._plan_entry(query, database)
+        plan, _, key = self._plan_entry(query, database, key)
         start = perf_counter()
         total = self._count_with_plan(plan, query, database)
         # count *is* |Q(d)|, so it feeds estimate-vs-actual drift exactly
@@ -335,14 +335,16 @@ class QueryEngine(OperationFacade):
         self._record(key, plan, perf_counter() - start, total, query, database)
         return total
 
-    def _op_aggregate(self, operation: Operation, database: Database) -> Any:
+    def _op_aggregate(
+        self, operation: Operation, database: Database, key: Optional[Tuple]
+    ) -> Any:
         mode = operation.option("mode")
         query = operation.query
         if mode == AGG_COUNT:
-            return self._op_count(operation, database)
+            return self._op_count(operation, database, key)
         if mode == AGG_EXISTS:
-            return self._op_decide(Operation(OP_DECIDE, query), database)
-        plan, _, key = self._plan_entry(query, database)
+            return self._op_decide(Operation(OP_DECIDE, query), database, key)
+        plan, _, key = self._plan_entry(query, database, key)
         start = perf_counter()
         if mode == AGG_FORALL:
             # ∀-check: the count reaches the product of the head variables'
@@ -432,78 +434,25 @@ class QueryEngine(OperationFacade):
         queries: Sequence[ConjunctiveQuery],
         database: Database,
     ) -> List[int]:
-        """|Q(d)| for many queries — duplicates share one count, distinct
-        members fan across the pool under one plan per shape."""
+        """|Q(d)| for many queries — duplicates share one count."""
         return self.run_batch(operations_of(OP_COUNT, queries), database)
 
-    def _run_group(
-        self,
-        key: Tuple,
-        plan: QueryPlan,
-        members: List[ConjunctiveQuery],
-        database: Database,
-        decide: bool,
-    ) -> List[Any]:
-        """One shape group: shared, lifted, pooled, or plain execution.
+    def _run_lifted(
+        self, members: List[ConjunctiveQuery], database: Database, decide: bool
+    ) -> Optional[List[Any]]:
+        """Every member's answer from one N-wide execution, or ``None``.
 
-        One driver for both batch flavors, so the grouping policy
-        (duplicate sharing, lift gate, pool fan-out, share-of-wall-clock
-        recording) cannot drift between them.  Each path records its own
-        observability: the shared path ran the plan once (one
-        ledger/runtime entry, however many members it served); the lifted
-        path records only the *lifted* query under its own shape;
-        per-member execution records every member with its share of the
-        wall clock.
+        Declines (the caller falls back to the per-member loop) when the
+        members are not constant-variants of one template, and — for
+        ``decide``, whose pass walks a join tree — when the lifted query,
+        the member template plus the parameter atom, is not itself
+        acyclic.
         """
-
-        def rows_of(result: Any) -> Optional[int]:
-            return None if decide else result.cardinality
-
-        first = members[0]
-        if len(members) > 1 and all(member == first for member in members[1:]):
-            start = perf_counter()
-            shared = self._dispatch(plan.evaluator, plan, first, database, decide)
-            self._record(
-                key, plan, perf_counter() - start, rows_of(shared), first, database
-            )
-            return [shared] * len(members)
-        if (
-            self._pool is not None
-            and len(members) >= self._batch_wide_threshold
-            and plan.structural_class == ACYCLIC
-        ):
-            lifted = lift_batch_group(members, database)
-            if lifted is not None:
-                if decide:
-                    decisions = self._decide_lifted(lifted)
-                    if decisions is not None:
-                        return decisions
-                else:
-                    return lifted.distribute(
-                        self.execute(lifted.query, lifted.database)
-                    )
-
-        def run_member(member: ConjunctiveQuery) -> Any:
-            return self._dispatch(plan.evaluator, plan, member, database, decide)
-
-        start = perf_counter()
-        pool = self._pool
-        if pool is not None and pool.supports_closures and len(members) > 1:
-            group_results = pool.map(run_member, members)
-        else:
-            group_results = [run_member(member) for member in members]
-        share = (perf_counter() - start) / len(members)
-        for member, result in zip(members, group_results):
-            self._record(key, plan, share, rows_of(result), member, database)
-        return group_results
-
-    def _decide_lifted(self, lifted: LiftedBatch) -> Optional[List[bool]]:
-        """All members' decisions from one bottom-up pass, or ``None``.
-
-        Declines (falling back to per-member decision) when the lifted
-        query — the member template plus the parameter atom — is not
-        itself acyclic, since the pass walks a join tree.
-        """
+        lifted = lift_batch_group(members, database)
+        if lifted is None:
+            return None
+        if not decide:
+            return lifted.distribute(self.execute(lifted.query, lifted.database))
         plan, _, key = self._plan_entry(lifted.query, lifted.database)
         if plan.structural_class != ACYCLIC or plan.analysis.join_tree is None:
             return None
@@ -661,16 +610,6 @@ class QueryEngine(OperationFacade):
     def cache_stats(self) -> CacheStats:
         return self._cache.stats
 
-    @property
-    def pool(self) -> Optional[WorkerPool]:
-        """The engine's worker pool (``None`` when ``parallel=False``).
-
-        The async service front-end (:mod:`repro.service`) feeds its
-        request queue into this pool so service dispatch and batch
-        fan-out share one worker budget.
-        """
-        return self._pool
-
     def clear_cache(self) -> None:
         self._cache.clear()
         self._ledger.clear()
@@ -680,10 +619,9 @@ class QueryEngine(OperationFacade):
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Shut the worker pool down (idempotent; the engine stays usable —
-        a closed pool restarts lazily on the next batch fan-out)."""
-        if self._pool is not None:
-            self._pool.close()
+        """The lifecycle hook owners call when done with the engine.  It
+        holds no thread, file or socket, so there is nothing to release;
+        the engine stays usable."""
 
     def __enter__(self) -> "QueryEngine":
         return self

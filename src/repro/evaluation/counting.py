@@ -35,7 +35,6 @@ cardinality read for those.  Classification lives in
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import partial, reduce
 from itertools import repeat
 from operator import mul
@@ -148,15 +147,13 @@ class CountingYannakakisEvaluator:
         """Per-group answer counts over the *group_by* head variables.
 
         Returns a relation over ``group_by + (count column,)`` — one row
-        per occupied group — or ``None`` when no fast path applies (the
-        caller then materializes and uses :func:`grouped_count_reference`).
+        per occupied group — for a count-full query whose grouping
+        variables sit inside one atom, and ``None`` for everything else,
+        head-covered queries included: grouping an evaluated answer
+        (:func:`grouped_count_reference`, what the caller then does) costs
+        them the same.
         """
-        from ..engine.analysis import (
-            COUNT_COVERED,
-            COUNT_FULL,
-            counting_mode,
-            covering_atom,
-        )
+        from ..engine.analysis import COUNT_FULL, counting_mode
 
         group = tuple(group_by)
         head_names = _head_variable_names(query)
@@ -170,7 +167,7 @@ class CountingYannakakisEvaluator:
             if query.inequalities or query.comparisons:
                 structural = "constrained"
             mode = counting_mode(query, structural)
-        if mode not in (COUNT_COVERED, COUNT_FULL):
+        if mode != COUNT_FULL:
             return None
 
         prepared = self._reducer._prepare(query, database, join_tree)
@@ -178,26 +175,9 @@ class CountingYannakakisEvaluator:
             return _group_relation(group, {})
         relations, tree = prepared
 
-        if mode == COUNT_COVERED:
-            node = covering_atom(query)
-            assert node is not None
-            if node != tree.root:
-                tree = tree.rooted_at(node)
-            reduced = self._reducer.bottom_up_reduction(relations, tree)
-            if reduced is None:
-                return _group_relation(group, {})
-            positions = tuple(head_names.index(name) for name in group)
-            return _group_relation(
-                group,
-                Counter(
-                    tuple(row[p] for p in positions)
-                    for row in self._distinct_head(query, reduced[node])
-                ),
-            )
-
-        # count-full: group the fold's root annotations.  The root must
-        # cover the grouping variables; re-root at a covering atom when
-        # one exists, otherwise give up (caller materializes).
+        # Group the fold's root annotations.  The root must cover the
+        # grouping variables; re-root at a covering atom when one exists,
+        # otherwise give up (caller materializes).
         root = None
         group_set = set(group)
         for index, atom in enumerate(query.atoms):
@@ -237,16 +217,6 @@ class CountingYannakakisEvaluator:
             return CountResult(reduced.count(), COUNT_COVERED)
         positions = positions_of(reduced.relation.attributes, head_names)
         return CountResult(len(reduced.live_keys(positions)), COUNT_COVERED)
-
-    def _distinct_head(
-        self, query: ConjunctiveQuery, reduced: Survivors
-    ) -> Iterable[Tuple]:
-        """Distinct head-variable assignments from the covering survivors."""
-        positions = positions_of(
-            reduced.relation.attributes, _head_variable_names(query)
-        )
-        distinct = dict.fromkeys(reduced.keys(positions))
-        return zip(distinct) if len(positions) == 1 else distinct
 
     def _annotate(self, reduced: Dict[int, Survivors], tree: JoinTree) -> Iterable[int]:
         """Root annotations of the bottom-up multiplicity fold, one per

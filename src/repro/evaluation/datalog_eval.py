@@ -24,9 +24,7 @@ shared snapshot, so they are handed to the engine as ONE
 lifting.  Pass ``rule_engine=`` to pin the
 legacy :class:`NaiveEvaluator` (``benchmarks/bench_datalog.py`` does, to
 isolate the fixpoint strategies and the §4 per-stage bound).  Reuse one
-evaluator across programs to keep its plan cache warm, and ``close()`` it
-(or use it as a context manager) when done — a default-constructed
-evaluator owns its engine's worker pool.
+evaluator across programs to keep its plan cache warm.
 """
 
 from __future__ import annotations
@@ -61,16 +59,12 @@ class DatalogEvaluator:
     def __init__(
         self, rule_engine: Optional[Union[NaiveEvaluator, "object"]] = None
     ) -> None:
-        self._owns_engine = rule_engine is None
         if rule_engine is None:
             # Local import: repro.engine itself evaluates through this
-            # package, so the dependency must stay call-time.  The default
-            # engine is single-worker (serial pool, no executor is ever
-            # spawned) so the many existing construct-per-call sites leak
-            # nothing; inject a QueryEngine to opt into worker fan-out.
+            # package, so the dependency must stay call-time.
             from ..engine import QueryEngine
 
-            rule_engine = QueryEngine(max_workers=1)
+            rule_engine = QueryEngine()
         self._engine = rule_engine
         self._evaluate_body = getattr(
             rule_engine, "execute", None
@@ -99,23 +93,6 @@ class DatalogEvaluator:
     def rule_engine(self):
         """The engine evaluating rule-body conjunctive queries."""
         return self._engine
-
-    def close(self) -> None:
-        """Release the engine's worker pool, if this evaluator created it.
-
-        Injected engines are the caller's to manage.  Idempotent; the
-        evaluator stays usable (a closed pool restarts lazily).
-        """
-        if self._owns_engine:
-            closer = getattr(self._engine, "close", None)
-            if closer is not None:
-                closer()
-
-    def __enter__(self) -> "DatalogEvaluator":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
 

@@ -53,7 +53,7 @@ from .naive import NaiveEvaluator
 #: query's atoms) // this many steps before it falls back to the bottom-up
 #: pass.  A search step — one row visited — costs about what the pass
 #: spends on two or three rows, so a spent budget adds 6–8 % to the linear
-#: worst case (``BENCH_parallel_sharded.json``, ``unsatisfiable``).
+#: worst case (``BENCH_acyclic_route.json``, ``unsatisfiable``).
 WITNESS_BUDGET_DIVISOR = 48
 
 

@@ -36,6 +36,7 @@ import asyncio
 import random
 import threading
 import time
+from itertools import count
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..engine.stats import LatencyReservoir
@@ -179,13 +180,11 @@ class FleetRouter(OperationFacade):
         if self._closed:
             raise RuntimeError("FleetRouter is closed")
         policy = self._retry
-        started = time.monotonic()
-        attempt = 0
+        delays = policy.backoff(self._rng)
         avoid: Set[int] = set()
         last: Optional[BaseException] = None
         cost = self._cost_of(cost_key)
-        while True:
-            attempt += 1
+        for attempt in count(1):
             self._sweep_pools()
             try:
                 worker, host, port = self._pick(avoid)
@@ -227,20 +226,14 @@ class FleetRouter(OperationFacade):
                             self._pending.pop(worker, None)
             with self._lock:
                 self._failovers += 1
-            if attempt >= policy.max_attempts:
-                break
-            delay = policy.delay_for(attempt, self._rng)
-            if (
-                policy.max_elapsed is not None
-                and time.monotonic() - started + delay > policy.max_elapsed
-            ):
-                break
+            delay = next(delays, None)
+            if delay is None:
+                raise FleetDrainedError(
+                    f"fleet request failed after {attempt} attempt(s): {last}",
+                    attempts=attempt,
+                    last_error=last,
+                ) from last
             time.sleep(delay)
-        raise FleetDrainedError(
-            f"fleet request failed after {attempt} attempt(s): {last}",
-            attempts=attempt,
-            last_error=last,
-        ) from last
 
     # ------------------------------------------------------------------
     # The facade: generic run/run_batch (per-kind: OperationFacade)

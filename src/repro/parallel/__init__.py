@@ -3,11 +3,12 @@
 The tractable classes the paper maps out (acyclic, bounded treewidth,
 bounded variables) are exactly the queries whose evaluation cost is
 dominated by data access rather than combinatorics — which makes them
-partitionable.  The engine uses two pieces of this package:
+partitionable.  Two pieces of this package are on a serving route:
 
-* :class:`WorkerPool` — serial / thread / process fan-out;
-* batch lifting (:func:`lift_batch_group`) — N-wide execution of
-  same-shape query batches through a parameter relation.
+* batch lifting (:func:`lift_batch_group`) — the engine's N-wide
+  execution of same-shape query batches through a parameter relation;
+* :class:`WorkerPool` — the thread pool the service dispatches requests
+  on (the engine itself runs on the thread that calls it).
 
 The rest is a library off the engine's route (``docs/parallel.md`` says
 why it is still here):
@@ -30,13 +31,12 @@ from .ops import (
     parallel_select_eq,
     parallel_semijoin,
 )
-from .pool import POOL_MODES, WorkerPool, default_worker_count
+from .pool import WorkerPool, default_worker_count
 from .sharding import ShardedRelation, shard_relation
 
 __all__ = [
     "DEFAULT_SHARD_COUNT",
     "LiftedBatch",
-    "POOL_MODES",
     "ParallelYannakakisEvaluator",
     "ShardedRelation",
     "WorkerPool",

@@ -63,7 +63,7 @@ class ParallelYannakakisEvaluator(YannakakisEvaluator):
     Parameters
     ----------
     pool:
-        Worker pool for level fan-out (defaults to a serial pool; the
+        Worker pool for level fan-out (defaults to a one-worker pool; the
         sharded kernels carry the single-core win on their own).
     shard_count:
         Default hash-shard fan-in per semijoin; callers may override it
@@ -220,7 +220,8 @@ class ParallelYannakakisEvaluator(YannakakisEvaluator):
                 node, parent = edge
                 return self._semijoin(reduced[node], reduced[parent], shards)
 
-            for (node, _), result in zip(edges, self._fan_out(reduce_child, edges)):
+            results = self._pool.map(reduce_child, edges)
+            for (node, _), result in zip(edges, results):
                 reduced[node] = result
         return reduced
 
@@ -243,7 +244,7 @@ class ParallelYannakakisEvaluator(YannakakisEvaluator):
                 current = self._semijoin(current, relations[node], shards)
             return current
 
-        return self._fan_out(reduce_parent, groups)
+        return self._pool.map(reduce_parent, groups)
 
     def _semijoin(self, left: Relation, right: Relation, shards: int) -> Relation:
         # Shard-map step check-point: per-edge granularity inside a
@@ -252,11 +253,6 @@ class ParallelYannakakisEvaluator(YannakakisEvaluator):
         if left.cardinality < self._min_shard_rows:
             return left.semijoin(right)
         return parallel_semijoin(left, right, shard_count=shards, pool=self._pool)
-
-    def _fan_out(self, fn, tasks):
-        if len(tasks) > 1 and self._pool.supports_closures:
-            return self._pool.map(fn, tasks)
-        return [fn(task) for task in tasks]
 
 
 # ----------------------------------------------------------------------

@@ -7,11 +7,9 @@ the evaluators lean on.  They share one structure:
    (``Relation._partition`` — lazy, cached, shards born with the key
    index preseeded), which *co-partitions* them: equal keys hash equal,
    so rows that can match meet in the shard of the same index and every
-   shard pair is an independent task with no cross-shard traffic.  Both
-   operands are always partitioned here, in the driver's process, before
-   any shard is shipped — ``str`` hashes differ between processes;
+   shard pair is an independent task with no cross-shard traffic;
 2. run the per-shard kernel across a :class:`~repro.parallel.pool.WorkerPool`
-   (inline on one core, threads/processes otherwise);
+   (inline on one core, threads otherwise);
 3. recombine — a C-level ``frozenset().union`` of shard row sets, or the
    operand itself when no shard changed (preserving its warm caches).
 
@@ -20,8 +18,7 @@ cached index buckets (one step per distinct key) instead of its rows (one
 step per tuple) and keeps or drops whole buckets.  On single-core
 containers this — plus dropping shard pairs whose partner is empty — is
 where the measured speedup of the sharded layer comes from; worker fan-out
-adds on top when cores exist.  Every task function is module-level with
-picklable arguments, so the drivers also run under process pools.
+adds on top when cores exist.
 """
 
 from __future__ import annotations
@@ -52,7 +49,7 @@ def shared_attributes(left: Tuple[str, ...], right: Tuple[str, ...]) -> Tuple[st
 
 
 # ----------------------------------------------------------------------
-# Per-shard kernels (module-level: picklable for process pools)
+# Per-shard kernels
 # ----------------------------------------------------------------------
 
 
@@ -117,7 +114,7 @@ def parallel_semijoin(
     the sharded path runs when the probe side's partition is already cached
     (warm — e.g. a base relation semijoined every execution) or when the
     pool has real workers to amortize the split.  A cold operand on a
-    serial pool uses the bucket kernel if its key index happens to be warm,
+    one-worker pool uses the bucket kernel if its key index happens to be warm,
     and otherwise falls through to the kernel's row-scan semijoin — the
     layer never pays more than sequential execution would.
     """
@@ -138,7 +135,7 @@ def parallel_semijoin(
             (ls, rs, left_positions, right_positions)
             for ls, rs in zip(left_shards, right_shards)
         ]
-        parts = _map(pool, _semijoin_task, tasks)
+        parts = pool_map(pool, _semijoin_task, tasks)
         if all(part is shard for part, shard in zip(parts, left_shards)):
             return left
         return Relation._from_order(left.attributes, tuple(chain.from_iterable(parts)))
@@ -172,7 +169,7 @@ def parallel_hash_join(
         for ls, rs in zip(left_shards, right_shards)
         if len(ls) and len(rs)
     ]
-    parts = [part for part in _map(pool, _join_task, tasks) if part is not None]
+    parts = [part for part in pool_map(pool, _join_task, tasks) if part is not None]
     if not parts:
         extra = tuple(a for a in right.attributes if a not in set(left.attributes))
         return Relation._from_order(left.attributes + extra, ())
@@ -211,7 +208,7 @@ def parallel_select_eq(
     return Relation._from_order(relation.attributes, bucket)
 
 
-def _map(pool: Optional[WorkerPool], fn, tasks):
+def pool_map(pool: Optional[WorkerPool], fn, tasks):
     if pool is None:
         return [fn(task) for task in tasks]
     return pool.map(fn, tasks)

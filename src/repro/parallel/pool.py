@@ -1,81 +1,48 @@
-"""Worker pools for the sharded execution layer.
+"""A lazily started thread pool with an inline fast path.
 
-One small abstraction covers the three execution modes the parallel
-operators need:
+Query evaluation runs on the thread that took the request: the engine owns
+no pool.  This one has two users — :class:`~repro.service.QueryService`
+hands each dispatched group to it through :meth:`WorkerPool.submit` so the
+event loop never blocks on an engine call, and the off-route sharding
+library (``docs/parallel.md``) fans shard tasks out through
+:meth:`WorkerPool.map`.
 
-``serial``
-    Run tasks inline in the calling thread.  This is what a 1-worker pool
-    degrades to, and what single-core containers get by default — the
-    sharded kernels still win there through bucket-level work and shard
-    pruning, without paying any pool dispatch overhead.
-``threads``
-    A lazily created :class:`~concurrent.futures.ThreadPoolExecutor`.  The
-    default.  Plans, shards, and the kernel's per-relation index caches are
-    immutable once built, so shard tasks share them safely; CPython's
-    per-opcode atomicity makes the lazy index/partition cache fills benign
-    (worst case a bucket map is built twice, both results identical).
-``processes``
-    A :class:`~concurrent.futures.ProcessPoolExecutor` for opt-in
-    multi-process execution.  Tasks submitted through :meth:`WorkerPool.map`
-    must then be module-level functions with picklable arguments — every
-    driver in :mod:`repro.parallel.ops` and the executor's pass tasks
-    satisfy this.
-
-The pool never spawns workers until a call actually fans out: tiny task
-lists run inline regardless of mode, so sharded operators on small inputs
-cost what their sequential counterparts do.
+Whether a call fans out is read off its inputs, not set by an option: a
+budget of one worker, a task list of length ≤ 1 and a call issued from
+inside one of the pool's own tasks all run inline on the calling thread,
+and no worker thread exists until a call actually fans out.  The last of
+the three makes the pool **re-entrancy safe**: nested fan-out on one
+bounded executor would otherwise deadlock, every worker blocking on inner
+tasks no free worker can ever pick up (e.g. the level scheduler's
+per-parent tasks each issuing sharded semijoins).
 
 Two resilience duties live here as well:
 
-* **Worker-crash recovery** — a process-pool worker that dies (OOM kill,
-  segfault, injected ``pool.worker_crash`` fault) breaks the whole
-  executor: every in-flight future raises
-  :class:`~concurrent.futures.process.BrokenProcessPool`.  The pool
-  catches :class:`~concurrent.futures.BrokenExecutor`, discards the
-  poisoned executor (a fresh one respawns lazily on the next fan-out),
-  and transparently retries the affected tasks **serially, once** — a
-  crashed worker degrades throughput instead of failing requests.
-  ``recoveries`` counts these events for stats.
-* **Cancel-token propagation** — thread-mode tasks run under the
-  submitting thread's active :class:`~repro.resilience.CancelToken`, so
-  evaluator check-points fire inside pool workers too.  Process workers
-  cannot share a token; the coordinating thread re-checks between
-  shard-map steps instead.
+* **Worker-crash recovery** — a broken executor (an injected
+  ``pool.worker_crash`` fault raises the :class:`BrokenExecutor` a dead
+  worker would) is discarded — a fresh one starts lazily on the next
+  fan-out — and the affected tasks are retried **inline, once**: a crash
+  degrades throughput instead of failing requests.  ``recoveries`` counts
+  these events for stats.
+* **Cancel-token propagation** — tasks run under the submitting thread's
+  active :class:`~repro.resilience.CancelToken`, so evaluator check-points
+  fire inside pool workers too.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import (
-    BrokenExecutor,
-    Executor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import BrokenExecutor, Future, ThreadPoolExecutor
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from ..resilience.faults import FaultPlan
 from ..resilience.token import current_token, swap_token
 
-SERIAL = "serial"
-THREADS = "threads"
-PROCESSES = "processes"
-
-POOL_MODES = (SERIAL, THREADS, PROCESSES)
-
 
 def default_worker_count() -> int:
     """Workers matched to the hardware: ``os.cpu_count()`` (at least 1)."""
     return os.cpu_count() or 1
-
-
-def _die() -> None:
-    # Fault-injection payload: kill this process-pool worker the way a
-    # segfault or the OOM killer would — no exception, no cleanup — so
-    # recovery is exercised against a genuine BrokenProcessPool.
-    os._exit(1)
 
 
 def _completed_future(fn: Callable[..., Any], args: Tuple[Any, ...]) -> "Future[Any]":
@@ -88,15 +55,13 @@ def _completed_future(fn: Callable[..., Any], args: Tuple[Any, ...]) -> "Future[
 
 
 class WorkerPool:
-    """A lazily started task pool with an inline fast path.
+    """Threads behind ``map`` / ``submit``, inline when that cannot help.
 
     Parameters
     ----------
     max_workers:
         Worker budget.  Defaults to :func:`default_worker_count`; a budget
-        of 1 collapses the pool to ``serial`` mode.
-    mode:
-        One of :data:`POOL_MODES`.  ``threads`` by default.
+        of 1 runs every task inline.
     fault_plan:
         Optional :class:`~repro.resilience.FaultPlan` consulted at the
         ``pool.worker_crash`` site before each fan-out.  Defaults to the
@@ -107,26 +72,16 @@ class WorkerPool:
     def __init__(
         self,
         max_workers: Optional[int] = None,
-        mode: str = THREADS,
         fault_plan: Optional[FaultPlan] = None,
     ) -> None:
-        if mode not in POOL_MODES:
-            raise ValueError(f"unknown pool mode {mode!r}; expected {POOL_MODES}")
         self._max_workers = max_workers if max_workers else default_worker_count()
-        self._mode = SERIAL if self._max_workers <= 1 else mode
-        self._executor: Optional[Executor] = None
+        self._executor: Optional[ThreadPoolExecutor] = None
         self._executor_lock = threading.Lock()
         self._local = threading.local()
         if fault_plan is None:
             fault_plan = FaultPlan.from_env()
         self._fault_plan = None if fault_plan.empty else fault_plan
         self._recoveries = 0
-
-    # ------------------------------------------------------------------
-
-    @property
-    def mode(self) -> str:
-        return self._mode
 
     @property
     def max_workers(self) -> int:
@@ -137,94 +92,46 @@ class WorkerPool:
         """How many broken executors this pool has recovered from."""
         return self._recoveries
 
-    @property
-    def supports_closures(self) -> bool:
-        """True when tasks need not be picklable (serial and thread modes)."""
-        return self._mode != PROCESSES
-
     # ------------------------------------------------------------------
 
     def map(self, fn: Callable[[Any], Any], tasks: Sequence[Any]) -> List[Any]:
-        """``[fn(t) for t in tasks]``, fanned out when it can help.
-
-        Order is preserved.  Task lists of length ≤ 1 — and everything in
-        serial mode — run inline without touching an executor.
-
-        The pool is **re-entrancy safe**: a ``map`` issued from inside one
-        of its own tasks runs inline on the calling worker thread.  Nested
-        fan-out on one bounded executor would otherwise deadlock — every
-        worker blocking on inner tasks no free worker can ever pick up
-        (e.g. the level scheduler's per-parent tasks each issuing sharded
-        semijoins).
-        """
+        """``[fn(t) for t in tasks]`` in order, fanned out when it can help."""
         items = list(tasks)
-        if (
-            self._mode == SERIAL
-            or len(items) <= 1
-            or getattr(self._local, "in_task", False)
-        ):
+        if len(items) <= 1 or self._inline():
             return [fn(item) for item in items]
         try:
             self._inject_crash()
-            return self._fan_out(fn, items)
+            return list(self._ensure_executor().map(self._as_task(fn), items))
         except BrokenExecutor:
-            # A worker died and poisoned the executor.  Discard it (a
-            # fresh pool respawns lazily on the next fan-out) and retry
-            # this call's tasks serially, once: degraded throughput, not
-            # a failed request.
+            # Discard the poisoned executor and retry this call's tasks
+            # inline, once: degraded throughput, not a failed request.
             self._recover()
             return [fn(item) for item in items]
-
-    def _fan_out(self, fn: Callable[[Any], Any], items: List[Any]) -> List[Any]:
-        if self._mode == PROCESSES:
-            # Process tasks are module-level, data-only functions (no
-            # nested pool use), and the marker wrapper would not pickle.
-            return list(self._ensure_executor().map(fn, items))
-
-        token = current_token()
-
-        def run(item: Any) -> Any:
-            self._local.in_task = True
-            previous = swap_token(token)
-            try:
-                return fn(item)
-            finally:
-                swap_token(previous)
-                self._local.in_task = False
-
-        return list(self._ensure_executor().map(run, items))
 
     def submit(self, fn: Callable[..., Any], *args: Any) -> "Future[Any]":
         """Schedule one task, returning its :class:`concurrent.futures.Future`.
 
-        The single-task counterpart of :meth:`map` — this is what the
-        async service front-end (:mod:`repro.service`) feeds its request
-        queue into.  Serial mode (and a submit issued from inside one of
-        the pool's own tasks — the same re-entrancy hazard ``map`` guards
-        against) runs the task inline and returns an already-completed
-        future, so callers can treat every mode uniformly.
+        The single-task counterpart of :meth:`map` — what the service feeds
+        its request queue into.  A task that runs inline comes back as an
+        already-completed future, so callers treat both cases uniformly.
         """
-        if self._mode == SERIAL or getattr(self._local, "in_task", False):
+        if self._inline():
             return _completed_future(fn, args)
         try:
             self._inject_crash()
-            inner = self._submit_to_executor(fn, args)
+            return self._ensure_executor().submit(self._as_task(fn), *args)
         except BrokenExecutor:
             self._recover()
             return _completed_future(fn, args)
-        if self._mode != PROCESSES:
-            # Thread futures fail synchronously above or carry the task's
-            # own exception; no deferred executor breakage to intercept.
-            return inner
-        return self._recovering_future(inner, fn, args)
 
-    def _submit_to_executor(self, fn: Callable[..., Any], args: Tuple[Any, ...]) -> "Future[Any]":
-        if self._mode == PROCESSES:
-            return self._ensure_executor().submit(fn, *args)
+    def _inline(self) -> bool:
+        return self._max_workers <= 1 or getattr(self._local, "in_task", False)
 
+    def _as_task(self, fn: Callable[..., Any]) -> Callable[..., Any]:
+        """*fn* marked as running inside this pool, under the caller's token."""
         token = current_token()
 
-        def run() -> Any:
+        def run(*args: Any) -> Any:
             self._local.in_task = True
             previous = swap_token(token)
             try:
@@ -233,33 +140,7 @@ class WorkerPool:
                 swap_token(previous)
                 self._local.in_task = False
 
-        return self._ensure_executor().submit(run)
-
-    def _recovering_future(
-        self, inner: "Future[Any]", fn: Callable[..., Any], args: Tuple[Any, ...]
-    ) -> "Future[Any]":
-        # A process worker can die *after* submit succeeded, surfacing
-        # BrokenProcessPool on the future instead of at the call site.
-        # Mirror map()'s recovery there: respawn lazily, retry inline
-        # once (on the executor's callback thread — only ever taken on
-        # the post-crash path).
-        outer: "Future[Any]" = Future()
-
-        def _settle(done: "Future[Any]") -> None:
-            exc = done.exception()
-            if isinstance(exc, BrokenExecutor):
-                self._recover()
-                try:
-                    outer.set_result(fn(*args))
-                except BaseException as retry_exc:  # noqa: BLE001
-                    outer.set_exception(retry_exc)
-            elif exc is not None:
-                outer.set_exception(exc)
-            else:
-                outer.set_result(done.result())
-
-        inner.add_done_callback(_settle)
-        return outer
+        return run
 
     # ------------------------------------------------------------------
 
@@ -267,17 +148,10 @@ class WorkerPool:
         """Honour a pending ``pool.worker_crash`` fault, if any."""
         if self._fault_plan is None:
             return
-        fault = self._fault_plan.fire("pool.worker_crash")
-        if fault is None:
-            return
-        if self._mode == PROCESSES:
-            # Kill a real worker; the executor breaks and this call's
-            # futures raise BrokenProcessPool once the death is noticed.
-            self._ensure_executor().submit(_die)
-        else:
-            # Thread pools cannot lose a worker to a hard crash without
-            # taking the whole process; simulate the executor-level
-            # symptom the recovery path keys on.
+        if self._fault_plan.fire("pool.worker_crash") is not None:
+            # A thread pool cannot lose a worker to a hard crash without
+            # taking the whole process; raise the executor-level symptom
+            # the recovery path keys on.
             raise BrokenExecutor("injected worker crash (pool.worker_crash)")
 
     def _recover(self) -> None:
@@ -288,25 +162,20 @@ class WorkerPool:
         if executor is not None:
             executor.shutdown(wait=False, cancel_futures=True)
 
-    def _ensure_executor(self) -> Executor:
-        # Double-checked under a lock: one pool is shared by every thread
-        # of the service's shared engine, and an unsynchronized
-        # check-then-create would let two cold callers build two
-        # executors, leaking the loser's worker threads for the process
-        # lifetime.
+    def _ensure_executor(self) -> ThreadPoolExecutor:
+        # Double-checked under a lock: the service's dispatchers share one
+        # pool, and an unsynchronized check-then-create would let two cold
+        # callers build two executors, leaking the loser's worker threads
+        # for the process lifetime.
         executor = self._executor
         if executor is None:
             with self._executor_lock:
                 executor = self._executor
                 if executor is None:
-                    workers = self._max_workers
-                    if self._mode == PROCESSES:
-                        executor = ProcessPoolExecutor(max_workers=workers)
-                    else:
-                        executor = ThreadPoolExecutor(
-                            max_workers=workers, thread_name_prefix="repro-shard"
-                        )
-                    self._executor = executor
+                    executor = self._executor = ThreadPoolExecutor(
+                        max_workers=self._max_workers,
+                        thread_name_prefix="repro-worker",
+                    )
         return executor
 
     # ------------------------------------------------------------------
@@ -327,7 +196,4 @@ class WorkerPool:
 
     def __repr__(self) -> str:
         started = "started" if self._executor is not None else "idle"
-        return (
-            f"WorkerPool(mode={self._mode!r}, "
-            f"max_workers={self._max_workers}, {started})"
-        )
+        return f"WorkerPool(max_workers={self._max_workers}, {started})"

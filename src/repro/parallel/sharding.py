@@ -37,7 +37,7 @@ from typing import Any, Mapping, Optional, Sequence, Tuple, Union
 from ..errors import SchemaError
 from ..relational.attributes import positions_of
 from ..relational.relation import Relation
-from .ops import DEFAULT_SHARD_COUNT, bucket_semijoin, shared_attributes
+from .ops import DEFAULT_SHARD_COUNT, bucket_semijoin, pool_map, shared_attributes
 from .pool import WorkerPool
 
 Operand = Union["ShardedRelation", Relation]
@@ -168,7 +168,7 @@ class ShardedRelation:
         def run(task: Tuple[Relation, Relation]) -> Relation:
             return bucket_semijoin(task[0], task[1], left_positions, right_positions)
 
-        results = tuple(_pool_map(pool, run, tasks))
+        results = tuple(pool_map(pool, run, tasks))
         if all(result is shard for result, shard in zip(results, self._shards)):
             return self
         return ShardedRelation._from_shards(self._attributes, self._key, results)
@@ -194,7 +194,7 @@ class ShardedRelation:
             return left_shard.natural_join(right_shard)
 
         tasks = list(zip(self._shards, partners))
-        results = tuple(_pool_map(pool, run, tasks))
+        results = tuple(pool_map(pool, run, tasks))
         attributes = results[0].attributes
         return ShardedRelation._from_shards(attributes, self._key, results)
 
@@ -221,14 +221,6 @@ class ShardedRelation:
             return ShardedRelation._from_shards(self._attributes, self._key, results)
         merged = other.to_relation() if isinstance(other, ShardedRelation) else other
         return self.to_relation().union(merged)
-
-
-def _pool_map(pool: Optional[WorkerPool], fn, tasks):
-    # Method-level tasks are closures; only closure-capable pools
-    # (serial/threads) can fan them out — process pools run them inline.
-    if pool is not None and pool.supports_closures:
-        return pool.map(fn, tasks)
-    return [fn(task) for task in tasks]
 
 
 def shard_relation(

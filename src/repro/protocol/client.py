@@ -289,11 +289,8 @@ class AsyncQueryClient(OperationFacade):
         policy = self._retry
         if policy is None:
             return await self._request(op, **fields)
-        started = time.monotonic()
-        attempt = 0
-        last: Optional[BaseException] = None
-        while True:
-            attempt += 1
+        delays = policy.backoff(self._rng)
+        for attempt in count(1):
             try:
                 if self._broken is not None:
                     await self._reconnect()
@@ -304,20 +301,14 @@ class AsyncQueryClient(OperationFacade):
                 if not policy.retryable(exc):
                     raise
                 last = exc
-            if attempt >= policy.max_attempts:
-                break
-            delay = policy.delay_for(attempt, self._rng)
-            if (
-                policy.max_elapsed is not None
-                and time.monotonic() - started + delay > policy.max_elapsed
-            ):
-                break
+            delay = next(delays, None)
+            if delay is None:
+                raise RetryExhaustedError(
+                    f"{op} failed after {attempt} attempt(s): {last}",
+                    attempts=attempt,
+                    last_error=last,
+                ) from last
             await asyncio.sleep(delay)
-        raise RetryExhaustedError(
-            f"{op} failed after {attempt} attempt(s): {last}",
-            attempts=attempt,
-            last_error=last,
-        ) from last
 
     # ------------------------------------------------------------------
     # The facade, over the wire: one generic run/run_batch pair (the
@@ -547,11 +538,8 @@ class QueryClient(OperationFacade):
         policy = self._retry
         if policy is None:
             return self._request(op, **fields)
-        started = time.monotonic()
-        attempt = 0
-        last: Optional[BaseException] = None
-        while True:
-            attempt += 1
+        delays = policy.backoff(self._rng)
+        for attempt in count(1):
             try:
                 if self._broken is not None:
                     self._reconnect()
@@ -562,20 +550,14 @@ class QueryClient(OperationFacade):
                 if not policy.retryable(exc):
                     raise
                 last = exc
-            if attempt >= policy.max_attempts:
-                break
-            delay = policy.delay_for(attempt, self._rng)
-            if (
-                policy.max_elapsed is not None
-                and time.monotonic() - started + delay > policy.max_elapsed
-            ):
-                break
+            delay = next(delays, None)
+            if delay is None:
+                raise RetryExhaustedError(
+                    f"{op} failed after {attempt} attempt(s): {last}",
+                    attempts=attempt,
+                    last_error=last,
+                ) from last
             time.sleep(delay)
-        raise RetryExhaustedError(
-            f"{op} failed after {attempt} attempt(s): {last}",
-            attempts=attempt,
-            last_error=last,
-        ) from last
 
     # ------------------------------------------------------------------
     # The facade: one generic run/run_batch pair (per-kind: OperationFacade)

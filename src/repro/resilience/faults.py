@@ -13,10 +13,9 @@ firing means:
 ======================  ===============================================
 site                    effect at the owning component
 ======================  ===============================================
-``pool.worker_crash``   :class:`~repro.parallel.pool.WorkerPool` kills a
-                        process-pool worker (real ``BrokenProcessPool``)
-                        or simulates a broken executor in thread/serial
-                        mode — exercising respawn + serial-retry recovery
+``pool.worker_crash``   :class:`~repro.parallel.pool.WorkerPool` raises
+                        the ``BrokenExecutor`` a dead worker would —
+                        exercising discard + retry-inline recovery
 ``server.delay``        ``QueryServer`` sleeps ``delay`` seconds before
                         writing the response
 ``server.drop``         ``QueryServer`` closes the connection instead of

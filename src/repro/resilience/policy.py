@@ -16,16 +16,19 @@ deserve another attempt.  :class:`RetryPolicy` encodes that split:
   deterministic jitter (the caller supplies the ``random.Random``, so
   chaos tests replay byte-identical schedules);
 * the budget is bounded twice — ``max_attempts`` per request and
-  ``max_elapsed`` across all of a request's attempts — after which the
-  client raises :class:`~repro.errors.RetryExhaustedError` carrying the
-  final underlying failure.
+  ``max_elapsed`` across all of a request's attempts.
+  :meth:`RetryPolicy.backoff` is that budget as an iterator: the delay
+  to sleep before each further attempt, exhausted when either bound is.
+  The client then raises :class:`~repro.errors.RetryExhaustedError`
+  carrying the final underlying failure.
 """
 
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass, field
-from typing import FrozenSet, Optional
+from typing import FrozenSet, Iterator, Optional
 
 from ..errors import ReproError
 
@@ -87,6 +90,29 @@ class RetryPolicy:
         if self.jitter and rng is not None:
             delay *= 1.0 + rng.uniform(-self.jitter, self.jitter)
         return max(0.0, delay)
+
+    def backoff(self, rng: Optional[random.Random] = None) -> Iterator[float]:
+        """One request's retry budget: the delay before each further attempt.
+
+        Call it when the request starts — ``max_elapsed`` is measured from
+        here — and take one delay after every failed attempt; the iterator
+        runs dry once ``max_attempts`` tries are used up or sleeping the
+        next delay would overrun ``max_elapsed``.  Each delay is drawn
+        (``delay_for``, one ``rng`` draw) only when it is asked for.
+        """
+        started = time.monotonic()
+
+        def delays() -> Iterator[float]:
+            for attempt in range(1, self.max_attempts):
+                delay = self.delay_for(attempt, rng)
+                if (
+                    self.max_elapsed is not None
+                    and time.monotonic() - started + delay > self.max_elapsed
+                ):
+                    return
+                yield delay
+
+        return delays()
 
     def retryable(self, error: BaseException) -> bool:
         """Is *error* worth another attempt at all?

@@ -43,12 +43,10 @@ indexes), but only for callers who share one engine.
   ``parse_error``, with the parser's position/line/column in
   ``detail``) instead of leaking a raw parser traceback.
 
-Blocking engine calls run on a service-owned dispatch
-:class:`~repro.parallel.pool.WorkerPool`, deliberately separate from the
-engine's own pool: the event loop never blocks on query evaluation, and —
-because a dispatch thread is not a task of the *engine's* pool — the
-engine's per-member batch fan-out still engages beneath every service
-request.
+Blocking engine calls run on the service's dispatch
+:class:`~repro.parallel.pool.WorkerPool` — the only threads evaluation
+ever runs on: the event loop never blocks on query evaluation, and the
+engine runs each request on the dispatch thread that took it.
 
 A service instance is bound to the first event loop that uses it; all
 internal state (in-flight map, open groups, counters) is touched
@@ -78,7 +76,7 @@ from ..operations import (
     Operation,
     OperationFacade,
 )
-from ..parallel.pool import THREADS, WorkerPool, default_worker_count
+from ..parallel.pool import WorkerPool, default_worker_count
 from ..query.conjunctive import ConjunctiveQuery
 from ..query.parser import parse_query
 from ..relational.database import Database
@@ -225,16 +223,9 @@ class QueryService(OperationFacade):
             )
         self._engine = engine if engine is not None else QueryEngine(**engine_kwargs)
         self._owns_engine = engine is None
-        # Dispatch runs on a service-owned thread pool, deliberately
-        # SEPARATE from the engine's: a dispatch thread blocking on an
-        # engine call is not a task *of the engine's pool*, so the
-        # engine's re-entrancy guard stays cold and its per-member batch
-        # fan-out still engages beneath the service.  Running dispatch
-        # on the engine's own pool would mark its workers in-task and
-        # silently serialize every inner map.  No deadlock either way:
-        # the two pools' wait graphs are acyclic (dispatch waits on
-        # engine workers, never the reverse).
-        self._pool = WorkerPool(max(2, default_worker_count()), THREADS)
+        # Never a budget of one: a one-worker pool runs ``submit`` inline,
+        # which would put evaluation on the event loop's thread.
+        self._pool = WorkerPool(max(2, default_worker_count()))
         self._max_pending = max_pending
         self._batch_limit = batch_limit
         self._dispatcher_count = dispatchers or self._pool.max_workers

@@ -71,9 +71,9 @@ class TestWorkerCrashRecovery:
         monkeypatch.setenv(FAULTS_ENV_VAR, plan.to_env())
 
         async def main():
-            # The server's service and engine construct their pools under
-            # the patched environment, so the crash lands in real
-            # evaluation machinery, not a test double.
+            # The server's service constructs its dispatch pool under the
+            # patched environment, so the crash lands in the real serving
+            # path, not a test double.
             async with QueryServer({"chain": chain_db}) as server:
                 host, port = server.address
                 async with await AsyncQueryClient.connect(host, port) as client:
@@ -83,23 +83,12 @@ class TestWorkerCrashRecovery:
                         )
                         for _ in range(3)
                     ]
-                recovered = sum(
-                    pool.recoveries for pool in _service_pools(server.service)
-                )
+                recovered = server.service._pool.recoveries
             return results, recovered
 
         results, recovered = run(main())
         assert all(result == reference for result in results)
         assert recovered >= 1
-
-
-def _service_pools(service):
-    """Every WorkerPool reachable from a service (dispatch + engine)."""
-    pools = [service._pool]
-    engine_pool = getattr(service.engine, "_pool", None)
-    if engine_pool is not None:
-        pools.append(engine_pool)
-    return pools
 
 
 class TestTransportFaults:

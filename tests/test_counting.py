@@ -145,9 +145,12 @@ class TestCountingEvaluator:
 
 class TestGroupedCounts:
     def test_matches_reference(self, chain):
+        # Head-covered: the evaluator has no grouped path of its own (it
+        # never beat grouping the evaluated answer), the engine falls back.
         query = path_query(3, head_arity=2)
         evaluator = CountingYannakakisEvaluator()
-        grouped = evaluator.grouped_count(query, chain, ("x0",))
+        assert evaluator.grouped_count(query, chain, ("x0",)) is None
+        grouped = QueryEngine().grouped_count(query, chain, ("x0",))
         answers = NaiveEvaluator().evaluate(query, chain)
         reference = grouped_count_reference(query, answers, ("x0",))
         assert grouped == reference
@@ -160,11 +163,11 @@ class TestGroupedCounts:
         assert grouped == grouped_count_reference(query, answers, ("x2",))
 
     def test_counts_sum_to_total(self, chain):
-        query = path_query(3, head_arity=2)
-        evaluator = CountingYannakakisEvaluator()
-        grouped = evaluator.grouped_count(query, chain, ("x1",))
-        total = evaluator.count(query, chain).total
-        assert sum(row[-1] for row in grouped.rows) == total
+        engine = QueryEngine()
+        for query in (path_query(3, head_arity=2), full_path_query(3)):
+            grouped = engine.grouped_count(query, chain, ("x1",))
+            total = engine.count(query, chain)
+            assert sum(row[-1] for row in grouped.rows) == total
 
     def test_unknown_group_name_rejected(self, chain):
         with pytest.raises(QueryError):
@@ -173,17 +176,22 @@ class TestGroupedCounts:
             )
 
     def test_count_attribute_collision_renamed(self):
-        database = Database.from_tuples({"E": [(1, 2), (1, 3)]})
+        database = Database.from_tuples({"E": [(1, 2), (1, 3), (3, 4)]})
         count_var = Variable("count")
-        other = Variable("y")
+        middle = Variable("y")
+        last = Variable("z")
         query = ConjunctiveQuery(
-            (count_var, other), [Atom("E", (count_var, other))], head_name="Q"
+            (count_var, middle, last),
+            [Atom("E", (count_var, middle)), Atom("E", (middle, last))],
+            head_name="Q",
         )
         grouped = CountingYannakakisEvaluator().grouped_count(
             query, database, ("count",)
         )
         assert grouped.attributes == ("count", "_count")
-        assert set(grouped.rows) == {(1, 2)}
+        assert set(grouped.rows) == {(1, 1)}
+        answers = NaiveEvaluator().evaluate(query, database)
+        assert grouped_count_reference(query, answers, ("count",)) == grouped
 
 
 class TestEngineCountingFacade:
@@ -209,15 +217,12 @@ class TestEngineCountingFacade:
             assert engine.plan_for(query, chain).count_mode == COUNT_HARD
             assert engine.count(query, chain) == naive_count(query, chain)
 
-    @pytest.mark.parametrize(
-        "kwargs", [{}, {"max_workers": 3}, {"pool_mode": "serial"}]
-    )
-    def test_pooled_count_matches_serial_and_naive(self, chain, kwargs):
+    def test_count_matches_naive_with_and_without_lifting(self, chain):
         query = path_query(3, head_arity=2)
-        with QueryEngine(**kwargs) as pooled, QueryEngine(parallel=False) as serial:
+        with QueryEngine() as lifting, QueryEngine(parallel=False) as plain:
             assert (
-                pooled.count(query, chain)
-                == serial.count(query, chain)
+                lifting.count(query, chain)
+                == plain.count(query, chain)
                 == naive_count(query, chain)
             )
 

@@ -58,7 +58,7 @@ SETTINGS = settings(
 
 # Shared for the whole module: warm plan/table caches are the production
 # shape, and the backend's loaded tables are evicted as databases die.
-ENGINE = QueryEngine(max_workers=1)
+ENGINE = QueryEngine()
 BACKEND = SqliteBackend()
 
 #: One NaN *object*: pool semantics are identity-then-equality, so the

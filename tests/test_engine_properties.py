@@ -7,6 +7,7 @@ oracle returns, and — where their preconditions hold — what Yannakakis,
 the treewidth evaluator, and the Theorem 2 machinery return.
 """
 
+import os
 import random
 from unittest import mock
 
@@ -26,6 +27,7 @@ from repro.evaluation import (
 from repro.evaluation.yannakakis import Survivors
 from repro.hypergraph.join_tree import JoinTree
 from repro.inequalities import AcyclicInequalityEvaluator
+from repro.operations import COUNT, DECIDE, EXECUTE, EXPLAIN, Operation, operations_of
 from repro.query.atoms import Atom
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.terms import Constant
@@ -35,6 +37,7 @@ from repro.workloads import (
     chain_database,
     cycle_query,
     path_neq_query,
+    path_query,
     random_acyclic_query,
     random_database,
     random_graph,
@@ -433,3 +436,88 @@ class TestParameterizedAgreement:
             ), f"seed={seed}, candidate={candidate}"
         # One shape -> one plan for the whole candidate sweep.
         assert engine.cache_stats.misses <= 2
+
+
+class TestBatchEqualsSingles:
+    """``run_batch`` is grouping and nothing else: whatever a group does —
+    shares one execution among identical members, lifts ≥ 8 constant-variants
+    of an acyclic ``execute`` / ``decide`` into one N-wide run, or loops —
+    every operation gets the answer ``run`` gives it on its own, with N-wide
+    lifting on (``QueryEngine()``) and off (``parallel=False``)."""
+
+    EXAMPLES = int(os.environ.get("REPRO_DIFF_EXAMPLES", "40"))
+
+    @staticmethod
+    def case(seed):
+        """A shuffled batch with a group for every branch of the driver, and
+        the number of executions the ledger should show without lifting."""
+        rng = random.Random(seed)
+        database = chain_database(
+            layers=5, width=rng.randint(6, 10), p=rng.choice((0.2, 0.4)), seed=seed
+        )
+        sources = sorted({row[0] for row in database["E"]})
+
+        def variants(query, size):
+            chosen = rng.sample(sources, min(size, len(sources)))
+            return [query.decision_instance((value,)) for value in chosen]
+
+        hop2, hop3 = path_query(2, head_arity=1), path_query(3, head_arity=1)
+        wide = rng.randint(8, 12)
+        unequal = [
+            parse_query(f"Q(c) :- E({value}, b), E(c, b), E(c, d), b != d.")
+            for value in rng.sample(sources, min(wide, len(sources)))
+        ]
+        pair = path_query(2, head_arity=2)
+        recorded = [
+            *operations_of(EXECUTE, variants(hop3, wide)),  # lifts
+            *operations_of(DECIDE, variants(hop3, wide)),  # lifts, decide pass
+            *operations_of(EXECUTE, variants(hop2, rng.randint(2, 7))),  # too few
+            *operations_of(EXECUTE, unequal),  # wide enough, lift declines
+            *operations_of(COUNT, variants(hop3, wide)),  # never lifts
+            Operation.grouped_count(pair, ("x0",)),
+            Operation.exists(hop2),
+            Operation.forall(pair),
+        ]
+        unrecorded = [
+            *(Operation.execute(q, evaluator="naive") for q in variants(hop2, 3)),
+            *(Operation.decide(q, evaluator="yannakakis") for q in variants(hop2, 9)),
+            *operations_of(EXPLAIN, variants(hop3, 2)),
+        ]
+        # Identical members of a shape nothing else in the batch has.
+        full = path_query(2, head_arity=3)
+        shared = Operation(rng.choice((EXECUTE, DECIDE, COUNT)), full)
+        operations = recorded + unrecorded + [shared] * rng.randint(2, 5)
+        rng.shuffle(operations)
+        return operations, database, shared, len(set(recorded)) + 1
+
+    @staticmethod
+    def comparable(operation, result):
+        # An explain names the plan cache's counters and the executions
+        # recorded so far, which depend on what ran before it.
+        if operation.kind != EXPLAIN:
+            return result
+        return [
+            line
+            for line in result.splitlines()
+            if line.startswith(("  analysis", "  counting", "  join ord."))
+        ]
+
+    @settings(max_examples=EXAMPLES, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_run_batch_equals_run_per_operation(self, seed):
+        operations, database, shared, executions = self.case(seed)
+        for parallel in (True, False):
+            engine = QueryEngine(parallel=parallel)
+            singles = QueryEngine(parallel=parallel)
+            batched = engine.run_batch(operations, database)
+            for operation, result in zip(operations, batched):
+                expected = singles.run(operation, database)
+                assert self.comparable(operation, result) == self.comparable(
+                    operation, expected
+                ), (parallel, operation)
+            # The shared duplicate ran once, however many members it served.
+            assert engine.plan_for(shared.query, database).runtime.executions == 1
+            if parallel:
+                assert engine.stats().executions < executions  # groups lifted
+            else:
+                assert engine.stats().executions == executions

@@ -142,14 +142,11 @@ class TestBatchedRuleBodies:
             S(x) :- T(x, y), E(y, x).
             """
         )
-        with QueryEngine(max_workers=1) as engine:
-            recording = self.RecordingEngine(engine)
-            batched = DatalogEvaluator(rule_engine=recording).fixpoint(
-                program, edges
-            )
-            reference = DatalogEvaluator(
-                rule_engine=NaiveEvaluator()
-            ).fixpoint(program, edges)
+        recording = self.RecordingEngine(QueryEngine())
+        batched = DatalogEvaluator(rule_engine=recording).fixpoint(program, edges)
+        reference = DatalogEvaluator(rule_engine=NaiveEvaluator()).fixpoint(
+            program, edges
+        )
         assert {n: r.rows for n, r in batched.items()} == {
             n: r.rows for n, r in reference.items()
         }

@@ -6,6 +6,7 @@ what ``QueryEngine(parallel=False)`` returns, under the same plan.
 """
 
 import random
+import threading
 
 import pytest
 
@@ -86,17 +87,6 @@ class TestParallelDispatch:
             query, database
         )
 
-    def test_pool_modes_agree(self, big_chain):
-        query = path_query(4, head_arity=1)
-        expected = QueryEngine(parallel=False).execute(query, big_chain)
-        for kwargs in (
-            {"max_workers": 1},
-            {"max_workers": 3, "pool_mode": "threads"},
-            {"pool_mode": "serial"},
-        ):
-            with QueryEngine(**kwargs) as engine:
-                assert engine.execute(query, big_chain) == expected
-
     def test_forced_evaluator_still_works(self, big_chain):
         engine = QueryEngine()
         query = path_query(4, head_arity=1)
@@ -121,7 +111,7 @@ class TestBatchLifting:
 
     def test_small_groups_skip_lifting(self, big_chain):
         batch = self.make_batch(big_chain, 3)
-        assert QueryEngine(batch_wide_threshold=8).run_batch(operations_of(EXECUTE, batch), big_chain
+        assert QueryEngine().run_batch(operations_of(EXECUTE, batch), big_chain
         ) == QueryEngine(parallel=False).run_batch(operations_of(EXECUTE, batch), big_chain)
 
     def test_mixed_shape_batch_preserves_order(self, big_chain):
@@ -260,26 +250,27 @@ class TestBatchObservability:
 
 class TestWorkerPool:
     def test_serial_inline(self):
-        pool = WorkerPool(max_workers=1, mode="threads")
-        assert pool.mode == "serial"
-        assert pool.map(lambda x: x * 2, [1, 2, 3]) == [2, 4, 6]
+        pool = WorkerPool(max_workers=1)
+        caller = threading.get_ident()
+        assert pool.map(lambda x: (x * 2, threading.get_ident()), [1, 2, 3]) == [
+            (2, caller),
+            (4, caller),
+            (6, caller),
+        ]
+        assert pool.submit(threading.get_ident).result(timeout=10) == caller
+        assert "idle" in repr(pool)  # no executor was ever started
 
     def test_threads_preserve_order(self):
-        with WorkerPool(max_workers=4, mode="threads") as pool:
+        with WorkerPool(max_workers=4) as pool:
             assert pool.map(lambda x: x * x, list(range(20))) == [
                 x * x for x in range(20)
             ]
-            assert pool.supports_closures
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            WorkerPool(mode="fibers")
 
     def test_nested_map_runs_inline_instead_of_deadlocking(self):
         # A level with as many parent tasks as workers, each issuing a
         # nested sharded map, used to exhaust the bounded executor: every
         # worker blocked on inner tasks no free worker could run.
-        pool = WorkerPool(max_workers=2, mode="threads")
+        pool = WorkerPool(max_workers=2)
 
         def outer(i):
             return sum(pool.map(lambda j: i * 10 + j, [1, 2, 3]))
@@ -288,8 +279,6 @@ class TestWorkerPool:
 
         def drive():
             done["result"] = pool.map(outer, [0, 1, 2, 3])
-
-        import threading
 
         worker = threading.Thread(target=drive, daemon=True)
         worker.start()
@@ -313,7 +302,7 @@ class TestWorkerPool:
                 for name in ("R", "S", "T", "U")
             }
         )
-        with WorkerPool(max_workers=2, mode="threads") as pool:
+        with WorkerPool(max_workers=2) as pool:
             evaluator = ParallelYannakakisEvaluator(
                 pool=pool, shard_count=2, min_shard_rows=1
             )
@@ -321,8 +310,6 @@ class TestWorkerPool:
 
             def drive():
                 done["result"] = evaluator.evaluate(query, database)
-
-            import threading
 
             worker = threading.Thread(target=drive, daemon=True)
             worker.start()

@@ -9,6 +9,8 @@ the same server in a real subprocess — lives in
 """
 
 import asyncio
+import os
+import threading
 
 import pytest
 
@@ -20,7 +22,7 @@ from repro.protocol import (
     RemoteQueryError,
 )
 from repro.workloads import chain_database, star_database
-from repro.operations import DECIDE, EXECUTE, operations_of
+from repro.operations import COUNT, DECIDE, EXECUTE, operations_of
 from repro.workloads.queries import path_query, star_query
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
@@ -650,6 +652,45 @@ class TestLifecycle:
                 )
 
         run(main())
+
+    def test_a_flood_leaves_no_thread_behind(self, chain_db, sequential):
+        """Evaluation runs on the service's dispatch threads and nowhere
+        else: a flood of mixed batches starts nothing beyond them, and
+        ``aclose`` gives every one of them back."""
+        path = path_query(4, head_arity=1)
+        starts = sorted({row[0] for row in chain_db["E"].rows})
+        lifted = [path.decision_instance((value,)) for value in starts[:12]]
+        unequal = [
+            f"Q(b) :- E({value}, b), E(b, c), E(c, d), b != d." for value in starts[:9]
+        ]
+        batch = [
+            *operations_of(EXECUTE, lifted),  # one N-wide execution
+            *operations_of(EXECUTE, unequal),  # a per-member loop
+            *operations_of(DECIDE, lifted[:3]),
+            *operations_of(COUNT, lifted),
+        ]
+
+        async def main():
+            before = set(threading.enumerate())
+            server = QueryServer({"chain": chain_db})
+            await server.start()
+            host, port = server.address
+            clients = [await AsyncQueryClient.connect(host, port) for _ in range(4)]
+            answers = await asyncio.gather(
+                *(client.run_batch(batch, "chain") for client in clients * 3)
+            )
+            started = set(threading.enumerate()) - before
+            for client in clients:
+                await client.aclose()
+            await server.aclose()
+            return answers, started, set(threading.enumerate()) - before
+
+        answers, started, left = run(main())
+        expected = [sequential.run(operation, chain_db) for operation in batch[:12]]
+        assert all(answer[:12] == expected for answer in answers)
+        assert 1 <= len(started) <= max(2, os.cpu_count() or 1)
+        assert all(thread.name.startswith("repro-worker") for thread in started)
+        assert left == set()
 
     def test_conflicting_service_kwargs_rejected(self, chain_db):
         from repro import QueryService

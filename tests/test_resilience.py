@@ -128,6 +128,22 @@ class TestRetryPolicy:
         assert a == b  # caller-seeded RNG: replayable schedules
         assert all(d >= 0 for d in a)
 
+    def test_backoff_is_the_budget_one_delay_per_further_attempt(self):
+        policy = RetryPolicy(max_attempts=4, base_delay=0.1, jitter=0.5)
+        rng = random.Random(7)
+        expected = [policy.delay_for(k, rng) for k in (1, 2, 3)]
+        # max_attempts tries = max_attempts - 1 delays, drawn in delay_for's
+        # order from the caller's RNG, one draw per delay asked for.
+        assert list(policy.backoff(random.Random(7))) == expected
+        lazy, once = random.Random(7), random.Random(7)
+        assert next(policy.backoff(lazy)) == policy.delay_for(1, once)
+        assert lazy.getstate() == once.getstate()
+        assert list(RetryPolicy(max_attempts=1).backoff()) == []
+        # The elapsed budget ends it early: the second delay (0.2 s) would
+        # overrun 0.15 s even with no time spent.
+        tight = RetryPolicy(max_attempts=5, base_delay=0.1, jitter=0, max_elapsed=0.15)
+        assert list(tight.backoff()) == [0.1]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
@@ -182,10 +198,10 @@ class TestFaultPlan:
 
 class TestWorkerPoolRecovery:
     def test_thread_pool_crash_is_recovered_and_retried(self):
-        from repro.parallel.pool import THREADS, WorkerPool
+        from repro.parallel.pool import WorkerPool
 
         plan = FaultPlan({"pool.worker_crash": {"times": 1}})
-        with WorkerPool(2, THREADS, fault_plan=plan) as pool:
+        with WorkerPool(2, fault_plan=plan) as pool:
             results = pool.map(lambda x: x * x, range(8))
             assert sorted(results) == sorted(x * x for x in range(8))
             assert pool.recoveries == 1
@@ -194,19 +210,19 @@ class TestWorkerPoolRecovery:
             assert pool.recoveries == 1
 
     def test_submit_crash_is_recovered(self):
-        from repro.parallel.pool import THREADS, WorkerPool
+        from repro.parallel.pool import WorkerPool
 
         plan = FaultPlan({"pool.worker_crash": {"times": 1}})
-        with WorkerPool(2, THREADS, fault_plan=plan) as pool:
+        with WorkerPool(2, fault_plan=plan) as pool:
             assert pool.submit(lambda: 42).result(timeout=10) == 42
             assert pool.recoveries == 1
 
     def test_ambient_token_reaches_pool_workers(self):
-        from repro.parallel.pool import THREADS, WorkerPool
+        from repro.parallel.pool import WorkerPool
 
         token = CancelToken()
         token.cancel("stop the fan-out")
-        with WorkerPool(2, THREADS) as pool:
+        with WorkerPool(2) as pool:
             with activate(token):
                 with pytest.raises(CancelledRequestError):
                     pool.map(lambda _x: check_cancelled(), range(4))

@@ -405,21 +405,6 @@ class TestFacade:
         with pytest.raises(ValueError):
             QueryService(QueryEngine(), parallel=False)
 
-    def test_dispatch_pool_is_separate_from_engine_pool(self, chain_db):
-        """Dispatch must not run as tasks *of the engine's pool* — that
-        would trip its re-entrancy guard and silently serialize every
-        sharded intra-query fan-out beneath the service."""
-        engine = QueryEngine()
-        query = path_query(3, head_arity=1)
-
-        async def main():
-            async with QueryService(engine) as service:
-                await service.execute(query, chain_db)
-                assert service._pool is not engine.pool
-
-        asyncio.run(main())
-        engine.close()
-
     def test_bounded_queue_backpressure_still_completes(self, chain_db):
         query = path_query(3, head_arity=1)
         starts = sorted({row[0] for row in chain_db["E"].rows})[:24]
