@@ -14,7 +14,8 @@ What this file measures of the networked protocol layer:
   one group and runs through N-wide lifted executions, beating the same
   requests sent one at a time over the same connection;
 * **binary relation frames shrink bulk payloads and are no slower** — a
-  connection that negotiates the dictionary-encoded binary framing
+  connection that negotiates the ``relation-columns-v2`` framing (each
+  integer column one fixed-width array, any other column one JSON array)
   receives the same result relations in measurably fewer bytes than the
   JSON lines, in no more time (``binary_over_json`` <= 1.0: the ROADMAP's
   condition for keeping the framing), with equal decoded results.

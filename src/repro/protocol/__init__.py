@@ -20,7 +20,7 @@ from .codec import (
     request_id_of,
 )
 from .frames import (
-    BINARY_FRAMES_V1,
+    BINARY_FRAMES_V2,
     SUPPORTED_FRAMES,
     decode_binary,
     encode_binary,
@@ -51,7 +51,7 @@ from .server import QueryServer, stats_payload
 
 __all__ = [
     "AsyncQueryClient",
-    "BINARY_FRAMES_V1",
+    "BINARY_FRAMES_V2",
     "CANCEL",
     "CANCELLED",
     "ErrorInfo",

@@ -1,11 +1,9 @@
 """Binary relation frames: a negotiated bulk encoding for relation payloads.
 
-The line protocol of :mod:`.codec` serializes relations as JSON rows —
-readable and canonical, but every value is re-spelled once per occurrence.
-Result relations repeat a small active domain across thousands of rows, so
-the bulk of a large response line is the same few value spellings over and
-over.  A **binary relation frame** dictionary-encodes exactly that
-redundancy away while leaving everything else JSON:
+The line protocol of :mod:`.codec` serializes relations as JSON rows,
+every row paying its brackets and every integer spelled digit by digit.  A
+**binary relation frame** sends each column as its own values instead,
+while leaving everything else JSON:
 
 ``MAGIC`` (1 byte, ``0x00``) · kind (1 byte, ``0x01``) · body length
 (u32, big-endian) · body.  JSON frames always start with ``{`` (0x7b), so
@@ -21,24 +19,23 @@ The body is::
     u32  relation count
     ...  one block per relation, in marker order:
            u16  attribute count, then per attribute: u16 length + UTF-8 name
-           u32  pool size, then per pool entry: u32 length + the value's
-                canonical JSON text
            u32  row count
-           u8   code width in bytes (1, 2 or 4, by pool size)
-           ...  column-major codes: attribute count × row count fixed-width
-                big-endian unsigned integers indexing the pool
+           ...  per column: u8 kind · u8 width · u32 byte length · data
 
-A pool entry is a canonical **JSON text**, not a Python value — ``true``
-and ``1`` (or ``-0.0`` and ``0.0``) stay distinct entries, so a value
-arrives spelled exactly as the JSON framing would have spelled it.  Both
-directions work on whole columns (``Relation._column`` in,
-:meth:`Relation.from_columns` out): no row list exists on either side.
+A column of exactly-``int`` cells whose minimum and maximum fit a signed
+1, 2, 4 or 8-byte integer is **kind 1**: the data is the narrowest such
+array, big-endian, ``width`` bytes per row.  Every other column (strings,
+floats, bools, ``None``, mixed, ints past 64 bits, empty) is **kind 0**,
+width 0: the data is the column as one canonical JSON array text, so each
+value arrives spelled exactly as the JSON framing spells it — ``true`` and
+``1``, ``-0.0`` and ``0.0`` stay apart.  Both directions work on whole
+columns (``Relation._column`` in, :meth:`Relation.from_columns` out).
 
 ``encode_binary`` returns ``None`` whenever the binary form is not
 applicable — the message holds no relation, or the (pathological)
 case of a payload already containing a ``__relation_frame__`` key — and
 the caller falls back to the JSON line.  Frames are negotiated per
-connection: a client announces :data:`BINARY_FRAMES_V1` in the ``frames``
+connection: a client announces :data:`BINARY_FRAMES_V2` in the ``frames``
 field of a ``ping`` and the server answers with the subset it accepts;
 only after that does either side *send* binary (readers accept both
 framings unconditionally — the magic byte is unambiguous).
@@ -51,8 +48,6 @@ import json
 import struct
 import sys
 from array import array
-from itertools import chain, count
-from operator import itemgetter
 from typing import Any, BinaryIO, Dict, List, Optional, Tuple
 
 from ..errors import SchemaError
@@ -68,21 +63,20 @@ MAGIC = 0x00
 KIND_MESSAGE = 0x01
 
 #: The negotiation token for this frame format (``ping``'s ``frames``).
-BINARY_FRAMES_V1 = "relation-columns-v1"
+BINARY_FRAMES_V2 = "relation-columns-v2"
 
 #: Every frame format this build speaks.
-SUPPORTED_FRAMES = (BINARY_FRAMES_V1,)
+SUPPORTED_FRAMES = (BINARY_FRAMES_V2,)
 
 _MARKER = "__relation_frame__"
-#: Bytes per code → ``array`` typecode.
-_TYPECODES = {1: "B", 2: "H", 4: "I"}
-#: Codes are big-endian on the wire; ``array`` holds them in native order.
+#: Column kinds: one canonical JSON array text, or fixed-width integers.
+_JSON_COLUMN = 0
+_INT_COLUMN = 1
+#: Bytes per integer → signed ``array`` typecode, narrowest first.
+_TYPECODES = {1: "b", 2: "h", 4: "i", 8: "q"}
+#: Integers are big-endian on the wire; ``array`` holds them in native order.
 _SWAP = sys.byteorder == "little"
-#: Exact types whose equal values have one JSON spelling: a pool of nothing
-#: else is keyed by value.  Not ``bool`` or ``float`` — ``True == 1 == 1.0``
-#: and ``-0.0 == 0.0``, all spelled apart.
-_SPELLED_BY_VALUE = frozenset((int, str, type(None)))
-#: The canonical JSON spelling the line codec uses, per value.
+#: The canonical JSON spelling the line codec uses.
 _dumps = json.JSONEncoder(**CANONICAL).encode
 
 
@@ -112,6 +106,20 @@ def _restore(node: Any, relations: List[Relation]) -> Any:
 # ----------------------------------------------------------------------
 
 
+def _int_width(column: List[Any]) -> int:
+    """Bytes per value of the narrowest signed array that holds *column*,
+    or 0 when it is not a non-empty column of exactly-``int`` cells that
+    fit 8 bytes (a ``bool`` or an ``IntEnum`` is not exactly ``int``)."""
+    if not column or set(map(type, column)) != {int}:
+        return 0
+    low, high = min(column), max(column)
+    for width in _TYPECODES:
+        bound = 1 << (8 * width - 1)
+        if -bound <= low and high < bound:
+            return width
+    return 0
+
+
 def _encode_relation_block(relation: Relation, out: List[bytes]) -> None:
     attributes = relation.attributes
     out.append(struct.pack(">H", len(attributes)))
@@ -119,31 +127,20 @@ def _encode_relation_block(relation: Relation, out: List[bytes]) -> None:
         raw = name.encode("utf-8")
         out.append(struct.pack(">H", len(raw)))
         out.append(raw)
-    columns: List[List[Any]] = [
-        relation._column(position) for position in range(len(attributes))
-    ]
-    by_value = _SPELLED_BY_VALUE.issuperset(map(type, chain.from_iterable(columns)))
-    if not by_value:
-        # Key every cell by (type, value, repr): cells that agree on all
-        # three spell alike — repr is what tells -0.0 from 0.0.
-        columns = [
-            list(zip(map(type, column), column, map(repr, column)))
-            for column in columns
-        ]
-    # key → code, in first-seen order; the pool is the keys' spellings.
-    code_of = dict(zip(dict.fromkeys(chain.from_iterable(columns)), count()))
-    out.append(struct.pack(">I", len(code_of)))
-    for text in map(_dumps, code_of if by_value else map(itemgetter(1), code_of)):
-        raw = text.encode("utf-8")
-        out.append(struct.pack(">I", len(raw)))
-        out.append(raw)
-    width = 1 if len(code_of) <= 0x100 else 2 if len(code_of) <= 0x10000 else 4
-    out.append(struct.pack(">IB", len(relation), width))
-    for column in columns:
-        codes = array(_TYPECODES[width], map(code_of.__getitem__, column))
-        if _SWAP:
-            codes.byteswap()
-        out.append(codes.tobytes())
+    out.append(struct.pack(">I", len(relation)))
+    for position in range(len(attributes)):
+        column = relation._column(position)
+        width = _int_width(column)
+        if width:
+            values = array(_TYPECODES[width], column)
+            if _SWAP:
+                values.byteswap()
+            data = values.tobytes()
+            out.append(struct.pack(">BBI", _INT_COLUMN, width, len(data)))
+        else:
+            data = _dumps(column).encode("utf-8")
+            out.append(struct.pack(">BBI", _JSON_COLUMN, 0, len(data)))
+        out.append(data)
 
 
 def encode_binary(message: Message) -> Optional[bytes]:
@@ -200,9 +197,6 @@ class _Cursor:
         self.pos = end
         return chunk
 
-    def u8(self) -> int:
-        return self.take(1)[0]
-
     def u16(self) -> int:
         return struct.unpack(">H", self.take(2))[0]
 
@@ -216,39 +210,41 @@ class _Cursor:
             raise ProtocolError(f"binary frame text is not UTF-8: {error}") from error
 
 
+def _decode_column(cursor: _Cursor, nrows: int) -> List[Any]:
+    kind, width, length = struct.unpack(">BBI", cursor.take(6))
+    if kind == _INT_COLUMN:
+        typecode = _TYPECODES.get(width)
+        if typecode is None or length != nrows * width:
+            raise ProtocolError(
+                f"binary frame integer column of width {width} and {length} "
+                f"bytes for {nrows} rows"
+            )
+        values = array(typecode, cursor.take(length))
+        if _SWAP:
+            values.byteswap()
+        return values.tolist()
+    if kind != _JSON_COLUMN or width != 0:
+        raise ProtocolError(f"binary frame column kind {kind} / width {width}")
+    try:
+        column = json.loads(cursor.text(length))
+    except json.JSONDecodeError as error:
+        raise ProtocolError(f"binary frame column is not JSON: {error.msg}") from error
+    if not isinstance(column, list) or len(column) != nrows:
+        raise ProtocolError(f"binary frame column is not an array of {nrows}")
+    return column
+
+
 def _decode_relation_block(cursor: _Cursor) -> Relation:
     attributes = [cursor.text(cursor.u16()) for _ in range(cursor.u16())]
-    pool: List[Any] = []
-    for _ in range(cursor.u32()):
-        text = cursor.text(cursor.u32())
-        try:
-            pool.append(json.loads(text))
-        except json.JSONDecodeError as error:
-            raise ProtocolError(
-                f"binary frame pool entry is not JSON: {error.msg}"
-            ) from error
     nrows = cursor.u32()
-    width = cursor.u8()
-    typecode = _TYPECODES.get(width)
-    if typecode is None:
-        raise ProtocolError(f"binary frame code width {width} is not 1, 2 or 4")
-    columns = []
-    for _ in attributes:
-        codes = array(typecode, cursor.take(nrows * width))
-        if _SWAP:
-            codes.byteswap()
-        if codes and max(codes) >= len(pool):
-            raise ProtocolError(
-                f"binary frame code {max(codes)} exceeds pool of {len(pool)}"
-            )
-        columns.append(map(pool.__getitem__, codes))
+    columns = [_decode_column(cursor, nrows) for _ in attributes]
     if nrows and not attributes:
         return Relation.unit()  # TRUE has no column-major spelling
     try:
         return Relation.from_columns(attributes, columns)
     except (SchemaError, TypeError) as error:
-        # SchemaError: the attribute names.  TypeError: a pool entry that
-        # is an array or object cannot be frozen into a row.
+        # SchemaError: the attribute names.  TypeError: an array or object
+        # in a JSON column cannot be frozen into a row.
         raise ProtocolError(f"malformed relation block: {error}") from error
 
 
@@ -361,7 +357,7 @@ def negotiate_frames(requested: Any) -> Tuple[str, ...]:
 
 __all__ = [
     "BINARY_FRAME",
-    "BINARY_FRAMES_V1",
+    "BINARY_FRAMES_V2",
     "JSON_FRAME",
     "KIND_MESSAGE",
     "MAGIC",

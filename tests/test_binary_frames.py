@@ -6,7 +6,8 @@ The contracts under test:
   *spelling-exact with respect to the JSON framing*: re-encoding the
   decoded message as a JSON line spells every row as the original's line
   does — including value spellings JSON distinguishes but Python equality
-  does not (``true`` vs ``1``, ``-0.0`` vs ``0.0``).  Row *order* is the
+  does not (``true`` vs ``1``, ``-0.0`` vs ``0.0``), on both column kinds
+  (fixed-width integers at every width, JSON arrays).  Row *order* is the
   sender's on both framings and is not compared.
 * Both framings cost a number of Python-level calls that does not grow
   with the rows (``TestLinearity``).
@@ -20,8 +21,10 @@ The contracts under test:
 import asyncio
 import gc
 import json
+import math
 import struct
 import sys
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
@@ -42,10 +45,11 @@ from repro.protocol import (
     encode_binary,
     encode_relation,
     encode_result,
+    query_text,
 )
 from repro.protocol.frames import (
     BINARY_FRAME,
-    BINARY_FRAMES_V1,
+    BINARY_FRAMES_V2,
     JSON_FRAME,
     KIND_MESSAGE,
     MAGIC,
@@ -71,11 +75,31 @@ scalars = st.one_of(
     st.sampled_from([1, True, 0, False, -0.0, 0.0, 1.0]),
     texts,
 )
-# Only what the binary framing pools by value (exact int / str / None).
-value_pooled = st.one_of(
-    st.none(),
-    st.integers(min_value=-(2**80), max_value=2**80),
-    texts,
+# Ints on both sides of every fixed-width boundary (1, 2, 4, 8 bytes) and
+# past the widest, so every column width and the JSON fallback are drawn.
+boundaries = [
+    edge + step
+    for bits in (7, 15, 31, 63)
+    for edge in (-(2**bits), 2**bits)
+    for step in (-1, 0, 1)
+]
+integers = st.one_of(
+    st.sampled_from(boundaries),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.integers(min_value=-128, max_value=127),
+)
+
+
+class Colour(IntEnum):
+    RED = 1
+    BLUE = 2**40
+
+
+# Ints mixed with what is not exactly an int but JSON spells near one.
+int_lookalikes = st.one_of(
+    integers,
+    st.booleans(),
+    st.sampled_from([Colour.RED, Colour.BLUE, -0.0, 0.0, 1.0, math.nan, None]),
 )
 
 
@@ -138,16 +162,25 @@ def body_of(frame: bytes) -> bytes:
 
 class TestCodecRoundTrip:
     @settings(max_examples=200, deadline=None)
-    @given(st.one_of(relation_responses(), relation_responses(value_pooled)))
+    @given(st.one_of(relation_responses(), relation_responses(integers)))
     def test_round_trip_is_byte_exact_vs_json(self, response):
-        # Spelling-exact, on both pool paths (by JSON text, by value): every
-        # value arrives spelled as the JSON line of the original spells it.
+        # Spelling-exact, on both column kinds (fixed-width ints, JSON
+        # arrays): every value arrives spelled as the JSON line spells it.
         decoded = decode_binary(body_of(encode_binary(response)))
         assert decoded == response  # same relations, as relations
         assert spelled(decoded) == spelled(response)
 
+    @settings(max_examples=200, deadline=None)
+    @given(relation_responses(int_lookalikes))
+    def test_int_lookalike_columns_are_byte_exact_vs_json(self, response):
+        # bool, IntEnum, -0.0, NaN and None among ints: such a column is not
+        # an integer column, and each cell keeps its JSON spelling.  (NaN is
+        # unequal to itself, so only the spellings are compared.)
+        decoded = decode_binary(body_of(encode_binary(response)))
+        assert spelled(decoded) == spelled(response)
+
     @settings(max_examples=100, deadline=None)
-    @given(st.one_of(relation_responses(), relation_responses(value_pooled)))
+    @given(st.one_of(relation_responses(), relation_responses(integers)))
     def test_both_framings_decode_to_equal_relations(self, response):
         def received(message):
             members = (
@@ -220,16 +253,39 @@ class TestCodecRoundTrip:
         )
         assert encode_binary(response) is None
 
-    def test_pool_is_shared_across_rows(self):
-        # 400 rows over a 20-value domain: the frame must be far smaller
-        # than the JSON line (the whole point of dictionary encoding).
-        rows = [(i % 20, i // 20, "constant-padding-value") for i in range(400)]
+    def test_integer_columns_travel_at_the_narrowest_width(self):
+        cases = [
+            ((-128, 127), 1),
+            ((-129, 0), 2),
+            ((0, 128), 2),
+            ((-(2**15), 2**15 - 1), 2),
+            ((0, 2**15), 4),
+            ((-(2**31), 2**31 - 1), 4),
+            ((-(2**31) - 1, 0), 8),
+            ((0, 2**31), 8),
+            ((-(2**63), 2**63 - 1), 8),
+            ((0, 2**63), 0),  # past 8 bytes: a JSON column
+            ((-(2**63) - 1, 0), 0),
+        ]
+        for values, width in cases:
+            relation = Relation.from_rows(("a",), [(value,) for value in values])
+            response = Response(id=1, kind=RELATION, result=relation)
+            body = body_of(encode_binary(response))
+            [(kind, got, length)] = column_entries(body)
+            assert (kind, got) == ((1, width) if width else (0, 0)), values
+            if width:
+                assert length == 2 * width
+            assert decode_binary(body).result == relation
+        # 400 rows of small ints: the frame is far smaller than the line.
+        rows = [(i % 20, i // 20, i * 1000) for i in range(400)]
         response = Response(
             id=1, kind=RELATION, result=Relation.from_rows(("x", "y", "z"), rows)
         )
         frame = encode_binary(response)
-        line = encode(response)
-        assert len(frame) < len(line) / 3
+        assert [entry[:2] for entry in column_entries(body_of(frame))] == [
+            (1, 1), (1, 1), (1, 4)
+        ]
+        assert len(frame) < len(encode(response)) / 2
         assert spelled(decode_binary(body_of(frame))) == spelled(response)
 
     def test_truncated_frame_is_typed_error(self):
@@ -247,7 +303,9 @@ class TestCodecRoundTrip:
             decode_binary(body + b"\x00")  # trailing garbage
 
     def test_hostile_relation_blocks_are_typed_errors(self):
-        def body(attributes, pool, nrows, width, codes):
+        def body(attributes, nrows, columns):
+            """A one-relation body; a column is ``(kind, width, data)`` or
+            ``(kind, width, data, declared byte length)``."""
             header = json.dumps(
                 {"v": 1, "id": 1, "ok": True, "kind": "relation",
                  "result": {"__relation_frame__": 0}}
@@ -255,42 +313,75 @@ class TestCodecRoundTrip:
             block = struct.pack(">H", len(attributes))
             for name in attributes:
                 block += struct.pack(">H", len(name)) + name.encode()
-            block += struct.pack(">I", len(pool))
-            for text in pool:
-                block += struct.pack(">I", len(text)) + text.encode()
-            block += struct.pack(">IB", nrows, width) + codes
+            block += struct.pack(">I", nrows)
+            for kind, width, data, *declared in columns:
+                length = declared[0] if declared else len(data)
+                block += struct.pack(">BBI", kind, width, length) + data
             return struct.pack(">I", len(header)) + header + struct.pack(">I", 1) + block
 
-        good = body(["a", "b"], ["1", "2"], 2, 1, bytes([0, 1, 1, 0]))
+        good = body(["a", "b"], 2, [(1, 1, bytes([1, 2])), (0, 0, b'[2,"x"]')])
         assert decode_binary(good).result == Relation.from_rows(
-            ("a", "b"), [(1, 2), (2, 1)]
+            ("a", "b"), [(1, 2), (2, "x")]
         )
         hostile = {
-            "code past the pool": body(["a", "b"], ["1", "2"], 2, 1, bytes([0, 2, 1, 0])),
-            "truncated column": body(["a", "b"], ["1", "2"], 2, 1, bytes([0, 1, 1])),
-            "width 3": body(["a", "b"], ["1", "2"], 2, 3, bytes(12)),
+            "unknown column kind": body(["a"], 2, [(2, 0, b"[1,2]")]),
+            "width 3": body(["a"], 2, [(1, 3, bytes(6))]),
+            "width 16": body(["a"], 2, [(1, 16, bytes(32))]),
+            "bytes != rows x width": body(["a"], 2, [(1, 1, bytes(3))]),
+            "JSON column with a width": body(["a"], 2, [(0, 1, b"[1,2]")]),
+            "JSON column not JSON": body(["a"], 2, [(0, 0, b"[1,")]),
+            "JSON column not UTF-8": body(["a"], 1, [(0, 0, b'["\xff"]')]),
+            "JSON column an object": body(["a"], 1, [(0, 0, b'{"a":1}')]),
+            "JSON column a string": body(["a"], 2, [(0, 0, b'"ab"')]),
+            "JSON column too short": body(["a"], 2, [(0, 0, b"[1]")]),
+            "JSON column too long": body(["a"], 1, [(0, 0, b"[1,2]")]),
+            "JSON column holds an array": body(["a"], 2, [(0, 0, b"[[1],2]")]),
+            "JSON column holds an object": body(["a"], 1, [(0, 0, b'[{"a":1}]')]),
+            "truncated int column": body(["a"], 2, [(1, 2, bytes(3), 4)]),
+            "truncated JSON column": body(["a"], 2, [(0, 0, b"[1,", 5)]),
+            "column entry cut short": body(["a"], 2, []) + b"\x01\x01",
+            "missing column": body(["a", "b"], 1, [(1, 1, bytes(1))]),
             "trailing bytes": good + b"\x00",
-            "pool entry not JSON": body(["a"], ["1", "{"], 1, 1, bytes([0])),
-            "array for a value": body(["a"], ["[1]"], 1, 1, bytes([0])),
-            "duplicate attributes": body(["a", "a"], ["1"], 1, 1, bytes([0, 0])),
-            "rows without a pool": body(["a"], [], 1, 1, bytes([0])),
+            "duplicate attributes": body(["a", "a"], 1, [(1, 1, b"\x00")] * 2),
         }
         for label, frame_body in hostile.items():
             with pytest.raises(ProtocolError) as excinfo:
                 decode_binary(frame_body)
             assert excinfo.value.code == "bad_request", label
-        # Wide codes are read big-endian, whatever this machine's order.
-        wide = body(["a"], [str(n) for n in range(300)], 2, 2, struct.pack(">2H", 1, 299))
-        assert decode_binary(wide).result == Relation.from_rows(("a",), [(1,), (299,)])
+        # Integers are read big-endian and signed, whatever this machine's
+        # order, at every width.
+        for width, fmt in ((2, ">2h"), (4, ">2i"), (8, ">2q")):
+            wide = body(["a"], 2, [(1, width, struct.pack(fmt, 1, -299))])
+            assert decode_binary(wide).result == Relation.from_rows(
+                ("a",), [(1,), (-299,)]
+            )
 
     def test_negotiate_frames_intersects(self):
-        assert negotiate_frames([BINARY_FRAMES_V1]) == (BINARY_FRAMES_V1,)
-        assert negotiate_frames([BINARY_FRAMES_V1, "future-v9"]) == (
-            BINARY_FRAMES_V1,
+        assert negotiate_frames([BINARY_FRAMES_V2]) == (BINARY_FRAMES_V2,)
+        assert negotiate_frames([BINARY_FRAMES_V2, "future-v9"]) == (
+            BINARY_FRAMES_V2,
         )
+        assert negotiate_frames(["relation-columns-v1"]) == ()
         assert negotiate_frames(["future-v9"]) == ()
         assert negotiate_frames("not-a-list") == ()
         assert negotiate_frames(None) == ()
+
+
+def column_entries(body):
+    """``(kind, width, byte length)`` per column of a one-relation body."""
+    pos = 4 + int.from_bytes(body[:4], "big") + 4  # header, relation count
+    (nattributes,) = struct.unpack_from(">H", body, pos)
+    pos += 2
+    for _ in range(nattributes):
+        pos += 2 + struct.unpack_from(">H", body, pos)[0]
+    pos += 4  # row count
+    entries = []
+    for _ in range(nattributes):
+        kind, width, length = struct.unpack_from(">BBI", body, pos)
+        entries.append((kind, width, length))
+        pos += 6 + length
+    assert pos == len(body)
+    return entries
 
 
 def python_calls(fn):
@@ -324,10 +415,9 @@ class TestLinearity:
 
     @staticmethod
     def answer(rows):
-        # 3 int columns over a fixed 25-value domain, so the binary pool —
-        # spelled per distinct value — is the same at every size.
+        # An integer column and a string column: one of each column kind.
         return Relation.from_rows(
-            ("a", "b", "c"), [(i % 25, i // 25 % 25, i // 625) for i in range(rows)]
+            ("a", "b"), [(i, f"v{i % 25}") for i in range(rows)]
         )
 
     @pytest.mark.parametrize("framing", ["json", "binary"])
@@ -439,6 +529,34 @@ class TestNegotiatedConnection:
                     assert await client.ping()
 
         run(main())
+
+    def test_v1_only_ping_stays_on_json_lines(self, chain):
+        # A peer that offers only the retired v1 block format negotiates
+        # nothing: the pong lists no frames and relations come back as lines.
+        q = path_query(2, head_arity=2)
+
+        async def main():
+            async with QueryServer({"chain": chain}) as server:
+                host, port = server.address
+                reader, writer = await asyncio.open_connection(host, port)
+                replies = []
+                for request in (
+                    Request(op=PING, id=1, frames=("relation-columns-v1",)),
+                    Request(op="execute", id=2, query=query_text(q), database="chain"),
+                ):
+                    writer.write(encode(request))
+                    await writer.drain()
+                    replies.append(await reader.readline())
+                writer.close()
+                await writer.wait_closed()
+            return replies
+
+        pong, answer = run(main())
+        assert decode(pong).result == {"frames": []}
+        assert answer.startswith(b"{")
+        message = decode(answer)
+        assert message.kind == RELATION
+        assert decode_result(RELATION, message.result).cardinality > 0
 
     def test_binary_payload_shrinks_bulk_relations(self, chain):
         # The acceptance property: the negotiated framing measurably
