@@ -94,15 +94,18 @@ def canonical_json(payload: Any, spell: Callable[[Relation], Any]) -> str:
     return json.dumps(payload, default=default, **CANONICAL)
 
 
-def _rows_payload(relation: Relation) -> Dict[str, Any]:
-    """Attributes and rows in the relation's own order.  The encoder spells
-    tuples as arrays, so no row is copied."""
-    return {"attributes": relation.attributes, "rows": relation._row_order()}
+def _columns_payload(relation: Relation) -> Dict[str, Any]:
+    """The relation's cached value columns — what the binary block reads —
+    and its row count, which spells the nullary TRUE (it has no column)."""
+    columns = [relation._column(p) for p in range(len(relation.attributes))]
+    return dict(
+        attributes=relation.attributes, cardinality=len(relation), columns=columns
+    )
 
 
 def encode(message: Message) -> bytes:
     """One canonical ``\\n``-terminated JSON line for *message*."""
-    text = canonical_json(message.to_wire(), _rows_payload)
+    text = canonical_json(message.to_wire(), _columns_payload)
     data = text.encode("utf-8") + b"\n"
     if len(data) > MAX_LINE_BYTES:
         raise ProtocolError(

@@ -1,9 +1,9 @@
 """Binary relation frames: a negotiated bulk encoding for relation payloads.
 
-The line protocol of :mod:`.codec` serializes relations as JSON rows,
-every row paying its brackets and every integer spelled digit by digit.  A
-**binary relation frame** sends each column as its own values instead,
-while leaving everything else JSON:
+The line protocol of :mod:`.codec` spells a relation as JSON value
+columns, every integer digit by digit.  A **binary relation frame** sends
+an integer column as a fixed-width array instead, while leaving everything
+else JSON:
 
 ``MAGIC`` (1 byte, ``0x00``) · kind (1 byte, ``0x01``) · body length
 (u32, big-endian) · body.  JSON frames always start with ``{`` (0x7b), so
@@ -29,7 +29,7 @@ floats, bools, ``None``, mixed, ints past 64 bits, empty) is **kind 0**,
 width 0: the data is the column as one canonical JSON array text, so each
 value arrives spelled exactly as the JSON framing spells it — ``true`` and
 ``1``, ``-0.0`` and ``0.0`` stay apart.  Both directions work on whole
-columns (``Relation._column`` in, :meth:`Relation.from_columns` out).
+columns (``Relation._column`` in, the JSON line's decode tail out).
 
 ``encode_binary`` returns ``None`` whenever the binary form is not
 applicable — the message holds no relation, or the (pathological)
@@ -50,10 +50,9 @@ import sys
 from array import array
 from typing import Any, BinaryIO, Dict, List, Optional, Tuple
 
-from ..errors import SchemaError
 from ..relational.relation import Relation
 from .codec import CANONICAL, MAX_LINE_BYTES, Message, canonical_json, decode_payload
-from .messages import ProtocolError
+from .messages import ProtocolError, decode_relation
 
 #: First byte of every binary frame.  JSON lines start with ``{`` (0x7b),
 #: so a leading NUL unambiguously marks the binary framing.
@@ -226,26 +225,18 @@ def _decode_column(cursor: _Cursor, nrows: int) -> List[Any]:
     if kind != _JSON_COLUMN or width != 0:
         raise ProtocolError(f"binary frame column kind {kind} / width {width}")
     try:
-        column = json.loads(cursor.text(length))
+        return json.loads(cursor.text(length))
     except json.JSONDecodeError as error:
         raise ProtocolError(f"binary frame column is not JSON: {error.msg}") from error
-    if not isinstance(column, list) or len(column) != nrows:
-        raise ProtocolError(f"binary frame column is not an array of {nrows}")
-    return column
 
 
 def _decode_relation_block(cursor: _Cursor) -> Relation:
     attributes = [cursor.text(cursor.u16()) for _ in range(cursor.u16())]
     nrows = cursor.u32()
     columns = [_decode_column(cursor, nrows) for _ in attributes]
-    if nrows and not attributes:
-        return Relation.unit()  # TRUE has no column-major spelling
-    try:
-        return Relation.from_columns(attributes, columns)
-    except (SchemaError, TypeError) as error:
-        # SchemaError: the attribute names.  TypeError: an array or object
-        # in a JSON column cannot be frozen into a row.
-        raise ProtocolError(f"malformed relation block: {error}") from error
+    # A block is read into the JSON line's payload: one decode tail for both.
+    payload = {"attributes": attributes, "columns": columns, "cardinality": nrows}
+    return decode_relation(payload)
 
 
 def decode_binary(body: bytes) -> Message:

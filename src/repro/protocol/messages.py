@@ -22,26 +22,25 @@ format :func:`repro.query.parser.parse_query` reads and
 wire without a second serialization scheme.
 
 A message to be sent holds each relation as the
-:class:`~repro.relational.relation.Relation` itself (:func:`encode_result`
-and :func:`encode_database` only check that its values are JSON scalars)
-and its framing spells it: ``{"attributes": [...], "rows": [[...], ...]}``
-on a JSON line, a column block in a binary frame.  A received message holds
-that JSON object, or the relation the binary framing built;
-:func:`decode_relation` takes both.  The wire carries a *set* of rows —
-their order is the sender's and means nothing.
+:class:`~repro.relational.relation.Relation` itself (only checked to hold
+JSON scalars) and its framing spells its value columns: ``{"attributes":
+[...], "columns": [[...], ...], "cardinality": n}`` on a JSON line, a
+column block in a binary frame.  A received message holds that object, or
+the relation the binary framing built through the same
+:func:`decode_relation`.  The wire carries a *set* of rows — their order
+is the sender's and means nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..errors import ReproError, RequestRejectedError, SchemaError
 from ..relational.relation import Relation
 
-#: The one protocol version this build speaks.
-PROTOCOL_VERSION = 1
+#: The one protocol version this build speaks (1 sent a relation's rows).
+PROTOCOL_VERSION = 2
 
 # Request operations (the service facade, on the wire).  The query ops
 # mirror the operation kinds of :mod:`repro.operations` verbatim, so a
@@ -456,49 +455,55 @@ class Response:
 # ----------------------------------------------------------------------
 
 
-def encode_relation(relation: Relation) -> Relation:
-    """*relation* as a message holds it — itself — once every value is known
-    to be a JSON scalar (``unrepresentable`` otherwise).
-
-    One C-level pass over the cells' types; the cells are walked only when
-    some type is not exactly a scalar type, to name the offender (or to find
-    that all of them subclass one, like an ``IntEnum``).
-    """
-    types = set(map(type, chain.from_iterable(relation)))
-    if not types.issubset(_WIRE_SCALARS):
-        for value in chain.from_iterable(relation):
+def _check_scalars(values: list, what: str) -> None:
+    """``unrepresentable`` unless every value is a JSON scalar: one C-level
+    pass over the types; the values are walked only to name an offender."""
+    if not set(map(type, values)).issubset(_WIRE_SCALARS):
+        for value in values:
             if not isinstance(value, _WIRE_SCALARS):
                 raise ProtocolError(
-                    f"relation value {value!r} is not JSON-representable",
+                    f"{what} {value!r} is not JSON-representable",
                     code="unrepresentable",
                 )
+
+
+def encode_relation(relation: Relation) -> Relation:
+    """*relation* as a message holds it — itself — once every value of the
+    columns both framings spell is known to be a JSON scalar."""
+    for position in range(relation.arity):
+        _check_scalars(relation._column(position), "relation value")
     return relation
 
 
 def decode_relation(payload: Any) -> Relation:
-    """The relation a received message holds.
-
-    One the binary framing built passes through.  A JSON payload must be
-    ``{"attributes": [...], "rows": [[...], ...]}``, every row an array of
-    one scalar per attribute; anything else is a ``bad_request``, found by
-    C-level passes over the rows' types and (in ``from_rows``) lengths.
-    """
+    """The relation a received message holds.  One already built passes
+    through; otherwise *payload* is ``{"attributes": [...], "columns":
+    [[...], ...], "cardinality": n}`` (a JSON line's, or the one a binary
+    block is read into), each column an array of ``n`` values; ``n`` alone
+    tells the nullary TRUE from FALSE.  Anything else is a ``bad_request``
+    (C-level passes, and :meth:`Relation.from_columns` for attribute names,
+    the column count and unhashable values)."""
     if isinstance(payload, Relation):
         return payload
     if not isinstance(payload, dict):
         raise ProtocolError("relation payload must be an object")
     attributes = payload.get("attributes")
-    rows = payload.get("rows")
-    if not isinstance(attributes, list) or not isinstance(rows, list):
-        raise ProtocolError("relation payload needs 'attributes' and 'rows' lists")
-    if not set(map(type, rows)) <= {list}:
-        raise ProtocolError("relation rows must be arrays")
+    columns = payload.get("columns")
+    cardinality = payload.get("cardinality")
+    if not isinstance(attributes, list) or not isinstance(columns, list):
+        raise ProtocolError("relation payload needs 'attributes' and 'columns' lists")
+    if type(cardinality) is not int or cardinality < 0:  # a bool is no count
+        raise ProtocolError("relation 'cardinality' must be an integer >= 0")
+    if not set(map(type, columns)) <= {list} or set(map(len, columns)) - {cardinality}:
+        raise ProtocolError(f"relation columns must be arrays of {cardinality} values")
+    if not attributes and not columns and cardinality:
+        if cardinality > 1:
+            raise ProtocolError(f"a nullary relation of {cardinality} rows")
+        return Relation.unit()  # TRUE has no column-major spelling
     try:
-        return Relation.from_rows(attributes, rows)
+        return Relation.from_columns(attributes, columns)
     except (SchemaError, TypeError) as error:
-        # SchemaError: a row's length, or the attribute names.  TypeError: an
-        # array or object for a value cannot be frozen into a row.
-        raise ProtocolError(f"malformed relation payload: {error}") from error
+        raise ProtocolError(f"malformed relation: {error}") from error
 
 
 def encode_result(value: Any) -> Tuple[str, Any]:
@@ -544,18 +549,18 @@ def encode_database(database: Any) -> Dict[str, Any]:
     """The document of a whole database, as a message holds it.
 
     The payload of the ``register_database`` op: every relation under its
-    name (checked by :func:`encode_relation`) plus the domain when it is
-    JSON-representable.  On the wire it mirrors the on-disk document of
-    :mod:`repro.relational.io`, so a fixture file and a wire registration
-    describe the same database.
+    name (checked by :func:`encode_relation`), plus the domain only when
+    the database declared one — the server derives the active domain from
+    the relations itself.  A declared value that is not a JSON scalar is
+    ``unrepresentable``, as a cell is.
     """
     relations = {
         name: encode_relation(database[name]) for name in sorted(database.names())
     }
     payload: Dict[str, Any] = {"relations": relations}
-    domain = sorted(database.domain(), key=repr)
-    if all(isinstance(value, _WIRE_SCALARS) for value in domain):
-        payload["domain"] = domain
+    if database.declared_domain is not None:
+        payload["domain"] = sorted(database.declared_domain, key=repr)
+        _check_scalars(payload["domain"], "domain value")
     return payload
 
 

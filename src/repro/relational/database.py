@@ -131,6 +131,12 @@ class Database:
             self._active = frozenset(values)
         return self._active
 
+    @property
+    def declared_domain(self) -> Optional[FrozenSet[Any]]:
+        """The domain given at construction, or ``None`` when none was (and
+        :meth:`domain` is the active domain)."""
+        return self._domain
+
     def domain(self) -> FrozenSet[Any]:
         """The declared domain, or the active domain when none was declared."""
         if self._domain is not None:

@@ -32,6 +32,7 @@ from hypothesis import strategies as st
 
 from repro import Relation
 from repro.protocol import (
+    PROTOCOL_VERSION,
     AsyncQueryClient,
     ProtocolError,
     QueryClient,
@@ -129,15 +130,17 @@ def relation_responses(draw, values=scalars):
 
 def spelled(message):
     """What the JSON line of *message* says, whatever its row order: the
-    parsed line with every relation's rows as the sorted list of their JSON
-    texts (so ``true`` / ``1`` / ``1.0`` and ``-0.0`` / ``0.0`` differ)."""
+    parsed line with every relation's columns read back as the sorted list
+    of its rows' JSON texts (so ``true`` / ``1`` / ``1.0`` and ``-0.0`` /
+    ``0.0`` differ)."""
 
     def walk(node):
         if isinstance(node, dict):
-            if set(node) == {"attributes", "rows"}:
+            if set(node) == {"attributes", "cardinality", "columns"}:
+                rows = list(zip(*node["columns"])) or [()] * node["cardinality"]
                 return {
                     "attributes": node["attributes"],
-                    "rows": sorted(map(json.dumps, node["rows"])),
+                    "rows": sorted(json.dumps(list(row)) for row in rows),
                 }
             return {key: walk(value) for key, value in node.items()}
         if isinstance(node, list):
@@ -271,12 +274,13 @@ class TestCodecRoundTrip:
             relation = Relation.from_rows(("a",), [(value,) for value in values])
             response = Response(id=1, kind=RELATION, result=relation)
             body = body_of(encode_binary(response))
-            [(kind, got, length)] = column_entries(body)
+            [(kind, got, data)] = column_entries(body)
             assert (kind, got) == ((1, width) if width else (0, 0)), values
             if width:
-                assert length == 2 * width
+                assert len(data) == 2 * width
             assert decode_binary(body).result == relation
-        # 400 rows of small ints: the frame is far smaller than the line.
+        # 400 rows of small ints: 6 bytes a row in the frame, against ~12
+        # digits and commas in the line's columns (~14 with row brackets).
         rows = [(i % 20, i // 20, i * 1000) for i in range(400)]
         response = Response(
             id=1, kind=RELATION, result=Relation.from_rows(("x", "y", "z"), rows)
@@ -285,8 +289,34 @@ class TestCodecRoundTrip:
         assert [entry[:2] for entry in column_entries(body_of(frame))] == [
             (1, 1), (1, 1), (1, 4)
         ]
-        assert len(frame) < len(encode(response)) / 2
+        assert len(frame) < 0.6 * len(encode(response))
         assert spelled(decode_binary(body_of(frame))) == spelled(response)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(relations(), relations(integers), relations(int_lookalikes)))
+    def test_a_column_has_one_spelling_on_both_framings(self, relation):
+        # The JSON line spells the columns exactly as the block's JSON
+        # (kind 0) columns are written, and an integer column as the JSON
+        # text of its values; both framings decode to the relation sent.
+        response = Response(id=1, kind=RELATION, result=relation)
+        line = encode(response)
+        body = body_of(encode_binary(response))
+        texts = []
+        for kind, width, data in column_entries(body):
+            if kind == 0:
+                texts.append(data)
+            else:
+                values = [
+                    int.from_bytes(data[at : at + width], "big", signed=True)
+                    for at in range(0, len(data), width)
+                ]
+                texts.append(json.dumps(values, separators=(",", ":")).encode())
+        assert b'"columns":[' + b",".join(texts) + b"]" in line
+        via_json = decode_result(RELATION, decode(line).result)
+        via_binary = decode_binary(body).result
+        assert via_json.attributes == via_binary.attributes == relation.attributes
+        if not any(value != value for row in relation for value in row):  # NaN
+            assert via_json == via_binary == relation
 
     def test_truncated_frame_is_typed_error(self):
         frame = encode_binary(
@@ -307,7 +337,7 @@ class TestCodecRoundTrip:
             """A one-relation body; a column is ``(kind, width, data)`` or
             ``(kind, width, data, declared byte length)``."""
             header = json.dumps(
-                {"v": 1, "id": 1, "ok": True, "kind": "relation",
+                {"v": PROTOCOL_VERSION, "id": 1, "ok": True, "kind": "relation",
                  "result": {"__relation_frame__": 0}}
             ).encode()
             block = struct.pack(">H", len(attributes))
@@ -343,7 +373,11 @@ class TestCodecRoundTrip:
             "missing column": body(["a", "b"], 1, [(1, 1, bytes(1))]),
             "trailing bytes": good + b"\x00",
             "duplicate attributes": body(["a", "a"], 1, [(1, 1, b"\x00")] * 2),
+            # The decode tail the JSON line shares: a nullary relation holds
+            # at most the empty row.
+            "nullary, two rows": body([], 2, []),
         }
+        assert decode_binary(body([], 1, [])).result == Relation.unit()
         for label, frame_body in hostile.items():
             with pytest.raises(ProtocolError) as excinfo:
                 decode_binary(frame_body)
@@ -368,7 +402,7 @@ class TestCodecRoundTrip:
 
 
 def column_entries(body):
-    """``(kind, width, byte length)`` per column of a one-relation body."""
+    """``(kind, width, data)`` per column of a one-relation body."""
     pos = 4 + int.from_bytes(body[:4], "big") + 4  # header, relation count
     (nattributes,) = struct.unpack_from(">H", body, pos)
     pos += 2
@@ -378,7 +412,7 @@ def column_entries(body):
     entries = []
     for _ in range(nattributes):
         kind, width, length = struct.unpack_from(">BBI", body, pos)
-        entries.append((kind, width, length))
+        entries.append((kind, width, body[pos + 6 : pos + 6 + length]))
         pos += 6 + length
     assert pos == len(body)
     return entries

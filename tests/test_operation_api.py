@@ -30,7 +30,12 @@ from repro.operations import (
     operations_of,
 )
 from repro.fleet import AsyncFleetRouter, FleetRouter
-from repro.protocol import AsyncQueryClient, QueryClient, QueryServer
+from repro.protocol import (
+    PROTOCOL_VERSION,
+    AsyncQueryClient,
+    QueryClient,
+    QueryServer,
+)
 from repro.protocol.messages import query_text
 from repro.service import QueryService
 from repro.workloads import chain_database, path_query
@@ -375,7 +380,7 @@ class TestWireDispatch:
                 answers = []
                 for op in ("execute_batch", "decide_batch"):
                     frame = {
-                        "v": 1,
+                        "v": PROTOCOL_VERSION,
                         "op": op,
                         "id": 7,
                         "queries": [query_text(q) for q in queries],
@@ -383,7 +388,8 @@ class TestWireDispatch:
                     }
                     writer.write(json.dumps(frame).encode() + b"\n")
                     answers.append(json.loads(await reader.readline()))
-                writer.write(b'{"v": 1, "op": "ping", "id": 8}\n')
+                ping = {"v": PROTOCOL_VERSION, "op": "ping", "id": 8}
+                writer.write(json.dumps(ping).encode() + b"\n")
                 answers.append(json.loads(await reader.readline()))
                 writer.close()
                 await writer.wait_closed()

@@ -19,16 +19,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Relation, parse_query
+from repro import Database, Relation, parse_query
 from repro.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
     Request,
     Response,
     decode,
+    decode_database,
     decode_relation,
     decode_result,
     encode,
+    encode_database,
     encode_relation,
     error_response,
     query_text,
@@ -200,7 +202,10 @@ class TestRoundTrips:
     def test_relation_payload_round_trip(self, relation):
         payload = wire_payload(relation)
         assert payload["attributes"] == list(relation.attributes)
-        assert len(payload["rows"]) == len(relation)
+        assert payload["cardinality"] == len(relation)
+        assert payload["columns"] == [
+            [row[p] for row in relation] for p in range(relation.arity)
+        ]
         assert decode_relation(payload) == relation
         # What a framing already built (binary frames do) passes through.
         assert decode_relation(relation) is relation
@@ -208,12 +213,16 @@ class TestRoundTrips:
     def test_empty_relation_round_trips(self):
         relation = Relation.from_rows(("a", "b"))
         payload = wire_payload(relation)
-        assert payload == {"attributes": ["a", "b"], "rows": []}
+        assert payload == {
+            "attributes": ["a", "b"], "cardinality": 0, "columns": [[], []]
+        }
         assert decode_relation(payload) == relation
 
     def test_zero_arity_relations_round_trip(self):
-        assert wire_payload(Relation.unit()) == {"attributes": [], "rows": [[]]}
-        assert wire_payload(Relation.empty()) == {"attributes": [], "rows": []}
+        # No column holds a nullary row: the cardinality alone spells TRUE.
+        true = {"attributes": [], "cardinality": 1, "columns": []}
+        assert wire_payload(Relation.unit()) == true
+        assert wire_payload(Relation.empty()) == {**true, "cardinality": 0}
         for relation in (Relation.unit(), Relation.empty()):
             assert decode_relation(wire_payload(relation)) == relation
 
@@ -225,6 +234,14 @@ class TestRoundTrips:
         query = parse_query("G(e) :- EP(e, p), EP(e, q), p != q.")
         assert parse_query(query_text(query)) == query
         assert query_text("Q(x) :- E(x, y).") == "Q(x) :- E(x, y)."
+
+    def test_an_undeclared_domain_is_not_sent(self):
+        # The server derives the active domain from the relations itself.
+        database = Database({"E": Relation.from_rows(("x",), [(1,), (2,)])})
+        assert database.declared_domain is None
+        document = encode_database(database)
+        assert "domain" not in document
+        assert decode_database(document) == database
 
 
 # ----------------------------------------------------------------------
@@ -264,6 +281,11 @@ class TestRejects:
         ],
     )
     def test_bad_frames_raise_typed_errors(self, line, code):
+        # The table spells its frames at version 1; each is checked at the
+        # version this build speaks, so only its shape is at fault.  (A
+        # version 1 frame itself is answered ``unsupported_version``:
+        # test_protocol_server's raw-garbage test sends one.)
+        line = line.replace(b'"v": 1,', b'"v": %d,' % PROTOCOL_VERSION)
         with pytest.raises(ProtocolError) as excinfo:
             decode(line)
         assert excinfo.value.code == code
@@ -285,30 +307,33 @@ class TestRejects:
             RED = 1
 
         relation = Relation.from_rows(("c",), [(Colour.RED,)])
-        assert wire_payload(relation)["rows"] == [[1]]
+        assert wire_payload(relation)["columns"] == [[1]]
 
     @pytest.mark.parametrize(
         "rows",
         [
-            ["ab"],  # a string is not a row, whatever tuple() makes of it
-            [{"x": 1, "y": 2}],  # nor is an object
+            ["ab"],
+            [{"x": 1, "y": 2}],
             [5],
-            [[1, [2]]],  # an array is not a value
+            [[1, [2]]],
             [[1, {"k": 2}]],
-            [[1, 2], [3]],  # a short row
+            [[1, 2], [3]],
             [[1, 2, 3]],
+            [[1, 2], [2, 3]],  # well formed, and refused all the same
         ],
     )
     def test_malformed_rows_are_bad_requests(self, rows):
+        # Version 1's row spelling is deleted, not kept beside the columns:
+        # malformed or not, a "rows" payload has no columns to read.
         with pytest.raises(ProtocolError) as excinfo:
             decode_relation({"attributes": ["x", "y"], "rows": rows})
         assert excinfo.value.code == "bad_request"
 
     def test_unhashable_domain_is_a_bad_request(self):
-        from repro.protocol import decode_database
-
         document = {
-            "relations": {"E": {"attributes": ["x"], "rows": [[1]]}},
+            "relations": {
+                "E": {"attributes": ["x"], "cardinality": 1, "columns": [[1]]}
+            },
             "domain": [1, [2]],
         }
         with pytest.raises(ProtocolError) as excinfo:
@@ -317,8 +342,9 @@ class TestRejects:
 
     @pytest.mark.parametrize("attributes", [["x", "x"], ["x", 7], ["x", ""]])
     def test_malformed_attributes_are_bad_requests(self, attributes):
+        payload = {"attributes": attributes, "cardinality": 1, "columns": [[1], [2]]}
         with pytest.raises(ProtocolError) as excinfo:
-            decode_relation({"attributes": attributes, "rows": [[1, 2]]})
+            decode_relation(payload)
         assert excinfo.value.code == "bad_request"
 
     def test_request_id_recovery(self):

@@ -153,8 +153,11 @@ class TestErrorTaxonomy:
                 for line in [
                     b"this is not json\n",
                     b'{"v": 99, "op": "ping", "id": 4}\n',
-                    b'{"v": 1, "op": "frobnicate", "id": 7}\n',
-                    b'{"v": 1, "ok": true, "kind": "pong", "result": null, "id": 1}\n',
+                    b'{"v": 2, "op": "frobnicate", "id": 7}\n',
+                    b'{"v": 2, "ok": true, "kind": "pong", "result": null, "id": 1}\n',
+                    # A version 1 peer spells relations as rows: refused by
+                    # version, not misread as a malformed request.
+                    b'{"v": 1, "op": "ping", "id": 9}\n',
                 ]:
                     writer.write(line)
                     await writer.drain()
@@ -170,10 +173,12 @@ class TestErrorTaxonomy:
             "unsupported_version",
             "bad_request",
             "bad_request",
+            "unsupported_version",
         ]
         # Best-effort id attribution: valid JSON frames keep their id.
         assert responses[1].id == 4
         assert responses[2].id == 7
+        assert responses[4].id == 9
 
     def test_batch_with_one_bad_member_fails_whole_batch(self, chain_db):
         query = path_query(3, head_arity=1)
@@ -190,28 +195,44 @@ class TestErrorTaxonomy:
 
         assert run(main()) == "parse_error"
 
-    def test_malformed_rows_are_bad_requests_not_data(self, chain_db):
-        """A ``register_database`` whose rows are not arrays of one scalar
-        per attribute is refused as ``bad_request`` — it used to register
-        ``"ab"`` as the row ``('a', 'b')`` and an object's keys as a row,
-        and to answer ``internal_error`` / ``schema_error`` for the rest —
-        and the connection keeps serving."""
+    def test_malformed_columns_are_bad_requests_not_data(self, chain_db):
+        """A ``register_database`` whose relation is not attributes, one
+        array of exactly ``cardinality`` scalars per attribute and an integer
+        ``cardinality`` ≥ 0 is refused as ``bad_request``, and the connection
+        keeps serving."""
         import json
 
-        malformed = [["ab"], [{"x": 1, "y": 2}], [5], [[1, [2]]], [[1, 2], [3]]]
+        good = {"attributes": ["x", "y"], "cardinality": 2, "columns": [[1, 2], [2, 3]]}
+        hostile = {
+            "columns missing": {"attributes": ["x", "y"], "cardinality": 2},
+            "columns an object": {**good, "columns": {"x": [1, 2], "y": [2, 3]}},
+            "a column that is a string": {**good, "columns": ["ab", [2, 3]]},
+            "a column that is an object": {**good, "columns": [{"a": 1}, [2, 3]]},
+            "a short column": {**good, "columns": [[1, 2], [2]]},
+            "a long column": {**good, "columns": [[1, 2, 3], [2, 3]]},
+            "cardinality missing": {"attributes": ["x", "y"], "columns": [[1], [2]]},
+            "cardinality negative": {**good, "cardinality": -1},
+            "cardinality true": {**good, "cardinality": True, "columns": [[1], [2]]},
+            "cardinality 1.5": {**good, "cardinality": 1.5},
+            "nullary, cardinality 2": {
+                "attributes": [], "cardinality": 2, "columns": []
+            },
+            "fewer columns than attributes": {**good, "columns": [[1, 2]]},
+            "an array as a value": {**good, "columns": [[1, [2]], [2, 3]]},
+            "an object as a value": {**good, "columns": [[1, {"k": 2}], [2, 3]]},
+        }
+        labels = list(hostile)
 
         async def main():
             async with QueryServer({"chain": chain_db}) as server:
                 host, port = server.address
                 reader, writer = await asyncio.open_connection(host, port)
                 answers = []
-                for number, rows in enumerate(malformed + [[[1, 2], [2, 3]]]):
+                for number, relation in enumerate([*hostile.values(), good]):
                     frame = {
-                        "v": 1, "op": "register_database", "id": number,
+                        "v": 2, "op": "register_database", "id": number,
                         "database": "fresh",
-                        "data": {"relations": {
-                            "E": {"attributes": ["x", "y"], "rows": rows}
-                        }},
+                        "data": {"relations": {"E": relation}},
                     }
                     writer.write(json.dumps(frame).encode() + b"\n")
                     await writer.drain()
@@ -223,10 +244,42 @@ class TestErrorTaxonomy:
 
         answers, registered = run(main())
         for number, answer in enumerate(answers[:-1]):
-            assert (answer["id"], answer["ok"]) == (number, False)
-            assert answer["error"]["code"] == "bad_request", malformed[number]
+            assert (answer["id"], answer["ok"]) == (number, False), labels[number]
+            assert answer["error"]["code"] == "bad_request", labels[number]
         assert answers[-1]["ok"] and answers[-1]["kind"] == "registered"
         assert registered.rows == {(1, 2), (2, 3)}
+
+    def test_a_declared_domain_round_trips_and_a_bad_one_is_never_sent(
+        self, chain_db
+    ):
+        """``register_database`` carries a declared domain to the server;
+        one JSON cannot carry raises ``unrepresentable`` at the client,
+        before a byte is sent (it used to be dropped without a word)."""
+        from repro import Database, Relation
+        from repro.protocol import ProtocolError
+
+        edges = Relation.from_rows(("x", "y"), [(1, 2)])
+        declared = Database({"E": edges}, domain=[1, 2, "three", None])
+        tuple_valued = Database({"E": edges}, domain=[1, 2, (3, 4)])
+
+        async def main():
+            async with QueryServer({"chain": chain_db}) as server:
+                host, port = server.address
+                async with await AsyncQueryClient.connect(host, port) as client:
+                    await client.register_database("declared", declared)
+                    await client.register_database("chain_copy", chain_db)
+                    # A local ProtocolError, not the server's RemoteQueryError.
+                    with pytest.raises(ProtocolError) as excinfo:
+                        await client.register_database("bad", tuple_valued)
+                    served = await client.ping()
+                held = dict(server._databases)
+            return held, excinfo.value, served
+
+        held, error, served = run(main())
+        assert held["declared"].declared_domain == frozenset({1, 2, "three", None})
+        assert held["chain_copy"].declared_domain == chain_db.declared_domain
+        assert error.code == "unrepresentable" and "(3, 4)" in str(error)
+        assert "bad" not in held and served
 
     @pytest.mark.parametrize("binary_frames", [False, True], ids=["json", "binary"])
     def test_unrepresentable_result_is_a_typed_error(
