@@ -1,9 +1,9 @@
 """Networked query protocol: the service front-end goes cross-process.
 
 A line-delimited JSON wire protocol (:mod:`.messages` / :mod:`.codec`),
-an asyncio TCP server fronting one shared
-:class:`~repro.service.QueryService` (:mod:`.server`), and sync + async
-clients (:mod:`.client`).  Every evaluation mode of the paper's workloads
+one sans-IO connection core (:mod:`.connection`), and its drivers: an
+asyncio TCP server fronting one shared :class:`~repro.service.QueryService`
+(:mod:`.server`) and sync + async clients (:mod:`.client`).  Every evaluation mode of the paper's workloads
 — evaluation, decision, and batches of either — is first-class on the
 wire, failures come back as a structured error taxonomy, and per-client
 fairness on the service's admission queue keeps one flooding connection

@@ -1,39 +1,34 @@
-"""Query clients: an asyncio pipelining client and a blocking socket one.
+"""Query clients: two drivers of one protocol connection.
 
-Two flavors, one wire dialect:
+A :class:`~.connection.Connection` holds the dialect: framing, the
+binary-or-JSON choice, decoding, ``ping`` negotiation and request ids.
+The clients move its bytes and own their concurrency:
 
-:class:`AsyncQueryClient`
-    For asyncio callers (the benchmark harness, the fairness tests).  A
-    background reader task correlates responses to requests by id, so a
-    caller may have **many requests in flight on one connection** — which
-    is exactly how a flooding client exercises the server's fairness
-    lanes and per-client backpressure.
+* :class:`AsyncQueryClient`, over asyncio streams: a reader task resolves
+  one future per request id, so **many requests may be in flight on one
+  connection** — how a flooding client exercises the server's fairness
+  lanes and per-client backpressure;
+* :class:`QueryClient`, over a blocking socket, for threads and scripts:
+  one request at a time, a response that overtakes it stashed by id.
 
-:class:`QueryClient`
-    A small blocking client over a plain socket, for threads and scripts
-    (the cross-process stress drives 16 of these from worker threads).
-    One outstanding request at a time; out-of-order responses (possible
-    when an earlier error response overtakes) are buffered by id.
+The rest is spelled once, in their base: ``run``, ``run_batch``,
+``register_database``, ``stats`` and ``ping`` (and the per-kind methods of
+:class:`~repro.operations.OperationFacade`) are plain ``def``\\ s that hand
+the response — on the asyncio client, the awaitable of it — to the
+driver's ``_then``; so are the frame negotiation and the retry schedule.
+Queries go as rule-notation text or ``ConjunctiveQuery`` objects.
 
-Both raise :class:`~.messages.RemoteQueryError` carrying the server's
-structured code/message/detail when a request fails, and both accept
-queries as rule-notation text or as ``ConjunctiveQuery`` objects (whose
-``repr`` *is* the text form).
-
-Resilience (see ``docs/resilience.md``):
-
-* every query op takes an optional ``deadline`` (seconds) that rides the
-  request frame — the server aborts the evaluation and answers
-  ``deadline_exceeded`` instead of letting a runaway query hold its lane;
-* both clients accept an opt-in :class:`~repro.resilience.RetryPolicy`;
-  retryable failures (transport errors, transient server codes) trigger
-  reconnect-and-retry with exponential backoff and deterministic jitter,
-  and a spent budget raises :class:`~repro.errors.RetryExhaustedError`;
-* an abrupt close fails every pending async request with
-  :class:`~repro.errors.ConnectionLostError` — never a silent hang —
-  carrying the server's final structured frame when there was one;
-* the blocking client's socket timeout surfaces as the typed
-  :class:`~repro.errors.RequestTimeoutError` (still an ``OSError``).
+Failures (see ``docs/resilience.md``): an error response raises
+:class:`~.messages.RemoteQueryError` with the server's code, message and
+detail; a ``deadline`` (seconds) rides the request frame; an opt-in
+:class:`~repro.resilience.RetryPolicy` reconnects and retries transport
+errors and transient codes with seeded backoff until
+:class:`~repro.errors.RetryExhaustedError`; a request that cannot be
+encoded (``frame_too_large``) fails alone, nothing written; an abrupt
+close fails every pending async request with
+:class:`~repro.errors.ConnectionLostError`, carrying the server's final
+frame when there was one; and the blocking client's socket timeout is the
+typed :class:`~repro.errors.RequestTimeoutError`.
 """
 
 from __future__ import annotations
@@ -43,20 +38,14 @@ import random
 import socket
 import time
 from itertools import count
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
 from ..errors import ConnectionLostError, RequestTimeoutError, RetryExhaustedError
 from ..operations import Operation, OperationFacade
 from ..resilience.policy import RetryPolicy
-from .codec import MAX_LINE_BYTES, decode, encode
-from .frames import (
-    BINARY_FRAME,
-    SUPPORTED_FRAMES,
-    decode_binary,
-    encode_binary,
-    read_frame_async,
-    read_frame_blocking,
-)
+from . import codec
+from .codec import encode  # noqa: F401 — the e2e tracer wraps it here
+from .connection import READ_CHUNK, Connection
 from .messages import (
     CANCEL,
     PING,
@@ -64,7 +53,6 @@ from .messages import (
     REGISTER_DATABASE,
     RUN_BATCH,
     RemoteQueryError,
-    Request,
     Response,
     STATS,
     decode_result,
@@ -86,58 +74,164 @@ def _raise_for(response: Response) -> Response:
 
 def _wire_operation(operation: Operation) -> Dict[str, Any]:
     """One ``run_batch`` member entry for *operation*."""
-    entry: Dict[str, Any] = {
-        "op": operation.kind,
-        "query": query_text(operation.query),
-    }
+    entry = {"op": operation.kind, "query": query_text(operation.query)}
     if operation.options:
         entry["options"] = operation.options_dict()
     return entry
 
 
-def _decode_members(result: Any) -> List[Any]:
+def _result(response: Response) -> Any:
+    return decode_result(response.kind, response.result)
+
+
+def _members(response: Response) -> List[Any]:
     """Decode a ``results`` payload's tagged members."""
-    if not isinstance(result, list):
+    if not isinstance(response.result, list):
         raise ProtocolError("run_batch result must be a list")
     members = []
-    for member in result:
+    for member in response.result:
         if not isinstance(member, dict) or "kind" not in member:
             raise ProtocolError("run_batch members must be tagged objects")
         members.append(decode_result(member["kind"], member.get("result")))
     return members
 
 
-class AsyncQueryClient(OperationFacade):
-    """Pipelined asyncio client: many requests in flight per connection."""
+class _Client(OperationFacade):
+    """What both drivers share.  A driver supplies ``_exchange(id, data)``
+    (write one request's bytes, return its checked response), ``_call``
+    (the retry loop around ``_request``) and ``_then(response, finish)``
+    (``finish(response)`` at once, or once the awaitable resolves)."""
 
     def __init__(
         self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
+        host: str,
+        port: int,
         *,
         retry: Optional[RetryPolicy] = None,
         rng: Optional[random.Random] = None,
-        host: Optional[str] = None,
-        port: Optional[int] = None,
         binary_frames: bool = False,
     ) -> None:
-        self._reader = reader
-        self._writer = writer
-        self._retry = retry
-        self._rng = rng if rng is not None else random.Random()
         self._host = host
         self._port = port
-        self._ids = count(1)
-        self._pending: Dict[int, "asyncio.Future[Response]"] = {}
+        self._retry = retry
+        self._rng = rng if rng is not None else random.Random()
+        #: Opt-in: negotiate the binary relation framing on every connect.
+        self._binary_requested = binary_frames
         self._closed = False
         self._broken: Optional[BaseException] = None
         self._reconnects = 0
+
+    @property
+    def binary_frames(self) -> bool:
+        """Did this connection negotiate the binary relation framing?"""
+        return self._core.binary
+
+    @property
+    def reconnects(self) -> int:
+        """How many times the retry machinery re-opened the connection."""
+        return self._reconnects
+
+    def _negotiate_frames(self) -> Any:
+        """Offer our frame formats over ``ping``; send what the server accepts."""
+        core = self._core
+        return self._then(self._exchange(*core.offer_frames()), core.adopt_frames)
+
+    def _request(self, op: str, **fields: Any) -> Any:
+        """One request, not retried.  It is encoded before anything is
+        registered or written, so one that cannot be sent fails alone."""
+        if self._closed:
+            raise RuntimeError(f"{type(self).__name__} is closed")
+        if self._broken is not None:
+            raise ConnectionError(
+                f"connection is broken: {self._broken}"
+            ) from self._broken
+        return self._exchange(*self._core.request(op, **fields))
+
+    def _retry_delay(
+        self, op: str, attempt: int, delays: Iterator[float], error: Exception
+    ) -> float:
+        """The pause before retrying *op* after its *attempt*-th try failed
+        with *error*.  Re-raises *error* when the policy would not retry it
+        (a closed client never is) and raises ``RetryExhaustedError`` once
+        the budget is spent."""
+        if isinstance(error, RuntimeError) or not self._retry.retryable(error):
+            raise error
+        delay = next(delays, None)
+        if delay is None:
+            raise RetryExhaustedError(
+                f"{op} failed after {attempt} attempt(s): {error}",
+                attempts=attempt,
+                last_error=error,
+            ) from error
+        return delay
+
+    # The facade: one generic run/run_batch pair (per-kind: OperationFacade)
+
+    def run(
+        self,
+        operation: Operation,
+        database: str,
+        *,
+        deadline: Optional[float] = None,
+    ) -> Any:
+        """Run one :class:`~repro.operations.Operation` remotely.
+
+        The operation kind travels as the wire op verbatim; the result is
+        decoded by the response's declared kind (relation / boolean /
+        count / text), which is all the per-kind methods need.
+        """
+        operation.validate()
+        response = self._call(
+            operation.kind,
+            query=query_text(operation.query),
+            database=database,
+            deadline=deadline,
+            options=operation.options_dict() or None,
+        )
+        return self._then(response, _result)
+
+    def run_batch(
+        self,
+        operations: Sequence[Operation],
+        database: str,
+        *,
+        deadline: Optional[float] = None,
+    ) -> Any:
+        """Run a (possibly mixed-kind) batch of operations remotely."""
+        for operation in operations:
+            operation.validate()
+        response = self._call(
+            RUN_BATCH,
+            operations=tuple(_wire_operation(op) for op in operations),
+            database=database,
+            deadline=deadline,
+        )
+        return self._then(response, _members)
+
+    def register_database(self, name: str, database: Any) -> Any:
+        """Install *database* (a :class:`~repro.relational.database.Database`
+        or a pre-encoded document dict) under *name* on the server; returns
+        its relation names.  Idempotent: safe to retry and to replay against
+        a respawned worker (the fleet supervisor does exactly that)."""
+        data = database if isinstance(database, dict) else encode_database(database)
+        response = self._call(REGISTER_DATABASE, database=name, data=data)
+        return self._then(response, lambda r: list(r.result["relations"]))
+
+    def stats(self) -> Any:
+        return self._then(self._call(STATS), lambda r: dict(r.result))
+
+    def ping(self) -> Any:
+        return self._then(self._call(PING), lambda r: True)
+
+
+class AsyncQueryClient(_Client):
+    """Pipelined asyncio client: many requests in flight per connection.
+    Open one with :meth:`connect`."""
+
+    def __init__(self, host: str, port: int, **options: Any) -> None:
+        super().__init__(host, port, **options)
+        self._pending: Dict[int, "asyncio.Future[Response]"] = {}
         self._connect_lock = asyncio.Lock()
-        #: Opt-in: negotiate the binary relation framing after connecting.
-        self._binary_requested = binary_frames
-        #: True once the server accepted the binary framing (per connection).
-        self._binary = False
-        self._reader_task = asyncio.ensure_future(self._read_loop())
 
     @classmethod
     async def connect(
@@ -149,77 +243,47 @@ class AsyncQueryClient(OperationFacade):
         rng: Optional[random.Random] = None,
         binary_frames: bool = False,
     ) -> "AsyncQueryClient":
-        # The protocol allows frames up to MAX_LINE_BYTES; asyncio's
-        # default 64 KiB reader limit would kill the connection on the
-        # first large result relation.
-        reader, writer = await asyncio.open_connection(
-            host, port, limit=MAX_LINE_BYTES
-        )
-        client = cls(
-            reader,
-            writer,
-            retry=retry,
-            rng=rng,
-            host=host,
-            port=port,
-            binary_frames=binary_frames,
-        )
-        if binary_frames:
-            await client._negotiate_frames()
+        client = cls(host, port, retry=retry, rng=rng, binary_frames=binary_frames)
+        await client._open()
         return client
 
-    @property
-    def binary_frames(self) -> bool:
-        """Did this connection negotiate the binary relation framing?"""
-        return self._binary
+    async def _open(self) -> None:
+        # The core frames; the limit only paces reading (asyncio pauses at
+        # twice it), which the 64 KiB default would do on every large answer.
+        self._reader, self._writer = await asyncio.open_connection(
+            self._host, self._port, limit=codec.MAX_LINE_BYTES
+        )
+        self._core = Connection("client")
+        self._broken = None
+        self._reader_task = asyncio.ensure_future(self._read_loop())
+        if self._binary_requested:
+            await self._negotiate_frames()
 
-    async def _negotiate_frames(self) -> None:
-        """Offer our frame formats over ``ping``; adopt what the server
-        accepts.  Pre-negotiation servers answer a plain pong — the
-        client just stays on JSON lines."""
-        response = await self._request(PING, frames=SUPPORTED_FRAMES)
-        accepted = ()
-        if isinstance(response.result, dict):
-            accepted = tuple(response.result.get("frames") or ())
-        self._binary = bool(accepted)
-
-    @property
-    def reconnects(self) -> int:
-        """How many times the retry machinery re-opened the connection."""
-        return self._reconnects
-
-    # ------------------------------------------------------------------
+    @staticmethod
+    async def _then(pending: Any, finish: Callable[[Response], Any]) -> Any:
+        return finish(await pending)
 
     async def _read_loop(self) -> None:
         error: BaseException = ConnectionError("server closed the connection")
         try:
-            while True:
-                tag, line = await read_frame_async(self._reader)
-                if not line:
-                    break
-                message = decode_binary(line) if tag == BINARY_FRAME else decode(line)
-                if not isinstance(message, Response):
-                    raise ProtocolError("server sent a request frame")
-                if message.id is None:
-                    # Connection-level error: no request to attribute it
-                    # to — it is fatal to the connection, so it raises
-                    # here and the finally block delivers it to every
-                    # outstanding caller and marks the client broken.
-                    _raise_for(message)
-                future = self._pending.pop(message.id, None)
-                if future is not None and not future.done():
-                    future.set_result(message)
+            while data := await self._reader.read(READ_CHUNK):
+                for message in self._core.receive(data):
+                    if message is None:
+                        continue
+                    if message.id is None:
+                        _raise_for(message)  # connection-level: fatal
+                    future = self._pending.pop(message.id, None)
+                    if future is not None and not future.done():
+                        future.set_result(message)
         except asyncio.CancelledError:
             raise
-        except BaseException as exc:  # noqa: BLE001 — delivered to callers
+        except Exception as exc:  # noqa: BLE001 — delivered to callers
             error = exc
         finally:
-            # Once the reader is gone, nothing can ever resolve a pending
-            # future — fail the outstanding ones and refuse new requests
-            # (a silent forever-hang is the one unacceptable outcome).
-            # The server's final structured frame (e.g. a server_busy
-            # rejection) is delivered verbatim; everything else — EOF,
-            # torn frames, transport errors — becomes the typed
+            # Nothing can resolve a pending future now: fail them all and
+            # refuse new requests — never a silent hang.  The server's final
+            # structured frame (e.g. server_busy) is delivered verbatim;
+            # EOF, torn frames and transport errors become the typed
             # ConnectionLostError.
             if isinstance(error, (RemoteQueryError, ConnectionLostError)):
                 delivered: BaseException = error
@@ -235,18 +299,10 @@ class AsyncQueryClient(OperationFacade):
                     future.set_exception(delivered)
             self._pending.clear()
 
-    async def _request(self, op: str, **fields: Any) -> Response:
-        if self._closed:
-            raise RuntimeError("AsyncQueryClient is closed")
-        if self._broken is not None:
-            raise ConnectionError(
-                f"connection is broken: {self._broken}"
-            ) from self._broken
-        request = Request(op=op, id=next(self._ids), **fields)
+    async def _exchange(self, request_id: int, data: bytes) -> Response:
         future: "asyncio.Future[Response]" = asyncio.get_running_loop().create_future()
-        self._pending[request.id] = future
-        data = encode_binary(request) if self._binary else None
-        self._writer.write(data if data is not None else encode(request))
+        self._pending[request_id] = future
+        self._writer.write(data)
         await self._writer.drain()
         return _raise_for(await future)
 
@@ -257,117 +313,23 @@ class AsyncQueryClient(OperationFacade):
                 raise RuntimeError("AsyncQueryClient is closed")
             if self._broken is None:
                 return  # another caller already reconnected
-            if self._host is None or self._port is None:
-                raise ConnectionError(
-                    "cannot reconnect: client was built from raw streams "
-                    "(use AsyncQueryClient.connect for retryable clients)"
-                ) from self._broken
-            self._reader_task.cancel()
-            try:
-                await self._reader_task
-            except (asyncio.CancelledError, Exception):  # noqa: BLE001
-                pass
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except (ConnectionError, RuntimeError):
-                pass
-            reader, writer = await asyncio.open_connection(
-                self._host, self._port, limit=MAX_LINE_BYTES
-            )
-            self._reader = reader
-            self._writer = writer
-            self._broken = None
-            self._binary = False
+            await self._shut()
+            await self._open()
             self._reconnects += 1
-            self._reader_task = asyncio.ensure_future(self._read_loop())
-            if self._binary_requested:
-                await self._negotiate_frames()
 
     async def _call(self, op: str, **fields: Any) -> Response:
         """One request, retried under the client's policy when it has one."""
-        policy = self._retry
-        if policy is None:
+        if self._retry is None:
             return await self._request(op, **fields)
-        delays = policy.backoff(self._rng)
+        delays = self._retry.backoff(self._rng)
         for attempt in count(1):
             try:
                 if self._broken is not None:
                     await self._reconnect()
                 return await self._request(op, **fields)
-            except (RuntimeError, asyncio.CancelledError):
-                raise  # closed client / caller teardown — never retried
-            except BaseException as exc:  # noqa: BLE001 — classified below
-                if not policy.retryable(exc):
-                    raise
-                last = exc
-            delay = next(delays, None)
-            if delay is None:
-                raise RetryExhaustedError(
-                    f"{op} failed after {attempt} attempt(s): {last}",
-                    attempts=attempt,
-                    last_error=last,
-                ) from last
+            except Exception as error:  # noqa: BLE001 — the policy decides
+                delay = self._retry_delay(op, attempt, delays, error)
             await asyncio.sleep(delay)
-
-    # ------------------------------------------------------------------
-    # The facade, over the wire: one generic run/run_batch pair (the
-    # per-kind methods come from OperationFacade)
-    # ------------------------------------------------------------------
-
-    async def run(
-        self,
-        operation: Operation,
-        database: str,
-        *,
-        deadline: Optional[float] = None,
-    ) -> Any:
-        """Run one :class:`~repro.operations.Operation` remotely.
-
-        The operation kind travels as the wire op verbatim; the result is
-        decoded by the response's declared kind (relation / boolean /
-        count / text), which is all the per-kind methods need.
-        """
-        operation.validate()
-        response = await self._call(
-            operation.kind,
-            query=query_text(operation.query),
-            database=database,
-            deadline=deadline,
-            options=operation.options_dict() or None,
-        )
-        return decode_result(response.kind, response.result)
-
-    async def run_batch(
-        self,
-        operations: Sequence[Operation],
-        database: str,
-        *,
-        deadline: Optional[float] = None,
-    ) -> List[Any]:
-        """Run a (possibly mixed-kind) batch of operations remotely."""
-        for operation in operations:
-            operation.validate()
-        response = await self._call(
-            RUN_BATCH,
-            operations=tuple(_wire_operation(op) for op in operations),
-            database=database,
-            deadline=deadline,
-        )
-        return _decode_members(response.result)
-
-    async def register_database(self, name: str, database: Any) -> List[str]:
-        """Install *database* under *name* on the server, without restart.
-
-        Accepts a :class:`~repro.relational.database.Database` (encoded
-        via :func:`~.messages.encode_database`) or a pre-encoded document
-        dict.  Returns the server's list of registered relation names.
-        Idempotent — safe to retry and to replay against a respawned
-        worker (the fleet supervisor does exactly that).
-        """
-        data = database if isinstance(database, dict) else encode_database(database)
-        response = await self._call(REGISTER_DATABASE, database=name, data=data)
-        return list(response.result["relations"])
 
     async def cancel(self, target: int) -> bool:
         """Ask the server to cancel in-flight request *target*.
@@ -382,23 +344,11 @@ class AsyncQueryClient(OperationFacade):
 
     def pending_ids(self) -> List[int]:
         """Request ids still awaiting a response — the targets ``cancel``
-        accepts.  Ids are assigned in request order starting from 1."""
+        accepts.  Ids are assigned in request order, from 1 on each
+        connection."""
         return sorted(self._pending)
 
-    async def stats(self) -> Dict[str, Any]:
-        response = await self._call(STATS)
-        return dict(response.result)
-
-    async def ping(self) -> bool:
-        await self._call(PING)
-        return True
-
-    # ------------------------------------------------------------------
-
-    async def aclose(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
+    async def _shut(self) -> None:
         self._reader_task.cancel()
         try:
             await self._reader_task
@@ -410,6 +360,11 @@ class AsyncQueryClient(OperationFacade):
         except (ConnectionError, RuntimeError):
             pass
 
+    async def aclose(self) -> None:
+        if not self._closed:
+            self._closed = True
+            await self._shut()
+
     async def __aenter__(self) -> "AsyncQueryClient":
         return self
 
@@ -417,89 +372,54 @@ class AsyncQueryClient(OperationFacade):
         await self.aclose()
 
 
-class QueryClient(OperationFacade):
+class QueryClient(_Client):
     """Blocking client over a plain socket (threads, scripts, REPLs).
 
     A socket timeout (default 30 s) or any transport/framing failure is
     **fatal to the connection**: a timeout can fire mid-frame with bytes
-    already consumed, after which the line framing cannot resynchronize —
-    so the client marks itself broken and every later request raises
-    instead of decoding garbage.
+    already consumed, after which the framing cannot resynchronize — so
+    the client marks itself broken and every later request raises
+    instead of decoding garbage.  Keyword options (``retry``, ``rng``,
+    ``binary_frames``) are those of :meth:`AsyncQueryClient.connect`.
     """
 
     def __init__(
-        self,
-        host: str,
-        port: int,
-        timeout: Optional[float] = 30.0,
-        *,
-        retry: Optional[RetryPolicy] = None,
-        rng: Optional[random.Random] = None,
-        binary_frames: bool = False,
+        self, host: str, port: int, timeout: Optional[float] = 30.0, **options: Any
     ) -> None:
-        self._host = host
-        self._port = port
+        super().__init__(host, port, **options)
         self._timeout = timeout
-        self._retry = retry
-        self._rng = rng if rng is not None else random.Random()
-        self._sock = socket.create_connection((host, port), timeout=timeout)
-        self._file = self._sock.makefile("rwb")
-        self._ids = count(1)
-        self._stash: Dict[int, Response] = {}
-        self._closed = False
-        self._broken: Optional[BaseException] = None
-        self._reconnects = 0
-        self._binary_requested = binary_frames
-        self._binary = False
-        if binary_frames:
+        self._stash: Dict[Optional[int], Response] = {}
+        self._open()
+
+    def _open(self) -> None:
+        self._sock = socket.create_connection(
+            (self._host, self._port), timeout=self._timeout
+        )
+        self._core = Connection("client")
+        self._broken = None
+        self._stash.clear()
+        if self._binary_requested:
             self._negotiate_frames()
 
-    @property
-    def binary_frames(self) -> bool:
-        """Did this connection negotiate the binary relation framing?"""
-        return self._binary
+    @staticmethod
+    def _then(response: Response, finish: Callable[[Response], Any]) -> Any:
+        return finish(response)
 
-    def _negotiate_frames(self) -> None:
-        """Offer our frame formats over ``ping``; adopt what the server
-        accepts (pre-negotiation servers answer a plain pong)."""
-        response = self._request(PING, frames=SUPPORTED_FRAMES)
-        accepted = ()
-        if isinstance(response.result, dict):
-            accepted = tuple(response.result.get("frames") or ())
-        self._binary = bool(accepted)
-
-    @property
-    def reconnects(self) -> int:
-        """How many times the retry machinery re-opened the connection."""
-        return self._reconnects
-
-    # ------------------------------------------------------------------
-
-    def _request(self, op: str, **fields: Any) -> Response:
-        if self._closed:
-            raise RuntimeError("QueryClient is closed")
-        if self._broken is not None:
-            raise ConnectionError(
-                f"connection is broken: {self._broken}"
-            ) from self._broken
-        request = Request(op=op, id=next(self._ids), **fields)
+    def _exchange(self, request_id: int, data: bytes) -> Response:
+        stash = self._stash
         try:
-            data = encode_binary(request) if self._binary else None
-            self._file.write(data if data is not None else encode(request))
-            self._file.flush()
-            stashed = self._stash.pop(request.id, None)
-            if stashed is not None:
-                return _raise_for(stashed)
+            self._sock.sendall(data)
             while True:
-                tag, line = read_frame_blocking(self._file)
-                if not line:
+                # Our response, or a connection-level error (id null).
+                response = stash.pop(request_id, None) or stash.pop(None, None)
+                if response is not None:
+                    return _raise_for(response)
+                received = self._sock.recv(READ_CHUNK)
+                if not received:
                     raise ConnectionError("server closed the connection")
-                message = decode_binary(line) if tag == BINARY_FRAME else decode(line)
-                if not isinstance(message, Response):
-                    raise ProtocolError("server sent a request frame")
-                if message.id == request.id or message.id is None:
-                    return _raise_for(message)
-                self._stash[message.id] = message
+                for message in self._core.receive(received):
+                    if message is not None:
+                        stash[message.id] = message
         except socket.timeout as exc:
             # The reply may still arrive later and desynchronize the
             # framing — poison the connection, answer typed.
@@ -517,111 +437,27 @@ class QueryClient(OperationFacade):
         """Re-open the socket after a break (single-threaded client)."""
         if self._closed:
             raise RuntimeError("QueryClient is closed")
-        try:
-            self._file.close()
-        except OSError:
-            pass
         self._sock.close()
-        self._sock = socket.create_connection(
-            (self._host, self._port), timeout=self._timeout
-        )
-        self._file = self._sock.makefile("rwb")
-        self._stash.clear()
-        self._broken = None
-        self._binary = False
+        self._open()
         self._reconnects += 1
-        if self._binary_requested:
-            self._negotiate_frames()
 
     def _call(self, op: str, **fields: Any) -> Response:
         """One request, retried under the client's policy when it has one."""
-        policy = self._retry
-        if policy is None:
+        if self._retry is None:
             return self._request(op, **fields)
-        delays = policy.backoff(self._rng)
+        delays = self._retry.backoff(self._rng)
         for attempt in count(1):
             try:
                 if self._broken is not None:
                     self._reconnect()
                 return self._request(op, **fields)
-            except RuntimeError:
-                raise  # closed client — never retried
-            except BaseException as exc:  # noqa: BLE001 — classified below
-                if not policy.retryable(exc):
-                    raise
-                last = exc
-            delay = next(delays, None)
-            if delay is None:
-                raise RetryExhaustedError(
-                    f"{op} failed after {attempt} attempt(s): {last}",
-                    attempts=attempt,
-                    last_error=last,
-                ) from last
+            except Exception as error:  # noqa: BLE001 — the policy decides
+                delay = self._retry_delay(op, attempt, delays, error)
             time.sleep(delay)
 
-    # ------------------------------------------------------------------
-    # The facade: one generic run/run_batch pair (per-kind: OperationFacade)
-    # ------------------------------------------------------------------
-
-    def run(
-        self,
-        operation: Operation,
-        database: str,
-        *,
-        deadline: Optional[float] = None,
-    ) -> Any:
-        """Run one :class:`~repro.operations.Operation` remotely."""
-        operation.validate()
-        response = self._call(
-            operation.kind,
-            query=query_text(operation.query),
-            database=database,
-            deadline=deadline,
-            options=operation.options_dict() or None,
-        )
-        return decode_result(response.kind, response.result)
-
-    def run_batch(
-        self,
-        operations: Sequence[Operation],
-        database: str,
-        *,
-        deadline: Optional[float] = None,
-    ) -> List[Any]:
-        """Run a (possibly mixed-kind) batch of operations remotely."""
-        for operation in operations:
-            operation.validate()
-        response = self._call(
-            RUN_BATCH,
-            operations=tuple(_wire_operation(op) for op in operations),
-            database=database,
-            deadline=deadline,
-        )
-        return _decode_members(response.result)
-
-    def register_database(self, name: str, database: Any) -> List[str]:
-        """Install *database* under *name* on the server (see the async
-        client's docstring; same semantics, blocking)."""
-        data = database if isinstance(database, dict) else encode_database(database)
-        response = self._call(REGISTER_DATABASE, database=name, data=data)
-        return list(response.result["relations"])
-
-    def stats(self) -> Dict[str, Any]:
-        return dict(self._call(STATS).result)
-
-    def ping(self) -> bool:
-        self._call(PING)
-        return True
-
-    # ------------------------------------------------------------------
-
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            self._file.close()
-        finally:
+        if not self._closed:
+            self._closed = True
             self._sock.close()
 
     def __enter__(self) -> "QueryClient":

@@ -125,12 +125,6 @@ def decode(line: Union[bytes, str]) -> Message:
     unknown shape — raises a typed :class:`ProtocolError`.
     """
     if isinstance(line, bytes):
-        if len(line) > MAX_LINE_BYTES:
-            raise ProtocolError(
-                f"frame of {len(line)} bytes exceeds the {MAX_LINE_BYTES} bound",
-                code="frame_too_large",
-                bytes=len(line),
-            )
         try:
             line = line.decode("utf-8")
         except UnicodeDecodeError as error:
@@ -143,6 +137,8 @@ def decode(line: Union[bytes, str]) -> Message:
         raise ProtocolError(
             f"frame is not JSON: {error.msg}", code="not_json", position=error.pos
         ) from error
+    except RecursionError as error:
+        raise ProtocolError("frame nests too deeply", code="not_json") from error
     if not isinstance(payload, dict):
         raise ProtocolError(
             f"frame must be a JSON object, got {type(payload).__name__}",
@@ -183,7 +179,7 @@ def request_id_of(line: Union[bytes, str]) -> Optional[int]:
         if isinstance(line, bytes):
             line = line.decode("utf-8")
         payload = json.loads(line)
-    except (UnicodeDecodeError, json.JSONDecodeError):
+    except (ValueError, RecursionError):  # not UTF-8, not JSON, too deep
         return None
     if not isinstance(payload, dict):
         return None

@@ -8,8 +8,8 @@ else JSON:
 ``MAGIC`` (1 byte, ``0x00``) · kind (1 byte, ``0x01``) · body length
 (u32, big-endian) · body.  JSON frames always start with ``{`` (0x7b), so
 the single magic byte is enough for a reader to tell the framings apart —
-both peers run the same two-way reader and a connection can interleave
-JSON and binary frames freely.
+both peers parse with :class:`~.connection.FrameParser` and a connection
+can interleave JSON and binary frames freely.
 
 The body is::
 
@@ -43,15 +43,15 @@ framings unconditionally — the magic byte is unambiguous).
 
 from __future__ import annotations
 
-import asyncio
 import json
 import struct
 import sys
 from array import array
-from typing import Any, BinaryIO, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..relational.relation import Relation
-from .codec import CANONICAL, MAX_LINE_BYTES, Message, canonical_json, decode_payload
+from . import codec
+from .codec import CANONICAL, Message, canonical_json, decode_payload, request_id_of
 from .messages import ProtocolError, decode_relation
 
 #: First byte of every binary frame.  JSON lines start with ``{`` (0x7b),
@@ -166,7 +166,7 @@ def encode_binary(message: Message) -> Optional[bytes]:
         _encode_relation_block(relation, parts)
     body = b"".join(parts)
     frame = struct.pack(">BBI", MAGIC, KIND_MESSAGE, len(body)) + body
-    if len(frame) > MAX_LINE_BYTES:
+    if len(frame) > codec.MAX_LINE_BYTES:
         return None
     return frame
 
@@ -260,81 +260,15 @@ def decode_binary(body: bytes) -> Message:
 
 
 def binary_request_id_of(body: bytes) -> Optional[int]:
-    """Best-effort request id from a possibly invalid binary frame body."""
-    try:
-        cursor = _Cursor(body)
-        payload = json.loads(cursor.text(cursor.u32()))
-    except Exception:  # noqa: BLE001 — best effort by contract
-        return None
-    if not isinstance(payload, dict):
-        return None
-    candidate = payload.get("id")
-    if isinstance(candidate, bool) or not isinstance(candidate, int):
-        return None
-    return candidate if candidate >= 0 else None
+    """Best-effort request id from a possibly invalid binary frame body:
+    :func:`~.codec.request_id_of` of its header."""
+    return request_id_of(body[4 : 4 + int.from_bytes(body[:4], "big")])
 
-
-# ----------------------------------------------------------------------
-# Two-way frame readers (JSON lines and binary frames on one stream)
-# ----------------------------------------------------------------------
 
 #: Tag for a JSON line frame (the payload is the raw line).
 JSON_FRAME = "json"
 #: Tag for a binary frame (the payload is the frame body).
 BINARY_FRAME = "binary"
-
-
-def _check_frame_prefix(kind: int, length: int) -> None:
-    if kind != KIND_MESSAGE:
-        raise ProtocolError(f"unknown binary frame kind {kind:#04x}")
-    if length > MAX_LINE_BYTES:
-        raise ProtocolError(
-            f"binary frame of {length} bytes exceeds the {MAX_LINE_BYTES} bound",
-            code="frame_too_large",
-            bytes=length,
-        )
-
-
-async def read_frame_async(reader: asyncio.StreamReader) -> Tuple[str, bytes]:
-    """One frame from an asyncio stream: ``(tag, payload)``.
-
-    Returns ``(JSON_FRAME, b"")`` at EOF (mirroring ``readline``); blank
-    keep-alive lines come back as ``(JSON_FRAME, b"\\n")``.
-    """
-    first = await reader.read(1)
-    if not first:
-        return JSON_FRAME, b""
-    if first[0] == MAGIC:
-        try:
-            prefix = await reader.readexactly(5)
-            kind, length = struct.unpack(">BI", prefix)
-            _check_frame_prefix(kind, length)
-            return BINARY_FRAME, await reader.readexactly(length)
-        except asyncio.IncompleteReadError as error:
-            raise ConnectionError("connection closed mid binary frame") from error
-    if first == b"\n":
-        return JSON_FRAME, b"\n"
-    return JSON_FRAME, first + await reader.readline()
-
-
-def read_frame_blocking(stream: BinaryIO) -> Tuple[str, bytes]:
-    """Blocking-file twin of :func:`read_frame_async` (socket makefile)."""
-    first = stream.read(1)
-    if not first:
-        return JSON_FRAME, b""
-    if first[0] == MAGIC:
-        prefix = stream.read(5)
-        if len(prefix) < 5:
-            raise ConnectionError("connection closed mid binary frame")
-        kind, length = struct.unpack(">BI", prefix)
-        _check_frame_prefix(kind, length)
-        body = stream.read(length)
-        if len(body) < length:
-            raise ConnectionError("connection closed mid binary frame")
-        return BINARY_FRAME, body
-    if first == b"\n":
-        return JSON_FRAME, b"\n"
-    return JSON_FRAME, first + stream.readline()
 
 
 def negotiate_frames(requested: Any) -> Tuple[str, ...]:
@@ -357,6 +291,4 @@ __all__ = [
     "decode_binary",
     "encode_binary",
     "negotiate_frames",
-    "read_frame_async",
-    "read_frame_blocking",
 ]

@@ -1,42 +1,34 @@
 """``QueryServer``: an asyncio TCP front-end over one shared service.
 
 One listening socket, one :class:`~repro.service.QueryService`, one shared
-:class:`~repro.engine.QueryEngine` — every connection's requests flow
-through the same plan cache, single-flight map, and open batch
-groups, which is the entire point: the concurrency machinery PR 4
-built in-process now serves *cross-process* traffic.
+:class:`~repro.engine.QueryEngine`: every connection's requests flow
+through the same plan cache, single-flight map and open batch groups.
 
-Per-connection mechanics:
+Each connection drives one server-side :class:`~.connection.Connection`:
+its reader feeds the core the bytes it receives and acts on what comes
+out.  A request becomes a handler task (pipelining: responses go out as
+they complete, correlated by id); a frame that did not decode is answered
+with the error response the core built; a framing error is answered and
+hung up on.  The connection owns only its concurrency — write lock,
+in-flight tasks and the idle deadline.
 
-* each connection gets a **client tag** (``conn-N``) that follows its
-  requests into the service's fairness lanes — the round-robin drain of
-  :class:`~repro.service.fairness.FairQueue` is what keeps one flooding
-  connection from starving the rest;
-* requests on one connection are handled **concurrently** (pipelining):
-  the reader loop spawns a task per request and responses are written as
-  they complete, correlated by request id;
-* failures become **structured error responses** (:mod:`.codec`'s
-  taxonomy) on the same connection — a parse error, an unknown database,
-  or a backpressure rejection never costs the client its connection;
-* shutdown **drains**: the listener closes first, in-flight requests
-  finish and their responses flush, late requests get ``shutting_down``
-  errors, and only then do connections and the owned service close.
-
-Resilience mechanics (see ``docs/resilience.md``):
-
-* a request's ``deadline`` flows into the service's
-  :class:`~repro.resilience.CancelToken` machinery — oversized queries
-  answer ``deadline_exceeded`` on time instead of holding their lane;
-* a ``cancel`` op (or the client vanishing mid-request) tears the
-  in-flight handler task down; the service releases the FairQueue slot
-  and the target request answers with a typed ``cancelled`` error;
-* ``max_connections`` rejects connections past the limit with a typed
-  ``server_busy`` final frame; ``idle_timeout`` closes connections that
-  stay silent — both surfaced in ``stats()``'s ``transport`` section;
-* a :class:`~repro.resilience.FaultPlan` (constructor or the
-  ``REPRO_FAULTS`` environment variable — the chaos suite drives
-  subprocess servers through the latter) injects delayed responses,
-  dropped connections, and torn frames at named sites.
+* Each connection's **client tag** (``conn-N``) follows its requests into
+  the service's fairness lanes, so one flooding connection cannot starve
+  the rest.
+* Failures are **structured error responses** (:mod:`.codec`'s taxonomy)
+  and never cost the client its connection.
+* A request's ``deadline`` flows into the service's
+  :class:`~repro.resilience.CancelToken` machinery; a ``cancel`` op or a
+  vanished client tears its in-flight task down, releasing its FairQueue
+  slot, and the request answers ``cancelled``.
+* ``max_connections`` and ``idle_timeout`` (time without a complete frame)
+  answer one typed final frame and hang up; both are counted in
+  ``stats()``'s ``transport`` section.
+* Shutdown **drains**: the listener closes, in-flight requests finish and
+  flush, late requests get ``shutting_down``, then connections close.
+* A :class:`~repro.resilience.FaultPlan` (or the ``REPRO_FAULTS``
+  environment variable) injects delayed responses, dropped connections
+  and torn frames; see ``docs/resilience.md``.
 
 The module doubles as the server executable::
 
@@ -64,20 +56,13 @@ from ..relational.io import load_database_json
 from ..resilience.faults import FaultPlan
 from ..service.service import QueryService
 from ..service.stats import ServiceStats
-from .codec import MAX_LINE_BYTES, decode, encode, error_response, request_id_of
-from .frames import (
-    BINARY_FRAME,
-    binary_request_id_of,
-    decode_binary,
-    encode_binary,
-    negotiate_frames,
-    read_frame_async,
-)
+from . import codec
+from .codec import error_response
+from .connection import READ_CHUNK, Connection
 from .messages import (
     CANCEL,
     CANCELLED,
     PING,
-    PONG,
     ProtocolError,
     QUERY_OPS,
     REGISTER_DATABASE,
@@ -94,9 +79,10 @@ from .messages import (
 
 
 class _Connection:
-    """Per-connection state: writer, write lock, in-flight request tasks."""
+    """Per-connection state: the protocol core, writer, write lock and
+    in-flight request tasks."""
 
-    __slots__ = ("client", "writer", "tasks", "lock", "inflight", "binary")
+    __slots__ = ("client", "writer", "tasks", "lock", "inflight", "core")
 
     def __init__(self, client: str, writer: asyncio.StreamWriter) -> None:
         self.client = client
@@ -106,21 +92,13 @@ class _Connection:
         #: Request id → handler task, while the request is in flight.  The
         #: ``cancel`` op and disconnect teardown both cancel through here.
         self.inflight: Dict[int, "asyncio.Task[None]"] = {}
-        #: Did this client negotiate binary relation frames (via ``ping``)?
-        self.binary = False
+        self.core = Connection("server")
 
     async def send(self, response: Response) -> None:
-        """Write one response frame atomically (pipelined tasks interleave).
+        """Write one response frame atomically (pipelined tasks interleave)."""
+        await self.write(self.core.send(response))
 
-        After a client negotiates binary frames, relation-bearing
-        responses go out in the binary framing; everything else (and any
-        message the binary encoder declines) stays a JSON line.
-        """
-        data: Optional[bytes] = None
-        if self.binary:
-            data = encode_binary(response)
-        if data is None:
-            data = encode(response)
+    async def write(self, data: bytes) -> None:
         async with self.lock:
             if self.writer.is_closing():
                 return
@@ -196,11 +174,8 @@ class QueryServer:
         if fault_plan is None:
             fault_plan = FaultPlan.from_env()
         self._faults = fault_plan if fault_plan else None
-        #: op → handler coroutine.  Every query op (execute / decide /
-        #: explain / count / aggregate — the wire mirror of
-        #: :data:`repro.operations.OP_KINDS`) shares ``_op_query``, so a
-        #: new engine operation reaches the wire by appearing in
-        #: ``QUERY_OPS``; only transport-level ops get bespoke handlers.
+        #: op → handler coroutine.  Every query op shares ``_op_query``, so
+        #: a new engine operation reaches the wire by joining ``QUERY_OPS``.
         self._op_table = {
             **{op: self._op_query for op in QUERY_OPS},
             RUN_BATCH: self._op_run_batch,
@@ -213,7 +188,6 @@ class QueryServer:
         self._connections: Dict[str, _Connection] = {}
         self._handler_tasks: "set[asyncio.Task[None]]" = set()
         self._conn_ids = count(1)
-        self._draining = False
         self._closed = False
         # Transport-level counters (loop thread only, like the service's).
         self._connections_total = 0
@@ -221,9 +195,7 @@ class QueryServer:
         self._idle_closed = 0
         self._cancel_requests = 0
 
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
+    # -- lifecycle -----------------------------------------------------
 
     async def start(self) -> None:
         """Bind the listening socket (idempotent)."""
@@ -232,7 +204,7 @@ class QueryServer:
         if self._closed:
             raise RuntimeError("QueryServer is closed")
         self._server = await asyncio.start_server(
-            self._on_connection, self._host, self._port, limit=MAX_LINE_BYTES
+            self._on_connection, self._host, self._port, limit=codec.MAX_LINE_BYTES
         )
 
     @property
@@ -253,7 +225,6 @@ class QueryServer:
         if self._closed:
             return
         self._closed = True
-        self._draining = True
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -276,9 +247,7 @@ class QueryServer:
     async def __aexit__(self, *exc_info: Any) -> None:
         await self.aclose()
 
-    # ------------------------------------------------------------------
-    # Connection handling
-    # ------------------------------------------------------------------
+    # -- connection handling -------------------------------------------
 
     async def _on_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -289,131 +258,92 @@ class QueryServer:
             task.add_done_callback(self._handler_tasks.discard)
         client = f"conn-{next(self._conn_ids)}"
         connection = _Connection(client, writer)
-        if (
-            self._max_connections is not None
-            and len(self._connections) >= self._max_connections
-        ):
-            # One typed final frame, then hang up — the client's retry
-            # policy treats server_busy as transient.
-            self._busy_rejections += 1
-            await connection.send(
-                error_response(
-                    None,
-                    ServerBusyError(
-                        f"connection limit of {self._max_connections} reached",
-                        max_connections=self._max_connections,
-                    ),
+        limit = self._max_connections
+        try:
+            if limit is not None and len(self._connections) >= limit:
+                # One typed final frame, then hang up — the client's retry
+                # policy treats server_busy as transient.
+                self._busy_rejections += 1
+                busy = ServerBusyError(
+                    f"connection limit of {limit} reached", max_connections=limit
                 )
-            )
+                await connection.send(error_response(None, busy))
+                return
+            self._connections_total += 1
+            self._connections[client] = connection
+            await self._read_loop(reader, connection)
+        finally:
+            self._connections.pop(client, None)
+            # The reader is done — EOF, error, or idle timeout.  A vanished
+            # reader means a vanished client: cancel its in-flight work,
+            # which releases its FairQueue slots (on graceful drain the
+            # connections were settled before their writers closed, so
+            # nothing is left to cancel).
+            for task in list(connection.inflight.values()):
+                task.cancel("client disconnected")
+            await connection.settle()
             writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionError, RuntimeError):
                 pass
-            return
-        self._connections_total += 1
-        self._connections[client] = connection
-        try:
-            await self._read_loop(reader, connection)
-        finally:
-            self._connections.pop(client, None)
-            # The reader is done — EOF, error, or idle timeout.  No test
-            # or shipped client half-closes, so a vanished reader means a
-            # vanished client: tear down its in-flight work instead of
-            # letting it hold fairness-lane slots.  (On graceful drain the
-            # connections were settled *before* their writers closed, so
-            # there is nothing left to cancel here.)
-            self._cancel_inflight(connection, "client disconnected")
-            await connection.settle()
-            connection.writer.close()
-            try:
-                await connection.writer.wait_closed()
-            except (ConnectionError, RuntimeError):
-                pass
-
-    def _cancel_inflight(self, connection: _Connection, reason: str) -> None:
-        """Tear down every in-flight handler task on *connection*.
-
-        Cancellation propagates into the service's ``_await_result``,
-        which releases the FairQueue slot (last-waiter teardown) — a
-        vanished client cannot leave zombie work holding its lane.
-        """
-        for task in list(connection.inflight.values()):
-            if not task.done():
-                task.cancel(reason)
 
     async def _read_loop(
         self, reader: asyncio.StreamReader, connection: _Connection
     ) -> None:
+        """Feed the connection's bytes to its core and act on each frame.
+        ``idle_timeout`` runs from the last *complete* frame, so a peer
+        trickling an unfinished one is reaped all the same."""
+        loop = asyncio.get_running_loop()
+        idle = self._idle_timeout
+        deadline = None if idle is None else loop.time() + idle
         while True:
             try:
-                if self._idle_timeout is not None:
-                    try:
-                        tag, line = await asyncio.wait_for(
-                            read_frame_async(reader), self._idle_timeout
-                        )
-                    except asyncio.TimeoutError:
-                        # Silent too long — one typed final frame, hang up.
-                        self._idle_closed += 1
-                        await connection.send(
-                            error_response(
-                                None,
-                                CancelledRequestError(
-                                    f"connection idle for more than "
-                                    f"{self._idle_timeout}s",
-                                    idle_timeout=self._idle_timeout,
-                                ),
-                            )
-                        )
-                        return
-                else:
-                    tag, line = await read_frame_async(reader)
-            except ProtocolError as exc:
-                # A malformed binary frame prefix cannot be resynchronized
-                # — answer structurally, then hang up.
-                await connection.send(error_response(None, exc))
-                return
-            except (ValueError, asyncio.LimitOverrunError):
-                # An overlong frame cannot be resynchronized — answer
-                # structurally, then hang up.
+                timeout = None if deadline is None else deadline - loop.time()
+                data = await asyncio.wait_for(reader.read(READ_CHUNK), timeout)
+            except asyncio.TimeoutError:
+                # Silent too long — one typed final frame, hang up.
+                self._idle_closed += 1
                 await connection.send(
                     error_response(
                         None,
-                        ProtocolError(
-                            f"frame exceeds {MAX_LINE_BYTES} bytes",
-                            code="frame_too_large",
+                        CancelledRequestError(
+                            f"connection idle for more than {idle}s",
+                            idle_timeout=idle,
                         ),
                     )
                 )
                 return
-            except (ConnectionError, asyncio.IncompleteReadError):
+            except ConnectionError:
                 return
-            if not line:
+            if not data:
                 return  # EOF: client is done sending
-            if tag == BINARY_FRAME:
-                decode_frame, id_of = decode_binary, binary_request_id_of
-            else:
-                if not line.strip():
-                    continue  # blank keep-alive lines are free
-                decode_frame, id_of = decode, request_id_of
             try:
-                message = decode_frame(line)
-                if not isinstance(message, Request):
-                    raise ProtocolError("expected a request, got a response frame")
-            except Exception as exc:  # noqa: BLE001 — answered structurally
-                await connection.send(error_response(id_of(line), exc))
-                continue
-            if self._draining:
-                await connection.send(
-                    error_response(
-                        message.id,
-                        ProtocolError("server is shutting down", code="shutting_down"),
-                    )
-                )
-                continue
-            task = asyncio.ensure_future(self._handle(message, connection))
-            connection.tasks.add(task)
-            task.add_done_callback(connection.tasks.discard)
+                for message in connection.core.receive(data):
+                    if deadline is not None:
+                        deadline = loop.time() + idle
+                    if message is None:
+                        continue
+                    if isinstance(message, Response):  # a frame that did not decode
+                        await connection.send(message)
+                    elif self._closed:  # draining
+                        await connection.send(
+                            error_response(
+                                message.id,
+                                ProtocolError(
+                                    "server is shutting down", code="shutting_down"
+                                ),
+                            )
+                        )
+                    else:
+                        task = asyncio.ensure_future(self._handle(message, connection))
+                        connection.tasks.add(task)
+                        task.add_done_callback(connection.tasks.discard)
+            except ProtocolError as exc:
+                # A bad frame prefix or an overlong frame cannot be
+                # resynchronized — answer structurally, then hang up.
+                await connection.send(error_response(None, exc))
+                return
 
     async def _handle(self, request: Request, connection: _Connection) -> None:
         task = asyncio.current_task()
@@ -423,17 +353,16 @@ class QueryServer:
                 lambda _t, rid=request.id: connection.inflight.pop(rid, None)
             )
         try:
-            response = await self._dispatch(request, connection)
+            handler = self._op_table.get(request.op)
+            if handler is None:
+                raise ProtocolError(f"unknown op {request.op!r}")  # past validate()
+            response = await handler(request, connection)
         except asyncio.CancelledError:
             # Torn down — explicit cancel op or disconnect.  Answer with a
             # typed error (best effort: the transport may already be gone)
             # and swallow the cancellation so the response can flush.
-            await connection.send(
-                error_response(
-                    request.id,
-                    CancelledRequestError("request was cancelled"),
-                )
-            )
+            cancelled = CancelledRequestError("request was cancelled")
+            await connection.send(error_response(request.id, cancelled))
             return
         except BaseException as exc:  # noqa: BLE001 — answered structurally
             response = error_response(request.id, exc)
@@ -458,33 +387,23 @@ class QueryServer:
         delay = plan.fire("server.delay")
         if delay is not None and delay.delay > 0:
             await asyncio.sleep(delay.delay)
-        if plan.fire("server.drop") is not None:
-            # The connection vanishes without an answer — the client sees
-            # an abrupt close and its pending requests fail typed.
-            transport = connection.writer.transport
-            if transport is not None:
-                transport.abort()
-            return False
-        if plan.fire("server.torn_frame") is not None:
+        dropped = plan.fire("server.drop") is not None
+        if not dropped and plan.fire("server.torn_frame") is not None:
             # Half a frame, then a hard close: the client's decoder must
             # fail loudly, never hand back a truncated result.
-            data = encode(error_response(request.id, ProtocolError("torn")))
-            async with connection.lock:
-                if not connection.writer.is_closing():
-                    connection.writer.write(data[: max(1, len(data) // 2)])
-                    try:
-                        await connection.writer.drain()
-                    except (ConnectionError, RuntimeError):
-                        pass
-            transport = connection.writer.transport
-            if transport is not None:
-                transport.abort()
-            return False
-        return True
+            torn = error_response(request.id, ProtocolError("torn"))
+            data = connection.core.send(torn)
+            await connection.write(data[: max(1, len(data) // 2)])
+        elif not dropped:
+            return True
+        # Either way the connection vanishes without an answer — the client
+        # sees an abrupt close and its pending requests fail typed.
+        transport = connection.writer.transport
+        if transport is not None:
+            transport.abort()
+        return False
 
-    # ------------------------------------------------------------------
-    # Request dispatch
-    # ------------------------------------------------------------------
+    # -- request dispatch ----------------------------------------------
 
     def _database(self, request: Request) -> Database:
         database = self._databases.get(request.database or "")
@@ -497,22 +416,10 @@ class QueryServer:
             )
         return database
 
-    async def _dispatch(self, request: Request, connection: _Connection) -> Response:
-        handler = self._op_table.get(request.op)
-        if handler is None:
-            raise ProtocolError(f"unknown op {request.op!r}")  # past validate()
-        return await handler(request, connection)
-
     async def _op_query(self, request: Request, connection: _Connection) -> Response:
-        """One generic handler for every single-operation query op.
-
-        The wire op string is the operation kind, so building the
-        :class:`~repro.operations.Operation` here (semantic option
-        validation included — unknown options and malformed aggregate
-        modes answer as typed errors) and running it through the
-        service's generic ``run`` covers execute / decide / explain /
-        count / aggregate without per-op code.
-        """
+        """Every single-operation query op: the wire op *is* the operation
+        kind, so ``Operation.make`` (which validates options into typed
+        errors) and the service's generic ``run`` cover them all."""
         database = self._database(request)
         operation = Operation.make(request.op, request.query, request.options)
         value = await self._service.run(
@@ -538,22 +445,14 @@ class QueryServer:
             client=connection.client,
             deadline=request.deadline,
         )
-        members = []
-        for value in values:
-            kind, payload = encode_result(value)
-            members.append({"kind": kind, "result": payload})
+        members = [
+            {"kind": kind, "result": payload}
+            for kind, payload in map(encode_result, values)
+        ]
         return Response(id=request.id, kind=RESULTS, result=members)
 
     async def _op_ping(self, request: Request, connection: _Connection) -> Response:
-        if request.frames is not None:
-            # Frame negotiation: accept the intersection with what this
-            # build speaks and switch the connection's send side over.
-            accepted = negotiate_frames(request.frames)
-            connection.binary = bool(accepted)
-            return Response(
-                id=request.id, kind=PONG, result={"frames": list(accepted)}
-            )
-        return Response(id=request.id, kind=PONG, result=None)
+        return connection.core.answer_ping(request)
 
     async def _op_stats(self, request: Request, connection: _Connection) -> Response:
         stats = await self._service.stats()
@@ -567,26 +466,17 @@ class QueryServer:
         # Cancellation is scoped to the requesting connection — one
         # client cannot reach into another's in-flight requests.
         self._cancel_requests += 1
-        target = None
-        if request.target is not None:
-            target = connection.inflight.get(request.target)
-        cancelled = False
-        if target is not None and not target.done():
-            cancelled = target.cancel("cancelled by client request")
-        return Response(id=request.id, kind=CANCELLED, result=bool(cancelled))
+        target = connection.inflight.get(request.target)
+        cancelled = target is not None and target.cancel("cancelled by client request")
+        return Response(id=request.id, kind=CANCELLED, result=cancelled)
 
     async def _op_register_database(
         self, request: Request, connection: _Connection
     ) -> Response:
-        """Install (or replace) a named database without a restart.
-
-        The fleet's workload-distribution op: the supervisor/router
-        broadcast one ``register_database`` frame per worker, so a new
-        tenant's data is servable fleet-wide while every process keeps
-        running.  Registration is idempotent — re-registering a name
-        replaces its database atomically (requests in flight keep the
-        object they resolved; the dict swap is loop-thread-only).
-        """
+        """Install (or replace) a named database without a restart — how
+        the fleet distributes a tenant's data to every worker.  Idempotent:
+        re-registering swaps the database atomically (requests in flight
+        keep the object they resolved; the swap is loop-thread-only)."""
         assert request.database is not None  # validate() guarantees it
         database = decode_database(request.data)
         self._databases[request.database] = database
@@ -619,62 +509,37 @@ class QueryServer:
         )
 
 
+def _fields(record: Any, names: str) -> Dict[str, Any]:
+    return {name: getattr(record, name) for name in names.split()}
+
+
 def stats_payload(
     stats: ServiceStats, *, transport: Optional[Dict[str, Any]] = None
 ) -> Dict[str, Any]:
     """A JSON-able rendering of :class:`ServiceStats` for the wire."""
-    counters = stats.service
-    cache = stats.engine.cache
     payload: Dict[str, Any] = {
-        "service": {
-            "submitted": counters.submitted,
-            "coalesced": counters.coalesced,
-            "batched": counters.batched,
-            "groups": counters.groups,
-            "completed": counters.completed,
-            "failed": counters.failed,
-            "rejected": counters.rejected,
-            "cancelled": counters.cancelled,
-            "deadline_exceeded": counters.deadline_exceeded,
-            "max_queue_depth": counters.max_queue_depth,
-            "max_group": counters.max_group,
-        },
+        "service": _fields(
+            stats.service,
+            "submitted coalesced batched groups completed failed rejected "
+            "cancelled deadline_exceeded max_queue_depth max_group",
+        ),
         "clients": [
-            {
-                "client": client.client,
-                "submitted": client.submitted,
-                "coalesced": client.coalesced,
-                "batched": client.batched,
-                "completed": client.completed,
-                "failed": client.failed,
-                "rejected": client.rejected,
-                "p50_seconds": client.p50_seconds,
-                "p95_seconds": client.p95_seconds,
-            }
+            _fields(
+                client,
+                "client submitted coalesced batched completed failed rejected "
+                "p50_seconds p95_seconds",
+            )
             for client in stats.clients
         ],
         "engine": {
-            "executions": stats.engine.executions,
-            "total_seconds": stats.engine.total_seconds,
-            "replans": stats.engine.replans,
-            "cache": {
-                "hits": cache.hits,
-                "misses": cache.misses,
-                "evictions": cache.evictions,
-                "size": cache.size,
-                "capacity": cache.capacity,
-            },
+            **_fields(stats.engine, "executions total_seconds replans"),
+            "cache": _fields(stats.engine.cache, "hits misses evictions size capacity"),
             "shapes": [
-                {
-                    "shape": shape.shape,
-                    "evaluator": shape.evaluator,
-                    "structural_class": shape.structural_class,
-                    "executions": shape.executions,
-                    "total_seconds": shape.total_seconds,
-                    "mean_seconds": shape.mean_seconds,
-                    "p95_seconds": shape.p95_seconds,
-                    "replans": shape.replans,
-                }
+                _fields(
+                    shape,
+                    "shape evaluator structural_class executions total_seconds "
+                    "mean_seconds p95_seconds replans",
+                )
                 for shape in stats.engine.shapes
             ],
         },
@@ -684,9 +549,7 @@ def stats_payload(
     return payload
 
 
-# ----------------------------------------------------------------------
-# Executable entry point (the subprocess the cross-process tests spawn)
-# ----------------------------------------------------------------------
+# -- the executable (the subprocess the cross-process tests spawn) -------
 
 
 def _parse_database_arg(value: str) -> Tuple[str, str]:
@@ -757,20 +620,15 @@ def _load_databases(pairs: Sequence[Tuple[str, str]]) -> Dict[str, Database]:
 
 
 async def _serve(args: argparse.Namespace, databases: Dict[str, Database]) -> int:
-    service_kwargs: Dict[str, Any] = {}
-    if args.batch_limit is not None:
-        service_kwargs["batch_limit"] = args.batch_limit
-    if args.max_pending is not None:
-        service_kwargs["max_pending"] = args.max_pending
-    if args.dispatchers is not None:
-        service_kwargs["dispatchers"] = args.dispatchers
-    if args.per_client_pending is not None:
-        service_kwargs["max_pending_per_client"] = args.per_client_pending
-    server_kwargs: Dict[str, Any] = {}
-    if args.max_connections is not None:
-        server_kwargs["max_connections"] = args.max_connections
-    if args.idle_timeout is not None:
-        server_kwargs["idle_timeout"] = args.idle_timeout
+    options = {
+        "batch_limit": args.batch_limit,
+        "max_pending": args.max_pending,
+        "dispatchers": args.dispatchers,
+        "max_pending_per_client": args.per_client_pending,
+        "max_connections": args.max_connections,
+        "idle_timeout": args.idle_timeout,
+    }
+    given = {key: value for key, value in options.items() if value is not None}
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
     for signum in (signal.SIGINT, signal.SIGTERM):
@@ -779,7 +637,7 @@ async def _serve(args: argparse.Namespace, databases: Dict[str, Database]) -> in
         except NotImplementedError:  # pragma: no cover - non-POSIX loops
             pass
     async with QueryServer(
-        databases, host=args.host, port=args.port, **server_kwargs, **service_kwargs
+        databases, host=args.host, port=args.port, **given
     ) as server:
         host, port = server.address
         print(f"QUERYSERVER READY host={host} port={port}", flush=True)

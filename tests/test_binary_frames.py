@@ -55,8 +55,8 @@ from repro.protocol.frames import (
     KIND_MESSAGE,
     MAGIC,
     negotiate_frames,
-    read_frame_blocking,
 )
+from repro.protocol.connection import FrameParser
 from repro.protocol.messages import PING, PONG, RELATION, RESULTS
 from repro.workloads import chain_database, path_query
 
@@ -480,26 +480,21 @@ class TestLinearity:
 
 
 class TestDualFramingReader:
-    def test_blocking_reader_separates_framings(self, tmp_path):
+    def test_parser_separates_framings(self):
         response = Response(
             id=1,
             kind=RELATION,
             result=encode_relation(Relation.from_rows(("a",), [(1,)])),
         )
         blob = encode(response) + encode_binary(response) + b"\n" + encode(response)
-        path = tmp_path / "stream.bin"
-        path.write_bytes(blob)
-        with open(path, "rb") as stream:
-            tag1, line = read_frame_blocking(stream)
-            tag2, body = read_frame_blocking(stream)
-            tag3, blank = read_frame_blocking(stream)
-            tag4, line2 = read_frame_blocking(stream)
-            tag5, eof = read_frame_blocking(stream)
+        parser = FrameParser()
+        (tag1, line), (tag2, body), (tag3, blank), (tag4, line2) = parser.feed(blob)
         assert (tag1, line) == (JSON_FRAME, encode(response))
         assert tag2 == BINARY_FRAME and decode_binary(body).result == response.result
         assert (tag3, blank) == (JSON_FRAME, b"\n")
         assert (tag4, line2) == (JSON_FRAME, encode(response))
-        assert (tag5, eof) == (JSON_FRAME, b"")
+        # Nothing is left over: the stream ends on a frame boundary.
+        assert parser.buffered == 0
 
 
 class TestNegotiatedConnection:

@@ -345,3 +345,38 @@ class TestConnectionLimits:
         result, stats = run(main())
         assert result == reference
         assert stats["transport"]["idle_closed"] >= 1
+
+    def test_idle_timeout_counts_complete_frames_not_bytes(self, chain_db):
+        """A peer trickling one byte of an unfinished frame every 50 ms is
+        still idle: the 0.15 s timeout runs from the last complete frame."""
+        frame = b'{"v": 2, "op": "ping", "id": 1' + b" " * 200 + b"}\n"
+
+        async def main():
+            async with QueryServer({"chain": chain_db}, idle_timeout=0.15) as server:
+                host, port = server.address
+                reader, writer = await asyncio.open_connection(host, port)
+
+                async def trickle():
+                    for byte in frame:
+                        writer.write(bytes([byte]))
+                        await writer.drain()
+                        await asyncio.sleep(0.05)
+
+                started = time.monotonic()
+                trickling = asyncio.ensure_future(trickle())
+                answer = await asyncio.wait_for(reader.readline(), WAIT)
+                elapsed = time.monotonic() - started
+                trickling.cancel()
+                await asyncio.gather(trickling, return_exceptions=True)
+                writer.close()
+                await asyncio.gather(writer.wait_closed(), return_exceptions=True)
+                stats = server._transport_stats()
+            return decode(answer), elapsed, stats
+
+        from repro.protocol import decode
+
+        answer, elapsed, stats = run(main())
+        assert answer.id is None and answer.error.code == "cancelled"
+        assert answer.error.detail["idle_timeout"] == 0.15
+        assert elapsed < 2  # the frame itself would take ~11 s to finish
+        assert stats["idle_closed"] == 1

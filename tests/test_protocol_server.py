@@ -520,6 +520,40 @@ class TestReviewRegressions:
         assert error.code == "frame_too_large"
         assert isinstance(decision, bool)
 
+    @pytest.mark.parametrize("binary_frames", [False, True], ids=["json", "binary"])
+    def test_oversized_request_fails_alone(self, chain_db, binary_frames, monkeypatch):
+        """A request past the frame bound is refused before anything is
+        registered or written: a typed frame_too_large, and the client is
+        neither broken nor left holding a phantom pending id."""
+        import repro.protocol.codec as codec
+        from repro import Database
+        from repro.protocol import ProtocolError
+
+        big = Database.from_tuples({"E": [(i, i + 1) for i in range(3000)]})
+        monkeypatch.setattr(codec, "MAX_LINE_BYTES", 4000)
+
+        def blocking(host, port):
+            with QueryClient(host, port, binary_frames=binary_frames) as client:
+                with pytest.raises(ProtocolError) as excinfo:
+                    client.register_database("big", big)
+                return excinfo.value.code, client.ping()
+
+        async def main():
+            async with QueryServer({"chain": chain_db}) as server:
+                host, port = server.address
+                async with await AsyncQueryClient.connect(
+                    host, port, binary_frames=binary_frames
+                ) as client:
+                    with pytest.raises(ProtocolError) as excinfo:
+                        await client.register_database("big", big)
+                    assert client.pending_ids() == []
+                    assert await client.ping() is True
+                    assert client.pending_ids() == []
+                sync_code, sync_pong = await asyncio.to_thread(blocking, host, port)
+            return excinfo.value.code, sync_code, sync_pong
+
+        assert run(main()) == ("frame_too_large", "frame_too_large", True)
+
     def test_parse_error_coordinates_point_into_callers_text(self):
         """Leading whitespace must not shift the parse-error coordinates
         the codec sends to remote clients."""
