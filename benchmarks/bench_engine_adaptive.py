@@ -217,13 +217,13 @@ def run_plan_cache(repeats: int) -> Dict[str, Any]:
 
     total_seconds, _ = time_thunk(run_bindings, repeats=1)
     repeat_seconds = total_seconds / len(bindings)
-    stats = engine.cache_stats
+    stats = engine.stats()["cache"]
     return {
         "first_execution_seconds": first_seconds,
         "repeat_execution_seconds": repeat_seconds,
         "first_over_repeat": round(first_seconds / max(repeat_seconds, 1e-9), 2),
-        "hits": stats.hits,
-        "misses": stats.misses,
+        "hits": stats["hits"],
+        "misses": stats["misses"],
     }
 
 

@@ -186,7 +186,7 @@ def run_availability_under_kill(
     ]
 
     with FleetSupervisor({"chain": database_path}, workers=WORKERS) as supervisor:
-        victim = supervisor.stats()["workers"][0].pid
+        victim = supervisor.stats()["workers"][0]["pid"]
         with FleetRouter(supervisor) as router:
             timer = threading.Timer(
                 kill_after, os.kill, args=(victim, signal.SIGKILL)

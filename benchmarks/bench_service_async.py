@@ -125,16 +125,16 @@ def run_flood(repeats: int, requests: int) -> Dict[str, Any]:
                 )
             else:
                 results = [await service.execute(q, database) for q in instances]
-            return results, (await service.stats()).service
+            return results, (await service.stats())["service"]
 
     sequential = QueryEngine(parallel=False)
     reference = [sequential.execute(q, database) for q in instances]
     results, counters = asyncio.run(flood(True))
     assert results == reference
-    assert counters.max_group > 1, counters  # the backlog batched itself
+    assert counters["max_group"] > 1, counters  # the backlog batched itself
     results, alone = asyncio.run(flood(False))
     assert results == reference
-    assert alone.batched == 0 and alone.groups == len(instances), alone
+    assert alone["batched"] == 0 and alone["groups"] == len(instances), alone
 
     concurrent_seconds, _ = time_thunk(
         lambda: asyncio.run(flood(True)), repeats=repeats
@@ -144,8 +144,8 @@ def run_flood(repeats: int, requests: int) -> Dict[str, Any]:
     )
     return {
         "requests": len(instances),
-        "groups": counters.groups,
-        "max_group": counters.max_group,
+        "groups": counters["groups"],
+        "max_group": counters["max_group"],
         "one_at_a_time_seconds": one_at_a_time_seconds,
         "concurrent_seconds": concurrent_seconds,
         "batching_speedup": round(
@@ -169,14 +169,14 @@ def run_single_flight_check(requests: int = 32) -> Dict[str, Any]:
 
     results, stats = asyncio.run(scenario())
     assert all(result == results[0] for result in results)
-    assert stats.engine.executions == 1, stats.engine.executions
-    assert stats.engine.cache.misses == 1, stats.engine.cache
-    assert stats.service.coalesced == requests - 1, stats.service
+    assert stats["engine"]["executions"] == 1, stats["engine"]["executions"]
+    assert stats["engine"]["cache"]["misses"] == 1, stats["engine"]["cache"]
+    assert stats["service"]["coalesced"] == requests - 1, stats["service"]
     return {
         "requests": requests,
-        "engine_executions": stats.engine.executions,
-        "plans": stats.engine.cache.misses,
-        "coalesced": stats.service.coalesced,
+        "engine_executions": stats["engine"]["executions"],
+        "plans": stats["engine"]["cache"]["misses"],
+        "coalesced": stats["service"]["coalesced"],
     }
 
 

@@ -52,7 +52,7 @@ from .backends import SqlBackend, SqliteBackend
 from .operations import Operation
 from .parallel import ParallelYannakakisEvaluator, ShardedRelation, WorkerPool
 from .resilience import CancelToken, FaultPlan, RetryPolicy
-from .service import QueryService, ServiceStats
+from .service import QueryService
 from .protocol import AsyncQueryClient, QueryClient, QueryServer
 from .fleet import FleetRouter, FleetSupervisor
 
@@ -98,7 +98,6 @@ __all__ = [
     "RetryExhaustedError",
     "RetryPolicy",
     "ServerBusyError",
-    "ServiceStats",
     "ReductionError",
     "Relation",
     "ReproError",

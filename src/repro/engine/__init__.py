@@ -31,7 +31,7 @@ from .analysis import (
     schema_signature,
     shape_signature,
 )
-from .cache import CacheStats, PlanCache
+from .cache import PlanCache
 from .engine import (
     DEFAULT_BATCH_WIDE_THRESHOLD,
     DEFAULT_REPLAN_DRIFT,
@@ -49,7 +49,6 @@ from .plan import (
     YANNAKAKIS,
 )
 from .planner import Planner
-from .stats import EngineStats, ShapeStats
 
 __all__ = [
     "ACYCLIC",
@@ -63,13 +62,11 @@ __all__ = [
     "COUNT_FULL",
     "COUNT_GENERAL",
     "COUNT_HARD",
-    "CacheStats",
     "DEFAULT_BATCH_WIDE_THRESHOLD",
     "DEFAULT_REPLAN_DRIFT",
     "DEFAULT_REPLAN_LIMIT",
     "DEFAULT_TREEWIDTH_THRESHOLD",
     "EVALUATORS",
-    "EngineStats",
     "FAST_COUNTING_MODES",
     "GENERAL",
     "INEQUALITY",
@@ -80,7 +77,6 @@ __all__ = [
     "QueryEngine",
     "QueryPlan",
     "STRUCTURAL_CLASSES",
-    "ShapeStats",
     "StructuralAnalysis",
     "TREEWIDTH",
     "YANNAKAKIS",

@@ -6,7 +6,7 @@ analyzer and cost model once: the cache key (:func:`plan_cache_key`)
 canonicalizes variable names and erases constant values, so every binding
 of one prepared statement maps to the same entry.  Eviction is
 least-recently-used with a fixed capacity; hit / miss / eviction counters
-are exposed for tests and for ``QueryEngine.explain``.
+are exposed for tests, ``QueryEngine.explain`` and ``QueryEngine.stats``.
 
 Thread safety: one ``QueryEngine`` (and hence one plan cache) is shared by
 every concurrent caller of the async service front-end
@@ -25,24 +25,9 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Any, Hashable, Optional
+from typing import Any, Dict, Hashable, Optional
 
-
-@dataclass(frozen=True)
-class CacheStats:
-    """Counters since construction (or the last ``clear``)."""
-
-    hits: int
-    misses: int
-    evictions: int
-    size: int
-    capacity: int
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
+from ..telemetry import CACHE_COUNTERS, counters
 
 
 class PlanCache:
@@ -54,9 +39,7 @@ class PlanCache:
         self._capacity = capacity
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
+        self._counts = counters(CACHE_COUNTERS)
 
     # ------------------------------------------------------------------
 
@@ -65,10 +48,10 @@ class PlanCache:
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
-                self._misses += 1
+                self._counts["misses"] += 1
                 return None
             self._entries.move_to_end(key)
-            self._hits += 1
+            self._counts["hits"] += 1
             return entry
 
     def put(self, key: Hashable, plan: Any) -> None:
@@ -80,7 +63,7 @@ class PlanCache:
                 return
             if len(self._entries) >= self._capacity:
                 self._entries.popitem(last=False)
-                self._evictions += 1
+                self._counts["evictions"] += 1
             self._entries[key] = plan
 
     def put_if_absent(self, key: Hashable, plan: Any) -> Any:
@@ -97,7 +80,7 @@ class PlanCache:
                 return existing
             if len(self._entries) >= self._capacity:
                 self._entries.popitem(last=False)
-                self._evictions += 1
+                self._counts["evictions"] += 1
             self._entries[key] = plan
             return plan
 
@@ -127,17 +110,14 @@ class PlanCache:
         """Drop all entries and reset the counters."""
         with self._lock:
             self._entries.clear()
-            self._hits = 0
-            self._misses = 0
-            self._evictions = 0
+            self._counts = counters(CACHE_COUNTERS)
 
-    @property
-    def stats(self) -> CacheStats:
+    def stats(self) -> Dict[str, Any]:
+        """Counters since construction (or the last ``clear``), with the
+        current size and the capacity."""
         with self._lock:
-            return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                evictions=self._evictions,
-                size=len(self._entries),
-                capacity=self._capacity,
-            )
+            return {
+                **self._counts,
+                "size": len(self._entries),
+                "capacity": self._capacity,
+            }

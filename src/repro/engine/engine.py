@@ -87,6 +87,7 @@ from ..query.conjunctive import ConjunctiveQuery
 from ..relational.database import Database
 from ..relational.relation import Relation
 from ..resilience.token import check_cancelled
+from ..telemetry import ShapeLedger
 from .analysis import (
     ACYCLIC,
     COUNT_BOOLEAN,
@@ -95,7 +96,7 @@ from .analysis import (
     plan_cache_key,
     variable_layout,
 )
-from .cache import CacheStats, PlanCache
+from .cache import PlanCache
 from .plan import (
     BOUNDED_VARIABLE,
     EVALUATORS,
@@ -106,7 +107,6 @@ from .plan import (
     YANNAKAKIS,
 )
 from .planner import Planner
-from .stats import EngineStats, ShapeLedger
 
 #: Same-shape groups at least this large are executed N-wide (lifted).
 DEFAULT_BATCH_WIDE_THRESHOLD = 8
@@ -315,11 +315,12 @@ class QueryEngine(OperationFacade):
         self, operation: Operation, database: Database, key: Optional[Tuple]
     ) -> str:
         plan, status, _ = self._plan_entry(operation.query, database, key)
-        stats = self._cache.stats
+        cache = self._cache.stats()
         footer = (
             f"  cache    : {status} "
-            f"(hits={stats.hits}, misses={stats.misses}, "
-            f"evictions={stats.evictions}, size={stats.size}/{stats.capacity})"
+            f"(hits={cache['hits']}, misses={cache['misses']}, "
+            f"evictions={cache['evictions']}, "
+            f"size={cache['size']}/{cache['capacity']})"
         )
         return plan.explain(cache_status=status) + "\n" + footer
 
@@ -602,13 +603,10 @@ class QueryEngine(OperationFacade):
         self._cache.put(key, new_plan)
         self._ledger.note_replan(key, new_plan)
 
-    def stats(self) -> EngineStats:
-        """Cache counters plus the per-shape execution ledger."""
-        return EngineStats(cache=self._cache.stats, shapes=self._ledger.snapshot())
-
-    @property
-    def cache_stats(self) -> CacheStats:
-        return self._cache.stats
+    def stats(self) -> Dict[str, Any]:
+        """Engine-wide totals, plan-cache counters and one row per tracked
+        shape: the ``engine`` section of the wire ``stats`` document."""
+        return {**self._ledger.snapshot(), "cache": self._cache.stats()}
 
     def clear_cache(self) -> None:
         self._cache.clear()

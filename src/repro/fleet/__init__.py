@@ -21,7 +21,7 @@ requests over when a worker dies mid-flight.
     Route operations to the least-loaded live worker — "load" is the sum
     of cost-weighted in-flight requests, where a shape's cost is the p95
     of its recent latencies (the same
-    :class:`~repro.engine.stats.LatencyReservoir` arithmetic the engine
+    :class:`~repro.telemetry.LatencyReservoir` arithmetic the engine
     ledger uses).  Every wire operation is idempotent, so a transport
     failure triggers failover: the router reports the worker to the
     supervisor, re-routes to a healthy replica under a
@@ -45,7 +45,6 @@ from .supervisor import (
     BREAKER_HALF_OPEN,
     BREAKER_OPEN,
     FleetSupervisor,
-    WorkerSnapshot,
 )
 
 __all__ = [
@@ -55,5 +54,4 @@ __all__ = [
     "BREAKER_OPEN",
     "FleetRouter",
     "FleetSupervisor",
-    "WorkerSnapshot",
 ]

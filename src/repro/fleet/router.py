@@ -9,7 +9,7 @@ replica.  The router turns that property into availability:
 * **placement** is least-pending with cost weighting: each in-flight
   request contributes its *estimated cost* to its worker's pending
   score, and a request's cost estimate is the p95 of its shape's recent
-  latencies (a :class:`~repro.engine.stats.LatencyReservoir` per shape,
+  latencies (a :class:`~repro.telemetry.LatencyReservoir` per shape,
   the same arithmetic the engine's ledger uses; unknown shapes count
   1.0).  A worker slogging through an expensive analytical query
   therefore stops attracting cheap point lookups even though its
@@ -39,12 +39,12 @@ import time
 from itertools import count
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..engine.stats import LatencyReservoir
 from ..errors import FleetDrainedError, WorkerUnavailableError
 from ..operations import Operation, OperationFacade
 from ..protocol.client import QueryClient
 from ..protocol.messages import query_text
 from ..resilience.policy import RetryPolicy
+from ..telemetry import LatencyReservoir
 from .supervisor import FleetSupervisor
 
 #: Estimated cost of a shape the ledger has not seen yet.
@@ -284,10 +284,12 @@ class FleetRouter(OperationFacade):
             return dict(self._pending)
 
     def stats(self) -> Dict[str, Any]:
+        """Routing counters; per-worker maps are keyed by the worker index
+        as a string, so the document survives a JSON round trip."""
         with self._lock:
             return {
-                "routed": dict(self._routed),
-                "pending": dict(self._pending),
+                "routed": {str(w): n for w, n in self._routed.items()},
+                "pending": {str(w): cost for w, cost in self._pending.items()},
                 "failovers": self._failovers,
                 "ledger_shapes": len(self._ledger),
                 "pooled_connections": sum(len(p) for p in self._pools.values()),

@@ -46,7 +46,6 @@ import sys
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..protocol.client import QueryClient
@@ -64,20 +63,6 @@ READY = "ready"
 DRAINING = "draining"
 BACKOFF = "backoff"
 STOPPED = "stopped"
-
-
-@dataclass(frozen=True)
-class WorkerSnapshot:
-    """Observable state of one worker slot (``FleetSupervisor.stats``)."""
-
-    worker: int
-    state: str
-    breaker: str
-    pid: Optional[int]
-    port: Optional[int]
-    restarts: int
-    recent_crashes: int
-    probe_failures: int
 
 
 class _Worker:
@@ -322,28 +307,28 @@ class FleetSupervisor:
         return acknowledged
 
     def stats(self) -> Dict[str, Any]:
-        """Fleet-level counters plus one :class:`WorkerSnapshot` per slot."""
+        """Fleet-level counters plus one row per worker slot."""
         with self._lock:
             now = time.monotonic()
-            snapshots = []
+            rows = []
             for worker in self._workers:
                 self._trim_crashes(worker, now)
                 process = worker.process
-                snapshots.append(
-                    WorkerSnapshot(
-                        worker=worker.index,
-                        state=worker.state,
-                        breaker=worker.breaker,
-                        pid=process.pid if process is not None else None,
-                        port=worker.port,
-                        restarts=worker.restarts,
-                        recent_crashes=len(worker.crash_times),
-                        probe_failures=worker.probe_failures,
-                    )
+                rows.append(
+                    {
+                        "worker": worker.index,
+                        "state": worker.state,
+                        "breaker": worker.breaker,
+                        "pid": process.pid if process is not None else None,
+                        "port": worker.port,
+                        "restarts": worker.restarts,
+                        "recent_crashes": len(worker.crash_times),
+                        "probe_failures": worker.probe_failures,
+                    }
                 )
             return {
-                "workers": snapshots,
-                "ready": sum(1 for s in snapshots if s.state == READY),
+                "workers": rows,
+                "ready": sum(1 for row in rows if row["state"] == READY),
                 "version": self._version,
                 "registered_databases": sorted(self._registered),
             }
@@ -614,5 +599,4 @@ __all__ = [
     "BREAKER_HALF_OPEN",
     "BREAKER_OPEN",
     "FleetSupervisor",
-    "WorkerSnapshot",
 ]

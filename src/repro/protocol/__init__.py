@@ -47,7 +47,7 @@ from .messages import (
     encode_result,
     query_text,
 )
-from .server import QueryServer, stats_payload
+from .server import QueryServer
 
 __all__ = [
     "AsyncQueryClient",
@@ -83,5 +83,4 @@ __all__ = [
     "error_response",
     "query_text",
     "request_id_of",
-    "stats_payload",
 ]

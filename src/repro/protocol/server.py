@@ -55,7 +55,6 @@ from ..relational.database import Database
 from ..relational.io import load_database_json
 from ..resilience.faults import FaultPlan
 from ..service.service import QueryService
-from ..service.stats import ServiceStats
 from . import codec
 from .codec import error_response
 from .connection import READ_CHUNK, Connection
@@ -459,7 +458,7 @@ class QueryServer:
         return Response(
             id=request.id,
             kind=STATS_RESULT,
-            result=stats_payload(stats, transport=self._transport_stats()),
+            result={**stats, "transport": self._transport_stats()},
         )
 
     async def _op_cancel(self, request: Request, connection: _Connection) -> Response:
@@ -507,46 +506,6 @@ class QueryServer:
             f"QueryServer({state}, databases={sorted(self._databases)}, "
             f"connections={len(self._connections)})"
         )
-
-
-def _fields(record: Any, names: str) -> Dict[str, Any]:
-    return {name: getattr(record, name) for name in names.split()}
-
-
-def stats_payload(
-    stats: ServiceStats, *, transport: Optional[Dict[str, Any]] = None
-) -> Dict[str, Any]:
-    """A JSON-able rendering of :class:`ServiceStats` for the wire."""
-    payload: Dict[str, Any] = {
-        "service": _fields(
-            stats.service,
-            "submitted coalesced batched groups completed failed rejected "
-            "cancelled deadline_exceeded max_queue_depth max_group",
-        ),
-        "clients": [
-            _fields(
-                client,
-                "client submitted coalesced batched completed failed rejected "
-                "p50_seconds p95_seconds",
-            )
-            for client in stats.clients
-        ],
-        "engine": {
-            **_fields(stats.engine, "executions total_seconds replans"),
-            "cache": _fields(stats.engine.cache, "hits misses evictions size capacity"),
-            "shapes": [
-                _fields(
-                    shape,
-                    "shape evaluator structural_class executions total_seconds "
-                    "mean_seconds p95_seconds replans",
-                )
-                for shape in stats.engine.shapes
-            ],
-        },
-    }
-    if transport is not None:
-        payload["transport"] = transport
-    return payload
 
 
 # -- the executable (the subprocess the cross-process tests spawn) -------
@@ -661,4 +620,4 @@ if __name__ == "__main__":  # pragma: no cover - exercised via subprocess tests
     sys.exit(main())
 
 
-__all__ = ["QueryServer", "build_arg_parser", "main", "stats_payload"]
+__all__ = ["QueryServer", "build_arg_parser", "main"]

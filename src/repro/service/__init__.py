@@ -16,16 +16,12 @@ from .service import (
     MAX_TRACKED_CLIENTS,
     QueryService,
 )
-from .stats import ClientStats, ServiceCounters, ServiceStats
 
 __all__ = [
     "ANONYMOUS",
-    "ClientStats",
     "DEFAULT_BATCH_LIMIT",
     "DEFAULT_MAX_PENDING",
     "FairQueue",
     "MAX_TRACKED_CLIENTS",
     "QueryService",
-    "ServiceCounters",
-    "ServiceStats",
 ]

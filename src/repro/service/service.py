@@ -81,8 +81,8 @@ from ..query.conjunctive import ConjunctiveQuery
 from ..query.parser import parse_query
 from ..relational.database import Database
 from ..resilience.token import CancelToken, activate
+from ..telemetry import CLIENT_COUNTERS, SERVICE_COUNTERS, LatencyReservoir, counters
 from .fairness import ANONYMOUS, FairQueue
-from .stats import MutableClientStats, MutableCounters, ServiceStats
 
 #: Queries cross the facade as objects or as rule-notation text.
 QueryLike = Union[str, ConjunctiveQuery]
@@ -95,6 +95,18 @@ DEFAULT_BATCH_LIMIT = 64
 
 #: Most client tags the per-client stats rollup tracks (LRU eviction).
 MAX_TRACKED_CLIENTS = 64
+
+#: One client's rollup: its counters and its recent request latencies.
+_ClientRecord = Tuple[Dict[str, Any], LatencyReservoir]
+
+
+def _outcome_of(error: BaseException) -> str:
+    """The outcome a request that ended in *error* counts under."""
+    if isinstance(error, DeadlineExceededError):
+        return "deadline_exceeded"
+    if isinstance(error, CancelledRequestError):
+        return "cancelled"
+    return "failed"
 
 
 class _Group:
@@ -230,10 +242,10 @@ class QueryService(OperationFacade):
         self._batch_limit = batch_limit
         self._dispatcher_count = dispatchers or self._pool.max_workers
         self._max_pending_per_client = max_pending_per_client
-        self._counters = MutableCounters()
+        self._counters = counters(SERVICE_COUNTERS)
         #: client tag → rollup (bounded LRU — connections churn, stats
         #: must not grow without limit).
-        self._clients: "OrderedDict[str, MutableClientStats]" = OrderedDict()
+        self._clients: "OrderedDict[str, _ClientRecord]" = OrderedDict()
         #: client tag → admitted-but-unfinished request count.
         self._client_pending: Dict[str, int] = {}
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -336,14 +348,22 @@ class QueryService(OperationFacade):
                 results[index] = answer
         return results
 
-    async def stats(self) -> ServiceStats:
-        """Service counters, per-client rollups, and the engine snapshot."""
+    async def stats(self) -> Dict[str, Any]:
+        """The service's counters, one rollup per tracked client and the
+        engine's document: the wire ``stats`` result minus ``transport``."""
         self._ensure_open()
-        return ServiceStats(
-            service=self._counters.snapshot(),
-            engine=self._engine.stats(),
-            clients=tuple(record.snapshot() for record in self._clients.values()),
-        )
+        return {
+            "service": dict(self._counters),
+            "clients": [
+                {
+                    **counts,
+                    "p50_seconds": latencies.quantile(0.5),
+                    "p95_seconds": latencies.quantile(0.95),
+                }
+                for counts, latencies in self._clients.values()
+            ],
+            "engine": self._engine.stats(),
+        }
 
     @property
     def engine(self) -> QueryEngine:
@@ -382,21 +402,40 @@ class QueryService(OperationFacade):
             code="bad_request",
         )
 
-    def _client_stats(self, client: str) -> MutableClientStats:
+    def _client_stats(self, client: str) -> _ClientRecord:
         """Get-or-create *client*'s rollup (bounded LRU on client tags)."""
         record = self._clients.get(client)
         if record is None:
             if len(self._clients) >= MAX_TRACKED_CLIENTS:
                 self._clients.popitem(last=False)
-            record = MutableClientStats(client)
-            self._clients[client] = record
+            counts = {"client": client, **counters(CLIENT_COUNTERS)}
+            record = self._clients[client] = (counts, LatencyReservoir(256))
         else:
             self._clients.move_to_end(client)
         return record
 
+    def _count(self, client: str, name: str, n: int = 1) -> None:
+        """Add *n* to counter *name* of the service and of *client*."""
+        self._counters[name] += n
+        self._client_stats(client)[0][name] += n
+
+    def _settle(self, client: str, outcome: str, started: float, n: int = 1) -> None:
+        """*n* requests of *client* ended as *outcome*.
+
+        Called once per request, by the caller that waited for it — so
+        ``submitted + coalesced`` equals the four outcomes summed once the
+        service is idle, at the service and in every client rollup.
+        """
+        assert self._loop is not None
+        counts, latencies = self._client_stats(client)
+        self._counters[outcome] += n
+        counts[outcome] += n
+        seconds = self._loop.time() - started
+        for _ in range(n):
+            latencies.add(seconds)
+
     def _reject(self, client: str) -> None:
-        self._counters.rejected += 1
-        self._client_stats(client).rejected += 1
+        self._count(client, "rejected")
 
     def _check_capacity(self, client: str, count: int = 1) -> None:
         """Per-client admission budget: reject the flood, structurally.
@@ -422,12 +461,16 @@ class QueryService(OperationFacade):
         """Count *future* against *client*'s budget until it resolves."""
         self._client_pending[client] = self._client_pending.get(client, 0) + 1
 
-        def _release(_done: "asyncio.Future[Any]", client: str = client) -> None:
+        def _release(done: "asyncio.Future[Any]", client: str = client) -> None:
             remaining = self._client_pending.get(client, 0) - 1
             if remaining > 0:
                 self._client_pending[client] = remaining
             else:
                 self._client_pending.pop(client, None)
+            # Mark the error retrieved: a batch torn down at its deadline
+            # has no waiter left to read it, and its waiter counted itself.
+            if not done.cancelled():
+                done.exception()
 
         future.add_done_callback(_release)
 
@@ -447,7 +490,6 @@ class QueryService(OperationFacade):
         the caller gets its :class:`~repro.errors.DeadlineExceededError`
         on time even if the engine is between check-points.
         """
-        stats = self._client_stats(client)
         assert self._loop is not None
         flight.waiters += 1
         if flight.abandoned:
@@ -456,6 +498,7 @@ class QueryService(OperationFacade):
             flight.abandoned = False
             if flight.group is not None:
                 flight.group.abandoned -= 1
+        outcome = "failed"
         try:
             if deadline is None:
                 result = await asyncio.shield(flight.future)
@@ -486,26 +529,27 @@ class QueryService(OperationFacade):
                     raise
                 finally:
                     handle.cancel()
+            outcome = "completed"
         except asyncio.CancelledError:
             # The caller was cancelled (client disconnect, explicit
             # cancel): leave the flight; the last waiter out tears the
             # execution down.
-            self._counters.cancelled += 1
+            outcome = "cancelled"
             self._abandon(flight, "client disconnected or cancelled")
             raise
         except asyncio.TimeoutError:
-            self._counters.deadline_exceeded += 1
-            stats.record_latency(self._loop.time() - started, ok=False)
+            outcome = "deadline_exceeded"
             self._abandon(flight, "deadline exceeded")
             raise DeadlineExceededError(
                 f"deadline of {deadline:g}s exceeded", deadline=deadline
             ) from None
-        except BaseException:
+        except BaseException as exc:
+            outcome = _outcome_of(exc)
             flight.waiters -= 1
-            stats.record_latency(self._loop.time() - started, ok=False)
             raise
+        finally:
+            self._settle(client, outcome, started)
         flight.waiters -= 1
-        stats.record_latency(self._loop.time() - started, ok=True)
         return result
 
     def _abandon(self, flight: _Flight, reason: str) -> None:
@@ -580,8 +624,7 @@ class QueryService(OperationFacade):
             # its budget nor occupies a queue slot.  A deadline'd waiter
             # coalesces too: its own wait is bounded either way, and the
             # execution is cancelled only when *every* waiter has left.
-            self._counters.coalesced += 1
-            self._client_stats(client).coalesced += 1
+            self._count(client, "coalesced")
             return await self._await_result(existing, client, started, deadline)
         self._check_capacity(client)
         future: "asyncio.Future[Any]" = self._loop.create_future()
@@ -603,20 +646,20 @@ class QueryService(OperationFacade):
                 done.exception()
 
         future.add_done_callback(_retire)
-        self._counters.submitted += 1
-        self._client_stats(client).submitted += 1
+        self._count(client, "submitted")
         try:
             await self._route(kind, query, database, future, client, flight, options)
         except asyncio.CancelledError:
             # Caller cancelled during admission: the enqueue (if reached)
             # continues service-owned and the future resolves later for
             # any coalesced waiters — do not poison it.
+            self._settle(client, "cancelled", started)
             raise
         except BaseException as exc:
             # Admission itself failed (e.g. the shape key could not be
             # computed for an unknown relation): the future must carry
             # the error, or every coalesced waiter hangs forever.
-            self._counters.failed += 1
+            self._settle(client, _outcome_of(exc), started)
             if not future.done():
                 future.set_exception(exc)
             raise
@@ -641,9 +684,7 @@ class QueryService(OperationFacade):
         futures = [self._loop.create_future() for _ in coerced]
         for future in futures:
             self._track_pending(future, client)
-        self._counters.submitted += len(coerced)
-        stats = self._client_stats(client)
-        stats.submitted += len(coerced)
+        self._count(client, "submitted", len(coerced))
         group = _Group(
             kind,
             database,
@@ -653,8 +694,9 @@ class QueryService(OperationFacade):
             CancelToken(deadline),
             options,
         )
-        await self._put(group)
+        outcome = "failed"
         try:
+            await self._put(group)
             if deadline is None:
                 results = list(await asyncio.gather(*futures))
             else:
@@ -667,29 +709,24 @@ class QueryService(OperationFacade):
                         remaining,
                     )
                 )
+            outcome = "completed"
         except asyncio.CancelledError:
             # Explicit batches have exactly one waiter — tear down now.
-            self._counters.cancelled += len(futures)
+            outcome = "cancelled"
             self._teardown_group(group, "client disconnected or cancelled")
             raise
         except asyncio.TimeoutError:
-            self._counters.deadline_exceeded += len(futures)
-            seconds = self._loop.time() - started
-            for _ in futures:
-                stats.record_latency(seconds, ok=False)
+            outcome = "deadline_exceeded"
             self._teardown_group(group, "deadline exceeded")
             assert deadline is not None
             raise DeadlineExceededError(
                 f"deadline of {deadline:g}s exceeded", deadline=deadline
             ) from None
-        except BaseException:
-            seconds = self._loop.time() - started
-            for _ in futures:
-                stats.record_latency(seconds, ok=False)
+        except BaseException as exc:
+            outcome = _outcome_of(exc)
             raise
-        seconds = self._loop.time() - started
-        for _ in futures:
-            stats.record_latency(seconds, ok=True)
+        finally:
+            self._settle(client, outcome, started, len(futures))
         return results
 
     async def _route(
@@ -730,8 +767,7 @@ class QueryService(OperationFacade):
                 group.queries.append(query)
                 group.futures.append(future)
                 flight.group = group
-                self._counters.batched += 1
-                self._client_stats(client).batched += 1
+                self._count(client, "batched")
                 if len(group.queries) >= self._batch_limit:
                     self._close(group)
                 return
@@ -767,8 +803,8 @@ class QueryService(OperationFacade):
         assert self._queue is not None
         await self._queue.put(group, group.client)
         depth = self._queue.qsize()
-        if depth > self._counters.max_queue_depth:
-            self._counters.max_queue_depth = depth
+        if depth > self._counters["max_queue_depth"]:
+            self._counters["max_queue_depth"] = depth
 
     # ------------------------------------------------------------------
     # Dispatch: queue → worker pool → engine
@@ -787,9 +823,9 @@ class QueryService(OperationFacade):
         # Dequeued: whatever joined while the group waited behind busy
         # dispatchers is the batch; later arrivals start the next one.
         self._close(group)
-        self._counters.groups += 1
-        if len(group.queries) > self._counters.max_group:
-            self._counters.max_group = len(group.queries)
+        self._counters["groups"] += 1
+        if len(group.queries) > self._counters["max_group"]:
+            self._counters["max_group"] = len(group.queries)
         engine = self._engine
         kind, queries, database = group.kind, group.queries, group.database
         options = group.options
@@ -816,29 +852,14 @@ class QueryService(OperationFacade):
                 if not future.done():
                     future.cancel()
             raise
-        except (CancelledRequestError, DeadlineExceededError) as exc:
-            # Cooperative teardown, not a failure: deliver the typed
-            # error to any waiter still attached.  Waiters that already
-            # timed out or left counted themselves (and show up in
-            # ``group.abandoned``); count only the others.
-            settled = 0
-            for future in group.futures:
-                if not future.done():
-                    future.set_exception(exc)
-                    settled += 1
-            settled = max(0, settled - group.abandoned)
-            if isinstance(exc, DeadlineExceededError):
-                self._counters.deadline_exceeded += settled
-            else:
-                self._counters.cancelled += settled
-            return
         except BaseException as exc:  # noqa: BLE001 — delivered to callers
-            self._counters.failed += len(group.futures)
+            # A failure, or a cooperative teardown's typed cancel/deadline
+            # error: every waiter still attached receives it and counts
+            # its own outcome.
             for future in group.futures:
                 if not future.done():
                     future.set_exception(exc)
             return
-        self._counters.completed += len(group.futures)
         for future, result in zip(group.futures, results):
             if not future.done():
                 future.set_result(result)

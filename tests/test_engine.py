@@ -136,8 +136,8 @@ class TestPlanCache:
         assert cache.get("a") is None
         cache.put("a", 1)
         assert cache.get("a") == 1
-        stats = cache.stats
-        assert (stats.hits, stats.misses, stats.size) == (1, 1, 1)
+        stats = cache.stats()
+        assert (stats["hits"], stats["misses"], stats["size"]) == (1, 1, 1)
 
     def test_lru_eviction_order(self):
         cache = PlanCache(capacity=2)
@@ -149,7 +149,7 @@ class TestPlanCache:
         assert cache.get("b") is None
         assert cache.get("a") == 1
         assert cache.get("c") == 3
-        assert cache.stats.evictions == 1
+        assert cache.stats()["evictions"] == 1
 
     def test_put_refreshes_existing(self):
         cache = PlanCache(capacity=2)
@@ -159,15 +159,15 @@ class TestPlanCache:
         cache.put("c", 3)  # evicts "b", the true LRU
         assert cache.get("a") == 10
         assert cache.get("b") is None
-        assert cache.stats.evictions == 1
+        assert cache.stats()["evictions"] == 1
 
     def test_clear_resets(self):
         cache = PlanCache(capacity=2)
         cache.put("a", 1)
         cache.get("a")
         cache.clear()
-        stats = cache.stats
-        assert (stats.hits, stats.misses, stats.size) == (0, 0, 0)
+        stats = cache.stats()
+        assert (stats["hits"], stats["misses"], stats["size"]) == (0, 0, 0)
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
@@ -200,9 +200,9 @@ class TestQueryEngine:
         assert engine.contains(query, edge_db, (1,))
         assert engine.contains(query, edge_db, (2,))
         assert not engine.contains(query, edge_db, (4,))
-        stats = engine.cache_stats
-        assert stats.misses == 1  # one shape, planned once
-        assert stats.hits == 2
+        stats = engine.stats()["cache"]
+        assert stats["misses"] == 1  # one shape, planned once
+        assert stats["hits"] == 2
 
     def test_planner_called_once_per_shape(self, edge_db):
         planner = CountingPlanner()
@@ -385,7 +385,7 @@ class TestQueryEngine:
         engine.execute(q2, edge_db)  # evicts q1's plan
         engine.execute(q1, edge_db)  # must replan
         assert planner.calls == 3
-        assert engine.cache_stats.evictions == 2
+        assert engine.stats()["cache"]["evictions"] == 2
 
     def test_alpha_renamed_twin_reuses_plan_safely(self, edge_db):
         # Same shape, different variable names: the second query hits the

@@ -435,7 +435,7 @@ class TestParameterizedAgreement:
                 naive.contains(query, database, (candidate,))
             ), f"seed={seed}, candidate={candidate}"
         # One shape -> one plan for the whole candidate sweep.
-        assert engine.cache_stats.misses <= 2
+        assert engine.stats()["cache"]["misses"] <= 2
 
 
 class TestBatchEqualsSingles:
@@ -518,6 +518,6 @@ class TestBatchEqualsSingles:
             # The shared duplicate ran once, however many members it served.
             assert engine.plan_for(shared.query, database).runtime.executions == 1
             if parallel:
-                assert engine.stats().executions < executions  # groups lifted
+                assert engine.stats()["executions"] < executions  # groups lifted
             else:
-                assert engine.stats().executions == executions
+                assert engine.stats()["executions"] == executions

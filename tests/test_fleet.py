@@ -7,6 +7,7 @@ RetryPolicy-wrapped client reconnecting across a worker generation.  The
 full mid-flood SIGKILL story is ``test_fleet_chaos.py``.
 """
 
+import json
 import os
 import signal
 import socket
@@ -72,9 +73,9 @@ def wait_for_ready(supervisor, count, timeout=SPAWN_TIMEOUT):
 def kill_worker(supervisor, index=0):
     """SIGKILL one worker's process, returning its pid."""
     snapshot = supervisor.stats()["workers"][index]
-    assert snapshot.pid is not None
-    os.kill(snapshot.pid, signal.SIGKILL)
-    return snapshot.pid
+    assert snapshot["pid"] is not None
+    os.kill(snapshot["pid"], signal.SIGKILL)
+    return snapshot["pid"]
 
 
 class TestSupervisorLifecycle:
@@ -86,8 +87,8 @@ class TestSupervisorLifecycle:
         assert stats["ready"] == 2
         assert stats["registered_databases"] == []
         for snapshot in stats["workers"]:
-            assert snapshot.state == "ready"
-            assert snapshot.breaker == BREAKER_CLOSED
+            assert snapshot["state"] == "ready"
+            assert snapshot["breaker"] == BREAKER_CLOSED
 
     def test_crash_detection_and_respawn(self, chain_path):
         with FleetSupervisor({"chain": chain_path}, workers=2) as supervisor:
@@ -108,7 +109,7 @@ class TestSupervisorLifecycle:
             assert after != before  # the replacement bound a fresh port
             assert supervisor.version > version  # membership churned
             snapshot = supervisor.stats()["workers"][0]
-            assert snapshot.restarts >= 1
+            assert snapshot["restarts"] >= 1
 
     def test_ready_timeout_fault_counts_as_failed_start(self, chain_path):
         plan = FaultPlan({"fleet.ready_timeout": {"times": 1}})
@@ -119,7 +120,7 @@ class TestSupervisorLifecycle:
             # respawn (fault exhausted) comes up normally.
             assert wait_for_ready(supervisor, 1)
             assert plan.fired("fleet.ready_timeout") == 1
-            assert supervisor.stats()["workers"][0].restarts >= 1
+            assert supervisor.stats()["workers"][0]["restarts"] >= 1
 
     def test_breaker_opens_on_flapping_worker_and_recovers(self, chain_db, tmp_path):
         path = tmp_path / "volatile.json"
@@ -140,29 +141,29 @@ class TestSupervisorLifecycle:
             kill_worker(supervisor, 0)
             deadline = time.monotonic() + SPAWN_TIMEOUT
             while time.monotonic() < deadline:
-                if supervisor.stats()["workers"][0].breaker == BREAKER_OPEN:
+                if supervisor.stats()["workers"][0]["breaker"] == BREAKER_OPEN:
                     break
                 time.sleep(0.05)
-            assert supervisor.stats()["workers"][0].breaker == BREAKER_OPEN
+            assert supervisor.stats()["workers"][0]["breaker"] == BREAKER_OPEN
             # Heal the config; the half-open trial after cooldown sticks
             # and the breaker closes once the worker stays up.
             save_database_json(chain_db, str(path))
             assert wait_for_ready(supervisor, 1)
             deadline = time.monotonic() + SPAWN_TIMEOUT
             while time.monotonic() < deadline:
-                if supervisor.stats()["workers"][0].breaker == BREAKER_CLOSED:
+                if supervisor.stats()["workers"][0]["breaker"] == BREAKER_CLOSED:
                     break
                 time.sleep(0.05)
-            assert supervisor.stats()["workers"][0].breaker == BREAKER_CLOSED
+            assert supervisor.stats()["workers"][0]["breaker"] == BREAKER_CLOSED
 
     def test_rolling_restart_replaces_every_worker(self, chain_path, sequential, chain_db):
         query = path_query(3, head_arity=1)
         with FleetSupervisor({"chain": chain_path}, workers=2) as supervisor:
             assert wait_for_ready(supervisor, 2)
-            pids = {s.pid for s in supervisor.stats()["workers"]}
+            pids = {s["pid"] for s in supervisor.stats()["workers"]}
             supervisor.rolling_restart()
             assert wait_for_ready(supervisor, 2)
-            assert {s.pid for s in supervisor.stats()["workers"]}.isdisjoint(pids)
+            assert {s["pid"] for s in supervisor.stats()["workers"]}.isdisjoint(pids)
             with FleetRouter(supervisor) as router:
                 assert router.execute(query, "chain") == sequential.execute(
                     query, chain_db
@@ -245,6 +246,17 @@ class TestRouter:
             routed = router.stats()["routed"]
             assert len(routed) == 2  # both workers saw traffic
             assert all(count > 0 for count in routed.values())
+
+    def test_stats_documents_survive_a_json_round_trip(self, fleet):
+        query = path_query(2, head_arity=1)
+        with FleetRouter(fleet) as router:
+            router.decide(query, "chain")
+            stats = router.stats()
+            assert sum(stats["routed"].values()) == 1
+            assert json.loads(json.dumps(stats)) == stats
+        supervisor_stats = fleet.stats()
+        assert len(supervisor_stats["workers"]) == 2
+        assert json.loads(json.dumps(supervisor_stats)) == supervisor_stats
 
     def test_register_database_fleet_wide_and_replayed(
         self, chain_path, chain_db, sequential

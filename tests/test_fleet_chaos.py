@@ -129,7 +129,7 @@ class TestKillMidFlood:
         reference = sequential_reference(lanes, chain_db)
         with FleetSupervisor({"chain": chain_path}, workers=2) as supervisor:
             assert wait_for_ready(supervisor, 2)
-            victim = supervisor.stats()["workers"][0].pid
+            victim = supervisor.stats()["workers"][0]["pid"]
 
             def kill():
                 time.sleep(0.05)  # let requests get admitted first
@@ -149,7 +149,7 @@ class TestKillMidFlood:
                             assert got.rows == want.rows
                 # The fleet healed: the victim's slot respawned.
                 assert wait_for_ready(supervisor, 2)
-                assert supervisor.stats()["workers"][0].restarts >= 1
+                assert supervisor.stats()["workers"][0]["restarts"] >= 1
 
     def test_fault_site_kill_is_deterministic_and_survivable(
         self, chain_db, chain_path
@@ -187,7 +187,7 @@ class TestKillMidFlood:
             assert wait_for_ready(supervisor, 2)
             with FleetRouter(supervisor) as router:
                 for index in (0, 1):
-                    pid = supervisor.stats()["workers"][index].pid
+                    pid = supervisor.stats()["workers"][index]["pid"]
                     os.kill(pid, signal.SIGKILL)
                     for _ in range(6):
                         assert router.decide(query, "chain") == want
@@ -196,9 +196,9 @@ class TestKillMidFlood:
                     deadline = time.monotonic() + SPAWN_TIMEOUT
                     while time.monotonic() < deadline:
                         snapshot = supervisor.stats()["workers"][index]
-                        if snapshot.restarts >= 1 and snapshot.state == "ready":
+                        if snapshot["restarts"] >= 1 and snapshot["state"] == "ready":
                             break
                         time.sleep(0.05)
                     assert wait_for_ready(supervisor, 2)
                 stats = supervisor.stats()
-                assert all(s.restarts >= 1 for s in stats["workers"])
+                assert all(s["restarts"] >= 1 for s in stats["workers"])

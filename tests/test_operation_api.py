@@ -304,8 +304,8 @@ class TestServiceDispatch:
 
         a, b, stats = run(main())
         assert a is True and b is True
-        assert stats.service.completed == 2
-        assert stats.service.coalesced == 0
+        assert stats["service"]["completed"] == 2
+        assert stats["service"]["coalesced"] == 0
 
     def test_invalid_operation_rejected_before_submit(self, chain):
         async def main():

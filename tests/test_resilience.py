@@ -284,8 +284,8 @@ class TestServiceDeadlinesAndCancellation:
         elapsed, result, stats = asyncio.run(main())
         assert elapsed < 0.2 * 2 + 0.2  # within ~2x the budget (+ slack)
         assert sorted(result.rows) == [(1,), (2,)]
-        assert stats.service.deadline_exceeded == 1
-        assert stats.service.cancelled == 0
+        assert stats["service"]["deadline_exceeded"] == 1
+        assert stats["service"]["cancelled"] == 0
 
     def test_resubmit_after_deadline_starts_a_fresh_flight(self):
         """An identical resubmission must not coalesce onto a flight whose
@@ -312,8 +312,8 @@ class TestServiceDeadlinesAndCancellation:
 
         elapsed, stats = asyncio.run(main())
         assert elapsed >= 0.2  # it ran, it did not inherit a settle
-        assert stats.service.deadline_exceeded == 2
-        assert stats.service.cancelled == 0
+        assert stats["service"]["deadline_exceeded"] == 2
+        assert stats["service"]["cancelled"] == 0
 
     def test_caller_cancellation_releases_the_slot(self):
         from repro import QueryService
@@ -344,7 +344,7 @@ class TestServiceDeadlinesAndCancellation:
 
         result, stats = asyncio.run(main())
         assert sorted(result.rows) == [(1,)]
-        assert stats.service.cancelled == 1
+        assert stats["service"]["cancelled"] == 1
 
 
 class TestRetryExhaustion:

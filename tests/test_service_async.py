@@ -120,12 +120,13 @@ class TestStress:
             for got, want in zip(got_list, want_list):
                 assert got == want
                 assert got.rows == want.rows  # identical down to the rows
-        counters = stats.service
-        assert counters.requests == clients * per_client
-        assert counters.failed == 0
-        assert counters.completed == counters.submitted
-        cache = stats.engine.cache
-        assert cache.size <= cache.capacity
+        counters = stats["service"]
+        requests = counters["submitted"] + counters["coalesced"]
+        assert requests == clients * per_client
+        assert counters["failed"] == 0
+        assert counters["completed"] == requests
+        cache = stats["engine"]["cache"]
+        assert cache["size"] <= cache["capacity"]
 
     def test_ledger_totals_consistent_with_request_count(self, chain_db):
         """No batching (every client has its own tag and awaits its
@@ -158,13 +159,13 @@ class TestStress:
                 return await service.stats()
 
         stats = asyncio.run(main())
-        assert stats.service.coalesced == 0
-        assert stats.service.batched == 0
-        assert stats.engine.executions == clients * per_client
-        assert stats.service.completed == clients * per_client
+        assert stats["service"]["coalesced"] == 0
+        assert stats["service"]["batched"] == 0
+        assert stats["engine"]["executions"] == clients * per_client
+        assert stats["service"]["completed"] == clients * per_client
         # One shape, planned once, shared by every client.
-        assert stats.engine.cache.misses == 1
-        assert stats.engine.cache.hits == clients * per_client - 1
+        assert stats["engine"]["cache"]["misses"] == 1
+        assert stats["engine"]["cache"]["hits"] == clients * per_client - 1
 
     def test_concurrent_decides_match_sequential(self, star_db):
         query = star_query(3)
@@ -199,10 +200,10 @@ class TestSingleFlight:
 
         results, stats = asyncio.run(main())
         assert all(result == results[0] for result in results)
-        assert stats.service.coalesced == n - 1
-        assert stats.service.submitted == 1
-        assert stats.engine.executions == 1
-        assert stats.engine.cache.misses == 1
+        assert stats["service"]["coalesced"] == n - 1
+        assert stats["service"]["submitted"] == 1
+        assert stats["engine"]["executions"] == 1
+        assert stats["engine"]["cache"]["misses"] == 1
 
     def test_distinct_queries_do_not_coalesce(self, chain_db):
         query = path_query(4, head_arity=1)
@@ -219,9 +220,9 @@ class TestSingleFlight:
         stats = asyncio.run(main())
         # Same shape, different constants: they may share a batch, never
         # a flight.
-        assert stats.service.coalesced == 0
-        assert stats.service.submitted == len(instances)
-        assert stats.service.completed == len(instances)
+        assert stats["service"]["coalesced"] == 0
+        assert stats["service"]["submitted"] == len(instances)
+        assert stats["service"]["completed"] == len(instances)
 
     @pytest.mark.parametrize("kind", ["execute", "explain"])
     def test_error_propagates_to_every_coalesced_caller(self, chain_db, kind):
@@ -267,16 +268,16 @@ class TestBatchingOnBacklog:
                         return _real(*args, **kwargs)
 
                     monkeypatch.setattr(loop, name, spy)
-                before = (await service.stats()).service
+                before = (await service.stats())["service"]
                 result = await service.execute(query, chain_db)
-                after = (await service.stats()).service
+                after = (await service.stats())["service"]
                 return result, timers, before, after
 
         result, timers, before, after = asyncio.run(main())
         assert result == QueryEngine(parallel=False).execute(query, chain_db)
         assert timers == []  # asyncio.sleep is a call_later too
-        assert after.groups - before.groups == 1
-        assert after.batched == 0 and after.max_group == 1
+        assert after["groups"] - before["groups"] == 1
+        assert after["batched"] == 0 and after["max_group"] == 1
 
     def test_backlog_behind_a_busy_dispatcher_is_one_batch(self, chain_db):
         """What arrives while the only dispatcher is busy is the next
@@ -303,9 +304,9 @@ class TestBatchingOnBacklog:
 
         results, stats = asyncio.run(main())
         assert list(results) == reference
-        assert stats.service.groups == 2  # the blocker, then the backlog
-        assert stats.service.max_group == len(instances)
-        assert stats.service.batched == len(instances) - 1
+        assert stats["service"]["groups"] == 2  # the blocker, then the backlog
+        assert stats["service"]["max_group"] == len(instances)
+        assert stats["service"]["batched"] == len(instances) - 1
 
     def test_same_shape_flood_collapses_into_groups(self, chain_db):
         query = path_query(4, head_arity=1)
@@ -324,9 +325,9 @@ class TestBatchingOnBacklog:
         results, stats = asyncio.run(main())
         assert list(results) == reference
         # The flood rode a handful of groups, not 48 single dispatches.
-        assert stats.service.groups < len(instances)
-        assert stats.service.max_group > 1
-        assert stats.service.batched > 0
+        assert stats["service"]["groups"] < len(instances)
+        assert stats["service"]["max_group"] > 1
+        assert stats["service"]["batched"] > 0
 
     def test_batch_limit_closes_a_full_group(self, chain_db):
         query = path_query(3, head_arity=1)
@@ -341,8 +342,8 @@ class TestBatchingOnBacklog:
                 return results, await service.stats()
 
         results, stats = asyncio.run(main())
-        assert stats.service.max_group == 8
-        assert stats.service.groups == 3  # 8 + 8 + 4
+        assert stats["service"]["max_group"] == 8
+        assert stats["service"]["groups"] == 3  # 8 + 8 + 4
         sequential = QueryEngine(parallel=False)
         for got, instance in zip(results, instances):
             assert got == sequential.execute(instance, chain_db)
@@ -364,7 +365,7 @@ class TestBatchingOnBacklog:
 
         decisions, stats = asyncio.run(main())
         assert list(decisions) == reference
-        assert stats.service.max_group > 1
+        assert stats["service"]["max_group"] > 1
 
 
 class TestFacade:
@@ -398,7 +399,7 @@ class TestFacade:
 
         asyncio.run(main())
         # The injected engine survives service shutdown and kept the work.
-        assert engine.stats().executions == 1
+        assert engine.stats()["executions"] == 1
         assert engine.execute(query, chain_db) is not None
 
     def test_engine_kwargs_conflict_rejected(self):
@@ -423,8 +424,8 @@ class TestFacade:
                 return results, await service.stats()
 
         results, stats = asyncio.run(main())
-        assert stats.service.completed == len(instances)
-        assert stats.service.groups == len(instances)
+        assert stats["service"]["completed"] == len(instances)
+        assert stats["service"]["groups"] == len(instances)
         sequential = QueryEngine(parallel=False)
         assert list(results) == [
             sequential.execute(q, chain_db) for q in instances
@@ -487,7 +488,7 @@ class TestCancellation:
 
         result, stats = asyncio.run(main())
         assert result == QueryEngine(parallel=False).execute(query, chain_db)
-        assert stats.service.coalesced == 1
+        assert stats["service"]["coalesced"] == 1
 
     def test_cancelled_caller_mid_backpressure_loses_nothing(self, chain_db):
         """Cancelling a caller awaiting queue admission must not lose its
@@ -543,7 +544,7 @@ class TestCancellation:
                 return outcomes, stats
 
         outcomes, stats = asyncio.run(main())
-        assert stats.service.max_group == len(instances)
+        assert stats["service"]["max_group"] == len(instances)
         sequential = QueryEngine(parallel=False)
         for position, (instance, outcome) in enumerate(zip(instances, outcomes)):
             if position == 2:
@@ -574,7 +575,7 @@ class TestCancellation:
 
         answer, stats = asyncio.run(main())
         assert answer == QueryEngine(parallel=False).execute(second, chain_db)
-        assert stats.service.failed == 0
+        assert stats["service"]["failed"] == 0
 
     def test_torn_down_group_is_closed_to_joiners(self, chain_db):
         """A queued group whose every waiter left is purged from the queue
@@ -607,9 +608,9 @@ class TestCancellation:
 
         answer, stats = asyncio.run(main())
         assert answer == QueryEngine(parallel=False).execute(second, chain_db)
-        assert stats.service.cancelled == 1
-        assert stats.service.groups == 2  # blocker + newcomer; the dead one never ran
-        assert stats.service.failed == 0
+        assert stats["service"]["cancelled"] == 1
+        assert stats["service"]["groups"] == 2  # blocker + newcomer; the dead one never ran
+        assert stats["service"]["failed"] == 0
 
 
 class TestEngineThreadSafety:
@@ -638,10 +639,10 @@ class TestEngineThreadSafety:
         for thread in threads:
             thread.join()
         assert not errors
-        stats = cache.stats
+        stats = cache.stats()
         assert len(cache) <= 16
-        assert stats.size <= stats.capacity
-        assert stats.hits + stats.misses == 8 * operations
+        assert stats["size"] <= stats["capacity"]
+        assert stats["hits"] + stats["misses"] == 8 * operations
 
     def test_shared_engine_from_raw_threads(self, chain_db):
         """Below the asyncio layer: the engine itself is thread-safe."""
@@ -673,5 +674,5 @@ class TestEngineThreadSafety:
             thread.join()
         assert mismatches == []
         stats = engine.stats()
-        assert stats.executions == len(starts)
+        assert stats["executions"] == len(starts)
         engine.close()

@@ -15,7 +15,8 @@ import pytest
 from repro import QueryEngine, QueryService
 from repro.errors import ParseError, RequestRejectedError, ServiceOverloadedError
 from repro.operations import operations_of
-from repro.service import ClientStats, FairQueue
+from repro.service import FairQueue
+from repro.telemetry import CLIENT_COUNTERS
 from repro.workloads import chain_database
 from repro.workloads.queries import path_query
 
@@ -148,8 +149,8 @@ class TestTypedRejections:
 
         result, stats = asyncio.run(main())
         assert result.cardinality > 0
-        assert stats.service.rejected == 1
-        assert stats.service.failed == 0
+        assert stats["service"]["rejected"] == 1
+        assert stats["service"]["failed"] == 0
 
     @pytest.mark.parametrize("method", ["execute", "decide", "explain"])
     def test_non_query_objects_rejected_as_bad_request(self, chain_db, method):
@@ -227,9 +228,10 @@ class TestPerClientBudget:
         assert polite_results == [
             sequential.execute(q, chain_db) for q in polite
         ]
-        assert stats.client("flood").rejected == len(rejected)
-        assert stats.client("polite").rejected == 0
-        assert stats.service.rejected == len(rejected)
+        clients = {client["client"]: client for client in stats["clients"]}
+        assert clients["flood"]["rejected"] == len(rejected)
+        assert clients["polite"]["rejected"] == 0
+        assert stats["service"]["rejected"] == len(rejected)
 
     def test_unbounded_by_default(self, chain_db):
         query = path_query(3, head_arity=1)
@@ -249,7 +251,7 @@ class TestPerClientBudget:
 
         results, stats = asyncio.run(main())
         assert len(results) == len(instances)
-        assert stats.service.rejected == 0
+        assert stats["service"]["rejected"] == 0
 
     def test_coalesced_requests_do_not_burn_budget(self, chain_db):
         query = path_query(4, head_arity=1)
@@ -269,8 +271,9 @@ class TestPerClientBudget:
         # 12 identical requests: 1 admitted, 11 coalesced — none rejected,
         # because coalesced waiters ride an execution they do not own.
         assert all(result == results[0] for result in results)
-        assert stats.service.rejected == 0
-        assert stats.client("hot").coalesced == 11
+        assert stats["service"]["rejected"] == 0
+        clients = {client["client"]: client for client in stats["clients"]}
+        assert clients["hot"]["coalesced"] == 11
 
 
 class TestPerClientStats:
@@ -289,18 +292,23 @@ class TestPerClientStats:
                 return await service.stats()
 
         stats = asyncio.run(main())
-        names = {client.client for client in stats.clients}
-        assert {"alpha", "beta"} <= names
-        alpha_stats = stats.client("alpha")
-        beta_stats = stats.client("beta")
-        assert isinstance(alpha_stats, ClientStats)
-        assert alpha_stats.submitted == len(alpha)
-        assert alpha_stats.completed == len(alpha)
-        assert beta_stats.requests == len(beta)
-        assert alpha_stats.p95_seconds >= alpha_stats.p50_seconds >= 0.0
-        assert alpha_stats.p95_seconds > 0.0
+        clients = {client["client"]: client for client in stats["clients"]}
+        assert {"alpha", "beta"} <= set(clients)
+        alpha_stats = clients["alpha"]
+        beta_stats = clients["beta"]
+        assert set(alpha_stats) == {
+            "client",
+            *CLIENT_COUNTERS,
+            "p50_seconds",
+            "p95_seconds",
+        }
+        assert alpha_stats["submitted"] == len(alpha)
+        assert alpha_stats["completed"] == len(alpha)
+        assert beta_stats["submitted"] + beta_stats["coalesced"] == len(beta)
+        assert alpha_stats["p95_seconds"] >= alpha_stats["p50_seconds"] >= 0.0
+        assert alpha_stats["p95_seconds"] > 0.0
         with pytest.raises(KeyError):
-            stats.client("nobody")
+            clients["nobody"]
 
     def test_anonymous_callers_share_one_lane(self, chain_db):
         query = path_query(3, head_arity=1)
@@ -312,5 +320,5 @@ class TestPerClientStats:
             return stats
 
         stats = asyncio.run(main())
-        assert [client.client for client in stats.clients] == [""]
-        assert stats.clients[0].submitted == 1
+        assert [client["client"] for client in stats["clients"]] == [""]
+        assert stats["clients"][0]["submitted"] == 1
