@@ -14,7 +14,16 @@ What this file measures of the async service front-end:
   knob anywhere;
 * **single-flight is exact** — N identical concurrent queries cost one
   plan and one execution (asserted in every mode; this is correctness,
-  not a timing).
+  not a timing);
+* **what the service adds to one request** — the same distinct
+  operations awaited one at a time, through ``engine.run`` and through
+  ``QueryService.run`` from text: ``service_overhead_us`` is the
+  difference per request.  Every text repeats, as on the wire, so after
+  a warm-up pass every lookup hits the parse memo; a second leg sends
+  texts that are all distinct, so every lookup misses and parses.  The
+  record runs on one CPU, as the e2e benchmark does: a request hops from
+  the event loop to a worker thread and back, and a hop across idle CPUs
+  costs a wake-up latency that swings with the machine, not the code.
 
 Results are checked against sequential ``QueryEngine(parallel=False)``
 execution for every scenario before anything is timed.
@@ -34,7 +43,10 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import contextlib
+import os
 import sys
+import time
 from typing import Any, Dict, List, Optional
 
 from repro import QueryEngine, QueryService
@@ -46,6 +58,8 @@ from repro.benchlib import (
     speedup,
     time_thunk,
 )
+from repro.operations import DECIDE, Operation
+from repro.query.parser import parse_query
 from repro.workloads import chain_database, path_query
 
 
@@ -154,6 +168,88 @@ def run_flood(repeats: int, requests: int) -> Dict[str, Any]:
     }
 
 
+@contextlib.contextmanager
+def one_cpu():
+    """Run the block on this thread's lowest CPU; threads it starts inherit
+    the mask.  A no-op where the platform cannot pin."""
+    if not hasattr(os, "sched_setaffinity"):
+        yield
+        return
+    previous = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(previous)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, previous)
+
+
+def run_per_request(repeats: int, distinct: int, rounds: int) -> Dict[str, Any]:
+    """Engine vs service per request, awaited one at a time on one CPU
+    (best of *repeats* for each leg)."""
+    database = chain_database(layers=5, width=48, p=0.25, seed=7)
+    starts = sorted({row[0] for row in database["E"].rows})[:distinct]
+    body = "E({}, x1), E(x1, x2), E(x2, x3), E(x3, x4)."
+
+    def texts(head: str):
+        return [f"{head}() :- " + body.format(start) for start in starts]
+
+    repeated = [Operation(DECIDE, text) for text in texts("ANS")] * rounds
+    parsed = [Operation(DECIDE, parse_query(op.query)) for op in repeated]
+    # The head name is cosmetic: these decide exactly what ``repeated``
+    # does, but no text occurs twice across all repeats.
+    fresh = [
+        [
+            Operation(DECIDE, text)
+            for index in range(rounds)
+            for text in texts(f"Q{repeat}x{index}")
+        ]
+        for repeat in range(repeats + 1)
+    ]
+
+    async def scenario():
+        async with QueryService() as service:
+            engine = service.engine
+            answers = [engine.run(op, database) for op in parsed]
+            assert [await service.run(op, database) for op in repeated] == answers
+            assert [await service.run(op, database) for op in fresh[0]] == answers
+            legs = ("engine", "service", "service_all_distinct")
+            best = dict.fromkeys(legs, float("inf"))
+            for repeat in range(1, repeats + 1):
+                start = time.perf_counter()
+                for op in parsed:
+                    engine.run(op, database)
+                middle = time.perf_counter()
+                for op in repeated:
+                    await service.run(op, database)
+                end = time.perf_counter()
+                for op in fresh[repeat]:
+                    await service.run(op, database)
+                last = time.perf_counter()
+                best["engine"] = min(best["engine"], middle - start)
+                best["service"] = min(best["service"], end - middle)
+                best["service_all_distinct"] = min(
+                    best["service_all_distinct"], last - end
+                )
+            return best
+
+    with one_cpu():
+        best = asyncio.run(scenario())
+    requests = len(repeated)
+    return {
+        "requests": requests,
+        "distinct_texts": len(starts),
+        "engine_seconds": best["engine"],
+        "service_seconds": best["service"],
+        "service_all_distinct_seconds": best["service_all_distinct"],
+        "service_overhead_us": round(
+            (best["service"] - best["engine"]) / requests * 1e6, 1
+        ),
+        "parse_miss_us": round(
+            (best["service_all_distinct"] - best["service"]) / requests * 1e6, 1
+        ),
+    }
+
+
 def run_single_flight_check(requests: int = 32) -> Dict[str, Any]:
     """N identical concurrent queries → 1 plan, 1 execution.  Asserted in
     every mode — this is the coalescing contract CI smokes."""
@@ -223,6 +319,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     concurrent = run_concurrent_clients(repeats, clients, per_client)
     flood = run_flood(repeats, flood_requests)
+    per_request = run_per_request(5, distinct=32, rounds=8)
 
     print_table(
         ("clients", "requests", "shared s"),
@@ -256,6 +353,28 @@ def main(argv: Optional[List[str]] = None) -> int:
         ],
         title="Same-shape flood: submitted concurrently vs awaited one at a time",
     )
+    print_table(
+        (
+            "requests",
+            "engine s",
+            "service s",
+            "all-distinct s",
+            "overhead us/req",
+            "parse miss us/req",
+        ),
+        [
+            (
+                per_request["requests"],
+                per_request["engine_seconds"],
+                per_request["service_seconds"],
+                per_request["service_all_distinct_seconds"],
+                per_request["service_overhead_us"],
+                per_request["parse_miss_us"],
+            )
+        ],
+        title="One request at a time: engine.run vs QueryService.run from text "
+        "(best of 5)",
+    )
 
     if not args.smoke:
         assert flood["batching_speedup"] >= 1.2, flood
@@ -269,6 +388,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         repeats=repeats,
         concurrent_clients=concurrent,
         flood=flood,
+        per_request=per_request,
         single_flight=single_flight,
     )
     emit_json_report(output, payload)

@@ -132,8 +132,14 @@ def variable_layout(query: ConjunctiveQuery) -> Tuple[Tuple[str, ...], ...]:
 
     Two same-shape queries that differ only in their *constants* (the
     decision instances of one parameterized query) have equal layouts; an
-    α-renamed twin does not, and must rebuild the named structures."""
-    return tuple(tuple(v.name for v in atom.variables()) for atom in query.atoms)
+    α-renamed twin does not, and must rebuild the named structures.
+    Computed once per query object and kept on it."""
+    layout = query._layout
+    if layout is None:
+        layout = query._layout = tuple(
+            tuple(v.name for v in atom.variables()) for atom in query.atoms
+        )
+    return layout
 
 
 def analyze(
@@ -245,8 +251,16 @@ def shape_signature(query: ConjunctiveQuery) -> Tuple:
     body atoms in order) and constants collapse to a positional marker, so
     the decision instances ``Q[t/head]`` of one parameterized query share a
     single signature for every candidate tuple t.  Relation names are kept:
-    they determine which cardinalities the cost model reads.
+    they determine which cardinalities the cost model reads.  Computed once
+    per query object and kept on it.
     """
+    signature = query._shape
+    if signature is None:
+        signature = query._shape = _shape_of(query)
+    return signature
+
+
+def _shape_of(query: ConjunctiveQuery) -> Tuple:
     numbering: Dict[Variable, int] = {}
 
     def term_key(term) -> Tuple:

@@ -14,7 +14,7 @@ construction time.
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Iterable, Mapping, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
 
 from ..errors import QueryError
 from .atoms import Atom, Comparison, Inequality
@@ -34,9 +34,24 @@ class ConjunctiveQuery:
         Optional ≠ and < / ≤ atoms.
     head_name:
         Name of the defined relation G (cosmetic; defaults to ``"ANS"``).
+
+    Immutability lets the values a request path derives from a query be
+    computed once per query object: its hash here, and the shape signature
+    and variable layout that :mod:`repro.engine.analysis` stores in
+    ``_shape`` / ``_layout``.  None of the three is pickled — string hashes
+    are salted per process — so an unpickled query derives them afresh.
     """
 
-    __slots__ = ("head_name", "head_terms", "atoms", "inequalities", "comparisons")
+    __slots__ = (
+        "head_name",
+        "head_terms",
+        "atoms",
+        "inequalities",
+        "comparisons",
+        "_hash",
+        "_shape",
+        "_layout",
+    )
 
     def __init__(
         self,
@@ -51,6 +66,9 @@ class ConjunctiveQuery:
         self.atoms: Tuple[Atom, ...] = tuple(atoms)
         self.inequalities: Tuple[Inequality, ...] = tuple(inequalities)
         self.comparisons: Tuple[Comparison, ...] = tuple(comparisons)
+        self._hash: Optional[int] = None
+        self._shape: Optional[Tuple] = None
+        self._layout: Optional[Tuple[Tuple[str, ...], ...]] = None
         self._validate()
 
     def _validate(self) -> None:
@@ -252,13 +270,30 @@ class ConjunctiveQuery:
         )
 
     def __hash__(self) -> int:
-        return hash(
+        value = self._hash
+        if value is None:
+            value = self._hash = hash(
+                (
+                    self.head_terms,
+                    self.atoms,
+                    frozenset(self.inequalities),
+                    frozenset(self.comparisons),
+                )
+            )
+        return value
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        # Rebuild from the defining parts only: the cached hash is valid in
+        # this process alone.
+        return (
+            type(self),
             (
                 self.head_terms,
                 self.atoms,
-                frozenset(self.inequalities),
-                frozenset(self.comparisons),
-            )
+                self.inequalities,
+                self.comparisons,
+                self.head_name,
+            ),
         )
 
     def __repr__(self) -> str:

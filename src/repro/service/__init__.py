@@ -5,7 +5,7 @@ callers multiplex onto one engine — one plan cache, one stats ledger, one
 set of warm kernel indexes — through an ``asyncio``
 facade with a bounded request queue, single-flight coalescing of identical
 in-flight queries, and batching of same-shape requests that queue up
-behind busy dispatchers into the engine's N-wide batch lifting.  See
+while every dispatch slot is busy into the engine's N-wide batch lifting.  See
 ``docs/service.md``.
 """
 

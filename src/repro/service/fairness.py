@@ -5,12 +5,13 @@ caller is an in-process coroutine of one application, wrong the moment
 the network front-end (:mod:`repro.protocol`) multiplexes *independent*
 clients onto the service: one client pipelining hundreds of requests
 fills the FIFO and every other client's next request queues behind the
-entire flood.  :class:`FairQueue` keeps the same interface surface the
-service uses (``put`` / ``get`` / ``task_done`` / ``join`` / ``qsize``)
-but partitions pending items into per-client *lanes* and drains them
-round-robin: each ``get`` serves the next lane in rotation, so a polite
-client's request waits for at most one group per active lane, not for
-the flood.
+entire flood.  :class:`FairQueue` keeps the ``asyncio.Queue`` surface the
+service uses (``put`` / ``put_nowait`` / ``get_nowait`` / ``task_done`` /
+``join`` / ``qsize``) but partitions pending items into per-client *lanes*
+and drains them round-robin: each get serves the next lane in rotation, so
+a polite client's request waits for at most one group per active lane, not
+for the flood.  Nothing awaits a get: the service's pump takes items only
+when it has a free slot, so only ``put`` waits (for room).
 
 The queue inherits the service's threading model: it is touched only from
 the event-loop thread, so there are no locks — waiters are plain
@@ -40,7 +41,7 @@ class FairQueue(Generic[T]):
     """A bounded multi-lane queue drained round-robin across lanes.
 
     ``put(item, client)`` appends to *client*'s lane (awaiting while the
-    queue is at ``maxsize`` — global backpressure); ``get()`` pops from
+    queue is at ``maxsize`` — global backpressure); ``get_nowait()`` pops from
     the lane at the head of the rotation and sends that lane to the back,
     so K active lanes are served 1/K each regardless of how unevenly they
     fill.  Within one lane, order stays FIFO.  ``task_done``/``join``
@@ -54,7 +55,6 @@ class FairQueue(Generic[T]):
         self._rotation: Deque[str] = deque()
         self._size = 0
         self._unfinished = 0
-        self._getters: Deque["asyncio.Future[None]"] = deque()
         self._putters: Deque["asyncio.Future[None]"] = deque()
         self._finished: Optional[asyncio.Event] = None
 
@@ -135,12 +135,12 @@ class FairQueue(Generic[T]):
         self._unfinished += 1
         if self._finished is not None:
             self._finished.clear()
-        self._wake_next(self._getters)
 
-    async def get(self) -> T:
-        """Pop from the lane at the head of the rotation (round-robin)."""
-        while self._size == 0:
-            await self._wait(self._getters)
+    def get_nowait(self) -> T:
+        """Pop from the lane at the head of the rotation (round-robin);
+        raises ``asyncio.QueueEmpty`` when empty."""
+        if self._size == 0:
+            raise asyncio.QueueEmpty
         client = self._rotation.popleft()
         lane = self._lanes[client]
         item = lane.popleft()
@@ -156,7 +156,7 @@ class FairQueue(Generic[T]):
         """Remove queued items matching *predicate*; return how many.
 
         The cancellation path: a group whose every waiter has left must
-        free its admission slot *now*, not when a dispatcher eventually
+        free its admission slot *now*, not when the pump eventually
         reaches it.  Purged items count as finished (no ``task_done``
         will ever come for them) and their slots wake blocked putters.
         """

@@ -23,8 +23,8 @@ indexes), but only for callers who share one engine.
   it awaits the in-flight result, which is safe to share because results
   are immutable relations;
 * **batching on backlog** — a request's group goes onto the queue the
-  moment it is created and stays *open* until a dispatcher takes it: a
-  request that finds a dispatcher idle runs at once, and same-shape
+  moment it is created and stays *open* until the pump starts it: a
+  request that finds a dispatch slot free runs at once, and same-shape
   requests of the same client that arrive while the group is still
   queued join it and run through the engine's N-wide batch lifting
   (``run_batch`` over generic operations) — a flood of single queries
@@ -38,15 +38,17 @@ indexes), but only for callers who share one engine.
   :class:`~repro.errors.ServiceOverloadedError` instead of wedging the
   queue;
 * **typed rejections** — facade methods accept query *text* as well as
-  :class:`~repro.query.conjunctive.ConjunctiveQuery` objects; malformed
-  text is mapped to :class:`~repro.errors.RequestRejectedError` (code
-  ``parse_error``, with the parser's position/line/column in
-  ``detail``) instead of leaking a raw parser traceback.
+  :class:`~repro.query.conjunctive.ConjunctiveQuery` objects, parsing
+  each distinct text once (a bounded memo); malformed text is mapped to
+  :class:`~repro.errors.RequestRejectedError` (code ``parse_error``, with
+  the parser's position/line/column in ``detail``) on every attempt
+  instead of leaking a raw parser traceback.
 
 Blocking engine calls run on the service's dispatch
 :class:`~repro.parallel.pool.WorkerPool` — the only threads evaluation
-ever runs on: the event loop never blocks on query evaluation, and the
-engine runs each request on the dispatch thread that took it.
+ever runs on: the event loop never blocks on query evaluation.  A pump on
+the loop thread submits queued groups while fewer than ``dispatchers`` run;
+each worker hands its results back with one ``call_soon_threadsafe``.
 
 A service instance is bound to the first event loop that uses it; all
 internal state (in-flight map, open groups, counters) is touched
@@ -60,6 +62,8 @@ from __future__ import annotations
 
 import asyncio
 from collections import OrderedDict
+from concurrent.futures import Future
+from functools import lru_cache, partial
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..engine.analysis import plan_cache_key
@@ -96,6 +100,9 @@ DEFAULT_BATCH_LIMIT = 64
 #: Most client tags the per-client stats rollup tracks (LRU eviction).
 MAX_TRACKED_CLIENTS = 64
 
+#: Most distinct query texts whose parse the service keeps (LRU eviction).
+PARSE_MEMO_SIZE = 1024
+
 #: One client's rollup: its counters and its recent request latencies.
 _ClientRecord = Tuple[Dict[str, Any], LatencyReservoir]
 
@@ -130,9 +137,9 @@ class _Group:
         database: Database,
         queries: List[ConjunctiveQuery],
         futures: List["asyncio.Future[Any]"],
-        client: str = ANONYMOUS,
-        token: Optional[CancelToken] = None,
-        options: Tuple[Tuple[str, Any], ...] = (),
+        client: str,
+        token: CancelToken,
+        options: Tuple[Tuple[str, Any], ...],
         shape: Optional[Tuple] = None,
     ) -> None:
         self.kind = kind
@@ -147,9 +154,8 @@ class _Group:
         #: take joiners (explicit batches, ``explain``).
         self.shape = shape
         self.client = client
-        #: Cancellation/deadline token the dispatcher activates around the
-        #: engine call.  ``None`` for plain requests; created lazily when a
-        #: fully abandoned group needs tearing down.
+        #: Cancellation/deadline token the worker activates around the
+        #: engine call; teardown cancels it.
         self.token = token
         #: Member futures whose every waiter has left.  The group's
         #: execution is cancelled only once this reaches ``len(futures)``
@@ -194,9 +200,8 @@ class QueryService(OperationFacade):
         A queued group takes no more joiners once it holds this many
         requests; the next same-shape request starts a new group.
     dispatchers:
-        Number of dispatcher coroutines pulling from the queue (defaults
-        to the worker pool's budget) — the cap on concurrently executing
-        engine calls.
+        Most groups running at once (defaults to the worker pool's
+        budget) — the cap on concurrently executing engine calls.
     max_pending_per_client:
         Admitted-but-unfinished budget per client tag.  ``None`` (the
         default) keeps PR 4's awaiting backpressure for everyone; a bound
@@ -242,6 +247,8 @@ class QueryService(OperationFacade):
         self._batch_limit = batch_limit
         self._dispatcher_count = dispatchers or self._pool.max_workers
         self._max_pending_per_client = max_pending_per_client
+        #: Query text → parsed query; a ``ParseError`` is never cached.
+        self._parse = lru_cache(maxsize=PARSE_MEMO_SIZE)(parse_query)
         self._counters = counters(SERVICE_COUNTERS)
         #: client tag → rollup (bounded LRU — connections churn, stats
         #: must not grow without limit).
@@ -250,7 +257,10 @@ class QueryService(OperationFacade):
         self._client_pending: Dict[str, int] = {}
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._queue: Optional["FairQueue[_Group]"] = None
-        self._dispatchers: List["asyncio.Task[None]"] = []
+        #: Groups submitted to the pool and not yet settled.
+        self._running = 0
+        self._pump_scheduled = False
+        #: Put tasks of groups waiting for room in a full queue.
         self._background: Set["asyncio.Task[None]"] = set()
         #: key → flight.  The flight's database reference is load-
         #: bearing: keys embed ``id(database)``, and holding the object
@@ -258,7 +268,7 @@ class QueryService(OperationFacade):
         #: by a different database while a lookup could still hit it.
         self._inflight: Dict[Tuple, _Flight] = {}
         #: shape → the group still open to same-shape joiners: created,
-        #: not yet full, not yet taken by a dispatcher, not torn down.
+        #: not yet full, not yet started by the pump, not torn down.
         self._collecting: Dict[Tuple, _Group] = {}
         self._closed = False
 
@@ -385,7 +395,7 @@ class QueryService(OperationFacade):
             return query
         if isinstance(query, str):
             try:
-                return parse_query(query)
+                return self._parse(query)
             except ParseError as error:
                 self._reject(client)
                 raise RequestRejectedError(
@@ -457,18 +467,32 @@ class QueryService(OperationFacade):
                 budget=bound,
             )
 
-    def _track_pending(self, future: "asyncio.Future[Any]", client: str) -> None:
-        """Count *future* against *client*'s budget until it resolves."""
+    def _track(
+        self, future: "asyncio.Future[Any]", client: str, key: Optional[Tuple] = None
+    ) -> None:
+        """Count *future* against *client*'s budget until it resolves, and
+        then retire its single-flight entry under *key*.
+
+        The entry lives until the *execution* completes (not until the
+        originating caller returns): a cancelled originator must not stop
+        later identical requests from coalescing onto the still-running
+        execution.  Entries are removed by future identity, so a dead
+        flight's settle cannot clobber a fresh one's registration.
+        """
         self._client_pending[client] = self._client_pending.get(client, 0) + 1
 
-        def _release(done: "asyncio.Future[Any]", client: str = client) -> None:
+        def _release(done: "asyncio.Future[Any]") -> None:
             remaining = self._client_pending.get(client, 0) - 1
             if remaining > 0:
                 self._client_pending[client] = remaining
             else:
                 self._client_pending.pop(client, None)
-            # Mark the error retrieved: a batch torn down at its deadline
-            # has no waiter left to read it, and its waiter counted itself.
+            if key is not None:
+                entry = self._inflight.get(key)
+                if entry is not None and entry.future is done:
+                    del self._inflight[key]
+            # Mark the error retrieved: a batch torn down at its deadline,
+            # or a flight whose every caller left, has no waiter to read it.
             if not done.cancelled():
                 done.exception()
 
@@ -573,10 +597,7 @@ class QueryService(OperationFacade):
         in the admission queue, removes it outright: the FairQueue slot
         frees immediately and the dead futures settle with a typed error.
         """
-        token = group.token
-        if token is None:
-            token = group.token = CancelToken()
-        token.cancel(reason)
+        group.token.cancel(reason)
         # A purged group that stayed open would strand every later joiner.
         self._close(group)
         if self._queue is not None and self._queue.purge(
@@ -605,16 +626,14 @@ class QueryService(OperationFacade):
         key = (kind, options, id(database), query)
         existing = self._inflight.get(key)
         if existing is not None and existing.group is not None:
-            token = existing.group.token
-            if token is not None and token.cancelled:
+            if existing.group.token.cancelled:
                 # The flight's teardown already fired (every waiter left,
                 # its token is cancelled) but the dying execution hasn't
                 # settled yet.  Rejoining cannot resurrect a cancelled
                 # token — the newcomer would inherit a cancellation it
                 # never asked for — so treat the entry as gone and start
-                # a fresh flight.  ``_retire`` removes entries by future
-                # identity, so the dead flight's settle cannot clobber
-                # the fresh one's registration.
+                # a fresh flight (``_track`` retires entries by future
+                # identity).
                 existing = None
         if existing is not None:
             # Single-flight: identical request already in flight — await
@@ -630,25 +649,14 @@ class QueryService(OperationFacade):
         future: "asyncio.Future[Any]" = self._loop.create_future()
         flight = _Flight(future, database)
         self._inflight[key] = flight
-        self._track_pending(future, client)
-
-        def _retire(done: "asyncio.Future[Any]", key: Tuple = key) -> None:
-            # The entry lives until the *execution* completes (not until
-            # the originating caller returns): a cancelled originator must
-            # not stop later identical requests from coalescing onto the
-            # still-running execution.  Reading the exception here also
-            # marks it retrieved for the orphan case where every caller
-            # was cancelled before the result arrived.
-            entry = self._inflight.get(key)
-            if entry is not None and entry.future is done:
-                del self._inflight[key]
-            if not done.cancelled():
-                done.exception()
-
-        future.add_done_callback(_retire)
+        self._track(future, client, key)
         self._count(client, "submitted")
         try:
-            await self._route(kind, query, database, future, client, flight, options)
+            waiting = self._route(
+                kind, query, database, future, client, flight, options
+            )
+            if waiting is not None:
+                await waiting
         except asyncio.CancelledError:
             # Caller cancelled during admission: the enqueue (if reached)
             # continues service-owned and the future resolves later for
@@ -683,7 +691,7 @@ class QueryService(OperationFacade):
         self._check_capacity(client, count=len(coerced))
         futures = [self._loop.create_future() for _ in coerced]
         for future in futures:
-            self._track_pending(future, client)
+            self._track(future, client)
         self._count(client, "submitted", len(coerced))
         group = _Group(
             kind,
@@ -696,7 +704,9 @@ class QueryService(OperationFacade):
         )
         outcome = "failed"
         try:
-            await self._put(group)
+            waiting = self._put(group)
+            if waiting is not None:
+                await waiting
             if deadline is None:
                 results = list(await asyncio.gather(*futures))
             else:
@@ -729,7 +739,7 @@ class QueryService(OperationFacade):
             self._settle(client, outcome, started, len(futures))
         return results
 
-    async def _route(
+    def _route(
         self,
         kind: str,
         query: ConjunctiveQuery,
@@ -738,11 +748,11 @@ class QueryService(OperationFacade):
         client: str,
         flight: _Flight,
         options: Tuple[Tuple[str, Any], ...],
-    ) -> None:
-        # Every group carries a (deadline-free) token from birth so that
-        # the dispatch closure and the teardown path always see the SAME
-        # token: a lazily-created one could be cancelled after dispatch
-        # already captured ``None``, silently losing the cancellation.
+    ) -> "Optional[asyncio.Future[None]]":
+        """Join an open group or enqueue a new one; what :meth:`_put`
+        returns for a new group, else ``None``."""
+        # Every group carries a (deadline-free) token from birth: the
+        # worker activates it and teardown cancels it.
         # Deadlines stay waiter-side (``_await_result``'s bounded wait) —
         # a deadline'd request batches and coalesces like any other, and
         # its engine work stops via last-waiter abandonment, so deadlines
@@ -770,99 +780,116 @@ class QueryService(OperationFacade):
                 self._count(client, "batched")
                 if len(group.queries) >= self._batch_limit:
                     self._close(group)
-                return
+                return None
         group = _Group(
             kind, database, [query], [future], client, CancelToken(), options, shape
         )
         flight.group = group
         if shape is not None and self._batch_limit > 1:
             self._collecting[shape] = group
-        await self._put(group)
+        return self._put(group)
 
     def _close(self, group: _Group) -> None:
         """*group* takes no more joiners: full, dequeued, or torn down."""
         if self._collecting.get(group.shape) is group:
             del self._collecting[group.shape]
 
-    async def _put(self, group: _Group) -> None:
-        """Enqueue *group*, surviving the caller's cancellation.
+    def _put(self, group: _Group) -> "Optional[asyncio.Future[None]]":
+        """Enqueue *group*; what to await while the queue is full.
 
-        The actual ``queue.put`` runs as a service-owned task: the caller
-        awaits it (that is the backpressure), but cancelling the caller —
-        a client timeout firing while the queue is full — must not lose a
-        group other requests were batched into, so the put itself keeps
-        running and completes in the background.
+        With room the group goes in at once.  A full queue puts from a
+        service-owned task: the caller awaits it (that is the
+        backpressure), but cancelling the caller — a client timeout firing
+        while the queue is full — must not lose a group other requests
+        were batched into, so the put keeps running in the background.
         """
         assert self._queue is not None and self._loop is not None
-        put_task = self._loop.create_task(self._enqueue_task(group))
+        if not self._queue.full():
+            self._queue.put_nowait(group, group.client)
+            self._enqueued()
+            return None
+        put_task = self._loop.create_task(self._queue.put(group, group.client))
         self._background.add(put_task)
         put_task.add_done_callback(self._background.discard)
-        await asyncio.shield(put_task)
+        put_task.add_done_callback(self._enqueued)
+        return asyncio.shield(put_task)
 
-    async def _enqueue_task(self, group: _Group) -> None:
-        assert self._queue is not None
-        await self._queue.put(group, group.client)
+    def _enqueued(self, _put_task: Any = None) -> None:
+        """Record the queue depth and pump on the next loop iteration, so
+        requests arriving in this one still join the group just queued."""
+        assert self._queue is not None and self._loop is not None
         depth = self._queue.qsize()
         if depth > self._counters["max_queue_depth"]:
             self._counters["max_queue_depth"] = depth
+        if not self._pump_scheduled:
+            self._pump_scheduled = True
+            self._loop.call_soon(self._pump)
 
     # ------------------------------------------------------------------
-    # Dispatch: queue → worker pool → engine
+    # Dispatch: a loop-thread pump submits groups to the worker pool
     # ------------------------------------------------------------------
 
-    async def _dispatch_loop(self) -> None:
+    def _pump(self) -> None:
+        """Start queued groups while fewer than ``dispatchers`` run."""
         assert self._queue is not None
-        while True:
-            group = await self._queue.get()
+        self._pump_scheduled = False
+        while self._running < self._dispatcher_count and not self._queue.empty():
+            group = self._queue.get_nowait()
+            # Dequeued: whatever joined while the group waited for a slot
+            # is the batch; later arrivals start the next one.
+            self._close(group)
+            self._running += 1
+            self._counters["groups"] += 1
+            if len(group.queries) > self._counters["max_group"]:
+                self._counters["max_group"] = len(group.queries)
             try:
-                await self._run_group(group)
-            finally:
-                self._queue.task_done()
+                work = self._pool.submit(self._run_group, group)
+            except BaseException as exc:  # noqa: BLE001 — delivered to callers
+                # E.g. a closed pool: the group fails and its slot frees.
+                work = Future()
+                work.set_exception(exc)
+            work.add_done_callback(partial(self._hand_back, group))
 
-    async def _run_group(self, group: _Group) -> None:
-        # Dequeued: whatever joined while the group waited behind busy
-        # dispatchers is the batch; later arrivals start the next one.
-        self._close(group)
-        self._counters["groups"] += 1
-        if len(group.queries) > self._counters["max_group"]:
-            self._counters["max_group"] = len(group.queries)
-        engine = self._engine
-        kind, queries, database = group.kind, group.queries, group.database
-        options = group.options
-        token = group.token
+    def _run_group(self, group: _Group) -> List[Any]:
+        """Run *group* through the engine (on a worker thread)."""
+        # Pre-check before any engine work: a request abandoned or expired
+        # while queued costs nothing past this line.
+        group.token.check()
+        # One generic dispatch for every kind: the engine's own operation
+        # table decides what runs, so a new operation kind needs no change
+        # here.
+        kind, options, database = group.kind, group.options, group.database
+        members = [Operation(kind, query, options) for query in group.queries]
+        with activate(group.token):
+            if len(members) == 1:
+                return [self._engine.run(members[0], database)]
+            return self._engine.run_batch(members, database)
 
-        def run() -> List[Any]:
-            if token is not None:
-                # Pre-check before any engine work: a request abandoned
-                # or expired while queued costs nothing past this line.
-                token.check()
-            # One generic dispatch for every kind: the engine's own
-            # operation table decides what runs, so a new operation kind
-            # needs no change here.
-            members = [Operation(kind, query, options) for query in queries]
-            with activate(token):
-                if len(members) == 1:
-                    return [engine.run(members[0], database)]
-                return engine.run_batch(members, database)
+    def _hand_back(self, group: _Group, work: "Future[List[Any]]") -> None:
+        """*work*'s done-callback, on the worker thread: one hop to the
+        loop, which owns every future and counter :meth:`_finish` touches."""
+        assert self._loop is not None
+        if not self._loop.is_closed():
+            self._loop.call_soon_threadsafe(self._finish, group, work)
 
+    def _finish(self, group: _Group, work: "Future[List[Any]]") -> None:
+        """Settle *group*'s futures, free its slot and pump again."""
+        assert self._queue is not None
+        self._running -= 1
+        self._queue.task_done()
         try:
-            results = await asyncio.wrap_future(self._pool.submit(run))
-        except asyncio.CancelledError:
-            for future in group.futures:
-                if not future.done():
-                    future.cancel()
-            raise
+            results = work.result()
         except BaseException as exc:  # noqa: BLE001 — delivered to callers
-            # A failure, or a cooperative teardown's typed cancel/deadline
-            # error: every waiter still attached receives it and counts
-            # its own outcome.
+            # A failure, or a teardown's typed cancel/deadline error: every
+            # waiter still attached receives it and counts its own outcome.
             for future in group.futures:
                 if not future.done():
                     future.set_exception(exc)
-            return
-        for future, result in zip(group.futures, results):
-            if not future.done():
-                future.set_result(result)
+        else:
+            for future, result in zip(group.futures, results):
+                if not future.done():
+                    future.set_result(result)
+        self._pump()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -878,10 +905,6 @@ class QueryService(OperationFacade):
         if self._loop is None:
             self._loop = loop
             self._queue = FairQueue(maxsize=self._max_pending)
-            self._dispatchers = [
-                loop.create_task(self._dispatch_loop())
-                for _ in range(self._dispatcher_count)
-            ]
         elif self._loop is not loop:
             raise RuntimeError(
                 "QueryService is bound to the event loop that first used "
@@ -889,21 +912,16 @@ class QueryService(OperationFacade):
             )
 
     async def aclose(self) -> None:
-        """Drain the queue, stop dispatchers, release owned resources.
-        Idempotent."""
+        """Drain the queue, then release owned resources.  Idempotent."""
         if self._closed:
             return
         self._closed = True
         if self._loop is not None:
-            # Every admitted group owns a put task; once those land, the
-            # queue holds all outstanding work and ``join`` sees it through.
+            # Once the puts still waiting for room land, the queue holds
+            # all outstanding work and ``join`` sees it through.
             await asyncio.gather(*self._background, return_exceptions=True)
             assert self._queue is not None
             await self._queue.join()
-            for task in self._dispatchers:
-                task.cancel()
-            await asyncio.gather(*self._dispatchers, return_exceptions=True)
-            self._dispatchers = []
         self._pool.close()
         if self._owns_engine:
             self._engine.close()

@@ -147,7 +147,15 @@ class TestKillMidFlood:
                             # set-equal: same attributes, same rows.
                             assert got.attributes == want.attributes
                             assert got.rows == want.rows
-                # The fleet healed: the victim's slot respawned.
+                # The fleet healed: the victim's slot respawned.  The dead
+                # worker stays listed until a probe notices, so the ready
+                # count alone can pass before the restart is recorded.
+                deadline = time.monotonic() + SPAWN_TIMEOUT
+                while (
+                    time.monotonic() < deadline
+                    and supervisor.stats()["workers"][0]["restarts"] < 1
+                ):
+                    time.sleep(0.05)
                 assert wait_for_ready(supervisor, 2)
                 assert supervisor.stats()["workers"][0]["restarts"] >= 1
 

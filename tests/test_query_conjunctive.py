@@ -1,7 +1,13 @@
 """Tests for ConjunctiveQuery: safety, parameters, substitution, structure."""
 
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.errors import QueryError
 from repro.query import Atom, C, ConjunctiveQuery, Inequality, V, parse_query
 from repro.query.atoms import Comparison
@@ -131,3 +137,45 @@ class TestStructure:
     def test_repr_is_rule_notation(self):
         text = repr(simple_query())
         assert ":-" in text and "E(x, y)" in text
+
+
+class TestDerivedValues:
+    """The hash, shape signature and variable layout are computed once per
+    query object; none of them crosses ``pickle``."""
+
+    TEXT = "Q(x) :- E(x, 'a'), F(x, y), x != y."
+
+    def test_derived_values_are_computed_once(self):
+        from repro.engine.analysis import shape_signature, variable_layout
+
+        q = parse_query(self.TEXT)
+        assert hash(q) == hash(q) == hash(parse_query(self.TEXT))
+        assert shape_signature(q) is shape_signature(q)
+        assert variable_layout(q) is variable_layout(q)
+
+    def test_pickled_query_is_found_under_another_hash_seed(self):
+        """String hashes are salted per process: a query pickled with its
+        hash cached must re-derive it where it is loaded."""
+        q = parse_query(self.TEXT)
+        hash(q)
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        script = (
+            "import pickle, sys\n"
+            "from repro.query import parse_query\n"
+            "loaded = pickle.loads(sys.stdin.buffer.read())\n"
+            f"assert {{parse_query({self.TEXT!r}): 'found'}}[loaded] == 'found'\n"
+            "assert loaded.head_name == 'Q'\n"
+        )
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            input=pickle.dumps(q),
+            env=env,
+            capture_output=True,
+            timeout=60,
+        )
+        assert completed.returncode == 0, completed.stderr.decode()

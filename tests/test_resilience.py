@@ -239,7 +239,7 @@ class TestFairQueuePurge:
             removed = queue.purge(lambda item: item != 3)
             assert removed == 2
             assert queue.qsize() == 1
-            assert (await queue.get()) == 3
+            assert queue.get_nowait() == 3
             queue.task_done()
             await queue.join()  # purged items count as finished
 

@@ -14,14 +14,16 @@ error propagation to every coalesced caller.
 import asyncio
 import contextlib
 import random
+import sys
 import threading
 
 import pytest
 
 from repro import QueryEngine, QueryService, parse_query
 from repro.engine import PlanCache
-from repro.errors import SchemaError
-from repro.operations import DECIDE, EXECUTE, EXPLAIN, operations_of
+from repro.errors import RequestRejectedError, SchemaError
+from repro.operations import DECIDE, EXECUTE, EXPLAIN, Operation, operations_of
+from repro.service.service import PARSE_MEMO_SIZE
 from repro.workloads import chain_database, path_query, star_database, star_query
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
@@ -611,6 +613,161 @@ class TestCancellation:
         assert stats["service"]["cancelled"] == 1
         assert stats["service"]["groups"] == 2  # blocker + newcomer; the dead one never ran
         assert stats["service"]["failed"] == 0
+
+
+class SlotEngine(QueryEngine):
+    """An engine whose every ``run`` holds its dispatch slot until the test
+    releases one — the way to watch how many groups run at once."""
+
+    def __init__(self):
+        super().__init__()
+        self.lock = threading.Lock()
+        self.running = self.peak = 0
+        self.entered = threading.Semaphore(0)
+        self.release = threading.Semaphore(0)
+
+    def run(self, operation, database):
+        with self.lock:
+            self.running += 1
+            self.peak = max(self.peak, self.running)
+        self.entered.release()
+        try:
+            assert self.release.acquire(timeout=30)
+            return super().run(operation, database)
+        finally:
+            with self.lock:
+                self.running -= 1
+
+
+class TestParseOnceDispatchOnce:
+    """Text is parsed once per distinct string, and the pump starts at most
+    ``dispatchers`` groups at once."""
+
+    def test_same_text_is_one_query_object_and_the_memo_is_bounded(
+        self, chain_db
+    ):
+        seen = []
+
+        class Recording(QueryEngine):
+            def run(self, operation, database):
+                seen.append(operation.query)
+                return super().run(operation, database)
+
+        text = "ANS(x) :- E(x, y), E(y, z)."
+
+        async def main():
+            async with QueryService(Recording()) as service:
+                for _ in range(3):
+                    await service.run(Operation(EXECUTE, text), chain_db)
+                for value in range(2000):
+                    await service.decide(f"ANS() :- E({value}, y).", chain_db)
+                return service._parse.cache_info()
+
+        info = asyncio.run(main())
+        assert seen[0] is seen[1] is seen[2]
+        assert seen[0] == parse_query(text)
+        assert info.currsize == PARSE_MEMO_SIZE == info.maxsize
+
+    def test_bad_text_is_rejected_with_coordinates_on_every_repeat(self, chain_db):
+        bad = "ANS(x) :- E(x, y), ."
+
+        async def main():
+            async with QueryService() as service:
+                errors = []
+                for _ in range(3):
+                    with pytest.raises(RequestRejectedError) as excinfo:
+                        await service.execute(bad, chain_db)
+                    errors.append(excinfo.value)
+                return errors, (await service.stats())["service"]
+
+        errors, counters = asyncio.run(main())
+        assert [error.code for error in errors] == ["parse_error"] * 3
+        assert all(error.detail == errors[0].detail for error in errors)
+        assert errors[0].detail["line"] == 1 and errors[0].detail["column"] > 1
+        assert counters["rejected"] == 3
+
+    def test_at_most_dispatchers_groups_run_and_a_freed_slot_starts_the_next(
+        self, chain_db
+    ):
+        query = path_query(3, head_arity=1)
+        starts = sorted({row[0] for row in chain_db["E"].rows})[:3]
+        # ``explain`` never batches: three distinct requests, three groups.
+        instances = [query.decision_instance((value,)) for value in starts]
+
+        async def main():
+            engine = SlotEngine()
+            async with QueryService(engine, dispatchers=2) as service:
+                tasks = [
+                    asyncio.ensure_future(service.explain(q, chain_db))
+                    for q in instances
+                ]
+                for _ in range(2):
+                    assert await asyncio.to_thread(engine.entered.acquire, True, 30)
+                # The third group waits for a slot while two run.
+                assert not await asyncio.to_thread(
+                    engine.entered.acquire, True, 0.2
+                )
+                assert engine.running == 2
+                # ...and still in the queue, not parked in the worker pool.
+                assert (await service.stats())["service"]["groups"] == 2
+                assert service._queue.qsize() == 1
+                engine.release.release()
+                assert await asyncio.to_thread(engine.entered.acquire, True, 30)
+                engine.release.release()
+                engine.release.release()
+                results = await asyncio.gather(*tasks)
+                stats = (await service.stats())["service"]
+            engine.close()
+            return results, stats, engine.peak
+
+        results, stats, peak = asyncio.run(main())
+        assert len(results) == 3 and peak == 2
+        assert stats["groups"] == 3 and stats["completed"] == 3
+
+    def test_the_service_keeps_no_answer_once_its_caller_has_it(self, chain_db):
+        """A dispatcher that held its last group kept that answer alive
+        until it took the next one — on large answers, memory and a free
+        inside the next request's wait."""
+
+        async def main():
+            async with QueryService() as service:
+                answers = []
+                for hops in (2, 3, 4):
+                    query = path_query(hops, head_arity=2)
+                    answers.append(await service.execute(query, chain_db))
+                    await asyncio.sleep(0.01)
+                answers.append(object())  # a control nothing else refers to
+                return [sys.getrefcount(item) for item in answers]
+
+        *counts, control = asyncio.run(main())
+        assert counts == [control] * 3
+
+    def test_a_failed_submit_settles_the_group_and_frees_its_slot(self, chain_db):
+        query = path_query(3, head_arity=1)
+        first, second = (
+            query.decision_instance((value,))
+            for value in sorted({row[0] for row in chain_db["E"].rows})[:2]
+        )
+
+        async def main():
+            async with QueryService(dispatchers=1) as service:
+                pool = service._pool
+                submit = pool.submit
+
+                def closed(*args):
+                    raise RuntimeError("cannot schedule new futures after shutdown")
+
+                pool.submit = closed
+                with pytest.raises(RuntimeError, match="after shutdown"):
+                    await asyncio.wait_for(service.execute(first, chain_db), 10)
+                pool.submit = submit
+                # The only slot came back: the next group runs.
+                answer = await asyncio.wait_for(service.execute(second, chain_db), 10)
+                return answer, (await service.stats())["service"]
+
+        answer, counters = asyncio.run(main())
+        assert answer == QueryEngine(parallel=False).execute(second, chain_db)
+        assert counters["failed"] == 1 and counters["completed"] == 1
 
 
 class TestEngineThreadSafety:

@@ -36,7 +36,7 @@ class TestFairQueue:
                 await queue.put(("flood", item), "flood")
             for item in range(2):
                 await queue.put(("polite", item), "polite")
-            order = [await queue.get() for _ in range(12)]
+            order = [queue.get_nowait() for _ in range(12)]
             return order
 
         order = asyncio.run(main())
@@ -54,7 +54,7 @@ class TestFairQueue:
             for lane in ("a", "b", "c"):
                 for item in range(3):
                     await queue.put((lane, item), lane)
-            return [await queue.get() for _ in range(9)]
+            return [queue.get_nowait() for _ in range(9)]
 
         order = asyncio.run(main())
         assert [lane for lane, _ in order] == list("abc" * 3)
@@ -68,12 +68,12 @@ class TestFairQueue:
             blocked = asyncio.ensure_future(queue.put(3, "a"))
             await asyncio.sleep(0)
             assert not blocked.done()
-            assert await queue.get() == 1
+            assert queue.get_nowait() == 1
             await blocked  # the freed slot admits the waiter
             assert queue.qsize() == 2
             assert queue.pending_for("a") == 1
             assert queue.pending_for("b") == 1
-            got = [await queue.get(), await queue.get()]
+            got = [queue.get_nowait(), queue.get_nowait()]
             assert sorted(got) == [2, 3]
             for _ in range(3):
                 queue.task_done()
@@ -99,7 +99,7 @@ class TestFairQueue:
             await asyncio.sleep(0)
             first.cancel()
             await asyncio.gather(first, return_exceptions=True)
-            await queue.get()
+            queue.get_nowait()
             await asyncio.wait_for(second, timeout=1)  # slot passed along
             assert queue.qsize() == 1
 
