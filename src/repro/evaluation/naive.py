@@ -8,11 +8,21 @@ parametrically-intractable behaviour the paper analyzes.  It supports the
 full conjunctive fragment with inequalities and comparisons, so it doubles
 as the ground-truth oracle for the Theorem 2 and Theorem 3 machinery.
 
-The search is *generated*, not interpreted.  For one (query shape, atom
-order, emitted terms) :func:`_generate` writes the source of one generator
-function: a ``for r<d> in ...`` loop per atom in join order — over the
-atom's rows (or its constant-key bucket) when nothing bound reaches it,
-over ``idx<d>(key, ())`` otherwise, the key spelled from the variables and
+The search is *generated*, not interpreted, and generated once per shape.
+A request is first spelled (:func:`_spell`) positionally and without its
+constants: per atom its relation name and terms, a variable as the number
+of its first occurrence and a constant as ``None``; per ≠ / < / ≤, in the
+query's own order, its operator and sides; the emitted terms.  The
+constants' values go into a list beside the spelling, each at its *slot*.
+A bounded memo (:func:`_prepared`) maps (spelling, atom order or ``None``
+for the built-in one) to the compiled generator function and a *binding
+recipe*; on a hit a request pays only its spelling, one arity check per
+atom and a few index lookups (:func:`_bind`).
+
+On a miss :func:`_generate` writes the source of one generator function: a
+``for r<d> in ...`` loop per atom in join order — over the atom's rows (or
+its constant-key bucket) when nothing bound reaches it, over
+``idx<d>(key, ())`` otherwise, the key spelled from the variables and
 constants in its indexed positions — and inside each loop the step
 counter, the atom's repeated-variable equalities, the bindings ``v<i> =
 r<d>[p]`` of the variables somebody reads later, and every ≠ / < / ≤ as an
@@ -24,11 +34,21 @@ the deciders — so nothing is built per assignment that the caller did not
 ask for.  CPython nests at most 20 loops in one function; a query with more
 atoms continues in a nested generator function per further 20.
 
-The text names only ``v<i>`` / ``r<d>`` / ``k<i>`` / ``idx<d>`` /
+Past the depth that binds the last emitted variable — the *existential
+tail* — no row changes what is yielded, so every loop there stops at its
+first extension: the innermost yields and breaks, and each enclosing tail
+loop ends in ``else: continue`` / ``break``, back to that depth.  A nested
+function inside the tail returns whether it found one, so the tail carries
+across the 20-loop boundary.  The deciders emit ``()`` and stop at the
+first yield anyway, and ``satisfying_assignments`` emits every variable, so
+only ``evaluate`` visits fewer rows.
+
+The text names only ``v<i>`` / ``r<d>`` / ``k<slot>`` / ``idx<d>`` /
 ``rows<d>`` slots: constants, relation names and data never reach it —
-they are the function's *arguments* — so one text serves every request of
-a shape and :func:`_compiled` keeps one function per text in a bounded
-memo.
+they are the function's *arguments*, made per request from the recipe's
+relation names, index positions and constant slots.  So the memo holds no
+relation, index, row or constant, and no spelling's order can bind a
+constant to another constraint's slot.
 
 One *step* is one row visited, at any depth.  Every ``_POLL_STRIDE`` steps
 the ambient cancel token is polled, and a budgeted search raises
@@ -42,11 +62,11 @@ from __future__ import annotations
 
 import sys
 from functools import lru_cache
+from itertools import count
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import InvalidOperationError, QueryError
 from ..operations import DECIDE, EXECUTE, Operation
-from ..query.atoms import Inequality
 from ..query.conjunctive import ConjunctiveQuery
 from ..query.terms import Constant, Term
 from ..relational.database import Database
@@ -195,54 +215,16 @@ class NaiveEvaluator:
         atom_order: Optional[Sequence[int]] = None,
         max_steps: Optional[int] = None,
     ) -> Iterator[Tuple]:
-        """The *emit* tuple of every satisfying valuation, depth first
-        (callers that want one stop iterating).  With *max_steps*, raises
-        :class:`_BudgetSpent` on the first row visited past that many."""
-        if atom_order is None:
-            order = self._atom_order(query)
-        else:
-            order = list(atom_order)
-            if sorted(order) != list(range(len(query.atoms))):
-                raise QueryError(
-                    f"atom_order {order!r} is not a permutation of "
-                    f"0..{len(query.atoms) - 1}"
-                )
-        source, arguments = _generate(query, database, order, emit)
+        """The *emit* tuple of satisfying valuations, depth first — every
+        distinct one at least once; callers that want one stop iterating.
+        With *max_steps*, raises :class:`_BudgetSpent` on the first row
+        visited past that many."""
+        shape, constants = _spell(query, emit)
+        order = None if atom_order is None else tuple(atom_order)
+        search, recipe = _prepared(shape, order)
+        arguments = _bind(recipe, query, database, constants)
         stop_after = sys.maxsize if max_steps is None else max_steps
-        return _compiled(source)(stop_after, *arguments)
-
-    @staticmethod
-    def _atom_order(query: ConjunctiveQuery) -> List[int]:
-        """Greedy connectivity order: prefer atoms sharing bound variables.
-
-        Starting from the atom with the most constants, repeatedly pick the
-        unprocessed atom with the largest overlap with already-bound
-        variables (ties: fewer new variables).  Keeps the backtracking tree
-        narrow on chain- and star-shaped queries.
-        """
-        remaining = set(range(len(query.atoms)))
-        bound: set = set()
-        order: List[int] = []
-
-        def constants_of(i: int) -> int:
-            return sum(
-                1 for t in query.atoms[i].terms if isinstance(t, Constant)
-            )
-
-        while remaining:
-            def score(i: int) -> Tuple[int, int, int]:
-                atom_vars = set(query.atoms[i].variables())
-                return (
-                    len(atom_vars & bound),
-                    constants_of(i),
-                    -len(atom_vars - bound),
-                )
-
-            best = max(sorted(remaining), key=score)
-            remaining.remove(best)
-            order.append(best)
-            bound |= set(query.atoms[best].variables())
-        return order
+        return search(stop_after, *arguments)
 
 
 # ----------------------------------------------------------------------
@@ -259,49 +241,159 @@ _COUNT_STEP = (
     "    poll_at = min(steps + _POLL_STRIDE, stop_after + 1)",
 )
 
+#: A spelled term: a variable's number, or ``None`` for a constant.
+Spelled = Optional[int]
 
-def _generate(
-    query: ConjunctiveQuery,
-    database: Database,
-    order: Sequence[int],
-    emit: Sequence[Term],
-) -> Tuple[str, List[Any]]:
-    """The source of the search for *query* with its atoms taken in *order*
-    and *emit* yielded per satisfying valuation, and the arguments — after
-    ``stop_after`` — that bind that text to *database* and the query's
-    constants."""
+#: The positional, constant-free spelling of a request: per atom in query
+#: order its relation name and spelled terms; per constraint in query order
+#: (inequalities, then comparisons) its operator and spelled sides; the
+#: spelled emitted terms.
+Shape = Tuple[
+    Tuple[Tuple[str, Tuple[Spelled, ...]], ...],
+    Tuple[Tuple[str, Spelled, Spelled], ...],
+    Tuple[Spelled, ...],
+]
+
+#: How a request's arguments are made: per depth ``(atom index, relation
+#: name, arity)``, then per parameter after ``stop_after`` one ``(kind,
+#: depth, positions, constant slots)`` step (see :func:`_bind`).
+Recipe = Tuple[
+    Tuple[Tuple[int, str, int], ...],
+    Tuple[Tuple[str, int, Tuple[int, ...], Tuple[int, ...]], ...],
+]
+
+
+def _spell(
+    query: ConjunctiveQuery, emit: Sequence[Term]
+) -> Tuple[Shape, List[Any]]:
+    """The request's :data:`Shape` and its constants' values, in the order
+    the spelling meets them (a constant's *slot* is its index here).
+
+    Variables are numbered by first occurrence, so alpha-equivalent queries
+    share one spelling; constraints keep their positions in the query, so a
+    constant's slot says which side of which constraint it sits on.
+    """
+    numbers: Dict[str, int] = {}
+    constants: List[Any] = []
+
+    def spell(term: Term) -> Spelled:
+        if isinstance(term, Constant):
+            constants.append(term.value)
+            return None
+        return numbers.setdefault(term.name, len(numbers))
+
+    atoms = tuple(
+        [(atom.relation, tuple(map(spell, atom.terms))) for atom in query.atoms]
+    )
+    constraints = tuple(
+        [("!=", spell(c.left), spell(c.right)) for c in query.inequalities]
+        + [(c.op, spell(c.left), spell(c.right)) for c in query.comparisons]
+    )
+    return (atoms, constraints, tuple(map(spell, emit))), constants
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _prepared(
+    shape: Shape, order: Optional[Tuple[int, ...]]
+) -> Tuple[Callable[..., Iterator[Tuple]], Recipe]:
+    """The compiled search of *shape* and its binding recipe, with the atoms
+    taken in *order* (``None``: :func:`_atom_order`'s).  Built from the
+    spelling alone, so the memo holds no relation, index, row or constant."""
+    atoms = shape[0]
+    if order is None:
+        order = _atom_order(atoms)
+    elif sorted(order) != list(range(len(atoms))):
+        raise QueryError(
+            f"atom_order {list(order)!r} is not a permutation of "
+            f"0..{len(atoms) - 1}"
+        )
+    source, recipe = _generate(shape, order)
+    # All a text may name besides its arguments and the builtins.
+    namespace = {
+        "_BudgetSpent": _BudgetSpent,
+        "check_cancelled": check_cancelled,
+        "_POLL_STRIDE": _POLL_STRIDE,
+    }
+    exec(compile(source, "<naive search>", "exec"), namespace)
+    return namespace["search"], recipe
+
+
+def _atom_order(atoms: Sequence[Tuple[str, Tuple[Spelled, ...]]]) -> List[int]:
+    """Greedy connectivity order: prefer atoms sharing bound variables.
+
+    Starting from the atom with the most constants, repeatedly pick the
+    unprocessed atom with the largest overlap with already-bound variables
+    (ties: fewer new variables, then the lower index).  Keeps the
+    backtracking tree narrow on chain- and star-shaped queries.
+    """
+    remaining = set(range(len(atoms)))
+    bound: set = set()
+    order: List[int] = []
+    while remaining:
+
+        def score(i: int) -> Tuple[int, int, int]:
+            terms = atoms[i][1]
+            atom_vars = {t for t in terms if t is not None}
+            return (
+                len(atom_vars & bound),
+                terms.count(None),
+                -len(atom_vars - bound),
+            )
+
+        best = max(sorted(remaining), key=score)
+        remaining.remove(best)
+        order.append(best)
+        bound.update(t for t in atoms[best][1] if t is not None)
+    return order
+
+
+def _generate(shape: Shape, order: Sequence[int]) -> Tuple[str, Recipe]:
+    """The source of the search for *shape* with its atoms taken in *order*,
+    and the :data:`Recipe` that makes its arguments after ``stop_after``
+    from a database and the request's constants."""
+    atoms, constraints, emit = shape
     parameters = ["stop_after"]
-    arguments: List[Any] = []
-    names: Dict[Term, str] = {}  # variable -> its name in the text
+    steps: List[Tuple[str, int, Tuple[int, ...], Tuple[int, ...]]] = []
+    names: Dict[int, str] = {}  # variable number -> its name in the text
     bound_at: Dict[str, int] = {}  # that name -> the depth that binds it
     # Names somebody reads — a later probe key, a constraint, the emitted
     # tuple; the others are never assigned.
     read = set()
 
-    def parameter(name: str, value: Any) -> str:
+    # Each constant's slot, in the order _spell met it.
+    slots = count()
+
+    def slotted(terms: Sequence[Spelled]) -> List[Any]:
+        return [("k", next(slots)) if t is None else t for t in terms]
+
+    atom_terms = [slotted(terms) for _, terms in atoms]
+    constraint_terms = [(op, *slotted(sides)) for op, *sides in constraints]
+    emit_terms = slotted(emit)
+
+    def parameter(name: str, step: Tuple) -> str:
         parameters.append(name)
-        arguments.append(value)
+        steps.append(step)
         return name
 
-    def spell(term: Term) -> str:
-        if isinstance(term, Constant):
-            return parameter(f"k{len(arguments)}", term.value)
+    def spell(term: Any) -> str:
+        if isinstance(term, tuple):
+            return parameter(f"k{term[1]}", ("constant", -1, (), (term[1],)))
         read.add(names[term])
         return names[term]
 
+    relations = []  # per depth: (atom index, relation name, arity)
     loops = []  # per depth: what to iterate, equality checks, name -> cell
     for depth, index in enumerate(order):
-        atom = query.atoms[index]
-        relation = database[atom.relation]
-        check_atom_arity(atom, relation)
+        relation, terms = atoms[index]
+        relations.append((index, relation, len(terms)))
         # Static shape of the probe at this depth: positions holding a
         # constant or a variable bound earlier are the key; the others bind
         # a new variable or repeat one first seen in this very atom.
-        key: List[Tuple[int, Term]] = []
+        key: List[Tuple[int, Any]] = []
         cells: Dict[str, str] = {}
         equalities: List[str] = []
-        for position, term in enumerate(atom.terms):
-            if isinstance(term, Constant):
+        for position, term in enumerate(atom_terms[index]):
+            if isinstance(term, tuple):
                 key.append((position, term))
                 continue
             name = names.get(term)
@@ -314,19 +406,14 @@ def _generate(
                 equalities.append(f"if not ({a} is {b} or {a} == {b}): continue")
             else:
                 key.append((position, term))
-        # Keys follow Relation._index: the raw value for one position, a
-        # tuple otherwise.
         positions = tuple(position for position, _ in key)
         if not key:
-            rows = parameter(f"rows{depth}", relation._row_order())
-        elif all(isinstance(term, Constant) for _, term in key):
-            values = tuple(term.value for _, term in key)
-            bucket = relation._index(positions).get(
-                values[0] if len(values) == 1 else values, ()
-            )
-            rows = parameter(f"rows{depth}", bucket)
+            rows = parameter(f"rows{depth}", ("rows", depth, (), ()))
+        elif all(isinstance(term, tuple) for _, term in key):
+            held = tuple(term[1] for _, term in key)
+            rows = parameter(f"rows{depth}", ("bucket", depth, positions, held))
         else:
-            probe = parameter(f"idx{depth}", relation._index(positions).get)
+            probe = parameter(f"idx{depth}", ("probe", depth, positions, ()))
             spelled = [spell(term) for _, term in key]
             probe_key = spelled[0] if len(key) == 1 else f"({', '.join(spelled)})"
             rows = f"{probe}({probe_key}, ())"
@@ -334,54 +421,83 @@ def _generate(
 
     # A constraint is checked at the depth that binds its last variable.
     checks: List[List[str]] = [[] for _ in loops]
-    for constraint in query.inequalities + query.comparisons:
-        left, right = spell(constraint.left), spell(constraint.right)
-        if isinstance(constraint, Inequality):
+    for op, left, right in constraint_terms:
+        left, right = spell(left), spell(right)
+        if op == "!=":
             check = f"if {left} is {right} or {left} == {right}: continue"
         else:
-            check = f"if not {left} {constraint.op} {right}: continue"
+            check = f"if not {left} {op} {right}: continue"
         checks[max(bound_at.get(left, 0), bound_at.get(right, 0))].append(check)
-    emitted = "".join([f"{spell(term)}, " for term in emit])
+    emitted = [spell(term) for term in emit_terms]
+    # The existential tail: past the depth that binds the last emitted
+    # variable nothing changes what is yielded, so each loop there stops at
+    # its first extension and breaks back to that depth.
+    tail = 1 + max([bound_at.get(name, -1) for name in emitted], default=-1)
 
     # Innermost first.  CPython compiles at most _MAX_NESTING statically
     # nested loops, so every further run of them becomes a nested generator
     # function that the loop above it delegates to.
-    lines = [f"yield ({emitted})"]
+    body = [f"yield ({''.join(name + ', ' for name in emitted)})"]
+    if tail < len(loops):
+        body.append("break")
     for start in reversed(range(0, len(loops), _MAX_NESTING)):
-        nest: List[str] = []
-        pad = ""
-        for depth in range(start, min(start + _MAX_NESTING, len(loops))):
+        stop = min(start + _MAX_NESTING, len(loops))
+        for depth in reversed(range(start, stop)):
             rows, equalities, cells = loops[depth]
             bindings = [
                 f"{name} = {cell}" for name, cell in cells.items() if name in read
             ]
-            nest.append(f"{pad}for r{depth} in {rows}:")
-            pad += "    "
-            inside = (*_COUNT_STEP, *equalities, *bindings, *checks[depth])
-            nest.extend([pad + line for line in inside])
-        nest.extend([pad + line for line in lines])
-        lines = nest
+            inside = (*_COUNT_STEP, *equalities, *bindings, *checks[depth], *body)
+            body = [f"for r{depth} in {rows}:", *("    " + line for line in inside)]
+            if depth > max(tail, start):
+                # Its parent is a tail loop too: on an extension it breaks,
+                # on none it tries its next row.
+                body += ["else:", "    continue", "break"]
         if start:
-            lines = [
+            call = ["yield from deeper()"]
+            if start > tail:
+                # A run inside the tail reports whether it found an
+                # extension, so the tail carries across the boundary.
+                body += ["else:", "    return False", "return True"]
+                call = ["if (yield from deeper()):", "    break"]
+            body = [
                 "def deeper():",
                 "    nonlocal steps, poll_at",
-                *["    " + line for line in nest],
-                "yield from deeper()",
+                *["    " + line for line in body],
+                *call,
             ]
-    lines[:0] = ["steps = 0", "poll_at = min(_POLL_STRIDE, stop_after + 1)"]
-    source = f"def search({', '.join(parameters)}):\n    " + "\n    ".join(lines)
-    return source + "\n", arguments
+    body[:0] = ["steps = 0", "poll_at = min(_POLL_STRIDE, stop_after + 1)"]
+    source = f"def search({', '.join(parameters)}):\n    " + "\n    ".join(body)
+    return source + "\n", (tuple(relations), tuple(steps))
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
-def _compiled(source: str) -> Callable[..., Iterator[Tuple]]:
-    """The generator function *source* defines.  The text holds slots, not
-    data (see the module docstring), so the memo holds no data either."""
-    # All a text may name besides its arguments and the builtins.
-    namespace = {
-        "_BudgetSpent": _BudgetSpent,
-        "check_cancelled": check_cancelled,
-        "_POLL_STRIDE": _POLL_STRIDE,
-    }
-    exec(compile(source, "<naive search>", "exec"), namespace)
-    return namespace["search"]
+def _bind(
+    recipe: Recipe,
+    query: ConjunctiveQuery,
+    database: Database,
+    constants: Sequence[Any],
+) -> List[Any]:
+    """The arguments after ``stop_after`` that bind a compiled search to
+    *database* and the request's *constants*.  Every atom's arity is
+    checked before anything is probed."""
+    atoms, steps = recipe
+    relations = []
+    for index, name, arity in atoms:
+        relation = database[name]
+        if relation.arity != arity:
+            check_atom_arity(query.atoms[index], relation)
+        relations.append(relation)
+    arguments: List[Any] = []
+    for kind, depth, positions, slots in steps:
+        if kind == "constant":
+            arguments.append(constants[slots[0]])
+        elif kind == "probe":
+            arguments.append(relations[depth]._index(positions).get)
+        elif kind == "rows":
+            arguments.append(relations[depth]._row_order())
+        else:  # "bucket": keys follow Relation._index — the raw value for
+            # one position, a tuple otherwise.
+            key = [constants[slot] for slot in slots]
+            index = relations[depth]._index(positions)
+            arguments.append(index.get(key[0] if len(key) == 1 else tuple(key), ()))
+    return arguments

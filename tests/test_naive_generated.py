@@ -8,12 +8,15 @@ Three things are pinned here:
   and ``1 == True == 1.0`` values) and checks ``evaluate``, ``decide``,
   ``satisfying_assignments`` under every forced ``atom_order`` and
   ``first_witness`` at budgets 0, 1 and ∞ against :func:`reference`, a
-  product-over-the-active-domain enumerator kept here as the oracle;
-* **the text holds no data** — requests of one shape share one text that
-  contains none of their constants or relation names, and the memo of
-  compiled texts is bounded;
+  product-over-the-active-domain enumerator kept here as the oracle (and
+  so of the existential tail, whose exact row counts are pinned too);
+* **the text holds no data** — requests of one shape share one spelling,
+  one text and one memo entry, the text contains none of their constants
+  or relation names, each constant keeps its own slot, and the memo is
+  bounded;
 * **it can be stopped** — one poll of the ambient token per
-  ``_POLL_STRIDE`` rows visited, inside a naive-routed ``execute`` too.
+  ``_POLL_STRIDE`` rows visited, inside a naive-routed ``execute`` and
+  among tail rows too.
 
 Budget: ``REPRO_DIFF_EXAMPLES`` examples per property (default 40), the
 budget of ``tests/test_differential_sql.py``.
@@ -163,16 +166,46 @@ class TestSameSearch:
         )
         hops = ", ".join(f"E(x{i}, x{i + 1})" for i in range(45))
         query = parse_query(f"Q(x0, x45) :- {hops}, x0 != x45, x3 < x44.")
-        wide = parse_query(f"Q(x0, x45, x3, x44) :- {hops}.")
+        wide = parse_query(f"Q(x0, x45, x3, x44, x1, x25) :- {hops}.")
+        paths = YannakakisEvaluator().evaluate(wide, database).rows
         expected = {
             (first, last)
-            for first, last, low, high in YannakakisEvaluator().evaluate(wide, database)
+            for first, last, low, high, _, _ in paths
             if first != last and low < high
         }
         evaluator = NaiveEvaluator()
         assert evaluator.evaluate(query, database).rows == expected != set()
         assert evaluator.first_witness(query, database, 44) is None
         assert evaluator.first_witness(query, database, 10**6) is True
+        # A tail that starts in the second run crosses into the third.
+        middle = parse_query(f"Q(x0, x25) :- {hops}.")
+        assert evaluator.evaluate(middle, database).rows == {
+            (first, mid) for first, _, _, _, _, mid in paths
+        }
+        # The tail carries across both deeper() boundaries: past the first
+        # edge every node has an out-edge, so each of the 8 edges costs one
+        # row per further hop — 8 + 8 * 44 rows in all.
+        short = parse_query(f"Q(x0, x1) :- {hops}.")
+        assert list(evaluator._search(short, database, short.head_terms,
+                                      max_steps=8 + 8 * 44)) == list(database["E"])
+        with pytest.raises(naive._BudgetSpent):
+            list(evaluator._search(short, database, short.head_terms,
+                                   max_steps=8 + 8 * 44 - 1))
+
+    def test_the_existential_tail_stops_at_the_first_extension(self):
+        # c only has to exist: each (a, b) stops at its first c != a.
+        database = Database.from_tuples(
+            {"E": [(1, 2), (2, 3), (2, 4), (2, 5), (3, 2), (5, 2)]}
+        )
+        query = parse_query("Q(a, b) :- E(a, b), E(b, c), a != c.")
+        evaluator = NaiveEvaluator()
+        # Rows visited per edge: (1,2) 2, (2,3) 2, (2,4) 1, (2,5) 2,
+        # (3,2) 3, (5,2) 2 — 12, where enumerating every c visits 17.
+        found = evaluator._search(query, database, query.head_terms, max_steps=12)
+        assert list(found) == [(1, 2), (3, 2), (5, 2)]
+        with pytest.raises(naive._BudgetSpent):
+            list(evaluator._search(query, database, query.head_terms, max_steps=11))
+        assert evaluator.evaluate(query, database).rows == {(1, 2), (3, 2), (5, 2)}
 
     def test_a_budget_is_a_number_of_rows_visited(self):
         database = Database.from_tuples({"E": [(1, 2), (2, 3), (3, 4)]})
@@ -221,31 +254,87 @@ class TestTheTextHoldsNoData:
         rows = [(c, "next") for c in self.HOSTILE] + [("next", "last")]
         database = Database({name: Relation.from_rows(("s", "t"), rows)})
         x, y = V("x"), V("y")
-        naive._compiled.cache_clear()
-        texts = set()
+        naive._prepared.cache_clear()
+        shapes, texts = set(), set()
         for constant in self.HOSTILE:
             query = ConjunctiveQuery(
                 (x, C(constant)),
                 [Atom(name, (C(constant), x)), Atom(name, (x, y))],
                 [Inequality(y, C(constant))],
             )
-            text, arguments = naive._generate(query, database, (0, 1), query.head_terms)
+            shape, constants = naive._spell(query, query.head_terms)
+            # The atom's, the ≠'s and the head's, in that order.
+            assert len(constants) == 3 and all(c is constant for c in constants)
+            text, recipe = naive._generate(shape, (0, 1))
+            shapes.add(shape)
             texts.add(text)
-            assert sum(a is constant for a in arguments) == 2  # the ≠ and the head
             answer = NaiveEvaluator().evaluate(query, database, atom_order=(0, 1))
             assert answer.rows == {("next", constant)}
-        (text,) = texts
+        (shape,), (text,) = shapes, texts
         assert name not in text and "drop" not in text
         for constant in self.HOSTILE[:2]:
             assert constant not in text and "import" not in text
         compile(text, "<test>", "exec")  # and it is one well-formed function
-        assert naive._compiled.cache_info().currsize == 1
+        # The recipe names the relation and holds positions and slots only.
+        atoms, steps = recipe
+        assert atoms == ((0, name, 2), (1, name, 2))
+        flat = [leaf for step in steps for part in step for leaf in
+                (part if isinstance(part, tuple) else (part,))]
+        assert all(type(leaf) in (int, str) for leaf in flat)
+        assert naive._prepared.cache_info().currsize == 1
+
+    def test_every_start_constant_shares_one_generated_search(self, monkeypatch):
+        edges = list(chain_database(layers=5, width=24, p=3 / 24, seed=3)["E"])
+        database = Database.from_tuples({"E": edges})
+        generated = []
+        generate = naive._generate
+        monkeypatch.setattr(
+            naive, "_generate", lambda *args: generated.append(args) or generate(*args)
+        )
+        naive._prepared.cache_clear()
+        evaluator = NaiveEvaluator()
+        outcomes = set()
+        for start in range(120):
+            query = parse_query(f"Q() :- E({start}, b), E(b, c), E(c, d), E(d, e).")
+            frontier = {start}
+            for _ in range(4):
+                frontier = {b for a, b in edges if a in frontier}
+            assert evaluator.decide(query, database) is bool(frontier), start
+            assert evaluator.first_witness(query, database, 10**6) is bool(frontier)
+            outcomes.add(bool(frontier))
+        assert outcomes == {True, False}
+        assert len(generated) == 1
+        assert naive._prepared.cache_info().currsize == 1
+
+    def test_constants_are_bound_to_their_own_constraint(self):
+        # Unordered constraint sets would give both the same slots.
+        database = Database.from_tuples({"E": [(5, 1), (1, 7)]})
+        first = parse_query("Q() :- E(x, y), x != 5, y != 7.")
+        second = parse_query("Q() :- E(x, y), y != 5, x != 7.")
+        evaluator = NaiveEvaluator()
+        for _ in range(2):
+            assert evaluator.decide(first, database) is False
+            assert evaluator.decide(second, database) is True
+        heads = parse_query("Q(x, y) :- E(x, y), y != 5, x != 7.")
+        assert evaluator.evaluate(heads, database).rows == {(5, 1), (1, 7)}
+
+    def test_a_memo_hit_still_checks_every_arity_before_any_row(self):
+        query = parse_query("Q() :- E(x, y), E(y, z).")
+        evaluator = NaiveEvaluator()
+        assert evaluator.decide(query, Database.from_tuples({"E": [(1, 2), (2, 3)]}))
+        hits = naive._prepared.cache_info().hits
+        wide = Database.from_tuples({"E": [(1, 2, 3)]})
+        # A zero budget answers None at the first row visited; the arity
+        # error comes first.
+        with pytest.raises(SchemaError):
+            evaluator.first_witness(query, wide, 0)
+        assert naive._prepared.cache_info().hits == hits + 1
 
     def test_a_thousand_shapes_leave_the_memo_at_its_fixed_size(self):
         database = Database.from_tuples({"E": [(1, 1)]})
         hops = [V(f"x{i}") for i in range(11)]
         atoms = [Atom("E", pair) for pair in zip(hops, hops[1:])]
-        naive._compiled.cache_clear()
+        naive._prepared.cache_clear()
         texts = set()
         for shape in range(1000):
             # A 10-hop path with ``≤`` on any subset of its hops: 1024 shapes.
@@ -255,10 +344,10 @@ class TestTheTextHoldsNoData:
                 if shape >> bit & 1
             ]
             query = ConjunctiveQuery((), atoms, comparisons=comparisons)
-            texts.add(naive._generate(query, database, range(10), ())[0])
+            texts.add(naive._generate(naive._spell(query, ())[0], range(10))[0])
             assert NaiveEvaluator().decide(query, database) is True
         assert len(texts) == 1000
-        info = naive._compiled.cache_info()
+        info = naive._prepared.cache_info()
         assert info.currsize == info.maxsize == naive._MEMO_SIZE < 1000
 
 
@@ -301,3 +390,27 @@ class TestItCanBeStopped:
         with activate(expiring), pytest.raises(DeadlineExceededError):
             engine.execute(query, database)
         assert expiring.polls == 2  # seen at the search's first poll
+
+    def test_an_execute_of_tail_rows_polls_once_per_stride(self):
+        # Per a, the tail scans S up to its first b in T: 1001 of S's rows
+        # and T's one, then breaks back to the next a.
+        width = 2000
+        database = Database.from_tuples({
+            "R": [(a,) for a in range(5)],
+            "S": [(b,) for b in range(width)],
+            "T": [(width // 2,), (width - 1,)],
+        })
+        query = parse_query("Q(a) :- R(a), S(b), T(b).")
+        visited = 5 * (1 + (width // 2 + 1) + 1)
+        assert visited > 2 * naive._POLL_STRIDE
+        evaluator = NaiveEvaluator()
+        patient = Polled(alive=10**9)
+        with activate(patient):
+            answer = evaluator.evaluate(query, database)
+        assert answer.rows == {(a,) for a in range(5)}
+        assert patient.polls == visited // naive._POLL_STRIDE
+        # That is every row the search visits, and no more.
+        list(evaluator._search(query, database, query.head_terms, max_steps=visited))
+        with pytest.raises(naive._BudgetSpent):
+            list(evaluator._search(query, database, query.head_terms,
+                                   max_steps=visited - 1))
