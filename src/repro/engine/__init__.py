@@ -31,19 +31,13 @@ from .analysis import (
     schema_signature,
     shape_signature,
 )
-from .cache import PlanCache
-from .engine import (
-    DEFAULT_BATCH_WIDE_THRESHOLD,
-    DEFAULT_REPLAN_DRIFT,
-    DEFAULT_REPLAN_LIMIT,
-    QueryEngine,
-)
+from .cache import DEFAULT_REPLAN_DRIFT, DEFAULT_REPLAN_LIMIT, ShapeTable
+from .engine import DEFAULT_BATCH_WIDE_THRESHOLD, QueryEngine
 from .plan import (
     BOUNDED_VARIABLE,
     EVALUATORS,
     INEQUALITY,
     NAIVE,
-    PlanRuntime,
     QueryPlan,
     TREEWIDTH,
     YANNAKAKIS,
@@ -71,12 +65,11 @@ __all__ = [
     "GENERAL",
     "INEQUALITY",
     "NAIVE",
-    "PlanCache",
-    "PlanRuntime",
     "Planner",
     "QueryEngine",
     "QueryPlan",
     "STRUCTURAL_CLASSES",
+    "ShapeTable",
     "StructuralAnalysis",
     "TREEWIDTH",
     "YANNAKAKIS",

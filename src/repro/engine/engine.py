@@ -9,9 +9,9 @@ and instead say ``engine.execute(query, database)``.  Internally:
    treewidth / bounded variables / general — the paper's tractability map);
 2. the *planner* turns the analysis plus kernel statistics into an
    explainable :class:`QueryPlan`;
-3. the *plan cache* (LRU, keyed on query shape + schema) lets repeated and
-   parameterized queries skip both steps — every constant binding of one
-   prepared shape reuses the same plan;
+3. the *shape table* (LRU, keyed on query shape + schema) lets repeated
+   and parameterized queries skip both steps — every constant binding of
+   one prepared shape reuses the same plan;
 4. the *executor* dispatches to the chosen evaluator — one per
    structural class; every acyclic plan runs through the one
    :class:`~repro.evaluation.yannakakis.YannakakisEvaluator`;
@@ -21,13 +21,14 @@ and instead say ``engine.execute(query, database)``.  Internally:
    execution through a parameter relation, and everything else is a plain
    loop over the members.
 
-After every planned execution the engine records the actual result
-cardinality on the plan (``QueryPlan.runtime``) and feeds a bounded
-per-shape ledger; ``stats()`` exposes both together with the plan cache's
-hit/miss counters.  When the observed cardinality drifts ≥
-``replan_drift_threshold``× from the plan's estimate, the engine
-*re-plans* the shape with the observation as corrected statistics;
-re-plan events surface in ``explain`` and ``stats()``.  Row counts are
+After every planned execution the engine records the time and the
+actual result cardinality in the shape's entry of the table
+(:class:`~repro.engine.cache.ShapeTable`), the one record ``explain``
+and ``stats()`` both read.  When the observed cardinality drifts ≥
+:data:`~repro.engine.cache.DEFAULT_REPLAN_DRIFT`× from the plan's
+estimate, the engine *re-plans* the shape with the observation as
+corrected statistics; re-plan events surface in ``explain`` and
+``stats()``.  Row counts are
 the only feedback the planner takes — recorded latencies are
 observability, so a plan is a function of the query and the data, never
 of which requests arrived first or how fast they ran.  ``explain``
@@ -39,8 +40,8 @@ evaluator is the point of the measurement.
 
 The engine is safe to share across threads — the async service front-end
 (:mod:`repro.service`) multiplexes every concurrent caller onto one
-engine: plan cache, ledger and plan runtimes are locked, kernel cache
-fills are convergent, and the evaluators themselves are stateless across
+engine: the shape table is locked, plans are immutable values, kernel
+cache fills are convergent, and the evaluators themselves are stateless across
 calls.
 
 Evaluation runs on the thread that called the engine and nowhere else:
@@ -70,7 +71,6 @@ from ..operations import (
     AGG_COUNT,
     AGG_EXISTS,
     AGG_FORALL,
-    AGG_GROUP,
     Operation,
     OperationFacade,
     operations_of,
@@ -87,16 +87,14 @@ from ..query.conjunctive import ConjunctiveQuery
 from ..relational.database import Database
 from ..relational.relation import Relation
 from ..resilience.token import check_cancelled
-from ..telemetry import ShapeLedger
 from .analysis import (
     ACYCLIC,
     COUNT_BOOLEAN,
-    DEFAULT_TREEWIDTH_THRESHOLD,
     FAST_COUNTING_MODES,
     plan_cache_key,
     variable_layout,
 )
-from .cache import PlanCache
+from .cache import Shape, ShapeTable
 from .plan import (
     BOUNDED_VARIABLE,
     EVALUATORS,
@@ -111,54 +109,30 @@ from .planner import Planner
 #: Same-shape groups at least this large are executed N-wide (lifted).
 DEFAULT_BATCH_WIDE_THRESHOLD = 8
 
-#: Estimate-vs-actual cardinality ratio at which a cached plan is dropped
-#: and the shape is re-planned with observed statistics.
-DEFAULT_REPLAN_DRIFT = 10.0
-
-#: Most re-plans one cached shape entry may accumulate.  A stable workload
-#: corrects once and settles; a workload whose parameterizations genuinely
-#: oscillate ≥ drift× (hub vs leaf constants under one shape) would
-#: otherwise re-plan on *every* execution, turning the plan cache into a
-#: per-request planner on exactly the parameterized hot path it exists
-#: for.  The cap bounds that waste; a data-scale change re-keys the shape
-#: (schema signature) and starts a fresh entry with a fresh budget.
-DEFAULT_REPLAN_LIMIT = 5
-
-
 class QueryEngine(OperationFacade):
     """Adaptive evaluation of conjunctive queries with plan caching.
 
     Parameters
     ----------
     plan_cache_size:
-        Capacity of the LRU plan cache (number of distinct shapes).
-    treewidth_threshold:
-        Maximum heuristic decomposition width for which a cyclic query is
-        still routed through the bounded-treewidth evaluator.
+        Capacity of the LRU shape table (number of distinct shapes whose
+        plans and rows it keeps).
     planner:
         Optional custom planner (tests inject instrumented ones).
     parallel:
         N-wide batch lifting on or off, and nothing else: ``False`` runs
         the members of every ``run_batch`` group one at a time.  Nothing
         in the engine runs on another thread either way.
-    replan_drift_threshold:
-        Estimate-vs-actual cardinality ratio at which the cached plan is
-        invalidated and the shape re-planned with observed statistics
-        (``None`` disables adaptive re-planning).
     """
 
     def __init__(
         self,
-        plan_cache_size: int = 128,
-        treewidth_threshold: int = DEFAULT_TREEWIDTH_THRESHOLD,
+        plan_cache_size: int = 512,
         planner: Optional[Planner] = None,
         parallel: bool = True,
-        replan_drift_threshold: Optional[float] = DEFAULT_REPLAN_DRIFT,
     ) -> None:
-        self._cache = PlanCache(plan_cache_size)
-        self._ledger = ShapeLedger()
-        self._planner = planner or Planner(treewidth_threshold)
-        self._replan_drift = replan_drift_threshold
+        self._table = ShapeTable(plan_cache_size)
+        self._planner = planner or Planner()
         self._naive = NaiveEvaluator()
         self._yannakakis = YannakakisEvaluator()
         self._treewidth = TreewidthEvaluator()
@@ -182,25 +156,25 @@ class QueryEngine(OperationFacade):
 
     def plan_for(self, query: ConjunctiveQuery, database: Database) -> QueryPlan:
         """The (possibly cached) plan the engine would execute."""
-        plan, _, _ = self._plan_entry(query, database)
-        return plan
+        return self._shape(query, database)[0].plan
 
-    def _plan_entry(
+    def _shape(
         self,
         query: ConjunctiveQuery,
         database: Database,
         key: Optional[Tuple] = None,
-    ) -> Tuple[QueryPlan, str, Tuple]:
+    ) -> Tuple[Shape, str, Tuple]:
+        """The shape's table entry, whether it was a hit or a miss, and
+        its key."""
         if key is None:
             key = plan_cache_key(query, database)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached, "hit", key
-        plan = self._planner.plan(query, database)
+        shape = self._table.get(key)
+        if shape is not None:
+            return shape, "hit", key
         # First-wins publication: a concurrent planner of the same shape
         # (or a re-plan that corrected it meanwhile) keeps its entry.
-        plan = self._cache.put_if_absent(key, plan)
-        return plan, "miss", key
+        shape = self._table.publish(key, self._planner.plan(query, database))
+        return shape, "miss", key
 
     # ------------------------------------------------------------------
     # The generic Operation path (OperationFacade's methods route here)
@@ -268,8 +242,8 @@ class QueryEngine(OperationFacade):
             and first.kind in (OP_EXECUTE, OP_DECIDE)
             and first.option("evaluator") is None
         ):
-            plan, _, _ = self._plan_entry(first.query, database, key=key)
-            if plan.structural_class == ACYCLIC:
+            shape, _, _ = self._shape(first.query, database, key=key)
+            if shape.plan.structural_class == ACYCLIC:
                 lifted = self._run_lifted(
                     [member.query for member in members],
                     database,
@@ -290,12 +264,11 @@ class QueryEngine(OperationFacade):
         forced = operation.option("evaluator")
         if forced is not None:
             return self._dispatch(forced, None, query, database, decide=False)
-        plan, _, key = self._plan_entry(query, database, key)
+        shape, _, key = self._shape(query, database, key)
+        plan = shape.plan
         start = perf_counter()
         result = self._dispatch(plan.evaluator, plan, query, database, decide=False)
-        self._record(
-            key, plan, perf_counter() - start, result.cardinality, query, database
-        )
+        self._record(key, perf_counter() - start, result.cardinality, query, database)
         return result
 
     def _op_decide(
@@ -305,35 +278,43 @@ class QueryEngine(OperationFacade):
         forced = operation.option("evaluator")
         if forced is not None:
             return self._dispatch(forced, None, query, database, decide=True)
-        plan, _, key = self._plan_entry(query, database, key)
+        shape, _, key = self._shape(query, database, key)
+        plan = shape.plan
         start = perf_counter()
         result = self._dispatch(plan.evaluator, plan, query, database, decide=True)
-        self._record(key, plan, perf_counter() - start, None, query, database)
+        self._record(key, perf_counter() - start, None, query, database)
         return result
 
     def _op_explain(
         self, operation: Operation, database: Database, key: Optional[Tuple]
     ) -> str:
-        plan, status, _ = self._plan_entry(operation.query, database, key)
-        cache = self._cache.stats()
+        shape, status, _ = self._shape(operation.query, database, key)
+        # The shape's actuals, read without the table's lock: explain is a
+        # report, and a concurrent record at worst shows one run behind.
+        rendering = shape.plan.explain(
+            cache_status=status,
+            executions=shape.counts["executions"],
+            last_rows=shape.counts["last_rows"],
+        )
+        cache = self._table.stats(shapes=False)["cache"]
         footer = (
             f"  cache    : {status} "
             f"(hits={cache['hits']}, misses={cache['misses']}, "
             f"evictions={cache['evictions']}, "
             f"size={cache['size']}/{cache['capacity']})"
         )
-        return plan.explain(cache_status=status) + "\n" + footer
+        return rendering + "\n" + footer
 
     def _op_count(
         self, operation: Operation, database: Database, key: Optional[Tuple]
     ) -> int:
         query = operation.query
-        plan, _, key = self._plan_entry(query, database, key)
+        shape, _, key = self._shape(query, database, key)
         start = perf_counter()
-        total = self._count_with_plan(plan, query, database)
+        total = self._count_with_plan(shape.plan, query, database)
         # count *is* |Q(d)|, so it feeds estimate-vs-actual drift exactly
         # like an execute's cardinality does.
-        self._record(key, plan, perf_counter() - start, total, query, database)
+        self._record(key, perf_counter() - start, total, query, database)
         return total
 
     def _op_aggregate(
@@ -345,7 +326,8 @@ class QueryEngine(OperationFacade):
             return self._op_count(operation, database, key)
         if mode == AGG_EXISTS:
             return self._op_decide(Operation(OP_DECIDE, query), database, key)
-        plan, _, key = self._plan_entry(query, database, key)
+        shape, _, key = self._shape(query, database, key)
+        plan = shape.plan
         start = perf_counter()
         if mode == AGG_FORALL:
             # ∀-check: the count reaches the product of the head variables'
@@ -358,7 +340,7 @@ class QueryEngine(OperationFacade):
             group_by = operation.option("group_by")
             result = self._grouped_count_with_plan(plan, query, database, group_by)
             rows = result.cardinality
-        self._record(key, plan, perf_counter() - start, rows, query, database)
+        self._record(key, perf_counter() - start, rows, query, database)
         return result
 
     # ------------------------------------------------------------------
@@ -454,7 +436,8 @@ class QueryEngine(OperationFacade):
             return None
         if not decide:
             return lifted.distribute(self.execute(lifted.query, lifted.database))
-        plan, _, key = self._plan_entry(lifted.query, lifted.database)
+        shape, _, key = self._shape(lifted.query, lifted.database)
+        plan = shape.plan
         if plan.structural_class != ACYCLIC or plan.analysis.join_tree is None:
             return None
         reusable = plan.analysis.variable_layout == variable_layout(lifted.query)
@@ -465,9 +448,7 @@ class QueryEngine(OperationFacade):
             lifted.query, lifted.database, join_tree=tree, root=root
         )
         decisions = lifted.decide_members(reduced)
-        self._record(
-            key, plan, perf_counter() - start, None, lifted.query, lifted.database
-        )
+        self._record(key, perf_counter() - start, None, lifted.query, lifted.database)
         return decisions
 
     # ------------------------------------------------------------------
@@ -544,73 +525,41 @@ class QueryEngine(OperationFacade):
     def _record(
         self,
         key: Tuple,
-        plan: QueryPlan,
         seconds: float,
-        rows: Optional[int],
-        query: Optional[ConjunctiveQuery] = None,
-        database: Optional[Database] = None,
-    ) -> None:
-        plan.runtime.record(rows)
-        self._ledger.record(key, plan, seconds, rows)
-        if query is not None and database is not None:
-            self._maybe_replan(key, rows, query, database)
-
-    def _maybe_replan(
-        self,
-        key: Tuple,
         rows: Optional[int],
         query: ConjunctiveQuery,
         database: Database,
     ) -> None:
-        """Adaptive re-planning: drop a drifted plan, re-plan with actuals.
+        """Count one execution of *key*'s shape; re-plan it when the table
+        says *rows* drifted from the plan's estimate.
 
-        When the observed cardinality is ≥ ``replan_drift_threshold``× off
-        the cached plan's estimate (in either direction), the cache entry
-        is invalidated and the shape planned again with the observation as
-        corrected statistics.  The new plan's estimate equals the
-        observation, so a stable workload re-plans once and settles; only
-        a workload that genuinely oscillates beyond the threshold keeps
-        re-planning, which is then the right call.  Drift is always
-        measured against the *currently cached* plan, so concurrent
-        recordings of one shape do not cascade into repeated re-plans, and
-        each shape entry holds at most :data:`DEFAULT_REPLAN_LIMIT`
-        corrections — parameterizations that genuinely oscillate beyond
-        the threshold (hub vs leaf constants under one shape) stop
-        burning planner work once the budget is spent, instead of turning
-        the plan cache into a per-request planner.
+        The re-plan takes the observation as corrected statistics, so its
+        estimate equals what the data said: a stable workload re-plans
+        once and settles, and the table's per-entry budget stops a
+        workload whose parameterizations genuinely oscillate (hub vs leaf
+        constants under one shape) from re-planning on every request.
+        When several threads see one drift, the table adopts the first
+        re-plan and drops the rest.
         """
-        threshold = self._replan_drift
-        if threshold is None or rows is None:
-            return
-        plan = self._cache.peek(key)
-        if plan is None or plan.replans >= DEFAULT_REPLAN_LIMIT:
-            return
-        actual = max(float(rows), 1.0)
-        expected = max(plan.estimated_rows, 1.0)
-        drift = actual / expected if actual >= expected else expected / actual
-        if drift < threshold:
+        stale = self._table.record(key, seconds, rows)
+        if stale is None:
             return
         corrected = float(rows)
-        new_plan = self._planner.plan(query, database, observed_rows=corrected)
-        new_plan = replace(new_plan, replans=plan.replans + 1, corrected_rows=corrected)
-        # Seed the fresh runtime with the observation that triggered the
-        # re-plan, so explain's estimate-vs-actual line survives the swap.
-        new_plan.runtime.record(rows)
-        # Plain put — the corrected plan must *replace* the drifted entry
-        # (there is no invalidate-then-put window: a concurrent cold miss
-        # cannot slip a stale plan in between, because cold misses publish
-        # first-wins through put_if_absent against this entry).
-        self._cache.put(key, new_plan)
-        self._ledger.note_replan(key, new_plan)
+        plan = replace(
+            self._planner.plan(query, database, observed_rows=corrected),
+            replans=stale.replans + 1,
+            corrected_rows=corrected,
+        )
+        self._table.replace(key, stale, plan)
 
     def stats(self) -> Dict[str, Any]:
-        """Engine-wide totals, plan-cache counters and one row per tracked
-        shape: the ``engine`` section of the wire ``stats`` document."""
-        return {**self._ledger.snapshot(), "cache": self._cache.stats()}
+        """Engine-wide totals, one row per tracked shape and the table's
+        lookup counters: the ``engine`` section of the wire ``stats``
+        document."""
+        return self._table.stats()
 
     def clear_cache(self) -> None:
-        self._cache.clear()
-        self._ledger.clear()
+        self._table.clear()
 
     # ------------------------------------------------------------------
     # Lifecycle

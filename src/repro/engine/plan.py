@@ -8,53 +8,21 @@ per-candidate estimates
 (kept for transparency — ``explain`` shows why the planner chose what it
 chose).
 
-A plan also carries one deliberately *mutable* attachment: a
-:class:`PlanRuntime` that accumulates actual result cardinalities and
-execution counts after each run.  The estimates above are what the planner
-believed; the runtime is what the data said — ``explain`` shows both side
-by side, and when they drift far enough apart the engine *re-plans* the
-shape with the observed cardinality as corrected statistics.  A
-re-planned plan records its provenance in ``replans`` /
-``corrected_rows``, which ``explain`` renders.
+A plan is a value: what the data said about it — execution counts and
+observed cardinalities — lives in the engine's shape table
+(:mod:`repro.engine.cache`), and ``explain`` is handed those actuals to
+show beside the estimates.  When estimate and actual drift far enough
+apart the engine *re-plans* the shape with the observed cardinality as
+corrected statistics; the re-planned plan records its provenance in
+``replans`` / ``corrected_rows``, which ``explain`` renders.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from .analysis import StructuralAnalysis
-
-
-class PlanRuntime:
-    """Mutable post-execution feedback attached to an immutable plan.
-
-    Records how many times the plan ran and the last result cardinality it
-    produced, so estimate-vs-actual drift is visible in ``explain`` and
-    feeds the engine's adaptive re-planning.  Updates are locked: cached
-    plans are shared by every thread the service front-end fans out.
-    """
-
-    __slots__ = ("executions", "last_rows", "_lock")
-
-    def __init__(self) -> None:
-        self.executions = 0
-        self.last_rows: Optional[int] = None
-        self._lock = threading.Lock()
-
-    def record(self, rows: Optional[int]) -> None:
-        """Note one execution; *rows* is None for decision-only runs."""
-        with self._lock:
-            self.executions += 1
-            if rows is not None:
-                self.last_rows = rows
-
-    def __repr__(self) -> str:
-        return (
-            f"PlanRuntime(executions={self.executions}, "
-            f"last_rows={self.last_rows})"
-        )
 
 
 #: Evaluator identifiers the engine can dispatch to.
@@ -121,15 +89,13 @@ class QueryPlan:
         strategy a ``count`` operation on this plan uses.  Always set by
         :meth:`~repro.engine.planner.Planner.plan`.
     replans:
-        How many times this shape has been adaptively re-planned (0 for a
-        first plan); the engine bumps it when estimate-vs-actual drift
-        crosses its threshold and the shape is planned again.
+        How many times this shape had been adaptively re-planned when this
+        plan was made (0 for a first plan); the engine sets it when
+        estimate-vs-actual drift crosses its threshold and the shape is
+        planned again.
     corrected_rows:
         The observed cardinality the last re-plan used as corrected
         statistics (None for a first plan).
-    runtime:
-        Mutable :class:`PlanRuntime` accumulating actual execution
-        feedback (excluded from plan equality).
     """
 
     evaluator: str
@@ -141,7 +107,6 @@ class QueryPlan:
     count_mode: str = ""
     replans: int = 0
     corrected_rows: Optional[float] = None
-    runtime: PlanRuntime = field(default_factory=PlanRuntime, compare=False, repr=False)
 
     @property
     def structural_class(self) -> str:
@@ -150,8 +115,17 @@ class QueryPlan:
     def rationale(self) -> str:
         return _RATIONALE.get(self.evaluator, "")
 
-    def explain(self, cache_status: Optional[str] = None) -> str:
-        """Multi-line description: analysis, dispatch, costs, program."""
+    def explain(
+        self,
+        cache_status: Optional[str] = None,
+        executions: int = 0,
+        last_rows: Optional[int] = None,
+    ) -> str:
+        """Multi-line description: analysis, dispatch, costs, program.
+
+        *executions* and *last_rows* are the shape's actuals (from the
+        engine's shape table), shown against the estimate when non-zero.
+        """
         lines = [f"QueryPlan  [class: {self.structural_class}]"]
         if cache_status:
             lines[0] += f"  (plan cache: {cache_status})"
@@ -171,15 +145,15 @@ class QueryPlan:
                 f"observed |Q(d)|≈{self.corrected_rows:.3g} after "
                 "estimate-vs-actual drift"
             )
-        if self.runtime.executions:
+        if executions:
             actual = (
-                f"last |Q(d)|={self.runtime.last_rows}"
-                if self.runtime.last_rows is not None
+                f"last |Q(d)|={last_rows}"
+                if last_rows is not None
                 else "decision-only runs"
             )
             lines.append(
                 f"  actuals  : {actual} vs est≈{self.estimated_rows:.3g} "
-                f"({self.runtime.executions} execution(s) recorded)"
+                f"({executions} execution(s) recorded)"
             )
         lines.append("  join ord.: " + " -> ".join(f"a{i}" for i in self.join_order))
         if self.semijoin_program:

@@ -35,7 +35,6 @@ from .analysis import (
     ACYCLIC_NEQ,
     BOUNDED_TREEWIDTH,
     BOUNDED_VARIABLES,
-    DEFAULT_TREEWIDTH_THRESHOLD,
     StructuralAnalysis,
     analyze,
     counting_mode,
@@ -68,11 +67,6 @@ _BASELINE_MARGIN = 4.0
 class Planner:
     """Turns (query, database) into an explainable :class:`QueryPlan`."""
 
-    def __init__(self, treewidth_threshold: int = DEFAULT_TREEWIDTH_THRESHOLD) -> None:
-        self.treewidth_threshold = treewidth_threshold
-
-    # ------------------------------------------------------------------
-
     def plan(
         self,
         query: ConjunctiveQuery,
@@ -88,11 +82,8 @@ class Planner:
         against what the data said rather than what the histogram-free
         model guessed.
         """
-        analysis = analyze(query, self.treewidth_threshold)
-        join_order = self.naive_order(query, database)
-        naive_cost, answer_estimate = self._simulate_backtracking(
-            query, database, join_order
-        )
+        analysis = analyze(query)
+        join_order, naive_cost, answer_estimate = self._walk(query.atoms, database)
         if observed_rows is not None:
             # Backtracking enumerates at least one search node per result,
             # so an exploded observed cardinality scales the baseline's
@@ -186,34 +177,37 @@ class Planner:
     # Backtracking simulation (join order + cost + output estimate)
     # ------------------------------------------------------------------
 
-    def naive_order(
-        self, query: ConjunctiveQuery, database: Database
-    ) -> Tuple[int, ...]:
-        """Greedy cost-based join order: repeatedly take the atom with the
-        fewest expected matches per probe given the variables bound so far.
+    def _walk(
+        self, atoms: Sequence[Atom], database: Database
+    ) -> Tuple[Tuple[int, ...], float, float]:
+        """(join order, cost in row ops, estimated satisfying-assignment
+        count) of backtracking over *atoms*.
 
-        Connectivity falls out of the estimate — an atom sharing bound
-        variables probes a keyed index (few matches), a disconnected atom
-        scans its whole candidate set — so cartesian blowups are picked
-        last, constants and selective columns first.
+        The order is greedy: repeatedly take the atom with the fewest
+        expected matches per probe given the variables bound so far, and
+        charge it at the frontier the atoms before it leave.  Connectivity
+        falls out of the estimate — an atom sharing bound variables probes
+        a keyed index (few matches), a disconnected atom scans its whole
+        candidate set — so cartesian blowups are picked last, constants
+        and selective columns first.
         """
-        remaining = set(range(len(query.atoms)))
+        relations = [database[atom.relation] for atom in atoms]
+        remaining = list(range(len(atoms)))
         bound: Set[Variable] = set()
         order: List[int] = []
+        cost = 0.0
+        frontier = 1.0
         while remaining:
-            best = min(
-                sorted(remaining),
-                key=lambda i: (
-                    self._expected_matches(
-                        query.atoms[i], database[query.atoms[i].relation], bound
-                    ),
-                    i,
-                ),
+            matches, best = min(
+                (self._expected_matches(atoms[i], relations[i], bound), i)
+                for i in remaining
             )
             remaining.remove(best)
             order.append(best)
-            bound |= set(query.atoms[best].variables())
-        return tuple(order)
+            cost += frontier * (1.0 + matches)
+            frontier = max(frontier * matches, 1e-3)
+            bound |= set(atoms[best].variables())
+        return tuple(order), cost, frontier
 
     def _expected_matches(
         self, atom: Atom, relation: Relation, bound: Set[Variable]
@@ -231,26 +225,6 @@ class Planner:
         cardinality = max(float(relation.cardinality), 1e-3)
         keyed = min(keyed, cardinality)
         return cardinality / keyed
-
-    def _simulate_backtracking(
-        self,
-        query: ConjunctiveQuery,
-        database: Database,
-        order: Sequence[int],
-    ) -> Tuple[float, float]:
-        """(cost in row ops, estimated satisfying-assignment count)."""
-        bound: Set[Variable] = set()
-        frontier = 1.0
-        cost = 0.0
-        for index in order:
-            atom = query.atoms[index]
-            relation = database[atom.relation]
-            matches = self._expected_matches(atom, relation, bound)
-            cost += frontier * (1.0 + matches)
-            frontier *= matches
-            frontier = max(frontier, 1e-3)
-            bound |= set(atom.variables())
-        return cost, frontier
 
     # ------------------------------------------------------------------
     # Per-evaluator cost estimates
@@ -305,24 +279,10 @@ class Planner:
             if not members:
                 bag_sizes.append(1.0)
                 continue
-            sub_order = self.naive_order(
-                ConjunctiveQuery(
-                    (),
-                    [query.atoms[j] for j in members],
-                    head_name=query.head_name,
-                ),
-                database,
+            sub_order, bag_cost, frontier = self._walk(
+                [query.atoms[j] for j in members], database
             )
-            bound: Set[Variable] = set()
-            frontier = 1.0
-            for local in sub_order:
-                atom = query.atoms[members[local]]
-                relation = database[atom.relation]
-                matches = self._expected_matches(atom, relation, bound)
-                cost += frontier * (1.0 + matches)
-                frontier *= matches
-                frontier = max(frontier, 1e-3)
-                bound |= set(atom.variables())
+            cost += bag_cost
             bag_sizes.append(frontier)
             atoms_text = ", ".join(
                 f"a{members[local]}({query.atoms[members[local]].relation})"
@@ -352,9 +312,7 @@ class Planner:
             )
             for atoms in groups.values()
         ]
-        grouped = ConjunctiveQuery((), representatives, head_name=query.head_name)
-        order = self.naive_order(grouped, database)
-        search, _ = self._simulate_backtracking(grouped, database, order)
+        _, search, _ = self._walk(representatives, database)
         return build + search
 
     # ------------------------------------------------------------------

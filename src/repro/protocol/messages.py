@@ -37,31 +37,22 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..errors import ReproError, RequestRejectedError, SchemaError
+from ..operations import AGGREGATE, COUNT, DECIDE, EXECUTE, EXPLAIN, OP_KINDS
 from ..relational.relation import Relation
 
 #: The one protocol version this build speaks (1 sent a relation's rows).
 PROTOCOL_VERSION = 2
 
-# Request operations (the service facade, on the wire).  The query ops
-# mirror the operation kinds of :mod:`repro.operations` verbatim, so a
-# wire op string IS an engine operation kind.
-EXECUTE = "execute"
-DECIDE = "decide"
-EXPLAIN = "explain"
-COUNT = "count"
-AGGREGATE = "aggregate"
+# Request operations (the service facade, on the wire).  The query ops are
+# the operation kinds of :mod:`repro.operations`, imported, so a wire op
+# string IS an engine operation kind and a new kind is added there alone.
 RUN_BATCH = "run_batch"
 STATS = "stats"
 PING = "ping"
 CANCEL = "cancel"
 REGISTER_DATABASE = "register_database"
 
-OPS = (
-    EXECUTE,
-    DECIDE,
-    EXPLAIN,
-    COUNT,
-    AGGREGATE,
+OPS = OP_KINDS + (
     RUN_BATCH,
     STATS,
     PING,
@@ -70,7 +61,7 @@ OPS = (
 )
 
 #: Ops that carry one query and a database name (one engine operation).
-QUERY_OPS = (EXECUTE, DECIDE, EXPLAIN, COUNT, AGGREGATE)
+QUERY_OPS = OP_KINDS
 
 # Response result kinds.
 RELATION = "relation"

@@ -173,8 +173,9 @@ class QueryServer:
         if fault_plan is None:
             fault_plan = FaultPlan.from_env()
         self._faults = fault_plan if fault_plan else None
-        #: op → handler coroutine.  Every query op shares ``_op_query``, so
-        #: a new engine operation reaches the wire by joining ``QUERY_OPS``.
+        #: op → handler coroutine.  Every query op shares ``_op_query``, and
+        #: ``QUERY_OPS`` is ``repro.operations.OP_KINDS``, so a new engine
+        #: operation kind reaches the wire with no change here.
         self._op_table = {
             **{op: self._op_query for op in QUERY_OPS},
             RUN_BATCH: self._op_run_batch,

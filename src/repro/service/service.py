@@ -54,7 +54,7 @@ A service instance is bound to the first event loop that uses it; all
 internal state (in-flight map, open groups, counters) is touched
 only from that loop's thread, which is what makes the front-end itself
 lock-free — the engine below it carries the thread-safety contracts
-(locked plan cache, ledger and runtimes, convergent kernel cache fills;
+(one locked shape table, convergent kernel cache fills;
 see ``docs/service.md``).
 """
 

@@ -13,8 +13,8 @@ from repro.engine import (
     BOUNDED_TREEWIDTH,
     BOUNDED_VARIABLES,
     GENERAL,
-    PlanCache,
     Planner,
+    ShapeTable,
     analyze,
     plan_cache_key,
     shape_signature,
@@ -130,48 +130,76 @@ class TestSignatures:
         assert plan_cache_key(query, small) == plan_cache_key(query, small)
 
 
+def published_plans(count):
+    """*count* distinct real plans (paths of 1..count atoms)."""
+    database = Database.from_tuples({"E": [(1, 2), (2, 3)]})
+    return [Planner().plan(path_query(n), database) for n in range(1, count + 1)]
+
+
 class TestPlanCache:
+    """The engine's plan cache: the :class:`ShapeTable`'s entries and its
+    hit / miss / eviction counters."""
+
     def test_hit_miss_counters(self):
-        cache = PlanCache(capacity=4)
-        assert cache.get("a") is None
-        cache.put("a", 1)
-        assert cache.get("a") == 1
-        stats = cache.stats()
-        assert (stats["hits"], stats["misses"], stats["size"]) == (1, 1, 1)
+        table = ShapeTable(capacity=4)
+        (plan,) = published_plans(1)
+        assert table.get("a") is None
+        table.publish("a", plan)
+        assert table.get("a").plan is plan
+        cache = table.stats()["cache"]
+        assert (cache["hits"], cache["misses"], cache["size"]) == (1, 1, 1)
 
     def test_lru_eviction_order(self):
-        cache = PlanCache(capacity=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1  # refresh "a"; "b" is now LRU
-        cache.put("c", 3)
-        assert "b" not in cache
-        assert cache.get("b") is None
-        assert cache.get("a") == 1
-        assert cache.get("c") == 3
-        assert cache.stats()["evictions"] == 1
+        table = ShapeTable(capacity=2)
+        a, b, c = published_plans(3)
+        table.publish("a", a)
+        table.publish("b", b)
+        assert table.get("a").plan is a  # refresh "a"; "b" is now LRU
+        table.publish("c", c)
+        assert table.get("b") is None
+        assert table.get("a").plan is a
+        assert table.get("c").plan is c
+        assert table.stats()["cache"]["evictions"] == 1
 
-    def test_put_refreshes_existing(self):
-        cache = PlanCache(capacity=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.put("a", 10)  # refresh, not insert: no eviction
-        cache.put("c", 3)  # evicts "b", the true LRU
-        assert cache.get("a") == 10
-        assert cache.get("b") is None
-        assert cache.stats()["evictions"] == 1
+    def test_first_publish_wins(self):
+        table = ShapeTable(capacity=2)
+        a, b, c = published_plans(3)
+        assert table.publish("a", a).plan is a
+        # A late cold plan of the same shape adopts the entry, evicting
+        # nothing and clobbering nothing.
+        assert table.publish("a", b).plan is a
+        table.publish("c", c)
+        assert table.stats()["cache"]["evictions"] == 0
+        # A re-plan replaces only the plan it was made from.
+        assert not table.replace("a", b, c)
+        assert table.replace("a", a, c)
+        assert table.get("a").plan is c
+        assert table.stats()["replans"] == 1
 
     def test_clear_resets(self):
-        cache = PlanCache(capacity=2)
-        cache.put("a", 1)
-        cache.get("a")
-        cache.clear()
-        stats = cache.stats()
-        assert (stats["hits"], stats["misses"], stats["size"]) == (0, 0, 0)
+        table = ShapeTable(capacity=2)
+        (plan,) = published_plans(1)
+        table.publish("a", plan)
+        table.get("a")
+        table.record("a", 0.5, rows=1)
+        table.clear()
+        assert table.stats() == {
+            "executions": 0,
+            "total_seconds": 0,
+            "replans": 0,
+            "shapes": [],
+            "cache": {
+                "hits": 0,
+                "misses": 0,
+                "evictions": 0,
+                "size": 0,
+                "capacity": 2,
+            },
+        }
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
-            PlanCache(capacity=0)
+            ShapeTable(capacity=0)
 
 
 class CountingPlanner(Planner):
@@ -386,6 +414,26 @@ class TestQueryEngine:
         engine.execute(q1, edge_db)  # must replan
         assert planner.calls == 3
         assert engine.stats()["cache"]["evictions"] == 2
+
+    def test_a_plan_and_its_row_are_evicted_together(self, edge_db):
+        engine = QueryEngine(plan_cache_size=2)
+        queries = [
+            parse_query("Q(x) :- E(x, y)."),
+            parse_query("Q(x) :- E(y, x)."),
+            parse_query("Q(x) :- E(x, x)."),
+        ]
+        for query in queries:
+            engine.execute(query, edge_db)
+        stats = engine.stats()
+        assert stats["cache"]["evictions"] == 1
+        assert stats["cache"]["size"] == 2
+        assert [row["executions"] for row in stats["shapes"]] == [1, 1]
+        assert stats["executions"] == 3
+        # The first shape's plan went with its row: looking it up again
+        # misses and plans afresh.
+        misses = stats["cache"]["misses"]
+        assert "cache    : miss" in engine.explain(queries[0], edge_db)
+        assert engine.stats()["cache"]["misses"] == misses + 1
 
     def test_alpha_renamed_twin_reuses_plan_safely(self, edge_db):
         # Same shape, different variable names: the second query hits the

@@ -516,7 +516,8 @@ class TestBatchEqualsSingles:
                     operation, expected
                 ), (parallel, operation)
             # The shared duplicate ran once, however many members it served.
-            assert engine.plan_for(shared.query, database).runtime.executions == 1
+            rendering = engine.explain(shared.query, database)
+            assert "(1 execution(s) recorded)" in rendering
             if parallel:
                 assert engine.stats()["executions"] < executions  # groups lifted
             else:

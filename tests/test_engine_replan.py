@@ -3,9 +3,9 @@
 Two halves of this PR's engine work:
 
 * **re-planning** — when an execution's actual cardinality drifts ≥ the
-  threshold from the plan's estimate, the engine invalidates the cached
-  plan and re-plans with the observation as corrected statistics, visible
-  in ``explain`` and ``stats()``;
+  threshold from the plan's estimate, the engine re-plans the shape with
+  the observation as corrected statistics and replaces its table entry's
+  plan, visible in ``explain`` and ``stats()``;
 * **decide_batch** — N same-shape decision instances lift into one query
   whose join tree is rooted at the injected parameter atom; a bottom-up
   semijoin pass there yields every member's decision at once, exactly
@@ -78,6 +78,20 @@ class TestAdaptiveReplanning:
         assert stats["replans"] == 1
         assert any(shape["replans"] == 1 for shape in stats["shapes"])
 
+    def test_explain_counts_executions_across_a_replan(self, drifting_workload):
+        """explain's actuals and the shape's stats row are one record: a
+        re-plan swaps the plan, not the count."""
+        query, database = drifting_workload
+        engine = QueryEngine(parallel=False)
+        engine.decide(query, database)
+        engine.decide(query, database)
+        engine.execute(query, database)  # the first observed |Q(d)|: re-plans
+        (row,) = engine.stats()["shapes"]
+        assert row["replans"] == 1 and row["executions"] == 3
+        rendering = engine.explain(query, database)
+        assert "re-plan  : #1" in rendering
+        assert f"({row['executions']} execution(s) recorded)" in rendering
+
     def test_stable_workload_never_replans(self):
         # Full-head query: the satisfying-assignment estimate and the
         # result cardinality measure the same thing, and on this workload
@@ -139,7 +153,7 @@ class TestAdaptiveReplanning:
                 (y,), [Atom("E", (Constant(constant), y))]
             )
 
-        engine = QueryEngine(parallel=False, replan_drift_threshold=2.0)
+        engine = QueryEngine(parallel=False)
         for i in range(20):
             engine.execute(instance("hub" if i % 2 == 0 else "leaf"), database)
         stats = engine.stats()
@@ -149,13 +163,6 @@ class TestAdaptiveReplanning:
         hits_before = engine.stats()["cache"]["hits"]
         engine.execute(instance("hub"), database)
         assert engine.stats()["cache"]["hits"] == hits_before + 1
-
-    def test_threshold_none_disables_replanning(self, drifting_workload):
-        query, database = drifting_workload
-        engine = QueryEngine(parallel=False, replan_drift_threshold=None)
-        engine.execute(query, database)
-        assert engine.plan_for(query, database).replans == 0
-        assert engine.stats()["replans"] == 0
 
     def test_decide_only_runs_do_not_replan(self, drifting_workload):
         query, database = drifting_workload

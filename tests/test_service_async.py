@@ -13,14 +13,15 @@ error propagation to every coalesced caller.
 
 import asyncio
 import contextlib
+import dataclasses
 import random
 import sys
 import threading
 
 import pytest
 
-from repro import QueryEngine, QueryService, parse_query
-from repro.engine import PlanCache
+from repro import Database, QueryEngine, QueryService, parse_query
+from repro.engine import Planner, ShapeTable
 from repro.errors import RequestRejectedError, SchemaError
 from repro.operations import DECIDE, EXECUTE, EXPLAIN, Operation, operations_of
 from repro.service.service import PARSE_MEMO_SIZE
@@ -772,34 +773,61 @@ class TestParseOnceDispatchOnce:
 
 class TestEngineThreadSafety:
     def test_plan_cache_hammered_from_threads(self):
-        cache = PlanCache(capacity=16)
+        """8 threads get, publish, record and re-plan 48 shapes through a
+        16-entry table: every record counts once in the totals, and each
+        stale plan is replaced at most once however many threads saw it
+        drift."""
+        table = ShapeTable(capacity=16)
+        database = Database.from_tuples({"E": [(1, 2), (2, 3)]})
+        cold = Planner().plan(path_query(2), database)
         errors = []
+        replaced = []  # the stale plans a re-plan displaced (kept alive)
         operations = 400
 
         def worker(seed):
             rng = random.Random(seed)
             try:
-                for i in range(operations):
+                for _ in range(operations):
                     key = ("shape", rng.randrange(48))
-                    if cache.get(key) is None:
-                        cache.put(key, ("plan", key))
-                    if i % 97 == 0:
-                        cache.invalidate(key)
+                    if table.get(key) is None:
+                        table.publish(key, dataclasses.replace(cold))
+                    rows = rng.choice((1, 1000))
+                    stale = table.record(key, 0.001, rows)
+                    if stale is None:
+                        continue
+                    plan = dataclasses.replace(
+                        stale,
+                        replans=stale.replans + 1,
+                        corrected_rows=float(rows),
+                        estimated_rows=float(rows),
+                    )
+                    if table.replace(key, stale, plan):
+                        replaced.append(stale)
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
         threads = [
             threading.Thread(target=worker, args=(seed,)) for seed in range(8)
         ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
         assert not errors
-        stats = cache.stats()
-        assert len(cache) <= 16
-        assert stats["size"] <= stats["capacity"]
-        assert stats["hits"] + stats["misses"] == 8 * operations
+        stats = table.stats()
+        cache = stats["cache"]
+        assert cache["size"] <= cache["capacity"] == 16
+        assert cache["hits"] + cache["misses"] == 8 * operations
+        assert stats["executions"] == 8 * operations
+        assert stats["replans"] == len(replaced) > 0
+        assert len({id(plan) for plan in replaced}) == len(replaced)
+        assert sum(row["replans"] for row in stats["shapes"]) <= len(replaced)
 
     def test_shared_engine_from_raw_threads(self, chain_db):
         """Below the asyncio layer: the engine itself is thread-safe."""

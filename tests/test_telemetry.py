@@ -13,6 +13,7 @@ import random
 import pytest
 
 from repro import Database, QueryEngine, QueryService, parse_query
+from repro.engine import ShapeTable
 from repro.errors import DeadlineExceededError, RequestRejectedError, SchemaError
 from repro.operations import EXECUTE, operations_of
 from repro.protocol import AsyncQueryClient, QueryServer
@@ -20,7 +21,6 @@ from repro.telemetry import (
     CLIENT_COUNTERS,
     OUTCOMES,
     LatencyReservoir,
-    ShapeLedger,
     quantile,
 )
 from repro.workloads import chain_database
@@ -64,6 +64,7 @@ class _Plan:
     structural_class = "acyclic"
     estimated_rows = 3.0
     join_order = ("E", "E")
+    replans = 0
 
 
 class TestPrimitives:
@@ -81,23 +82,33 @@ class TestPrimitives:
         assert reservoir.quantile(1.0) == 3.0
 
     def test_ledger_totals_survive_eviction(self):
-        ledger = ShapeLedger(capacity=2)
-        for key in range(4):
-            ledger.record(key, _Plan(), 0.5, rows=key)
-        ledger.note_replan(0, _Plan())
-        snapshot = ledger.snapshot()
+        table = ShapeTable(capacity=2)
+        plans = [_Plan() for _ in range(4)]
+        for key, plan in enumerate(plans):
+            table.publish(key, plan)
+            table.record(key, 0.5, rows=key)
+        assert table.replace(3, plans[3], _Plan())
+        snapshot = table.stats()
         assert len(snapshot["shapes"]) == 2
         assert snapshot["executions"] == 4
         assert snapshot["total_seconds"] == pytest.approx(2.0)
         assert snapshot["replans"] == 1
+        assert snapshot["cache"]["evictions"] == 2
         assert snapshot["shapes"][0]["shape"] == "acyclic/yannakakis[2 atom(s)]"
         assert round_trips(snapshot)
-        ledger.clear()
-        assert ledger.snapshot() == {
+        table.clear()
+        assert table.stats() == {
             "executions": 0,
             "total_seconds": 0,
             "replans": 0,
             "shapes": [],
+            "cache": {
+                "hits": 0,
+                "misses": 0,
+                "evictions": 0,
+                "size": 0,
+                "capacity": 2,
+            },
         }
 
 
