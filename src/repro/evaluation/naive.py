@@ -20,19 +20,34 @@ recipe*; on a hit a request pays only its spelling, one arity check per
 atom and a few index lookups (:func:`_bind`).
 
 On a miss :func:`_generate` writes the source of one generator function: a
-``for r<d> in ...`` loop per atom in join order — over the atom's rows (or
-its constant-key bucket) when nothing bound reaches it, over
-``idx<d>(key, ())`` otherwise, the key spelled from the variables and
-constants in its indexed positions — and inside each loop the step
-counter, the atom's repeated-variable equalities, the bindings ``v<i> =
-r<d>[p]`` of the variables somebody reads later, and every ≠ / < / ≤ as an
-``if ...: continue`` at the depth where its last variable is bound
+``for r<d> in ...`` loop per atom in join order (closing atoms excepted,
+see below) — over the atom's rows (or its constant-key bucket) when
+nothing bound reaches it, over ``idx<d>(key, ())`` otherwise, the key
+spelled from the variables and constants in its indexed positions — and
+inside each loop the step counter, the atom's repeated-variable
+equalities, the bindings ``v<i> = r<d>[p]`` of the variables somebody
+reads later, and every ≠ / < / ≤ as an ``if ...: continue`` at the depth
+where its last variable is bound
 (:func:`~repro.relational.relation.values_equal` spelled ``a is b or a ==
 b``).  The innermost body yields the emitted tuple — the head for
 ``evaluate``, every variable for ``satisfying_assignments``, ``()`` for
 the deciders — so nothing is built per assignment that the caller did not
 ask for.  CPython nests at most 20 loops in one function; a query with more
 atoms continues in a nested generator function per further 20.
+
+Cycles are closed by set intersection (:func:`_folds`).  Where the atom at
+depth *d* binds exactly one new variable *x*, held once, every later atom
+all of whose variables are bound once *x* is, holding *x* once, is a
+*closing* atom of *d*.  Each of these atoms has a set of *x*'s values
+under its key, from the relation's lazy value-set index
+(``Relation._values``); depth *d* swaps the smallest into ``c<d>``, loops
+over it, skips a candidate missing from another atom's set ``s<e>``, and
+binds ``v<i> = r<d>``.  The closing atoms get no loop of their own, only
+their arity check.  So the triangle's third atom is not probed once per
+2-path: per edge the smaller of ``out(b)`` and ``in(a)`` is tested against
+the other.  Which of equal values (``1`` / ``True`` / ``1.0``) binds *x*
+may come from a closing atom's relation; that already depended on atom
+order, and answers are equal under the kernel's one equality.
 
 Past the depth that binds the last emitted variable — the *existential
 tail* — no row changes what is yielded, so every loop there stops at its
@@ -44,18 +59,20 @@ first yield anyway, and ``satisfying_assignments`` emits every variable, so
 only ``evaluate`` visits fewer rows.
 
 The text names only ``v<i>`` / ``r<d>`` / ``k<slot>`` / ``idx<d>`` /
-``rows<d>`` slots: constants, relation names and data never reach it —
-they are the function's *arguments*, made per request from the recipe's
-relation names, index positions and constant slots.  So the memo holds no
-relation, index, row or constant, and no spelling's order can bind a
-constant to another constraint's slot.
+``vals<d>`` / ``rows<d>`` / ``c<d>`` / ``s<e>`` slots: constants, relation
+names and data never reach it — they are the function's *arguments*, made
+per request from the recipe's relation names, index positions and constant
+slots.  So the memo holds no relation, index, row or constant, and no
+spelling's order can bind a constant to another constraint's slot.
 
-One *step* is one row visited, at any depth.  Every ``_POLL_STRIDE`` steps
-the ambient cancel token is polled, and a budgeted search raises
-:class:`_BudgetSpent` on the first row past its budget.  The search stays
-depth-first rather than set-at-a-time: its memory is O(depth) whatever the
-data, and n^k nodes are exactly where a deadline has to be seen from
-inside.
+One *step* is one row, or one candidate of a folded loop, that the search
+visits, at any depth; it costs at most one set lookup per closing atom
+beyond a row's work, so steps bound the work.  Every ``_POLL_STRIDE``
+steps the ambient cancel token is polled, and a budgeted search raises
+:class:`_BudgetSpent` on the first step past its budget.  The search
+stays depth-first rather than set-at-a-time: its memory is O(depth)
+whatever the data, and n^k nodes are exactly where a deadline has to be
+seen from inside.
 """
 
 from __future__ import annotations
@@ -92,9 +109,9 @@ class _BudgetSpent(Exception):
 class NaiveEvaluator:
     """Backtracking join evaluation with index probing and constraint checks.
 
-    The evaluator holds no state: the index buckets it probes are cached
-    on the (immutable) relations themselves, so they are shared across
-    evaluators and with the relational algebra, and freed with the
+    The evaluator holds no state: the index buckets and value sets it reads
+    are cached on the (immutable) relations themselves, so they are shared
+    across evaluators and with the relational algebra, and freed with the
     relation.
     """
 
@@ -217,8 +234,8 @@ class NaiveEvaluator:
     ) -> Iterator[Tuple]:
         """The *emit* tuple of satisfying valuations, depth first — every
         distinct one at least once; callers that want one stop iterating.
-        With *max_steps*, raises :class:`_BudgetSpent` on the first row
-        visited past that many."""
+        With *max_steps*, raises :class:`_BudgetSpent` on the first step
+        (a row or a folded loop's candidate visited) past that many."""
         shape, constants = _spell(query, emit)
         order = None if atom_order is None else tuple(atom_order)
         search, recipe = _prepared(shape, order)
@@ -231,7 +248,8 @@ class NaiveEvaluator:
 # The generated search
 # ----------------------------------------------------------------------
 
-#: Opens every loop body: one step per row, the poll and the budget.
+#: Opens every loop body: one step per row or candidate, the poll and the
+#: budget.
 _COUNT_STEP = (
     "steps += 1",
     "if steps >= poll_at:",
@@ -256,7 +274,8 @@ Shape = Tuple[
 
 #: How a request's arguments are made: per depth ``(atom index, relation
 #: name, arity)``, then per parameter after ``stop_after`` one ``(kind,
-#: depth, positions, constant slots)`` step (see :func:`_bind`).
+#: depth, positions, constant slots)`` step — for ``values`` the last item
+#: holds the one value position instead (see :func:`_bind`).
 Recipe = Tuple[
     Tuple[Tuple[int, str, int], ...],
     Tuple[Tuple[str, int, Tuple[int, ...], Tuple[int, ...]], ...],
@@ -313,6 +332,7 @@ def _prepared(
         "_BudgetSpent": _BudgetSpent,
         "check_cancelled": check_cancelled,
         "_POLL_STRIDE": _POLL_STRIDE,
+        "_EMPTY": frozenset(),
     }
     exec(compile(source, "<naive search>", "exec"), namespace)
     return namespace["search"], recipe
@@ -347,6 +367,40 @@ def _atom_order(atoms: Sequence[Tuple[str, Tuple[Spelled, ...]]]) -> List[int]:
     return order
 
 
+def _folds(
+    atoms: Sequence[Tuple[str, Tuple[Spelled, ...]]], order: Sequence[int]
+) -> Dict[int, Tuple[int, List[int]]]:
+    """Depth → ``(x, closing depths)`` for each depth of *order* whose atom
+    binds exactly one new variable *x*, held once, and that has a *closing*
+    atom: a later one all of whose variables are bound once *x* is, holding
+    *x* once.  That depth draws *x* from the smallest of the atoms' value
+    sets, tested against the others, and its closing atoms get no loop of
+    their own."""
+    first: Dict[int, int] = {}  # variable -> the depth that binds it
+    for depth, index in enumerate(order):
+        for term in atoms[index][1]:
+            if term is not None:
+                first.setdefault(term, depth)
+    folds = {}
+    for depth, index in enumerate(order):
+        terms = atoms[index][1]
+        new = {term for term in terms if term is not None and first[term] == depth}
+        if len(new) != 1:
+            continue
+        (x,) = new
+        if terms.count(x) != 1:
+            continue
+        closers = [
+            later
+            for later in range(depth + 1, len(order))
+            if atoms[order[later]][1].count(x) == 1
+            and all(t is None or first[t] <= depth for t in atoms[order[later]][1])
+        ]
+        if closers:
+            folds[depth] = (x, closers)
+    return folds
+
+
 def _generate(shape: Shape, order: Sequence[int]) -> Tuple[str, Recipe]:
     """The source of the search for *shape* with its atoms taken in *order*,
     and the :data:`Recipe` that makes its arguments after ``stop_after``
@@ -355,7 +409,7 @@ def _generate(shape: Shape, order: Sequence[int]) -> Tuple[str, Recipe]:
     parameters = ["stop_after"]
     steps: List[Tuple[str, int, Tuple[int, ...], Tuple[int, ...]]] = []
     names: Dict[int, str] = {}  # variable number -> its name in the text
-    bound_at: Dict[str, int] = {}  # that name -> the depth that binds it
+    bound_at: Dict[str, int] = {}  # that name -> the loop that binds it
     # Names somebody reads — a later probe key, a constraint, the emitted
     # tuple; the others are never assigned.
     read = set()
@@ -381,11 +435,30 @@ def _generate(shape: Shape, order: Sequence[int]) -> Tuple[str, Recipe]:
         read.add(names[term])
         return names[term]
 
+    folds = _folds(atoms, order)
+    closing = {later for _, closers in folds.values() for later in closers}
+
+    def value_set(depth: int, key: Sequence[Tuple[int, Any]], at: int) -> str:
+        # The values at position *at* among the rows of the atom at *depth*
+        # that match *key*, all bound by now.
+        positions = tuple(position for position, _ in key)
+        sets = parameter(f"vals{depth}", ("values", depth, positions, (at,)))
+        return f"{sets}({probe_key(key)}, _EMPTY)"
+
+    def probe_key(key: Sequence[Tuple[int, Any]]) -> str:
+        spelled = [spell(term) for _, term in key]
+        return spelled[0] if len(key) == 1 else f"({', '.join(spelled)})"
+
     relations = []  # per depth: (atom index, relation name, arity)
-    loops = []  # per depth: what to iterate, equality checks, name -> cell
+    # Per loop: its depth, the lines before it, what to iterate, equality
+    # checks, name -> cell.  A closing atom keeps its depth and its arity
+    # check but has no loop.
+    loops = []
     for depth, index in enumerate(order):
         relation, terms = atoms[index]
         relations.append((index, relation, len(terms)))
+        if depth in closing:
+            continue
         # Static shape of the probe at this depth: positions holding a
         # constant or a variable bound earlier are the key; the others bind
         # a new variable or repeat one first seen in this very atom.
@@ -399,7 +472,7 @@ def _generate(shape: Shape, order: Sequence[int]) -> Tuple[str, Recipe]:
             name = names.get(term)
             if name is None:
                 name = names[term] = f"v{len(names)}"
-                bound_at[name] = depth
+                bound_at[name] = len(loops)
                 cells[name] = f"r{depth}[{position}]"
             elif name in cells:
                 a, b = cells[name], f"r{depth}[{position}]"
@@ -407,19 +480,39 @@ def _generate(shape: Shape, order: Sequence[int]) -> Tuple[str, Recipe]:
             else:
                 key.append((position, term))
         positions = tuple(position for position, _ in key)
-        if not key:
+        setup: List[str] = []
+        if depth in folds:
+            # Its one new variable x is drawn from the intersection of its
+            # own value set and its closing atoms': the loop runs over the
+            # smallest, swapped into c<d>, and skips each member missing
+            # from another.  So a step costs one lookup per closing atom,
+            # and a tail loop stops at its first member common to all.
+            x, closers = folds[depth]
+            rows = f"c{depth}"
+            setup.append(f"{rows} = {value_set(depth, key, terms.index(x))}")
+            missing = []
+            for closer in closers:
+                its = atom_terms[order[closer]]
+                others = [(p, term) for p, term in enumerate(its) if term != x]
+                setup += [
+                    f"s{closer} = {value_set(closer, others, its.index(x))}",
+                    f"if len(s{closer}) < len({rows}): "
+                    f"{rows}, s{closer} = s{closer}, {rows}",
+                ]
+                missing.append(f"r{depth} not in s{closer}")
+            equalities.append(f"if {' or '.join(missing)}: continue")
+            cells = {names[x]: f"r{depth}"}
+        elif not key:
             rows = parameter(f"rows{depth}", ("rows", depth, (), ()))
         elif all(isinstance(term, tuple) for _, term in key):
             held = tuple(term[1] for _, term in key)
             rows = parameter(f"rows{depth}", ("bucket", depth, positions, held))
         else:
             probe = parameter(f"idx{depth}", ("probe", depth, positions, ()))
-            spelled = [spell(term) for _, term in key]
-            probe_key = spelled[0] if len(key) == 1 else f"({', '.join(spelled)})"
-            rows = f"{probe}({probe_key}, ())"
-        loops.append((rows, equalities, cells))
+            rows = f"{probe}({probe_key(key)}, ())"
+        loops.append((depth, setup, rows, equalities, cells))
 
-    # A constraint is checked at the depth that binds its last variable.
+    # A constraint is checked in the loop that binds its last variable.
     checks: List[List[str]] = [[] for _ in loops]
     for op, left, right in constraint_terms:
         left, right = spell(left), spell(right)
@@ -429,9 +522,9 @@ def _generate(shape: Shape, order: Sequence[int]) -> Tuple[str, Recipe]:
             check = f"if not {left} {op} {right}: continue"
         checks[max(bound_at.get(left, 0), bound_at.get(right, 0))].append(check)
     emitted = [spell(term) for term in emit_terms]
-    # The existential tail: past the depth that binds the last emitted
+    # The existential tail: past the loop that binds the last emitted
     # variable nothing changes what is yielded, so each loop there stops at
-    # its first extension and breaks back to that depth.
+    # its first extension and breaks back to that loop.
     tail = 1 + max([bound_at.get(name, -1) for name in emitted], default=-1)
 
     # Innermost first.  CPython compiles at most _MAX_NESTING statically
@@ -442,14 +535,18 @@ def _generate(shape: Shape, order: Sequence[int]) -> Tuple[str, Recipe]:
         body.append("break")
     for start in reversed(range(0, len(loops), _MAX_NESTING)):
         stop = min(start + _MAX_NESTING, len(loops))
-        for depth in reversed(range(start, stop)):
-            rows, equalities, cells = loops[depth]
+        for loop in reversed(range(start, stop)):
+            depth, setup, rows, equalities, cells = loops[loop]
             bindings = [
                 f"{name} = {cell}" for name, cell in cells.items() if name in read
             ]
-            inside = (*_COUNT_STEP, *equalities, *bindings, *checks[depth], *body)
-            body = [f"for r{depth} in {rows}:", *("    " + line for line in inside)]
-            if depth > max(tail, start):
+            inside = (*_COUNT_STEP, *equalities, *bindings, *checks[loop], *body)
+            body = [
+                *setup,
+                f"for r{depth} in {rows}:",
+                *("    " + line for line in inside),
+            ]
+            if loop > max(tail, start):
                 # Its parent is a tail loop too: on an extension it breaks,
                 # on none it tries its next row.
                 body += ["else:", "    continue", "break"]
@@ -493,6 +590,8 @@ def _bind(
             arguments.append(constants[slots[0]])
         elif kind == "probe":
             arguments.append(relations[depth]._index(positions).get)
+        elif kind == "values":
+            arguments.append(relations[depth]._values(positions, slots[0]).get)
         elif kind == "rows":
             arguments.append(relations[depth]._row_order())
         else:  # "bucket": keys follow Relation._index — the raw value for

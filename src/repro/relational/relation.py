@@ -28,9 +28,10 @@ Kernel notes (see ``docs/kernel.md`` for the full contract):
   ``union`` / ``difference`` / ``intersection`` ever hash a row;
 * there is one equality, the one a Python ``set`` of the raw values
   already has (identity, then ``==``: ``1 == True == 1.0`` are one value,
-  a NaN object matches only itself).  The row set, the key sets and the
-  bucket index are all hash tables over raw values, and the linear scans
-  use :func:`values_equal`, which spells the same test out;
+  a NaN object matches only itself).  The row set, the key sets, the
+  bucket index and the value sets are all hash tables over raw values, and
+  the linear scans use :func:`values_equal`, which spells the same test
+  out;
 * each relation lazily caches *value columns* — one ``list`` per
   attribute, and one list of keys per join-key position tuple, all
   aligned with one fixed row order — so the kernel ops (semijoin/antijoin
@@ -41,7 +42,10 @@ Kernel notes (see ``docs/kernel.md`` for the full contract):
 * each relation lazily caches **one** hash index per position tuple
   (:meth:`Relation._index`: key → rows).  Joins, ``select_eq``, the naive
   search, the counting fold and the planner's distinct counts all read
-  it.  Relations are immutable, so nothing cached is ever invalidated;
+  it.  Built from it, a *value-set index* (:meth:`Relation._values`: key →
+  frozenset of the values at one position) lets the naive search close a
+  cycle by intersecting sets.  Relations are immutable, so nothing cached
+  is ever invalidated;
 * operations that rename columns without touching rows (``rename``, the
   candidate-relation fast path: :meth:`Relation._renamed`) share the source
   relation's whole cache — row stores included — since everything in it
@@ -195,6 +199,25 @@ class Relation:
         # same buckets, and every caller must agree on ONE canonical object
         # so downstream identity checks and shard preseeds stay consistent.
         return self._cache.setdefault(cache_key, frozen_buckets)
+
+    def _values(
+        self, positions: Tuple[int, ...], position: int
+    ) -> Dict[Any, FrozenSet[Any]]:
+        """The cached value-set index: each key of :meth:`_index` on
+        *positions* (same convention) → the frozenset of the values at
+        *position* in its bucket.  The naive search intersects these to
+        bind a variable that several atoms constrain at once."""
+        cache_key = ("values", positions, position)
+        found = self._cache.get(cache_key)
+        if found is None:
+            value = itemgetter(position)
+            sets = {
+                key: frozenset(map(value, bucket))
+                for key, bucket in self._index(positions).items()
+            }
+            # setdefault, like _index: concurrent cold fills converge.
+            found = self._cache.setdefault(cache_key, sets)
+        return found
 
     # -- the two row stores, and the value columns ------------------------
 

@@ -362,7 +362,9 @@ class TestQueryEngine:
             return sum(1 for o in gc.get_objects() if type(o) is Relation)
 
         engine = QueryEngine()
+        # The triangle's closing atom folds: its search reads value sets.
         triangle = parse_query("Q() :- E(x, y), E(y, z), E(z, x).")
+        corners = parse_query("Q(x, z) :- E(x, y), E(y, z), E(z, x).")
         two_hop = parse_query("Q() :- E(x, y), E(y, z).")
         before = live_relations()
         for generation in range(5):
@@ -372,6 +374,8 @@ class TestQueryEngine:
             )
             assert engine.plan_for(triangle, database).evaluator == "naive"
             assert engine.decide(triangle, database)
+            assert engine.execute(corners, database).cardinality == 3
+            assert any(key[0] == "values" for key in database["E"]._cache)
             assert engine.decide(two_hop, database)
             del database
         assert live_relations() == before

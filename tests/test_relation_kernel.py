@@ -9,6 +9,8 @@ constructor contract and the per-relation index-cache lifetime.
 from __future__ import annotations
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -231,6 +233,73 @@ class TestIndexCache:
         assert r.select_eq({"a": 1, "b": 3}) == Relation.from_rows(("a", "b"), [(1, 3)])
         assert r.select_eq({"a": 9}).is_empty()  # a miss
         assert r.select_eq({}) == r  # no condition: the empty-position index
+
+
+class TestValueSets:
+    NAN = float("nan")
+    ROWS = [(1, "x", 0), (True, "y", 0), (1.0, "x", NAN), (2, "x", NAN), (2, "z", 3)]
+
+    def reference(self, rows, positions, position):
+        sets = {}
+        for row in rows:
+            key = row[positions[0]] if len(positions) == 1 else tuple(
+                row[p] for p in positions
+            )
+            sets.setdefault(key, set()).add(row[position])
+        return {key: frozenset(values) for key, values in sets.items()}
+
+    @pytest.mark.parametrize("positions, position", [
+        ((), 0), ((), 2), ((0,), 1), ((0,), 2), ((1,), 0), ((0, 1), 2), ((2, 0), 1),
+    ])
+    def test_value_sets_are_the_buckets_values(self, positions, position):
+        r = Relation.from_rows(("a", "b", "c"), self.ROWS)
+        sets = r._values(positions, position)
+        assert sets == self.reference(self.ROWS, positions, position)
+        assert r._values(positions, position) is sets  # cached
+        assert set(sets) == set(r._index(positions))  # the index's keys
+
+    def test_one_equality_across_keys_and_values(self):
+        r = Relation.from_rows(("a", "b", "c"), self.ROWS)
+        # 1, True, 1.0 are one key and one value; the NaN object is itself.
+        assert r._values((0,), 1)[True] == {"x", "y"}
+        assert r._values((1,), 0)["x"] == {1, 2}
+        assert self.NAN in r._values((0,), 2)[2]
+        assert r._values((0,), 2).get(float("nan")) is None
+
+    def test_threads_racing_the_cold_fill_converge(self):
+        rows = [(i % 50, i) for i in range(3000)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                relation = Relation.from_rows(("a", "b"), rows)
+                twin = relation._renamed(("x", "y"))
+                barrier = threading.Barrier(6)
+                seen = []
+
+                def racer(which):
+                    barrier.wait(timeout=10)
+                    seen.append(which._values((0,), 1))
+
+                threads = [
+                    threading.Thread(target=racer, args=(which,))
+                    for which in (relation, twin) * 3
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert len(seen) == 6 and all(sets is seen[0] for sets in seen)
+                assert relation._values((0,), 1) is seen[0]
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_renamed_twin_shares_the_value_sets(self):
+        r = Relation.from_rows(("a", "b"), [(1, 2), (1, 3)])
+        sets = r._values((0,), 1)
+        twin = r.rename({"a": "z"})
+        assert twin._values((0,), 1) is sets
+        assert r._renamed(("p", "q"))._values((0,), 1) is sets
 
 
 class TestYannakakisFusedPass:
