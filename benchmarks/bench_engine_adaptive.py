@@ -18,8 +18,10 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_engine_adaptive.py
     PYTHONPATH=src python benchmarks/bench_engine_adaptive.py --smoke  # CI
 
-``--smoke`` skips the perf assertions (CI machines are noisy; the
-regression gate applies its own tolerance instead); ``--json PATH`` writes
+``--smoke`` keeps one perf assertion, that no query runs more than the
+planner's baseline margin (4×) slower than its best hand-picked route, and
+skips the rest (CI machines are noisy; the regression gate applies its own
+tolerance instead); ``--json PATH`` writes
 the machine-readable report (``BENCH_engine_adaptive.json`` by default in
 full mode).
 """
@@ -41,6 +43,7 @@ from repro.benchlib import (
     time_thunk,
 )
 from repro.engine import NAIVE
+from repro.engine.planner import _BASELINE_MARGIN
 from repro.operations import EXECUTE, operations_of
 from repro.parametric.problems import CliqueInstance
 from repro.query import Atom, ConjunctiveQuery
@@ -259,8 +262,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="skip perf assertions and the default JSON write — the CI "
-        "configuration (timings stay best-of-3 for the regression gate)",
+        help="keep only the baseline-margin check, skip the other perf "
+        "assertions and the default JSON write — the CI configuration "
+        "(timings stay best-of-3 for the regression gate)",
     )
     add_json_argument(parser)
     args = parser.parse_args(argv)
@@ -333,15 +337,22 @@ def main(argv: Optional[List[str]] = None) -> int:
         title="execute_batch: shape-grouped planning",
     )
 
+    # Every run, smoke included: no leaf may run more than the planner's
+    # baseline margin slower than its best hand-picked route.  That is the
+    # part of the full-run check that is not noise — a wrong route shows up
+    # as 10–600× (the boolean cycles while the search was charged in full),
+    # a right one as run-to-run spread around 1.
+    worst = max(records, key=lambda r: r["engine_over_best"])
+    assert worst["engine_over_best"] <= _BASELINE_MARGIN, worst
     if not args.smoke:
         # Full-run acceptance: the adaptive engine stays close to the best
         # hand-picked evaluator everywhere.  Wherever the plan is right,
         # engine / best is a ratio of two timings of one route, so the 1.25
-        # is run-to-run noise on sub-millisecond queries (0.55–1.11 over ten
-        # full runs), not headroom for a wrong pick: the triangle, planned
-        # ``naive`` on 8.7e3 vs 2.1e4 modelled row ops, runs ~3× faster
-        # there than on the treewidth route.
-        worst = max(records, key=lambda r: r["engine_over_best"])
+        # is run-to-run noise plus the engine's plan lookup and record (a
+        # few µs, which the forced runs skip), not headroom for a wrong
+        # pick: the boolean cycles, charged to their first witness, run
+        # the search ~300× faster than the bag joins they were sent to
+        # while the search was charged in full.
         assert worst["engine_over_best"] <= 1.25, worst
         assert (
             cache_section["repeat_execution_seconds"]

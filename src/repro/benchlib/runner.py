@@ -18,6 +18,7 @@ against the committed baseline, leaf by leaf.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import math
 import os
 import platform
@@ -111,11 +112,15 @@ def add_json_argument(parser: argparse.ArgumentParser) -> None:
 
 
 def environment() -> Dict[str, Any]:
-    """Where a report's numbers come from: CPU count, Python, commit."""
+    """Where a report's numbers come from: CPU count, Python, commit, and
+    the source tree measured (``src_sha256``: unlike ``git_head``, which
+    names the commit the tree was built on, it names the tree itself, so
+    it matches the commit that lands the record)."""
+    here = os.path.dirname(os.path.abspath(__file__))
     try:
         head = subprocess.run(
             ["git", "describe", "--always", "--dirty", "--abbrev=12"],
-            cwd=os.path.dirname(os.path.abspath(__file__)),
+            cwd=here,
             capture_output=True,
             text=True,
             timeout=10,
@@ -126,7 +131,25 @@ def environment() -> Dict[str, Any]:
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
         "git_head": head or "unknown (not a git checkout)",
+        "src_sha256": source_digest(os.path.dirname(os.path.dirname(here))),
     }
+
+
+def source_digest(root: str) -> str:
+    """SHA-256 over every file under *root* but bytecode caches: each
+    file's path relative to *root*, then its bytes, in path order."""
+    digest = hashlib.sha256()
+    paths = []
+    for directory, subdirectories, files in os.walk(root):
+        subdirectories[:] = [d for d in subdirectories if d != "__pycache__"]
+        paths += [os.path.join(directory, name) for name in files]
+    for path in sorted(paths, key=lambda p: os.path.relpath(p, root)):
+        digest.update(os.path.relpath(path, root).replace(os.sep, "/").encode())
+        digest.update(b"\0")
+        with open(path, "rb") as handle:
+            digest.update(handle.read())
+        digest.update(b"\0")
+    return digest.hexdigest()
 
 
 def json_report_payload(

@@ -441,11 +441,11 @@ class QueryEngine(OperationFacade):
         if plan.structural_class != ACYCLIC or plan.analysis.join_tree is None:
             return None
         reusable = plan.analysis.variable_layout == variable_layout(lifted.query)
-        tree = plan.analysis.join_tree if reusable else None
+        program = plan.program if reusable else None
         root = len(lifted.query.atoms) - 1  # the parameter atom
         start = perf_counter()
         reduced = self._yannakakis.reduce_bottom_up(
-            lifted.query, lifted.database, join_tree=tree, root=root
+            lifted.query, lifted.database, root=root, program=program
         )
         decisions = lifted.decide_members(reduced)
         self._record(key, perf_counter() - start, None, lifted.query, lifted.database)
@@ -467,7 +467,7 @@ class QueryEngine(OperationFacade):
         # already-abandoned request aborts before planning or evaluation
         # spends anything.
         check_cancelled()
-        # A cached plan's join tree / decomposition name the variables of
+        # A cached plan's program / decomposition name the variables of
         # the query it was planned from; they are reusable for this query
         # only when the variable layout matches (true for the parameterized
         # decision instances the cache targets, false for α-renamed shape
@@ -476,14 +476,14 @@ class QueryEngine(OperationFacade):
             variable_layout(query)
         )
         if evaluator == YANNAKAKIS:
-            # Reuse the plan's join tree: a cache hit must not pay for the
-            # GYO reduction again.
-            tree = plan.analysis.join_tree if reusable else None
+            # Run the plan's program: a cache hit pays for no GYO
+            # reduction, re-rooting or edge keys again.
+            program = plan.program if reusable else None
             engine = self._yannakakis
             return (
-                engine.decide(query, database, join_tree=tree)
+                engine.decide(query, database, program=program)
                 if decide
-                else engine.evaluate(query, database, join_tree=tree)
+                else engine.evaluate(query, database, program=program)
             )
         if evaluator == TREEWIDTH:
             decomposition = plan.analysis.decomposition if reusable else None

@@ -2,9 +2,10 @@
 
 A plan is everything the executor needs that does *not* depend on the
 constant bindings of the query: the structural analysis, the chosen
-evaluator, the join order for the backtracking engine, the semijoin program
-read off the join tree for the acyclic engines, and the cost model's
-per-candidate estimates
+evaluator, the join order for the backtracking engine, the acyclic route's
+program (:class:`~repro.evaluation.yannakakis.AcyclicProgram` — the one
+object the planner prices, ``explain`` prints and the evaluator runs), and
+the cost model's per-candidate estimates with what each was charged for
 (kept for transparency — ``explain`` shows why the planner chose what it
 chose).
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
+from ..evaluation.yannakakis import AcyclicProgram
 from .analysis import StructuralAnalysis
 
 
@@ -74,12 +76,21 @@ class QueryPlan:
         Atom indices in probe order for the backtracking engine (present
         for every plan; the naive fallback and forced-naive execution use
         it, cost estimation derives from it).
+    program:
+        The acyclic route's program, built once per shape (acyclic plans
+        only): the evaluator runs it whenever the query's variable layout
+        is the plan's.
     semijoin_program:
-        Human-readable full-reducer steps from the join tree (acyclic
-        plans) or bag construction steps (bounded-treewidth plans).
+        The class route's schedule, one line per step: the acyclic
+        program's (``AcyclicProgram.steps``), Theorem 2's passes, or the
+        bag construction of a bounded-treewidth plan.
     cost_estimates:
         Abstract row-operation counts per candidate evaluator, from the
         planner's cost model.
+    charged:
+        Per candidate evaluator, what its estimate charges for (the acyclic
+        route's edges and read-off, the baseline's full enumeration or
+        search to a first witness).
     estimated_rows:
         The cost model's satisfying-assignment estimate, compared against
         actual cardinalities in ``explain``.
@@ -101,8 +112,10 @@ class QueryPlan:
     evaluator: str
     analysis: StructuralAnalysis
     join_order: Tuple[int, ...]
+    program: Optional[AcyclicProgram] = None
     semijoin_program: Tuple[str, ...] = ()
     cost_estimates: Dict[str, float] = field(default_factory=dict)
+    charged: Dict[str, str] = field(default_factory=dict)
     estimated_rows: float = 0.0
     count_mode: str = ""
     replans: int = 0
@@ -137,6 +150,8 @@ class QueryPlan:
                 for name, estimate in sorted(self.cost_estimates.items())
             )
             lines.append(f"  costs    : {costs}")
+        for name, terms in sorted(self.charged.items()):
+            lines.append(f"  charged  : {name}: {terms}")
         if self.count_mode:
             lines.append(f"  counting : {self.count_mode}")
         if self.replans:

@@ -13,17 +13,18 @@ per-column distinct counts taken from the relations' cached single-position
 hash indexes (``Relation._index``), so statistics gathered at plan time are
 the very indexes the backtracking executor probes later — planning warms
 the caches it plans for.
+
+Each route is charged for what it runs (``QueryPlan.charged`` says what):
+the acyclic route's :class:`~repro.evaluation.yannakakis.AcyclicProgram`,
+built here once per shape and carried on the plan, by the edges it walks;
+the search by the planner's one walk, a boolean one to its first witness.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..evaluation.yannakakis import (
-    WITNESS_BUDGET_DIVISOR,
-    carrying_edges,
-    reroot_for_head,
-)
+from ..evaluation.yannakakis import AcyclicProgram, acyclic_program
 from ..hypergraph.join_tree import JoinTree
 from ..query.atoms import Atom
 from ..query.conjunctive import ConjunctiveQuery
@@ -54,14 +55,17 @@ from .plan import (
 #: database's row counts, never of how fast earlier requests happened to run.
 _PASS_WEIGHT = 1.5
 
-#: Semijoin passes of the acyclic pipeline (bottom-up, top-down, join-up).
-_NUM_PASSES = 3
-
 #: The class evaluator is preferred unless the baseline's estimate is this
 #: many times cheaper — structural guarantees beat small modelled margins —
-#: and Theorem 2's engine, which has no such guarantee, displaces the
-#: baseline only when *it* is this many times cheaper.
+#: and the routes without such a guarantee (Theorem 2's engine, the bag
+#: joins) displace the baseline only when *they* are this many times cheaper.
 _BASELINE_MARGIN = 4.0
+
+
+#: Per candidate row of a route that walks all of its tree bottom-up,
+#: top-down and join-project: Theorem 2's engine (per hash function) and
+#: the bag tree of the treewidth route.
+_FULL_REDUCER_WEIGHT = 3 * _PASS_WEIGHT
 
 
 class Planner:
@@ -83,7 +87,16 @@ class Planner:
         model guessed.
         """
         analysis = analyze(query)
+        structural_class = analysis.structural_class
         join_order, naive_cost, answer_estimate = self._walk(query.atoms, database)
+        charged = {NAIVE: "full enumeration"}
+        # A boolean search stops at its first witness (spread evenly: one
+        # frontier-th of the walk, a row per atom), unless one was seen empty
+        # — not against the acyclic route, whose decide runs it too.
+        boolean = not query.head_variables() and structural_class != ACYCLIC
+        if boolean and answer_estimate >= 1.0 and observed_rows != 0:
+            naive_cost = max(naive_cost / answer_estimate, float(len(query.atoms)))
+            charged[NAIVE] = "to first witness"
         if observed_rows is not None:
             # Backtracking enumerates at least one search node per result,
             # so an exploded observed cardinality scales the baseline's
@@ -99,41 +112,29 @@ class Planner:
             answer_estimate = observed_rows
         costs: Dict[str, float] = {NAIVE: naive_cost}
 
-        structural_class = analysis.structural_class
         evaluator = NAIVE
-        program: Tuple[str, ...] = ()
+        program: Optional[AcyclicProgram] = None
+        steps: Tuple[str, ...] = ()
 
         if structural_class == ACYCLIC:
-            costs[YANNAKAKIS] = self._acyclic_cost(query, database, answer_estimate)
+            program = acyclic_program(query, analysis.join_tree)
+            costs[YANNAKAKIS], charged[YANNAKAKIS] = self._acyclic_cost(
+                program, query, database, answer_estimate
+            )
             evaluator = self._arbitrate(YANNAKAKIS, costs)
-            program = self._acyclic_program(query, analysis.join_tree)
+            steps = program.steps()
         elif structural_class == ACYCLIC_NEQ:
             costs[INEQUALITY] = self._inequality_cost(query, database, answer_estimate)
-            # No structural preference here — Theorem 2's hash-family
-            # factor is exponential in the number of inequalities — so the
-            # burden of proof is the other way round: the baseline stays
-            # unless the colour-coding estimate is the margin cheaper (a
-            # 5 % modelled gap separates a 10 ms from a 140 ms route in
-            # tests/test_engine_replan.py).
-            if costs[INEQUALITY] * _BASELINE_MARGIN < costs[NAIVE]:
-                evaluator = INEQUALITY
+            evaluator = self._displace(INEQUALITY, costs)
             # Theorem 2's engine keeps the tree as GYO rooted it and walks
             # all of it, once per hash function.
-            program = self._bottom_up_steps(query, analysis.join_tree) + (
+            steps = self._bottom_up_steps(query, analysis.join_tree) + (
                 "per hash function: every edge again top-down, "
                 "then join-project onto the head",
             )
         elif structural_class == BOUNDED_TREEWIDTH:
-            treewidth_cost, bag_program = self._treewidth_cost(
-                query, database, analysis
-            )
-            costs[TREEWIDTH] = treewidth_cost
-            # Unlike the acyclic case there is no combined-complexity
-            # guarantee to defer to — bag materialization is n^O(w) just as
-            # backtracking is n^O(q) — so the cheaper estimate wins outright.
-            if costs[TREEWIDTH] < costs[NAIVE]:
-                evaluator = TREEWIDTH
-            program = bag_program
+            costs[TREEWIDTH], steps = self._treewidth_cost(query, database, analysis)
+            evaluator = self._displace(TREEWIDTH, costs)
         elif structural_class == BOUNDED_VARIABLES:
             costs[BOUNDED_VARIABLE] = self._grouped_cost(query, database)
             evaluator = self._arbitrate(BOUNDED_VARIABLE, costs)
@@ -142,8 +143,10 @@ class Planner:
             evaluator=evaluator,
             analysis=analysis,
             join_order=join_order,
-            semijoin_program=program,
+            program=program,
+            semijoin_program=steps,
             cost_estimates=costs,
+            charged=charged,
             estimated_rows=answer_estimate,
             count_mode=counting_mode(query, structural_class),
         )
@@ -230,17 +233,40 @@ class Planner:
     # Per-evaluator cost estimates
     # ------------------------------------------------------------------
 
+    def _sizes(self, query: ConjunctiveQuery, database: Database) -> List[float]:
+        """Estimated |S_j| per atom."""
+        return [
+            self._candidate_cardinality(atom, database[atom.relation])
+            for atom in query.atoms
+        ]
+
     def _acyclic_cost(
         self,
+        program: AcyclicProgram,
         query: ConjunctiveQuery,
         database: Database,
         answer_estimate: float,
-    ) -> float:
-        total = sum(
-            self._candidate_cardinality(atom, database[atom.relation])
-            for atom in query.atoms
+    ) -> Tuple[float, str]:
+        """What *program* runs, and a line saying so: every edge bottom-up,
+        the top-down edges again, each carrying edge joined, and the
+        read-off — the root's survivors, or the joined answer when an edge
+        carries."""
+        rows = self._sizes(query, database)
+
+        def walked(edges) -> float:
+            return _PASS_WEIGHT * sum(rows[e.child] + rows[e.parent] for e in edges)
+
+        upward = walked(program.edges)
+        carrying = walked(program.top_down) + walked(program.carrying)
+        read_off = answer_estimate if program.carrying else rows[program.tree.root]
+        read_off = min(answer_estimate, read_off)
+        charged = (
+            f"{len(program.edges)} edge(s) bottom-up ≈{upward:.3g}, "
+            f"{len(program.carrying)} carrying edge(s), "
+            f"{len(program.top_down)} top-down ≈{carrying:.3g}, "
+            f"read-off ≈{read_off:.3g} row(s)"
         )
-        return _PASS_WEIGHT * _NUM_PASSES * total + answer_estimate
+        return upward + carrying + read_off, charged
 
     def _inequality_cost(
         self,
@@ -249,7 +275,8 @@ class Planner:
         answer_estimate: float,
     ) -> float:
         trials = float(2 ** min(len(query.inequalities), 16))
-        return trials * self._acyclic_cost(query, database, answer_estimate)
+        rows = sum(self._sizes(query, database))
+        return trials * (_FULL_REDUCER_WEIGHT * rows + answer_estimate)
 
     def _treewidth_cost(
         self,
@@ -291,7 +318,7 @@ class Planner:
             bag_vars = ",".join(sorted(v.name for v in bag))
             program.append(f"materialize BAG_{i}[{bag_vars}] = ⋈ {atoms_text}")
         program.append("run Yannakakis full reducer + join-project over the bag tree")
-        cost += _PASS_WEIGHT * _NUM_PASSES * sum(bag_sizes)
+        cost += _FULL_REDUCER_WEIGHT * sum(bag_sizes)
         return cost, tuple(program)
 
     def _grouped_cost(self, query: ConjunctiveQuery, database: Database) -> float:
@@ -300,11 +327,7 @@ class Planner:
         groups: Dict[frozenset, List[Atom]] = {}
         for atom in query.atoms:
             groups.setdefault(atom.variable_set(), []).append(atom)
-        build = sum(
-            self._candidate_cardinality(atom, database[atom.relation])
-            for atoms in groups.values()
-            for atom in atoms
-        )
+        build = sum(self._sizes(query, database))
         representatives = [
             min(
                 atoms,
@@ -320,48 +343,24 @@ class Planner:
     @staticmethod
     def _arbitrate(preferred: str, costs: Dict[str, float]) -> str:
         """The class evaluator, unless the baseline is ≥ margin× cheaper."""
-        if costs[NAIVE] * _BASELINE_MARGIN < costs[preferred]:
-            return NAIVE
-        return preferred
+        baseline_wins = costs[NAIVE] * _BASELINE_MARGIN < costs[preferred]
+        return NAIVE if baseline_wins else preferred
+
+    @staticmethod
+    def _displace(route: str, costs: Dict[str, float]) -> str:
+        """*route*, if it is the margin cheaper than the baseline: a route
+        without a guarantee to defer to (Theorem 2's hash-family factor is
+        exponential in k, bag joins n^O(w) as the search is n^O(q)) must
+        prove itself — a 5 % modelled gap once sent a 10 ms search onto a
+        140 ms colour-coding run (tests/test_engine_replan.py)."""
+        return route if costs[route] * _BASELINE_MARGIN < costs[NAIVE] else NAIVE
 
     @staticmethod
     def _bottom_up_steps(query: ConjunctiveQuery, tree: JoinTree) -> Tuple[str, ...]:
         """One ``parent ⋉ child`` line per edge of *tree*, leaves first."""
+        atoms = query.atoms
         return tuple(
-            f"{_atom_label(query, tree.parent(node))} ⋉ {_atom_label(query, node)}"
+            f"a{parent}({atoms[parent].relation}) ⋉ a{node}({atoms[node].relation})"
             for node in tree.bottom_up_order()
-            if tree.parent(node) is not None
+            if (parent := tree.parent(node)) is not None
         )
-
-    @classmethod
-    def _acyclic_program(
-        cls, query: ConjunctiveQuery, join_tree: JoinTree
-    ) -> Tuple[str, ...]:
-        """The schedule :class:`YannakakisEvaluator` runs, step for step:
-        the bottom-up pass over the head-rooted tree, then — on the edges
-        that hand a head column up, if any — the top-down semijoins and the
-        join-projects, and what ``decide`` tries before any of it."""
-        head_names = {v.name for v in query.head_variables()}
-        # The tree and the edges evaluate walks: same two calls.
-        tree = reroot_for_head(join_tree, head_names)
-        carrying = carrying_edges(tree, head_names)
-        steps = list(cls._bottom_up_steps(query, tree))
-        steps += [
-            f"{_atom_label(query, node)} ⋉ {_atom_label(query, tree.parent(node))}"
-            for node in reversed(carrying)
-        ]
-        steps += [
-            f"{_atom_label(query, tree.parent(node))} ⋈ {_atom_label(query, node)}"
-            ", projected onto join and head columns"
-            for node in carrying
-        ]
-        steps.append(
-            "decide: first-witness search, at most "
-            f"⌊input rows / {WITNESS_BUDGET_DIVISOR}⌋ steps; "
-            "one bottom-up pass only if that budget is spent"
-        )
-        return tuple(steps)
-
-
-def _atom_label(query: ConjunctiveQuery, index: int) -> str:
-    return f"a{index}({query.atoms[index].relation})"

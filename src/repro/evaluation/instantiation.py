@@ -13,7 +13,7 @@ Theorem 1's upper bounds, the Yannakakis evaluator, and Algorithms 1–2.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import QueryError, SchemaError
 from ..query.atoms import Atom
@@ -129,32 +129,44 @@ def answers_relation(
     the result has one column per head term, with synthetic names ``o0..``
     since head terms may repeat variables or be constants.
     """
-    names = tuple(f"o{i}" for i in range(len(head_terms)))
     attribute_index = {name: i for i, name in enumerate(assignments.attributes)}
-    # Compile each head term once: column position for a variable, or the
-    # constant value itself (position None).
-    sources = []
+    positions = []
     for term in head_terms:
         if isinstance(term, Constant):
-            sources.append((None, term.value))
+            positions.append(None)
         else:
             position = attribute_index.get(term.name)
             if position is None:
                 raise QueryError(
                     f"assignments relation misses head variable {term!r}"
                 )
-            sources.append((position, None))
-    positions = tuple(position for position, _ in sources)
+            positions.append(position)
+    return read_off(head_terms, assignments, tuple(positions))
+
+
+def read_off(
+    head_terms: Sequence[Term],
+    relation: Relation,
+    positions: Sequence[Optional[int]],
+) -> Relation:
+    """The head tuples of *relation*'s rows: per head term, the column at
+    its position, or the constant itself where the position is ``None``.
+    Columns ``o0..`` as in :func:`answers_relation`."""
+    names = tuple(f"o{i}" for i in range(len(head_terms)))
     if None not in positions and len(set(positions)) == len(positions):
         # Distinct variables only: a column selection (the rows themselves
-        # when the head *is* the assignments' columns), no per-row Python;
+        # when the head *is* the relation's columns), no per-row Python;
         # only the names change, so the caches are shared.
-        attributes = assignments.attributes
-        selected = assignments.project(tuple(attributes[p] for p in positions))
+        attributes = relation.attributes
+        selected = relation.project(tuple(attributes[p] for p in positions))
         return selected._renamed(names)
+    sources = [
+        (position, None if position is not None else term.value)
+        for term, position in zip(head_terms, positions)
+    ]
     rows = dict.fromkeys(
         tuple(value if position is None else row[position]
               for position, value in sources)
-        for row in assignments
+        for row in relation
     )
     return Relation._from_order(names, tuple(rows))

@@ -17,13 +17,23 @@ The classical polynomial-combined-complexity evaluation of acyclic joins
    ``evaluate`` the children of the carrying edges of step 4.  ``decide``,
    the batch decision, the covered count and a head-in-root ``evaluate``
    materialise at most that one; the counting fold reads keys and masks;
-4. the other half of the *full reducer* — the top-down semijoin pass — and
-   the final bottom-up join-and-project pass, both **only on the edges that
-   hand a head column up** (:func:`carrying_edges`).  Every other edge
-   could only filter its parent, which the bottom-up pass has already
-   done, so a query whose head sits inside one atom costs one pass plus a
-   read-off of the root, and only a head spread over several atoms pays
-   Yannakakis' |input| · |output| intermediates.
+4. the final bottom-up join-and-project pass **only on the edges that
+   hand a head column up** (:func:`carrying_edges`), and the other half of
+   the *full reducer* — the top-down semijoin — only on those of them whose
+   child hands a head column up itself.  Every other edge could only
+   filter its parent, which the bottom-up pass has already done, and the
+   join with a carrying child that has nothing carried below it drops the
+   child's dangling rows itself, so a query whose head sits inside one
+   atom costs one pass plus a read-off of the root, and only a head spread
+   over several atoms pays Yannakakis' |input| · |output| intermediates.
+
+What steps 2–4 walk depends on the query's shape only, so it is worked out once,
+as an :class:`AcyclicProgram` (:func:`acyclic_program`): the head-rooted
+tree, its edges leaves first with the key positions each semijoin probes,
+the carrying edges with the columns each join-project keeps, and the head
+read-off.  The engine's planner builds it once per shape, prices the route
+from it and carries it on the plan; a request only builds its candidate
+relations and runs it.
 
 ``decide`` first looks for one witness with the backtracking search under
 a step budget proportional to the input (:data:`WITNESS_BUDGET_DIVISOR`);
@@ -36,17 +46,23 @@ exactly the extension Theorem 2 (``repro.inequalities``) provides.
 from __future__ import annotations
 
 from itertools import compress
-from typing import Any, Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import QueryError
 from ..hypergraph.join_tree import JoinTree
 from ..query.conjunctive import ConjunctiveQuery
+from ..query.terms import Constant
 from ..relational.attributes import positions_of
 from ..relational.database import Database
-from ..relational.joins import JoinAlgorithm, hash_join, shared_attributes
+from ..relational.joins import JoinAlgorithm, hash_join
 from ..relational.relation import Relation
 from ..resilience.token import check_cancelled
-from .instantiation import answers_relation, candidate_relations
+from .instantiation import (
+    answers_relation,
+    atom_candidate_relation,
+    candidate_relations,
+    read_off,
+)
 from .naive import NaiveEvaluator
 
 #: ``decide`` searches for a first witness for at most (input rows of the
@@ -99,19 +115,21 @@ class Survivors(NamedTuple):
             return self.relation
         return self.relation._take(self.mask)
 
-    def semijoin(self, child: "Survivors") -> "Survivors":
-        """``self ⋉ child`` as a mask: one probe of the child's live keys
-        per row of the unfiltered relation, ANDed into the mask so far."""
-        relation, other = self.relation, child.relation
-        shared = shared_attributes(relation, other)
-        if not shared:
+    def semijoin(
+        self,
+        child: "Survivors",
+        positions: Tuple[int, ...],
+        child_positions: Tuple[int, ...],
+    ) -> "Survivors":
+        """``self ⋉ child`` as a mask: one probe of the child's live keys on
+        *child_positions* per row of the unfiltered relation, keyed on
+        *positions*, ANDed into the mask so far."""
+        if not positions:
             # A cross-product component filters nothing: the pass never
             # hands an empty child on (it returns ``None`` instead).
             return self
-        mask = relation._probe_mask(
-            positions_of(relation.attributes, shared),
-            child.live_keys(positions_of(other.attributes, shared)),
-        )
+        relation = self.relation
+        mask = relation._probe_mask(positions, child.live_keys(child_positions))
         if 0 not in mask:
             return self
         if self.mask is not None:
@@ -120,8 +138,81 @@ class Survivors(NamedTuple):
         return Survivors(relation, mask)
 
 
+class Edge(NamedTuple):
+    """One join-tree edge as the passes walk it: the child and parent atom
+    indices and, in each one's candidate relation, the positions of the
+    variables the two share (in the parent's column order; empty for a
+    cross-product component)."""
+
+    child: int
+    parent: int
+    child_key: Tuple[int, ...]
+    parent_key: Tuple[int, ...]
+
+
+class AcyclicProgram(NamedTuple):
+    """What the evaluator runs for one query shape, worked out once.
+
+    Positional — atom indices and column positions of the candidate
+    relations — so every spelling of the shape with the same variable
+    layout runs the same program (the engine's plan carries it).
+    """
+
+    #: Per atom, the relation it reads (``explain`` labels atoms by it).
+    relations: Tuple[str, ...]
+    #: Per atom, its candidate relation's columns when the atom holds
+    #: distinct variables only (the candidate is the stored relation
+    #: renamed), ``None`` when a constant or a repeat selects first.
+    plain: Tuple[Optional[Tuple[str, ...]], ...]
+    #: The join tree, rooted where the head lives (:func:`reroot_for_head`).
+    tree: JoinTree
+    #: Every edge, leaves first: the bottom-up pass.
+    edges: Tuple[Edge, ...]
+    #: The edges that hand a head column up, leaves first
+    #: (:func:`carrying_edges`): the join-projects.
+    carrying: Tuple[Edge, ...]
+    #: The carrying edges whose child is the parent of another, root
+    #: first: the top-down semijoins, which keep the joins below them
+    #: within the output.  A carrying child with nothing carried below it
+    #: needs none — its join drops its dangling rows.
+    top_down: Tuple[Edge, ...]
+    #: Per carrying edge, the child's columns its join-project keeps.
+    keeps: Tuple[Tuple[str, ...], ...]
+    #: Per head term, its column in the root's final relation (``None``
+    #: for a constant).
+    read_off: Tuple[Optional[int], ...]
+
+    def steps(self) -> Tuple[str, ...]:
+        """The schedule, one line per step, in the order it runs, and what
+        ``decide`` tries before any of it."""
+
+        def label(node: int) -> str:
+            return f"a{node}({self.relations[node]})"
+
+        return (
+            *(f"{label(e.parent)} ⋉ {label(e.child)}" for e in self.edges),
+            *(f"{label(e.child)} ⋉ {label(e.parent)}" for e in self.top_down),
+            *(
+                f"{label(e.parent)} ⋈ {label(e.child)}, "
+                "projected onto join and head columns"
+                for e in self.carrying
+            ),
+            "decide: first-witness search, at most "
+            f"⌊input rows / {WITNESS_BUDGET_DIVISOR}⌋ steps; "
+            "one bottom-up pass only if that budget is spent",
+        )
+
+
 class YannakakisEvaluator:
-    """Acyclic-query evaluation in polynomial combined complexity."""
+    """Acyclic-query evaluation in polynomial combined complexity.
+
+    Every entry point takes an optional *join_tree* (a precomputed join
+    tree of the query hypergraph, rooted anywhere) or *program* (the
+    shape's :class:`AcyclicProgram`, which the adaptive engine's cached
+    plans carry); with neither, the program is built from a fresh GYO
+    tree.  Cyclic and constrained queries raise their typed errors before
+    anything is searched, whatever the data holds.
+    """
 
     def __init__(self, join_algorithm: JoinAlgorithm = hash_join) -> None:
         self._join = join_algorithm
@@ -134,23 +225,17 @@ class YannakakisEvaluator:
         query: ConjunctiveQuery,
         database: Database,
         join_tree: Optional[JoinTree] = None,
+        program: Optional[AcyclicProgram] = None,
     ) -> bool:
         """Is Q(d) nonempty?  A budgeted first-witness search, then — only
-        if the budget is spent — one bottom-up semijoin pass.
-
-        *join_tree* optionally supplies a precomputed join tree of the
-        query hypergraph (the adaptive engine's cached plans carry one),
-        skipping the GYO reduction.  The tree is resolved before anything
-        is searched, so cyclic and constrained queries raise their typed
-        errors whatever the data holds.
-        """
-        tree = self._join_tree(query, join_tree)
+        if the budget is spent — one bottom-up semijoin pass."""
+        program = self._program(query, join_tree, program)
         witness = self._search.first_witness(
             query, database, witness_budget(query, database)
         )
         if witness is not None:
             return witness
-        return self.reduce_bottom_up(query, database, tree) is not None
+        return self.reduce_bottom_up(query, database, program=program) is not None
 
     def reduce_bottom_up(
         self,
@@ -158,6 +243,7 @@ class YannakakisEvaluator:
         database: Database,
         join_tree: Optional[JoinTree] = None,
         root: Optional[int] = None,
+        program: Optional[AcyclicProgram] = None,
     ) -> Optional[Relation]:
         """The root's candidate relation after one bottom-up semijoin pass.
 
@@ -165,18 +251,20 @@ class YannakakisEvaluator:
         but returns the reduced *root relation* instead of its emptiness:
         after the upward pass every surviving root tuple participates in a
         global match, so the survivors are the root-projected answers.
-        *root* optionally re-roots the (possibly supplied) join tree first;
-        the N-wide batch decision roots at the injected parameter atom
-        and reads each member's decision off the surviving vectors.
-        Returns ``None`` when the query is globally empty.
+        *root* optionally re-roots the program's tree first; the N-wide
+        batch decision roots at the injected parameter atom and reads each
+        member's decision off the surviving vectors.  Returns ``None`` when
+        the query is globally empty.
         """
-        prepared = self._prepare(query, database, join_tree)
-        if prepared is None:
+        program = self._program(query, join_tree, program)
+        relations = self._candidates(query, database, program)
+        if relations is None:
             return None
-        relations, tree = prepared
+        tree, edges = program.tree, program.edges
         if root is not None and root != tree.root:
             tree = tree.rooted_at(root)
-        reduced = self.bottom_up_reduction(relations, tree)
+            edges = None  # keyed afresh for the new root
+        reduced = self.bottom_up_reduction(relations, tree, edges)
         return None if reduced is None else reduced[tree.root].take()
 
     def contains(
@@ -194,31 +282,33 @@ class YannakakisEvaluator:
         query: ConjunctiveQuery,
         database: Database,
         join_tree: Optional[JoinTree] = None,
+        program: Optional[AcyclicProgram] = None,
     ) -> Relation:
         """Q(d) in time polynomial in input + output (full Yannakakis)."""
-        prepared = self._prepare(query, database, join_tree)
-        head_names = tuple(v.name for v in query.head_variables())
-        if prepared is None:
-            return answers_relation(query.head_terms, Relation.from_rows(head_names))
-        relations, tree = prepared
-        head_set = set(head_names)
-        tree = reroot_for_head(tree, head_set)
-
-        reduced = self.bottom_up_reduction(relations, tree)
+        program = self._program(query, join_tree, program)
+        relations = self._candidates(query, database, program)
+        tree = program.tree
+        reduced = (
+            None
+            if relations is None
+            else self.bottom_up_reduction(relations, tree, program.edges)
+        )
         if reduced is None:
+            head_names = tuple(v.name for v in query.head_variables())
             return answers_relation(query.head_terms, Relation.from_rows(head_names))
 
         # The root is globally consistent now.  Only the edges that hand a
         # head column up are walked again — their nodes are the only ones
-        # whose rows are read, so the only ones materialised: top-down, so
-        # every tuple below them takes part in an answer (which is what
-        # bounds the joins by |input| · |output|), then bottom-up to join
-        # those columns in.
-        carrying = carrying_edges(tree, head_set)
-        relations = {node: reduced[node].take() for node in (tree.root, *carrying)}
-        for node in reversed(carrying):
+        # whose rows are read, so the only ones materialised: top-down
+        # where a join hangs below, so every tuple it reads takes part in
+        # an answer (which is what bounds the joins by |input| · |output|),
+        # then bottom-up to join those columns in.
+        carrying = program.carrying
+        read = (tree.root, *(edge.child for edge in carrying))
+        taken = {node: reduced[node].take() for node in read}
+        for edge in program.top_down:
             check_cancelled()
-            relations[node] = relations[node].semijoin(relations[tree.parent(node)])
+            taken[edge.child] = taken[edge.child].semijoin(taken[edge.parent])
 
         # Upward join-and-project pass (paper's Algorithm 2, step 2, in the
         # plain setting): carry shared attributes plus output attributes.
@@ -227,74 +317,89 @@ class YannakakisEvaluator:
         # never materialized; a custom join algorithm gets the explicit
         # project-then-join equivalent.
         fused = self._join is hash_join
-        for node in carrying:
-            parent = tree.parent(node)
-            parent_vars = set(relations[parent].attributes)
-            keep = tuple(
-                a
-                for a in relations[node].attributes
-                if a in parent_vars or a in head_set
-            )
+        for edge, keep in zip(carrying, program.keeps):
             check_cancelled()
-            if fused:
-                relations[parent] = relations[parent]._join_keep(
-                    relations[node], keep
-                )
-            else:
-                relations[parent] = self._join(
-                    relations[parent], relations[node].project(keep)
-                )
+            parent, child = taken[edge.parent], taken[edge.child]
+            taken[edge.parent] = (
+                parent._join_keep(child, keep)
+                if fused
+                else self._join(parent, child.project(keep))
+            )
 
         # Every head variable has been carried up into the root.
-        return answers_relation(
-            query.head_terms, relations[tree.root].project(head_names)
-        )
+        return read_off(query.head_terms, taken[tree.root], program.read_off)
 
     # ------------------------------------------------------------------
 
     def bottom_up_reduction(
-        self, relations: Dict[int, Relation], tree: JoinTree
+        self,
+        relations: Dict[int, Relation],
+        tree: JoinTree,
+        edges: Optional[Sequence[Edge]] = None,
     ) -> Optional[Dict[int, Survivors]]:
         """The upward half of the full reducer — one semijoin pass, as
         survivor masks; ``None`` as soon as some node is left empty (the
         query then is, globally).
 
-        After it, every node is reduced against its entire *subtree*
-        (leaves first), so the root is globally consistent while non-root
-        nodes may keep upward-dangling tuples.  Enough for any reader
-        that only consumes root-side state: ``evaluate`` with the head
-        inside the root atom, the counting fold (it reads root
-        annotations) and the covered count (it re-roots at the covering
-        atom).
+        *edges* are *tree*'s edges leaves first (:func:`upward_edges`),
+        derived from the relations' columns when not given.  After the
+        pass every node is reduced against its entire *subtree*, so the
+        root is globally consistent while non-root nodes may keep
+        upward-dangling tuples.  Enough for any reader that only consumes
+        root-side state: ``evaluate`` with the head inside the root atom,
+        the counting fold (it reads root annotations) and the covered
+        count (it re-roots at the covering atom).
         """
+        if edges is None:
+            edges = upward_edges(tree, [relations[n].attributes for n in tree.nodes()])
         reduced = {node: Survivors(relation) for node, relation in relations.items()}
-        for node in tree.bottom_up_order():
-            parent = tree.parent(node)
-            if parent is None:
-                continue
+        for edge in edges:
             # Per-edge cancellation check-point: between semijoins no
             # external state is held, so aborting here is always safe.
             check_cancelled()
-            reduced[parent] = reduced[parent].semijoin(reduced[node])
-            if reduced[parent].is_empty():
+            parent = reduced[edge.parent].semijoin(
+                reduced[edge.child], edge.parent_key, edge.child_key
+            )
+            if parent.is_empty():
                 return None
+            reduced[edge.parent] = parent
         return reduced
 
     # ------------------------------------------------------------------
 
-    def _join_tree(
-        self, query: ConjunctiveQuery, join_tree: Optional[JoinTree]
-    ) -> JoinTree:
-        """The supplied tree or a fresh GYO one; raises on queries this
-        evaluator does not handle (constraint atoms, cyclic bodies)."""
-        if query.inequalities or query.comparisons:
-            raise QueryError(
-                "YannakakisEvaluator handles purely relational acyclic "
-                "queries; use repro.inequalities for queries with != atoms"
-            )
-        if join_tree is not None:
-            return join_tree
-        return JoinTree.from_hypergraph(query.hypergraph())
+    def _program(
+        self,
+        query: ConjunctiveQuery,
+        join_tree: Optional[JoinTree],
+        program: Optional[AcyclicProgram],
+    ) -> AcyclicProgram:
+        """The supplied program, or one built from *join_tree* (a fresh GYO
+        tree when absent); raises on queries this evaluator does not handle
+        (constraint atoms, cyclic bodies)."""
+        _check_relational(query)
+        if program is not None:
+            return program
+        return acyclic_program(query, join_tree)
+
+    @staticmethod
+    def _candidates(
+        query: ConjunctiveQuery, database: Database, program: AcyclicProgram
+    ) -> Optional[Dict[int, Relation]]:
+        """The candidate relation of every atom; ``None`` when one is empty.
+
+        A plain atom's candidate is the stored relation under the atom's
+        variable names, sharing its cache; the others select first.
+        """
+        relations: Dict[int, Relation] = {}
+        for node, (name, columns) in enumerate(zip(program.relations, program.plain)):
+            stored = database[name]
+            if columns is not None and stored.arity == len(columns):
+                relations[node] = stored._renamed(columns)
+            else:
+                relations[node] = atom_candidate_relation(query.atoms[node], stored)
+        if any(relation.is_empty() for relation in relations.values()):
+            return None
+        return relations
 
     def _prepare(
         self,
@@ -302,13 +407,96 @@ class YannakakisEvaluator:
         database: Database,
         join_tree: Optional[JoinTree] = None,
     ) -> Optional[Tuple[Dict[int, Relation], JoinTree]]:
-        """Candidate relations + join tree; None when trivially empty."""
-        tree = self._join_tree(query, join_tree)
+        """Candidate relations + a join tree rooted as GYO (or the caller)
+        left it; None when trivially empty."""
+        _check_relational(query)
+        if join_tree is None:
+            join_tree = JoinTree.from_hypergraph(query.hypergraph())
         candidates = candidate_relations(query.atoms, database)
-        relations = {i: rel for i, rel in enumerate(candidates)}
-        if any(rel.is_empty() for rel in relations.values()):
+        if any(rel.is_empty() for rel in candidates):
             return None
-        return relations, tree
+        return dict(enumerate(candidates)), join_tree
+
+
+def _check_relational(query: ConjunctiveQuery) -> None:
+    """Raise on the constraint atoms this evaluator does not handle."""
+    if query.inequalities or query.comparisons:
+        raise QueryError(
+            "YannakakisEvaluator handles purely relational acyclic "
+            "queries; use repro.inequalities for queries with != atoms"
+        )
+
+
+def acyclic_program(
+    query: ConjunctiveQuery, join_tree: Optional[JoinTree] = None
+) -> AcyclicProgram:
+    """The :class:`AcyclicProgram` of *query* over *join_tree* (a fresh GYO
+    tree when absent; raises :class:`~repro.errors.NotAcyclicError` on a
+    cyclic body).  A function of the query's shape and variable names
+    only — no data is read."""
+    if join_tree is None:
+        join_tree = JoinTree.from_hypergraph(query.hypergraph())
+    head_names = {v.name for v in query.head_variables()}
+    tree = reroot_for_head(join_tree, head_names)
+    plain: List[Optional[Tuple[str, ...]]] = []
+    columns: List[List[str]] = []
+    for atom in query.atoms:
+        names = [v.name for v in atom.variables()]
+        columns.append(names)
+        plain.append(tuple(names) if len(names) == atom.arity else None)
+    edges = upward_edges(tree, columns)
+    by_child = {edge.child: edge for edge in edges}
+    carrying = tuple(by_child[node] for node in carrying_edges(tree, head_names))
+    # Follow the columns the join-projects add to each parent, so the
+    # keeps and the read-off name the columns the request will hold.
+    parents = {edge.parent for edge in carrying}
+    keeps = []
+    for edge in carrying:
+        parent = columns[edge.parent]
+        keep = tuple(
+            name
+            for name in columns[edge.child]
+            if name in parent or name in head_names
+        )
+        keeps.append(keep)
+        parent += [name for name in keep if name not in parent]
+    root = columns[tree.root]
+    return AcyclicProgram(
+        relations=tuple(atom.relation for atom in query.atoms),
+        plain=tuple(plain),
+        tree=tree,
+        edges=edges,
+        carrying=carrying,
+        top_down=tuple(e for e in reversed(carrying) if e.child in parents),
+        keeps=tuple(keeps),
+        read_off=tuple(
+            None if isinstance(term, Constant) else root.index(term.name)
+            for term in query.head_terms
+        ),
+    )
+
+
+def upward_edges(
+    tree: JoinTree, columns: Sequence[Sequence[str]]
+) -> Tuple[Edge, ...]:
+    """*tree*'s edges leaves first, keyed in the candidate relations whose
+    columns are ``columns[node]``."""
+    edges = []
+    for node in tree.bottom_up_order():
+        parent = tree.parent(node)
+        if parent is None:
+            continue
+        child_columns = columns[node]
+        shared = [name for name in columns[parent] if name in child_columns]
+        edges.append(
+            Edge(
+                node,
+                parent,
+                positions_of(child_columns, shared),
+                positions_of(columns[parent], shared),
+            )
+        )
+    return tuple(edges)
 
 
 def reroot_for_head(tree: JoinTree, head_names: set) -> JoinTree:
@@ -320,11 +508,8 @@ def reroot_for_head(tree: JoinTree, head_names: set) -> JoinTree:
     any root, the join tree property being one of the undirected tree.
     With the head concentrated at the root the upward join-project pass
     stops dragging head columns through every intermediate: most edges
-    add no column and are skipped.
-
-    Deliberately recomputed per evaluation: the walk is O(query), noise
-    next to the data passes, and caching it would need an identity-safe
-    key on the (plan-owned) input tree.
+    add no column and are skipped.  Called once per shape, by
+    :func:`acyclic_program`.
     """
     if not head_names:
         return tree

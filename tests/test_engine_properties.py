@@ -187,9 +187,9 @@ class TestFirstWitness:
         semijoins = []
         semijoin = Survivors.semijoin
 
-        def spy(self, child):
+        def spy(self, child, *keys):
             semijoins.append((self.relation.attributes, child.relation.attributes))
-            return semijoin(self, child)
+            return semijoin(self, child, *keys)
 
         with mock.patch.object(Survivors, "semijoin", spy):
             assert (evaluator.reduce_bottom_up(query, database) is not None) == expected
@@ -357,6 +357,13 @@ class TestUpwardPass:
         self.check_every_root(*TestFirstWitness.case(seed, head_arity, shape))
 
 
+def priced_edges(plan):
+    """The acyclic program's edges and carrying edges, or ``None``."""
+    if plan.program is None:
+        return None
+    return plan.program.edges, plan.program.carrying, plan.program.read_off
+
+
 class TestPlanOrderInvariance:
     """A plan is a function of (query shape, row counts, observed result
     cardinality) — never of which requests ran first or how fast they ran.
@@ -405,6 +412,10 @@ class TestPlanOrderInvariance:
                     )
                     assert plan.evaluator == cold.evaluator, (order, text)
                     assert plan.cost_estimates == cold.cost_estimates, (order, text)
+                    # What each route was charged for, and the acyclic
+                    # route's priced edges, which its requests walk.
+                    assert plan.charged == cold.charged, (order, text)
+                    assert priced_edges(plan) == priced_edges(cold), (order, text)
 
 
 class TestCyclicAgreement:

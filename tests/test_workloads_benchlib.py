@@ -176,3 +176,18 @@ class TestBenchlib:
 
     def test_speedup_guards_zero(self):
         assert speedup(1.0, 0.0) > 0
+
+    def test_records_name_the_source_tree(self, tmp_path):
+        # src_sha256 changes with any file's bytes or name and ignores
+        # bytecode caches, so a record names the tree it measured.
+        from repro.benchlib.runner import environment, source_digest
+
+        (tmp_path / "pkg").mkdir()
+        (tmp_path / "pkg" / "a.py").write_text("x = 1\n")
+        before = source_digest(str(tmp_path))
+        (tmp_path / "pkg" / "__pycache__").mkdir()
+        (tmp_path / "pkg" / "__pycache__" / "a.pyc").write_bytes(b"\0")
+        assert source_digest(str(tmp_path)) == before
+        (tmp_path / "pkg" / "a.py").write_text("x = 2\n")
+        assert source_digest(str(tmp_path)) != before
+        assert len(environment()["src_sha256"]) == 64
