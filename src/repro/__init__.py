@@ -48,7 +48,7 @@ from .evaluation import (
     YannakakisEvaluator,
 )
 from .engine import QueryEngine, QueryPlan
-from .backends import SqlBackend, SqliteBackend
+from .backends import SqliteBackend
 from .operations import Operation
 from .parallel import ParallelYannakakisEvaluator, ShardedRelation, WorkerPool
 from .resilience import CancelToken, FaultPlan, RetryPolicy
@@ -104,7 +104,6 @@ __all__ = [
     "Rule",
     "SchemaError",
     "ShardedRelation",
-    "SqlBackend",
     "SqlCompilationError",
     "SqliteBackend",
     "TreewidthEvaluator",

@@ -1,4 +1,4 @@
-"""The CQ→SQL compiler behind every pushdown backend.
+"""The CQ→SQL compiler behind the SQL oracle.
 
 A conjunctive query compiles to one flat ``SELECT DISTINCT`` join: each
 relational atom becomes a table alias ``a0, a1, ...`` in the ``FROM``
@@ -8,7 +8,7 @@ and inequality atoms become ``<>`` predicates.  The head projects the
 bound columns (aliased ``o0..``); a boolean head compiles to ``EXISTS``.
 
 The load-bearing trick is *what the tables hold*: not raw values but codes
-from the oracle's private table (:data:`repro.backends.base.CODES`).  Code
+from the oracle's private table (:data:`repro.backends.sqlite.CODES`).  Code
 equality is exactly Python value equality — ``1``/``True``/``1.0`` share
 one code, distinct NaN objects get distinct codes — so SQL ``=`` / ``<>``
 / ``DISTINCT`` over the code columns reproduce the frozenset-of-rows
@@ -19,7 +19,7 @@ play.  The flip side: codes carry no order, so comparison atoms (``<`` /
 :class:`~repro.errors.SqlCompilationError` — as do zero-arity atoms
 (no columns to join on) and unhashable constants (not encodable).
 
-Constants stay *raw values* in :class:`CompiledSql.params`; the adapter
+Constants stay *raw values* in :class:`CompiledSql.params`; the backend
 encodes them through the code table at bind time, so the compiler itself is
 backend- and process-state-independent.
 """
@@ -39,9 +39,9 @@ class CompiledSql:
     """One query's SQL forms, shared by the execute/decide/count kinds.
 
     ``select_sql`` is ``None`` for boolean heads (nothing to project —
-    adapters answer ``execute`` through ``exists_sql``).  Each statement
+    backend answers ``execute`` through ``exists_sql``).  Each statement
     binds its own parameter tuple of *raw* constant values, in placeholder
-    order; adapters encode them at bind time.
+    order; the backend encodes them at bind time.
     """
 
     select_sql: Optional[str]
@@ -69,7 +69,7 @@ def compile_query(
     """Compile *query* against *table_names* (relation → physical table).
 
     With no mapping, relation names are quoted verbatim — the *logical*
-    rendering ``explain`` shows; adapters pass their physical table map.
+    rendering ``explain`` shows; the backend passes its physical table map.
     Raises :class:`~repro.errors.SqlCompilationError` when the query lies
     outside the pushdown fragment.
     """

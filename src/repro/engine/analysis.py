@@ -62,18 +62,26 @@ STRUCTURAL_CLASSES = (
 DEFAULT_TREEWIDTH_THRESHOLD = 3
 
 # ----------------------------------------------------------------------
-# Counting modes (Chen–Mengel trichotomy, operationalized)
+# Counting modes
 # ----------------------------------------------------------------------
 #
-# Counting the answers |Q(d)| is strictly harder than deciding emptiness:
-# with existential (projected-away) variables it is #P-hard even on
-# acyclic queries (high quantified star size).  The tractable islands the
-# engine serves without materializing the join:
+# Counting the answers |Q(d)| can be harder than deciding emptiness.
+# Chen–Mengel's trichotomy: on a class of bounded-arity queries, counting
+# is in polynomial time exactly when both the treewidth and the *quantified
+# star size* (Durand–Mengel) are bounded, and otherwise as hard as deciding
+# or counting parameterized cliques.  The engine serves two easy cases
+# inside the polynomial side without materializing the join — a head
+# inside one atom, and a head that leaves no variable existential — and
+# evaluates, then counts, everything else.  ``count-hard`` names that
+# fallback, not a hardness verdict: a free-connex query such as
+# ``Q(x, y, w) :- E(x, y), E(y, z), F(y, w)`` has quantified star size 1
+# and counts in linear time, yet routes there because its head lies
+# inside no one atom.
 
 COUNT_BOOLEAN = "count-boolean"      #: no head variables — count is decide (0/1)
 COUNT_COVERED = "count-covered"      #: head vars inside one atom — |π_H| of its reduced relation
 COUNT_FULL = "count-full"            #: no existential vars — annotated multiplicity pass
-COUNT_HARD = "count-hard"            #: acyclic but projection uncovered — evaluate-then-count
+COUNT_HARD = "count-hard"            #: acyclic, head in no one atom, not full — evaluate-then-count
 COUNT_GENERAL = "count-general"      #: cyclic / constraint-bearing — evaluate-then-count
 
 COUNTING_MODES = (
@@ -219,7 +227,7 @@ def covering_atom(query: ConjunctiveQuery) -> Optional[int]:
 
 
 def counting_mode(query: ConjunctiveQuery, structural_class: str) -> str:
-    """Classify *query* for counting, per the Chen–Mengel trichotomy.
+    """Classify *query* into the engine's counting modes (above).
 
     Pure function of the query shape (like :func:`analyze`), so the mode
     is computed once per plan and cached with it.  Order matters: a

@@ -65,7 +65,7 @@ from ..evaluation.counting import (
 )
 from ..evaluation.naive import NaiveEvaluator
 from ..evaluation.treewidth_eval import TreewidthEvaluator
-from ..evaluation.yannakakis import YannakakisEvaluator
+from ..evaluation.yannakakis import AcyclicProgram, YannakakisEvaluator
 from ..inequalities.evaluator import AcyclicInequalityEvaluator
 from ..operations import (
     AGG_COUNT,
@@ -108,6 +108,26 @@ from .planner import Planner
 
 #: Same-shape groups at least this large are executed N-wide (lifted).
 DEFAULT_BATCH_WIDE_THRESHOLD = 8
+
+
+def _reusable(plan: Optional[QueryPlan], query: ConjunctiveQuery) -> bool:
+    """Can *query* run *plan*'s program / decomposition?  They name the
+    variables of the query the plan was made for, so only when the variable
+    layout matches (true for the parameterized decision instances the cache
+    targets, false for α-renamed shape twins, which rebuild the structure).
+    """
+    if plan is None:
+        return False
+    return plan.analysis.variable_layout == variable_layout(query)
+
+
+def _program(
+    plan: Optional[QueryPlan], query: ConjunctiveQuery
+) -> Optional[AcyclicProgram]:
+    """*plan*'s acyclic program when *query* can run it, else ``None`` (the
+    evaluator builds one)."""
+    return plan.program if _reusable(plan, query) else None
+
 
 class QueryEngine(OperationFacade):
     """Adaptive evaluation of conjunctive queries with plan caching.
@@ -359,10 +379,8 @@ class QueryEngine(OperationFacade):
                 self._dispatch(plan.evaluator, plan, query, database, decide=True)
             )
         if mode in FAST_COUNTING_MODES:
-            reusable = plan.analysis.variable_layout == variable_layout(query)
-            tree = plan.analysis.join_tree if reusable else None
             return self._counting.count(
-                query, database, join_tree=tree, mode=mode
+                query, database, program=_program(plan, query), mode=mode
             ).total
         # Hard modes (uncovered projection, cyclic core, constraints):
         # evaluate through the plan's evaluator and read the cardinality.
@@ -379,10 +397,8 @@ class QueryEngine(OperationFacade):
     ) -> Relation:
         mode = plan.count_mode
         if mode in FAST_COUNTING_MODES:
-            reusable = plan.analysis.variable_layout == variable_layout(query)
-            tree = plan.analysis.join_tree if reusable else None
             fast = self._counting.grouped_count(
-                query, database, group_by, join_tree=tree, mode=mode
+                query, database, group_by, program=_program(plan, query), mode=mode
             )
             if fast is not None:
                 return fast
@@ -440,12 +456,13 @@ class QueryEngine(OperationFacade):
         plan = shape.plan
         if plan.structural_class != ACYCLIC or plan.analysis.join_tree is None:
             return None
-        reusable = plan.analysis.variable_layout == variable_layout(lifted.query)
-        program = plan.program if reusable else None
         root = len(lifted.query.atoms) - 1  # the parameter atom
         start = perf_counter()
         reduced = self._yannakakis.reduce_bottom_up(
-            lifted.query, lifted.database, root=root, program=program
+            lifted.query,
+            lifted.database,
+            root=root,
+            program=_program(plan, lifted.query),
         )
         decisions = lifted.decide_members(reduced)
         self._record(key, perf_counter() - start, None, lifted.query, lifted.database)
@@ -467,18 +484,10 @@ class QueryEngine(OperationFacade):
         # already-abandoned request aborts before planning or evaluation
         # spends anything.
         check_cancelled()
-        # A cached plan's program / decomposition name the variables of
-        # the query it was planned from; they are reusable for this query
-        # only when the variable layout matches (true for the parameterized
-        # decision instances the cache targets, false for α-renamed shape
-        # twins, which just rebuild the structure).
-        reusable = plan is not None and plan.analysis.variable_layout == (
-            variable_layout(query)
-        )
         if evaluator == YANNAKAKIS:
             # Run the plan's program: a cache hit pays for no GYO
             # reduction, re-rooting or edge keys again.
-            program = plan.program if reusable else None
+            program = _program(plan, query)
             engine = self._yannakakis
             return (
                 engine.decide(query, database, program=program)
@@ -486,7 +495,9 @@ class QueryEngine(OperationFacade):
                 else engine.evaluate(query, database, program=program)
             )
         if evaluator == TREEWIDTH:
-            decomposition = plan.analysis.decomposition if reusable else None
+            decomposition = (
+                plan.analysis.decomposition if _reusable(plan, query) else None
+            )
             engine = self._treewidth
             return (
                 engine.decide(query, database, decomposition=decomposition)

@@ -1,36 +1,50 @@
 """Counting answers to acyclic conjunctive queries without the join.
 
-Yannakakis extends from evaluation to counting: annotate every tuple of
-every candidate relation with a multiplicity (initially 1), run the
-upward half of the reducer (root-side state is all the count reads, so
-the top-down pass is skipped), then fold the tree bottom-up multiplying
-each parent tuple's
-annotation by the *sum* of the annotations of the child tuples it joins
-with (upward-dangling child tuples sum under keys no parent tuple looks
-up, so they cost a little work but never distort a count).  After the
-fold, the root annotations sum to the number of
-edge-consistent ways to pick one tuple per node — and by the join tree's
-running-intersection property those choices are in bijection with the
-satisfying assignments.  Total cost: the reducer passes plus one linear
-fold — never the (possibly exponentially larger) join.
+Yannakakis extends from evaluation to counting (Durand–Grandjean): annotate
+every tuple of every candidate relation with a multiplicity (initially
+1), run the upward half of the reducer (root-side state is all the count
+reads, so the top-down pass is skipped), then fold the tree bottom-up
+multiplying each parent tuple's annotation by the *sum* of the
+annotations of the child tuples it joins with (upward-dangling child
+tuples sum under keys no parent tuple looks up, so they cost a little
+work but never distort a count).  After the fold, the root annotations
+sum to the number of edge-consistent ways to pick one tuple per node —
+and by the join tree's running-intersection property those choices are
+in bijection with the satisfying assignments.  Total cost: the upward
+pass plus one linear fold — never the (possibly exponentially larger)
+join.
 
-That bijection counts *assignments*, so it equals ``len(execute(Q).rows)``
+What runs is the shape's :class:`~.yannakakis.AcyclicProgram`, the one
+``execute`` and ``decide`` run: its candidate relations, its head-rooted
+tree and its edges leaves first, each keyed once when the shape was
+planned.  The pass walks those edges and the fold reads each edge's key
+positions, so a request re-roots nothing and keys nothing again.
+
+The fold counts *assignments*, so it equals ``len(execute(Q).rows)``
 (distinct head tuples) only when distinct assignments cannot collide on
 the head.  Two shapes guarantee that:
 
 * **full queries** (no existential variables): every body variable appears
   in the head, so distinct assignments give distinct head tuples — the
   annotated fold applies as-is (``count-full``);
-* **head-covered queries** (head variables inside one atom): rooted at
-  that atom, one upward pass leaves its relation globally consistent, so
-  its distinct head projections *are* the answers — read their number off
-  the reduced relation's cached key set, no fold needed (``count-covered``).
+* **head-covered queries** (head variables inside one atom): the program
+  roots its tree at the first such atom, so one upward pass leaves the
+  root's relation globally consistent and its distinct head projections
+  *are* the answers — read their number off the reduced relation's key
+  set, no fold needed (``count-covered``).
 
-Everything else — acyclic with an uncovered projection (high quantified
-star size), cyclic cores, constraint atoms — is #P-hard in general
-(Chen–Mengel's trichotomy); the engine falls back to evaluation plus a
-cardinality read for those.  Classification lives in
-:func:`repro.engine.analysis.counting_mode`.
+Chen–Mengel's trichotomy: on a class of bounded-arity queries, counting
+answers is in polynomial time exactly when both the treewidth and the
+*quantified star size* (Durand–Mengel) are bounded, and otherwise as hard
+as deciding or counting parameterized cliques.  The two modes above are
+easy cases well inside the polynomial side, not its boundary.  Every other
+acyclic query with an existential variable routes ``count-hard`` —
+evaluate, then count — and that name is the engine's fallback, not a
+hardness verdict: a free-connex query such as
+``Q(x, y, w) :- E(x, y), E(y, z), F(y, w)`` has quantified star size 1 and
+counts in linear time, but its head lies inside no one atom.  Cyclic and
+constraint-bearing queries route ``count-general``.
+Classification lives in :func:`repro.engine.analysis.counting_mode`.
 """
 
 from __future__ import annotations
@@ -46,11 +60,16 @@ from ..query.conjunctive import ConjunctiveQuery
 from ..query.terms import Variable
 from ..relational.attributes import positions_of
 from ..relational.database import Database
-from ..relational.joins import shared_attributes
 from ..relational.relation import Relation
 from ..resilience.token import check_cancelled
 from .instantiation import candidate_relations
-from .yannakakis import Survivors, YannakakisEvaluator
+from .yannakakis import (
+    AcyclicProgram,
+    Edge,
+    Survivors,
+    YannakakisEvaluator,
+    upward_edges,
+)
 
 
 class CountResult(NamedTuple):
@@ -60,13 +79,15 @@ class CountResult(NamedTuple):
     mode: str
 
 
-def _head_variable_names(query: ConjunctiveQuery) -> Tuple[str, ...]:
-    """Distinct head variable names, first-occurrence order."""
-    seen: List[str] = []
-    for term in query.head_terms:
-        if isinstance(term, Variable) and term.name not in seen:
-            seen.append(term.name)
-    return tuple(seen)
+def _counting_mode(query: ConjunctiveQuery) -> str:
+    """The counting mode of *query*, for callers that bring none."""
+    from ..engine.analysis import ACYCLIC, counting_mode
+
+    if query.inequalities or query.comparisons:
+        structural = "constrained"
+    else:
+        structural = ACYCLIC if query.is_acyclic() else "cyclic"
+    return counting_mode(query, structural)
 
 
 class CountingYannakakisEvaluator:
@@ -81,67 +102,52 @@ class CountingYannakakisEvaluator:
         self,
         query: ConjunctiveQuery,
         database: Database,
-        join_tree: Optional[JoinTree] = None,
+        program: Optional[AcyclicProgram] = None,
         mode: Optional[str] = None,
     ) -> CountResult:
         """``|Q(d)|`` for the fast counting modes.
 
+        *program* is the shape's acyclic program (built here when absent);
         *mode* is the precomputed :func:`~repro.engine.analysis.counting_mode`
-        (recomputed here when absent); raises :class:`QueryError` on the
+        (recomputed here when absent).  Raises :class:`QueryError` on the
         hard modes — the caller owns the evaluate-then-count fallback.
         """
         from ..engine.analysis import (  # local import: engine imports us
-            ACYCLIC,
             COUNT_BOOLEAN,
             COUNT_COVERED,
-            COUNT_FULL,
             FAST_COUNTING_MODES,
-            counting_mode,
-            covering_atom,
         )
 
         if mode is None:
-            structural = ACYCLIC if query.is_acyclic() else "cyclic"
-            if query.inequalities or query.comparisons:
-                structural = "constrained"
-            mode = counting_mode(query, structural)
+            mode = _counting_mode(query)
         if mode not in FAST_COUNTING_MODES:
             raise QueryError(
                 f"counting mode {mode!r} is not served by the annotated "
                 "pass; evaluate and count the materialized answers instead"
             )
-
         if mode == COUNT_BOOLEAN:
-            nonempty = self._reducer.decide(query, database, join_tree)
+            nonempty = self._reducer.decide(query, database, program=program)
             return CountResult(int(nonempty), mode)
 
-        prepared = self._reducer._prepare(query, database, join_tree)
-        if prepared is None:
-            return CountResult(0, mode)
-        relations, tree = prepared
-
         # Both fast modes read only root-side state, so the upward half of
-        # the reducer suffices (the covered mode re-roots at the covering
-        # atom first): half the semijoin passes of a full reduction, which
-        # is what keeps count(Q) within decide(Q)'s wall-time envelope.
-        if mode == COUNT_COVERED:
-            node = covering_atom(query)
-            assert node is not None
-            if node != tree.root:
-                tree = tree.rooted_at(node)
-        reduced = self._reducer.bottom_up_reduction(relations, tree)
+        # the reducer suffices: half the semijoin passes of a full
+        # reduction, which is what keeps count(Q) within decide(Q)'s
+        # wall-time envelope.
+        program = self._reducer._program(query, program)
+        reduced = self._reduce(query, database, program, program.tree, program.edges)
         if reduced is None:
             return CountResult(0, mode)
+        root = program.tree.root
         if mode == COUNT_COVERED:
-            return self._count_covered(query, reduced[tree.root])
-        return CountResult(sum(self._annotate(reduced, tree)), COUNT_FULL)
+            return self._count_covered(query, reduced[root])
+        return CountResult(sum(self._annotate(reduced, root, program.edges)), mode)
 
     def grouped_count(
         self,
         query: ConjunctiveQuery,
         database: Database,
         group_by: Sequence[str],
-        join_tree: Optional[JoinTree] = None,
+        program: Optional[AcyclicProgram] = None,
         mode: Optional[str] = None,
     ) -> Optional[Relation]:
         """Per-group answer counts over the *group_by* head variables.
@@ -153,42 +159,43 @@ class CountingYannakakisEvaluator:
         (:func:`grouped_count_reference`, what the caller then does) costs
         them the same.
         """
-        from ..engine.analysis import COUNT_FULL, counting_mode
+        from ..engine.analysis import COUNT_FULL
 
         group = tuple(group_by)
-        head_names = _head_variable_names(query)
+        head_names = [v.name for v in query.head_variables()]
         unknown = [name for name in group if name not in head_names]
         if unknown:
             raise QueryError(
                 f"group_by names {unknown} are not head variables of {query!r}"
             )
         if mode is None:
-            structural = "acyclic" if query.is_acyclic() else "cyclic"
-            if query.inequalities or query.comparisons:
-                structural = "constrained"
-            mode = counting_mode(query, structural)
+            mode = _counting_mode(query)
         if mode != COUNT_FULL:
             return None
 
-        prepared = self._reducer._prepare(query, database, join_tree)
-        if prepared is None:
-            return _group_relation(group, {})
-        relations, tree = prepared
-
         # Group the fold's root annotations.  The root must cover the
-        # grouping variables; re-root at a covering atom when one exists,
-        # otherwise give up (caller materializes).
-        root = None
-        group_set = set(group)
-        for index, atom in enumerate(query.atoms):
-            if group_set <= {v.name for v in atom.variables()}:
-                root = index
-                break
-        if root is None:
-            return None
-        if root != tree.root:
+        # grouping variables: the program's root when it does, else the
+        # first atom that does (the tree re-rooted and keyed afresh), else
+        # give up (caller materializes).
+        program = self._reducer._program(query, program)
+        tree, edges = program.tree, program.edges
+        grouped = {Variable(name) for name in group}
+        if not grouped <= query.atoms[tree.root].variable_set():
+            root = next(
+                (
+                    index
+                    for index, atom in enumerate(query.atoms)
+                    if grouped <= atom.variable_set()
+                ),
+                None,
+            )
+            if root is None:
+                return None
             tree = tree.rooted_at(root)
-        reduced = self._reducer.bottom_up_reduction(relations, tree)
+            edges = upward_edges(
+                tree, [[v.name for v in atom.variables()] for atom in query.atoms]
+            )
+        reduced = self._reduce(query, database, program, tree, edges)
         if reduced is None:
             return _group_relation(group, {})
         root_node = reduced[tree.root]
@@ -197,71 +204,81 @@ class CountingYannakakisEvaluator:
         counts: Dict[Tuple, int] = {}
         for key, annotation in zip(
             zip(keys) if len(positions) == 1 else keys,
-            self._annotate(reduced, tree),
+            self._annotate(reduced, tree.root, edges),
         ):
             counts[key] = counts.get(key, 0) + annotation
         return _group_relation(group, counts)
 
     # ------------------------------------------------------------------
 
-    def _count_covered(
-        self, query: ConjunctiveQuery, reduced: Survivors
-    ) -> CountResult:
+    def _reduce(
+        self,
+        query: ConjunctiveQuery,
+        database: Database,
+        program: AcyclicProgram,
+        tree: JoinTree,
+        edges: Sequence[Edge],
+    ) -> Optional[Dict[int, Survivors]]:
+        """The program's candidate relations after the upward pass over
+        *edges*; ``None`` when the query is globally empty."""
+        relations = self._reducer._candidates(query, database, program)
+        if relations is None:
+            return None
+        return self._reducer.bottom_up_reduction(relations, tree, edges)
+
+    @staticmethod
+    def _count_covered(query: ConjunctiveQuery, reduced: Survivors) -> CountResult:
         """Distinct head keys of the covering atom's survivors: their
         number when the head is all of its columns, else the size of their
         key set on the head's columns.  Nothing is materialised."""
         from ..engine.analysis import COUNT_COVERED
 
-        head_names = _head_variable_names(query)
+        head_names = [v.name for v in query.head_variables()]
         if len(head_names) == reduced.relation.arity:
             return CountResult(reduced.count(), COUNT_COVERED)
         positions = positions_of(reduced.relation.attributes, head_names)
         return CountResult(len(reduced.live_keys(positions)), COUNT_COVERED)
 
-    def _annotate(self, reduced: Dict[int, Survivors], tree: JoinTree) -> Iterable[int]:
+    @staticmethod
+    def _annotate(
+        reduced: Dict[int, Survivors], root: int, edges: Sequence[Edge]
+    ) -> Iterable[int]:
         """Root annotations of the bottom-up multiplicity fold, one per
-        surviving root row, in row order.
+        surviving row of node *root*, in row order.
 
         A row's annotation is the number of edge-consistent ways to extend
         it with one tuple per node of the tree: the product, over its
         children, of the child's *upward sum* (annotation total per shared
-        join key) under the row's key.  Nothing is materialised and no
-        index is built on anything the pass filtered: every node folds
-        over the key lists of its unfiltered relation — the database
+        join key) under the row's key.  The fold walks *edges* leaves
+        first, reading each one's key positions; nothing is materialised
+        and no index is built on anything the pass filtered: every node
+        folds over the key lists of its unfiltered relation — the database
         relation's, warm across requests — selected by the pass's survivor
         mask, and a leaf (no children, so no pass ever filters it) reads
         bucket sizes off the warm index on its join columns.  A surviving
         row's keys are live in every child by construction, so the lookups
         cannot miss.
         """
-        upward: Dict[int, Dict[Any, int]] = {}
-        for node in tree.bottom_up_order():
-            survivors = reduced[node]
-            attributes = survivors.relation.attributes
-            factors = []
-            for kid in tree.children(node):
-                shared = shared_attributes(survivors.relation, reduced[kid].relation)
-                keys = survivors.keys(positions_of(attributes, shared))
-                factors.append(map(upward.pop(kid).__getitem__, keys))
-            if factors:
-                annotations: Iterable[int] = reduce(partial(map, mul), factors)
-            else:
-                annotations = repeat(1, survivors.count())
-            parent = tree.parent(node)
-            if parent is None:
-                return annotations
+        # Per node, one lazy factor per child edge walked so far.
+        factors: Dict[int, List[Iterable[int]]] = {}
+        for edge in edges:
             check_cancelled()
-            shared_up = shared_attributes(reduced[parent].relation, survivors.relation)
-            positions_up = positions_of(attributes, shared_up)
-            if not factors:
-                index = survivors.relation._index(positions_up)
-                upward[node] = {key: len(rows) for key, rows in index.items()}
-                continue
-            sums_out: Dict[Any, int] = {}
-            for key, annotation in zip(survivors.keys(positions_up), annotations):
-                sums_out[key] = sums_out.get(key, 0) + annotation
-            upward[node] = sums_out
-        raise QueryError("join tree has no root")  # pragma: no cover
+            child = reduced[edge.child]
+            below = factors.pop(edge.child, None)
+            if below is None:
+                index = child.relation._index(edge.child_key)
+                sums = {key: len(rows) for key, rows in index.items()}
+            else:
+                sums = {}
+                annotations = reduce(partial(map, mul), below)
+                for key, annotation in zip(child.keys(edge.child_key), annotations):
+                    sums[key] = sums.get(key, 0) + annotation
+            keys = reduced[edge.parent].keys(edge.parent_key)
+            factors.setdefault(edge.parent, []).append(map(sums.__getitem__, keys))
+        below = factors.get(root)
+        if below is None:
+            return repeat(1, reduced[root].count())
+        return reduce(partial(map, mul), below)
 
 
 # ----------------------------------------------------------------------
@@ -330,7 +347,7 @@ def head_domain_size(query: ConjunctiveQuery, database: Database) -> int:
     """
     candidates = candidate_relations(query.atoms, database)
     domains: Dict[str, Any] = {}
-    head_names = set(_head_variable_names(query))
+    head_names = {v.name for v in query.head_variables()}
     for atom, candidate in zip(query.atoms, candidates):
         for variable in atom.variables():
             name = variable.name

@@ -57,12 +57,7 @@ from ..relational.database import Database
 from ..relational.joins import JoinAlgorithm, hash_join
 from ..relational.relation import Relation
 from ..resilience.token import check_cancelled
-from .instantiation import (
-    answers_relation,
-    atom_candidate_relation,
-    candidate_relations,
-    read_off,
-)
+from .instantiation import answers_relation, atom_candidate_relation, read_off
 from .naive import NaiveEvaluator
 
 #: ``decide`` searches for a first witness for at most (input rows of the
@@ -206,11 +201,10 @@ class AcyclicProgram(NamedTuple):
 class YannakakisEvaluator:
     """Acyclic-query evaluation in polynomial combined complexity.
 
-    Every entry point takes an optional *join_tree* (a precomputed join
-    tree of the query hypergraph, rooted anywhere) or *program* (the
-    shape's :class:`AcyclicProgram`, which the adaptive engine's cached
-    plans carry); with neither, the program is built from a fresh GYO
-    tree.  Cyclic and constrained queries raise their typed errors before
+    Every entry point takes an optional *program* (the shape's
+    :class:`AcyclicProgram`, which the adaptive engine's cached plans
+    carry); without one, the program is built from a fresh GYO tree.
+    Cyclic and constrained queries raise their typed errors before
     anything is searched, whatever the data holds.
     """
 
@@ -224,12 +218,11 @@ class YannakakisEvaluator:
         self,
         query: ConjunctiveQuery,
         database: Database,
-        join_tree: Optional[JoinTree] = None,
         program: Optional[AcyclicProgram] = None,
     ) -> bool:
         """Is Q(d) nonempty?  A budgeted first-witness search, then — only
         if the budget is spent — one bottom-up semijoin pass."""
-        program = self._program(query, join_tree, program)
+        program = self._program(query, program)
         witness = self._search.first_witness(
             query, database, witness_budget(query, database)
         )
@@ -241,7 +234,6 @@ class YannakakisEvaluator:
         self,
         query: ConjunctiveQuery,
         database: Database,
-        join_tree: Optional[JoinTree] = None,
         root: Optional[int] = None,
         program: Optional[AcyclicProgram] = None,
     ) -> Optional[Relation]:
@@ -256,7 +248,7 @@ class YannakakisEvaluator:
         member's decision off the surviving vectors.  Returns ``None`` when
         the query is globally empty.
         """
-        program = self._program(query, join_tree, program)
+        program = self._program(query, program)
         relations = self._candidates(query, database, program)
         if relations is None:
             return None
@@ -281,11 +273,10 @@ class YannakakisEvaluator:
         self,
         query: ConjunctiveQuery,
         database: Database,
-        join_tree: Optional[JoinTree] = None,
         program: Optional[AcyclicProgram] = None,
     ) -> Relation:
         """Q(d) in time polynomial in input + output (full Yannakakis)."""
-        program = self._program(query, join_tree, program)
+        program = self._program(query, program)
         relations = self._candidates(query, database, program)
         tree = program.tree
         reduced = (
@@ -348,7 +339,7 @@ class YannakakisEvaluator:
         upward-dangling tuples.  Enough for any reader that only consumes
         root-side state: ``evaluate`` with the head inside the root atom,
         the counting fold (it reads root annotations) and the covered
-        count (it re-roots at the covering atom).
+        count (the program's root is the covering atom).
         """
         if edges is None:
             edges = upward_edges(tree, [relations[n].attributes for n in tree.nodes()])
@@ -367,19 +358,17 @@ class YannakakisEvaluator:
 
     # ------------------------------------------------------------------
 
+    @staticmethod
     def _program(
-        self,
-        query: ConjunctiveQuery,
-        join_tree: Optional[JoinTree],
-        program: Optional[AcyclicProgram],
+        query: ConjunctiveQuery, program: Optional[AcyclicProgram]
     ) -> AcyclicProgram:
-        """The supplied program, or one built from *join_tree* (a fresh GYO
-        tree when absent); raises on queries this evaluator does not handle
-        (constraint atoms, cyclic bodies)."""
+        """The supplied program, or one built from a fresh GYO tree; raises
+        on queries this evaluator does not handle (constraint atoms, cyclic
+        bodies)."""
         _check_relational(query)
         if program is not None:
             return program
-        return acyclic_program(query, join_tree)
+        return acyclic_program(query)
 
     @staticmethod
     def _candidates(
@@ -400,22 +389,6 @@ class YannakakisEvaluator:
         if any(relation.is_empty() for relation in relations.values()):
             return None
         return relations
-
-    def _prepare(
-        self,
-        query: ConjunctiveQuery,
-        database: Database,
-        join_tree: Optional[JoinTree] = None,
-    ) -> Optional[Tuple[Dict[int, Relation], JoinTree]]:
-        """Candidate relations + a join tree rooted as GYO (or the caller)
-        left it; None when trivially empty."""
-        _check_relational(query)
-        if join_tree is None:
-            join_tree = JoinTree.from_hypergraph(query.hypergraph())
-        candidates = candidate_relations(query.atoms, database)
-        if any(rel.is_empty() for rel in candidates):
-            return None
-        return dict(enumerate(candidates)), join_tree
 
 
 def _check_relational(query: ConjunctiveQuery) -> None:

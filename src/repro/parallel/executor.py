@@ -43,7 +43,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..evaluation.instantiation import answers_relation
-from ..evaluation.yannakakis import YannakakisEvaluator, reroot_for_head
+from ..evaluation.yannakakis import YannakakisEvaluator, acyclic_program
 from ..hypergraph.join_tree import JoinTree
 from ..query.conjunctive import ConjunctiveQuery
 from ..relational.database import Database
@@ -118,10 +118,13 @@ class ParallelYannakakisEvaluator(YannakakisEvaluator):
         global match), with per-parent semijoin chains fanned across the
         pool and large semijoins sharded.
         """
-        prepared = self._prepare(query, database, join_tree)
-        if prepared is None:
+        program = self._program(
+            query, None if join_tree is None else acyclic_program(query, join_tree)
+        )
+        relations = self._candidates(query, database, program)
+        if relations is None:
             return None
-        relations, tree = prepared
+        tree = program.tree
         if root is not None and root != tree.root:
             tree = tree.rooted_at(root)
         shards = shard_count or self._default_shard_count
@@ -148,12 +151,14 @@ class ParallelYannakakisEvaluator(YannakakisEvaluator):
         shard_count: Optional[int] = None,
     ) -> Relation:
         """Q(d) — full reduction, then the upward join-project pass."""
-        prepared = self._prepare(query, database, join_tree)
+        program = self._program(
+            query, None if join_tree is None else acyclic_program(query, join_tree)
+        )
+        relations = self._candidates(query, database, program)
         head_names = tuple(v.name for v in query.head_variables())
-        if prepared is None:
+        if relations is None:
             return answers_relation(query.head_terms, Relation.from_rows(head_names))
-        relations, tree = prepared
-        tree = reroot_for_head(tree, set(head_names))
+        tree = program.tree  # rooted where the head lives
         shards = shard_count or self._default_shard_count
 
         relations = self.full_reduction(relations, tree, shard_count=shards)

@@ -153,10 +153,6 @@ class TestSqliteBackend:
         with pytest.raises(BackendError):
             backend.run(Operation.forall(PATH), EDGES)
 
-    def test_run_batch_is_elementwise(self, backend):
-        ops = [Operation.count(PATH), Operation.decide(PATH)]
-        assert backend.run_batch(ops, EDGES) == [3, True]
-
     def test_unhashable_constant_is_a_compilation_error(self, backend):
         query = q((V("y"),), [Atom("E", (C([1, 2]), V("y")))])
         with pytest.raises(SqlCompilationError):

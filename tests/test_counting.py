@@ -1,6 +1,10 @@
 """The counting subsystem: modes, the annotated Yannakakis pass, grouped
 counts, and the aggregate facades."""
 
+import sys
+from contextlib import ExitStack
+from unittest import mock
+
 import pytest
 
 from repro import Database, QueryEngine, Relation
@@ -22,8 +26,11 @@ from repro.evaluation import (
     grouped_count_reference,
     head_domain_size,
 )
+from repro.evaluation.yannakakis import acyclic_program, upward_edges
+from repro.hypergraph.join_tree import JoinTree
 from repro.query import Atom, ConjunctiveQuery
 from repro.query.terms import Variable
+from repro.relational.joins import shared_attributes
 from repro.workloads import (
     chain_database,
     cycle_query,
@@ -141,6 +148,72 @@ class TestCountingEvaluator:
         result = CountingYannakakisEvaluator().count(query, database)
         assert result.mode == COUNT_COVERED
         assert result.total == naive_count(query, database)
+
+
+def spy_everywhere(stack, calls, function):
+    """Record every call of *function* through any ``repro`` module that
+    binds it by name."""
+
+    def spy(*args, **kwargs):
+        calls.append(function.__name__)
+        return function(*args, **kwargs)
+
+    name = function.__name__
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("repro") and getattr(module, name, None) is function:
+            stack.enter_context(mock.patch.object(module, name, spy))
+
+
+class TestCountingRunsThePlannedProgram:
+    """A warm ``count`` / ``grouped_count`` runs the acyclic program its
+    shape was planned with: no request builds a join tree, re-roots one,
+    keys its edges or matches shared attributes again."""
+
+    def test_warm_counts_build_no_tree(self, chain):
+        covered = path_query(4, head_arity=2)
+        full = full_path_query(4)
+        engine = QueryEngine()
+        plan = engine.plan_for(covered, chain)
+        # GYO roots the path at its far end; the head lives at atom 0.
+        assert plan.analysis.join_tree.root != covering_atom(covered)
+        assert plan.program.tree.root == covering_atom(covered) == 0
+        program = engine.plan_for(full, chain).program
+        group = ("x0",)  # inside the program's root atom
+        root_atom = full.atoms[program.tree.root]
+        assert set(group) <= {v.name for v in root_atom.variables()}
+        # A second spelling of the covered shape: a new object, same layout.
+        spellings = (covered, full, path_query(4, head_arity=2))
+        expected = [naive_count(query, chain) for query in spellings]
+        answers = NaiveEvaluator().evaluate(full, chain)
+        grouped = grouped_count_reference(full, answers, group)
+        for _ in range(3):  # plan, and re-plan if the row count drifts
+            assert [engine.count(query, chain) for query in spellings] == expected
+            assert engine.grouped_count(full, chain, group) == grouped
+
+        calls = []
+        from_hypergraph, rooted_at = JoinTree.from_hypergraph, JoinTree.rooted_at
+
+        def rooted_spy(tree, node):
+            calls.append("rooted_at")
+            return rooted_at(tree, node)
+
+        def built_spy(hypergraph):
+            calls.append("from_hypergraph")
+            return from_hypergraph(hypergraph)
+
+        with ExitStack() as stack:
+            stack.enter_context(mock.patch.object(JoinTree, "rooted_at", rooted_spy))
+            stack.enter_context(
+                mock.patch.object(
+                    JoinTree, "from_hypergraph", staticmethod(built_spy)
+                )
+            )
+            for function in (upward_edges, acyclic_program, shared_attributes):
+                spy_everywhere(stack, calls, function)
+            for _ in range(3):
+                assert [engine.count(query, chain) for query in spellings] == expected
+                assert engine.grouped_count(full, chain, group) == grouped
+        assert calls == []
 
 
 class TestGroupedCounts:

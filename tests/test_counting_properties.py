@@ -94,6 +94,40 @@ class TestCountMatchesExecute:
         ).cardinality
 
 
+class TestEveryModeRunsTheProgram:
+    """Whatever mode the engine picks for a generated acyclic query — the
+    head drawn empty, as a random subset of the body's variables, or as all
+    of them (``count-full``) — the count run over the shape's program is
+    ``|execute|``, and so are the per-group counts summed."""
+
+    @SETTINGS
+    @given(st.integers(0, 10_000), st.sampled_from(("empty", "subset", "full")))
+    def test_count_is_the_answer_size(self, seed, head):
+        rng = random.Random(seed)
+        base, database = acyclic_case(seed, head_arity=0)
+        names = list(base.variables())
+        rng.shuffle(names)
+        if head == "subset":
+            names = names[: rng.randint(1, len(names))]
+        elif head == "empty":
+            names = []
+        query = ConjunctiveQuery(tuple(names), list(base.atoms), head_name="GEN")
+        answers = SERIAL.execute(query, database)
+        assert answers == NaiveEvaluator().evaluate(query, database)
+        assert SERIAL.count(query, database) == answers.cardinality
+        plan = SERIAL.plan_for(query, database)
+        if plan.count_mode in FAST_COUNTING_MODES:
+            result = CountingYannakakisEvaluator().count(
+                query, database, program=plan.program, mode=plan.count_mode
+            )
+            assert result == (answers.cardinality, plan.count_mode)
+        if names:
+            group = tuple(v.name for v in names[: rng.randint(1, len(names))])
+            grouped = SERIAL.grouped_count(query, database, group)
+            assert grouped == grouped_count_reference(query, answers, group)
+            assert sum(row[-1] for row in grouped) == answers.cardinality
+
+
 class TestCoveredCountReadsTheRoot:
     """The covered count is read off the reduced covering atom: its
     cardinality when the head is all of its columns (in any order), a

@@ -9,6 +9,7 @@ the treewidth evaluator, and the Theorem 2 machinery return.
 
 import os
 import random
+from itertools import product
 from unittest import mock
 
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import Database, QueryEngine, Relation, parse_query
 from repro.engine import Planner
+from repro.engine.analysis import covering_atom
 from repro.errors import DeadlineExceededError, QueryError
 from repro.evaluation import (
     CountingYannakakisEvaluator,
@@ -24,10 +26,10 @@ from repro.evaluation import (
     YannakakisEvaluator,
     yannakakis,
 )
-from repro.evaluation.yannakakis import Survivors
-from repro.hypergraph.join_tree import JoinTree
+from repro.evaluation.yannakakis import Survivors, acyclic_program
 from repro.inequalities import AcyclicInequalityEvaluator
 from repro.operations import COUNT, DECIDE, EXECUTE, EXPLAIN, Operation, operations_of
+from repro.parallel.batch import lift_batch_group
 from repro.query.atoms import Atom
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.terms import Constant
@@ -93,17 +95,16 @@ class TestAcyclicAgreement:
 
 
 class TestRootingInvariance:
-    """Whatever root the caller's join tree has, ``evaluate`` equals the
-    naive oracle — and never runs an upward join that adds no column to
-    its parent (after the full reducer that join is the identity)."""
+    """``execute``, ``decide`` and ``count`` run the program as planned,
+    rooted where the head lives; only two routes still take a root of their
+    own — ``reduce_bottom_up(root=...)`` and, through it, the lifted batch
+    ``decide``, rooted at its parameter atom.  Whatever that root, they
+    answer like the naive oracle; ``evaluate`` never runs an upward join
+    that adds no column to its parent (after the full reducer that join is
+    the identity); and a head inside one atom roots the program there."""
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.integers(0, 10_000),
-        st.integers(0, 3),
-        st.sampled_from(("plain", "repeated", "constant")),
-    )
-    def test_every_supplied_root_matches_naive(self, seed, head_arity, head_shape):
+    @staticmethod
+    def case(seed, head_arity, head_shape):
         rng = random.Random(seed)
         base = random_acyclic_query(
             num_atoms=rng.randint(1, 5),
@@ -118,8 +119,33 @@ class TestRootingInvariance:
             head.insert(rng.randint(0, len(head)), Constant(7))
         query = ConjunctiveQuery(tuple(head), list(base.atoms), head_name="RND")
         database = database_for(query, domain_size=5, tuples=20, seed=seed)
-        reference = NaiveEvaluator().evaluate(query, database)
-        tree = JoinTree.from_hypergraph(query.hypergraph())
+        return query, database
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 10_000),
+        st.integers(0, 3),
+        st.sampled_from(("plain", "repeated", "constant")),
+    )
+    def test_every_supplied_root_matches_naive(self, seed, head_arity, head_shape):
+        query, database = self.case(seed, head_arity, head_shape)
+        naive = NaiveEvaluator()
+        evaluator = YannakakisEvaluator()
+        program = acyclic_program(query)
+        covering = covering_atom(query)
+        if covering is not None:
+            assert program.tree.root == covering
+
+        for node, atom in enumerate(query.atoms):
+            reduced = evaluator.reduce_bottom_up(query, database, root=node)
+            # The survivors are the root atom's bindings that extend to a
+            # whole match: the join projected onto its variables.
+            rooted = ConjunctiveQuery(atom.variables(), query.atoms, head_name="R")
+            expected = naive.evaluate(rooted, database)
+            if reduced is None:
+                assert expected.is_empty(), f"root={node}"
+            else:
+                assert sorted(reduced) == sorted(expected), f"root={node}"
 
         joins = []
         join_keep = Relation._join_keep
@@ -129,13 +155,34 @@ class TestRootingInvariance:
             return join_keep(self, other, other_keep)
 
         with mock.patch.object(Relation, "_join_keep", spy):
-            for node in tree.nodes():
-                answer = YannakakisEvaluator().evaluate(
-                    query, database, join_tree=tree.rooted_at(node)
-                )
-                assert answer == reference, f"root={node}"
+            answer = evaluator.evaluate(query, database)
+        assert answer == naive.evaluate(query, database)
         for parent_attributes, keep in joins:
             assert not set(keep) <= set(parent_attributes)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 2))
+    def test_the_lifted_decide_matches_naive(self, seed, head_arity):
+        query, database = self.case(seed, head_arity, "plain")
+        arity = len(query.head_terms)
+        members = [
+            query.decision_instance(candidate)
+            for candidate in product(range(-1, 9), repeat=arity)
+        ]
+        roots = []
+        reduce_bottom_up = YannakakisEvaluator.reduce_bottom_up
+
+        def spy(self, *args, root=None, **kwargs):
+            roots.append(root)
+            return reduce_bottom_up(self, *args, root=root, **kwargs)
+
+        with mock.patch.object(YannakakisEvaluator, "reduce_bottom_up", spy):
+            decided = QueryEngine().run_batch(operations_of(DECIDE, members), database)
+        assert decided == [NaiveEvaluator().decide(m, database) for m in members]
+        lifted = lift_batch_group(members, database)
+        if lifted is not None and lifted.query.is_acyclic():
+            # The parameter atom is the last one, and the batch is rooted there.
+            assert roots == [len(lifted.query.atoms) - 1]
 
 
 class TestFirstWitness:
@@ -253,18 +300,18 @@ class TestUpwardPass:
         evaluator = YannakakisEvaluator()
         counter = CountingYannakakisEvaluator()
         reference = NaiveEvaluator().evaluate(query, database)
-        prepared = evaluator._prepare(query, database)
+        assert evaluator.evaluate(query, database) == reference
+        with mock.patch.object(yannakakis, "witness_budget", lambda q, d: 0):
+            decided = evaluator.decide(query, database)
+        assert decided == (not reference.is_empty())
+        program = acyclic_program(query)
+        relations = evaluator._candidates(query, database, program)
         for root in range(len(query.atoms)):
-            tree = JoinTree.from_hypergraph(query.hypergraph()).rooted_at(root)
-            assert evaluator.evaluate(query, database, tree) == reference, root
-            with mock.patch.object(yannakakis, "witness_budget", lambda q, d: 0):
-                decided = evaluator.decide(query, database, tree)
-            assert decided == (not reference.is_empty()), root
+            tree = program.tree.rooted_at(root)
             reduced_root = evaluator.reduce_bottom_up(query, database, root=root)
-            if prepared is None:
+            if relations is None:
                 assert reduced_root is None and reference.is_empty()
                 continue
-            relations, _ = prepared
             expected = semijoin_fold(relations, tree)
             survivors = evaluator.bottom_up_reduction(relations, tree)
             if survivors is None:
