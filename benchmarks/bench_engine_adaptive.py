@@ -10,8 +10,19 @@ timing, not as a ratio: it is a strawman, and the ratio moves whenever the
 strawman's constant does.
 
 Every timing — hand-picked baselines included — runs through
-``QueryEngine.execute`` (the hand-picked rows force ``evaluator=...``), so
-the benchmark exercises exactly one code path.
+``QueryEngine.execute``, and a hand-picked row forces ``evaluator=...``.
+A forced evaluator overrides the route and nothing else: the request looks
+up its planned shape, runs the plan's program, join order or
+decomposition, and is recorded, exactly as a planned request does.  So
+engine / best compares one path with itself, differing only in the route.
+The calls of a leaf are interleaved: each of the best-of-3 rounds times
+one call of every hand-picked route, the plan's own last, and then one
+planned call, so on a right pick the two timings engine / best compares are
+taken back to back.  Each timed call of a hand-picked route follows
+``WARM_SECONDS`` of untimed calls of that route; the planned call follows
+its forced twin.  A single call of 12–200 µs on a shared machine varies by
+up to ~2× from one call to the next, so only calls taken back to back are
+compared.
 
 Usage::
 
@@ -31,6 +42,7 @@ from __future__ import annotations
 import argparse
 import sys
 from itertools import combinations
+from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import Database, QueryEngine
@@ -58,6 +70,9 @@ from repro.workloads import (
     star_database,
     star_query,
 )
+
+#: How long a route runs untimed before each of its timed calls.
+WARM_SECONDS = 1e-3
 
 
 def _graph_db(n: int, p: float, seed: int) -> Database:
@@ -146,28 +161,36 @@ def run_mixed(
     for item in mixed_workload():
         query, database = item["query"], item["database"]
         plan = engine.plan_for(query, database)
-
-        evaluators: Dict[str, float] = {}
-        reference = None
-        for candidate in item["candidates"]:
-            seconds, result = time_thunk(
-                lambda c=candidate: engine.execute(query, database, evaluator=c),
-                repeats=repeats,
-            )
-            evaluators[candidate] = seconds
-            if reference is None:
-                reference = result
-            else:
-                assert result == reference, (
-                    f"{item['name']}: {candidate} disagrees with "
-                    f"{item['candidates'][0]}"
-                )
-
-        engine.execute(query, database)  # warm the plan cache entry
-        engine_seconds, engine_result = time_thunk(
-            lambda: engine.execute(query, database), repeats=repeats
+        # The hand-picked routes, the plan's own last, then ``None`` — the
+        # planned request — so the two timings engine / best compares on a
+        # right pick are taken back to back.
+        routes = (
+            *sorted(item["candidates"], key=lambda route: route == plan.evaluator),
+            None,
         )
-        assert engine_result == reference, f"{item['name']}: engine disagrees"
+
+        def run(route: Optional[str]) -> Any:
+            return engine.execute(query, database, evaluator=route)
+
+        reference = run(routes[0])  # warms the kernel's indexes too
+        for route in routes[1:]:
+            assert run(route) == reference, f"{item['name']}: {route} disagrees"
+        best = dict.fromkeys(routes, float("inf"))
+        for _ in range(repeats):
+            for route in routes:
+                if route is not None:
+                    # Untimed calls of the route first, for WARM_SECONDS:
+                    # the timed call then follows its own route, not what a
+                    # slower one left in the caches and the allocator.  The
+                    # planned call needs none; it follows its forced twin.
+                    warm_until = perf_counter() + WARM_SECONDS
+                    run(route)
+                    while perf_counter() < warm_until:
+                        run(route)
+                seconds, _ = time_thunk(lambda: run(route), repeats=1)
+                best[route] = min(best[route], seconds)
+        engine_seconds = best.pop(None)
+        evaluators = best
 
         best_evaluator = min(evaluators, key=evaluators.get)
         best_seconds = evaluators[best_evaluator]
@@ -347,12 +370,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not args.smoke:
         # Full-run acceptance: the adaptive engine stays close to the best
         # hand-picked evaluator everywhere.  Wherever the plan is right,
-        # engine / best is a ratio of two timings of one route, so the 1.25
-        # is run-to-run noise plus the engine's plan lookup and record (a
-        # few µs, which the forced runs skip), not headroom for a wrong
-        # pick: the boolean cycles, charged to their first witness, run
-        # the search ~300× faster than the bag joins they were sent to
-        # while the search was charged in full.
+        # engine / best is a ratio of two timings of one request path — the
+        # forced run looks up, runs and records the same plan, on the route
+        # the plan names — so the 1.25 is run-to-run noise, not headroom
+        # for a wrong pick: the boolean cycles, charged to their
+        # first witness, run the search ~300× faster than the bag joins
+        # they were sent to while the search was charged in full.
         assert worst["engine_over_best"] <= 1.25, worst
         assert (
             cache_section["repeat_execution_seconds"]

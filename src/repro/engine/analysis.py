@@ -302,9 +302,12 @@ def schema_signature(query: ConjunctiveQuery, database: Database) -> Tuple:
     Includes each referenced relation's arity and the bit length of its
     cardinality: a cached plan survives small data changes but is re-derived
     when a relation roughly doubles or halves, which is when the cost
-    model's verdict could flip.
+    model's verdict could flip.  The sorted relation names are computed once
+    per query object and kept on it; only the lookups run per call.
     """
-    names = sorted({atom.relation for atom in query.atoms})
+    names = query._names
+    if names is None:
+        names = query._names = tuple(sorted({atom.relation for atom in query.atoms}))
     parts = []
     for name in names:
         relation = database[name]

@@ -21,8 +21,8 @@ and instead say ``engine.execute(query, database)``.  Internally:
    execution through a parameter relation, and everything else is a plain
    loop over the members.
 
-After every planned execution the engine records the time and the
-actual result cardinality in the shape's entry of the table
+After every execution, forced or not, the engine records the time and
+the actual result cardinality in the shape's entry of the table
 (:class:`~repro.engine.cache.ShapeTable`), the one record ``explain``
 and ``stats()`` both read.  When the observed cardinality drifts ≥
 :data:`~repro.engine.cache.DEFAULT_REPLAN_DRIFT`× from the plan's
@@ -33,10 +33,12 @@ the only feedback the planner takes — recorded latencies are
 observability, so a plan is a function of the query and the data, never
 of which requests arrived first or how fast they ran.  ``explain``
 returns the plan rendering (with cache status and estimate-vs-actual
-feedback) without executing anything; passing
-``evaluator=...`` to ``execute``/``decide`` forces a specific engine,
-which keeps the benchmark suite on a single code path even where a fixed
-evaluator is the point of the measurement.
+feedback) without executing anything.  Passing ``evaluator=...`` to
+``execute``/``decide`` overrides the route and nothing else: the request
+still looks up (or plans) its shape, runs the plan's prepared artefacts —
+the acyclic program, the join order, the tree decomposition — under the
+forced evaluator, and is recorded like any other run.  So a benchmark that
+forces each evaluator in turn times the path a served request takes.
 
 The engine is safe to share across threads — the async service front-end
 (:mod:`repro.service`) multiplexes every concurrent caller onto one
@@ -53,6 +55,7 @@ way.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -99,7 +102,6 @@ from .plan import (
     BOUNDED_VARIABLE,
     EVALUATORS,
     INEQUALITY,
-    NAIVE,
     QueryPlan,
     TREEWIDTH,
     YANNAKAKIS,
@@ -110,20 +112,16 @@ from .planner import Planner
 DEFAULT_BATCH_WIDE_THRESHOLD = 8
 
 
-def _reusable(plan: Optional[QueryPlan], query: ConjunctiveQuery) -> bool:
+def _reusable(plan: QueryPlan, query: ConjunctiveQuery) -> bool:
     """Can *query* run *plan*'s program / decomposition?  They name the
     variables of the query the plan was made for, so only when the variable
     layout matches (true for the parameterized decision instances the cache
     targets, false for α-renamed shape twins, which rebuild the structure).
     """
-    if plan is None:
-        return False
     return plan.analysis.variable_layout == variable_layout(query)
 
 
-def _program(
-    plan: Optional[QueryPlan], query: ConjunctiveQuery
-) -> Optional[AcyclicProgram]:
+def _program(plan: QueryPlan, query: ConjunctiveQuery) -> Optional[AcyclicProgram]:
     """*plan*'s acyclic program when *query* can run it, else ``None`` (the
     evaluator builds one)."""
     return plan.program if _reusable(plan, query) else None
@@ -163,8 +161,8 @@ class QueryEngine(OperationFacade):
         # an operation kind means one entry here (plus its thin facade),
         # not a parallel copy of the plan/record/batch plumbing.
         self._op_runners = {
-            OP_EXECUTE: self._op_execute,
-            OP_DECIDE: self._op_decide,
+            OP_EXECUTE: partial(self._op_answer, decide=False),
+            OP_DECIDE: partial(self._op_answer, decide=True),
             OP_EXPLAIN: self._op_explain,
             OP_COUNT: self._op_count,
             OP_AGGREGATE: self._op_aggregate,
@@ -277,32 +275,31 @@ class QueryEngine(OperationFacade):
     # Per-kind runners (the dispatch table's targets)
     # ------------------------------------------------------------------
 
-    def _op_execute(
-        self, operation: Operation, database: Database, key: Optional[Tuple]
-    ) -> Relation:
+    def _op_answer(
+        self,
+        operation: Operation,
+        database: Database,
+        key: Optional[Tuple],
+        decide: bool,
+    ) -> Any:
+        """``execute`` (*decide* false) or ``decide``: look up or plan the
+        shape, dispatch, record.  A forced ``evaluator`` option overrides
+        the plan's route and nothing else."""
         query = operation.query
-        forced = operation.option("evaluator")
-        if forced is not None:
-            return self._dispatch(forced, None, query, database, decide=False)
+        route = operation.option("evaluator")
+        if route is not None and route not in EVALUATORS:
+            # Refused before the lookup: a mistyped name plans nothing.
+            raise QueryError(
+                f"unknown evaluator {route!r}; expected one of {EVALUATORS}"
+            )
         shape, _, key = self._shape(query, database, key)
         plan = shape.plan
         start = perf_counter()
-        result = self._dispatch(plan.evaluator, plan, query, database, decide=False)
-        self._record(key, perf_counter() - start, result.cardinality, query, database)
-        return result
-
-    def _op_decide(
-        self, operation: Operation, database: Database, key: Optional[Tuple]
-    ) -> bool:
-        query = operation.query
-        forced = operation.option("evaluator")
-        if forced is not None:
-            return self._dispatch(forced, None, query, database, decide=True)
-        shape, _, key = self._shape(query, database, key)
-        plan = shape.plan
-        start = perf_counter()
-        result = self._dispatch(plan.evaluator, plan, query, database, decide=True)
-        self._record(key, perf_counter() - start, None, query, database)
+        result = self._dispatch(route or plan.evaluator, plan, query, database, decide)
+        # The row count does not depend on the route, so a forced run feeds
+        # drift re-planning exactly like a planned one.
+        rows = None if decide else result.cardinality
+        self._record(key, perf_counter() - start, rows, query, database)
         return result
 
     def _op_explain(
@@ -345,7 +342,7 @@ class QueryEngine(OperationFacade):
         if mode == AGG_COUNT:
             return self._op_count(operation, database, key)
         if mode == AGG_EXISTS:
-            return self._op_decide(Operation(OP_DECIDE, query), database, key)
+            return self._op_answer(operation, database, key, decide=True)
         shape, _, key = self._shape(query, database, key)
         plan = shape.plan
         start = perf_counter()
@@ -475,7 +472,7 @@ class QueryEngine(OperationFacade):
     def _dispatch(
         self,
         evaluator: str,
-        plan: Optional[QueryPlan],
+        plan: QueryPlan,
         query: ConjunctiveQuery,
         database: Database,
         decide: bool,
@@ -518,15 +515,12 @@ class QueryEngine(OperationFacade):
                 if decide
                 else self._naive.evaluate(grouped_query, grouped_database)
             )
-        if evaluator == NAIVE:
-            order = plan.join_order if plan is not None else None
-            return (
-                self._naive.decide(query, database, atom_order=order)
-                if decide
-                else self._naive.evaluate(query, database, atom_order=order)
-            )
-        raise QueryError(
-            f"unknown evaluator {evaluator!r}; expected one of {EVALUATORS}"
+        # NAIVE, the one name of EVALUATORS left.
+        order = plan.join_order
+        return (
+            self._naive.decide(query, database, atom_order=order)
+            if decide
+            else self._naive.evaluate(query, database, atom_order=order)
         )
 
     # ------------------------------------------------------------------

@@ -14,10 +14,12 @@ constants: per atom its relation name and terms, a variable as the number
 of its first occurrence and a constant as ``None``; per ≠ / < / ≤, in the
 query's own order, its operator and sides; the emitted terms.  The
 constants' values go into a list beside the spelling, each at its *slot*.
-A bounded memo (:func:`_prepared`) maps (spelling, atom order or ``None``
-for the built-in one) to the compiled generator function and a *binding
-recipe*; on a hit a request pays only its spelling, one arity check per
-atom and a few index lookups (:func:`_bind`).
+The spelling is kept on the query object, one per emitted tuple
+(:func:`_spelled`), so a repeated request does not spell again.  A bounded
+memo (:func:`_prepared`) maps (spelling, atom order or ``None`` for the
+built-in one) to the compiled generator function and a *binding recipe*; on
+a hit a request pays only the memo lookup, one arity check per atom and a
+few index lookups (:func:`_bind`).
 
 On a miss :func:`_generate` writes the source of one generator function: a
 ``for r<d> in ...`` loop per atom in join order (closing atoms excepted,
@@ -236,7 +238,7 @@ class NaiveEvaluator:
         distinct one at least once; callers that want one stop iterating.
         With *max_steps*, raises :class:`_BudgetSpent` on the first step
         (a row or a folded loop's candidate visited) past that many."""
-        shape, constants = _spell(query, emit)
+        shape, constants = _spelled(query, emit)
         order = None if atom_order is None else tuple(atom_order)
         search, recipe = _prepared(shape, order)
         arguments = _bind(recipe, query, database, constants)
@@ -309,6 +311,23 @@ def _spell(
         + [(c.op, spell(c.left), spell(c.right)) for c in query.comparisons]
     )
     return (atoms, constraints, tuple(map(spell, emit))), constants
+
+
+def _spelled(
+    query: ConjunctiveQuery, emit: Sequence[Term]
+) -> Tuple[Shape, Sequence[Any]]:
+    """:func:`_spell`, kept on the (immutable) query object per emitted
+    tuple, so a repeated request pays one dictionary lookup for it."""
+    # getattr: a query made without ``__init__`` has the slot unset.
+    spellings = getattr(query, "_spellings", None)
+    if spellings is None:
+        spellings = query._spellings = {}
+    emit = tuple(emit)
+    spelled = spellings.get(emit)
+    if spelled is None:
+        shape, constants = _spell(query, emit)
+        spelled = spellings[emit] = (shape, tuple(constants))
+    return spelled
 
 
 @lru_cache(maxsize=_MEMO_SIZE)

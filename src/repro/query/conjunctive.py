@@ -36,10 +36,13 @@ class ConjunctiveQuery:
         Name of the defined relation G (cosmetic; defaults to ``"ANS"``).
 
     Immutability lets the values a request path derives from a query be
-    computed once per query object: its hash here, and the shape signature
-    and variable layout that :mod:`repro.engine.analysis` stores in
-    ``_shape`` / ``_layout``.  None of the three is pickled — string hashes
-    are salted per process — so an unpickled query derives them afresh.
+    computed once per query object: its hash here; the shape signature,
+    variable layout and sorted relation names that
+    :mod:`repro.engine.analysis` stores in ``_shape`` / ``_layout`` /
+    ``_names``; and the generated search's spellings, one per emitted
+    tuple, that :mod:`repro.evaluation.naive` stores in ``_spellings``.
+    None of them is pickled — string hashes are salted per process — so an
+    unpickled query derives them afresh.
     """
 
     __slots__ = (
@@ -51,6 +54,8 @@ class ConjunctiveQuery:
         "_hash",
         "_shape",
         "_layout",
+        "_names",
+        "_spellings",
     )
 
     def __init__(
@@ -69,6 +74,8 @@ class ConjunctiveQuery:
         self._hash: Optional[int] = None
         self._shape: Optional[Tuple] = None
         self._layout: Optional[Tuple[Tuple[str, ...], ...]] = None
+        self._names: Optional[Tuple[str, ...]] = None
+        self._spellings: Optional[Dict[Tuple[Term, ...], Tuple]] = None
         self._validate()
 
     def _validate(self) -> None:

@@ -277,6 +277,15 @@ class TestQueryEngine:
         with pytest.raises(QueryError):
             engine.execute(cyclic, edge_db, evaluator="no-such-engine")
 
+    def test_an_unknown_evaluator_is_refused_before_planning(self, edge_db):
+        engine = QueryEngine()
+        for run in (engine.execute, engine.decide):
+            with pytest.raises(QueryError, match="unknown evaluator"):
+                run(path_query(2), edge_db, evaluator="no-such-engine")
+        stats = engine.stats()
+        assert stats["shapes"] == [] and stats["cache"]["size"] == 0
+        assert stats["cache"]["misses"] == 0
+
     def test_explain_mentions_dispatch(self, edge_db):
         engine = QueryEngine()
         query = parse_query("Q(x, z) :- E(x, y), E(y, z).")

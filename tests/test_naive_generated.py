@@ -557,6 +557,29 @@ class TestTheTextHoldsNoData:
         assert len(generated) == 1
         assert naive._prepared.cache_info().currsize == 1
 
+    def test_a_warm_repeat_of_one_query_object_spells_nothing(self, monkeypatch):
+        # The spelling is kept on the query, one per emitted tuple: the
+        # first evaluate, decide and satisfying_assignments spell, their
+        # repeats (and an equal query object's first call) only look it up.
+        database = Database.from_tuples({"E": [(1, 2), (2, 3), (3, 1), (3, 4)]})
+        spelled = []
+        spell = naive._spell
+        monkeypatch.setattr(
+            naive, "_spell", lambda *args: spelled.append(args) or spell(*args)
+        )
+        text = "Q(a) :- E(a, b), E(b, c), E(c, a), a != 4."
+        query = parse_query(text)
+        evaluator = NaiveEvaluator()
+        for _ in range(3):
+            assert evaluator.evaluate(query, database).rows == {(1,), (2,), (3,)}
+            assert evaluator.decide(query, database) is True
+            assert len(evaluator.satisfying_assignments(query, database).rows) == 3
+        assert len(spelled) == 3
+        assert QueryEngine().decide(query, database) is True
+        assert len(spelled) == 3
+        evaluator.decide(parse_query(text), database)
+        assert len(spelled) == 4
+
     def test_constants_are_bound_to_their_own_constraint(self):
         # Unordered constraint sets would give both the same slots.
         database = Database.from_tuples({"E": [(5, 1), (1, 7)]})

@@ -21,7 +21,7 @@ import pytest
 
 from repro import Database, QueryEngine, Relation, parse_query
 from repro.engine import Planner
-from repro.evaluation import yannakakis
+from repro.evaluation import treewidth_eval, yannakakis
 from repro.parametric.problems import CliqueInstance
 from repro.query import Atom, ConjunctiveQuery
 from repro.query.terms import Variable
@@ -239,6 +239,10 @@ class TestProgramPerShape:
                 for _ in range(3):
                     assert engine.execute(spelling, database) == reference
                     assert engine.decide(spelling, database)
+                    # A forced route runs the plan's program too.
+                    forced = engine.execute(spelling, database, evaluator="yannakakis")
+                    assert forced == reference
+                    assert engine.decide(spelling, database, evaluator="yannakakis")
         assert [spy.call_count for spy in spies] == [0] * len(names)
 
     def test_the_priced_edges_are_the_walked_edges(self):
@@ -282,3 +286,52 @@ class TestProgramPerShape:
             assert engine.execute(query, database) == reference
         semijoin.assert_not_called()
         assert probed == [database["E"]._cache]
+
+
+class TestForcedRoutes:
+    """A forced evaluator overrides the plan's route and nothing else: it
+    runs the planned shape's artefacts and is recorded like a planned run."""
+
+    def test_a_forced_search_takes_the_plan_s_atom_order(self):
+        database = chain(60, 4)
+        query = parse_query("Q(a) :- E(a, b), E(b, c), E(c, d), E(d, 250).")
+        engine = QueryEngine()
+        order = engine.plan_for(query, database).join_order
+        assert list(order) == [3, 2, 1, 0]  # from the constant inwards
+        with mock.patch.object(engine, "_naive", wraps=engine._naive) as spy:
+            answer = engine.execute(query, database, evaluator="naive")
+            assert engine.decide(query, database, evaluator="naive")
+        assert answer == engine.execute(query, database)
+        calls = spy.evaluate.call_args_list + spy.decide.call_args_list
+        assert [call.kwargs["atom_order"] for call in calls] == [order, order]
+
+    def test_a_forced_treewidth_run_takes_the_plan_s_decomposition(self):
+        database = symmetric_graph(30, 0.2, seed=2)
+        query = cycle_query(4)
+        engine = QueryEngine()
+        plan = engine.plan_for(query, database)
+        assert plan.analysis.decomposition is not None
+        reference = engine.execute(query, database)
+        with mock.patch.object(
+            treewidth_eval,
+            "tree_decomposition",
+            wraps=treewidth_eval.tree_decomposition,
+        ) as spy:
+            for _ in range(3):
+                assert engine.execute(query, database, evaluator="treewidth") == (
+                    reference
+                )
+                assert engine.decide(query, database, evaluator="treewidth") == bool(
+                    reference.cardinality
+                )
+        assert spy.call_count == 0
+
+    def test_forced_runs_are_recorded(self):
+        database = chain(60, 4)
+        query = parse_query(PATH4_HEAD2)
+        engine = QueryEngine()
+        for evaluator in ("naive", "yannakakis", None):
+            engine.execute(query, database, evaluator=evaluator)
+            engine.decide(query, database, evaluator=evaluator)
+        (row,) = engine.stats()["shapes"]
+        assert row["executions"] == 6
