@@ -20,10 +20,11 @@ What this file measures of the async service front-end:
   ``QueryService.run`` from text: ``service_overhead_us`` is the
   difference per request.  Every text repeats, as on the wire, so after
   a warm-up pass every lookup hits the parse memo; a second leg sends
-  texts that are all distinct, so every lookup misses and parses.  The
-  record runs on one CPU, as the e2e benchmark does: a request hops from
-  the event loop to a worker thread and back, and a hop across idle CPUs
-  costs a wake-up latency that swings with the machine, not the code.
+  texts that are all distinct, so every lookup misses and parses.  Once
+  warm, these short requests run on the event loop's thread; the first
+  sight of the shape hops to a worker thread and back.  The record runs
+  on one CPU, as the e2e benchmark does: a hop across idle CPUs costs a
+  wake-up latency that swings with the machine, not the code.
 
 Results are checked against sequential ``QueryEngine(parallel=False)``
 execution for every scenario before anything is timed.

@@ -33,13 +33,14 @@ is re-derived when the data changes scale).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..errors import NotAcyclicError
 from ..hypergraph.join_tree import JoinTree
 from ..hypergraph.treewidth import TreeDecomposition, tree_decomposition
-from ..query.conjunctive import ConjunctiveQuery
+from ..query.conjunctive import ConjunctiveQuery, HashedTuple
 from ..query.terms import Constant, Variable
 from ..relational.database import Database
 
@@ -316,5 +317,18 @@ def schema_signature(query: ConjunctiveQuery, database: Database) -> Tuple:
 
 
 def plan_cache_key(query: ConjunctiveQuery, database: Database) -> Tuple:
-    """The full plan-cache key: query shape + schema summary."""
-    return (shape_signature(query), schema_signature(query, database))
+    """The full plan-cache key: query shape + schema summary.
+
+    Built and hashed once per query object and database: the query keeps
+    the key of the last database it was keyed against, so the service's
+    group key and the engine's table lookups of one request share one key,
+    and no lookup walks the nested shape signature again.  The database is
+    held weakly — the memo keeps no replaced database alive — and, being
+    immutable, cannot change under its key.
+    """
+    kept = query._key
+    if kept is not None and kept[0]() is database:
+        return kept[1]
+    key = HashedTuple((shape_signature(query), schema_signature(query, database)))
+    query._key = (weakref.ref(database), key)
+    return key

@@ -27,16 +27,18 @@ never clobbers a correction.
 
 from __future__ import annotations
 
+import math
 import threading
+from bisect import bisect_left, insort
 from collections import OrderedDict, deque
-from typing import Any, Deque, Dict, Hashable, Optional
+from typing import Any, Deque, Dict, Hashable, List, Optional
 
 from ..telemetry import (
     CACHE_COUNTERS,
     ENGINE_TOTALS,
     SHAPE_COUNTERS,
     counters,
-    quantile,
+    sorted_quantile,
 )
 from .plan import QueryPlan
 
@@ -60,17 +62,34 @@ _LATENCY_WINDOW = 64
 class Shape:
     """One entry: the shape's current plan, counters and recent latencies.
 
-    Only the table mutates an entry, under its lock; the engine reads
-    ``plan`` (replaced whole, never changed in place) and, for
-    ``explain``, the counters.
+    Only the table mutates the plan, counters and latencies, under its
+    lock; the engine reads ``plan`` (replaced whole, never changed in
+    place), ``p95`` and, for ``explain``, the counters.
     """
 
-    __slots__ = ("plan", "counts", "latencies")
+    __slots__ = ("plan", "counts", "latencies", "_ordered", "p95", "regrouped")
 
     def __init__(self, plan: QueryPlan) -> None:
         self.plan = plan
         self.counts: Dict[str, Any] = {**counters(SHAPE_COUNTERS), "last_rows": None}
         self.latencies: Deque[float] = deque(maxlen=_LATENCY_WINDOW)
+        #: The same window in ascending order, so ``p95`` costs no sort.
+        self._ordered: List[float] = []
+        #: The window's 95th percentile; infinite until a run is recorded.
+        self.p95 = math.inf
+        #: Set of ``group_by`` names → ``(program, tree and edges rooted at
+        #: an atom that covers them)``, filled by the engine on first use;
+        #: an entry counts only while ``program`` is the current plan's.
+        self.regrouped: Dict[Any, Any] = {}
+
+    def add(self, seconds: float) -> None:
+        """Slide *seconds* into the latency window and update ``p95``."""
+        latencies, ordered = self.latencies, self._ordered
+        if len(latencies) == latencies.maxlen:
+            del ordered[bisect_left(ordered, latencies[0])]
+        latencies.append(seconds)
+        insort(ordered, seconds)
+        self.p95 = sorted_quantile(ordered, 0.95)
 
     def row(self) -> Dict[str, Any]:
         """This shape's row of ``QueryEngine.stats()["shapes"]``."""
@@ -84,7 +103,7 @@ class Shape:
             **self.counts,
             "mean_seconds": self.counts["total_seconds"]
             / max(1, self.counts["executions"]),
-            "p95_seconds": quantile(self.latencies, 0.95),
+            "p95_seconds": sorted_quantile(self._ordered, 0.95),
         }
 
 
@@ -123,6 +142,11 @@ class ShapeTable:
             self._counts["hits"] += 1
             return shape
 
+    def peek(self, key: Hashable) -> Optional[Shape]:
+        """*key*'s entry or None, counting nothing and leaving its recency
+        alone: one unlocked dict read, for a reader that only looks."""
+        return self._entries.get(key)
+
     def publish(self, key: Hashable, plan: QueryPlan) -> Shape:
         """Enter a cold *plan* for *key* unless an entry is already there
         (the first plan published wins); return the entry.  Evicts the
@@ -152,7 +176,7 @@ class ShapeTable:
             counts["executions"] += 1
             counts["total_seconds"] += seconds
             counts["last_seconds"] = seconds
-            shape.latencies.append(seconds)
+            shape.add(seconds)
             if rows is None:
                 return None
             counts["last_rows"] = rows

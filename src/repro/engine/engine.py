@@ -29,9 +29,11 @@ and ``stats()`` both read.  When the observed cardinality drifts ≥
 estimate, the engine *re-plans* the shape with the observation as
 corrected statistics; re-plan events surface in ``explain`` and
 ``stats()``.  Row counts are
-the only feedback the planner takes — recorded latencies are
-observability, so a plan is a function of the query and the data, never
-of which requests arrived first or how fast they ran.  ``explain``
+the only feedback the planner takes — recorded latencies choose no plan
+(the service reads a shape's p95, through :meth:`QueryEngine.runs_within`,
+only to pick the thread a warm group runs on), so a plan is a function of
+the query and the data, never of which requests arrived first or how fast
+they ran.  ``explain``
 returns the plan rendering (with cache status and estimate-vs-actual
 feedback) without executing anything.  Passing ``evaluator=...`` to
 ``execute``/``decide`` overrides the route and nothing else: the request
@@ -63,6 +65,7 @@ from ..errors import QueryError
 from ..evaluation.bounded_variable import parameter_v_transform
 from ..evaluation.counting import (
     CountingYannakakisEvaluator,
+    group_tree,
     grouped_count_reference,
     head_domain_size,
 )
@@ -102,6 +105,7 @@ from .plan import (
     BOUNDED_VARIABLE,
     EVALUATORS,
     INEQUALITY,
+    NAIVE,
     QueryPlan,
     TREEWIDTH,
     YANNAKAKIS,
@@ -110,6 +114,11 @@ from .planner import Planner
 
 #: Same-shape groups at least this large are executed N-wide (lifted).
 DEFAULT_BATCH_WIDE_THRESHOLD = 8
+
+#: The routes whose runs poll the cancel token as they go (per edge, per
+#: stride of search steps), so a time slice stops them: the others build
+#: bags or colourings between two polls.
+_POLLING_ROUTES = (NAIVE, YANNAKAKIS)
 
 
 def _reusable(plan: QueryPlan, query: ConjunctiveQuery) -> bool:
@@ -193,6 +202,20 @@ class QueryEngine(OperationFacade):
         # (or a re-plan that corrected it meanwhile) keeps its entry.
         shape = self._table.publish(key, self._planner.plan(query, database))
         return shape, "miss", key
+
+    def runs_within(
+        self, key: Tuple, options: Tuple[Tuple[str, Any], ...], seconds: float
+    ) -> bool:
+        """Whether a run of the shape keyed *key*, with *options*, is known
+        to end within *seconds*: the shape's recent p95 latency is below it
+        (so some run was recorded), and its route polls the cancel token,
+        so a time slice can stop a run that does not.  O(1): the table
+        keeps the p95 current as it records."""
+        shape = self._table.peek(key)
+        if shape is None or shape.p95 >= seconds:
+            return False
+        route = dict(options).get("evaluator") or shape.plan.evaluator
+        return route in _POLLING_ROUTES
 
     # ------------------------------------------------------------------
     # The generic Operation path (OperationFacade's methods route here)
@@ -355,7 +378,7 @@ class QueryEngine(OperationFacade):
             rows: Optional[int] = total
         else:  # AGG_GROUP — operation validation admits nothing else
             group_by = operation.option("group_by")
-            result = self._grouped_count_with_plan(plan, query, database, group_by)
+            result = self._grouped_count_with_plan(shape, query, database, group_by)
             rows = result.cardinality
         self._record(key, perf_counter() - start, rows, query, database)
         return result
@@ -387,15 +410,29 @@ class QueryEngine(OperationFacade):
 
     def _grouped_count_with_plan(
         self,
-        plan: QueryPlan,
+        shape: Shape,
         query: ConjunctiveQuery,
         database: Database,
         group_by: Tuple[str, ...],
     ) -> Relation:
+        plan = shape.plan
         mode = plan.count_mode
         if mode in FAST_COUNTING_MODES:
+            program = _program(plan, query)
+            rooted = None
+            if program is not None:
+                # The tree rooted at the group is kept with the shape, for
+                # as long as the shape runs this program.
+                group = frozenset(group_by)
+                kept = shape.regrouped.get(group)
+                if kept is not None and kept[0] is program:
+                    rooted = kept[1]
+                else:
+                    rooted = group_tree(query, program, group_by)
+                    if rooted is not None:
+                        shape.regrouped[group] = (program, rooted)
             fast = self._counting.grouped_count(
-                query, database, group_by, program=_program(plan, query), mode=mode
+                query, database, group_by, program=program, mode=mode, rooted=rooted
             )
             if fast is not None:
                 return fast

@@ -72,6 +72,10 @@ from .yannakakis import (
 )
 
 
+#: A join tree and its edges leaves first.
+Rooted = Tuple[JoinTree, Sequence[Edge]]
+
+
 class CountResult(NamedTuple):
     """A count and the counting mode that produced it."""
 
@@ -149,6 +153,7 @@ class CountingYannakakisEvaluator:
         group_by: Sequence[str],
         program: Optional[AcyclicProgram] = None,
         mode: Optional[str] = None,
+        rooted: Optional[Rooted] = None,
     ) -> Optional[Relation]:
         """Per-group answer counts over the *group_by* head variables.
 
@@ -157,7 +162,8 @@ class CountingYannakakisEvaluator:
         variables sit inside one atom, and ``None`` for everything else,
         head-covered queries included: grouping an evaluated answer
         (:func:`grouped_count_reference`, what the caller then does) costs
-        them the same.
+        them the same.  *rooted* is :func:`group_tree` of *program* and
+        the group when the caller keeps it (derived here when absent).
         """
         from ..engine.analysis import COUNT_FULL
 
@@ -173,28 +179,14 @@ class CountingYannakakisEvaluator:
         if mode != COUNT_FULL:
             return None
 
-        # Group the fold's root annotations.  The root must cover the
-        # grouping variables: the program's root when it does, else the
-        # first atom that does (the tree re-rooted and keyed afresh), else
-        # give up (caller materializes).
+        # Group the fold's root annotations; no atom covering the group
+        # means give up (the caller materializes).
         program = self._reducer._program(query, program)
-        tree, edges = program.tree, program.edges
-        grouped = {Variable(name) for name in group}
-        if not grouped <= query.atoms[tree.root].variable_set():
-            root = next(
-                (
-                    index
-                    for index, atom in enumerate(query.atoms)
-                    if grouped <= atom.variable_set()
-                ),
-                None,
-            )
-            if root is None:
+        if rooted is None:
+            rooted = group_tree(query, program, group)
+            if rooted is None:
                 return None
-            tree = tree.rooted_at(root)
-            edges = upward_edges(
-                tree, [[v.name for v in atom.variables()] for atom in query.atoms]
-            )
+        tree, edges = rooted
         reduced = self._reduce(query, database, program, tree, edges)
         if reduced is None:
             return _group_relation(group, {})
@@ -303,6 +295,37 @@ def _group_relation(group: Tuple[str, ...], counts: Dict[Tuple, int]) -> Relatio
     return Relation._from_frozen(attributes, rows)
 
 
+def group_tree(
+    query: ConjunctiveQuery, program: AcyclicProgram, group: Sequence[str]
+) -> Optional[Rooted]:
+    """*program*'s tree and edges rooted at an atom covering the *group*
+    variables: its own when its root covers them, else re-rooted at the
+    first atom that does and keyed afresh; ``None`` when no atom does.
+
+    A function of the shape and the group alone, so the engine keeps it
+    with the shape (a warm ``grouped_count`` re-roots nothing).
+    """
+    grouped = {Variable(name) for name in group}
+    tree = program.tree
+    if grouped <= query.atoms[tree.root].variable_set():
+        return tree, program.edges
+    root = next(
+        (
+            index
+            for index, atom in enumerate(query.atoms)
+            if grouped <= atom.variable_set()
+        ),
+        None,
+    )
+    if root is None:
+        return None
+    tree = tree.rooted_at(root)
+    edges = upward_edges(
+        tree, [[v.name for v in atom.variables()] for atom in query.atoms]
+    )
+    return tree, edges
+
+
 def grouped_count_reference(
     query: ConjunctiveQuery, answers: Relation, group_by: Sequence[str]
 ) -> Relation:
@@ -366,6 +389,7 @@ __all__ = [
     "COUNT_ATTRIBUTE",
     "CountResult",
     "CountingYannakakisEvaluator",
+    "group_tree",
     "grouped_count_reference",
     "head_domain_size",
 ]

@@ -86,7 +86,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tupl
 
 from ..errors import InvalidOperationError, QueryError
 from ..operations import DECIDE, EXECUTE, Operation
-from ..query.conjunctive import ConjunctiveQuery
+from ..query.conjunctive import ConjunctiveQuery, HashedTuple
 from ..query.terms import Constant, Term
 from ..relational.database import Database
 from ..relational.relation import Relation
@@ -317,7 +317,9 @@ def _spelled(
     query: ConjunctiveQuery, emit: Sequence[Term]
 ) -> Tuple[Shape, Sequence[Any]]:
     """:func:`_spell`, kept on the (immutable) query object per emitted
-    tuple, so a repeated request pays one dictionary lookup for it."""
+    tuple, so a repeated request pays one dictionary lookup for it — and,
+    the spelling being hashed once, one cheap lookup in the memo of
+    :func:`_prepared`."""
     # getattr: a query made without ``__init__`` has the slot unset.
     spellings = getattr(query, "_spellings", None)
     if spellings is None:
@@ -326,7 +328,7 @@ def _spelled(
     spelled = spellings.get(emit)
     if spelled is None:
         shape, constants = _spell(query, emit)
-        spelled = spellings[emit] = (shape, tuple(constants))
+        spelled = spellings[emit] = (HashedTuple(shape), tuple(constants))
     return spelled
 
 

@@ -2,8 +2,9 @@
 
 Query evaluation runs on the thread that took the request: the engine owns
 no pool.  This one has two users — :class:`~repro.service.QueryService`
-hands each dispatched group to it through :meth:`WorkerPool.submit` so the
-event loop never blocks on an engine call, and the off-route sharding
+hands it each dispatched group not known to be short through
+:meth:`WorkerPool.submit`, so the event loop blocks on no long engine
+call, and the off-route sharding
 library (``docs/parallel.md``) fans shard tasks out through
 :meth:`WorkerPool.map`.
 

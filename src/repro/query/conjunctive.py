@@ -21,6 +21,28 @@ from .atoms import Atom, Comparison, Inequality
 from .terms import Constant, Term, Variable, terms, variables_in
 
 
+class HashedTuple(tuple):
+    """A tuple that hashes its (nested) items once, when it is made.
+
+    What a request path keeps on a query object and then looks up in dicts
+    — the plan-cache key, the search's spelling — is a tree of tuples; a
+    plain tuple walks the whole tree on every lookup.  Equal to, and
+    hashing like, the plain tuple of its items.
+    """
+
+    def __new__(cls, items: Iterable[Any]) -> "HashedTuple":
+        self = super().__new__(cls, items)
+        self._hash = tuple.__hash__(self)
+        return self
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        # String hashes are salted per process: rehash on unpickling.
+        return (type(self), (tuple(self),))
+
+
 class ConjunctiveQuery:
     """An immutable conjunctive query, possibly with ≠ and < atoms.
 
@@ -39,8 +61,10 @@ class ConjunctiveQuery:
     computed once per query object: its hash here; the shape signature,
     variable layout and sorted relation names that
     :mod:`repro.engine.analysis` stores in ``_shape`` / ``_layout`` /
-    ``_names``; and the generated search's spellings, one per emitted
-    tuple, that :mod:`repro.evaluation.naive` stores in ``_spellings``.
+    ``_names``, and the plan-cache key for the last database it was keyed
+    against in ``_key``; and the generated search's spellings, one per
+    emitted tuple, that :mod:`repro.evaluation.naive` stores in
+    ``_spellings``.
     None of them is pickled — string hashes are salted per process — so an
     unpickled query derives them afresh.
     """
@@ -55,6 +79,7 @@ class ConjunctiveQuery:
         "_shape",
         "_layout",
         "_names",
+        "_key",
         "_spellings",
     )
 
@@ -75,6 +100,7 @@ class ConjunctiveQuery:
         self._shape: Optional[Tuple] = None
         self._layout: Optional[Tuple[Tuple[str, ...], ...]] = None
         self._names: Optional[Tuple[str, ...]] = None
+        self._key: Optional[Tuple[Any, Tuple]] = None
         self._spellings: Optional[Dict[Tuple[Term, ...], Tuple]] = None
         self._validate()
 

@@ -14,6 +14,12 @@ check itself is one thread-local read plus two attribute loads — cheap
 enough for per-node granularity (the no-fault overhead budget of the
 resilience layer is <5%, measured by ``bench_resilience.py``).
 
+A token may also carry a *time slice* (:meth:`CancelToken.set_slice`): the
+service runs a short request on its event loop's thread inside one, and a
+run still going when the slice ends stops at its next check-point with
+:class:`SliceSpent` — not an error of the request, a signal to move it off
+the loop.
+
 Thread-safety: ``cancel`` is a single attribute write, ``check`` reads
 immutable-after-cancel state; CPython's per-opcode atomicity makes both
 safe without a lock, and tokens never cross process boundaries (process
@@ -32,6 +38,14 @@ from ..errors import CancelledRequestError, DeadlineExceededError
 _ACTIVE = threading.local()
 
 
+class SliceSpent(Exception):
+    """A run outlived its token's time slice; raised at a check-point.
+
+    Evaluation is pure and an aborted run records nothing, so whoever
+    opened the slice may run the same work again elsewhere.
+    """
+
+
 class CancelToken:
     """One request's deadline + cancellation state, checked cooperatively.
 
@@ -43,7 +57,7 @@ class CancelToken:
         cancellation (client disconnect, cancel message, abandonment).
     """
 
-    __slots__ = ("_deadline", "_expires_at", "_cancelled", "_reason")
+    __slots__ = ("_deadline", "_expires_at", "_cancelled", "_reason", "_slice_ends")
 
     def __init__(self, deadline: Optional[float] = None) -> None:
         if deadline is not None and deadline <= 0:
@@ -56,6 +70,7 @@ class CancelToken:
         )
         self._cancelled = False
         self._reason = ""
+        self._slice_ends: Optional[float] = None
 
     # ------------------------------------------------------------------
 
@@ -94,8 +109,15 @@ class CancelToken:
             self._reason = reason
             self._cancelled = True
 
+    def set_slice(self, seconds: Optional[float]) -> None:
+        """Open a time slice of *seconds* from now: until it is closed
+        (``None``), a :meth:`check` once it has passed raises
+        :class:`SliceSpent` (after expiry and cancellation had their say)."""
+        self._slice_ends = None if seconds is None else time.monotonic() + seconds
+
     def check(self) -> None:
-        """Raise the typed teardown error when expired or cancelled.
+        """Raise the typed teardown error when expired or cancelled, and
+        :class:`SliceSpent` when a slice is open and spent.
 
         Deadline expiry wins over explicit cancellation: an abandoned
         request whose deadline also passed reports ``deadline_exceeded``,
@@ -110,6 +132,9 @@ class CancelToken:
             raise CancelledRequestError(
                 f"request cancelled: {self._reason}", reason=self._reason
             )
+        slice_ends = self._slice_ends
+        if slice_ends is not None and time.monotonic() >= slice_ends:
+            raise SliceSpent
 
     def __repr__(self) -> str:
         state = "cancelled" if self._cancelled else (
@@ -163,6 +188,7 @@ def check_cancelled() -> None:
 
 __all__ = [
     "CancelToken",
+    "SliceSpent",
     "activate",
     "check_cancelled",
     "current_token",

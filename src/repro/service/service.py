@@ -44,11 +44,18 @@ indexes), but only for callers who share one engine.
   the parser's position/line/column in ``detail``) on every attempt
   instead of leaking a raw parser traceback.
 
-Blocking engine calls run on the service's dispatch
-:class:`~repro.parallel.pool.WorkerPool` — the only threads evaluation
-ever runs on: the event loop never blocks on query evaluation.  A pump on
-the loop thread submits queued groups while fewer than ``dispatchers`` run;
-each worker hands its results back with one ``call_soon_threadsafe``.
+A pump on the loop thread starts queued groups while fewer than
+``dispatchers`` run.  A group the engine knows to be short — a warm shape
+whose recent p95 run, times the group's size, fits in the interpreter's
+switch interval — runs right there, under a time slice of one switch
+interval: under the interpreter lock a worker thread would have run it
+start to end anyway, so the hop would buy the loop nothing.  A run that
+outlives its slice stops at its next cancellation check-point and the
+group goes to the pool instead.  Every other group — a shape's first
+sight, a long shape, an explicit batch — runs on the service's dispatch
+:class:`~repro.parallel.pool.WorkerPool`, whose worker hands its results
+back with one ``call_soon_threadsafe``.  So no request holds the loop for
+longer than one switch interval plus one stretch between two check-points.
 
 A service instance is bound to the first event loop that uses it; all
 internal state (in-flight map, open groups, counters) is touched
@@ -61,6 +68,7 @@ see ``docs/service.md``).
 from __future__ import annotations
 
 import asyncio
+import sys
 from collections import OrderedDict
 from concurrent.futures import Future
 from functools import lru_cache, partial
@@ -84,7 +92,7 @@ from ..parallel.pool import WorkerPool, default_worker_count
 from ..query.conjunctive import ConjunctiveQuery
 from ..query.parser import parse_query
 from ..relational.database import Database
-from ..resilience.token import CancelToken, activate
+from ..resilience.token import CancelToken, SliceSpent, swap_token
 from ..telemetry import CLIENT_COUNTERS, SERVICE_COUNTERS, LatencyReservoir, counters
 from .fairness import ANONYMOUS, FairQueue
 
@@ -154,8 +162,8 @@ class _Group:
         #: take joiners (explicit batches, ``explain``).
         self.shape = shape
         self.client = client
-        #: Cancellation/deadline token the worker activates around the
-        #: engine call; teardown cancels it.
+        #: Cancellation/deadline token activated around the engine call
+        #: (the pump slices it for an inline run); teardown cancels it.
         self.token = token
         #: Member futures whose every waiter has left.  The group's
         #: execution is cancelled only once this reaches ``len(futures)``
@@ -751,8 +759,8 @@ class QueryService(OperationFacade):
     ) -> "Optional[asyncio.Future[None]]":
         """Join an open group or enqueue a new one; what :meth:`_put`
         returns for a new group, else ``None``."""
-        # Every group carries a (deadline-free) token from birth: the
-        # worker activates it and teardown cancels it.
+        # Every group carries a (deadline-free) token from birth: its run
+        # activates it and teardown cancels it.
         # Deadlines stay waiter-side (``_await_result``'s bounded wait) —
         # a deadline'd request batches and coalesces like any other, and
         # its engine work stops via last-waiter abandonment, so deadlines
@@ -817,20 +825,33 @@ class QueryService(OperationFacade):
     def _enqueued(self, _put_task: Any = None) -> None:
         """Record the queue depth and pump on the next loop iteration, so
         requests arriving in this one still join the group just queued."""
-        assert self._queue is not None and self._loop is not None
+        assert self._queue is not None
         depth = self._queue.qsize()
         if depth > self._counters["max_queue_depth"]:
             self._counters["max_queue_depth"] = depth
-        if not self._pump_scheduled:
+        self._schedule_pump()
+
+    def _schedule_pump(self) -> None:
+        """Pump on the next loop iteration, if anything is queued."""
+        assert self._loop is not None and self._queue is not None
+        if not self._pump_scheduled and not self._queue.empty():
             self._pump_scheduled = True
             self._loop.call_soon(self._pump)
 
     # ------------------------------------------------------------------
-    # Dispatch: a loop-thread pump submits groups to the worker pool
+    # Dispatch: a loop-thread pump runs a warm, short group itself and
+    # submits any other to the worker pool
     # ------------------------------------------------------------------
 
     def _pump(self) -> None:
-        """Start queued groups while fewer than ``dispatchers`` run."""
+        """Start queued groups while fewer than ``dispatchers`` run.
+
+        A group whose run is known to fit in the interpreter's switch
+        interval runs here, on the loop's thread: a worker would hold the
+        interpreter lock for all of it anyway, so the hop there and back
+        would buy the loop nothing.  After one such group the pump yields
+        the loop, so connections are served between two of them.
+        """
         assert self._queue is not None
         self._pump_scheduled = False
         while self._running < self._dispatcher_count and not self._queue.empty():
@@ -842,16 +863,54 @@ class QueryService(OperationFacade):
             self._counters["groups"] += 1
             if len(group.queries) > self._counters["max_group"]:
                 self._counters["max_group"] = len(group.queries)
-            try:
-                work = self._pool.submit(self._run_group, group)
-            except BaseException as exc:  # noqa: BLE001 — delivered to callers
-                # E.g. a closed pool: the group fails and its slot frees.
-                work = Future()
-                work.set_exception(exc)
+            if self._is_short(group):
+                self._counters["inline"] += 1
+                self._run_inline(group)
+                self._schedule_pump()
+                return
+            self._to_pool(group)
+
+    def _is_short(self, group: _Group) -> bool:
+        """Whether the engine knows *group*'s run to fit in one switch
+        interval.  Only single requests' groups have one shape to ask
+        about (explicit batches and ``explain`` have none)."""
+        return group.shape is not None and self._engine.runs_within(
+            group.shape[-1],  # the plan-cache key
+            group.options,
+            sys.getswitchinterval() / len(group.queries),
+        )
+
+    def _run_inline(self, group: _Group) -> None:
+        """Run *group* on the loop's thread within one switch interval;
+        a run that outlives it stops at its next check-point, having
+        recorded nothing, and the group goes to the pool as it is."""
+        group.token.set_slice(sys.getswitchinterval())
+        try:
+            results, error = self._run_group(group), None
+        except Exception as exc:  # noqa: BLE001 — delivered to callers
+            results, error = None, exc
+        finally:
+            # Closed before a resubmitted run can start on a worker.
+            group.token.set_slice(None)
+        if isinstance(error, SliceSpent):
+            self._counters["resubmitted"] += 1
+            self._to_pool(group)
+        else:
+            self._finish(group, results, error)
+
+    def _to_pool(self, group: _Group) -> None:
+        """Run *group* on the pool; a ``submit`` that raises (a closed
+        pool) fails the group and frees its slot."""
+        try:
+            work = self._pool.submit(self._run_group, group)
+        except BaseException as exc:  # noqa: BLE001 — delivered to callers
+            self._finish(group, None, exc)
+        else:
             work.add_done_callback(partial(self._hand_back, group))
 
     def _run_group(self, group: _Group) -> List[Any]:
-        """Run *group* through the engine (on a worker thread)."""
+        """Run *group* through the engine (on a worker thread, or inline
+        on the loop's)."""
         # Pre-check before any engine work: a request abandoned or expired
         # while queued costs nothing past this line.
         group.token.check()
@@ -860,36 +919,49 @@ class QueryService(OperationFacade):
         # here.
         kind, options, database = group.kind, group.options, group.database
         members = [Operation(kind, query, options) for query in group.queries]
-        with activate(group.token):
+        previous = swap_token(group.token)
+        try:
             if len(members) == 1:
                 return [self._engine.run(members[0], database)]
             return self._engine.run_batch(members, database)
+        finally:
+            swap_token(previous)
 
     def _hand_back(self, group: _Group, work: "Future[List[Any]]") -> None:
         """*work*'s done-callback, on the worker thread: one hop to the
         loop, which owns every future and counter :meth:`_finish` touches."""
         assert self._loop is not None
+        try:
+            results, error = work.result(), None
+        except BaseException as exc:  # noqa: BLE001 — delivered to callers
+            results, error = None, exc
         if not self._loop.is_closed():
-            self._loop.call_soon_threadsafe(self._finish, group, work)
+            self._loop.call_soon_threadsafe(self._finish, group, results, error)
 
-    def _finish(self, group: _Group, work: "Future[List[Any]]") -> None:
-        """Settle *group*'s futures, free its slot and pump again."""
+    def _finish(
+        self,
+        group: _Group,
+        results: Optional[List[Any]],
+        error: Optional[BaseException],
+    ) -> None:
+        """Settle *group*'s futures with its *results* or its *error* and
+        free its slot, inline and pooled groups alike; the pump runs again
+        on the next loop iteration, never from in here."""
         assert self._queue is not None
         self._running -= 1
         self._queue.task_done()
-        try:
-            results = work.result()
-        except BaseException as exc:  # noqa: BLE001 — delivered to callers
+        if error is not None:
             # A failure, or a teardown's typed cancel/deadline error: every
             # waiter still attached receives it and counts its own outcome.
             for future in group.futures:
                 if not future.done():
-                    future.set_exception(exc)
+                    future.set_exception(error)
         else:
+            assert results is not None
             for future, result in zip(group.futures, results):
                 if not future.done():
                     future.set_result(result)
-        self._pump()
+        self._schedule_pump()
 
     # ------------------------------------------------------------------
     # Lifecycle

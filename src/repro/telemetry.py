@@ -13,14 +13,15 @@ every layer) and :class:`LatencyReservoir` (a bounded, locked ring of
 recent latencies: the service's per-client rollup, the fleet router's
 cost ledger).  The engine's per-shape rows and totals live in its shape
 table (:mod:`repro.engine.cache`), built from the counter names below.
-Latencies are observability only: nothing here routes an engine query.
+Latencies never choose a plan: the one thing a shape's recent p95 decides
+is which thread of the service runs a warm group (``docs/service.md``).
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Any, Deque, Dict, Iterable
+from typing import Any, Deque, Dict, Iterable, Sequence
 
 #: How a request that entered the service ends: each counts under one.
 OUTCOMES = ("completed", "failed", "cancelled", "deadline_exceeded")
@@ -29,7 +30,13 @@ OUTCOMES = ("completed", "failed", "cancelled", "deadline_exceeded")
 CLIENT_COUNTERS = ("submitted", "coalesced", "batched", "rejected") + OUTCOMES
 
 #: The service's counters (``QueryService.stats()["service"]``).
-SERVICE_COUNTERS = CLIENT_COUNTERS + ("groups", "max_queue_depth", "max_group")
+SERVICE_COUNTERS = CLIENT_COUNTERS + (
+    "groups",
+    "max_queue_depth",
+    "max_group",
+    "inline",
+    "resubmitted",
+)
 
 #: The shape table's lookup counters (``QueryEngine.stats()["cache"]``).
 CACHE_COUNTERS = ("hits", "misses", "evictions")
@@ -48,7 +55,11 @@ def counters(names: Iterable[str]) -> Dict[str, Any]:
 
 def quantile(samples: Iterable[float], q: float) -> float:
     """The *q*-quantile of *samples* by linear interpolation (0 if empty)."""
-    ordered = sorted(samples)
+    return sorted_quantile(sorted(samples), q)
+
+
+def sorted_quantile(ordered: Sequence[float], q: float) -> float:
+    """:func:`quantile` of samples already in ascending order."""
     if not ordered:
         return 0.0
     if len(ordered) == 1:

@@ -216,6 +216,35 @@ class TestCountingRunsThePlannedProgram:
         assert calls == []
 
 
+    def test_a_group_outside_the_root_is_rooted_once_per_shape(self, chain):
+        """The tree re-rooted at an atom covering the group, and its edges,
+        are kept with the shape: a warm repeat derives neither."""
+        query = path_query(2, head_arity=3)
+        group = ("x2",)
+        engine = QueryEngine()
+        program = engine.plan_for(query, chain).program
+        root_atom = query.atoms[program.tree.root]
+        assert not set(group) <= {v.name for v in root_atom.variables()}
+        answers = NaiveEvaluator().evaluate(query, chain)
+        expected = grouped_count_reference(query, answers, group)
+        for _ in range(3):  # plan, and re-plan if the row count drifts
+            assert engine.grouped_count(query, chain, group) == expected
+
+        calls = []
+        rooted_at = JoinTree.rooted_at
+
+        def rooted_spy(tree, node):
+            calls.append("rooted_at")
+            return rooted_at(tree, node)
+
+        with ExitStack() as stack:
+            stack.enter_context(mock.patch.object(JoinTree, "rooted_at", rooted_spy))
+            spy_everywhere(stack, calls, upward_edges)
+            for _ in range(5):
+                assert engine.grouped_count(query, chain, group) == expected
+        assert calls == []
+
+
 class TestGroupedCounts:
     def test_matches_reference(self, chain):
         # Head-covered: the evaluator has no grouped path of its own (it

@@ -7,6 +7,7 @@ oracle returns, and — where their preconditions hold — what Yannakakis,
 the treewidth evaluator, and the Theorem 2 machinery return.
 """
 
+import asyncio
 import os
 import random
 from itertools import product
@@ -15,7 +16,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import Database, QueryEngine, Relation, parse_query
+from repro import Database, QueryEngine, QueryService, Relation, parse_query
 from repro.engine import Planner
 from repro.engine.analysis import covering_atom
 from repro.errors import DeadlineExceededError, QueryError
@@ -580,3 +581,37 @@ class TestBatchEqualsSingles:
                 assert engine.stats()["executions"] < executions  # groups lifted
             else:
                 assert engine.stats()["executions"] == executions
+
+    @settings(max_examples=EXAMPLES, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_a_service_answers_as_run_does_inline_or_pooled(self, seed):
+        """Through a ``QueryService`` — a shape's first sight on the pool,
+        a warm short group on the event loop — every operation still gets
+        the answer ``run`` gives it on its own: sent one at a time (twice,
+        so the second round finds its shapes warm) and as one batch."""
+        operations, database, _, _ = self.case(seed)
+        singles = QueryEngine()
+        expected = [
+            self.comparable(operation, singles.run(operation, database))
+            for operation in operations
+        ]
+
+        async def main():
+            async with QueryService() as service:
+                rounds = [
+                    await asyncio.gather(
+                        *(service.run(operation, database) for operation in operations)
+                    )
+                    for _ in range(2)
+                ]
+                rounds.append(await service.run_batch(operations, database))
+                return rounds, (await service.stats())["service"]
+
+        rounds, counters = asyncio.run(main())
+        for answers in rounds:
+            assert [
+                self.comparable(operation, answer)
+                for operation, answer in zip(operations, answers)
+            ] == expected
+        assert 0 < counters["inline"] < counters["groups"]
+        assert counters["failed"] == 0

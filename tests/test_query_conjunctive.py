@@ -1,13 +1,16 @@
 """Tests for ConjunctiveQuery: safety, parameters, substitution, structure."""
 
+import gc
 import os
 import pickle
 import subprocess
 import sys
+import weakref
 
 import pytest
 
 import repro
+from repro import Database, Relation
 from repro.errors import QueryError
 from repro.query import Atom, C, ConjunctiveQuery, Inequality, V, parse_query
 from repro.query.atoms import Comparison
@@ -152,6 +155,29 @@ class TestDerivedValues:
         assert hash(q) == hash(q) == hash(parse_query(self.TEXT))
         assert shape_signature(q) is shape_signature(q)
         assert variable_layout(q) is variable_layout(q)
+
+    def test_the_plan_cache_key_is_kept_without_keeping_its_database(self):
+        from repro.engine.analysis import plan_cache_key
+
+        q = parse_query(self.TEXT)
+        database = Database(
+            {
+                "E": Relation.from_rows(("a", "b"), [(1, "a")]),
+                "F": Relation.from_rows(("a", "b"), [(1, 2)]),
+            }
+        )
+        key = plan_cache_key(q, database)
+        assert plan_cache_key(q, database) is key
+        assert hash(key) == hash(tuple(key))
+        # Another database (even an equal one) is keyed afresh...
+        twin = Database(database.relations())
+        assert plan_cache_key(q, twin) == key
+        assert plan_cache_key(q, twin) is not key
+        # ...and the memo holds neither alive.
+        gone = weakref.ref(database), weakref.ref(twin)
+        del database, twin
+        gc.collect()
+        assert [ref() for ref in gone] == [None, None]
 
     def test_pickled_query_is_found_under_another_hash_seed(self):
         """String hashes are salted per process: a query pickled with its

@@ -14,15 +14,19 @@ error propagation to every coalesced caller.
 import asyncio
 import contextlib
 import dataclasses
+import gc
 import random
 import sys
 import threading
+import time
 
 import pytest
 
-from repro import Database, QueryEngine, QueryService, parse_query
+from repro import Database, QueryEngine, QueryService, Relation, parse_query
 from repro.engine import Planner, ShapeTable
-from repro.errors import RequestRejectedError, SchemaError
+from repro.engine.analysis import _shape_of
+from repro.errors import DeadlineExceededError, RequestRejectedError, SchemaError
+from repro.evaluation import NaiveEvaluator
 from repro.operations import DECIDE, EXECUTE, EXPLAIN, Operation, operations_of
 from repro.service.service import PARSE_MEMO_SIZE
 from repro.workloads import chain_database, path_query, star_database, star_query
@@ -769,6 +773,203 @@ class TestParseOnceDispatchOnce:
         answer, counters = asyncio.run(main())
         assert answer == QueryEngine(parallel=False).execute(second, chain_db)
         assert counters["failed"] == 1 and counters["completed"] == 1
+
+
+class ThreadRecording(QueryEngine):
+    """An engine that notes the thread each request runs on, and when."""
+
+    def __init__(self):
+        super().__init__()
+        self.threads = []
+        self.spans = []
+
+    def run(self, operation, database):
+        self.threads.append((operation.kind, threading.current_thread().name))
+        started = time.perf_counter()
+        try:
+            return super().run(operation, database)
+        finally:
+            self.spans.append((started, time.perf_counter()))
+
+
+#: A 2-hop ``!=`` execute the planner routes ``naive``: from a start with no
+#: out-edges it answers at once, from a start on the complete 50-node graph
+#: it enumerates ~115 000 answers (tens of milliseconds).
+SLOW_SHAPE = "Q(a, b, c) :- E({}, a), E(a, b), E(b, c), a != c."
+
+
+@pytest.fixture(scope="module")
+def complete_db():
+    n = 50
+    edges = [(i, j) for i in range(n) for j in range(n) if i != j]
+    return Database({"E": Relation.from_rows(("s", "t"), edges)})
+
+
+async def warm_with_fast_instances(service, database, repeats=20):
+    """Record runs of the slow shape from a start that answers at once."""
+    fast = parse_query(SLOW_SHAPE.format(999))
+    for _ in range(repeats):
+        assert len(await service.execute(fast, database)) == 0
+
+
+class TestInlineDispatch:
+    """A warm group whose recorded runs fit in a switch interval runs on the
+    loop's thread under a slice of one interval; everything else — a first
+    sight, an unrecorded shape, a run that outlives its slice — runs on the
+    pool."""
+
+    def test_first_sight_runs_on_a_worker_and_a_warm_short_shape_on_the_loop(
+        self, chain_db
+    ):
+        query = path_query(3, head_arity=1)
+
+        async def main():
+            engine = ThreadRecording()
+            async with QueryService(engine) as service:
+                for _ in range(3):
+                    await service.execute(query, chain_db)
+                return engine.threads, (await service.stats())["service"]
+
+        threads, counters = asyncio.run(main())
+        loop_thread = threading.main_thread().name
+        (_, first), *warm = threads
+        assert first.startswith("repro-worker")
+        assert [name for _, name in warm] == [loop_thread] * 2
+        assert counters["inline"] == 2 and counters["resubmitted"] == 0
+        assert counters["groups"] == 3 and counters["completed"] == 3
+
+    def test_explain_and_an_engine_that_records_nothing_use_the_pool(
+        self, chain_db
+    ):
+        query = path_query(3, head_arity=1)
+
+        class Canned(QueryEngine):
+            """A fake: answers without running, so no run is recorded."""
+
+            def __init__(self):
+                super().__init__()
+                self.threads = []
+
+            def run(self, operation, database):
+                self.threads.append(threading.current_thread().name)
+                return True
+
+        async def main():
+            recording, canned = ThreadRecording(), Canned()
+            async with QueryService(recording) as service:
+                for _ in range(3):
+                    await service.execute(query, chain_db)
+                # explain records no run: a warm shape's explain still hops.
+                await service.explain(query, chain_db)
+            async with QueryService(canned) as service:
+                for _ in range(5):
+                    assert await service.decide(query, chain_db) is True
+                counters = (await service.stats())["service"]
+            return recording.threads, canned.threads, counters
+
+        recorded, canned, counters = asyncio.run(main())
+        kind, thread = recorded[-1]
+        assert kind == EXPLAIN and thread.startswith("repro-worker")
+        assert all(name.startswith("repro-worker") for name in canned)
+        assert len(canned) == 5 and counters["inline"] == 0
+
+    def test_a_slow_instance_moves_to_the_pool_after_one_slice(self, complete_db):
+        slow = parse_query(SLOW_SHAPE.format(1))
+        interval = sys.getswitchinterval()
+
+        async def main():
+            engine = ThreadRecording()
+            async with QueryService(engine) as service:
+                await warm_with_fast_instances(service, complete_db)
+                assert engine.plan_for(slow, complete_db).evaluator == "naive"
+                del engine.threads[:], engine.spans[:]
+                # A concurrent 1 ms heartbeat: when each wake-up came.
+                beats, stop = [], asyncio.Event()
+
+                async def heartbeat():
+                    while not stop.is_set():
+                        beats.append(time.perf_counter())
+                        await asyncio.sleep(0.001)
+
+                beating = asyncio.ensure_future(heartbeat())
+                await asyncio.sleep(0.01)
+                # A pass of the cyclic garbage collector is a stretch
+                # between two check-points of its own (~10 ms over this
+                # run's garbage); off, the stretches timed are the search's.
+                gc.disable()
+                try:
+                    answer = await service.execute(slow, complete_db)
+                finally:
+                    gc.enable()
+                stop.set()
+                await beating
+                return answer, beats, engine, (await service.stats())["service"]
+
+        answer, beats, engine, counters = asyncio.run(main())
+        assert answer == NaiveEvaluator().evaluate(slow, complete_db)
+        assert counters["resubmitted"] == 1 and counters["failed"] == 0
+        # Tried on the loop, stopped by its slice, run again on a worker.
+        names = [name for _, name in engine.threads]
+        assert names[0] == threading.main_thread().name
+        assert names[1].startswith("repro-worker") and len(names) == 2
+        (inline_start, inline_end), (pooled_start, pooled_end) = engine.spans
+        assert pooled_end - pooled_start > 4 * interval  # many slices long
+        # The loop was held for one slice plus one stride of search steps
+        # (~6 ms here); the heartbeat, waiting out that hold and then one
+        # switch interval for the pooled run to hand the interpreter lock
+        # over, beat again (~6–17 ms here).
+        assert inline_end - inline_start < interval + 0.01
+        resumed = next(beat for beat in beats if beat > inline_end)
+        before = max(beat for beat in beats if beat < inline_start)
+        assert resumed - before < 2 * interval + 0.02, resumed - before
+
+    def test_a_resubmitted_request_still_meets_its_deadline(self, complete_db):
+        slow = parse_query(SLOW_SHAPE.format(1))
+        deadline = 0.03
+
+        async def main():
+            async with QueryService() as service:
+                await warm_with_fast_instances(service, complete_db)
+                started = time.perf_counter()
+                with pytest.raises(DeadlineExceededError):
+                    await service.execute(slow, complete_db, deadline=deadline)
+                elapsed = time.perf_counter() - started
+                # The pooled run stops at a check-point once abandoned.
+                while service._running:
+                    await asyncio.sleep(0.005)
+                return elapsed, (await service.stats())["service"]
+
+        elapsed, counters = asyncio.run(main())
+        assert deadline <= elapsed < deadline + sys.getswitchinterval() + 0.05
+        assert counters["resubmitted"] == 1
+        assert counters["deadline_exceeded"] == 1 and counters["failed"] == 0
+
+    def test_a_warm_run_hashes_the_shape_signature_once(self, chain_db):
+        """The service's group key and the engine's lookups share one key,
+        built and hashed once per query and database."""
+
+        class Probe:
+            calls = 0
+
+            def __hash__(self):
+                Probe.calls += 1
+                return 0
+
+        query = path_query(3, head_arity=1)
+        # A signature that counts its own hashing (the probe is its first
+        # item), set before anything keys the query.
+        query._shape = (Probe(), *_shape_of(query))
+
+        async def main():
+            async with QueryService() as service:
+                await service.execute(query, chain_db)
+                await service.execute(query, chain_db)
+                before = Probe.calls
+                for _ in range(5):
+                    await service.execute(query, chain_db)
+                return Probe.calls - before
+
+        assert asyncio.run(main()) <= 5
 
 
 class TestEngineThreadSafety:
