@@ -4,8 +4,9 @@ The paper proves *which* query classes are tractable; this package turns
 that map into a dispatcher.  ``QueryEngine.execute`` analyzes a conjunctive
 query's structure (GYO acyclicity, treewidth, variable-set grouping),
 plans an evaluation strategy with a cardinality-based cost model, caches
-the plan under a binding-independent shape key, and runs the evaluator
-whose tractability guarantee applies.  See ``docs/engine.md``.
+the plan under a binding-independent shape key, and runs one of two
+routes: Yannakakis's program for an acyclic shape, the generated search
+for every other.  See ``docs/engine.md``.
 """
 
 from .analysis import (
@@ -33,22 +34,13 @@ from .analysis import (
 )
 from .cache import DEFAULT_REPLAN_DRIFT, DEFAULT_REPLAN_LIMIT, ShapeTable
 from .engine import DEFAULT_BATCH_WIDE_THRESHOLD, QueryEngine
-from .plan import (
-    BOUNDED_VARIABLE,
-    EVALUATORS,
-    INEQUALITY,
-    NAIVE,
-    QueryPlan,
-    TREEWIDTH,
-    YANNAKAKIS,
-)
+from .plan import EVALUATORS, NAIVE, YANNAKAKIS, QueryPlan
 from .planner import Planner
 
 __all__ = [
     "ACYCLIC",
     "ACYCLIC_NEQ",
     "BOUNDED_TREEWIDTH",
-    "BOUNDED_VARIABLE",
     "BOUNDED_VARIABLES",
     "COUNTING_MODES",
     "COUNT_BOOLEAN",
@@ -63,7 +55,6 @@ __all__ = [
     "EVALUATORS",
     "FAST_COUNTING_MODES",
     "GENERAL",
-    "INEQUALITY",
     "NAIVE",
     "Planner",
     "QueryEngine",
@@ -71,7 +62,6 @@ __all__ = [
     "STRUCTURAL_CLASSES",
     "ShapeTable",
     "StructuralAnalysis",
-    "TREEWIDTH",
     "YANNAKAKIS",
     "analyze",
     "counting_mode",

@@ -24,6 +24,10 @@ the engine's structural classes:
     Everything else (including any query with < / ≤ atoms) — the n^O(q)
     backtracking baseline.
 
+Only the acyclic class has a route of its own; the planner sends every
+other class to the generated search, and ``explain`` prints the class and
+its width.
+
 The module also defines the two cache-key signatures: a *shape* signature
 that canonicalizes variable names and erases constant values (so a
 parameterized query hits the same plan for every constant binding), and a

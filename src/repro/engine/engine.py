@@ -1,9 +1,9 @@
 """The :class:`QueryEngine` facade: plan, cache, dispatch, batch.
 
 The engine is the production entry point the ROADMAP asks for on top of the
-PR 1 kernel: callers stop hand-picking among ``NaiveEvaluator``,
-``YannakakisEvaluator``, ``TreewidthEvaluator`` and the Theorem 2 machinery
-and instead say ``engine.execute(query, database)``.  Internally:
+PR 1 kernel: callers stop hand-picking between ``NaiveEvaluator`` and
+``YannakakisEvaluator`` and instead say ``engine.execute(query,
+database)``.  Internally:
 
 1. the *analyzer* classifies the query's structure (acyclic / bounded
    treewidth / bounded variables / general — the paper's tractability map);
@@ -12,9 +12,12 @@ and instead say ``engine.execute(query, database)``.  Internally:
 3. the *shape table* (LRU, keyed on query shape + schema) lets repeated
    and parameterized queries skip both steps — every constant binding of
    one prepared shape reuses the same plan;
-4. the *executor* dispatches to the chosen evaluator — one per
-   structural class; every acyclic plan runs through the one
-   :class:`~repro.evaluation.yannakakis.YannakakisEvaluator`;
+4. the *executor* dispatches to one of two routes: an acyclic plan runs
+   its program through the one
+   :class:`~repro.evaluation.yannakakis.YannakakisEvaluator`, every other
+   shape the generated search in the plan's join order (the class
+   evaluators of the other islands — ``TreewidthEvaluator``, the Theorem 2
+   machinery, the parameter-v transform — stay library evaluators);
 5. ``run_batch`` groups same-shape operations under one plan key:
    identical members share one execution, a large constant-variant group
    of an acyclic ``execute`` / ``decide`` is *lifted* into a single N-wide
@@ -38,9 +41,9 @@ returns the plan rendering (with cache status and estimate-vs-actual
 feedback) without executing anything.  Passing ``evaluator=...`` to
 ``execute``/``decide`` overrides the route and nothing else: the request
 still looks up (or plans) its shape, runs the plan's prepared artefacts —
-the acyclic program, the join order, the tree decomposition — under the
-forced evaluator, and is recorded like any other run.  So a benchmark that
-forces each evaluator in turn times the path a served request takes.
+the acyclic program, the join order — under the forced evaluator, and is
+recorded like any other run.  So a benchmark that forces each evaluator in
+turn times the path a served request takes.
 
 The engine is safe to share across threads — the async service front-end
 (:mod:`repro.service`) multiplexes every concurrent caller onto one
@@ -62,7 +65,6 @@ from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import QueryError
-from ..evaluation.bounded_variable import parameter_v_transform
 from ..evaluation.counting import (
     CountingYannakakisEvaluator,
     group_tree,
@@ -70,9 +72,7 @@ from ..evaluation.counting import (
     head_domain_size,
 )
 from ..evaluation.naive import NaiveEvaluator
-from ..evaluation.treewidth_eval import TreewidthEvaluator
 from ..evaluation.yannakakis import AcyclicProgram, YannakakisEvaluator
-from ..inequalities.evaluator import AcyclicInequalityEvaluator
 from ..operations import (
     AGG_COUNT,
     AGG_EXISTS,
@@ -101,39 +101,22 @@ from .analysis import (
     variable_layout,
 )
 from .cache import Shape, ShapeTable
-from .plan import (
-    BOUNDED_VARIABLE,
-    EVALUATORS,
-    INEQUALITY,
-    NAIVE,
-    QueryPlan,
-    TREEWIDTH,
-    YANNAKAKIS,
-)
+from .plan import EVALUATORS, YANNAKAKIS, QueryPlan
 from .planner import Planner
 
 #: Same-shape groups at least this large are executed N-wide (lifted).
 DEFAULT_BATCH_WIDE_THRESHOLD = 8
 
-#: The routes whose runs poll the cancel token as they go (per edge, per
-#: stride of search steps), so a time slice stops them: the others build
-#: bags or colourings between two polls.
-_POLLING_ROUTES = (NAIVE, YANNAKAKIS)
-
-
-def _reusable(plan: QueryPlan, query: ConjunctiveQuery) -> bool:
-    """Can *query* run *plan*'s program / decomposition?  They name the
-    variables of the query the plan was made for, so only when the variable
-    layout matches (true for the parameterized decision instances the cache
-    targets, false for α-renamed shape twins, which rebuild the structure).
-    """
-    return plan.analysis.variable_layout == variable_layout(query)
-
 
 def _program(plan: QueryPlan, query: ConjunctiveQuery) -> Optional[AcyclicProgram]:
     """*plan*'s acyclic program when *query* can run it, else ``None`` (the
-    evaluator builds one)."""
-    return plan.program if _reusable(plan, query) else None
+    evaluator builds one).  The program names the variables of the query
+    the plan was made for, so only when the variable layout matches (true
+    for the parameterized decision instances the cache targets, false for
+    α-renamed shape twins)."""
+    if plan.analysis.variable_layout != variable_layout(query):
+        return None
+    return plan.program
 
 
 class QueryEngine(OperationFacade):
@@ -162,8 +145,6 @@ class QueryEngine(OperationFacade):
         self._planner = planner or Planner()
         self._naive = NaiveEvaluator()
         self._yannakakis = YannakakisEvaluator()
-        self._treewidth = TreewidthEvaluator()
-        self._inequality = AcyclicInequalityEvaluator()
         self._lift_batches = parallel
         self._counting = CountingYannakakisEvaluator()
         # The per-layer dispatch table the Operation API rides on: adding
@@ -203,19 +184,14 @@ class QueryEngine(OperationFacade):
         shape = self._table.publish(key, self._planner.plan(query, database))
         return shape, "miss", key
 
-    def runs_within(
-        self, key: Tuple, options: Tuple[Tuple[str, Any], ...], seconds: float
-    ) -> bool:
-        """Whether a run of the shape keyed *key*, with *options*, is known
-        to end within *seconds*: the shape's recent p95 latency is below it
-        (so some run was recorded), and its route polls the cancel token,
-        so a time slice can stop a run that does not.  O(1): the table
-        keeps the p95 current as it records."""
+    def runs_within(self, key: Tuple, seconds: float) -> bool:
+        """Whether a run of the shape keyed *key* is known to end within
+        *seconds*: the shape's recent p95 latency is below it (so some run
+        was recorded).  Both routes poll the cancel token as they go (per
+        edge, per stride of search steps), so a time slice stops a run that
+        does not.  O(1): the table keeps the p95 current as it records."""
         shape = self._table.peek(key)
-        if shape is None or shape.p95 >= seconds:
-            return False
-        route = dict(options).get("evaluator") or shape.plan.evaluator
-        return route in _POLLING_ROUTES
+        return shape is not None and shape.p95 < seconds
 
     # ------------------------------------------------------------------
     # The generic Operation path (OperationFacade's methods route here)
@@ -528,31 +504,7 @@ class QueryEngine(OperationFacade):
                 if decide
                 else engine.evaluate(query, database, program=program)
             )
-        if evaluator == TREEWIDTH:
-            decomposition = (
-                plan.analysis.decomposition if _reusable(plan, query) else None
-            )
-            engine = self._treewidth
-            return (
-                engine.decide(query, database, decomposition=decomposition)
-                if decide
-                else engine.evaluate(query, database, decomposition=decomposition)
-            )
-        if evaluator == INEQUALITY:
-            engine = self._inequality
-            return (
-                engine.decide(query, database)
-                if decide
-                else engine.evaluate(query, database)
-            )
-        if evaluator == BOUNDED_VARIABLE:
-            grouped_query, grouped_database = parameter_v_transform(query, database)
-            return (
-                self._naive.decide(grouped_query, grouped_database)
-                if decide
-                else self._naive.evaluate(grouped_query, grouped_database)
-            )
-        # NAIVE, the one name of EVALUATORS left.
+        # NAIVE, the other name of EVALUATORS.
         order = plan.join_order
         return (
             self._naive.decide(query, database, atom_order=order)

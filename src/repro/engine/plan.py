@@ -27,33 +27,20 @@ from ..evaluation.yannakakis import AcyclicProgram
 from .analysis import StructuralAnalysis
 
 
-#: Evaluator identifiers the engine can dispatch to.
+#: Evaluator identifiers the engine can dispatch to: the acyclic route and
+#: the generated search every other shape runs.  The class evaluators of the
+#: paper's other islands (treewidth, Theorem 2, parameter v) stay library
+#: evaluators: none of them beat the search on a measured leaf.
 NAIVE = "naive"
 YANNAKAKIS = "yannakakis"
-TREEWIDTH = "treewidth"
-INEQUALITY = "inequality"
-BOUNDED_VARIABLE = "bounded-variable"
 
-EVALUATORS = (NAIVE, YANNAKAKIS, TREEWIDTH, INEQUALITY, BOUNDED_VARIABLE)
+EVALUATORS = (NAIVE, YANNAKAKIS)
 
 #: Why each evaluator is sound for the class it serves (shown by explain).
 _RATIONALE = {
     YANNAKAKIS: (
         "acyclic CQs evaluate in time polynomial in |d| + |Q(d)| "
         "(combined complexity; paper §5, Yannakakis [18])"
-    ),
-    INEQUALITY: (
-        "acyclic CQs with k inequality atoms are FPT in k via hashed "
-        "colorings (paper Theorem 2)"
-    ),
-    TREEWIDTH: (
-        "width-w tree decompositions give n^O(w) bag joins feeding an "
-        "acyclic instance (bounded-treewidth extension; cf. Mengel's "
-        "survey on CQ lower bounds)"
-    ),
-    BOUNDED_VARIABLE: (
-        "grouping atoms by variable set bounds the atom count by 2^v "
-        "before the generic algorithm runs (paper Theorem 1, parameter v)"
     ),
     NAIVE: (
         "generic backtracking baseline, n^O(q) combined complexity "
@@ -81,9 +68,8 @@ class QueryPlan:
         only): the evaluator runs it whenever the query's variable layout
         is the plan's.
     semijoin_program:
-        The class route's schedule, one line per step: the acyclic
-        program's (``AcyclicProgram.steps``), Theorem 2's passes, or the
-        bag construction of a bounded-treewidth plan.
+        The acyclic program's schedule, one line per step
+        (``AcyclicProgram.steps``; empty on the search).
     cost_estimates:
         Abstract row-operation counts per candidate evaluator, from the
         planner's cost model.

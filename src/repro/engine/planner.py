@@ -1,11 +1,15 @@
 """The structural planner: analysis + cost model → :class:`QueryPlan`.
 
 Dispatch is *structure first, cost second*: the analyzer decides which
-tractable class the query falls into (hence which evaluators are sound and
-carry a complexity guarantee), and a cardinality-based cost model arbitrates
-between the class evaluator and the generic baseline — the baseline's lower
-constant factors win on tiny inputs, the guaranteed engine wins as data
-grows.
+tractable class the query falls into, and for the one class with a route
+of its own — acyclic queries, Yannakakis's program — a cardinality-based
+cost model arbitrates between that route and the generic search (the
+search's lower constant factors win on tiny inputs, the guaranteed engine
+wins as data grows).  Every other class runs the generated search in the
+planner's join order: the class evaluators of the other islands (bag joins
+over a tree decomposition, Theorem 2's colour coding, Theorem 1's
+parameter-v grouping) beat it on no measured leaf, and stay library
+evaluators.
 
 The cost model measures everything in abstract *row operations* and reads
 its statistics straight from the PR 1 kernel: relation cardinalities, and
@@ -25,29 +29,13 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..evaluation.yannakakis import AcyclicProgram, acyclic_program
-from ..hypergraph.join_tree import JoinTree
 from ..query.atoms import Atom
 from ..query.conjunctive import ConjunctiveQuery
 from ..query.terms import Constant, Variable
 from ..relational.database import Database
 from ..relational.relation import Relation
-from .analysis import (
-    ACYCLIC,
-    ACYCLIC_NEQ,
-    BOUNDED_TREEWIDTH,
-    BOUNDED_VARIABLES,
-    StructuralAnalysis,
-    analyze,
-    counting_mode,
-)
-from .plan import (
-    BOUNDED_VARIABLE,
-    INEQUALITY,
-    NAIVE,
-    QueryPlan,
-    TREEWIDTH,
-    YANNAKAKIS,
-)
+from .analysis import ACYCLIC, analyze, counting_mode
+from .plan import NAIVE, YANNAKAKIS, QueryPlan
 
 #: Per-row constant factor of the semijoin/join passes relative to one
 #: backtracking probe (hash build + probe + row assembly vs a dict lookup).
@@ -55,17 +43,9 @@ from .plan import (
 #: database's row counts, never of how fast earlier requests happened to run.
 _PASS_WEIGHT = 1.5
 
-#: The class evaluator is preferred unless the baseline's estimate is this
-#: many times cheaper — structural guarantees beat small modelled margins —
-#: and the routes without such a guarantee (Theorem 2's engine, the bag
-#: joins) displace the baseline only when *they* are this many times cheaper.
+#: The acyclic route is preferred unless the baseline's estimate is this
+#: many times cheaper — a structural guarantee beats a small modelled margin.
 _BASELINE_MARGIN = 4.0
-
-
-#: Per candidate row of a route that walks all of its tree bottom-up,
-#: top-down and join-project: Theorem 2's engine (per hash function) and
-#: the bag tree of the treewidth route.
-_FULL_REDUCER_WEIGHT = 3 * _PASS_WEIGHT
 
 
 class Planner:
@@ -115,29 +95,14 @@ class Planner:
         evaluator = NAIVE
         program: Optional[AcyclicProgram] = None
         steps: Tuple[str, ...] = ()
-
         if structural_class == ACYCLIC:
             program = acyclic_program(query, analysis.join_tree)
             costs[YANNAKAKIS], charged[YANNAKAKIS] = self._acyclic_cost(
                 program, query, database, answer_estimate
             )
-            evaluator = self._arbitrate(YANNAKAKIS, costs)
+            if costs[NAIVE] * _BASELINE_MARGIN >= costs[YANNAKAKIS]:
+                evaluator = YANNAKAKIS
             steps = program.steps()
-        elif structural_class == ACYCLIC_NEQ:
-            costs[INEQUALITY] = self._inequality_cost(query, database, answer_estimate)
-            evaluator = self._displace(INEQUALITY, costs)
-            # Theorem 2's engine keeps the tree as GYO rooted it and walks
-            # all of it, once per hash function.
-            steps = self._bottom_up_steps(query, analysis.join_tree) + (
-                "per hash function: every edge again top-down, "
-                "then join-project onto the head",
-            )
-        elif structural_class == BOUNDED_TREEWIDTH:
-            costs[TREEWIDTH], steps = self._treewidth_cost(query, database, analysis)
-            evaluator = self._displace(TREEWIDTH, costs)
-        elif structural_class == BOUNDED_VARIABLES:
-            costs[BOUNDED_VARIABLE] = self._grouped_cost(query, database)
-            evaluator = self._arbitrate(BOUNDED_VARIABLE, costs)
 
         return QueryPlan(
             evaluator=evaluator,
@@ -267,100 +232,3 @@ class Planner:
             f"read-off ≈{read_off:.3g} row(s)"
         )
         return upward + carrying + read_off, charged
-
-    def _inequality_cost(
-        self,
-        query: ConjunctiveQuery,
-        database: Database,
-        answer_estimate: float,
-    ) -> float:
-        trials = float(2 ** min(len(query.inequalities), 16))
-        rows = sum(self._sizes(query, database))
-        return trials * (_FULL_REDUCER_WEIGHT * rows + answer_estimate)
-
-    def _treewidth_cost(
-        self,
-        query: ConjunctiveQuery,
-        database: Database,
-        analysis: StructuralAnalysis,
-    ) -> Tuple[float, Tuple[str, ...]]:
-        """Bag-materialization + acyclic-pipeline estimate, and the bag
-        program for ``explain`` (mirrors TreewidthEvaluator's assignment)."""
-        decomposition = analysis.decomposition
-        assert decomposition is not None
-        assigned: Dict[int, List[int]] = {
-            i: [] for i in range(len(decomposition.bags))
-        }
-        for atom_index, atom in enumerate(query.atoms):
-            names = frozenset(v.name for v in atom.variables())
-            for i, bag in enumerate(decomposition.bags):
-                if names <= {v.name for v in bag}:
-                    assigned[i].append(atom_index)
-                    break
-
-        cost = 0.0
-        bag_sizes: List[float] = []
-        program: List[str] = []
-        for i, bag in enumerate(decomposition.bags):
-            members = assigned[i]
-            if not members:
-                bag_sizes.append(1.0)
-                continue
-            sub_order, bag_cost, frontier = self._walk(
-                [query.atoms[j] for j in members], database
-            )
-            cost += bag_cost
-            bag_sizes.append(frontier)
-            atoms_text = ", ".join(
-                f"a{members[local]}({query.atoms[members[local]].relation})"
-                for local in sub_order
-            )
-            bag_vars = ",".join(sorted(v.name for v in bag))
-            program.append(f"materialize BAG_{i}[{bag_vars}] = ⋈ {atoms_text}")
-        program.append("run Yannakakis full reducer + join-project over the bag tree")
-        cost += _FULL_REDUCER_WEIGHT * sum(bag_sizes)
-        return cost, tuple(program)
-
-    def _grouped_cost(self, query: ConjunctiveQuery, database: Database) -> float:
-        """Theorem 1 parameter-v grouping: intersection build + search over
-        one representative atom per distinct variable set."""
-        groups: Dict[frozenset, List[Atom]] = {}
-        for atom in query.atoms:
-            groups.setdefault(atom.variable_set(), []).append(atom)
-        build = sum(self._sizes(query, database))
-        representatives = [
-            min(
-                atoms,
-                key=lambda a: database[a.relation].cardinality,
-            )
-            for atoms in groups.values()
-        ]
-        _, search, _ = self._walk(representatives, database)
-        return build + search
-
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _arbitrate(preferred: str, costs: Dict[str, float]) -> str:
-        """The class evaluator, unless the baseline is ≥ margin× cheaper."""
-        baseline_wins = costs[NAIVE] * _BASELINE_MARGIN < costs[preferred]
-        return NAIVE if baseline_wins else preferred
-
-    @staticmethod
-    def _displace(route: str, costs: Dict[str, float]) -> str:
-        """*route*, if it is the margin cheaper than the baseline: a route
-        without a guarantee to defer to (Theorem 2's hash-family factor is
-        exponential in k, bag joins n^O(w) as the search is n^O(q)) must
-        prove itself — a 5 % modelled gap once sent a 10 ms search onto a
-        140 ms colour-coding run (tests/test_engine_replan.py)."""
-        return route if costs[route] * _BASELINE_MARGIN < costs[NAIVE] else NAIVE
-
-    @staticmethod
-    def _bottom_up_steps(query: ConjunctiveQuery, tree: JoinTree) -> Tuple[str, ...]:
-        """One ``parent ⋉ child`` line per edge of *tree*, leaves first."""
-        atoms = query.atoms
-        return tuple(
-            f"a{parent}({atoms[parent].relation}) ⋉ a{node}({atoms[node].relation})"
-            for node in tree.bottom_up_order()
-            if (parent := tree.parent(node)) is not None
-        )

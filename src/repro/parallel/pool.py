@@ -21,10 +21,10 @@ Two resilience duties live here as well:
 
 * **Worker-crash recovery** — a broken executor (an injected
   ``pool.worker_crash`` fault raises the :class:`BrokenExecutor` a dead
-  worker would) is discarded — a fresh one starts lazily on the next
-  fan-out — and the affected tasks are retried **inline, once**: a crash
-  degrades throughput instead of failing requests.  ``recoveries`` counts
-  these events for stats.
+  worker would) is discarded and the affected tasks are retried **once**:
+  a ``submit`` on a fresh executor, a ``map`` inline.  A crash degrades
+  throughput instead of failing requests.  ``recoveries`` counts these
+  events for stats.
 * **Cancel-token propagation** — tasks run under the submitting thread's
   active :class:`~repro.resilience.CancelToken`, so evaluator check-points
   fire inside pool workers too.
@@ -122,8 +122,10 @@ class WorkerPool:
             self._inject_crash()
             return self._ensure_executor().submit(self._as_task(fn), *args)
         except BrokenExecutor:
+            # The one retry goes to a fresh executor, not the calling
+            # thread: for the service that is the event loop.
             self._recover()
-            return _completed_future(fn, args)
+            return self._ensure_executor().submit(self._as_task(fn), *args)
 
     def _inline(self) -> bool:
         return self._max_workers <= 1 or getattr(self._local, "in_task", False)

@@ -876,7 +876,6 @@ class QueryService(OperationFacade):
         about (explicit batches and ``explain`` have none)."""
         return group.shape is not None and self._engine.runs_within(
             group.shape[-1],  # the plan-cache key
-            group.options,
             sys.getswitchinterval() / len(group.queries),
         )
 

@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from repro import Database, QueryEngine, parse_query
+from repro import QueryEngine
 from repro.errors import ConnectionLostError, RetryExhaustedError
 from repro.protocol import AsyncQueryClient, QueryServer, RemoteQueryError
 from repro.resilience import FaultPlan, RetryPolicy
@@ -42,19 +42,6 @@ def fast_query():
 @pytest.fixture(scope="module")
 def reference(chain_db, fast_query):
     return QueryEngine(parallel=False).execute(fast_query, chain_db)
-
-
-def adversarial():
-    """A 6-cycle over a dense graph with its head on opposite corners:
-    seconds of work on every route (the bag tree has to carry x1 to x4)."""
-    rng = random.Random(11)
-    rows = {(rng.randrange(60), rng.randrange(60)) for _ in range(1400)}
-    database = Database.from_tuples({"E": sorted(rows)})
-    query = parse_query(
-        "Q(x1, x4) :- E(x1, x2), E(x2, x3), E(x3, x4), E(x4, x5), "
-        "E(x5, x6), E(x6, x1)."
-    )
-    return query, database
 
 
 def run(coroutine):
@@ -171,8 +158,10 @@ class TestTransportFaults:
 
 
 class TestCancellationOverTheWire:
-    def test_cancel_op_tears_down_inflight_request(self, chain_db, fast_query):
-        slow_query, slow_db = adversarial()
+    def test_cancel_op_tears_down_inflight_request(
+        self, chain_db, fast_query, adversarial
+    ):
+        slow_query, slow_db = adversarial
 
         async def main():
             async with QueryServer(
@@ -215,9 +204,9 @@ class TestCancellationOverTheWire:
         assert run(main()) is False
 
     def test_deadline_aborts_over_the_wire_within_budget(
-        self, chain_db, fast_query
+        self, chain_db, fast_query, adversarial
     ):
-        slow_query, slow_db = adversarial()
+        slow_query, slow_db = adversarial
         deadline = 0.3
 
         async def main():

@@ -1,5 +1,6 @@
 """Unit tests for the adaptive engine: analyzer, planner, cache, facade."""
 
+import asyncio
 import gc
 import sys
 from unittest import mock
@@ -279,12 +280,35 @@ class TestQueryEngine:
 
     def test_an_unknown_evaluator_is_refused_before_planning(self, edge_db):
         engine = QueryEngine()
-        for run in (engine.execute, engine.decide):
-            with pytest.raises(QueryError, match="unknown evaluator"):
-                run(path_query(2), edge_db, evaluator="no-such-engine")
+        # The class evaluators of the other islands are library evaluators,
+        # not routes: their names are refused like any other unknown one.
+        for name in ("no-such-engine", "treewidth", "inequality", "bounded-variable"):
+            for run in (engine.execute, engine.decide):
+                with pytest.raises(QueryError, match="unknown evaluator"):
+                    run(cycle_query(4), edge_db, evaluator=name)
         stats = engine.stats()
         assert stats["shapes"] == [] and stats["cache"]["size"] == 0
         assert stats["cache"]["misses"] == 0
+
+    def test_a_retired_route_is_a_typed_error_over_the_wire(self, edge_db):
+        from repro.protocol import AsyncQueryClient, QueryServer, RemoteQueryError
+
+        async def main():
+            async with QueryServer({"g": edge_db}, parallel=False) as server:
+                host, port = server.address
+                async with await AsyncQueryClient.connect(host, port) as client:
+                    with pytest.raises(RemoteQueryError) as excinfo:
+                        await client.execute(cycle_query(4), "g", evaluator="treewidth")
+                    # The connection survives and the shape was never planned.
+                    answer = await client.execute(cycle_query(4), "g")
+                    stats = await client.stats()
+            return excinfo.value, answer, stats
+
+        error, answer, stats = asyncio.run(main())
+        assert error.code == "invalid_query"
+        assert "unknown evaluator" in error.remote_message
+        assert answer == NaiveEvaluator().evaluate(cycle_query(4), edge_db)
+        assert stats["engine"]["cache"]["misses"] == 1
 
     def test_explain_mentions_dispatch(self, edge_db):
         engine = QueryEngine()
@@ -483,7 +507,7 @@ class TestQueryEngine:
         query = path_neq_query(3, 2, seed=1)
         plan = engine.plan_for(query, database)
         assert plan.structural_class == ACYCLIC_NEQ
-        assert plan.evaluator in ("naive", "inequality")
+        assert plan.evaluator == "naive"
         assert engine.execute(query, database) == NaiveEvaluator().evaluate(
             query, database
         )

@@ -119,8 +119,8 @@ class TestAdaptiveReplanning:
         """ROADMAP item 4, reproducer 1: planned ``naive``, then the drift
         re-plan corrected |Q(d)| to 120, the colour-coding estimate came out
         5 % under the baseline's (2.78e4 vs 2.94e4 row ops), a bare ``<``
-        took it and every later call ran ~15× slower.  Theorem 2's engine
-        now has to win by the margin the class evaluators are protected by."""
+        took it and every later call ran ~15× slower.  Theorem 2's engine is
+        no longer a route: the re-plan keeps the search."""
         database = chain_database(layers=5, width=60, p=4 / 60, seed=1)
         query = parse_query("Q(a) :- E(a, b), E(b, c), E(c, d), a != d.")
         engine = QueryEngine()
@@ -133,8 +133,6 @@ class TestAdaptiveReplanning:
             assert answer.cardinality == 120
         plan = engine.plan_for(query, database)
         assert plan.replans == 1 and plan.evaluator == "naive"
-        costs = plan.cost_estimates
-        assert costs["inequality"] < costs["naive"] < 4 * costs["inequality"]
         assert seconds[3] < 3 * seconds[0]
 
     def test_oscillating_parameterizations_stop_at_the_replan_limit(self):

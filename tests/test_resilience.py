@@ -214,8 +214,13 @@ class TestWorkerPoolRecovery:
 
         plan = FaultPlan({"pool.worker_crash": {"times": 1}})
         with WorkerPool(2, fault_plan=plan) as pool:
-            assert pool.submit(lambda: 42).result(timeout=10) == 42
+            task = pool.submit(lambda: (42, threading.current_thread().name))
+            answer, thread = task.result(timeout=10)
+            assert answer == 42
             assert pool.recoveries == 1
+        # The retry ran on the fresh executor, not on the submitting thread
+        # (for the service: the event loop).
+        assert thread.startswith("repro-worker")
 
     def test_ambient_token_reaches_pool_workers(self):
         from repro.parallel.pool import WorkerPool
@@ -247,25 +252,26 @@ class TestFairQueuePurge:
 
 
 class TestServiceDeadlinesAndCancellation:
-    @staticmethod
-    def _adversarial():
-        """A 6-cycle over a dense graph with its head on opposite corners:
-        seconds of work on every route (the bag tree carries x1 to x4)."""
-        from repro import Database, parse_query
+    def test_a_planned_run_stops_at_its_deadline(self, adversarial):
+        """In process, no service: the planned route polls the token as it
+        searches, so the engine itself stops near the deadline."""
+        from repro import QueryEngine
 
-        rng = random.Random(11)
-        rows = {(rng.randrange(60), rng.randrange(60)) for _ in range(1400)}
-        database = Database.from_tuples({"E": sorted(rows)})
-        query = parse_query(
-            "Q(x1, x4) :- E(x1, x2), E(x2, x3), E(x3, x4), E(x4, x5), "
-            "E(x5, x6), E(x6, x1)."
-        )
-        return query, database
+        slow_query, slow_db = adversarial
+        engine = QueryEngine(parallel=False)
+        deadline = 0.5
+        started = time.monotonic()
+        with pytest.raises(DeadlineExceededError):
+            with activate(CancelToken(deadline=deadline)):
+                engine.execute(slow_query, slow_db)
+        elapsed = time.monotonic() - started
+        assert engine.plan_for(slow_query, slow_db).evaluator == "naive"
+        assert elapsed < 1.25 * deadline
 
-    def test_deadline_aborts_in_time_and_service_survives(self):
+    def test_deadline_aborts_in_time_and_service_survives(self, adversarial):
         from repro import Database, QueryService, parse_query
 
-        slow_query, slow_db = self._adversarial()
+        slow_query, slow_db = adversarial
         fast = parse_query("Q(x) :- E(x, y).")
         fast_db = Database.from_tuples({"E": [(1, 2), (2, 3)]})
 
@@ -287,13 +293,13 @@ class TestServiceDeadlinesAndCancellation:
         assert stats["service"]["deadline_exceeded"] == 1
         assert stats["service"]["cancelled"] == 0
 
-    def test_resubmit_after_deadline_starts_a_fresh_flight(self):
+    def test_resubmit_after_deadline_starts_a_fresh_flight(self, adversarial):
         """An identical resubmission must not coalesce onto a flight whose
         teardown already fired: the dying execution may not have settled
         yet, and joining it would inherit its cancellation."""
         from repro import QueryService
 
-        slow_query, slow_db = self._adversarial()
+        slow_query, slow_db = adversarial
 
         async def main():
             async with QueryService(parallel=False) as service:
@@ -315,10 +321,10 @@ class TestServiceDeadlinesAndCancellation:
         assert stats["service"]["deadline_exceeded"] == 2
         assert stats["service"]["cancelled"] == 0
 
-    def test_caller_cancellation_releases_the_slot(self):
+    def test_caller_cancellation_releases_the_slot(self, adversarial):
         from repro import QueryService
 
-        slow_query, slow_db = self._adversarial()
+        slow_query, slow_db = adversarial
 
         async def main():
             async with QueryService(parallel=False, dispatchers=1) as service:

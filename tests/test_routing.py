@@ -21,7 +21,7 @@ import pytest
 
 from repro import Database, QueryEngine, Relation, parse_query
 from repro.engine import Planner
-from repro.evaluation import treewidth_eval, yannakakis
+from repro.evaluation import yannakakis
 from repro.parametric.problems import CliqueInstance
 from repro.query import Atom, ConjunctiveQuery
 from repro.query.terms import Variable
@@ -304,27 +304,6 @@ class TestForcedRoutes:
         assert answer == engine.execute(query, database)
         calls = spy.evaluate.call_args_list + spy.decide.call_args_list
         assert [call.kwargs["atom_order"] for call in calls] == [order, order]
-
-    def test_a_forced_treewidth_run_takes_the_plan_s_decomposition(self):
-        database = symmetric_graph(30, 0.2, seed=2)
-        query = cycle_query(4)
-        engine = QueryEngine()
-        plan = engine.plan_for(query, database)
-        assert plan.analysis.decomposition is not None
-        reference = engine.execute(query, database)
-        with mock.patch.object(
-            treewidth_eval,
-            "tree_decomposition",
-            wraps=treewidth_eval.tree_decomposition,
-        ) as spy:
-            for _ in range(3):
-                assert engine.execute(query, database, evaluator="treewidth") == (
-                    reference
-                )
-                assert engine.decide(query, database, evaluator="treewidth") == bool(
-                    reference.cardinality
-                )
-        assert spy.call_count == 0
 
     def test_forced_runs_are_recorded(self):
         database = chain(60, 4)
