@@ -43,7 +43,7 @@ from typing import Dict, Optional, Tuple
 
 from ..errors import NotAcyclicError
 from ..hypergraph.join_tree import JoinTree
-from ..hypergraph.treewidth import TreeDecomposition, tree_decomposition
+from ..hypergraph.treewidth import tree_decomposition
 from ..query.conjunctive import ConjunctiveQuery, HashedTuple
 from ..query.terms import Constant, Variable
 from ..relational.database import Database
@@ -109,7 +109,8 @@ class StructuralAnalysis:
     structural_class: str
     acyclic: bool
     join_tree: Optional[JoinTree]
-    decomposition: Optional[TreeDecomposition]
+    #: The width of a min-fill tree decomposition of a cyclic query's
+    #: primal graph (``None`` when acyclic): its class and ``explain`` line.
     width: Optional[int]
     num_atoms: int
     num_variables: int
@@ -118,9 +119,9 @@ class StructuralAnalysis:
     num_comparisons: int
     distinct_variable_sets: int
     #: Per-atom variable names (position order) of the analyzed query.  The
-    #: join tree and decomposition above name these variables; an α-renamed
-    #: shape twin served by the same cached plan must not reuse them (see
-    #: :func:`variable_layout`), since bags/edges are matched by name.
+    #: join tree above names these variables; an α-renamed shape twin
+    #: served by the same cached plan must not reuse it (see
+    #: :func:`variable_layout`), since its edges are matched by name.
     variable_layout: Tuple[Tuple[str, ...], ...] = ()
 
     def summary(self) -> str:
@@ -141,7 +142,7 @@ class StructuralAnalysis:
 
 def variable_layout(query: ConjunctiveQuery) -> Tuple[Tuple[str, ...], ...]:
     """Per-atom variable names — the identity under which a cached plan's
-    join tree / decomposition remain directly reusable.
+    join tree remains directly reusable.
 
     Two same-shape queries that differ only in their *constants* (the
     decision instances of one parameterized query) have equal layouts; an
@@ -167,15 +168,13 @@ def analyze(
     """
     hypergraph = query.hypergraph()
     join_tree: Optional[JoinTree] = None
-    decomposition: Optional[TreeDecomposition] = None
     width: Optional[int] = None
     try:
         join_tree = JoinTree.from_hypergraph(hypergraph)
         acyclic = True
     except NotAcyclicError:
         acyclic = False
-        decomposition = tree_decomposition(hypergraph, heuristic="min_fill")
-        width = decomposition.width
+        width = tree_decomposition(hypergraph, heuristic="min_fill").width
 
     distinct_variable_sets = len({a.variable_set() for a in query.atoms})
 
@@ -196,7 +195,6 @@ def analyze(
         structural_class=structural_class,
         acyclic=acyclic,
         join_tree=join_tree,
-        decomposition=decomposition,
         width=width,
         num_atoms=query.num_atoms(),
         num_variables=query.num_variables(),

@@ -190,7 +190,8 @@ class CountingYannakakisEvaluator:
         reduced = self._reduce(query, database, program, tree, edges)
         if reduced is None:
             return _group_relation(group, {})
-        root_node = reduced[tree.root]
+        # The fold reads row-aligned keys: take the root's mask once.
+        root_node = reduced[tree.root] = reduced[tree.root].masked()
         positions = positions_of(root_node.relation.attributes, group)
         keys = root_node.keys(positions)
         counts: Dict[Tuple, int] = {}
@@ -245,12 +246,15 @@ class CountingYannakakisEvaluator:
         first, reading each one's key positions; nothing is materialised
         and no index is built on anything the pass filtered: every node
         folds over the key lists of its unfiltered relation — the database
-        relation's, warm across requests — selected by the pass's survivor
-        mask, and a leaf (no children, so no pass ever filters it) reads
-        bucket sizes off the warm index on its join columns.  A surviving
-        row's keys are live in every child by construction, so the lookups
+        relation's, warm across requests — selected by a survivor mask
+        (a node the pass left as a key filter takes its mask here, one
+        probe of its live keys per row: the fold needs keys row by row),
+        and a leaf (no children, so no pass ever filters it) reads bucket
+        sizes off the warm index on its join columns.  A surviving row's
+        keys are live in every child by construction, so the lookups
         cannot miss.
         """
+        reduced = {node: survivors.masked() for node, survivors in reduced.items()}
         # Per node, one lazy factor per child edge walked so far.
         factors: Dict[int, List[Iterable[int]]] = {}
         for edge in edges:

@@ -9,14 +9,18 @@ The classical polynomial-combined-complexity evaluation of acyclic joins
 3. one bottom-up semijoin pass, after which the root is globally
    consistent (every root tuple participates in the join).  Key sets go
    up, rows stay put: per node the pass keeps the *unfiltered* candidate
-   relation — whose key lists and key sets are the database relation's,
-   warm across requests — and one survivor byte per row
-   (:class:`Survivors`); an edge is one C-level probe per parent row
-   against the child's live keys, and a relation is materialised
-   (``_take``) only for a node whose rows are read: the root, and for
-   ``evaluate`` the children of the carrying edges of step 4.  ``decide``,
-   the batch decision, the covered count and a head-in-root ``evaluate``
-   materialise at most that one; the counting fold reads keys and masks;
+   relation — whose key lists, key sets and indexes are the database
+   relation's, warm across requests — and which rows survive
+   (:class:`Survivors`): the live keys on the columns every child edge
+   keys on (a path, a star, any chain of binary atoms), an edge costing
+   set operations over distinct keys and no row; or, when two children
+   key on different columns, one survivor byte per row, one C-level probe
+   per row.  A relation is materialised (``take``) only for a node whose
+   rows are read: the root, and for ``evaluate`` the children of the
+   carrying edges of step 4.  ``decide``, the batch decision and the
+   covered count materialise at most the root, and a head made of some of
+   the root's columns is read off its live keys; the counting fold reads
+   row-aligned keys, so it takes each node's row mask once;
 4. the final bottom-up join-and-project pass **only on the edges that
    hand a head column up** (:func:`carrying_edges`), and the other half of
    the *full reducer* — the top-down semijoin — only on those of them whose
@@ -45,7 +49,7 @@ exactly the extension Theorem 2 (``repro.inequalities``) provides.
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import chain, compress
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import QueryError
@@ -75,37 +79,92 @@ def witness_budget(query: ConjunctiveQuery, database: Database) -> int:
 
 
 class Survivors(NamedTuple):
-    """A node of the upward pass: its unfiltered candidate relation and one
-    byte per row (aligned with the relation's row order), 1 for the rows
-    that join with their whole subtree — ``None`` while every row does."""
+    """A node of the upward pass: its unfiltered candidate relation and
+    which of its rows join with their whole subtree, in one of two forms.
+
+    A *key filter* (*key* = positions P, *live* ⊆ the keys K_P on P) keeps
+    the rows whose key on P is live.  A node keeps that form while every
+    child edge into it keys on P, and then an edge visits no row: it costs
+    a subset test over K_P (``self`` when every key is live) or an
+    intersection, plus, for the keys on other columns Q that the parent
+    reads, one ``isdisjoint`` per key on Q (:meth:`Relation._adjacency`).
+    A *row mask* (*mask*, one byte per row in row order, one probe per row
+    to build) is the fallback: for a second child keying on other columns,
+    and for readers of row-aligned keys (:meth:`masked`).  All fields are
+    ``None`` while every row survives."""
 
     relation: Relation
     mask: Optional[bytes] = None
+    key: Optional[Tuple[int, ...]] = None
+    live: Optional[frozenset] = None
 
     def is_empty(self) -> bool:
+        if self.live is not None:
+            return not self.live
         if self.mask is None:
             return self.relation.is_empty()
         return 1 not in self.mask
 
     def count(self) -> int:
+        if self.live is not None:
+            index = self.relation._index(self.key)
+            return sum(map(len, map(index.__getitem__, self.live)))
         if self.mask is None:
             return self.relation.cardinality
         return self.mask.count(1)
 
+    def masked(self) -> "Survivors":
+        """The same survivors as a row mask: a probe of ``live`` per row."""
+        if self.live is None:
+            return self
+        return Survivors(self.relation, self.relation._probe_mask(self.key, self.live))
+
     def keys(self, positions: Tuple[int, ...]) -> Iterable[Any]:
         """The surviving rows' keys on *positions*, in row order."""
         keys = self.relation._keys(positions)
-        return keys if self.mask is None else compress(keys, self.mask)
+        mask = self.masked().mask
+        return keys if mask is None else compress(keys, mask)
 
     def live_keys(self, positions: Tuple[int, ...]) -> frozenset:
-        """The distinct keys of :meth:`keys` — the relation's cached key
-        set while nothing is filtered."""
-        if self.mask is None:
-            return self.relation._key_set(positions)
-        return frozenset(self.keys(positions))
+        """The distinct keys of :meth:`keys`: for a key filter, ``live``
+        itself on its own positions, else the keys none of whose rows has
+        a live key taken out of the key set."""
+        live = self.live
+        if live is None:
+            if self.mask is None:
+                return self.relation._key_set(positions)
+            return frozenset(self.keys(positions))
+        if positions == self.key:
+            return live
+        relation = self.relation
+        adjacency = relation._adjacency(positions, self.key)
+        dead = compress(adjacency, map(live.isdisjoint, adjacency.values()))
+        return relation._key_set(positions).difference(dead)
+
+    def distinct(self, positions: Tuple[int, ...]) -> Relation:
+        """The survivors' distinct keys on *positions* (nonempty, distinct)
+        as a relation over those columns, in index order: one membership
+        test per distinct key, no row materialised."""
+        live = self.live_keys(positions)
+        index = self.relation._index(positions)
+        if len(live) < len(index):
+            index = compress(index, map(live.__contains__, index))
+        attributes = self.relation.attributes
+        return Relation._from_order(
+            tuple(attributes[p] for p in positions),
+            tuple(zip(index)) if len(positions) == 1 else tuple(index),
+        )
 
     def take(self) -> Relation:
-        """The surviving rows as a relation (materialised here, once)."""
+        """The surviving rows as a relation (materialised here, once); a
+        key filter's rows bucket by bucket, in index order."""
+        live = self.live
+        if live is not None:
+            index = self.relation._index(self.key)
+            buckets = compress(index.values(), map(live.__contains__, index))
+            return Relation._from_order(
+                self.relation.attributes, tuple(chain.from_iterable(buckets))
+            )
         if self.mask is None:
             return self.relation
         return self.relation._take(self.mask)
@@ -116,19 +175,28 @@ class Survivors(NamedTuple):
         positions: Tuple[int, ...],
         child_positions: Tuple[int, ...],
     ) -> "Survivors":
-        """``self ⋉ child`` as a mask: one probe of the child's live keys on
-        *child_positions* per row of the unfiltered relation, keyed on
-        *positions*, ANDed into the mask so far."""
+        """``self ⋉ child``, keyed on *positions* against the child's live
+        keys on *child_positions*.  On the filter's own positions (or the
+        first edge into an unfiltered node) it stays a key filter: ``self``
+        when every key is live, else the live keys narrowed.  Otherwise one
+        probe per row, ANDed into the mask so far."""
         if not positions:
             # A cross-product component filters nothing: the pass never
             # hands an empty child on (it returns ``None`` instead).
             return self
         relation = self.relation
-        mask = relation._probe_mask(positions, child.live_keys(child_positions))
+        live = child.live_keys(child_positions)
+        if self.mask is None and self.key in (None, positions):
+            keys = relation._key_set(positions) if self.live is None else self.live
+            if keys <= live:
+                return self
+            return Survivors(relation, key=positions, live=keys & live)
+        mask = relation._probe_mask(positions, live)
         if 0 not in mask:
             return self
-        if self.mask is not None:
-            both = int.from_bytes(mask, "little") & int.from_bytes(self.mask, "little")
+        before = self.masked().mask
+        if before is not None:
+            both = int.from_bytes(mask, "little") & int.from_bytes(before, "little")
             mask = both.to_bytes(len(mask), "little")
         return Survivors(relation, mask)
 
@@ -288,13 +356,22 @@ class YannakakisEvaluator:
             head_names = tuple(v.name for v in query.head_variables())
             return answers_relation(query.head_terms, Relation.from_rows(head_names))
 
-        # The root is globally consistent now.  Only the edges that hand a
-        # head column up are walked again — their nodes are the only ones
-        # whose rows are read, so the only ones materialised: top-down
-        # where a join hangs below, so every tuple it reads takes part in
-        # an answer (which is what bounds the joins by |input| · |output|),
-        # then bottom-up to join those columns in.
-        carrying = program.carrying
+        # The root is globally consistent now.  A head of distinct columns
+        # of the root (not all of them) is the survivors' keys on them.
+        carrying, positions = program.carrying, program.read_off
+        root, columns = reduced[tree.root], set(positions)
+        if not carrying and None not in columns and (
+            0 < len(columns) == len(positions) < root.relation.arity
+        ):
+            keys = root.distinct(positions)
+            return read_off(query.head_terms, keys, tuple(range(len(positions))))
+
+        # Otherwise only the edges that hand a head column up are walked
+        # again — their nodes are the only ones whose rows are read, so the
+        # only ones materialised: top-down where a join hangs below, so
+        # every tuple it reads takes part in an answer (which is what
+        # bounds the joins by |input| · |output|), then bottom-up to join
+        # those columns in.
         read = (tree.root, *(edge.child for edge in carrying))
         taken = {node: reduced[node].take() for node in read}
         for edge in program.top_down:
@@ -318,7 +395,7 @@ class YannakakisEvaluator:
             )
 
         # Every head variable has been carried up into the root.
-        return read_off(query.head_terms, taken[tree.root], program.read_off)
+        return read_off(query.head_terms, taken[tree.root], positions)
 
     # ------------------------------------------------------------------
 

@@ -264,6 +264,27 @@ class Relation:
             )
         return found
 
+    def _adjacency(
+        self, positions: Tuple[int, ...], by: Tuple[int, ...]
+    ) -> Dict[Any, Tuple[Any, ...]]:
+        """Each key on *positions* → the tuple of its rows' keys on *by*
+        (:meth:`_keys`' convention, first-arrival order): what the upward
+        pass reads to hand a key filter on *by* up on *positions*."""
+        cache_key = ("adj", positions, by)
+        found = self._cache.get(cache_key)
+        if found is None:
+            lists: Dict[Any, List[Any]] = {}
+            for key, other in zip(self._keys(positions), self._keys(by)):
+                others = lists.get(key)
+                if others is None:
+                    lists[key] = [other]
+                else:
+                    others.append(other)
+            adjacency = {key: tuple(others) for key, others in lists.items()}
+            # setdefault, like _index: concurrent cold fills converge.
+            found = self._cache.setdefault(cache_key, adjacency)
+        return found
+
     def _probe_mask(self, positions: Tuple[int, ...], live: Any) -> bytes:
         """One byte per row of :meth:`_row_order`: 1 iff the row's key on
         *positions* is in *live* (a set of keys, or a dict keyed by them)."""

@@ -7,7 +7,7 @@ from unittest import mock
 
 import pytest
 
-from repro import Database, QueryEngine, Relation
+from repro import Database, QueryEngine, Relation, parse_query
 from repro.engine import (
     COUNT_BOOLEAN,
     COUNT_COVERED,
@@ -243,6 +243,91 @@ class TestCountingRunsThePlannedProgram:
             for _ in range(5):
                 assert engine.grouped_count(query, chain, group) == expected
         assert calls == []
+
+
+class TestTheUpwardPassVisitsNoRow:
+    """On a path and a star every node of the upward pass stays a key
+    filter: a warm ``count`` / ``execute`` probes no row and masks none, a
+    head of some of the root's columns is read off its live keys, and the
+    adjacency a filter's parent reads is built once per relation."""
+
+    PATH = "Q(a, b) :- E(a, b), E(b, c), E(c, d), E(d, e)."
+    HUBS = "Q(a) :- E(a, b), E(b, c), E(c, d), E(d, e)."
+    STAR = "Q(h, x) :- A(h, x), B(h, y), C(h, z)."
+
+    @staticmethod
+    def databases():
+        star = {
+            # Hubs 0-9 in A; B misses 8-9 and C misses 0-1, so both filter.
+            "A": [(hub, 100 + leaf) for hub in range(10) for leaf in range(4)],
+            "B": [(hub, 200 + leaf) for hub in range(8) for leaf in range(3)],
+            "C": [(hub, 300 + leaf) for hub in range(2, 10) for leaf in range(2)],
+        }
+        return (
+            chain_database(layers=6, width=30, p=0.15, seed=3),
+            Database.from_tuples(star),
+        )
+
+    def test_warm_counts_and_executes_probe_no_row(self):
+        chain, star = self.databases()
+        path, star_query_ = parse_query(self.PATH), parse_query(self.STAR)
+        requests = [
+            (path, chain, "count"),
+            (path, chain, "execute"),
+            (parse_query(self.HUBS), chain, "execute"),
+            (star_query_, star, "count"),
+            (star_query_, star, "execute"),
+        ]
+        engine = QueryEngine()
+        expected = [NaiveEvaluator().evaluate(q, db) for q, db, _ in requests]
+        for _ in range(3):  # plan, and re-plan if the row count drifts
+            for (query, database, kind), answer in zip(requests, expected):
+                if kind == "count":
+                    assert engine.count(query, database) == len(answer)
+                else:
+                    assert engine.execute(query, database) == answer
+        calls = []
+
+        def spy(method):
+            def record(relation, *args):
+                calls.append(method.__name__)
+                return method(relation, *args)
+
+            return record
+
+        with ExitStack() as stack:
+            for name in ("_probe_mask", "_take"):
+                method = getattr(Relation, name)
+                stack.enter_context(mock.patch.object(Relation, name, spy(method)))
+            for (query, database, kind), answer in zip(requests, expected):
+                if kind == "count":
+                    assert engine.count(query, database) == len(answer)
+                else:
+                    assert engine.execute(query, database) == answer
+        assert calls == []
+
+    def test_the_adjacency_is_built_once_per_relation(self):
+        chain, _ = self.databases()
+        path = parse_query(self.PATH)
+        expected = len(NaiveEvaluator().evaluate(path, chain))
+        engine = QueryEngine()
+        builds = []
+        adjacency = Relation._adjacency
+
+        def adjacency_spy(relation, positions, by):
+            if ("adj", positions, by) not in relation._cache:
+                builds.append((positions, by))
+            return adjacency(relation, positions, by)
+
+        with mock.patch.object(Relation, "_adjacency", adjacency_spy):
+            assert engine.count(path, chain) == expected
+            # Three atoms over one stored relation share its cache: the
+            # two filters that hand keys on column 0 up read one adjacency.
+            assert builds == [((0,), (1,))]
+            for _ in range(3):
+                assert engine.count(path, chain) == expected
+                engine.execute(path, chain)
+        assert builds == [((0,), (1,))]
 
 
 class TestGroupedCounts:

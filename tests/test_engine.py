@@ -69,7 +69,7 @@ class TestAnalyzer:
         assert analysis.structural_class == BOUNDED_TREEWIDTH
         assert not analysis.acyclic
         assert analysis.width == 2
-        assert analysis.decomposition is not None
+        assert not hasattr(analysis, "decomposition")
 
     def test_threshold_excludes_wide_cycles(self):
         analysis = analyze(cycle_query(4), treewidth_threshold=1)

@@ -10,7 +10,9 @@ the treewidth evaluator, and the Theorem 2 machinery return.
 import asyncio
 import os
 import random
-from itertools import product
+from collections import Counter
+from itertools import combinations, product
+from operator import itemgetter
 from unittest import mock
 
 import pytest
@@ -33,7 +35,7 @@ from repro.operations import COUNT, DECIDE, EXECUTE, EXPLAIN, Operation, operati
 from repro.parallel.batch import lift_batch_group
 from repro.query.atoms import Atom
 from repro.query.conjunctive import ConjunctiveQuery
-from repro.query.terms import Constant
+from repro.query.terms import Constant, Variable
 from repro.relational.schema import DatabaseSchema, RelationSchema
 from repro.resilience import CancelToken, activate
 from repro.workloads import (
@@ -289,12 +291,59 @@ def semijoin_fold(relations, tree):
     return reduced
 
 
+def keyed_tree_case(seed, twist):
+    """A generated acyclic query over binary and ternary atoms, each atom
+    an ear sharing one or two variables with an earlier one — so a node's
+    children key on one column, on two, or on different columns — with a
+    constant or a repeated variable put in, and a database sparse enough
+    that every node filters."""
+    rng = random.Random(seed)
+    layouts = [["v0", "v1"]]
+    for _ in range(rng.randint(1, 5)):
+        parent = rng.choice(layouts)
+        shared = rng.sample(parent, rng.choice((1, 2)) if len(parent) > 1 else 1)
+        fresh = max(1, rng.choice((2, 3)) - len(shared))
+        layout = shared + [f"v{len(layouts) * 3 + k}" for k in range(fresh)]
+        rng.shuffle(layout)
+        layouts.append(layout)
+    replace = {}
+    names = sorted({name for layout in layouts for name in layout})
+    if twist == "constant":
+        replace[rng.choice(names)] = Constant(rng.randrange(3))
+    elif twist == "repeated":
+        wide = [layout for layout in layouts if len(layout) > 1]
+        kept, merged = rng.sample(rng.choice(wide), 2)
+        replace[merged] = Variable(kept)
+    atoms = [
+        Atom(f"R{i}", tuple(replace.get(name, Variable(name)) for name in layout))
+        for i, layout in enumerate(layouts)
+    ]
+    head = tuple(
+        Variable(name)
+        for name in rng.sample(names, rng.randint(0, 3))
+        if name not in replace
+    )
+    query = ConjunctiveQuery(head, atoms, head_name="KEYED")
+    assert query.is_acyclic()
+    tuples = rng.choice((3, 6, 12))
+    database = database_for(query, domain_size=3, tuples=tuples, seed=seed)
+    return query, database
+
+
+def key_positions(arity):
+    """Every nonempty tuple of column positions, in column order."""
+    return [p for size in range(1, arity + 1) for p in combinations(range(arity), size)]
+
+
 class TestUpwardPass:
     """Key sets go up, rows stay put: per node the pass keeps the unfiltered
-    candidate relation and a survivor mask.  Whatever the tree, the root and
-    the values, the survivors are the rows the plain ``Relation.semijoin``
-    fold over the node's subtree leaves, and ``execute`` / ``count`` /
-    ``decide`` read the same answers off them."""
+    candidate relation and which rows survive — the live keys on the one
+    column set its children key on, or a survivor mask once two children
+    key on different columns.  Whatever the tree, the root and the values,
+    the survivors are the rows the plain ``Relation.semijoin`` fold over
+    the node's subtree leaves, each reader (``take``, ``count``, ``keys``,
+    ``live_keys``) reads them off either form, and ``execute`` / ``count``
+    / ``decide`` read the same answers off them."""
 
     @staticmethod
     def check_every_root(query, database):
@@ -320,9 +369,20 @@ class TestUpwardPass:
                 continue
             assert reduced_root == expected[root]
             for node, relation in expected.items():
-                taken = survivors[node].take()
-                assert taken == relation and len(taken) == survivors[node].count()
-                assert survivors[node].relation is relations[node]  # rows stay put
+                kept = survivors[node]
+                taken = kept.take()
+                assert taken == relation and len(taken) == kept.count()
+                assert kept.is_empty() == relation.is_empty()
+                assert kept.relation is relations[node]  # rows stay put
+                masked = kept.masked()
+                assert masked.live is None and masked.take() == relation
+                for positions in key_positions(relation.arity):
+                    key = itemgetter(*positions)
+                    keys = list(map(key, relation))
+                    assert Counter(kept.keys(positions)) == Counter(keys), positions
+                    # ... in row order: aligned with the masked take.
+                    assert list(kept.keys(positions)) == list(map(key, masked.take()))
+                    assert kept.live_keys(positions) == frozenset(keys), positions
         try:
             counted = counter.count(query, database).total
         except QueryError:
@@ -364,6 +424,37 @@ class TestUpwardPass:
         assert QueryEngine().count(query, database) == 1
         self.check_every_root(query, database)
 
+    def test_a_node_keeps_its_key_filter_until_a_child_keys_on_other_columns(self):
+        # A's children B and C key on h: A stays a key filter on h.  D keys
+        # on x: A hands over to a row mask, keeping what B and C left.
+        database = Database.from_tuples(
+            {
+                "A": [(1, 10), (2, 20), (3, 30), (4, 40), (4, 10)],
+                "B": [(1, 0), (2, 0), (4, 0)],
+                "C": [(1, 0), (4, 0), (5, 0)],
+                "D": [(10, 0), (30, 0), (40, 0)],
+            }
+        )
+        evaluator = YannakakisEvaluator()
+        forms = {}
+        for text in (
+            "Q(h, x) :- A(h, x), B(h, y), C(h, z).",
+            "Q(h, x) :- A(h, x), B(h, y), C(h, z), D(x, w).",
+        ):
+            query = parse_query(text)
+            program = acyclic_program(query)
+            assert program.tree.root == 0
+            relations = evaluator._candidates(query, database, program)
+            reduced = evaluator.bottom_up_reduction(
+                relations, program.tree, program.edges
+            )
+            forms[len(query.atoms)] = reduced[0]
+            self.check_every_root(query, database)
+        keyed, masked = forms[3], forms[4]
+        assert keyed.mask is None and keyed.key == (0,) and keyed.live == {1, 4}
+        assert masked.mask is not None and masked.live is None
+        assert sorted(masked.take()) == [(1, 10), (4, 10), (4, 40)]
+
     def test_composite_join_keys(self):
         query = parse_query("Q(a, e) :- R(a, b, c), S(b, c, d), T(c, d, e).")
         database = Database.from_tuples(
@@ -403,6 +494,11 @@ class TestUpwardPass:
         self, seed, head_arity, shape
     ):
         self.check_every_root(*TestFirstWitness.case(seed, head_arity, shape))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from(("plain", "constant", "repeated")))
+    def test_key_filters_and_masks_equal_the_semijoin_fold(self, seed, twist):
+        self.check_every_root(*keyed_tree_case(seed, twist))
 
 
 def priced_edges(plan):
