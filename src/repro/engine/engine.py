@@ -5,8 +5,8 @@ PR 1 kernel: callers stop hand-picking between ``NaiveEvaluator`` and
 ``YannakakisEvaluator`` and instead say ``engine.execute(query,
 database)``.  Internally:
 
-1. the *analyzer* classifies the query's structure (acyclic / bounded
-   treewidth / bounded variables / general — the paper's tractability map);
+1. the *analyzer* asks the one structural question the routes depend on
+   — acyclic and constraint-free, or not (the paper's §5 island);
 2. the *planner* turns the analysis plus kernel statistics into an
    explainable :class:`QueryPlan`;
 3. the *shape table* (LRU, keyed on query shape + schema) lets repeated
@@ -66,6 +66,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import QueryError
 from ..evaluation.counting import (
+    COUNT_BOOLEAN,
+    FAST_COUNTING_MODES,
     CountingYannakakisEvaluator,
     group_tree,
     grouped_count_reference,
@@ -93,13 +95,7 @@ from ..query.conjunctive import ConjunctiveQuery
 from ..relational.database import Database
 from ..relational.relation import Relation
 from ..resilience.token import check_cancelled
-from .analysis import (
-    ACYCLIC,
-    COUNT_BOOLEAN,
-    FAST_COUNTING_MODES,
-    plan_cache_key,
-    variable_layout,
-)
+from .analysis import ACYCLIC, plan_cache_key, variable_layout
 from .cache import Shape, ShapeTable
 from .plan import EVALUATORS, YANNAKAKIS, QueryPlan
 from .planner import Planner
@@ -464,7 +460,7 @@ class QueryEngine(OperationFacade):
             return lifted.distribute(self.execute(lifted.query, lifted.database))
         shape, _, key = self._shape(lifted.query, lifted.database)
         plan = shape.plan
-        if plan.structural_class != ACYCLIC or plan.analysis.join_tree is None:
+        if plan.program is None:
             return None
         root = len(lifted.query.atoms) - 1  # the parameter atom
         start = perf_counter()

@@ -67,9 +67,6 @@ class QueryPlan:
         The acyclic route's program, built once per shape (acyclic plans
         only): the evaluator runs it whenever the query's variable layout
         is the plan's.
-    semijoin_program:
-        The acyclic program's schedule, one line per step
-        (``AcyclicProgram.steps``; empty on the search).
     cost_estimates:
         Abstract row-operation counts per candidate evaluator, from the
         planner's cost model.
@@ -82,7 +79,7 @@ class QueryPlan:
         actual cardinalities in ``explain``.
     count_mode:
         The Chen–Mengel counting classification of the shape (one of
-        :data:`repro.engine.analysis.COUNTING_MODES`) — which counting
+        :data:`repro.evaluation.counting.COUNTING_MODES`) — which counting
         strategy a ``count`` operation on this plan uses.  Always set by
         :meth:`~repro.engine.planner.Planner.plan`.
     replans:
@@ -99,7 +96,6 @@ class QueryPlan:
     analysis: StructuralAnalysis
     join_order: Tuple[int, ...]
     program: Optional[AcyclicProgram] = None
-    semijoin_program: Tuple[str, ...] = ()
     cost_estimates: Dict[str, float] = field(default_factory=dict)
     charged: Dict[str, str] = field(default_factory=dict)
     estimated_rows: float = 0.0
@@ -157,9 +153,9 @@ class QueryPlan:
                 f"({executions} execution(s) recorded)"
             )
         lines.append("  join ord.: " + " -> ".join(f"a{i}" for i in self.join_order))
-        if self.semijoin_program:
+        if self.program is not None:
             lines.append("  program  :")
-            for step, text in enumerate(self.semijoin_program, start=1):
+            for step, text in enumerate(self.program.steps(), start=1):
                 lines.append(f"    {step}. {text}")
         return "\n".join(lines)
 

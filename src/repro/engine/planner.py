@@ -28,13 +28,14 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from ..evaluation.counting import counting_mode
 from ..evaluation.yannakakis import AcyclicProgram, acyclic_program
 from ..query.atoms import Atom
 from ..query.conjunctive import ConjunctiveQuery
 from ..query.terms import Constant, Variable
 from ..relational.database import Database
 from ..relational.relation import Relation
-from .analysis import ACYCLIC, analyze, counting_mode
+from .analysis import ACYCLIC, analyze
 from .plan import NAIVE, YANNAKAKIS, QueryPlan
 
 #: Per-row constant factor of the semijoin/join passes relative to one
@@ -94,7 +95,6 @@ class Planner:
 
         evaluator = NAIVE
         program: Optional[AcyclicProgram] = None
-        steps: Tuple[str, ...] = ()
         if structural_class == ACYCLIC:
             program = acyclic_program(query, analysis.join_tree)
             costs[YANNAKAKIS], charged[YANNAKAKIS] = self._acyclic_cost(
@@ -102,18 +102,16 @@ class Planner:
             )
             if costs[NAIVE] * _BASELINE_MARGIN >= costs[YANNAKAKIS]:
                 evaluator = YANNAKAKIS
-            steps = program.steps()
 
         return QueryPlan(
             evaluator=evaluator,
             analysis=analysis,
             join_order=join_order,
             program=program,
-            semijoin_program=steps,
             cost_estimates=costs,
             charged=charged,
             estimated_rows=answer_estimate,
-            count_mode=counting_mode(query, structural_class),
+            count_mode=counting_mode(query, structural_class == ACYCLIC),
         )
 
     # ------------------------------------------------------------------

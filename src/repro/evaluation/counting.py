@@ -44,7 +44,8 @@ hardness verdict: a free-connex query such as
 ``Q(x, y, w) :- E(x, y), E(y, z), F(y, w)`` has quantified star size 1 and
 counts in linear time, but its head lies inside no one atom.  Cyclic and
 constraint-bearing queries route ``count-general``.
-Classification lives in :func:`repro.engine.analysis.counting_mode`.
+Classification lives here, in :func:`counting_mode`; the engine's planner
+calls it once per shape and carries the mode on the plan.
 """
 
 from __future__ import annotations
@@ -83,15 +84,74 @@ class CountResult(NamedTuple):
     mode: str
 
 
-def _counting_mode(query: ConjunctiveQuery) -> str:
-    """The counting mode of *query*, for callers that bring none."""
-    from ..engine.analysis import ACYCLIC, counting_mode
+# ----------------------------------------------------------------------
+# Counting modes
+# ----------------------------------------------------------------------
 
-    if query.inequalities or query.comparisons:
-        structural = "constrained"
-    else:
-        structural = ACYCLIC if query.is_acyclic() else "cyclic"
-    return counting_mode(query, structural)
+#: No head variables: count is decide (0/1).
+COUNT_BOOLEAN = "count-boolean"
+#: Head variables inside one atom: |π_H| of its reduced relation.
+COUNT_COVERED = "count-covered"
+#: No existential variables: the annotated multiplicity fold.
+COUNT_FULL = "count-full"
+#: Acyclic, head in no one atom, not full: evaluate, then count.
+COUNT_HARD = "count-hard"
+#: Cyclic or constraint-bearing: evaluate, then count.
+COUNT_GENERAL = "count-general"
+
+COUNTING_MODES = (
+    COUNT_BOOLEAN,
+    COUNT_COVERED,
+    COUNT_FULL,
+    COUNT_HARD,
+    COUNT_GENERAL,
+)
+
+#: Modes the annotated counting evaluator serves directly (decide-like
+#: cost); the rest fall back to full evaluation plus a cardinality read.
+FAST_COUNTING_MODES = (COUNT_BOOLEAN, COUNT_COVERED, COUNT_FULL)
+
+
+def covering_atom(query: ConjunctiveQuery) -> Optional[int]:
+    """Index of the first atom whose variables cover the head, or None.
+
+    When such an atom exists the query is *head-covered*: after a full
+    reduction every surviving tuple of that atom's candidate relation
+    participates in a global match, so the distinct head assignments are
+    exactly ``π_H`` of that one relation — counting costs a key count, not
+    a join.
+    """
+    head = {v for v in query.head_variables()}
+    if not head:
+        return None
+    for index, atom in enumerate(query.atoms):
+        if head <= atom.variable_set():
+            return index
+    return None
+
+
+def counting_mode(query: ConjunctiveQuery, acyclic: Optional[bool] = None) -> str:
+    """Classify *query* into the counting modes (above).
+
+    *acyclic* says whether the query is acyclic and constraint-free — the
+    engine's ``acyclic`` class, which its analysis answers once per shape;
+    absent, the question is asked here.  Pure function of the query shape,
+    so the engine computes the mode once per plan and caches it with it.
+    Order matters: a boolean head is cheapest, a covered head beats the
+    annotated pass, and only acyclic constraint-free queries reach the
+    fast modes at all.
+    """
+    if not query.head_variables():
+        return COUNT_BOOLEAN
+    if acyclic is None:
+        acyclic = not (query.inequalities or query.comparisons) and query.is_acyclic()
+    if not acyclic:
+        return COUNT_GENERAL
+    if covering_atom(query) is not None:
+        return COUNT_COVERED
+    if not query.existential_variables():
+        return COUNT_FULL
+    return COUNT_HARD
 
 
 class CountingYannakakisEvaluator:
@@ -112,18 +172,12 @@ class CountingYannakakisEvaluator:
         """``|Q(d)|`` for the fast counting modes.
 
         *program* is the shape's acyclic program (built here when absent);
-        *mode* is the precomputed :func:`~repro.engine.analysis.counting_mode`
-        (recomputed here when absent).  Raises :class:`QueryError` on the
+        *mode* is the shape's precomputed :func:`counting_mode` (computed
+        here when absent).  Raises :class:`QueryError` on the
         hard modes — the caller owns the evaluate-then-count fallback.
         """
-        from ..engine.analysis import (  # local import: engine imports us
-            COUNT_BOOLEAN,
-            COUNT_COVERED,
-            FAST_COUNTING_MODES,
-        )
-
         if mode is None:
-            mode = _counting_mode(query)
+            mode = counting_mode(query)
         if mode not in FAST_COUNTING_MODES:
             raise QueryError(
                 f"counting mode {mode!r} is not served by the annotated "
@@ -165,8 +219,6 @@ class CountingYannakakisEvaluator:
         them the same.  *rooted* is :func:`group_tree` of *program* and
         the group when the caller keeps it (derived here when absent).
         """
-        from ..engine.analysis import COUNT_FULL
-
         group = tuple(group_by)
         head_names = [v.name for v in query.head_variables()]
         unknown = [name for name in group if name not in head_names]
@@ -175,7 +227,7 @@ class CountingYannakakisEvaluator:
                 f"group_by names {unknown} are not head variables of {query!r}"
             )
         if mode is None:
-            mode = _counting_mode(query)
+            mode = counting_mode(query)
         if mode != COUNT_FULL:
             return None
 
@@ -224,8 +276,6 @@ class CountingYannakakisEvaluator:
         """Distinct head keys of the covering atom's survivors: their
         number when the head is all of its columns, else the size of their
         key set on the head's columns.  Nothing is materialised."""
-        from ..engine.analysis import COUNT_COVERED
-
         head_names = [v.name for v in query.head_variables()]
         if len(head_names) == reduced.relation.arity:
             return CountResult(reduced.count(), COUNT_COVERED)
@@ -390,9 +440,18 @@ def head_domain_size(query: ConjunctiveQuery, database: Database) -> int:
 
 
 __all__ = [
+    "COUNTING_MODES",
     "COUNT_ATTRIBUTE",
+    "COUNT_BOOLEAN",
+    "COUNT_COVERED",
+    "COUNT_FULL",
+    "COUNT_GENERAL",
+    "COUNT_HARD",
     "CountResult",
     "CountingYannakakisEvaluator",
+    "FAST_COUNTING_MODES",
+    "counting_mode",
+    "covering_atom",
     "group_tree",
     "grouped_count_reference",
     "head_domain_size",

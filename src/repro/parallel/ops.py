@@ -127,8 +127,8 @@ def parallel_semijoin(
     if shard_count <= 1 or left.is_empty() or right.is_empty():
         return bucket_semijoin(left, right, left_positions, right_positions)
     workers = pool.max_workers if pool is not None else 1
-    partition_warm = (left_positions, shard_count) in left._partitions
-    if workers > 1 or partition_warm:
+    partition = ("partition", left.attributes, left_positions, shard_count)
+    if workers > 1 or partition in left._cache:
         left_shards = left._partition(left_positions, shard_count)
         right_shards = right._partition(right_positions, shard_count)
         tasks = [

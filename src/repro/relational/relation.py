@@ -127,7 +127,7 @@ class Relation:
     frozenset({(1,)})
     """
 
-    __slots__ = ("_attributes", "_cache", "_partitions")
+    __slots__ = ("_attributes", "_cache")
 
     # ------------------------------------------------------------------
     # Trusted constructor + lazy caches (the kernel's internal contract)
@@ -140,7 +140,6 @@ class Relation:
         self = object.__new__(cls)
         self._attributes = attributes
         self._cache = cache
-        self._partitions = {}
         return self
 
     @classmethod
@@ -321,12 +320,14 @@ class Relation:
         created with its index on *positions* preseeded from the routed
         buckets (sharding never pays the index build twice).  Like
         :meth:`_index`, the result is cached for the relation's lifetime
-        and never invalidated.
+        and never invalidated; its key names the attributes, because
+        renamed twins share the cache but each shard carries the names of
+        the relation it was cut from.
         """
         if count < 1:
             raise ValueError(f"partition count must be >= 1, got {count}")
-        cache_key = (positions, count)
-        found = self._partitions.get(cache_key)
+        cache_key = ("partition", self._attributes, positions, count)
+        found = self._cache.get(cache_key)
         if found is not None:
             return found
         routed: List[Dict[Any, Tuple[Row, ...]]] = [{} for _ in range(count)]
@@ -342,15 +343,14 @@ class Relation:
         frozen_shards = tuple(shards)
         # setdefault, like _index: concurrent cold fills converge on one
         # canonical shard tuple (first writer wins, later fills discarded).
-        return self._partitions.setdefault(cache_key, frozen_shards)
+        return self._cache.setdefault(cache_key, frozen_shards)
 
     def _renamed(self, attributes: Tuple[str, ...]) -> "Relation":
         """The same rows under *attributes* (trusted, like
         :meth:`_from_frozen`), sharing this relation's whole cache — both
         row stores included, so whichever twin derives one, both have it.
-
-        The partition cache is *not* shared: cached shards are Relations
-        carrying their source's attribute names.
+        Cached partitions are keyed by attribute names (:meth:`_partition`),
+        so each twin reads only shards under its own.
         """
         return Relation._over(attributes, self._cache)
 

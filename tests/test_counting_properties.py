@@ -12,12 +12,12 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro import QueryEngine
-from repro.engine import FAST_COUNTING_MODES
 from repro.evaluation import (
     CountingYannakakisEvaluator,
     NaiveEvaluator,
     grouped_count_reference,
 )
+from repro.evaluation.counting import FAST_COUNTING_MODES
 from repro.protocol import AsyncQueryClient, QueryServer
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.terms import Variable

@@ -10,9 +10,6 @@ import pytest
 from repro import Database, QueryEngine, Relation, parse_query
 from repro.engine import (
     ACYCLIC,
-    ACYCLIC_NEQ,
-    BOUNDED_TREEWIDTH,
-    BOUNDED_VARIABLES,
     GENERAL,
     Planner,
     ShapeTable,
@@ -24,6 +21,7 @@ from repro.errors import NotAcyclicError, QueryError
 from repro.operations import EXECUTE, operations_of
 from repro.evaluation import NaiveEvaluator
 from repro.evaluation.yannakakis import Survivors
+from repro.hypergraph import treewidth
 from repro.query import Atom, ConjunctiveQuery
 from repro.query.atoms import Comparison, Inequality
 from repro.query.terms import Variable
@@ -39,7 +37,8 @@ from repro.workloads import (
 
 def redundant_clique_query(k: int = 5) -> ConjunctiveQuery:
     """A k-clique asked over two relations per edge: duplicate variable
-    sets, cyclic, width k-1 — the parameter-v grouping class for k = 5."""
+    sets, cyclic, width k-1 — what Theorem 1's parameter-v grouping
+    shrinks, though the engine gives it no route of its own."""
     from itertools import combinations
 
     variables = [Variable(f"x{i}") for i in range(k)]
@@ -56,43 +55,62 @@ def clique_db() -> Database:
     return Database.from_tuples({"E": rows, "F": rows})
 
 
+def comparison_query() -> ConjunctiveQuery:
+    x, y = Variable("x"), Variable("y")
+    return ConjunctiveQuery(
+        (x,), [Atom("E", (x, y))], comparisons=[Comparison(x, y, True)]
+    )
+
+
 class TestAnalyzer:
     def test_acyclic_path(self):
         analysis = analyze(path_query(3))
         assert analysis.structural_class == ACYCLIC
         assert analysis.acyclic
         assert analysis.join_tree is not None
-        assert analysis.width is None
-
-    def test_cycle_is_bounded_treewidth(self):
-        analysis = analyze(cycle_query(4))
-        assert analysis.structural_class == BOUNDED_TREEWIDTH
-        assert not analysis.acyclic
-        assert analysis.width == 2
-        assert not hasattr(analysis, "decomposition")
-
-    def test_threshold_excludes_wide_cycles(self):
-        analysis = analyze(cycle_query(4), treewidth_threshold=1)
-        assert analysis.structural_class == GENERAL
-
-    def test_acyclic_with_inequalities(self):
-        analysis = analyze(path_neq_query(3, 2, seed=1))
-        assert analysis.structural_class == ACYCLIC_NEQ
-        assert analysis.num_inequalities == 2
+        assert "; acyclic (GYO)" in analysis.summary()
 
     def test_comparisons_force_general(self):
-        x, y = Variable("x"), Variable("y")
-        query = ConjunctiveQuery(
-            (x,), [Atom("E", (x, y))], comparisons=[Comparison(x, y, True)]
-        )
-        assert analyze(query).structural_class == GENERAL
+        assert analyze(comparison_query()).structural_class == GENERAL
 
-    def test_duplicate_variable_sets(self):
-        query = redundant_clique_query(5)
+    @pytest.mark.parametrize(
+        "query, acyclic, shape",
+        [
+            (cycle_query(4), False, "; cyclic"),
+            (
+                path_neq_query(3, 2, seed=1),
+                True,
+                "; acyclic (GYO), 2 inequality atom(s)",
+            ),
+            (comparison_query(), True, "; acyclic (GYO), 1 comparison atom(s)"),
+            (redundant_clique_query(5), False, "; cyclic"),
+        ],
+        ids=["cycle4", "path_neq", "comparison", "redundant_k5"],
+    )
+    def test_every_other_shape_is_general(self, clique_db, query, acyclic, shape):
         analysis = analyze(query)
-        assert analysis.structural_class == BOUNDED_VARIABLES
-        assert analysis.distinct_variable_sets == 10
-        assert analysis.num_atoms == 20
+        assert analysis.structural_class == GENERAL
+        assert analysis.acyclic is acyclic
+        assert analysis.summary().endswith(shape)
+        plan = Planner().plan(query, clique_db)
+        assert plan.evaluator == "naive"
+        assert plan.program is None
+
+    def test_planning_a_cyclic_shape_decomposes_nothing(self, clique_db):
+        # The routes ask one question, acyclic or not; no plan, explain or
+        # count of a cyclic shape builds a tree decomposition to ask more.
+        engine = QueryEngine()
+        triangle = parse_query("Q() :- E(a, b), E(b, c), E(c, a).")
+        with mock.patch.object(
+            treewidth,
+            "decomposition_from_order",
+            side_effect=AssertionError("tree decomposition built"),
+        ):
+            for query in (triangle, cycle_query(4), cycle_query(6)):
+                assert engine.plan_for(query, clique_db).structural_class == GENERAL
+                assert "width" not in engine.explain(query, clique_db)
+                engine.count(query, clique_db)
+            assert engine.decide(redundant_clique_query(5), clique_db)
 
 
 class TestSignatures:
@@ -379,7 +397,7 @@ class TestQueryEngine:
         assert answer == NaiveEvaluator().evaluate(query, database)
         listed = [
             step.split(",")[0]
-            for step in plan.semijoin_program
+            for step in plan.program.steps()
             if not step.startswith("decide:")
         ]
         assert listed == executed
@@ -387,7 +405,7 @@ class TestQueryEngine:
         assert len(executed) == bottom_up + top_down + carrying
         assert all("⋉" in step for step in executed[:bottom_up])
         assert sum("⋈" in step for step in executed) == carrying
-        assert plan.semijoin_program[-1].startswith("decide: first-witness search")
+        assert plan.program.steps()[-1].startswith("decide: first-witness search")
 
     def test_dropped_databases_are_freed_after_naive_and_probed_queries(self):
         # The engine holds its evaluators for life; a database it has
@@ -496,7 +514,7 @@ class TestQueryEngine:
         engine = QueryEngine()
         query = redundant_clique_query(5)
         plan = engine.plan_for(query, clique_db)
-        assert plan.structural_class == BOUNDED_VARIABLES
+        assert plan.structural_class == GENERAL
         result = engine.execute(query, clique_db)
         assert result == NaiveEvaluator().evaluate(query, clique_db)
         assert engine.decide(query, clique_db)
@@ -506,7 +524,7 @@ class TestQueryEngine:
         database = chain_database(layers=4, width=6, p=0.5, seed=2)
         query = path_neq_query(3, 2, seed=1)
         plan = engine.plan_for(query, database)
-        assert plan.structural_class == ACYCLIC_NEQ
+        assert plan.structural_class == GENERAL
         assert plan.evaluator == "naive"
         assert engine.execute(query, database) == NaiveEvaluator().evaluate(
             query, database

@@ -20,7 +20,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro import Database, QueryEngine, QueryService, Relation, parse_query
 from repro.engine import Planner
-from repro.engine.analysis import covering_atom
 from repro.errors import DeadlineExceededError, QueryError
 from repro.evaluation import (
     CountingYannakakisEvaluator,
@@ -29,6 +28,7 @@ from repro.evaluation import (
     YannakakisEvaluator,
     yannakakis,
 )
+from repro.evaluation.counting import covering_atom
 from repro.evaluation.yannakakis import Survivors, acyclic_program
 from repro.inequalities import AcyclicInequalityEvaluator
 from repro.operations import COUNT, DECIDE, EXECUTE, EXPLAIN, Operation, operations_of

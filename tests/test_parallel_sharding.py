@@ -71,6 +71,20 @@ class TestKernelPartition:
         for shard in shards:
             assert ("index", (1,)) in shard._cache  # born with the key index
 
+    def test_renamed_twins_partition_under_their_own_names(self):
+        # Twins share one cache, so a partition cached by one must not be
+        # served to the other under the wrong attribute names.
+        relation = rel(("x", "y"), {(i, i % 3) for i in range(30)})
+        twin = relation._renamed(("a", "b"))
+        twin_shards = twin._partition((1,), 4)
+        source_shards = relation._partition((1,), 4)
+        assert twin._cache is relation._cache
+        assert all(shard.attributes == ("a", "b") for shard in twin_shards)
+        assert all(shard.attributes == ("x", "y") for shard in source_shards)
+        assert twin._partition((1,), 4) is twin_shards
+        assert relation._partition((1,), 4) is source_shards
+        assert [s.rows for s in twin_shards] == [s.rows for s in source_shards]
+
 
 class TestShardedRelationAgreement:
     @SETTINGS
