@@ -10,21 +10,17 @@ native-vs-sqlite A/B compare the engine against.  See
 ``docs/backends.md``.
 """
 
-from .compiler import CompiledSql, compile_query
-from .sqlite import (
-    SqliteBackend,
-    canonical_relation,
-    canonical_row,
-    canonical_rows,
-    canonical_value,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "CompiledSql",
-    "SqliteBackend",
-    "canonical_relation",
-    "canonical_row",
-    "canonical_rows",
-    "canonical_value",
-    "compile_query",
-]
+__getattr__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "CompiledSql": "compiler",
+        "compile_query": "compiler",
+        "SqliteBackend": "sqlite",
+        "canonical_relation": "sqlite",
+        "canonical_row": "sqlite",
+        "canonical_rows": "sqlite",
+        "canonical_value": "sqlite",
+    },
+)

@@ -1,37 +1,23 @@
 """Shared benchmark harness: timing, sweeps, growth fits, table rendering."""
 
-from .reporting import (
-    format_cell,
-    print_table,
-    read_json_report,
-    render_series,
-    render_table,
-    write_json_report,
-)
-from .runner import (
-    Measurement,
-    add_json_argument,
-    emit_json_report,
-    growth_exponent,
-    json_report_payload,
-    speedup,
-    sweep,
-    time_thunk,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "Measurement",
-    "add_json_argument",
-    "emit_json_report",
-    "format_cell",
-    "growth_exponent",
-    "json_report_payload",
-    "print_table",
-    "read_json_report",
-    "render_series",
-    "render_table",
-    "speedup",
-    "sweep",
-    "time_thunk",
-    "write_json_report",
-]
+__getattr__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "format_cell": "reporting",
+        "print_table": "reporting",
+        "read_json_report": "reporting",
+        "render_series": "reporting",
+        "render_table": "reporting",
+        "write_json_report": "reporting",
+        "Measurement": "runner",
+        "add_json_argument": "runner",
+        "emit_json_report": "runner",
+        "growth_exponent": "runner",
+        "json_report_payload": "runner",
+        "speedup": "runner",
+        "sweep": "runner",
+        "time_thunk": "runner",
+    },
+)

@@ -1,20 +1,17 @@
 """Comparison constraints: consistency, equality collapse, Theorem 3 setting."""
 
-from .collapse import CollapseResult, collapse_equalities, is_acyclic_with_comparisons
-from .consistency import (
-    check_consistency,
-    is_consistent,
-    strongly_connected_components,
-)
-from .constraints import Arc, ConstraintGraph
+from .. import _lazy_exports
 
-__all__ = [
-    "Arc",
-    "CollapseResult",
-    "ConstraintGraph",
-    "check_consistency",
-    "collapse_equalities",
-    "is_acyclic_with_comparisons",
-    "is_consistent",
-    "strongly_connected_components",
-]
+__getattr__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "CollapseResult": "collapse",
+        "collapse_equalities": "collapse",
+        "is_acyclic_with_comparisons": "collapse",
+        "check_consistency": "consistency",
+        "is_consistent": "consistency",
+        "strongly_connected_components": "consistency",
+        "Arc": "constraints",
+        "ConstraintGraph": "constraints",
+    },
+)

@@ -11,36 +11,27 @@ carries live with the counting evaluator, in
 :mod:`repro.evaluation.counting`.  See ``docs/engine.md``.
 """
 
-from .analysis import (
-    ACYCLIC,
-    GENERAL,
-    StructuralAnalysis,
-    analyze,
-    plan_cache_key,
-    schema_signature,
-    shape_signature,
-)
-from .cache import DEFAULT_REPLAN_DRIFT, DEFAULT_REPLAN_LIMIT, ShapeTable
-from .engine import DEFAULT_BATCH_WIDE_THRESHOLD, QueryEngine
-from .plan import EVALUATORS, NAIVE, YANNAKAKIS, QueryPlan
-from .planner import Planner
+from .. import _lazy_exports
 
-__all__ = [
-    "ACYCLIC",
-    "DEFAULT_BATCH_WIDE_THRESHOLD",
-    "DEFAULT_REPLAN_DRIFT",
-    "DEFAULT_REPLAN_LIMIT",
-    "EVALUATORS",
-    "GENERAL",
-    "NAIVE",
-    "Planner",
-    "QueryEngine",
-    "QueryPlan",
-    "ShapeTable",
-    "StructuralAnalysis",
-    "YANNAKAKIS",
-    "analyze",
-    "plan_cache_key",
-    "schema_signature",
-    "shape_signature",
-]
+__getattr__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "ACYCLIC": "analysis",
+        "GENERAL": "analysis",
+        "StructuralAnalysis": "analysis",
+        "analyze": "analysis",
+        "plan_cache_key": "analysis",
+        "schema_signature": "analysis",
+        "shape_signature": "analysis",
+        "DEFAULT_REPLAN_DRIFT": "cache",
+        "DEFAULT_REPLAN_LIMIT": "cache",
+        "ShapeTable": "cache",
+        "DEFAULT_BATCH_WIDE_THRESHOLD": "engine",
+        "QueryEngine": "engine",
+        "EVALUATORS": "plan",
+        "NAIVE": "plan",
+        "YANNAKAKIS": "plan",
+        "QueryPlan": "plan",
+        "Planner": "planner",
+    },
+)

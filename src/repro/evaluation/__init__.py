@@ -13,43 +13,27 @@
   on the tractable trichotomy islands.
 """
 
-from .bounded_variable import group_relation_name, parameter_v_transform
-from .counting import (
-    CountingYannakakisEvaluator,
-    CountResult,
-    grouped_count_reference,
-    head_domain_size,
-)
-from .datalog_eval import DatalogEvaluator
-from .fo_eval import FirstOrderEvaluator
-from .instantiation import (
-    answers_relation,
-    apply_to_head,
-    atom_candidate_relation,
-    candidate_relations,
-    matches_atom,
-)
-from .naive import NaiveEvaluator
-from .positive_eval import PositiveEvaluator
-from .treewidth_eval import TreewidthEvaluator
-from .yannakakis import YannakakisEvaluator
+from .. import _lazy_exports
 
-__all__ = [
-    "CountResult",
-    "CountingYannakakisEvaluator",
-    "DatalogEvaluator",
-    "FirstOrderEvaluator",
-    "NaiveEvaluator",
-    "PositiveEvaluator",
-    "TreewidthEvaluator",
-    "YannakakisEvaluator",
-    "answers_relation",
-    "apply_to_head",
-    "atom_candidate_relation",
-    "candidate_relations",
-    "group_relation_name",
-    "grouped_count_reference",
-    "head_domain_size",
-    "matches_atom",
-    "parameter_v_transform",
-]
+__getattr__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "group_relation_name": "bounded_variable",
+        "parameter_v_transform": "bounded_variable",
+        "CountingYannakakisEvaluator": "counting",
+        "CountResult": "counting",
+        "grouped_count_reference": "counting",
+        "head_domain_size": "counting",
+        "DatalogEvaluator": "datalog_eval",
+        "FirstOrderEvaluator": "fo_eval",
+        "answers_relation": "instantiation",
+        "apply_to_head": "instantiation",
+        "atom_candidate_relation": "instantiation",
+        "candidate_relations": "instantiation",
+        "matches_atom": "instantiation",
+        "NaiveEvaluator": "naive",
+        "PositiveEvaluator": "positive_eval",
+        "TreewidthEvaluator": "treewidth_eval",
+        "YannakakisEvaluator": "yannakakis",
+    },
+)

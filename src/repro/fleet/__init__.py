@@ -39,19 +39,16 @@ mid-flood and every client request still answers, byte-identical to a
 sequential in-process engine.  See ``docs/fleet.md``.
 """
 
-from .router import AsyncFleetRouter, FleetRouter
-from .supervisor import (
-    BREAKER_CLOSED,
-    BREAKER_HALF_OPEN,
-    BREAKER_OPEN,
-    FleetSupervisor,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "AsyncFleetRouter",
-    "BREAKER_CLOSED",
-    "BREAKER_HALF_OPEN",
-    "BREAKER_OPEN",
-    "FleetRouter",
-    "FleetSupervisor",
-]
+__getattr__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "AsyncFleetRouter": "router",
+        "FleetRouter": "router",
+        "BREAKER_CLOSED": "supervisor",
+        "BREAKER_HALF_OPEN": "supervisor",
+        "BREAKER_OPEN": "supervisor",
+        "FleetSupervisor": "supervisor",
+    },
+)

@@ -1,33 +1,24 @@
 """Hypergraph machinery: acyclicity (GYO), join trees, treewidth."""
 
-from .gyo import GYOResult, gyo_reduce, is_acyclic
-from .hypergraph import Hypergraph
-from .join_tree import JoinTree, join_tree_of
-from .primal import graph_edges, primal_graph
-from .treewidth import (
-    TreeDecomposition,
-    decomposition_from_order,
-    exact_treewidth,
-    min_degree_order,
-    min_fill_order,
-    tree_decomposition,
-    verify_decomposition,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "GYOResult",
-    "Hypergraph",
-    "JoinTree",
-    "TreeDecomposition",
-    "decomposition_from_order",
-    "exact_treewidth",
-    "graph_edges",
-    "gyo_reduce",
-    "is_acyclic",
-    "join_tree_of",
-    "min_degree_order",
-    "min_fill_order",
-    "primal_graph",
-    "tree_decomposition",
-    "verify_decomposition",
-]
+__getattr__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "GYOResult": "gyo",
+        "gyo_reduce": "gyo",
+        "is_acyclic": "gyo",
+        "Hypergraph": "hypergraph",
+        "JoinTree": "join_tree",
+        "join_tree_of": "join_tree",
+        "graph_edges": "primal",
+        "primal_graph": "primal",
+        "TreeDecomposition": "treewidth",
+        "decomposition_from_order": "treewidth",
+        "exact_treewidth": "treewidth",
+        "min_degree_order": "treewidth",
+        "min_fill_order": "treewidth",
+        "tree_decomposition": "treewidth",
+        "verify_decomposition": "treewidth",
+    },
+)

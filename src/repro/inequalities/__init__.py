@@ -6,41 +6,25 @@ the main entry point and :class:`FormulaInequalityEvaluator` for the §5
 ∧/∨-formula extensions.
 """
 
-from .algorithm1 import HashedAcyclicEngine, build_engine
-from .algorithm2 import evaluate_for_hash
-from .evaluator import AcyclicInequalityEvaluator
-from .formula_extension import (
-    FormulaInequalityEvaluator,
-    split_conjunctive_constants,
-)
-from .hashing import (
-    ExhaustiveHashFamily,
-    GreedyPerfectHashFamily,
-    HashFamilyError,
-    HashFunction,
-    RandomHashFamily,
-    is_perfect_family,
-)
-from .partition import (
-    InequalityPartition,
-    partition_inequalities,
-    selected_candidate_relation,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "AcyclicInequalityEvaluator",
-    "ExhaustiveHashFamily",
-    "FormulaInequalityEvaluator",
-    "GreedyPerfectHashFamily",
-    "HashFamilyError",
-    "HashFunction",
-    "HashedAcyclicEngine",
-    "InequalityPartition",
-    "RandomHashFamily",
-    "build_engine",
-    "evaluate_for_hash",
-    "is_perfect_family",
-    "partition_inequalities",
-    "selected_candidate_relation",
-    "split_conjunctive_constants",
-]
+__getattr__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "HashedAcyclicEngine": "algorithm1",
+        "build_engine": "algorithm1",
+        "evaluate_for_hash": "algorithm2",
+        "AcyclicInequalityEvaluator": "evaluator",
+        "FormulaInequalityEvaluator": "formula_extension",
+        "split_conjunctive_constants": "formula_extension",
+        "ExhaustiveHashFamily": "hashing",
+        "GreedyPerfectHashFamily": "hashing",
+        "HashFamilyError": "hashing",
+        "HashFunction": "hashing",
+        "RandomHashFamily": "hashing",
+        "is_perfect_family": "hashing",
+        "InequalityPartition": "partition",
+        "partition_inequalities": "partition",
+        "selected_candidate_relation": "partition",
+    },
+)

@@ -22,29 +22,22 @@ why it is still here):
   Yannakakis passes for acyclic queries.
 """
 
-from .batch import LiftedBatch, lift_batch_group
-from .executor import ParallelYannakakisEvaluator
-from .ops import (
-    DEFAULT_SHARD_COUNT,
-    bucket_semijoin,
-    parallel_hash_join,
-    parallel_select_eq,
-    parallel_semijoin,
-)
-from .pool import WorkerPool, default_worker_count
-from .sharding import ShardedRelation, shard_relation
+from .. import _lazy_exports
 
-__all__ = [
-    "DEFAULT_SHARD_COUNT",
-    "LiftedBatch",
-    "ParallelYannakakisEvaluator",
-    "ShardedRelation",
-    "WorkerPool",
-    "bucket_semijoin",
-    "default_worker_count",
-    "lift_batch_group",
-    "parallel_hash_join",
-    "parallel_select_eq",
-    "parallel_semijoin",
-    "shard_relation",
-]
+__getattr__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "LiftedBatch": "batch",
+        "lift_batch_group": "batch",
+        "ParallelYannakakisEvaluator": "executor",
+        "DEFAULT_SHARD_COUNT": "ops",
+        "bucket_semijoin": "ops",
+        "parallel_hash_join": "ops",
+        "parallel_select_eq": "ops",
+        "parallel_semijoin": "ops",
+        "WorkerPool": "pool",
+        "default_worker_count": "pool",
+        "ShardedRelation": "sharding",
+        "shard_relation": "sharding",
+    },
+)

@@ -4,44 +4,27 @@ Problems, reductions with mechanical verification, the W hierarchy, and
 the paper's Figure 1 partial order.
 """
 
-from .problem import ParametricProblem
-from .reduction import (
-    ParametricReduction,
-    TuringParametricReduction,
-    VerificationRecord,
-)
-from .whierarchy import (
-    Classification,
-    ClassificationTable,
-    FIGURE_1,
-    FIGURE_1_ARCS,
-    Q_FIXED,
-    Q_VARIABLE,
-    QueryParametrization,
-    V_FIXED,
-    V_VARIABLE,
-    WClass,
-    easier_than,
-    harder_than,
-    theorem1_table,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "Classification",
-    "ClassificationTable",
-    "FIGURE_1",
-    "FIGURE_1_ARCS",
-    "ParametricProblem",
-    "ParametricReduction",
-    "Q_FIXED",
-    "Q_VARIABLE",
-    "QueryParametrization",
-    "TuringParametricReduction",
-    "V_FIXED",
-    "V_VARIABLE",
-    "VerificationRecord",
-    "WClass",
-    "easier_than",
-    "harder_than",
-    "theorem1_table",
-]
+__getattr__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "ParametricProblem": "problem",
+        "ParametricReduction": "reduction",
+        "TuringParametricReduction": "reduction",
+        "VerificationRecord": "reduction",
+        "Classification": "whierarchy",
+        "ClassificationTable": "whierarchy",
+        "FIGURE_1": "whierarchy",
+        "FIGURE_1_ARCS": "whierarchy",
+        "Q_FIXED": "whierarchy",
+        "Q_VARIABLE": "whierarchy",
+        "QueryParametrization": "whierarchy",
+        "V_FIXED": "whierarchy",
+        "V_VARIABLE": "whierarchy",
+        "WClass": "whierarchy",
+        "easier_than": "whierarchy",
+        "harder_than": "whierarchy",
+        "theorem1_table": "whierarchy",
+    },
+)

@@ -10,77 +10,43 @@ fairness on the service's admission queue keeps one flooding connection
 from starving the rest.  See ``docs/protocol.md``.
 """
 
-from .client import AsyncQueryClient, QueryClient
-from .codec import (
-    MAX_LINE_BYTES,
-    decode,
-    encode,
-    error_info,
-    error_response,
-    request_id_of,
-)
-from .frames import (
-    BINARY_FRAMES_V2,
-    SUPPORTED_FRAMES,
-    decode_binary,
-    encode_binary,
-)
-from .messages import (
-    CANCEL,
-    CANCELLED,
-    OPS,
-    PROTOCOL_VERSION,
-    QUERY_OPS,
-    REGISTER_DATABASE,
-    REGISTERED,
-    RUN_BATCH,
-    ErrorInfo,
-    ProtocolError,
-    RemoteQueryError,
-    Request,
-    Response,
-    decode_database,
-    decode_relation,
-    decode_result,
-    encode_database,
-    encode_relation,
-    encode_result,
-    query_text,
-)
-from .server import QueryServer
+from .. import _lazy_exports
 
-__all__ = [
-    "AsyncQueryClient",
-    "BINARY_FRAMES_V2",
-    "CANCEL",
-    "CANCELLED",
-    "ErrorInfo",
-    "MAX_LINE_BYTES",
-    "OPS",
-    "PROTOCOL_VERSION",
-    "ProtocolError",
-    "QUERY_OPS",
-    "QueryClient",
-    "QueryServer",
-    "REGISTERED",
-    "REGISTER_DATABASE",
-    "RUN_BATCH",
-    "RemoteQueryError",
-    "Request",
-    "Response",
-    "SUPPORTED_FRAMES",
-    "decode",
-    "decode_binary",
-    "decode_database",
-    "decode_relation",
-    "decode_result",
-    "encode",
-    "encode_binary",
-    "encode_database",
-    "encode_relation",
-    "encode_result",
-    "error_info",
-    "error_response",
-    "query_text",
-    "request_id_of",
-]
+__getattr__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "AsyncQueryClient": "client",
+        "QueryClient": "client",
+        "MAX_LINE_BYTES": "codec",
+        "decode": "codec",
+        "encode": "codec",
+        "error_info": "codec",
+        "error_response": "codec",
+        "request_id_of": "codec",
+        "BINARY_FRAMES_V2": "frames",
+        "SUPPORTED_FRAMES": "frames",
+        "decode_binary": "frames",
+        "encode_binary": "frames",
+        "CANCEL": "messages",
+        "CANCELLED": "messages",
+        "OPS": "messages",
+        "PROTOCOL_VERSION": "messages",
+        "QUERY_OPS": "messages",
+        "REGISTER_DATABASE": "messages",
+        "REGISTERED": "messages",
+        "RUN_BATCH": "messages",
+        "ErrorInfo": "messages",
+        "ProtocolError": "messages",
+        "RemoteQueryError": "messages",
+        "Request": "messages",
+        "Response": "messages",
+        "decode_database": "messages",
+        "decode_relation": "messages",
+        "decode_result": "messages",
+        "encode_database": "messages",
+        "encode_relation": "messages",
+        "encode_result": "messages",
+        "query_text": "messages",
+        "QueryServer": "server",
+    },
+)

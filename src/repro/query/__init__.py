@@ -4,89 +4,54 @@ Construction can go through the class constructors, the fluent helpers in
 :mod:`repro.query.builders`, or the textual :mod:`repro.query.parser`.
 """
 
-from .atoms import Atom, Comparison, Inequality
-from .conjunctive import ConjunctiveQuery
-from .datalog import DatalogProgram, Rule
-from .first_order import (
-    And,
-    AtomFormula,
-    Exists,
-    FirstOrderQuery,
-    Forall,
-    Formula,
-    Not,
-    Or,
-    prenex_formula,
-    to_nnf,
-    to_prenex,
-)
-from .ineq_formula import (
-    IneqAnd,
-    IneqFormula,
-    IneqLeaf,
-    IneqOr,
-    as_ineq_formula,
-    conjunction_of,
-    ineq_and,
-    ineq_or,
-    is_conjunctive_in_constants,
-    variable_constant_split,
-)
-from .homomorphism import (
-    are_equivalent,
-    canonical_database,
-    find_homomorphism,
-    is_contained_in,
-    is_homomorphism,
-    minimize,
-)
-from .parser import parse_program, parse_query
-from .positive import PositiveQuery
-from .terms import C, Constant, Term, V, Variable, fresh_variable, term, terms
+from .. import _lazy_exports
 
-__all__ = [
-    "And",
-    "Atom",
-    "AtomFormula",
-    "C",
-    "Comparison",
-    "ConjunctiveQuery",
-    "Constant",
-    "DatalogProgram",
-    "Exists",
-    "FirstOrderQuery",
-    "Forall",
-    "Formula",
-    "IneqAnd",
-    "IneqFormula",
-    "IneqLeaf",
-    "IneqOr",
-    "Inequality",
-    "Not",
-    "Or",
-    "PositiveQuery",
-    "Rule",
-    "Term",
-    "V",
-    "Variable",
-    "are_equivalent",
-    "as_ineq_formula",
-    "canonical_database",
-    "conjunction_of",
-    "find_homomorphism",
-    "is_contained_in",
-    "is_homomorphism",
-    "minimize",
-    "fresh_variable",
-    "ineq_and",
-    "ineq_or",
-    "is_conjunctive_in_constants",
-    "parse_program",
-    "parse_query",
-    "prenex_formula",
-    "term",
-    "terms",
-    "to_nnf",
-    "to_prenex",
-    "variable_constant_split",
-]
+__getattr__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "Atom": "atoms",
+        "Comparison": "atoms",
+        "Inequality": "atoms",
+        "ConjunctiveQuery": "conjunctive",
+        "DatalogProgram": "datalog",
+        "Rule": "datalog",
+        "And": "first_order",
+        "AtomFormula": "first_order",
+        "Exists": "first_order",
+        "FirstOrderQuery": "first_order",
+        "Forall": "first_order",
+        "Formula": "first_order",
+        "Not": "first_order",
+        "Or": "first_order",
+        "prenex_formula": "first_order",
+        "to_nnf": "first_order",
+        "to_prenex": "first_order",
+        "IneqAnd": "ineq_formula",
+        "IneqFormula": "ineq_formula",
+        "IneqLeaf": "ineq_formula",
+        "IneqOr": "ineq_formula",
+        "as_ineq_formula": "ineq_formula",
+        "conjunction_of": "ineq_formula",
+        "ineq_and": "ineq_formula",
+        "ineq_or": "ineq_formula",
+        "is_conjunctive_in_constants": "ineq_formula",
+        "variable_constant_split": "ineq_formula",
+        "are_equivalent": "homomorphism",
+        "canonical_database": "homomorphism",
+        "find_homomorphism": "homomorphism",
+        "is_contained_in": "homomorphism",
+        "is_homomorphism": "homomorphism",
+        "minimize": "homomorphism",
+        "parse_program": "parser",
+        "parse_query": "parser",
+        "PositiveQuery": "positive",
+        "C": "terms",
+        "Constant": "terms",
+        "Term": "terms",
+        "V": "terms",
+        "Variable": "terms",
+        "fresh_variable": "terms",
+        "term": "terms",
+        "terms": "terms",
+    },
+)

@@ -19,155 +19,72 @@ complexity with ≠) and Theorem 3's
 :data:`CLIQUE_TO_COMPARISONS_Q` / :data:`CLIQUE_TO_COMPARISONS_V`.
 """
 
-from .circuit_to_fo import (
-    ALTERNATING_CIRCUIT_TO_FO,
-    CIRCUIT_TO_FO_V,
-    alternating_circuit_to_fo,
-    circuit_to_fo,
-    circuit_to_fo_query,
-    make_depth_t_reduction,
-    theta,
-    wiring_database,
-)
-from .clique_to_acyclic_comparisons import (
-    CLIQUE_TO_COMPARISONS_Q,
-    CLIQUE_TO_COMPARISONS_V,
-    clique_to_comparisons,
-    comparison_database,
-    comparison_query,
-    encode,
-)
-from .clique_to_cq import (
-    CLIQUE_TO_CQ_Q,
-    CLIQUE_TO_CQ_V,
-    clique_query,
-    clique_to_cq,
-    graph_database,
-)
-from .cq_to_weighted_2cnf import (
-    CQ_TO_WEIGHTED_2CNF,
-    CQToCNFResult,
-    cq_to_weighted_2cnf,
-)
-from .datalog_fixed_arity import (
-    OracleStats,
-    evaluate_via_cq_oracle,
-    naive_cq_oracle,
-    w1_cq_oracle,
-)
-from .hamiltonian_to_acyclic_neq import (
-    hamiltonian_path_query,
-    hamiltonian_to_query_instance,
-    has_hamiltonian_path,
-)
-from .k_path_to_acyclic_neq import (
-    K_PATH_TO_ACYCLIC_NEQ,
-    k_path_query,
-    k_path_to_query_instance,
-)
-from .wsat_to_neq_formula import (
-    NEQ_FORMULA_EVALUATION_V,
-    NeqFormulaInstance,
-    WSAT_TO_NEQ_FORMULA,
-    wsat_to_neq_formula,
-)
-from .parameter_v_reduction import CQ_V_TO_CQ_Q, grouped_size_bound
-from .positive_to_cqs import (
-    POSITIVE_TO_CLIQUE,
-    POSITIVE_TO_UNION_OF_CQS,
-    cq_to_compatibility_graph,
-    positive_to_clique,
-)
-from .prenex_fo_awsat import (
-    AWSAT_TO_PRENEX_FO,
-    PRENEX_FO_TO_AWSAT,
-    awsat_to_prenex_fo,
-    prenex_fo_to_awsat,
-)
-from .prenex_positive_to_wsat import (
-    PRENEX_POSITIVE_TO_WSAT,
-    prenex_positive_to_wsat,
-)
-from .query_problems import (
-    ACYCLIC_COMPARISON_EVALUATION_Q,
-    ACYCLIC_COMPARISON_EVALUATION_V,
-    ACYCLIC_NEQ_EVALUATION_Q,
-    CQ_EVALUATION_Q,
-    CQ_EVALUATION_V,
-    FO_EVALUATION_Q,
-    FO_EVALUATION_V,
-    POSITIVE_EVALUATION_Q,
-    POSITIVE_EVALUATION_V,
-    QueryEvaluationInstance,
-)
-from .wsat_to_positive import (
-    WSAT_TO_POSITIVE,
-    eq_neq_database,
-    wsat_to_positive,
-    wsat_to_positive_query,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "ACYCLIC_COMPARISON_EVALUATION_Q",
-    "ACYCLIC_COMPARISON_EVALUATION_V",
-    "ACYCLIC_NEQ_EVALUATION_Q",
-    "ALTERNATING_CIRCUIT_TO_FO",
-    "AWSAT_TO_PRENEX_FO",
-    "CIRCUIT_TO_FO_V",
-    "PRENEX_FO_TO_AWSAT",
-    "CLIQUE_TO_COMPARISONS_Q",
-    "CLIQUE_TO_COMPARISONS_V",
-    "CLIQUE_TO_CQ_Q",
-    "CLIQUE_TO_CQ_V",
-    "CQToCNFResult",
-    "CQ_EVALUATION_Q",
-    "CQ_EVALUATION_V",
-    "CQ_TO_WEIGHTED_2CNF",
-    "CQ_V_TO_CQ_Q",
-    "FO_EVALUATION_Q",
-    "FO_EVALUATION_V",
-    "K_PATH_TO_ACYCLIC_NEQ",
-    "NEQ_FORMULA_EVALUATION_V",
-    "NeqFormulaInstance",
-    "OracleStats",
-    "POSITIVE_EVALUATION_Q",
-    "POSITIVE_EVALUATION_V",
-    "POSITIVE_TO_CLIQUE",
-    "POSITIVE_TO_UNION_OF_CQS",
-    "PRENEX_POSITIVE_TO_WSAT",
-    "QueryEvaluationInstance",
-    "WSAT_TO_NEQ_FORMULA",
-    "WSAT_TO_POSITIVE",
-    "alternating_circuit_to_fo",
-    "awsat_to_prenex_fo",
-    "circuit_to_fo",
-    "prenex_fo_to_awsat",
-    "circuit_to_fo_query",
-    "clique_query",
-    "clique_to_comparisons",
-    "clique_to_cq",
-    "comparison_database",
-    "comparison_query",
-    "cq_to_compatibility_graph",
-    "cq_to_weighted_2cnf",
-    "encode",
-    "eq_neq_database",
-    "evaluate_via_cq_oracle",
-    "graph_database",
-    "grouped_size_bound",
-    "hamiltonian_path_query",
-    "hamiltonian_to_query_instance",
-    "has_hamiltonian_path",
-    "k_path_query",
-    "k_path_to_query_instance",
-    "make_depth_t_reduction",
-    "wsat_to_neq_formula",
-    "naive_cq_oracle",
-    "prenex_positive_to_wsat",
-    "positive_to_clique",
-    "theta",
-    "w1_cq_oracle",
-    "wiring_database",
-    "wsat_to_positive",
-    "wsat_to_positive_query",
-]
+__getattr__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "ALTERNATING_CIRCUIT_TO_FO": "circuit_to_fo",
+        "CIRCUIT_TO_FO_V": "circuit_to_fo",
+        "alternating_circuit_to_fo": "circuit_to_fo",
+        "circuit_to_fo": "circuit_to_fo",
+        "circuit_to_fo_query": "circuit_to_fo",
+        "make_depth_t_reduction": "circuit_to_fo",
+        "theta": "circuit_to_fo",
+        "wiring_database": "circuit_to_fo",
+        "CLIQUE_TO_COMPARISONS_Q": "clique_to_acyclic_comparisons",
+        "CLIQUE_TO_COMPARISONS_V": "clique_to_acyclic_comparisons",
+        "clique_to_comparisons": "clique_to_acyclic_comparisons",
+        "comparison_database": "clique_to_acyclic_comparisons",
+        "comparison_query": "clique_to_acyclic_comparisons",
+        "encode": "clique_to_acyclic_comparisons",
+        "CLIQUE_TO_CQ_Q": "clique_to_cq",
+        "CLIQUE_TO_CQ_V": "clique_to_cq",
+        "clique_query": "clique_to_cq",
+        "clique_to_cq": "clique_to_cq",
+        "graph_database": "clique_to_cq",
+        "CQ_TO_WEIGHTED_2CNF": "cq_to_weighted_2cnf",
+        "CQToCNFResult": "cq_to_weighted_2cnf",
+        "cq_to_weighted_2cnf": "cq_to_weighted_2cnf",
+        "OracleStats": "datalog_fixed_arity",
+        "evaluate_via_cq_oracle": "datalog_fixed_arity",
+        "naive_cq_oracle": "datalog_fixed_arity",
+        "w1_cq_oracle": "datalog_fixed_arity",
+        "hamiltonian_path_query": "hamiltonian_to_acyclic_neq",
+        "hamiltonian_to_query_instance": "hamiltonian_to_acyclic_neq",
+        "has_hamiltonian_path": "hamiltonian_to_acyclic_neq",
+        "K_PATH_TO_ACYCLIC_NEQ": "k_path_to_acyclic_neq",
+        "k_path_query": "k_path_to_acyclic_neq",
+        "k_path_to_query_instance": "k_path_to_acyclic_neq",
+        "NEQ_FORMULA_EVALUATION_V": "wsat_to_neq_formula",
+        "NeqFormulaInstance": "wsat_to_neq_formula",
+        "WSAT_TO_NEQ_FORMULA": "wsat_to_neq_formula",
+        "wsat_to_neq_formula": "wsat_to_neq_formula",
+        "CQ_V_TO_CQ_Q": "parameter_v_reduction",
+        "grouped_size_bound": "parameter_v_reduction",
+        "POSITIVE_TO_CLIQUE": "positive_to_cqs",
+        "POSITIVE_TO_UNION_OF_CQS": "positive_to_cqs",
+        "cq_to_compatibility_graph": "positive_to_cqs",
+        "positive_to_clique": "positive_to_cqs",
+        "AWSAT_TO_PRENEX_FO": "prenex_fo_awsat",
+        "PRENEX_FO_TO_AWSAT": "prenex_fo_awsat",
+        "awsat_to_prenex_fo": "prenex_fo_awsat",
+        "prenex_fo_to_awsat": "prenex_fo_awsat",
+        "PRENEX_POSITIVE_TO_WSAT": "prenex_positive_to_wsat",
+        "prenex_positive_to_wsat": "prenex_positive_to_wsat",
+        "ACYCLIC_COMPARISON_EVALUATION_Q": "query_problems",
+        "ACYCLIC_COMPARISON_EVALUATION_V": "query_problems",
+        "ACYCLIC_NEQ_EVALUATION_Q": "query_problems",
+        "CQ_EVALUATION_Q": "query_problems",
+        "CQ_EVALUATION_V": "query_problems",
+        "FO_EVALUATION_Q": "query_problems",
+        "FO_EVALUATION_V": "query_problems",
+        "POSITIVE_EVALUATION_Q": "query_problems",
+        "POSITIVE_EVALUATION_V": "query_problems",
+        "QueryEvaluationInstance": "query_problems",
+        "WSAT_TO_POSITIVE": "wsat_to_positive",
+        "eq_neq_database": "wsat_to_positive",
+        "wsat_to_positive": "wsat_to_positive",
+        "wsat_to_positive_query": "wsat_to_positive",
+    },
+)

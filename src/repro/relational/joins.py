@@ -3,8 +3,8 @@
 :meth:`Relation.natural_join` uses a hash join internally; this module
 exposes both a hash join and the sort-merge join the paper mentions in the
 Theorem 2 cost analysis ("the joins of Step 2 can be performed, for example,
-by sorting the two relations on the join attributes and merging"), plus a
-pluggable dispatch used by the ablation benchmarks.
+by sorting the two relations on the join attributes and merging"), which
+the tests and the semijoin ablation keep as the reference for the hash join.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Callable, Dict, List, Tuple
 
-from ..errors import SchemaError
 from .attributes import positions_of
 from .relation import Relation, Row
 
@@ -157,20 +156,3 @@ def sort_merge_join(left: Relation, right: Relation) -> Relation:
             i, j = i_end, j_end
 
     return Relation._from_frozen(left.attributes + extra, frozenset(out))
-
-
-#: Named registry used by the ablation benchmarks.
-JOIN_ALGORITHMS: Dict[str, JoinAlgorithm] = {
-    "hash": hash_join,
-    "sort_merge": sort_merge_join,
-}
-
-
-def get_join_algorithm(name: str) -> JoinAlgorithm:
-    """Look up a join algorithm by name; raises SchemaError if unknown."""
-    try:
-        return JOIN_ALGORITHMS[name]
-    except KeyError:
-        raise SchemaError(
-            f"unknown join algorithm {name!r}; known: {sorted(JOIN_ALGORITHMS)}"
-        ) from None

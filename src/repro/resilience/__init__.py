@@ -33,19 +33,20 @@ See ``docs/resilience.md`` for deadline semantics, the retry policy, the
 fault-site catalog, and the degradation matrix.
 """
 
-from .faults import FAULT_SITES, Fault, FaultPlan
-from .policy import DEFAULT_RETRY_CODES, RetryPolicy
-from .token import CancelToken, activate, check_cancelled, current_token, swap_token
+from .. import _lazy_exports
 
-__all__ = [
-    "CancelToken",
-    "DEFAULT_RETRY_CODES",
-    "FAULT_SITES",
-    "Fault",
-    "FaultPlan",
-    "RetryPolicy",
-    "activate",
-    "check_cancelled",
-    "current_token",
-    "swap_token",
-]
+__getattr__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "FAULT_SITES": "faults",
+        "Fault": "faults",
+        "FaultPlan": "faults",
+        "DEFAULT_RETRY_CODES": "policy",
+        "RetryPolicy": "policy",
+        "CancelToken": "token",
+        "activate": "token",
+        "check_cancelled": "token",
+        "current_token": "token",
+        "swap_token": "token",
+    },
+)

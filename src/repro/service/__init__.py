@@ -9,19 +9,16 @@ while every dispatch slot is busy into the engine's N-wide batch lifting.  See
 ``docs/service.md``.
 """
 
-from .fairness import ANONYMOUS, FairQueue
-from .service import (
-    DEFAULT_BATCH_LIMIT,
-    DEFAULT_MAX_PENDING,
-    MAX_TRACKED_CLIENTS,
-    QueryService,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "ANONYMOUS",
-    "DEFAULT_BATCH_LIMIT",
-    "DEFAULT_MAX_PENDING",
-    "FairQueue",
-    "MAX_TRACKED_CLIENTS",
-    "QueryService",
-]
+__getattr__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "ANONYMOUS": "fairness",
+        "FairQueue": "fairness",
+        "DEFAULT_BATCH_LIMIT": "service",
+        "DEFAULT_MAX_PENDING": "service",
+        "MAX_TRACKED_CLIENTS": "service",
+        "QueryService": "service",
+    },
+)

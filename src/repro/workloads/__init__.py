@@ -1,67 +1,36 @@
 """Workload generators: graphs, databases, queries, paper examples."""
 
-from .databases import (
-    chain_database,
-    random_database,
-    random_relation,
-    star_database,
-)
-from .graphs import (
-    Graph,
-    GraphError,
-    complete_graph,
-    cycle_graph,
-    empty_graph,
-    graph_suite,
-    graph_with_hamiltonian_path,
-    grid_graph,
-    path_graph,
-    planted_clique_graph,
-    random_graph,
-)
-from .paper_examples import (
-    all_examples,
-    employees_projects_database,
-    employees_projects_query,
-    salary_database,
-    salary_query,
-    students_courses_database,
-    students_courses_query,
-)
-from .queries import (
-    cycle_query,
-    path_neq_query,
-    path_query,
-    random_acyclic_query,
-    star_query,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "Graph",
-    "GraphError",
-    "all_examples",
-    "chain_database",
-    "complete_graph",
-    "cycle_graph",
-    "cycle_query",
-    "empty_graph",
-    "employees_projects_database",
-    "employees_projects_query",
-    "graph_suite",
-    "graph_with_hamiltonian_path",
-    "grid_graph",
-    "path_graph",
-    "path_neq_query",
-    "path_query",
-    "planted_clique_graph",
-    "random_acyclic_query",
-    "random_database",
-    "random_graph",
-    "random_relation",
-    "salary_database",
-    "salary_query",
-    "star_database",
-    "star_query",
-    "students_courses_database",
-    "students_courses_query",
-]
+__getattr__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "chain_database": "databases",
+        "random_database": "databases",
+        "random_relation": "databases",
+        "star_database": "databases",
+        "Graph": "graphs",
+        "GraphError": "graphs",
+        "complete_graph": "graphs",
+        "cycle_graph": "graphs",
+        "empty_graph": "graphs",
+        "graph_suite": "graphs",
+        "graph_with_hamiltonian_path": "graphs",
+        "grid_graph": "graphs",
+        "path_graph": "graphs",
+        "planted_clique_graph": "graphs",
+        "random_graph": "graphs",
+        "all_examples": "paper_examples",
+        "employees_projects_database": "paper_examples",
+        "employees_projects_query": "paper_examples",
+        "salary_database": "paper_examples",
+        "salary_query": "paper_examples",
+        "students_courses_database": "paper_examples",
+        "students_courses_query": "paper_examples",
+        "cycle_query": "queries",
+        "path_neq_query": "queries",
+        "path_query": "queries",
+        "random_acyclic_query": "queries",
+        "star_query": "queries",
+    },
+)

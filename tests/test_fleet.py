@@ -190,14 +190,9 @@ class TestServerCLIErrors:
 
     @staticmethod
     def _error_lines(stderr):
-        # runpy may warn about the package import on stderr; the contract
-        # is about *our* output: exactly one QUERYSERVER ERROR line and
-        # no traceback.
-        return [
-            line
-            for line in stderr.splitlines()
-            if line.strip() and "RuntimeWarning" not in line and "runpy" not in line
-        ]
+        # The contract: exactly one QUERYSERVER ERROR line and no
+        # traceback (and no runpy warning: server.py runs once).
+        return [line for line in stderr.splitlines() if line.strip()]
 
     def test_missing_database_file_is_one_line_error(self, tmp_path):
         result = self._run("--database", f"chain={tmp_path}/nope.json")

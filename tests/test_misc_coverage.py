@@ -2,6 +2,7 @@
 
 import importlib
 import pkgutil
+import types
 
 import pytest
 
@@ -169,7 +170,7 @@ class TestBenchlibMeasurement:
 
 PACKAGES = ["repro"] + [
     module.name
-    for module in pkgutil.iter_modules(repro.__path__, "repro.")
+    for module in pkgutil.walk_packages(repro.__path__, "repro.")
     if module.ispkg
 ]
 
@@ -177,7 +178,27 @@ PACKAGES = ["repro"] + [
 @pytest.mark.parametrize("package", PACKAGES)
 def test_every_exported_name_resolves(package):
     """A deletion that forgets its ``__all__`` entry fails here, not in a
-    user's ``from repro import *``."""
+    user's ``from repro import *``.
+
+    Package exports resolve lazily, and importing a submodule binds the
+    package attribute of the same name to the module.  So once every
+    submodule is imported, an exported name must still be the object,
+    never a module (``from repro.reductions import clique_to_cq`` is the
+    function)."""
     module = importlib.import_module(package)
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert not missing, f"{package}.__all__ names nothing for {missing}"
+    submodules = {
+        info.name: importlib.import_module(f"{package}.{info.name}")
+        for info in pkgutil.iter_modules(module.__path__)
+    }
+    shadowed = [
+        name
+        for name in module.__all__
+        if isinstance(getattr(module, name), types.ModuleType)
+        or (
+            name in submodules
+            and getattr(module, name) is not getattr(submodules[name], name)
+        )
+    ]
+    assert not shadowed, f"{package}.__all__ names modules for {shadowed}"

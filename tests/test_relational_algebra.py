@@ -9,7 +9,6 @@ from repro.relational import (
     Relation,
     RelationSchema,
     divide,
-    get_join_algorithm,
     hash_join,
     join_all,
     project_join,
@@ -43,12 +42,6 @@ class TestJoinAlgorithms:
         left = Relation.from_rows(("a",), [(1,)])
         right = Relation.from_rows(("c",), [(2,), (3,)])
         assert sort_merge_join(left, right).cardinality == 2
-
-    def test_registry(self):
-        assert get_join_algorithm("hash") is hash_join
-        assert get_join_algorithm("sort_merge") is sort_merge_join
-        with pytest.raises(SchemaError):
-            get_join_algorithm("nested-loop")
 
 
 class TestMultiwayHelpers:
