@@ -27,10 +27,8 @@ __getattr__, __all__ = _lazy_exports(
         "DatalogEvaluator": "datalog_eval",
         "FirstOrderEvaluator": "fo_eval",
         "answers_relation": "instantiation",
-        "apply_to_head": "instantiation",
         "atom_candidate_relation": "instantiation",
         "candidate_relations": "instantiation",
-        "matches_atom": "instantiation",
         "NaiveEvaluator": "naive",
         "PositiveEvaluator": "positive_eval",
         "TreewidthEvaluator": "treewidth_eval",

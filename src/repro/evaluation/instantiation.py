@@ -13,14 +13,14 @@ Theorem 1's upper bounds, the Yannakakis evaluator, and Algorithms 1–2.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import QueryError, SchemaError
 from ..query.atoms import Atom
 from ..query.terms import Constant, Term, Variable
 from ..relational.attributes import check_attribute_names
 from ..relational.database import Database
-from ..relational.relation import Relation, values_equal
+from ..relational.relation import Relation
 
 
 def check_atom_arity(atom: Atom, relation: Relation) -> None:
@@ -81,43 +81,6 @@ def candidate_relations(
 ) -> List[Relation]:
     """S_j for every atom, in order (the initialization of all algorithms)."""
     return [atom_candidate_relation(a, database[a.relation]) for a in atoms]
-
-
-def matches_atom(atom: Atom, valuation: Mapping[Variable, Any], row: Tuple) -> bool:
-    """Does *row* extend *valuation* consistently for *atom*?  (Test helper.)"""
-    if len(row) != atom.arity:
-        return False
-    local: Dict[Variable, Any] = dict(valuation)
-    for term, value in zip(atom.terms, row):
-        if isinstance(term, Constant):
-            if not values_equal(term.value, value):
-                return False
-        else:
-            bound = local.get(term, _UNSET)
-            if bound is _UNSET:
-                local[term] = value
-            elif not values_equal(bound, value):
-                return False
-    return True
-
-
-_UNSET = object()
-
-
-def apply_to_head(
-    head_terms: Sequence[Term], valuation: Mapping[Variable, Any]
-) -> Tuple:
-    """The output tuple τ(t0) for a satisfying valuation τ."""
-    out = []
-    for term in head_terms:
-        if isinstance(term, Constant):
-            out.append(term.value)
-        else:
-            try:
-                out.append(valuation[term])
-            except KeyError:
-                raise QueryError(f"valuation misses head variable {term!r}") from None
-    return tuple(out)
 
 
 def answers_relation(

@@ -11,18 +11,15 @@ requests over when a worker dies mid-flight.
     Spawns N ``python -m repro.protocol.server`` subprocesses (the PR 5
     executable, unchanged), reads each worker's ``QUERYSERVER READY``
     handshake, health-checks them with periodic ``ping`` probes, and
-    respawns crashed workers with exponential backoff.  A per-worker
-    circuit breaker (closed → open → half-open) stops a flapping worker
-    from burning the fleet's attention; a graceful
+    respawns crashed workers with capped exponential backoff — the one
+    policy that also keeps a crash-looping worker from forking more than
+    once per ``backoff_cap`` seconds.  A graceful
     :meth:`~FleetSupervisor.rolling_restart` drains workers one at a
     time so capacity never drops below N-1.
 
-:class:`FleetRouter` / :class:`AsyncFleetRouter`
-    Route operations to the least-loaded live worker — "load" is the sum
-    of cost-weighted in-flight requests, where a shape's cost is the p95
-    of its recent latencies (the same
-    :class:`~repro.telemetry.LatencyReservoir` arithmetic the engine
-    ledger uses).  Every wire operation is idempotent, so a transport
+:class:`FleetRouter`
+    Routes operations to the live worker with the fewest in-flight
+    requests.  Every wire operation is idempotent, so a transport
     failure triggers failover: the router reports the worker to the
     supervisor, re-routes to a healthy replica under a
     :class:`~repro.resilience.RetryPolicy`, and only raises
@@ -44,11 +41,7 @@ from .. import _lazy_exports
 __getattr__, __all__ = _lazy_exports(
     __name__,
     {
-        "AsyncFleetRouter": "router",
         "FleetRouter": "router",
-        "BREAKER_CLOSED": "supervisor",
-        "BREAKER_HALF_OPEN": "supervisor",
-        "BREAKER_OPEN": "supervisor",
         "FleetSupervisor": "supervisor",
     },
 )

@@ -9,18 +9,15 @@ supervisor's job is purely *process* lifecycle:
 * **spawn** each worker on a free port and read its
   ``QUERYSERVER READY host=... port=...`` handshake (with a deadline —
   a worker that never reports is killed and counted as a failed start);
-* **probe** live workers every ``probe_interval`` seconds with a wire
-  ``ping`` on a short timeout; ``probe_failures`` consecutive misses
-  condemn the worker even when its process is technically alive (a hung
-  event loop looks exactly like this);
-* **respawn** crashed workers with exponential backoff
-  (``backoff_base * 2^(recent_crashes-1)``, capped), where "recent"
-  means within ``flap_window`` seconds — old crashes stop counting;
-* **break the circuit** on a flapping worker: ``breaker_threshold``
-  recent crashes open the breaker (no respawns for
-  ``breaker_cooldown`` seconds), after which *one* half-open trial
-  runs — crash again and the breaker re-opens, survive
-  ``breaker_stable_after`` seconds and it closes with history cleared;
+* **probe** live workers every :data:`PROBE_INTERVAL` seconds with a
+  wire ``ping`` on a short timeout; :data:`PROBE_FAILURES` consecutive
+  misses condemn the worker even when its process is technically alive
+  (a hung event loop looks exactly like this);
+* **respawn** crashed workers with capped exponential backoff: crash *k*
+  among the crashes of the last :data:`FLAP_WINDOW` seconds waits
+  ``min(backoff_base * 2^(k-1), backoff_cap)`` — old crashes stop
+  counting, and a worker that can never start settles at one attempt per
+  ``backoff_cap`` seconds;
 * **replay registrations**: databases installed at runtime via
   :meth:`register_database` are re-sent to every respawned worker
   before it is marked routable, so the whole fleet always serves the
@@ -46,16 +43,22 @@ import sys
 import threading
 import time
 from collections import deque
-from typing import Any, Deque, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, List, Mapping, Optional, Tuple
 
 from ..protocol.client import QueryClient
 from ..protocol.messages import encode_database
 from ..resilience.faults import FaultPlan
 
-#: Circuit-breaker states of one worker slot.
-BREAKER_CLOSED = "closed"
-BREAKER_OPEN = "open"
-BREAKER_HALF_OPEN = "half_open"
+#: Seconds between liveness rounds of the monitor.
+PROBE_INTERVAL = 0.25
+#: Seconds a wire ``ping`` (or a registration replay) has to answer.
+PROBE_TIMEOUT = 2.0
+#: Consecutive missed probes that condemn a live-looking worker.
+PROBE_FAILURES = 3
+#: Seconds a fresh worker has to print its READY handshake.
+READY_TIMEOUT = 60.0
+#: Seconds a crash counts towards the respawn backoff.
+FLAP_WINDOW = 30.0
 
 #: Worker slot states.
 STARTING = "starting"
@@ -74,12 +77,10 @@ class _Worker:
         "host",
         "port",
         "state",
-        "breaker",
         "restarts",
         "crash_times",
         "probe_failures",
         "backoff_until",
-        "ready_since",
     )
 
     def __init__(self, index: int) -> None:
@@ -88,12 +89,10 @@ class _Worker:
         self.host: Optional[str] = None
         self.port: Optional[int] = None
         self.state = STOPPED
-        self.breaker = BREAKER_CLOSED
         self.restarts = 0
         self.crash_times: Deque[float] = deque()
         self.probe_failures = 0
         self.backoff_until = 0.0
-        self.ready_since = 0.0
 
 
 def _worker_env() -> Dict[str, str]:
@@ -122,23 +121,10 @@ class FleetSupervisor:
         respawns.
     workers:
         Fleet size (≥ 1).
-    probe_interval / probe_timeout / probe_failures:
-        Liveness cadence: a wire ``ping`` every ``probe_interval``
-        seconds with ``probe_timeout`` to answer; ``probe_failures``
-        consecutive misses kill and respawn the worker.
-    ready_timeout:
-        Seconds a fresh worker has to print its READY handshake.
-    backoff_base / backoff_cap / flap_window:
+    backoff_base / backoff_cap:
         Respawn backoff: crash *k* (of the crashes within
-        ``flap_window`` seconds) waits ``backoff_base * 2**(k-1)``
+        :data:`FLAP_WINDOW` seconds) waits ``backoff_base * 2**(k-1)``
         seconds, capped at ``backoff_cap``.
-    breaker_threshold / breaker_cooldown / breaker_stable_after:
-        Circuit breaker: ``breaker_threshold`` recent crashes open it
-        for ``breaker_cooldown`` seconds; the half-open trial closes it
-        after ``breaker_stable_after`` stable seconds.
-    server_args:
-        Extra CLI arguments appended to every worker's command line
-        (e.g. ``("--dispatchers", "2")``).
     fault_plan:
         Chaos injection at the ``fleet.*`` sites; the plan is *also*
         exported to each worker's ``REPRO_FAULTS`` only when the caller
@@ -151,17 +137,8 @@ class FleetSupervisor:
         databases: Mapping[str, str],
         *,
         workers: int = 2,
-        probe_interval: float = 0.25,
-        probe_timeout: float = 2.0,
-        probe_failures: int = 3,
-        ready_timeout: float = 60.0,
         backoff_base: float = 0.05,
-        backoff_cap: float = 2.0,
-        flap_window: float = 30.0,
-        breaker_threshold: int = 5,
-        breaker_cooldown: float = 5.0,
-        breaker_stable_after: float = 5.0,
-        server_args: Sequence[str] = (),
+        backoff_cap: float = 5.0,
         fault_plan: Optional[FaultPlan] = None,
     ) -> None:
         if workers < 1:
@@ -169,18 +146,8 @@ class FleetSupervisor:
         if not databases:
             raise ValueError("a fleet needs at least one database to serve")
         self._databases = dict(databases)
-        self._count = workers
-        self._probe_interval = probe_interval
-        self._probe_timeout = probe_timeout
-        self._probe_failures = max(1, probe_failures)
-        self._ready_timeout = ready_timeout
         self._backoff_base = backoff_base
         self._backoff_cap = backoff_cap
-        self._flap_window = flap_window
-        self._breaker_threshold = max(1, breaker_threshold)
-        self._breaker_cooldown = breaker_cooldown
-        self._breaker_stable_after = breaker_stable_after
-        self._server_args = tuple(server_args)
         self._faults = fault_plan if fault_plan is not None else FaultPlan()
 
         self._lock = threading.RLock()
@@ -273,7 +240,7 @@ class FleetSupervisor:
                     # Alive-but-failing: count it like a missed probe so
                     # repeated reports condemn a wedged worker.
                     worker.probe_failures += 1
-                    if worker.probe_failures >= self._probe_failures:
+                    if worker.probe_failures >= PROBE_FAILURES:
                         self._kill(worker)
                         self._on_crash(worker)
         self._wake.set()
@@ -299,7 +266,7 @@ class FleetSupervisor:
         acknowledged: List[int] = []
         for index, host, port in targets:
             try:
-                with QueryClient(host, port, timeout=self._probe_timeout) as client:
+                with QueryClient(host, port, timeout=PROBE_TIMEOUT) as client:
                     client.register_database(name, document)
                 acknowledged.append(index)
             except (ConnectionError, OSError):
@@ -318,7 +285,6 @@ class FleetSupervisor:
                     {
                         "worker": worker.index,
                         "state": worker.state,
-                        "breaker": worker.breaker,
                         "pid": process.pid if process is not None else None,
                         "port": worker.port,
                         "restarts": worker.restarts,
@@ -365,7 +331,6 @@ class FleetSupervisor:
         ]
         for name, path in sorted(self._databases.items()):
             command += ["--database", f"{name}={path}"]
-        command += list(self._server_args)
         return command
 
     def _spawn(self, worker: _Worker) -> None:
@@ -393,7 +358,8 @@ class FleetSupervisor:
             return
         except RuntimeError:
             # The worker exited before READY — a config-level failure
-            # (e.g. an unloadable database file).  Breaker food.
+            # (e.g. an unloadable database file) that backs off like any
+            # crash until the config is fixed.
             with self._lock:
                 self._on_crash(worker)
             return
@@ -402,7 +368,7 @@ class FleetSupervisor:
     def _await_ready(
         self, worker: _Worker, process: subprocess.Popen
     ) -> Tuple[str, int]:
-        line = self._read_line(process, self._ready_timeout)
+        line = self._read_line(process, READY_TIMEOUT)
         if line is None:
             raise TimeoutError("worker never printed READY")
         if self._faults.fire("fleet.ready_timeout") is not None:
@@ -445,7 +411,7 @@ class FleetSupervisor:
             registered = list(self._registered.items())
         try:
             if registered:
-                with QueryClient(host, port, timeout=self._probe_timeout) as client:
+                with QueryClient(host, port, timeout=PROBE_TIMEOUT) as client:
                     for name, document in registered:
                         client.register_database(name, document)
         except (ConnectionError, OSError):
@@ -457,17 +423,16 @@ class FleetSupervisor:
             worker.host = host
             worker.port = port
             worker.state = READY
-            worker.ready_since = time.monotonic()
             worker.probe_failures = 0
             self._version += 1
 
     # ------------------------------------------------------------------
-    # Monitoring, crashes, and the breaker
+    # Monitoring, crashes, and the respawn backoff
     # ------------------------------------------------------------------
 
     def _monitor_loop(self) -> None:
         while not self._stop.is_set():
-            self._wake.wait(self._probe_interval)
+            self._wake.wait(PROBE_INTERVAL)
             self._wake.clear()
             if self._stop.is_set():
                 return
@@ -477,11 +442,9 @@ class FleetSupervisor:
                 now = time.monotonic()
                 for worker in self._workers:
                     if worker.state == READY:
-                        if self._check_ready(worker, now):
+                        if self._check_ready(worker):
                             probe.append((worker, worker.host, worker.port))
                     elif worker.state == BACKOFF and now >= worker.backoff_until:
-                        if worker.breaker == BREAKER_OPEN:
-                            worker.breaker = BREAKER_HALF_OPEN
                         respawn.append(worker)
             # Pings run OUTSIDE the lock: a slow probe must never stall
             # the router's endpoints() snapshot.
@@ -494,14 +457,14 @@ class FleetSupervisor:
                         worker.probe_failures = 0
                     else:
                         worker.probe_failures += 1
-                        if worker.probe_failures >= self._probe_failures:
+                        if worker.probe_failures >= PROBE_FAILURES:
                             self._kill(worker)
                             self._on_crash(worker)
             for worker in respawn:
                 if not self._stop.is_set():
                     self._spawn(worker)
 
-    def _check_ready(self, worker: _Worker, now: float) -> bool:
+    def _check_ready(self, worker: _Worker) -> bool:
         """Process-level liveness (under the lock); True when a wire
         probe is still warranted."""
         process = worker.process
@@ -512,22 +475,18 @@ class FleetSupervisor:
             self._kill(worker)
             self._on_crash(worker)
             return False
-        if worker.breaker == BREAKER_HALF_OPEN and (
-            now - worker.ready_since >= self._breaker_stable_after
-        ):
-            worker.breaker = BREAKER_CLOSED
-            worker.crash_times.clear()
         return worker.host is not None and worker.port is not None
 
     def _ping(self, host: str, port: int) -> bool:
         try:
-            with QueryClient(host, port, timeout=self._probe_timeout) as client:
+            with QueryClient(host, port, timeout=PROBE_TIMEOUT) as client:
                 return client.ping()
         except (ConnectionError, OSError):
             return False
 
-    def _trim_crashes(self, worker: _Worker, now: float) -> None:
-        while worker.crash_times and now - worker.crash_times[0] > self._flap_window:
+    @staticmethod
+    def _trim_crashes(worker: _Worker, now: float) -> None:
+        while worker.crash_times and now - worker.crash_times[0] > FLAP_WINDOW:
             worker.crash_times.popleft()
 
     def _on_crash(self, worker: _Worker) -> None:
@@ -539,18 +498,8 @@ class FleetSupervisor:
         worker.probe_failures = 0
         worker.state = BACKOFF
         recent = len(worker.crash_times)
-        if worker.breaker == BREAKER_HALF_OPEN:
-            # The trial worker crashed: straight back to open.
-            worker.breaker = BREAKER_OPEN
-            worker.backoff_until = now + self._breaker_cooldown
-        elif recent >= self._breaker_threshold:
-            worker.breaker = BREAKER_OPEN
-            worker.backoff_until = now + self._breaker_cooldown
-        else:
-            delay = min(
-                self._backoff_base * 2 ** (recent - 1), self._backoff_cap
-            )
-            worker.backoff_until = now + delay
+        delay = min(self._backoff_base * 2 ** (recent - 1), self._backoff_cap)
+        worker.backoff_until = now + delay
         self._version += 1
         self._drain_pipes(worker)
 
@@ -594,9 +543,4 @@ class FleetSupervisor:
         self._drain_pipes(worker)
 
 
-__all__ = [
-    "BREAKER_CLOSED",
-    "BREAKER_HALF_OPEN",
-    "BREAKER_OPEN",
-    "FleetSupervisor",
-]
+__all__ = ["FleetSupervisor"]

@@ -11,7 +11,6 @@ __getattr__, __all__ = _lazy_exports(
         "Hypergraph": "hypergraph",
         "JoinTree": "join_tree",
         "join_tree_of": "join_tree",
-        "graph_edges": "primal",
         "primal_graph": "primal",
         "TreeDecomposition": "treewidth",
         "decomposition_from_order": "treewidth",

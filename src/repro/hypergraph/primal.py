@@ -7,7 +7,7 @@ style constructions.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Set
+from typing import Dict, Set
 
 from .hypergraph import Hypergraph
 
@@ -25,11 +25,3 @@ def primal_graph(hypergraph: Hypergraph) -> Adjacency:
                 adjacency[b].add(a)
     return adjacency
 
-
-def graph_edges(adjacency: Adjacency) -> FrozenSet[FrozenSet]:
-    """The edge set of an adjacency mapping, as unordered pairs."""
-    out: Set[FrozenSet] = set()
-    for node, neighbours in adjacency.items():
-        for other in neighbours:
-            out.add(frozenset((node, other)))
-    return frozenset(out)

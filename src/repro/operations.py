@@ -159,10 +159,6 @@ class Operation:
     def options_dict(self) -> Dict[str, Any]:
         return dict(self.options)
 
-    def with_query(self, query: Any) -> "Operation":
-        """The same operation applied to a different query."""
-        return Operation(self.kind, query, self.options)
-
     @property
     def group_key(self) -> Tuple[str, Tuple[Tuple[str, Any], ...]]:
         """What makes two operations batchable together: kind + options."""

@@ -563,7 +563,7 @@ def _load_databases(pairs: Sequence[Tuple[str, str]]) -> Dict[str, Database]:
     A missing or unparsable database file must exit nonzero with a clear
     single-line message on stderr — never a raw traceback: the fleet
     supervisor reads exactly that line to distinguish "this worker can
-    never start" (a config problem, breaker food) from a transient crash.
+    never start" (a config problem it backs off on) from a transient crash.
     """
     databases: Dict[str, Database] = {}
     for name, path in pairs:

@@ -35,7 +35,6 @@ __getattr__, __all__ = _lazy_exports(
         "ineq_and": "ineq_formula",
         "ineq_or": "ineq_formula",
         "is_conjunctive_in_constants": "ineq_formula",
-        "variable_constant_split": "ineq_formula",
         "are_equivalent": "homomorphism",
         "canonical_database": "homomorphism",
         "find_homomorphism": "homomorphism",

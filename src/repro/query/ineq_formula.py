@@ -149,13 +149,6 @@ def conjunction_of(atoms: Iterable[Inequality]) -> IneqFormula:
     return ineq_and(*atom_list)
 
 
-def variable_constant_split(
-    formula: IneqFormula,
-) -> Tuple[FrozenSet[Variable], FrozenSet[Constant]]:
-    """The (variables, constants) of φ — the paper's k = |vars| + |consts|."""
-    return formula.variables(), formula.constants()
-
-
 def is_conjunctive_in_constants(formula: IneqFormula) -> bool:
     """True iff every variable-constant atom ``x ≠ c`` occurs only under ∧.
 

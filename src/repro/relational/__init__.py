@@ -15,9 +15,6 @@ __getattr__, __all__ = _lazy_exports(
         "is_hashed": "attributes",
         "unhashed": "attributes",
         "divide": "algebra",
-        "join_all": "algebra",
-        "project_join": "algebra",
-        "union_all": "algebra",
         "Database": "database",
         "database_from_json": "io",
         "database_to_json": "io",

@@ -1,90 +1,14 @@
-"""Free-function relational algebra, including multiway helpers.
+"""Relational division, the one derived operator beyond ``Relation``'s own.
 
 The :class:`~repro.relational.relation.Relation` methods cover the binary
-operators; this module adds the n-ary conveniences the evaluation algorithms
-use (join a whole list, project a join without materializing it eagerly,
-full semijoin reduction over a tree) plus the classic derived operator
-division, included for algebra-law testing.
+operators; :func:`divide` is what the first-order evaluator uses for
+universally quantified subformulas.
 """
 
 from __future__ import annotations
 
-from functools import reduce
-from typing import Iterable, List, Sequence, Tuple
-
 from ..errors import SchemaError
-from .joins import JoinAlgorithm, hash_join
 from .relation import Relation
-
-
-def join_all(
-    relations: Sequence[Relation], algorithm: JoinAlgorithm = hash_join
-) -> Relation:
-    """Natural join of all *relations*, smallest-first for cheaper intermediates.
-
-    The empty join is the nullary TRUE relation (identity of natural join).
-    """
-    if not relations:
-        return Relation.unit()
-    ordered: List[Relation] = sorted(relations, key=len)
-    return reduce(algorithm, ordered)
-
-
-def project_join(
-    relations: Sequence[Relation],
-    attributes: Sequence[str],
-    algorithm: JoinAlgorithm = hash_join,
-) -> Relation:
-    """π_attributes(R1 ⋈ ... ⋈ Rs), projecting early after each join.
-
-    After each intermediate join we may safely drop any column that is
-    neither requested in *attributes* nor shared with a not-yet-joined
-    relation; this is the standard early-projection optimization and keeps
-    intermediates closer to the output size.
-    """
-    if not relations:
-        return Relation.unit().project(())
-    remaining = list(sorted(relations, key=len))
-    wanted = set(attributes)
-
-    current = remaining.pop(0)
-    while remaining:
-        nxt = remaining.pop(0)
-        future = set().union(*(set(r.attributes) for r in remaining)) if remaining else set()
-        if algorithm is hash_join:
-            # Fused path: drop nxt's dead columns inside the join's build
-            # side instead of materializing the intermediate first.
-            current_set = set(current.attributes)
-            nxt_keep = tuple(
-                a
-                for a in nxt.attributes
-                if a in current_set or a in wanted or a in future
-            )
-            current = current._join_keep(nxt, nxt_keep)
-        else:
-            current = algorithm(current, nxt)
-        keep = tuple(a for a in current.attributes if a in wanted or a in future)
-        current = current.project(keep)
-    return current.project(tuple(attributes))
-
-
-def semijoin_reduce_pairwise(
-    left: Relation, right: Relation
-) -> Tuple[Relation, Relation]:
-    """Make two relations pairwise consistent: each keeps only joining rows."""
-    return left.semijoin(right), right.semijoin(left)
-
-
-def union_all(relations: Iterable[Relation]) -> Relation:
-    """Union of any number of schema-compatible relations.
-
-    Raises :class:`SchemaError` on the empty union: the result schema would
-    be ambiguous.
-    """
-    items = list(relations)
-    if not items:
-        raise SchemaError("union of zero relations has no schema")
-    return reduce(Relation.union, items)
 
 
 def divide(dividend: Relation, divisor: Relation) -> Relation:

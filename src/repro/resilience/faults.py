@@ -30,7 +30,7 @@ site                    effect at the owning component
                         window in which the fleet runs degraded)
 ``fleet.ready_timeout`` a freshly spawned worker is treated as if it
                         never printed ``QUERYSERVER READY``: killed and
-                        counted as a failed start (breaker food)
+                        counted as a failed start (respawn backoff)
 ======================  ===============================================
 
 Plans travel two ways: passed to a constructor

@@ -1,7 +1,8 @@
-"""Fleet unit + integration tests: supervisor lifecycle, breaker, routing.
+"""Fleet unit + integration tests: supervisor lifecycle, backoff, routing.
 
-The pieces individually: the supervisor's spawn/respawn/breaker state
-machine, the server CLI's one-line config-error contract the supervisor
+The pieces individually: the supervisor's spawn/respawn state machine
+and its one respawn schedule, the server CLI's one-line config-error
+contract the supervisor
 reads, the router's placement and failover accounting, and the
 RetryPolicy-wrapped client reconnecting across a worker generation.  The
 full mid-flood SIGKILL story is ``test_fleet_chaos.py``.
@@ -20,12 +21,8 @@ import pytest
 
 from repro import QueryEngine
 from repro.errors import FleetDrainedError
-from repro.fleet import (
-    BREAKER_CLOSED,
-    BREAKER_OPEN,
-    FleetRouter,
-    FleetSupervisor,
-)
+from repro.fleet import FleetRouter, FleetSupervisor
+from repro.fleet.supervisor import BACKOFF, FLAP_WINDOW, _Worker
 from repro.protocol import QueryClient
 from repro.relational.io import save_database_json
 from repro.resilience import FaultPlan, RetryPolicy
@@ -88,7 +85,6 @@ class TestSupervisorLifecycle:
         assert stats["registered_databases"] == []
         for snapshot in stats["workers"]:
             assert snapshot["state"] == "ready"
-            assert snapshot["breaker"] == BREAKER_CLOSED
 
     def test_crash_detection_and_respawn(self, chain_path):
         with FleetSupervisor({"chain": chain_path}, workers=2) as supervisor:
@@ -122,39 +118,31 @@ class TestSupervisorLifecycle:
             assert plan.fired("fleet.ready_timeout") == 1
             assert supervisor.stats()["workers"][0]["restarts"] >= 1
 
-    def test_breaker_opens_on_flapping_worker_and_recovers(self, chain_db, tmp_path):
+    def test_crash_loop_backs_off_and_recovers(self, chain_db, tmp_path):
         path = tmp_path / "volatile.json"
         save_database_json(chain_db, str(path))
         with FleetSupervisor(
-            {"chain": str(path)},
-            workers=1,
-            backoff_base=0.02,
-            backoff_cap=0.1,
-            breaker_threshold=2,
-            breaker_cooldown=0.5,
-            breaker_stable_after=0.2,
+            {"chain": str(path)}, workers=1, backoff_base=0.02, backoff_cap=0.5
         ) as supervisor:
             assert wait_for_ready(supervisor, 1)
             # Sabotage the respawn path: the database file vanishes, so
-            # every restart exits before READY — breaker food.
+            # every restart exits before READY and backs off again.
             os.unlink(path)
             kill_worker(supervisor, 0)
+
+            def looping(snapshot):
+                return snapshot["state"] == BACKOFF and snapshot["recent_crashes"] >= 2
+
             deadline = time.monotonic() + SPAWN_TIMEOUT
             while time.monotonic() < deadline:
-                if supervisor.stats()["workers"][0]["breaker"] == BREAKER_OPEN:
+                if looping(supervisor.stats()["workers"][0]):
                     break
-                time.sleep(0.05)
-            assert supervisor.stats()["workers"][0]["breaker"] == BREAKER_OPEN
-            # Heal the config; the half-open trial after cooldown sticks
-            # and the breaker closes once the worker stays up.
+                time.sleep(0.02)
+            assert looping(supervisor.stats()["workers"][0])
+            # Heal the config: the next respawn sticks.
             save_database_json(chain_db, str(path))
             assert wait_for_ready(supervisor, 1)
-            deadline = time.monotonic() + SPAWN_TIMEOUT
-            while time.monotonic() < deadline:
-                if supervisor.stats()["workers"][0]["breaker"] == BREAKER_CLOSED:
-                    break
-                time.sleep(0.05)
-            assert supervisor.stats()["workers"][0]["breaker"] == BREAKER_CLOSED
+            assert supervisor.stats()["workers"][0]["state"] == "ready"
 
     def test_rolling_restart_replaces_every_worker(self, chain_path, sequential, chain_db):
         query = path_query(3, head_arity=1)
@@ -168,6 +156,42 @@ class TestSupervisorLifecycle:
                 assert router.execute(query, "chain") == sequential.execute(
                     query, chain_db
                 )
+
+
+class TestRespawnSchedule:
+    """The one respawn policy, driven on a bare slot without processes:
+    crash *k* of the recent ones waits ``min(base * 2**(k-1), cap)``."""
+
+    @staticmethod
+    def _delays(crashes, stale=0, **backoff):
+        """The waits after *crashes* successive crashes of one bare slot
+        that already has *stale* crashes older than the flap window."""
+        supervisor = FleetSupervisor({"chain": "unused.json"}, **backoff)
+        worker = _Worker(0)
+        worker.crash_times.extend([time.monotonic() - FLAP_WINDOW - 1.0] * stale)
+        delays = []
+        for _ in range(crashes):
+            before = time.monotonic()
+            supervisor._on_crash(worker)
+            assert worker.state == BACKOFF
+            delays.append(worker.backoff_until - before)
+        return delays, worker
+
+    def test_delays_double_up_to_the_cap(self):
+        delays, worker = self._delays(7, backoff_base=1.0, backoff_cap=8.0)
+        assert delays == pytest.approx([1, 2, 4, 8, 8, 8, 8], abs=0.01)
+        assert worker.restarts == 7
+
+    def test_crashes_older_than_the_window_stop_counting(self):
+        # Counted, the five stale crashes would start this run at the cap.
+        delays, worker = self._delays(5, stale=5, backoff_base=1.0, backoff_cap=8.0)
+        assert delays == pytest.approx([1, 2, 4, 8, 8], abs=0.01)
+        assert len(worker.crash_times) == 5
+
+    def test_default_cap_is_five_seconds(self):
+        delays, _ = self._delays(9)
+        expected = [0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 5.0, 5.0]
+        assert delays == pytest.approx(expected, abs=0.01)
 
 
 class TestServerCLIErrors:
@@ -241,6 +265,29 @@ class TestRouter:
             routed = router.stats()["routed"]
             assert len(routed) == 2  # both workers saw traffic
             assert all(count > 0 for count in routed.values())
+
+    def test_router_state_does_not_grow_with_distinct_queries(self, fleet, chain_db):
+        """Placement keeps per-worker counts only: routing N distinct
+        query texts leaves every container the router holds bounded by
+        the fleet size, not by N."""
+        query = path_query(2, head_arity=1)
+        starts = sorted({value for row in chain_db["E"].rows for value in row})
+        assert len(starts) >= 20
+        with FleetRouter(fleet) as router:
+            for value in starts:
+                router.decide(query.decision_instance((value,)), "chain")
+            sizes = {
+                name: len(held)
+                for name, held in vars(router).items()
+                if isinstance(held, (dict, list, set))
+            }
+            assert sizes and max(sizes.values()) <= 2, sizes
+            assert set(router.stats()) == {
+                "routed",
+                "pending",
+                "failovers",
+                "pooled_connections",
+            }
 
     def test_stats_documents_survive_a_json_round_trip(self, fleet):
         query = path_query(2, head_arity=1)

@@ -29,7 +29,7 @@ from repro.operations import (
     canonical_options,
     operations_of,
 )
-from repro.fleet import AsyncFleetRouter, FleetRouter
+from repro.fleet import FleetRouter
 from repro.protocol import (
     PROTOCOL_VERSION,
     AsyncQueryClient,
@@ -122,7 +122,6 @@ class TestOneSpelling:
             AsyncQueryClient,
             QueryClient,
             FleetRouter,
-            AsyncFleetRouter,
         ],
     )
     def test_hosts_inherit_the_per_kind_methods(self, host):

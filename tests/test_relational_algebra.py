@@ -10,10 +10,7 @@ from repro.relational import (
     RelationSchema,
     divide,
     hash_join,
-    join_all,
-    project_join,
     sort_merge_join,
-    union_all,
 )
 
 
@@ -42,30 +39,6 @@ class TestJoinAlgorithms:
         left = Relation.from_rows(("a",), [(1,)])
         right = Relation.from_rows(("c",), [(2,), (3,)])
         assert sort_merge_join(left, right).cardinality == 2
-
-
-class TestMultiwayHelpers:
-    def test_join_all_empty_is_unit(self):
-        assert join_all([]) == Relation.unit()
-
-    def test_join_all_chains(self):
-        r1 = Relation.from_rows(("a", "b"), [(1, 2)])
-        r2 = Relation.from_rows(("b", "c"), [(2, 3)])
-        r3 = Relation.from_rows(("c", "d"), [(3, 4)])
-        assert join_all([r1, r2, r3]).rows == frozenset({(1, 2, 3, 4)})
-
-    def test_project_join_matches_join_then_project(self):
-        r1 = Relation.from_rows(("a", "b"), [(1, 2), (2, 2)])
-        r2 = Relation.from_rows(("b", "c"), [(2, 3), (2, 4)])
-        direct = join_all([r1, r2]).project(("a", "c"))
-        early = project_join([r1, r2], ("a", "c"))
-        assert direct == early
-
-    def test_union_all(self):
-        pieces = [Relation.from_rows(("a",), [(i,)]) for i in range(3)]
-        assert union_all(pieces).cardinality == 3
-        with pytest.raises(SchemaError):
-            union_all([])
 
 
 class TestDivision:

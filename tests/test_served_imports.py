@@ -88,7 +88,6 @@ ROUTER_MODULES = [
     "repro.resilience",
     "repro.resilience.faults",
     "repro.resilience.policy",
-    "repro.telemetry",
 ]
 
 
