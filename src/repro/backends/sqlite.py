@@ -55,15 +55,7 @@ import weakref
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import BackendError, SqlCompilationError
-from ..operations import (
-    AGG_COUNT,
-    AGG_EXISTS,
-    AGGREGATE,
-    COUNT,
-    DECIDE,
-    EXECUTE,
-    Operation,
-)
+from ..operations import COUNT, DECIDE, EXECUTE, Operation
 from ..query.conjunctive import ConjunctiveQuery
 from ..relational.database import Database
 from ..relational.relation import Relation
@@ -277,10 +269,9 @@ class SqliteBackend:
     def run(self, operation: Operation, database: Database) -> Any:
         """Serve one operation natively, or raise :class:`BackendError`.
 
-        ``execute``/``decide``/``count`` push down directly; ``aggregate``
-        modes ``count``/``exists`` are the same two statements.  Forced
-        evaluators, ``explain``, and the remaining aggregate modes are
-        engine business and raise.
+        ``execute``/``decide``/``count`` push down directly.  Forced
+        evaluators, ``explain``, ``grouped_count`` and ``forall`` are engine
+        business and raise.
         """
         kind = operation.kind
         if kind in (EXECUTE, DECIDE):
@@ -293,15 +284,6 @@ class SqliteBackend:
             return method(operation.query, database)
         if kind == COUNT:
             return self.count(operation.query, database)
-        if kind == AGGREGATE:
-            mode = operation.option("mode")
-            if mode == AGG_COUNT:
-                return self.count(operation.query, database)
-            if mode == AGG_EXISTS:
-                return self.decide(operation.query, database)
-            raise BackendError(
-                f"aggregate mode {mode!r} is not pushdown-eligible"
-            )
         raise BackendError(f"operation kind {kind!r} is not pushdown-eligible")
 
     # -- lifecycle ------------------------------------------------------

@@ -76,19 +76,14 @@ from ..evaluation.counting import (
 from ..evaluation.naive import NaiveEvaluator
 from ..evaluation.yannakakis import AcyclicProgram, YannakakisEvaluator
 from ..operations import (
-    AGG_COUNT,
-    AGG_EXISTS,
-    AGG_FORALL,
-    Operation,
-    OperationFacade,
-    operations_of,
-)
-from ..operations import (
-    AGGREGATE as OP_AGGREGATE,
     COUNT as OP_COUNT,
     DECIDE as OP_DECIDE,
     EXECUTE as OP_EXECUTE,
     EXPLAIN as OP_EXPLAIN,
+    FORALL as OP_FORALL,
+    GROUPED_COUNT as OP_GROUPED_COUNT,
+    Operation,
+    OperationFacade,
 )
 from ..parallel.batch import lift_batch_group
 from ..query.conjunctive import ConjunctiveQuery
@@ -151,7 +146,8 @@ class QueryEngine(OperationFacade):
             OP_DECIDE: partial(self._op_answer, decide=True),
             OP_EXPLAIN: self._op_explain,
             OP_COUNT: self._op_count,
-            OP_AGGREGATE: self._op_aggregate,
+            OP_GROUPED_COUNT: self._op_grouped_count,
+            OP_FORALL: self._op_forall,
         }
 
     # ------------------------------------------------------------------
@@ -203,13 +199,9 @@ class QueryEngine(OperationFacade):
         self, operation: Operation, database: Database, key: Optional[Tuple]
     ) -> Any:
         # *key* is the operation's plan-cache key when the caller already
-        # has it (``run_batch`` groups by it), else ``None``.
-        runner = self._op_runners.get(operation.kind)
-        if runner is None:
-            raise QueryError(
-                f"engine has no runner for operation kind {operation.kind!r}"
-            )
-        return runner(operation, database, key)
+        # has it (``run_batch`` groups by it), else ``None``.  An operation
+        # is valid once made, so its kind has a runner.
+        return self._op_runners[operation.kind](operation, database, key)
 
     def run_batch(
         self, operations: Sequence[Operation], database: Database
@@ -221,14 +213,10 @@ class QueryEngine(OperationFacade):
         """
         groups: Dict[Tuple, List[int]] = {}
         for position, operation in enumerate(operations):
-            key = (
-                operation.kind,
-                operation.options,
-                plan_cache_key(operation.query, database),
-            )
+            key = (operation.group_key, plan_cache_key(operation.query, database))
             groups.setdefault(key, []).append(position)
         results: List[Any] = [None] * len(operations)
-        for (_, _, plan_key), positions in groups.items():
+        for (_, plan_key), positions in groups.items():
             members = [operations[position] for position in positions]
             group_results = self._run_group(plan_key, members, database)
             for position, result in zip(positions, group_results):
@@ -329,31 +317,30 @@ class QueryEngine(OperationFacade):
         self._record(key, perf_counter() - start, total, query, database)
         return total
 
-    def _op_aggregate(
+    def _op_grouped_count(
         self, operation: Operation, database: Database, key: Optional[Tuple]
-    ) -> Any:
-        mode = operation.option("mode")
+    ) -> Relation:
         query = operation.query
-        if mode == AGG_COUNT:
-            return self._op_count(operation, database, key)
-        if mode == AGG_EXISTS:
-            return self._op_answer(operation, database, key, decide=True)
         shape, _, key = self._shape(query, database, key)
-        plan = shape.plan
         start = perf_counter()
-        if mode == AGG_FORALL:
-            # ∀-check: the count reaches the product of the head variables'
-            # candidate domains iff every candidate head tuple is an answer
-            # (vacuously true when a domain is empty).
-            total = self._count_with_plan(plan, query, database)
-            result: Any = total == head_domain_size(query, database)
-            rows: Optional[int] = total
-        else:  # AGG_GROUP — operation validation admits nothing else
-            group_by = operation.option("group_by")
-            result = self._grouped_count_with_plan(shape, query, database, group_by)
-            rows = result.cardinality
-        self._record(key, perf_counter() - start, rows, query, database)
+        result = self._grouped_count_with_plan(
+            shape, query, database, operation.option("group_by")
+        )
+        self._record(key, perf_counter() - start, result.cardinality, query, database)
         return result
+
+    def _op_forall(
+        self, operation: Operation, database: Database, key: Optional[Tuple]
+    ) -> bool:
+        # ∀-check: the count reaches the product of the head variables'
+        # candidate domains iff every candidate head tuple is an answer
+        # (vacuously true when a domain is empty).
+        query = operation.query
+        shape, _, key = self._shape(query, database, key)
+        start = perf_counter()
+        total = self._count_with_plan(shape.plan, query, database)
+        self._record(key, perf_counter() - start, total, query, database)
+        return total == head_domain_size(query, database)
 
     # ------------------------------------------------------------------
     # Counting strategies (trichotomy-aware)
@@ -433,14 +420,6 @@ class QueryEngine(OperationFacade):
         except QueryError:
             return False
         return self.decide(decided, database)
-
-    def count_batch(
-        self,
-        queries: Sequence[ConjunctiveQuery],
-        database: Database,
-    ) -> List[int]:
-        """|Q(d)| for many queries — duplicates share one count."""
-        return self.run_batch(operations_of(OP_COUNT, queries), database)
 
     def _run_lifted(
         self, members: List[ConjunctiveQuery], database: Database, decide: bool

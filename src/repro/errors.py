@@ -90,9 +90,9 @@ class RequestRejectedError(ReproError):
 class InvalidOperationError(QueryError, RequestRejectedError):
     """A generic :class:`~repro.operations.Operation` is malformed.
 
-    Raised by ``Operation.validate()`` for unknown kinds, options not
-    accepted by the kind, and malformed option values (e.g. a bad
-    aggregate mode).  Deriving from both :class:`QueryError` (the local
+    Raised when an :class:`~repro.operations.Operation` is constructed
+    with an unknown kind, an option the kind does not take, or a malformed
+    option value (e.g. an empty or repeated ``group_by``).  Deriving from both :class:`QueryError` (the local
     contract — ``except QueryError`` keeps working) and
     :class:`RequestRejectedError` gives the same failure one stable wire
     code, ``invalid_operation``, whether it is raised engine-locally or

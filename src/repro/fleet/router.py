@@ -215,7 +215,6 @@ class FleetRouter(OperationFacade):
         deadline: Optional[float] = None,
     ) -> Any:
         """Run one :class:`~repro.operations.Operation` somewhere healthy."""
-        operation.validate()
         return self._invoke(
             lambda client: client.run(operation, database, deadline=deadline)
         )
@@ -229,8 +228,6 @@ class FleetRouter(OperationFacade):
     ) -> List[Any]:
         """Run a batch as one wire request (whole batch fails over together)."""
         operations = list(operations)
-        for operation in operations:
-            operation.validate()
         return self._invoke(
             lambda client: client.run_batch(operations, database, deadline=deadline)
         )

@@ -17,7 +17,11 @@ supervisor's job is purely *process* lifecycle:
   among the crashes of the last :data:`FLAP_WINDOW` seconds waits
   ``min(backoff_base * 2^(k-1), backoff_cap)`` — old crashes stop
   counting, and a worker that can never start settles at one attempt per
-  ``backoff_cap`` seconds;
+  ``backoff_cap`` seconds.  Each due respawn runs on a thread of its own,
+  so one slow start holds up neither another slot's respawn nor the
+  probes; a dead worker's last stderr line (the server's one-line
+  ``QUERYSERVER ERROR: …`` when it cannot load a database) is its slot's
+  ``last_error`` until the next READY;
 * **replay registrations**: databases installed at runtime via
   :meth:`register_database` are re-sent to every respawned worker
   before it is marked routable, so the whole fleet always serves the
@@ -81,6 +85,7 @@ class _Worker:
         "crash_times",
         "probe_failures",
         "backoff_until",
+        "last_error",
     )
 
     def __init__(self, index: int) -> None:
@@ -93,6 +98,9 @@ class _Worker:
         self.crash_times: Deque[float] = deque()
         self.probe_failures = 0
         self.backoff_until = 0.0
+        #: The last stderr line of the slot's last dead process; cleared
+        #: on READY.
+        self.last_error: Optional[str] = None
 
 
 def _worker_env() -> Dict[str, str]:
@@ -159,6 +167,8 @@ class FleetSupervisor:
         self._wake = threading.Event()
         self._stop = threading.Event()
         self._monitor: Optional[threading.Thread] = None
+        #: Respawn threads the monitor started (pruned as they finish).
+        self._spawns: List[threading.Thread] = []
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -181,15 +191,24 @@ class FleetSupervisor:
         return self
 
     def close(self) -> None:
-        """Stop monitoring and drain every worker (SIGTERM, then SIGKILL)."""
+        """Stop monitoring and drain every worker (SIGTERM, then SIGKILL).
+
+        No process starts once the supervisor is closed; a worker still
+        starting is killed, which ends its respawn thread's wait for READY.
+        """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
+            starting = [w for w in self._workers if w.state == STARTING]
         self._stop.set()
         self._wake.set()
         if self._monitor is not None:
             self._monitor.join(timeout=30)
+        for worker in starting:
+            self._kill(worker)
+        for thread in self._spawns:
+            thread.join(timeout=30)
         for worker in self._workers:
             self._terminate(worker, grace=10.0)
 
@@ -290,6 +309,7 @@ class FleetSupervisor:
                         "restarts": worker.restarts,
                         "recent_crashes": len(worker.crash_times),
                         "probe_failures": worker.probe_failures,
+                        "last_error": worker.last_error,
                     }
                 )
             return {
@@ -336,30 +356,29 @@ class FleetSupervisor:
     def _spawn(self, worker: _Worker) -> None:
         fault = self._faults.fire("fleet.slow_start")
         if fault is not None and fault.delay > 0:
-            time.sleep(fault.delay)
+            self._stop.wait(fault.delay)
         with self._lock:
+            # Started under the lock, so ``close`` either sees the process
+            # or this spawn sees the supervisor closed.
+            if self._closed:
+                return
             worker.state = STARTING
             worker.probe_failures = 0
             worker.host = None
             worker.port = None
-        process = subprocess.Popen(
-            self._command(),
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            env=_worker_env(),
-        )
-        worker.process = process
+            process = worker.process = subprocess.Popen(
+                self._command(),
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                env=_worker_env(),
+            )
         try:
             host, port = self._await_ready(worker, process)
-        except TimeoutError:
+        except (TimeoutError, RuntimeError):
+            # Silent, exited before READY (e.g. an unloadable database
+            # file: a config-level failure that backs off like any crash
+            # until the config is fixed), or a wrong handshake.
             self._kill(worker)
-            with self._lock:
-                self._on_crash(worker)
-            return
-        except RuntimeError:
-            # The worker exited before READY — a config-level failure
-            # (e.g. an unloadable database file) that backs off like any
-            # crash until the config is fixed.
             with self._lock:
                 self._on_crash(worker)
             return
@@ -424,6 +443,7 @@ class FleetSupervisor:
             worker.port = port
             worker.state = READY
             worker.probe_failures = 0
+            worker.last_error = None
             self._version += 1
 
     # ------------------------------------------------------------------
@@ -436,16 +456,16 @@ class FleetSupervisor:
             self._wake.clear()
             if self._stop.is_set():
                 return
-            respawn: List[_Worker] = []
             probe: List[Tuple[_Worker, str, int]] = []
             with self._lock:
                 now = time.monotonic()
+                self._spawns = [t for t in self._spawns if t.is_alive()]
                 for worker in self._workers:
                     if worker.state == READY:
                         if self._check_ready(worker):
                             probe.append((worker, worker.host, worker.port))
                     elif worker.state == BACKOFF and now >= worker.backoff_until:
-                        respawn.append(worker)
+                        self._respawn(worker)
             # Pings run OUTSIDE the lock: a slow probe must never stall
             # the router's endpoints() snapshot.
             for worker, host, port in probe:
@@ -460,9 +480,20 @@ class FleetSupervisor:
                         if worker.probe_failures >= PROBE_FAILURES:
                             self._kill(worker)
                             self._on_crash(worker)
-            for worker in respawn:
-                if not self._stop.is_set():
-                    self._spawn(worker)
+
+    def _respawn(self, worker: _Worker) -> None:
+        """Spawn *worker* on a thread of its own (called under the lock):
+        a slow start holds up no other slot and no probe."""
+        # Marked before the thread runs, so the next round leaves it be.
+        worker.state = STARTING
+        thread = threading.Thread(
+            target=self._spawn,
+            args=(worker,),
+            name=f"fleet-spawn-{worker.index}",
+            daemon=True,
+        )
+        self._spawns.append(thread)
+        thread.start()
 
     def _check_ready(self, worker: _Worker) -> bool:
         """Process-level liveness (under the lock); True when a wire
@@ -501,20 +532,29 @@ class FleetSupervisor:
         delay = min(self._backoff_base * 2 ** (recent - 1), self._backoff_cap)
         worker.backoff_until = now + delay
         self._version += 1
-        self._drain_pipes(worker)
+        worker.last_error = self._drain_pipes(worker)
 
     @staticmethod
-    def _drain_pipes(worker: _Worker) -> None:
-        """Close a dead worker's pipes so fds don't accumulate."""
+    def _drain_pipes(worker: _Worker) -> Optional[str]:
+        """Close a dead worker's pipes so fds don't accumulate; the last
+        line it wrote to stderr, if any."""
         process = worker.process
         if process is None:
-            return
+            return None
+        last = None
+        if process.stderr is not None and not process.stderr.closed:
+            try:
+                lines = process.stderr.read().decode("utf-8", "replace").splitlines()
+            except (OSError, ValueError):
+                lines = []
+            last = next((line.strip() for line in reversed(lines) if line.strip()), None)
         for stream in (process.stdout, process.stderr):
             if stream is not None:
                 try:
                     stream.close()
                 except OSError:
                     pass
+        return last
 
     def _kill(self, worker: _Worker) -> None:
         process = worker.process

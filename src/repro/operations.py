@@ -1,43 +1,44 @@
 """The :class:`Operation` request abstraction shared by every facade layer.
 
-Before this module, each new engine capability meant four near-duplicate
-method pipelines hand-threaded through :class:`~repro.engine.QueryEngine`,
-:class:`~repro.service.QueryService`, the wire protocol, and both protocol
-clients.  An :class:`Operation` names the *what* once — an operation kind,
-the query it applies to, and an options mapping — so each layer keeps a
-single generic ``run()`` / ``run_batch()`` path plus one dispatch table,
-and the familiar ``execute`` / ``decide`` / ``explain`` / ``count`` /
-``grouped_count`` / ``exists`` / ``forall`` methods are defined once, in
-the :class:`OperationFacade` mixin every layer inherits.
+An :class:`Operation` names the *what* once — an operation kind, the query
+it applies to, and an options mapping — so each layer (the engine, the
+service, the wire clients, the fleet router) keeps a single generic
+``run()`` / ``run_batch()`` path plus one dispatch table, and the
+per-kind methods are defined once, in the :class:`OperationFacade` mixin
+every layer inherits.
 
-Operations are *values*: frozen, hashable, and comparable.  That is
-load-bearing — the service keys its single-flight map and micro-batch
-collectors on ``(kind, options, database, query)``, and the engine groups
-batch members by ``(kind, options, plan-cache key)``, so two requests that
-would produce the same answer must compare (and hash) equal.  Options are
-therefore stored canonically as a sorted tuple of ``(name, value)`` pairs
-with any list values frozen to tuples.
+Operations are *values*: frozen, hashable, comparable, and valid once
+made — the constructor itself refuses an unknown kind, an option the kind
+does not take, or a malformed ``group_by``, so no layer checks an
+operation again.  Equality is load-bearing: the service keys its
+single-flight map and its open groups on the operation, and the engine
+groups batch members by ``(kind, options, plan-cache key)``, so two
+requests that would produce the same answer must compare (and hash)
+equal.  Options are therefore stored canonically as a sorted tuple of
+``(name, value)`` pairs with any list values frozen to tuples.
 
 Operation kinds
 ---------------
 
+Each question has one spelling.
+
 ``execute``
-    Q(d) as a :class:`~repro.relational.relation.Relation`.
+    Q(d) as a :class:`~repro.relational.relation.Relation`.  Option
+    ``evaluator`` forces a route.
 ``decide``
-    Is Q(d) nonempty?  (bool)
+    Is Q(d) nonempty?  (bool)  Option ``evaluator`` forces a route.
 ``explain``
     The plan rendering, without executing.  (str)
 ``count``
     \\|Q(d)\\| — the number of distinct answers — without materializing the
     join on the tractable counting classes (see ``docs/aggregation.md``).
     (int)
-``aggregate``
-    Counting-powered aggregates, selected by the ``mode`` option:
-    ``group`` (grouped counts over the ``group_by`` head variables, as a
-    relation with a trailing ``count`` column), ``exists`` (bool:
-    \\|Q(d)\\| > 0), ``forall`` (bool: every tuple over the head variables'
-    candidate domains is an answer), or ``count`` (alias of the ``count``
-    kind).
+``grouped_count``
+    Answer counts per value of the ``group_by`` head variables (option,
+    required): a relation with a trailing ``count`` column.
+``forall``
+    Does every tuple over the head variables' candidate domains belong to
+    Q(d)?  (bool)
 """
 
 from __future__ import annotations
@@ -52,17 +53,10 @@ EXECUTE = "execute"
 DECIDE = "decide"
 EXPLAIN = "explain"
 COUNT = "count"
-AGGREGATE = "aggregate"
+GROUPED_COUNT = "grouped_count"
+FORALL = "forall"
 
-OP_KINDS = (EXECUTE, DECIDE, EXPLAIN, COUNT, AGGREGATE)
-
-# Aggregate modes (the ``mode`` option of ``aggregate`` operations).
-AGG_COUNT = "count"
-AGG_GROUP = "group"
-AGG_EXISTS = "exists"
-AGG_FORALL = "forall"
-
-AGGREGATE_MODES = (AGG_COUNT, AGG_GROUP, AGG_EXISTS, AGG_FORALL)
+OP_KINDS = (EXECUTE, DECIDE, EXPLAIN, COUNT, GROUPED_COUNT, FORALL)
 
 #: Option names each kind understands; anything else is rejected loudly.
 _ALLOWED_OPTIONS: Dict[str, Tuple[str, ...]] = {
@@ -70,7 +64,8 @@ _ALLOWED_OPTIONS: Dict[str, Tuple[str, ...]] = {
     DECIDE: ("evaluator",),
     EXPLAIN: (),
     COUNT: (),
-    AGGREGATE: ("mode", "group_by"),
+    GROUPED_COUNT: ("group_by",),
+    FORALL: (),
 }
 
 
@@ -97,14 +92,52 @@ class Operation:
     ``query`` is either a :class:`~repro.query.conjunctive.ConjunctiveQuery`
     or rule-notation text — each layer coerces at its own boundary (the
     engine requires objects, the service parses text, the wire carries
-    text).  ``options`` is canonicalized through
-    :func:`canonical_options`; construct with the helper classmethods or
-    pass a plain mapping to :meth:`make`.
+    text).  ``options`` is the canonical tuple :func:`canonical_options`
+    makes; construct with the helper classmethods or pass a plain mapping
+    to :meth:`make`.
+
+    Construction checks the operation, so one that exists is valid: every
+    rejection is an :class:`~repro.errors.InvalidOperationError` — a
+    :class:`~repro.errors.QueryError` locally and the stable
+    ``invalid_operation`` code on the wire.
     """
 
     kind: str
     query: Any
     options: Tuple[Tuple[str, Any], ...] = field(default=())
+
+    def __post_init__(self) -> None:
+        allowed = _ALLOWED_OPTIONS.get(self.kind)
+        if allowed is None:
+            raise InvalidOperationError(
+                f"unknown operation kind {self.kind!r}; expected one of {OP_KINDS}"
+            )
+        unknown = [name for name, _ in self.options if name not in allowed]
+        if unknown:
+            raise InvalidOperationError(
+                f"{self.kind} operation takes no option(s) {sorted(unknown)}; "
+                f"allowed: {sorted(allowed) or 'none'}"
+            )
+        if self.options:
+            try:
+                hash(self.options)  # the service keys flights on operations
+            except TypeError:
+                raise InvalidOperationError(
+                    f"{self.kind} option values must be scalars or lists"
+                ) from None
+        if self.kind == GROUPED_COUNT:
+            group_by = self.option("group_by")
+            if (
+                not isinstance(group_by, tuple)
+                or not group_by
+                or not all(isinstance(name, str) for name in group_by)
+            ):
+                raise InvalidOperationError(
+                    "grouped_count needs a non-empty 'group_by' tuple of head "
+                    "variable names"
+                )
+            if len(set(group_by)) != len(group_by):
+                raise InvalidOperationError("'group_by' names must be distinct")
 
     # -- construction ---------------------------------------------------
 
@@ -112,9 +145,7 @@ class Operation:
     def make(
         cls, kind: str, query: Any, options: Optional[Mapping[str, Any]] = None
     ) -> "Operation":
-        operation = cls(kind, query, canonical_options(options))
-        operation.validate()
-        return operation
+        return cls(kind, query, canonical_options(options))
 
     @classmethod
     def execute(cls, query: Any, evaluator: Optional[str] = None) -> "Operation":
@@ -136,17 +167,11 @@ class Operation:
 
     @classmethod
     def grouped_count(cls, query: Any, group_by: Sequence[str]) -> "Operation":
-        return cls.make(
-            AGGREGATE, query, {"mode": AGG_GROUP, "group_by": tuple(group_by)}
-        )
-
-    @classmethod
-    def exists(cls, query: Any) -> "Operation":
-        return cls.make(AGGREGATE, query, {"mode": AGG_EXISTS})
+        return cls.make(GROUPED_COUNT, query, {"group_by": tuple(group_by)})
 
     @classmethod
     def forall(cls, query: Any) -> "Operation":
-        return cls.make(AGGREGATE, query, {"mode": AGG_FORALL})
+        return cls.make(FORALL, query)
 
     # -- access ---------------------------------------------------------
 
@@ -163,52 +188,6 @@ class Operation:
     def group_key(self) -> Tuple[str, Tuple[Tuple[str, Any], ...]]:
         """What makes two operations batchable together: kind + options."""
         return (self.kind, self.options)
-
-    # -- validation -----------------------------------------------------
-
-    def validate(self) -> None:
-        """Reject malformed operations with one typed error.
-
-        Every rejection is an :class:`~repro.errors.InvalidOperationError`
-        — a :class:`~repro.errors.QueryError` locally and the stable
-        ``invalid_operation`` code on the wire — so engine-local and
-        protocol-surfaced callers see the same failure.
-        """
-        if self.kind not in OP_KINDS:
-            raise InvalidOperationError(
-                f"unknown operation kind {self.kind!r}; expected one of {OP_KINDS}"
-            )
-        allowed = _ALLOWED_OPTIONS[self.kind]
-        unknown = [name for name, _ in self.options if name not in allowed]
-        if unknown:
-            raise InvalidOperationError(
-                f"{self.kind} operation takes no option(s) {sorted(unknown)}; "
-                f"allowed: {sorted(allowed) or 'none'}"
-            )
-        if self.kind == AGGREGATE:
-            mode = self.option("mode")
-            if mode not in AGGREGATE_MODES:
-                raise InvalidOperationError(
-                    f"aggregate needs a 'mode' option in {AGGREGATE_MODES}, "
-                    f"got {mode!r}"
-                )
-            group_by = self.option("group_by")
-            if mode == AGG_GROUP:
-                if (
-                    not isinstance(group_by, tuple)
-                    or not group_by
-                    or not all(isinstance(name, str) for name in group_by)
-                ):
-                    raise InvalidOperationError(
-                        "aggregate mode 'group' needs a non-empty 'group_by' "
-                        "tuple of head variable names"
-                    )
-                if len(set(group_by)) != len(group_by):
-                    raise InvalidOperationError("'group_by' names must be distinct")
-            elif group_by is not None:
-                raise InvalidOperationError(
-                    f"aggregate mode {mode!r} takes no 'group_by'"
-                )
 
     def __repr__(self) -> str:
         options = f", options={dict(self.options)!r}" if self.options else ""
@@ -253,10 +232,6 @@ class OperationFacade:
         """Per-group answer counts over the *group_by* head variables."""
         return self.run(Operation.grouped_count(query, group_by), database, **call)
 
-    def exists(self, query: Any, database: Any, **call: Any) -> Any:
-        """Is Q(d) nonempty? — the aggregate spelling of ``decide``."""
-        return self.run(Operation.exists(query), database, **call)
-
     def forall(self, query: Any, database: Any, **call: Any) -> Any:
         """Does every tuple over the head variables' candidate domains
         belong to Q(d)?  (``count == |domain|``.)"""
@@ -268,25 +243,16 @@ def operations_of(
 ) -> Tuple[Operation, ...]:
     """One *kind* operation per query, sharing one canonical option tuple."""
     frozen = canonical_options(options)
-    out = []
-    for query in queries:
-        operation = Operation(kind, query, frozen)
-        operation.validate()
-        out.append(operation)
-    return tuple(out)
+    return tuple(Operation(kind, query, frozen) for query in queries)
 
 
 __all__ = [
-    "AGG_COUNT",
-    "AGG_EXISTS",
-    "AGG_FORALL",
-    "AGG_GROUP",
-    "AGGREGATE",
-    "AGGREGATE_MODES",
     "COUNT",
     "DECIDE",
     "EXECUTE",
     "EXPLAIN",
+    "FORALL",
+    "GROUPED_COUNT",
     "OP_KINDS",
     "Operation",
     "OperationFacade",

@@ -180,7 +180,6 @@ class _Client(OperationFacade):
         decoded by the response's declared kind (relation / boolean /
         count / text), which is all the per-kind methods need.
         """
-        operation.validate()
         response = self._call(
             operation.kind,
             query=query_text(operation.query),
@@ -198,8 +197,6 @@ class _Client(OperationFacade):
         deadline: Optional[float] = None,
     ) -> Any:
         """Run a (possibly mixed-kind) batch of operations remotely."""
-        for operation in operations:
-            operation.validate()
         response = self._call(
             RUN_BATCH,
             operations=tuple(_wire_operation(op) for op in operations),

@@ -1,9 +1,9 @@
 """Wire message types: versioned requests, responses, and error payloads.
 
-The protocol keeps the service facade's operation kinds (``execute`` /
-``decide`` / ``explain`` / ``count`` / ``aggregate``) and the mixed-kind
-``run_batch`` first-class on the wire, plus ``stats`` for observability
-and ``ping`` for liveness.
+The protocol keeps the service facade's six operation kinds (``execute`` /
+``decide`` / ``explain`` / ``count`` / ``grouped_count`` / ``forall``,
+one wire op each) and the mixed-kind ``run_batch`` first-class on the
+wire, plus ``stats`` for observability and ``ping`` for liveness.
 Every message is one JSON object on one line (see :mod:`.codec` for the
 framing) carrying the protocol version ``v``; a server rejects versions it
 does not speak with a structured ``unsupported_version`` error instead of
@@ -37,11 +37,12 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..errors import ReproError, RequestRejectedError, SchemaError
-from ..operations import AGGREGATE, COUNT, DECIDE, EXECUTE, EXPLAIN, OP_KINDS
+from ..operations import COUNT, DECIDE, EXECUTE, EXPLAIN, OP_KINDS
 from ..relational.relation import Relation
 
-#: The one protocol version this build speaks (1 sent a relation's rows).
-PROTOCOL_VERSION = 2
+#: The one protocol version this build speaks (1 sent a relation's rows;
+#: 2 had an ``aggregate`` op whose ``mode`` option named the question).
+PROTOCOL_VERSION = 3
 
 # Request operations (the service facade, on the wire).  The query ops are
 # the operation kinds of :mod:`repro.operations`, imported, so a wire op
@@ -154,8 +155,8 @@ class ErrorInfo:
 
 def _validate_options(options: Any, op: str) -> None:
     """Structural check only — semantic option validation (allowed names,
-    aggregate modes) lives in :meth:`repro.operations.Operation.validate`
-    server-side, where it produces a typed error response."""
+    ``group_by``) is :class:`repro.operations.Operation`'s own, server-side,
+    where it produces a typed error response."""
     if not isinstance(options, dict) or not all(
         isinstance(name, str) for name in options
     ):
@@ -197,9 +198,10 @@ class Request:
     deadline: Optional[float] = None
     #: For ``cancel``: the id of the in-flight request to tear down.
     target: Optional[int] = None
-    #: Operation options for the query ops (e.g. ``aggregate``'s ``mode``
-    #: and ``group_by``); forwarded into :class:`repro.operations.Operation`
-    #: server-side, where unknown names fail with a typed error.
+    #: Operation options for the query ops (``grouped_count``'s
+    #: ``group_by``, a forced ``evaluator``); forwarded into
+    #: :class:`repro.operations.Operation` server-side, where unknown names
+    #: fail with a typed error.
     options: Optional[Dict[str, Any]] = None
     #: For ``run_batch``: one ``{"op", "query", "options"?}`` object per
     #: member operation.
@@ -600,7 +602,6 @@ def query_text(query: Any) -> str:
 
 
 __all__ = [
-    "AGGREGATE",
     "BOOLEAN",
     "CANCEL",
     "CANCELLED",

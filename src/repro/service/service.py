@@ -10,10 +10,13 @@ indexes), but only for callers who share one engine.
 * an ``asyncio`` facade built around one generic ``run`` / ``run_batch``
   pair over :class:`~repro.operations.Operation` values — the per-kind
   methods (``execute`` / ``decide`` / ``explain`` / ``count`` /
-  ``grouped_count`` / ``exists`` / ``forall``) come from
+  ``grouped_count`` / ``forall``) come from
   :class:`~repro.operations.OperationFacade` — multiplexing every
   concurrent client onto one thread-safe
   :class:`~repro.engine.QueryEngine`;
+* **one admission path** — ``run_batch`` parses every member and checks
+  the whole batch against the client's budget, then admits each member as
+  a ``run`` of its own: a batch is its members' runs;
 * a **bounded request queue** between admission and execution — when all
   dispatchers are busy and the queue is full, new work awaits (natural
   asyncio backpressure) instead of piling up unboundedly;
@@ -26,9 +29,10 @@ indexes), but only for callers who share one engine.
   moment it is created and stays *open* until the pump starts it: a
   request that finds a dispatch slot free runs at once, and same-shape
   requests of the same client that arrive while the group is still
-  queued join it and run through the engine's N-wide batch lifting
-  (``run_batch`` over generic operations) — a flood of single queries
-  becomes a handful of lifted executions, and nobody waits for a timer;
+  queued — the members of one ``run_batch`` among them — join it and run
+  through the engine's N-wide batch lifting (``run_batch`` over generic
+  operations) — a flood of single queries becomes a handful of lifted
+  executions, and nobody waits for a timer;
 * **per-client fairness** — requests tagged with a ``client`` (the
   network front-end of :mod:`repro.protocol` tags every connection) land
   in per-client lanes of a :class:`~repro.service.fairness.FairQueue`
@@ -52,7 +56,7 @@ interval: under the interpreter lock a worker thread would have run it
 start to end anyway, so the hop would buy the loop nothing.  A run that
 outlives its slice stops at its next cancellation check-point and the
 group goes to the pool instead.  Every other group — a shape's first
-sight, a long shape, an explicit batch — runs on the service's dispatch
+sight, a long shape, an ``explain`` — runs on the service's dispatch
 :class:`~repro.parallel.pool.WorkerPool`, whose worker hands its results
 back with one ``call_soon_threadsafe``.  So no request holds the loop for
 longer than one switch interval plus one stretch between two check-points.
@@ -72,7 +76,7 @@ import sys
 from collections import OrderedDict
 from concurrent.futures import Future
 from functools import lru_cache, partial
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..engine.analysis import plan_cache_key
 from ..engine.engine import QueryEngine
@@ -83,11 +87,7 @@ from ..errors import (
     RequestRejectedError,
     ServiceOverloadedError,
 )
-from ..operations import (
-    EXPLAIN,
-    Operation,
-    OperationFacade,
-)
+from ..operations import EXPLAIN, Operation, OperationFacade
 from ..parallel.pool import WorkerPool, default_worker_count
 from ..query.conjunctive import ConjunctiveQuery
 from ..query.parser import parse_query
@@ -95,9 +95,6 @@ from ..relational.database import Database
 from ..resilience.token import CancelToken, SliceSpent, swap_token
 from ..telemetry import CLIENT_COUNTERS, SERVICE_COUNTERS, LatencyReservoir, counters
 from .fairness import ANONYMOUS, FairQueue
-
-#: Queries cross the facade as objects or as rule-notation text.
-QueryLike = Union[str, ConjunctiveQuery]
 
 #: Bound of the request queue (groups, each ≥ 1 request).
 DEFAULT_MAX_PENDING = 256
@@ -128,10 +125,8 @@ class _Group:
     """One queue item: same-shape, same-client requests dispatched together."""
 
     __slots__ = (
-        "kind",
-        "options",
         "database",
-        "queries",
+        "operations",
         "futures",
         "shape",
         "client",
@@ -141,30 +136,27 @@ class _Group:
 
     def __init__(
         self,
-        kind: str,
         database: Database,
-        queries: List[ConjunctiveQuery],
-        futures: List["asyncio.Future[Any]"],
+        operation: Operation,
+        future: "asyncio.Future[Any]",
         client: str,
-        token: CancelToken,
-        options: Tuple[Tuple[str, Any], ...],
-        shape: Optional[Tuple] = None,
+        shape: Optional[Tuple],
     ) -> None:
-        self.kind = kind
-        #: Canonical option tuple shared by every member (part of the
-        #: shape key — members with different options never mix).
-        self.options = options
         self.database = database
-        self.queries = queries
-        self.futures = futures
+        #: The members, their queries parsed: one kind and one option tuple.
+        self.operations = [operation]
+        self.futures = [future]
         #: Key under which the group is open to joiners in
-        #: ``QueryService._collecting``; ``None`` for groups that never
-        #: take joiners (explicit batches, ``explain``).
+        #: ``QueryService._collecting``; ``None`` for ``explain``, whose
+        #: groups take no joiners.
         self.shape = shape
         self.client = client
-        #: Cancellation/deadline token activated around the engine call
-        #: (the pump slices it for an inline run); teardown cancels it.
-        self.token = token
+        #: Cancellation token activated around the engine call (the pump
+        #: slices it for an inline run); teardown cancels it.  It carries
+        #: no deadline: deadlines stay waiter-side (``_await_result``'s
+        #: bounded wait), so a deadline'd request batches and coalesces like
+        #: any other, and its engine work stops via last-waiter abandonment.
+        self.token = CancelToken()
         #: Member futures whose every waiter has left.  The group's
         #: execution is cancelled only once this reaches ``len(futures)``
         #: — the last-waiter rule for coalesced/batched requests.
@@ -304,15 +296,11 @@ class QueryService(OperationFacade):
         execution is cooperatively cancelled (unless other waiters still
         ride it).
         """
-        operation.validate()
-        return await self._submit(
-            operation.kind,
-            operation.query,
-            database,
-            client,
-            deadline,
-            operation.options,
-        )
+        self._start_if_needed()
+        assert self._loop is not None
+        started = self._loop.time()
+        parsed = self._parsed(operation, client)
+        return await self._submit(parsed, database, client, deadline, started)
 
     async def run_batch(
         self,
@@ -322,49 +310,36 @@ class QueryService(OperationFacade):
         client: str = ANONYMOUS,
         deadline: Optional[float] = None,
     ) -> List[Any]:
-        """Run an explicit batch of operations (never joined by others).
+        """Run a batch of operations: each member as a :meth:`run` of its
+        own, answers in input order.
 
-        Operations sharing ``(kind, options)`` dispatch as one group
-        through the engine's N-wide batch lifting; a mixed batch splits
-        into per-``group_key`` groups submitted concurrently, and results
-        come back in input order regardless.
+        Every member is parsed and the whole batch checked against the
+        client's budget first, so a batch with a malformed member, or one
+        over budget, runs nothing.  Then the members are admitted together:
+        same-shape members join one open group (up to ``batch_limit``) and
+        reach the engine's N-wide lifting, identical members — or a member
+        identical to a request already in flight — coalesce.  When one
+        member fails, or the caller cancels, the members still waiting
+        leave, which tears down whatever work nobody else waits for.
         """
         if not operations:
             return []
-        for operation in operations:
-            operation.validate()
-        slots: Dict[Tuple[str, Tuple], List[int]] = {}
-        for index, operation in enumerate(operations):
-            slots.setdefault(operation.group_key, []).append(index)
-        if len(slots) == 1:
-            ((kind, options), _members) = next(iter(slots.items()))
-            return await self._submit_group(
-                kind,
-                [operation.query for operation in operations],
-                database,
-                client,
-                deadline,
-                options,
+        self._start_if_needed()
+        assert self._loop is not None
+        started = self._loop.time()
+        parsed = [self._parsed(operation, client) for operation in operations]
+        self._check_capacity(client, count=len(parsed))
+        members = [
+            asyncio.ensure_future(
+                self._submit(operation, database, client, deadline, started)
             )
-        # Mixed batch: one group per (kind, options), gathered together,
-        # answers re-assembled into input order.
-        groups = [
-            self._submit_group(
-                kind,
-                [operations[index].query for index in members],
-                database,
-                client,
-                deadline,
-                options,
-            )
-            for (kind, options), members in slots.items()
+            for operation in parsed
         ]
-        settled = await asyncio.gather(*groups)
-        results: List[Any] = [None] * len(operations)
-        for members, answers in zip(slots.values(), settled):
-            for index, answer in zip(members, answers):
-                results[index] = answer
-        return results
+        try:
+            return list(await asyncio.gather(*members))
+        finally:
+            for member in members:
+                member.cancel()
 
     async def stats(self) -> Dict[str, Any]:
         """The service's counters, one rollup per tracked client and the
@@ -392,18 +367,20 @@ class QueryService(OperationFacade):
     # Admission: single-flight, then an open group or a new queued one
     # ------------------------------------------------------------------
 
-    def _coerce_query(self, query: QueryLike, client: str) -> ConjunctiveQuery:
-        """Query text → object; failures become typed rejections.
+    def _parsed(self, operation: Operation, client: str) -> Operation:
+        """*operation* with its query as an object; failures become typed
+        rejections.
 
         A raw :class:`ParseError` traceback must not cross the facade —
         remote callers need a stable code plus the parser's coordinates,
         and the rejection is counted per client.
         """
+        query = operation.query
         if isinstance(query, ConjunctiveQuery):
-            return query
+            return operation
         if isinstance(query, str):
             try:
-                return self._parse(query)
+                return Operation(operation.kind, self._parse(query), operation.options)
             except ParseError as error:
                 self._reject(client)
                 raise RequestRejectedError(
@@ -432,13 +409,13 @@ class QueryService(OperationFacade):
             self._clients.move_to_end(client)
         return record
 
-    def _count(self, client: str, name: str, n: int = 1) -> None:
-        """Add *n* to counter *name* of the service and of *client*."""
-        self._counters[name] += n
-        self._client_stats(client)[0][name] += n
+    def _count(self, client: str, name: str) -> None:
+        """Add one to counter *name* of the service and of *client*."""
+        self._counters[name] += 1
+        self._client_stats(client)[0][name] += 1
 
-    def _settle(self, client: str, outcome: str, started: float, n: int = 1) -> None:
-        """*n* requests of *client* ended as *outcome*.
+    def _settle(self, client: str, outcome: str, started: float) -> None:
+        """A request of *client* ended as *outcome*.
 
         Called once per request, by the caller that waited for it — so
         ``submitted + coalesced`` equals the four outcomes summed once the
@@ -446,11 +423,9 @@ class QueryService(OperationFacade):
         """
         assert self._loop is not None
         counts, latencies = self._client_stats(client)
-        self._counters[outcome] += n
-        counts[outcome] += n
-        seconds = self._loop.time() - started
-        for _ in range(n):
-            latencies.add(seconds)
+        self._counters[outcome] += 1
+        counts[outcome] += 1
+        latencies.add(self._loop.time() - started)
 
     def _reject(self, client: str) -> None:
         self._count(client, "rejected")
@@ -475,9 +450,7 @@ class QueryService(OperationFacade):
                 budget=bound,
             )
 
-    def _track(
-        self, future: "asyncio.Future[Any]", client: str, key: Optional[Tuple] = None
-    ) -> None:
+    def _track(self, future: "asyncio.Future[Any]", client: str, key: Tuple) -> None:
         """Count *future* against *client*'s budget until it resolves, and
         then retire its single-flight entry under *key*.
 
@@ -495,12 +468,11 @@ class QueryService(OperationFacade):
                 self._client_pending[client] = remaining
             else:
                 self._client_pending.pop(client, None)
-            if key is not None:
-                entry = self._inflight.get(key)
-                if entry is not None and entry.future is done:
-                    del self._inflight[key]
-            # Mark the error retrieved: a batch torn down at its deadline,
-            # or a flight whose every caller left, has no waiter to read it.
+            entry = self._inflight.get(key)
+            if entry is not None and entry.future is done:
+                del self._inflight[key]
+            # Mark the error retrieved: a flight whose every caller left
+            # has no waiter to read it.
             if not done.cancelled():
                 done.exception()
 
@@ -620,18 +592,17 @@ class QueryService(OperationFacade):
 
     async def _submit(
         self,
-        kind: str,
-        query: QueryLike,
+        operation: Operation,
         database: Database,
-        client: str = ANONYMOUS,
-        deadline: Optional[float] = None,
-        options: Tuple[Tuple[str, Any], ...] = (),
+        client: str,
+        deadline: Optional[float],
+        started: float,
     ) -> Any:
-        self._start_if_needed()
+        """Admit one parsed *operation* — coalesced onto an identical
+        flight, or a new flight in an open or a new group — and await it;
+        *deadline* runs from *started*, its ``run`` or ``run_batch`` call."""
         assert self._loop is not None
-        started = self._loop.time()
-        query = self._coerce_query(query, client)
-        key = (kind, options, id(database), query)
+        key = (operation, id(database))
         existing = self._inflight.get(key)
         if existing is not None and existing.group is not None:
             if existing.group.token.cancelled:
@@ -660,9 +631,7 @@ class QueryService(OperationFacade):
         self._track(future, client, key)
         self._count(client, "submitted")
         try:
-            waiting = self._route(
-                kind, query, database, future, client, flight, options
-            )
+            waiting = self._route(operation, database, future, client, flight)
             if waiting is not None:
                 await waiting
         except asyncio.CancelledError:
@@ -681,117 +650,40 @@ class QueryService(OperationFacade):
             raise
         return await self._await_result(flight, client, started, deadline)
 
-    async def _submit_group(
-        self,
-        kind: str,
-        queries: List[QueryLike],
-        database: Database,
-        client: str = ANONYMOUS,
-        deadline: Optional[float] = None,
-        options: Tuple[Tuple[str, Any], ...] = (),
-    ) -> List[Any]:
-        if not queries:
-            return []
-        self._start_if_needed()
-        assert self._loop is not None
-        started = self._loop.time()
-        coerced = [self._coerce_query(query, client) for query in queries]
-        self._check_capacity(client, count=len(coerced))
-        futures = [self._loop.create_future() for _ in coerced]
-        for future in futures:
-            self._track(future, client)
-        self._count(client, "submitted", len(coerced))
-        group = _Group(
-            kind,
-            database,
-            coerced,
-            list(futures),
-            client,
-            CancelToken(deadline),
-            options,
-        )
-        outcome = "failed"
-        try:
-            waiting = self._put(group)
-            if waiting is not None:
-                await waiting
-            if deadline is None:
-                results = list(await asyncio.gather(*futures))
-            else:
-                remaining = max(0.0, started + deadline - self._loop.time())
-                results = list(
-                    await asyncio.wait_for(
-                        asyncio.gather(
-                            *(asyncio.shield(future) for future in futures)
-                        ),
-                        remaining,
-                    )
-                )
-            outcome = "completed"
-        except asyncio.CancelledError:
-            # Explicit batches have exactly one waiter — tear down now.
-            outcome = "cancelled"
-            self._teardown_group(group, "client disconnected or cancelled")
-            raise
-        except asyncio.TimeoutError:
-            outcome = "deadline_exceeded"
-            self._teardown_group(group, "deadline exceeded")
-            assert deadline is not None
-            raise DeadlineExceededError(
-                f"deadline of {deadline:g}s exceeded", deadline=deadline
-            ) from None
-        except BaseException as exc:
-            outcome = _outcome_of(exc)
-            raise
-        finally:
-            self._settle(client, outcome, started, len(futures))
-        return results
-
     def _route(
         self,
-        kind: str,
-        query: ConjunctiveQuery,
+        operation: Operation,
         database: Database,
         future: "asyncio.Future[Any]",
         client: str,
         flight: _Flight,
-        options: Tuple[Tuple[str, Any], ...],
     ) -> "Optional[asyncio.Future[None]]":
         """Join an open group or enqueue a new one; what :meth:`_put`
         returns for a new group, else ``None``."""
-        # Every group carries a (deadline-free) token from birth: its run
-        # activates it and teardown cancels it.
-        # Deadlines stay waiter-side (``_await_result``'s bounded wait) —
-        # a deadline'd request batches and coalesces like any other, and
-        # its engine work stops via last-waiter abandonment, so deadlines
-        # cost none of the sharing the service exists to provide.
         shape = None
-        if kind != EXPLAIN:
+        if operation.kind != EXPLAIN:
             # Groups are client-pure (the client tag is part of the shape
             # key): a group sits in exactly one fairness lane, so a
             # flooding client's batches cannot ride a polite client's
             # admission slot.
             shape = (
-                kind,
-                options,
+                operation.group_key,
                 client,
                 id(database),
-                plan_cache_key(query, database),
+                plan_cache_key(operation.query, database),
             )
             group = self._collecting.get(shape)
             # A cancelled token cannot be revived: a newcomer joining a
             # torn-down group would inherit a cancellation it never asked for.
             if group is not None and not group.token.cancelled:
-                group.queries.append(query)
+                group.operations.append(operation)
                 group.futures.append(future)
                 flight.group = group
                 self._count(client, "batched")
-                if len(group.queries) >= self._batch_limit:
+                if len(group.operations) >= self._batch_limit:
                     self._close(group)
                 return None
-        group = _Group(
-            kind, database, [query], [future], client, CancelToken(), options, shape
-        )
+        group = _Group(database, operation, future, client, shape)
         flight.group = group
         if shape is not None and self._batch_limit > 1:
             self._collecting[shape] = group
@@ -861,8 +753,8 @@ class QueryService(OperationFacade):
             self._close(group)
             self._running += 1
             self._counters["groups"] += 1
-            if len(group.queries) > self._counters["max_group"]:
-                self._counters["max_group"] = len(group.queries)
+            if len(group.operations) > self._counters["max_group"]:
+                self._counters["max_group"] = len(group.operations)
             if self._is_short(group):
                 self._counters["inline"] += 1
                 self._run_inline(group)
@@ -872,11 +764,10 @@ class QueryService(OperationFacade):
 
     def _is_short(self, group: _Group) -> bool:
         """Whether the engine knows *group*'s run to fit in one switch
-        interval.  Only single requests' groups have one shape to ask
-        about (explicit batches and ``explain`` have none)."""
+        interval (an ``explain`` group has no shape to ask about)."""
         return group.shape is not None and self._engine.runs_within(
             group.shape[-1],  # the plan-cache key
-            sys.getswitchinterval() / len(group.queries),
+            sys.getswitchinterval() / len(group.operations),
         )
 
     def _run_inline(self, group: _Group) -> None:
@@ -916,13 +807,12 @@ class QueryService(OperationFacade):
         # One generic dispatch for every kind: the engine's own operation
         # table decides what runs, so a new operation kind needs no change
         # here.
-        kind, options, database = group.kind, group.options, group.database
-        members = [Operation(kind, query, options) for query in group.queries]
+        members = group.operations
         previous = swap_token(group.token)
         try:
             if len(members) == 1:
-                return [self._engine.run(members[0], database)]
-            return self._engine.run_batch(members, database)
+                return [self._engine.run(members[0], group.database)]
+            return self._engine.run_batch(members, group.database)
         finally:
             swap_token(previous)
 

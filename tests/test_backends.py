@@ -141,9 +141,6 @@ class TestSqliteBackend:
         assert backend.run(Operation.execute(PATH), EDGES).cardinality == 3
         assert backend.run(Operation.decide(PATH), EDGES) is True
         assert backend.run(Operation.count(PATH), EDGES) == 3
-        assert backend.run(Operation.exists(PATH), EDGES) is True
-        agg = Operation.make("aggregate", PATH, {"mode": "count"})
-        assert backend.run(agg, EDGES) == 3
 
     def test_run_rejects_explain_and_forced_evaluators(self, backend):
         with pytest.raises(BackendError):
@@ -152,6 +149,8 @@ class TestSqliteBackend:
             backend.run(Operation.execute(PATH, evaluator="naive"), EDGES)
         with pytest.raises(BackendError):
             backend.run(Operation.forall(PATH), EDGES)
+        with pytest.raises(BackendError):
+            backend.run(Operation.grouped_count(PATH, ("x",)), EDGES)
 
     def test_unhashable_constant_is_a_compilation_error(self, backend):
         query = q((V("y"),), [Atom("E", (C([1, 2]), V("y")))])

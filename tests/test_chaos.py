@@ -338,7 +338,7 @@ class TestConnectionLimits:
     def test_idle_timeout_counts_complete_frames_not_bytes(self, chain_db):
         """A peer trickling one byte of an unfinished frame every 50 ms is
         still idle: the 0.15 s timeout runs from the last complete frame."""
-        frame = b'{"v": 2, "op": "ping", "id": 1' + b" " * 200 + b"}\n"
+        frame = b'{"v": 3, "op": "ping", "id": 1' + b" " * 200 + b"}\n"
 
         async def main():
             async with QueryServer({"chain": chain_db}, idle_timeout=0.15) as server:

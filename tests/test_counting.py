@@ -28,6 +28,7 @@ from repro.evaluation.counting import (
 )
 from repro.evaluation.yannakakis import acyclic_program, upward_edges
 from repro.hypergraph.join_tree import JoinTree
+from repro.operations import COUNT, operations_of
 from repro.query import Atom, ConjunctiveQuery
 from repro.query.terms import Variable
 from repro.relational.joins import shared_attributes
@@ -424,7 +425,7 @@ class TestEngineCountingFacade:
     def test_count_batch(self, chain):
         queries = [path_query(n, head_arity=1) for n in (1, 2, 3)]
         with QueryEngine() as engine:
-            counts = engine.count_batch(queries, chain)
+            counts = engine.run_batch(operations_of(COUNT, queries), chain)
             assert counts == [engine.count(query, chain) for query in queries]
 
     def test_exists_and_forall(self):
@@ -433,7 +434,7 @@ class TestEngineCountingFacade:
         )
         query = path_query(1, head_arity=2)
         with QueryEngine() as engine:
-            assert engine.exists(query, full) is True
+            assert engine.decide(query, full) is True
             assert engine.forall(query, full) is True
             # Domains {0,1}×{0,1} but only 3 of the 4 pairs present.
             sparse = Database.from_tuples({"E": [(0, 1), (1, 0), (0, 0)]})
@@ -441,7 +442,7 @@ class TestEngineCountingFacade:
             empty = Database({}).with_relation(
                 "E", Relation.from_rows(("E.0", "E.1"))
             )
-            assert engine.exists(query, empty) is False
+            assert engine.decide(query, empty) is False
             # Empty candidate domains: vacuously true.
             assert engine.forall(query, empty) is True
 

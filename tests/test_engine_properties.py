@@ -630,7 +630,7 @@ class TestBatchEqualsSingles:
             *operations_of(EXECUTE, unequal),  # wide enough, lift declines
             *operations_of(COUNT, variants(hop3, wide)),  # never lifts
             Operation.grouped_count(pair, ("x0",)),
-            Operation.exists(hop2),
+            Operation.decide(hop2),
             Operation.forall(pair),
             # A forced route is recorded like any other run; forced groups
             # never lift.

@@ -67,6 +67,15 @@ def wait_for_ready(supervisor, count, timeout=SPAWN_TIMEOUT):
     return False
 
 
+def wait_until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.01)
+    return predicate()
+
+
 def kill_worker(supervisor, index=0):
     """SIGKILL one worker's process, returning its pid."""
     snapshot = supervisor.stats()["workers"][index]
@@ -131,18 +140,83 @@ class TestSupervisorLifecycle:
             kill_worker(supervisor, 0)
 
             def looping(snapshot):
-                return snapshot["state"] == BACKOFF and snapshot["recent_crashes"] >= 2
+                return (
+                    snapshot["state"] == BACKOFF
+                    and snapshot["recent_crashes"] >= 2
+                    and snapshot["last_error"] is not None
+                )
 
             deadline = time.monotonic() + SPAWN_TIMEOUT
             while time.monotonic() < deadline:
                 if looping(supervisor.stats()["workers"][0]):
                     break
                 time.sleep(0.02)
-            assert looping(supervisor.stats()["workers"][0])
+            snapshot = supervisor.stats()["workers"][0]
+            assert looping(snapshot)
+            # The worker's own one-line reason: a config error, not a crash.
+            assert snapshot["last_error"].startswith(
+                "QUERYSERVER ERROR: cannot load database 'chain'"
+            )
+            assert str(path) in snapshot["last_error"]
             # Heal the config: the next respawn sticks.
             save_database_json(chain_db, str(path))
             assert wait_for_ready(supervisor, 1)
-            assert supervisor.stats()["workers"][0]["state"] == "ready"
+            snapshot = supervisor.stats()["workers"][0]
+            assert snapshot["state"] == "ready"
+            assert snapshot["last_error"] is None
+
+    def test_a_slow_respawn_holds_up_no_other_slot(self, chain_path):
+        """Worker 0's respawn sleeps a slow start; worker 1, killed during
+        it, is READY again long before that sleep ends."""
+        delay = 5.0  # close() ends the sleep, so this costs no wall time
+        plan = FaultPlan({"fleet.slow_start": {"after": 2, "delay": delay}})
+        with FleetSupervisor(
+            {"chain": chain_path}, workers=2, fault_plan=plan
+        ) as supervisor:
+            assert wait_for_ready(supervisor, 2)
+            kill_worker(supervisor, 0)
+            assert wait_until(lambda: plan.fired("fleet.slow_start") == 1)
+            slow_since = time.monotonic()
+            killed = kill_worker(supervisor, 1)
+
+            def back():
+                snapshot = supervisor.stats()["workers"][1]
+                return snapshot["state"] == "ready" and snapshot["pid"] != killed
+
+            assert wait_until(back, timeout=delay)
+            assert time.monotonic() - slow_since < delay
+            assert supervisor.stats()["workers"][0]["state"] == "starting"
+
+    @pytest.mark.parametrize("moment", ["sleeping", "awaiting READY"])
+    def test_close_during_a_slow_start_leaves_no_process(
+        self, chain_path, monkeypatch, moment
+    ):
+        spawned = []
+
+        class Recorded(subprocess.Popen):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                spawned.append(self)
+
+        monkeypatch.setattr(subprocess, "Popen", Recorded)
+        delay = 5.0 if moment == "sleeping" else 0.05
+        plan = FaultPlan({"fleet.slow_start": {"after": 1, "delay": delay}})
+        supervisor = FleetSupervisor(
+            {"chain": chain_path}, workers=1, fault_plan=plan
+        ).start()
+        try:
+            assert wait_for_ready(supervisor, 1)
+            kill_worker(supervisor, 0)
+            if moment == "sleeping":
+                assert wait_until(lambda: plan.fired("fleet.slow_start") == 1)
+            else:
+                assert wait_until(lambda: len(spawned) == 2)
+        finally:
+            started = time.monotonic()
+            supervisor.close()
+        assert time.monotonic() - started < 2.0  # no wait for the sleep
+        assert len(spawned) == (1 if moment == "sleeping" else 2)
+        assert all(process.poll() is not None for process in spawned)
 
     def test_rolling_restart_replaces_every_worker(self, chain_path, sequential, chain_db):
         query = path_query(3, head_arity=1)

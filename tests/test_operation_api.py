@@ -1,9 +1,11 @@
-"""The unified operation API: one ``Operation`` value, one generic
-``run``/``run_batch`` per layer, legacy facades as thin shims over it.
+"""The unified operation API: one ``Operation`` value, valid once made,
+one generic ``run``/``run_batch`` per layer, the per-kind facades as thin
+shims over it.
 
-The "add an op" property this redesign buys: ``explain`` (and ``count``,
-and every aggregate) flows through the SAME generic dispatch at the
-engine, the service, and the wire — no per-op plumbing anywhere."""
+The "add an op" property this design buys: ``explain`` (and ``count``,
+``grouped_count`` and ``forall``) flows through the SAME generic dispatch
+at the engine, the service, and the wire — no per-op plumbing anywhere,
+and each question has one spelling."""
 
 import ast
 import asyncio
@@ -13,17 +15,15 @@ import json
 import pytest
 
 from repro import QueryEngine
-from repro.errors import QueryError
+from repro.errors import InvalidOperationError, QueryError
 from repro.operations import (
-    AGG_COUNT,
-    AGG_EXISTS,
-    AGG_FORALL,
-    AGG_GROUP,
-    AGGREGATE,
     COUNT,
     DECIDE,
     EXECUTE,
     EXPLAIN,
+    FORALL,
+    GROUPED_COUNT,
+    OP_KINDS,
     Operation,
     OperationFacade,
     canonical_options,
@@ -73,25 +73,63 @@ class TestOperationValue:
 
     def test_unknown_option_rejected(self):
         with pytest.raises(QueryError):
-            Operation(EXECUTE, path_query(2), (("frobnicate", 1),)).validate()
+            Operation(EXECUTE, path_query(2), (("frobnicate", 1),))
         with pytest.raises(QueryError):
             Operation.make(EXPLAIN, path_query(2), {"evaluator": "naive"})
 
-    def test_aggregate_needs_valid_mode(self):
-        query = path_query(2)
-        with pytest.raises(QueryError):
-            Operation.make(AGGREGATE, query)
-        with pytest.raises(QueryError):
-            Operation.make(AGGREGATE, query, {"mode": "median"})
-        with pytest.raises(QueryError):  # group requires group_by names
-            Operation.make(AGGREGATE, query, {"mode": AGG_GROUP})
-        Operation.make(AGGREGATE, query, {"mode": AGG_EXISTS}).validate()
+    def test_six_kinds(self):
+        assert OP_KINDS == (
+            "execute", "decide", "explain", "count", "grouped_count", "forall"
+        )
+        assert not hasattr(Operation, "exists")
+        assert not hasattr(OperationFacade, "exists")
+        assert not hasattr(Operation, "validate")
+        # The wire speaks them as ops of protocol 3 (v2 had ``aggregate``).
+        assert PROTOCOL_VERSION == 3
+
+    # Each malformed operation, as (kind, options): refused by every way
+    # of making one, so an Operation that exists is valid.
+    INVALID = {
+        "unknown_kind": ("upsert", {}),
+        "aggregate": ("aggregate", {}),
+        "aggregate_v2_mode": ("aggregate", {"mode": "count"}),
+        "unknown_option": (EXECUTE, {"frobnicate": 1}),
+        "unhashable_option": (EXECUTE, {"evaluator": {"naive": 1}}),
+        "mode_option": (COUNT, {"mode": "count"}),
+        "no_group_by": (GROUPED_COUNT, {}),
+        "empty_group_by": (GROUPED_COUNT, {"group_by": ()}),
+        "duplicate_group_by": (GROUPED_COUNT, {"group_by": ("x0", "x0")}),
+        "forall_group_by": (FORALL, {"group_by": ("x0",)}),
+    }
+
+    @pytest.mark.parametrize("constructor", ["make", "direct", "operations_of"])
+    @pytest.mark.parametrize("case", sorted(INVALID))
+    def test_every_constructor_refuses(self, case, constructor):
+        kind, options = self.INVALID[case]
+        query = path_query(2, head_arity=1)
+        build = {
+            "make": lambda: Operation.make(kind, query, options),
+            "direct": lambda: Operation(kind, query, canonical_options(options)),
+            "operations_of": lambda: operations_of(kind, [query], options),
+        }[constructor]
+        with pytest.raises(InvalidOperationError) as excinfo:
+            build()
+        assert excinfo.value.code == "invalid_operation"
+
+    def test_classmethods_refuse(self):
+        query = path_query(2, head_arity=1)
+        for group_by in ((), ("x0", "x0")):
+            with pytest.raises(InvalidOperationError):
+                Operation.grouped_count(query, group_by)
+        with pytest.raises(InvalidOperationError):
+            Operation.grouped_count(query, (1,))
 
     def test_constructors_round_trip_options(self):
         op = Operation.grouped_count(path_query(3, head_arity=2), ("x0", "x1"))
-        assert op.option("mode") == AGG_GROUP
-        assert op.options_dict() == {"mode": AGG_GROUP, "group_by": ("x0", "x1")}
+        assert op.kind == GROUPED_COUNT
+        assert op.options_dict() == {"group_by": ("x0", "x1")}
         assert Operation.make(op.kind, op.query, op.options_dict()) == op
+        assert Operation.forall(op.query) == Operation(FORALL, op.query)
 
     def test_operations_of(self):
         queries = [path_query(n) for n in (1, 2)]
@@ -106,7 +144,6 @@ PER_KIND = (
     "explain",
     "count",
     "grouped_count",
-    "exists",
     "forall",
 )
 
@@ -207,17 +244,18 @@ class TestEngineDispatch:
             assert len(set(results)) == 1
 
     def test_legacy_batch_shims_removed(self, chain):
-        # The PR 8 deprecation cycle is complete: the engine exposes ONLY
-        # the generic operation API for batches.
+        # The engine exposes ONLY the generic operation API for batches:
+        # no per-kind batch method, ``count_batch`` included.
         queries = [path_query(n, head_arity=1) for n in (1, 2, 3)]
         with QueryEngine() as engine:
             assert not hasattr(engine, "execute_batch")
             assert not hasattr(engine, "decide_batch")
+            assert not hasattr(engine, "count_batch")
             executed = engine.run_batch(operations_of(EXECUTE, queries), chain)
             assert executed == [engine.execute(q, chain) for q in queries]
-            assert engine.count_batch(queries, chain) == engine.run_batch(
-                operations_of(COUNT, queries), chain
-            )
+            assert engine.run_batch(operations_of(COUNT, queries), chain) == [
+                engine.count(q, chain) for q in queries
+            ]
 
     def test_forced_evaluator_option(self, chain):
         query = path_query(3, head_arity=2)
@@ -238,17 +276,17 @@ class TestServiceDispatch:
                 facade = await service.count(query, chain)
                 rendering = await service.run(Operation.explain(query), chain)
                 grouped = await service.grouped_count(query, chain, ("x0",))
-                exists = await service.exists(query, chain)
+                decided = await service.decide(query, chain)
                 forall = await service.forall(query, chain)
-            return generic, facade, rendering, grouped, exists, forall
+            return generic, facade, rendering, grouped, decided, forall
 
-        generic, facade, rendering, grouped, exists, forall = run(main())
+        generic, facade, rendering, grouped, decided, forall = run(main())
         with QueryEngine() as engine:
             want = engine.count(query, chain)
             assert generic == facade == want
             assert "QueryPlan" in rendering
             assert grouped == engine.grouped_count(query, chain, ("x0",))
-            assert exists is True and forall is False
+            assert decided is True and forall is False
 
     def test_run_batch_mixed_kinds(self, chain):
         query = path_query(3, head_arity=2)
@@ -256,16 +294,16 @@ class TestServiceDispatch:
             Operation.count(query),
             Operation.execute(query),
             Operation.decide(query),
-            Operation.exists(query),
+            Operation.forall(query),
         ]
 
         async def main():
             async with QueryService() as service:
                 return await service.run_batch(operations, chain)
 
-        count, executed, decided, exists = run(main())
+        count, executed, decided, forall = run(main())
         assert count == executed.cardinality
-        assert decided is True and exists is True
+        assert decided is True and forall is False
 
     def test_legacy_batch_shims_removed(self, chain):
         queries = [path_query(n, head_arity=1) for n in (1, 2, 3)]
@@ -288,15 +326,16 @@ class TestServiceDispatch:
             assert new_d == [engine.decide(q, chain) for q in queries]
 
     def test_single_flight_keys_include_options(self, chain):
-        # decide(Q) and exists(Q) return the same boolean but are distinct
-        # operations: they must NOT coalesce into one another.
+        # decide(Q) planned and decide(Q) forced through naive return the
+        # same boolean but are distinct operations: they must NOT coalesce
+        # into one another.
         query = path_query(2)
 
         async def main():
             async with QueryService() as service:
                 a, b = await asyncio.gather(
                     service.run(Operation.decide(query), chain),
-                    service.run(Operation.exists(query), chain),
+                    service.run(Operation.decide(query, "naive"), chain),
                 )
                 stats = await service.stats()
             return a, b, stats
@@ -310,11 +349,11 @@ class TestServiceDispatch:
         async def main():
             async with QueryService() as service:
                 with pytest.raises(QueryError):
-                    await service.run(
-                        Operation(AGGREGATE, path_query(2), ()), chain
-                    )
+                    await service.run(Operation("aggregate", path_query(2)), chain)
+                return await service.stats()
 
-        run(main())
+        stats = run(main())
+        assert stats["service"]["submitted"] == 0
 
 
 class TestWireDispatch:
@@ -357,14 +396,15 @@ class TestWireDispatch:
                 host, port = server.address
                 async with await AsyncQueryClient.connect(host, port) as client:
                     grouped = await client.grouped_count(query, "chain", ("x0",))
-                    exists = await client.exists(query, "chain")
+                    count = await client.count(query, "chain")
                     forall = await client.forall(query, "chain")
-            return grouped, exists, forall
+            return grouped, count, forall
 
-        grouped, exists, forall = run(main())
+        grouped, count, forall = run(main())
         with QueryEngine() as engine:
             assert grouped == engine.grouped_count(query, chain, ("x0",))
-        assert exists is True and forall is False
+            assert count == engine.count(query, chain)
+        assert forall is False
 
     def test_legacy_batch_wire_ops_are_unknown_ops(self, chain):
         # ``execute_batch`` / ``decide_batch`` are not ops: a raw frame
@@ -428,42 +468,79 @@ class TestWireDispatch:
                 async with await AsyncQueryClient.connect(host, port) as client:
                     with pytest.raises(RemoteQueryError) as excinfo:
                         await client._call(
-                            "aggregate",
+                            "grouped_count",
                             query="Q(x) :- E(x, y).",
                             database="chain",
-                            options={"mode": "median"},
+                            options={"mode": "group", "group_by": ["x"]},
                         )
                     # Malformed options map to the unified typed error's
                     # stable wire code, not a generic invalid_query.
                     assert excinfo.value.code == "invalid_operation"
+                    # An object where a value belongs, too (no internal_error).
+                    with pytest.raises(RemoteQueryError) as excinfo:
+                        await client._call(
+                            "execute",
+                            query="Q(x) :- E(x, y).",
+                            database="chain",
+                            options={"evaluator": {"naive": 1}},
+                        )
+                    assert excinfo.value.code == "invalid_operation"
                     # The connection survives the rejected operation.
                     assert await client.ping()
+                # The v2 ``aggregate`` op is no op at all: a raw frame
+                # naming it answers ``bad_request`` under its own id.
+                reader, writer = await asyncio.open_connection(host, port)
+                frame = {
+                    "v": PROTOCOL_VERSION,
+                    "op": "aggregate",
+                    "id": 3,
+                    "query": "Q(x) :- E(x, y).",
+                    "database": "chain",
+                    "options": {"mode": "count"},
+                }
+                writer.write(json.dumps(frame).encode() + b"\n")
+                answer = json.loads(await reader.readline())
+                writer.close()
+                await writer.wait_closed()
+                assert answer["ok"] is False and answer["id"] == 3
+                assert answer["error"]["code"] == "bad_request"
 
         run(main())
 
 
 class TestAggregateModes:
+    # Protocol v2's ``aggregate`` op named its question by a ``mode``; each
+    # mode is now a kind of its own (``exists`` is ``decide``), and that
+    # kind's operation answers as its named facade does.
+    KIND_OF_MODE = {
+        "count": COUNT,
+        "exists": DECIDE,
+        "forall": FORALL,
+        "group": GROUPED_COUNT,
+    }
+
     @pytest.mark.parametrize(
         "mode,options",
         [
-            (AGG_COUNT, {}),
-            (AGG_EXISTS, {}),
-            (AGG_FORALL, {}),
-            (AGG_GROUP, {"group_by": ("x0",)}),
+            ("count", {}),
+            ("exists", {}),
+            ("forall", {}),
+            ("group", {"group_by": ("x0",)}),
         ],
     )
     def test_aggregate_kind_equals_named_facade(self, chain, mode, options):
         query = path_query(3, head_arity=2)
-        operation = Operation.make(
-            AGGREGATE, query, {"mode": mode, **options}
-        )
+        kind = self.KIND_OF_MODE[mode]
+        operation = Operation.make(kind, query, options)
+        with pytest.raises(InvalidOperationError):
+            Operation.make("aggregate", query, {"mode": mode, **options})
         with QueryEngine() as engine:
             result = engine.run(operation, chain)
-            if mode == AGG_COUNT:
+            if kind == COUNT:
                 assert result == engine.count(query, chain)
-            elif mode == AGG_EXISTS:
-                assert result is engine.exists(query, chain)
-            elif mode == AGG_FORALL:
+            elif kind == DECIDE:
+                assert result is engine.decide(query, chain)
+            elif kind == FORALL:
                 assert result is engine.forall(query, chain)
             else:
                 assert result == engine.grouped_count(query, chain, ("x0",))

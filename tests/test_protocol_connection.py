@@ -123,7 +123,7 @@ def binary(kind, body):
     return struct.pack(">BBI", 0, kind, len(body)) + body
 
 
-_HEADER = json.dumps({"v": 2, "op": "ping", "id": 5}).encode()
+_HEADER = json.dumps({"v": 3, "op": "ping", "id": 5}).encode()
 
 #: Each malformed class: the bytes, then what the socket server answers —
 #: code, best-effort id — and whether it hangs up afterwards.
@@ -135,9 +135,9 @@ MALFORMED = {
         4,
         False,
     ),
-    "unknown_op": (b'{"v": 2, "op": "frobnicate", "id": 7}\n', "bad_request", 7, False),
+    "unknown_op": (b'{"v": 3, "op": "frobnicate", "id": 7}\n', "bad_request", 7, False),
     "response_frame": (
-        b'{"v": 2, "ok": true, "kind": "pong", "result": null, "id": 1}\n',
+        b'{"v": 3, "ok": true, "kind": "pong", "result": null, "id": 1}\n',
         "bad_request",
         1,
         False,
@@ -171,7 +171,7 @@ class TestServerRole:
     def test_malformed_frames_are_answered_like_the_socket_server(self, label):
         data, code, request_id, closes = MALFORMED[label]
         core = Connection("server")
-        ping = b'{"id":9,"op":"ping","v":2}\n'
+        ping = b'{"id":9,"op":"ping","v":3}\n'
         with mock.patch.object(codec, "MAX_LINE_BYTES", 1 << 16):
             try:
                 answers = list(core.receive(data))

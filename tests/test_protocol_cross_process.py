@@ -219,7 +219,7 @@ def test_cross_process_hot_flood_coalesces(server_process, chain_db):
 
 def test_cross_process_counting_matches_local(server_process, chain_db):
     """Counting and aggregation over the subprocess boundary: 8 clients mix
-    count/exists/forall/grouped_count and mixed-kind ``run_batch`` frames;
+    count/decide/forall/grouped_count and mixed-kind ``run_batch`` frames;
     every answer must equal the local sequential engine's."""
     from repro.operations import Operation
 
@@ -228,7 +228,7 @@ def test_cross_process_counting_matches_local(server_process, chain_db):
     sequential = QueryEngine(parallel=False)
     want_count = sequential.count(query, chain_db)
     want_grouped = sequential.grouped_count(query, chain_db, ("x0",))
-    want_exists = sequential.exists(query, chain_db)
+    want_decide = sequential.decide(query, chain_db)
     want_forall = sequential.forall(query, chain_db)
     want_rows = sequential.execute(query, chain_db)
     assert want_count == want_rows.cardinality
@@ -243,7 +243,7 @@ def test_cross_process_counting_matches_local(server_process, chain_db):
                 outcomes[index] = (
                     client.count(query, "chain"),
                     client.grouped_count(query, "chain", ("x0",)),
-                    client.exists(query, "chain"),
+                    client.decide(query, "chain"),
                     client.forall(query, "chain"),
                     client.run_batch(
                         [
@@ -265,11 +265,11 @@ def test_cross_process_counting_matches_local(server_process, chain_db):
     assert errors == []
     for outcome in outcomes:
         assert outcome is not None
-        count, grouped, exists, forall, batch = outcome
+        count, grouped, decided, forall, batch = outcome
         assert count == want_count
         assert grouped == want_grouped
         assert grouped.rows == want_grouped.rows
-        assert exists is want_exists
+        assert decided is want_decide
         assert forall is want_forall
         assert batch[0] == want_count
         assert batch[1] == want_rows and batch[1].rows == want_rows.rows

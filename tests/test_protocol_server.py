@@ -153,8 +153,8 @@ class TestErrorTaxonomy:
                 for line in [
                     b"this is not json\n",
                     b'{"v": 99, "op": "ping", "id": 4}\n',
-                    b'{"v": 2, "op": "frobnicate", "id": 7}\n',
-                    b'{"v": 2, "ok": true, "kind": "pong", "result": null, "id": 1}\n',
+                    b'{"v": 3, "op": "frobnicate", "id": 7}\n',
+                    b'{"v": 3, "ok": true, "kind": "pong", "result": null, "id": 1}\n',
                     # A version 1 peer spells relations as rows: refused by
                     # version, not misread as a malformed request.
                     b'{"v": 1, "op": "ping", "id": 9}\n',
@@ -230,7 +230,7 @@ class TestErrorTaxonomy:
                 answers = []
                 for number, relation in enumerate([*hostile.values(), good]):
                     frame = {
-                        "v": 2, "op": "register_database", "id": number,
+                        "v": 3, "op": "register_database", "id": number,
                         "database": "fresh",
                         "data": {"relations": {"E": relation}},
                     }

@@ -25,10 +25,17 @@ import pytest
 from repro import Database, QueryEngine, QueryService, Relation, parse_query
 from repro.engine import Planner, ShapeTable
 from repro.engine.analysis import _shape_of
-from repro.errors import DeadlineExceededError, RequestRejectedError, SchemaError
+import repro.engine.engine as engine_module
+from repro.errors import (
+    DeadlineExceededError,
+    RequestRejectedError,
+    SchemaError,
+    ServiceOverloadedError,
+)
 from repro.evaluation import NaiveEvaluator
 from repro.operations import DECIDE, EXECUTE, EXPLAIN, Operation, operations_of
 from repro.service.service import PARSE_MEMO_SIZE
+from repro.telemetry import OUTCOMES
 from repro.workloads import chain_database, path_query, star_database, star_query
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
@@ -373,6 +380,177 @@ class TestBatchingOnBacklog:
         decisions, stats = asyncio.run(main())
         assert list(decisions) == reference
         assert stats["service"]["max_group"] > 1
+
+
+def balanced(stats):
+    """Every admitted or coalesced request settled exactly once."""
+    counts = stats["service"]
+    return counts["submitted"] + counts["coalesced"] == sum(
+        counts[outcome] for outcome in OUTCOMES
+    )
+
+
+class TestRunBatch:
+    """``run_batch`` is its members' runs: parsed and budgeted whole, then
+    admitted one by one through the path a ``run`` takes."""
+
+    @staticmethod
+    def instances(chain_db, arity, n):
+        query = path_query(arity, head_arity=1)
+        starts = sorted({row[0] for row in chain_db["E"].rows})[:n]
+        assert len(starts) == n
+        return [query.decision_instance((value,)) for value in starts]
+
+    def test_answers_come_back_in_input_order(self, chain_db):
+        pair = path_query(3, head_arity=2)
+        operations = [
+            *operations_of(EXECUTE, self.instances(chain_db, 4, 12)),
+            *operations_of(DECIDE, self.instances(chain_db, 3, 6)),
+            Operation.count(pair),
+            Operation.grouped_count(pair, ("x0",)),
+            Operation.forall(pair),
+            Operation.execute(pair),
+            Operation.execute(pair),  # identical: coalesces
+        ]
+        random.Random(5).shuffle(operations)
+        sequential = QueryEngine(parallel=False)
+        reference = [sequential.run(op, chain_db) for op in operations]
+
+        async def main():
+            async with QueryService() as service:
+                return await service.run_batch(operations, chain_db), await service.stats()
+
+        results, stats = asyncio.run(main())
+        assert results == reference
+        assert stats["service"]["coalesced"] >= 1
+        assert balanced(stats)
+
+    @pytest.mark.parametrize("fault", ["malformed member", "over budget"])
+    def test_a_batch_that_fails_admission_runs_nothing(self, chain_db, fault):
+        operations = list(operations_of(EXECUTE, self.instances(chain_db, 3, 5)))
+        if fault == "malformed member":
+            operations[3] = Operation.execute("Q(x) :- E(x, ")
+            expected = RequestRejectedError
+        else:
+            expected = ServiceOverloadedError
+
+        async def main():
+            async with QueryService(max_pending_per_client=4) as service:
+                with pytest.raises(expected):
+                    await service.run_batch(operations, chain_db, client="c")
+                return await service.stats()
+
+        stats = asyncio.run(main())
+        assert stats["service"]["rejected"] == 1
+        assert stats["service"]["submitted"] == stats["service"]["groups"] == 0
+        assert stats["engine"]["shapes"] == []
+        assert balanced(stats)
+
+    def test_a_member_coalesces_with_an_identical_inflight_run(self, chain_db):
+        first, other = self.instances(chain_db, 4, 2)
+        sequential = QueryEngine(parallel=False)
+
+        async def main():
+            async with QueryService(GatedEngine(), dispatchers=1) as service:
+                async with busy_dispatcher(service, first, chain_db):
+                    single = asyncio.ensure_future(service.execute(first, chain_db))
+                    await asyncio.sleep(0)
+                    batch = asyncio.ensure_future(
+                        service.run_batch(operations_of(EXECUTE, [other, first]), chain_db)
+                    )
+                    for _ in range(100):
+                        if (await service.stats())["service"]["coalesced"]:
+                            break
+                        await asyncio.sleep(0)
+                answers = await single, await batch
+                stats = await service.stats()
+                service.engine.close()
+                return answers, stats
+
+        (single, batch), stats = asyncio.run(main())
+        assert single == batch[1] == sequential.execute(first, chain_db)
+        assert batch[0] == sequential.execute(other, chain_db)
+        counts = stats["service"]
+        assert counts["coalesced"] == 1
+        # The run and the batch's other member: one group after the blocker.
+        assert counts["submitted"] == 3 and counts["groups"] == 2
+        assert counts["batched"] == 1
+        assert balanced(stats)
+
+    def test_a_64_member_same_shape_batch_is_one_lifted_group(
+        self, chain_db, monkeypatch
+    ):
+        instances = self.instances(chain_db, 4, 64)
+        sequential = QueryEngine(parallel=False)
+        reference = [sequential.execute(q, chain_db) for q in instances]
+        lifted = []
+
+        def spy(members, database):
+            answer = real(members, database)
+            lifted.append((len(members), answer is not None))
+            return answer
+
+        real = engine_module.lift_batch_group
+        monkeypatch.setattr(engine_module, "lift_batch_group", spy)
+
+        async def main():
+            async with QueryService() as service:
+                results = await service.run_batch(
+                    operations_of(EXECUTE, instances), chain_db
+                )
+                return results, await service.stats()
+
+        results, stats = asyncio.run(main())
+        assert results == reference
+        assert stats["service"]["groups"] == 1
+        assert stats["service"]["max_group"] == 64
+        assert stats["service"]["batched"] == 63
+        assert lifted == [(64, True)]
+        # One execution recorded: the lifted query's, under its own shape.
+        assert sum(row["executions"] for row in stats["engine"]["shapes"]) == 1
+        assert balanced(stats)
+
+    @pytest.mark.parametrize("ending", ["cancelled", "deadline"])
+    def test_a_batch_that_ends_early_tears_its_work_down(self, chain_db, ending):
+        """A batch cancelled, or past its deadline, while its groups wait
+        for the only dispatcher: the groups leave the queue unrun."""
+        blocker = path_query(2, head_arity=1)
+        operations = [
+            *operations_of(EXECUTE, self.instances(chain_db, 4, 10)),
+            *operations_of(DECIDE, self.instances(chain_db, 3, 4)),
+        ]
+        deadline = 0.2 if ending == "deadline" else None
+
+        async def main():
+            async with QueryService(GatedEngine(), dispatchers=1) as service:
+                async with busy_dispatcher(service, blocker, chain_db):
+                    batch = asyncio.ensure_future(
+                        service.run_batch(operations, chain_db, deadline=deadline)
+                    )
+                    for _ in range(100):
+                        if (await service.stats())["service"]["submitted"] == 15:
+                            break
+                        await asyncio.sleep(0)
+                    assert service._queue.qsize() == 2  # execute, decide
+                    if ending == "cancelled":
+                        batch.cancel()
+                    outcome = (await asyncio.gather(batch, return_exceptions=True))[0]
+                    queued = service._queue.qsize()
+                    collecting = dict(service._collecting)
+                stats = await service.stats()
+                service.engine.close()
+                return outcome, queued, collecting, stats
+
+        outcome, queued, collecting, stats = asyncio.run(main())
+        if ending == "cancelled":
+            assert isinstance(outcome, asyncio.CancelledError)
+        else:
+            assert isinstance(outcome, DeadlineExceededError)
+        assert queued == 0 and collecting == {}
+        counts = stats["service"]
+        assert counts["groups"] == 1  # the blocker alone ran
+        assert counts["cancelled"] + counts["deadline_exceeded"] == len(operations)
+        assert balanced(stats)
 
 
 class TestFacade:
