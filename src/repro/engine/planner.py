@@ -12,11 +12,10 @@ parameter-v grouping) beat it on no measured leaf, and stay library
 evaluators.
 
 The cost model measures everything in abstract *row operations* and reads
-its statistics straight from the PR 1 kernel: relation cardinalities, and
+its statistics straight from the kernel: relation cardinalities, and
 per-column distinct counts taken from the relations' cached single-position
-hash indexes (``Relation._index``), so statistics gathered at plan time are
-the very indexes the backtracking executor probes later — planning warms
-the caches it plans for.
+key census (``Relation._counts``, one C-level pass), so planning builds no
+bucket index: the search's probes build their own on first use.
 
 Each route is charged for what it runs (``QueryPlan.charged`` says what):
 the acyclic route's :class:`~repro.evaluation.yannakakis.AcyclicProgram`,
@@ -115,16 +114,17 @@ class Planner:
         )
 
     # ------------------------------------------------------------------
-    # Statistics (from the kernel's cached indexes)
+    # Statistics (from the kernel's cached key census)
     # ------------------------------------------------------------------
 
     @staticmethod
     def _distinct(relation: Relation, position: int) -> int:
-        """Distinct values in one column — the bucket count of the cached
-        single-position index (built here if absent, reused by execution)."""
+        """Distinct values in one column — the size of the cached
+        single-position key census (built here if absent; the covered
+        count and the counting fold read the same one)."""
         if relation.cardinality == 0:
             return 1
-        return max(1, len(relation._index((position,))))
+        return max(1, len(relation._counts((position,))))
 
     def _candidate_cardinality(self, atom: Atom, relation: Relation) -> float:
         """Estimated |S_j| = |π_U σ_F (R)| after constant/equality selection."""

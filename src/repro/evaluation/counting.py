@@ -18,7 +18,9 @@ What runs is the shape's :class:`~.yannakakis.AcyclicProgram`, the one
 ``execute`` and ``decide`` run: its candidate relations, its head-rooted
 tree and its edges leaves first, each keyed once when the shape was
 planned.  The pass walks those edges and the fold reads each edge's key
-positions, so a request re-roots nothing and keys nothing again.
+positions, so a request re-roots nothing and keys nothing again.  Bucket
+sizes, the covered count's and the fold leaves', come from the key census
+(``Relation._counts``, one C-level pass), so no count builds a bucket index.
 
 The fold counts *assignments*, so it equals ``len(execute(Q).rows)``
 (distinct head tuples) only when distinct assignments cannot collide on
@@ -294,15 +296,15 @@ class CountingYannakakisEvaluator:
         children, of the child's *upward sum* (annotation total per shared
         join key) under the row's key.  The fold walks *edges* leaves
         first, reading each one's key positions; nothing is materialised
-        and no index is built on anything the pass filtered: every node
-        folds over the key lists of its unfiltered relation — the database
-        relation's, warm across requests — selected by a survivor mask
-        (a node the pass left as a key filter takes its mask here, one
-        probe of its live keys per row: the fold needs keys row by row),
-        and a leaf (no children, so no pass ever filters it) reads bucket
-        sizes off the warm index on its join columns.  A surviving row's
-        keys are live in every child by construction, so the lookups
-        cannot miss.
+        and no bucket index is built: every node folds over the key lists
+        of its unfiltered relation — the database relation's, warm across
+        requests — selected by a survivor mask (a node the pass left as a
+        key filter takes its mask here, one probe of its live keys per
+        row: the fold needs keys row by row), and a leaf (no children, so
+        no pass ever filters it) takes the key census on its join columns
+        (``Relation._counts``, warm across requests) as its upward sums.
+        A surviving row's keys are live in every child by construction, so
+        the lookups cannot miss.
         """
         reduced = {node: survivors.masked() for node, survivors in reduced.items()}
         # Per node, one lazy factor per child edge walked so far.
@@ -312,8 +314,7 @@ class CountingYannakakisEvaluator:
             child = reduced[edge.child]
             below = factors.pop(edge.child, None)
             if below is None:
-                index = child.relation._index(edge.child_key)
-                sums = {key: len(rows) for key, rows in index.items()}
+                sums = child.relation._counts(edge.child_key)
             else:
                 sums = {}
                 annotations = reduce(partial(map, mul), below)

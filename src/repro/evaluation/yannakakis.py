@@ -106,9 +106,9 @@ class Survivors(NamedTuple):
         return 1 not in self.mask
 
     def count(self) -> int:
+        """Surviving rows; a key filter's are its live keys' census entries."""
         if self.live is not None:
-            index = self.relation._index(self.key)
-            return sum(map(len, map(index.__getitem__, self.live)))
+            return sum(map(self.relation._counts(self.key).__getitem__, self.live))
         if self.mask is None:
             return self.relation.cardinality
         return self.mask.count(1)
@@ -143,16 +143,17 @@ class Survivors(NamedTuple):
 
     def distinct(self, positions: Tuple[int, ...]) -> Relation:
         """The survivors' distinct keys on *positions* (nonempty, distinct)
-        as a relation over those columns, in index order: one membership
-        test per distinct key, no row materialised."""
+        as a relation over those columns, in the key census's first-arrival
+        order: one membership test per distinct key, no row materialised
+        and no bucket index built."""
         live = self.live_keys(positions)
-        index = self.relation._index(positions)
-        if len(live) < len(index):
-            index = compress(index, map(live.__contains__, index))
+        keys = self.relation._counts(positions)
+        if len(live) < len(keys):
+            keys = compress(keys, map(live.__contains__, keys))
         attributes = self.relation.attributes
         return Relation._from_order(
             tuple(attributes[p] for p in positions),
-            tuple(zip(index)) if len(positions) == 1 else tuple(index),
+            tuple(zip(keys)) if len(positions) == 1 else tuple(keys),
         )
 
     def take(self) -> Relation:

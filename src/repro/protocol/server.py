@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import gc
 import signal
 import sys
 from itertools import count
@@ -490,8 +491,10 @@ class QueryServer:
         )
 
     def _transport_stats(self) -> Dict[str, Any]:
-        """The transport-level counters for the ``stats`` payload."""
+        """The transport-level counters for the ``stats`` payload, and the
+        interpreter's own count of collector runs per generation."""
         return {
+            "gc": {"collections": [g["collections"] for g in gc.get_stats()]},
             "connections_total": self._connections_total,
             "connections_active": len(self._connections),
             "busy_rejections": self._busy_rejections,

@@ -40,12 +40,12 @@ Kernel notes (see ``docs/kernel.md`` for the full contract):
   (:meth:`Relation._take`) is born with its rows only and derives a
   column from them if somebody reads one — most are never read;
 * each relation lazily caches **one** hash index per position tuple
-  (:meth:`Relation._index`: key → rows).  Joins, ``select_eq``, the naive
-  search, the counting fold and the planner's distinct counts all read
-  it.  Built from it, a *value-set index* (:meth:`Relation._values`: key →
-  frozenset of the values at one position) lets the naive search close a
-  cycle by intersecting sets.  Relations are immutable, so nothing cached
-  is ever invalidated;
+  (:meth:`Relation._index`: key → rows) for the readers of rows, and a
+  *key census* (:meth:`Relation._counts`: key → row count) for the counts
+  and the planner.  Built from the index, a *value-set index*
+  (:meth:`Relation._values`: key → frozenset of the values at one
+  position) lets the naive search close a cycle by intersecting sets.
+  Relations are immutable, so nothing cached is ever invalidated;
 * operations that rename columns without touching rows (``rename``, the
   candidate-relation fast path: :meth:`Relation._renamed`) share the source
   relation's whole cache — row stores included — since everything in it
@@ -69,6 +69,7 @@ Kernel notes (see ``docs/kernel.md`` for the full contract):
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import chain, compress, repeat
 from operator import itemgetter
 from typing import (
@@ -176,8 +177,8 @@ class Relation:
         for p in positions)`` otherwise — to the tuple of rows having that
         key.  The empty position tuple indexes everything under ``()``.
         This is the relation's only bucket index: joins probe it with
-        :meth:`_keys`, and ``select_eq``, the naive search, the counting
-        fold and the planner read it too.
+        :meth:`_keys`, and ``select_eq`` and the naive search read it too;
+        a reader of bucket sizes only reads :meth:`_counts`.
         """
         cache_key = ("index", positions)
         found = self._cache.get(cache_key)
@@ -198,6 +199,15 @@ class Relation:
         # same buckets, and every caller must agree on ONE canonical object
         # so downstream identity checks and shard preseeds stay consistent.
         return self._cache.setdefault(cache_key, frozen_buckets)
+
+    def _counts(self, positions: Tuple[int, ...]) -> Counter:
+        """The cached key census: :meth:`_index`'s keys, in its order, each
+        → its bucket's size; one C-level pass, no bucket built."""
+        cache_key = ("counts", positions)
+        found = self._cache.get(cache_key)
+        if found is None:
+            found = self._cache.setdefault(cache_key, Counter(self._keys(positions)))
+        return found
 
     def _values(
         self, positions: Tuple[int, ...], position: int

@@ -21,6 +21,7 @@ import pickle
 import sys
 import threading
 import warnings
+from itertools import chain
 from operator import is_
 
 import pytest
@@ -348,6 +349,15 @@ class TestRowStoreInvariant:
             index = relation._index(positions)
             assert sum(map(len, index.values())) == len(order)
             assert all(row in rows for bucket in index.values() for row in bucket)
+            # The key census is the index's keys (the same first-arriving
+            # objects: 1 / True / 1.0 and NaN included), in its order, and
+            # its bucket sizes.
+            counts = relation._counts(positions)
+            assert list(counts) == list(index)
+            values = list if len(positions) == 1 else chain.from_iterable
+            assert all(map(is_, values(counts), values(index)))
+            assert list(counts.values()) == list(map(len, index.values()))
+            assert relation._counts(positions) is counts  # cached once
 
     @settings(max_examples=100, deadline=None)
     @given(derived_relations(values=mixed_values))

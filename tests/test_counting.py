@@ -26,7 +26,11 @@ from repro.evaluation.counting import (
     counting_mode,
     covering_atom,
 )
-from repro.evaluation.yannakakis import acyclic_program, upward_edges
+from repro.evaluation.yannakakis import (
+    YannakakisEvaluator,
+    acyclic_program,
+    upward_edges,
+)
 from repro.hypergraph.join_tree import JoinTree
 from repro.operations import COUNT, operations_of
 from repro.query import Atom, ConjunctiveQuery
@@ -337,6 +341,41 @@ class TestTheUpwardPassVisitsNoRow:
                 assert engine.count(path, chain) == expected
                 engine.execute(path, chain)
         assert builds == [((0,), (1,))]
+
+    def test_a_first_count_builds_no_bucket_index(self):
+        # The covered count and the planner's statistics read the key
+        # census; only a reader of rows (execute's take of the root) builds
+        # the bucket index, and it still does.
+        chain, _ = self.databases()
+        path = parse_query(self.PATH)
+        # The oracle's search probes indexes: it reads an equal copy.
+        expected = NaiveEvaluator().evaluate(path, self.databases()[0])
+        stored = chain["E"]
+        engine = QueryEngine()
+        assert engine.count(path, chain) == len(expected)
+        assert engine.plan_for(path, chain).evaluator == "yannakakis"
+        assert [slot for slot in stored._cache if slot[0] == "index"] == []
+        assert ("counts", (1,)) in stored._cache
+        reads = []
+        index = Relation._index
+
+        def index_spy(relation, positions):
+            reads.append(positions)
+            return index(relation, positions)
+
+        with mock.patch.object(Relation, "_index", index_spy):
+            assert engine.execute(path, chain) == expected
+        assert (1,) in reads and ("index", (1,)) in stored._cache
+
+    def test_a_head_read_off_the_root_keeps_first_arrival_order(self):
+        # Q(a) of a 4-hop path is the root's live keys on column 0, in the
+        # order the key census met them: 30 before 10, and 20 (a path of
+        # three hops only) dropped.
+        rows = [(30, 1), (10, 2), (20, 3), (10, 1), (1, 4), (2, 4), (3, 5), (4, 6)]
+        rows += [(5, 7), (6, 8)]
+        database = Database.from_tuples({"E": rows})
+        answer = YannakakisEvaluator().evaluate(parse_query(self.HUBS), database)
+        assert tuple(answer) == ((30,), (10,))
 
 
 class TestGroupedCounts:

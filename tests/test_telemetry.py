@@ -7,6 +7,7 @@ exactly once.
 """
 
 import asyncio
+import gc
 import json
 import random
 
@@ -241,11 +242,18 @@ class TestWireDocument:
                         await client.count(query, "chain")
                         wire = await client.stats()
                         local = await service.stats()
-            return wire, local
+                        gc.collect()
+                        later = await client.stats()
+            return wire, local, later
 
-        wire, local = asyncio.run(main())
+        wire, local, later = asyncio.run(main())
         transport = wire.pop("transport")
         assert transport["connections_active"] == 1
+        # The collector's runs per generation, counted by the interpreter:
+        # a full collection in between shows in the oldest generation.
+        collections = transport["gc"]["collections"]
+        assert len(collections) == 3 and all(n >= 0 for n in collections)
+        assert later["transport"]["gc"]["collections"][2] > collections[2]
         assert key_tree(wire) == key_tree(local)
         assert round_trips(local)
         # Every key the end-to-end harness reads is present.
