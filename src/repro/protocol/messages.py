@@ -34,10 +34,11 @@ is the sender's and means nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from ..errors import ReproError, RequestRejectedError, SchemaError
 from ..operations import COUNT, DECIDE, EXECUTE, EXPLAIN, OP_KINDS
+from ..relational.attributes import check_attribute_names
 from ..relational.relation import Relation
 
 #: The one protocol version this build speaks (1 sent a relation's rows;
@@ -469,13 +470,29 @@ def encode_relation(relation: Relation) -> Relation:
 
 
 def decode_relation(payload: Any) -> Relation:
-    """The relation a received message holds.  One already built passes
-    through; otherwise *payload* is ``{"attributes": [...], "columns":
-    [[...], ...], "cardinality": n}`` (a JSON line's, or the one a binary
-    block is read into), each column an array of ``n`` values; ``n`` alone
-    tells the nullary TRUE from FALSE.  Anything else is a ``bad_request``
-    (C-level passes, and :meth:`Relation.from_columns` for attribute names,
-    the column count and unhashable values)."""
+    """The relation a received answer or binary block holds, born as its
+    rows: a client reads an answer's rows, so they are built once, here.
+    (A JSON-line registration is born as its columns instead:
+    :func:`decode_database`.)  One already built passes through;
+    otherwise *payload* is ``{"attributes": [...], "columns": [[...],
+    ...], "cardinality": n}`` (a JSON line's, or the one a binary block is
+    read into), each column an array of ``n`` values; ``n`` alone tells
+    the nullary TRUE from FALSE.  Anything else is a ``bad_request``
+    (C-level passes, and the constructor for attribute names and
+    unhashable values)."""
+    return _decode_relation(payload, _born_as_rows)
+
+
+def _born_as_rows(attributes: list, columns: list) -> Relation:
+    # The checks leave one column per attribute, all of one length, so the
+    # zipped rows have the arity; the dedupe makes them distinct.
+    names = check_attribute_names(attributes)
+    return Relation._from_order(names, tuple(dict.fromkeys(zip(*columns))))
+
+
+def _decode_relation(payload: Any, build: Callable[[list, list], Relation]) -> Relation:
+    """:func:`decode_relation`'s checks, with *build* making the relation
+    from checked attributes and columns."""
     if isinstance(payload, Relation):
         return payload
     if not isinstance(payload, dict):
@@ -489,12 +506,17 @@ def decode_relation(payload: Any) -> Relation:
         raise ProtocolError("relation 'cardinality' must be an integer >= 0")
     if not set(map(type, columns)) <= {list} or set(map(len, columns)) - {cardinality}:
         raise ProtocolError(f"relation columns must be arrays of {cardinality} values")
-    if not attributes and not columns and cardinality:
+    if len(columns) != len(attributes):
+        raise ProtocolError(
+            f"malformed relation: {len(attributes)} attributes but "
+            f"{len(columns)} columns"
+        )
+    if not attributes and cardinality:
         if cardinality > 1:
             raise ProtocolError(f"a nullary relation of {cardinality} rows")
         return Relation.unit()  # TRUE has no column-major spelling
     try:
-        return Relation.from_columns(attributes, columns)
+        return build(attributes, columns)
     except (SchemaError, TypeError) as error:
         raise ProtocolError(f"malformed relation: {error}") from error
 
@@ -560,7 +582,12 @@ def encode_database(database: Any) -> Dict[str, Any]:
 def decode_database(payload: Any) -> Any:
     """Inverse of :func:`encode_database` (server side).
 
-    Returns a :class:`~repro.relational.database.Database`; malformed
+    Returns a :class:`~repro.relational.database.Database` whose relations
+    a JSON line spelled are born as their columns
+    (:meth:`~repro.relational.relation.Relation.from_columns`): the first
+    count reads columns and key censuses, and no row is built until
+    something reads rows.  A binary frame's relations arrive built, as
+    :func:`decode_relation` builds an answer's; malformed
     documents raise :class:`ProtocolError` so the server answers a typed
     ``bad_request`` instead of an internal error.
     """
@@ -574,7 +601,7 @@ def decode_database(payload: Any) -> Any:
             "database payload needs a nonempty 'relations' mapping"
         )
     decoded = {
-        str(name): decode_relation(relation)
+        str(name): _decode_relation(relation, Relation.from_columns)
         for name, relation in relations.items()
     }
     domain = payload.get("domain")

@@ -18,14 +18,18 @@ Kernel notes (see ``docs/kernel.md`` for the full contract):
   the *trusted* :meth:`Relation._from_order` / :meth:`Relation._from_frozen`
   fast paths, which do not validate and through which every algebra
   operation builds its result so rows are checked exactly once;
-* a relation holds **two row stores and is born with one**: the distinct
-  rows in order (the constructors — arrival order, deduplicated once with
-  ``dict.fromkeys`` — and every filter, projection and join, which hold
-  distinct rows by construction) or a ``frozenset`` (the set algebra,
-  :meth:`Relation._from_frozen`).  The other is derived at most once, on
-  demand: ``len``, iteration, the column, key and index builders read the
-  order, and only :attr:`Relation.rows`, ``in``, ``==``, ``hash`` and
-  ``union`` / ``difference`` / ``intersection`` ever hash a row;
+* a relation holds **two row stores and is born with one, or with its
+  columns**: the distinct rows in order (the row constructors — arrival
+  order, deduplicated once with ``dict.fromkeys`` — and every filter,
+  projection and join, which hold distinct rows by construction), a
+  ``frozenset`` (the set algebra, :meth:`Relation._from_frozen`), or, from
+  :meth:`Relation.from_columns` of distinct rows, no row at all: every
+  value column.  A missing store is derived at most once, on demand (the
+  order from the set or the columns, the set from the order): iteration
+  and the index builder read the order, ``len`` and the column and key
+  builders read whatever is there, and only :attr:`Relation.rows`,
+  ``in``, ``==``, ``hash`` and ``union`` / ``difference`` /
+  ``intersection`` ever hash a row into a set;
 * there is one equality, the one a Python ``set`` of the raw values
   already has (identity, then ``==``: ``1 == True == 1.0`` are one value,
   a NaN object matches only itself).  The row set, the key sets, the
@@ -232,11 +236,31 @@ class Relation:
 
     def _row_order(self) -> Tuple[Row, ...]:
         """The rows in one fixed order — arrival order for a relation born
-        ordered, the set's for one born a set; columns align to it."""
+        ordered or as its columns, the set's for one born a set; columns
+        align to it."""
         found = self._cache.get("order")
         if found is None:
-            found = self._cache.setdefault("order", tuple(self._cache["rows"]))
+            cache = self._cache
+            rows = cache.get("rows")
+            if rows is None:  # born as its columns: zip them, once
+                columns = [cache[("col", p)] for p in range(len(self._attributes))]
+                # A list first: tuple(zip(...)) resizes its tuple as it
+                # grows, and each resize hands the whole tuple back to the
+                # young generation for the collector to walk again.
+                order = tuple(list(zip(*columns)))
+            else:
+                order = tuple(rows)
+            found = cache.setdefault("order", order)
         return found
+
+    def _born_columns(self, positions: Iterable[int]) -> Optional[List[List[Any]]]:
+        """The columns at *positions* while the relation, born as its
+        columns, holds no row store — what a reader zips instead of building
+        rows; ``None`` once it holds one, or if it was born with one."""
+        cache = self._cache
+        if "order" in cache or "rows" in cache:
+            return None
+        return [cache[("col", p)] for p in positions]
 
     def _column(self, position: int) -> List[Any]:
         """Raw values of column *position*, aligned with :meth:`_row_order`."""
@@ -256,10 +280,13 @@ class Relation:
         cache_key = ("key", positions)
         found = self._cache.get(cache_key)
         if found is None:
-            if positions:
-                keys = list(map(itemgetter(*positions), self._row_order()))
-            else:
+            columns = self._born_columns(positions)
+            if not positions:
                 keys = [()] * len(self)
+            elif columns is not None:
+                keys = list(zip(*columns))
+            else:
+                keys = list(map(itemgetter(*positions), self._row_order()))
             found = self._cache.setdefault(cache_key, keys)
         return found
 
@@ -380,7 +407,7 @@ class Relation:
         its ``len``) to read the rows without that."""
         found = self._cache.get("rows")
         if found is None:
-            found = self._cache.setdefault("rows", frozenset(self._cache["order"]))
+            found = self._cache.setdefault("rows", frozenset(self._row_order()))
         return found
 
     @property
@@ -399,7 +426,10 @@ class Relation:
 
     def __len__(self) -> int:
         cache = self._cache
-        return len(cache["order"] if "order" in cache else cache["rows"])
+        if "order" in cache:
+            return len(cache["order"])
+        # Born a set, or as its columns.
+        return len(cache["rows"] if "rows" in cache else cache[("col", 0)])
 
     def __iter__(self) -> Iterator[Row]:
         return iter(self._row_order())
@@ -468,14 +498,21 @@ class Relation:
         cls, attributes: Sequence[str], columns: Sequence[Iterable[Any]]
     ) -> "Relation":
         """The validated column-major constructor: one value sequence per
-        attribute, all of equal length.
+        attribute, all of equal length, each copied into a list.
+
+        Distinct rows — one pass of row hashes, no row built — make a
+        relation born as those lists, which builds its rows only when
+        something reads them; a repeated hash (a duplicate, ``1`` /
+        ``True``, ``-0.0`` / ``0.0``, a collision) dedupes the zipped rows
+        as :meth:`from_rows` does, and the relation is born ordered.  An
+        unhashable value raises ``TypeError``.
 
         ``from_columns((), ())`` is the empty nullary relation (FALSE); the
         nullary TRUE relation has no column-major spelling — use
         :meth:`unit`.
         """
         names = check_attribute_names(attributes)
-        materialized = [tuple(column) for column in columns]
+        materialized = [list(column) for column in columns]
         if len(materialized) != len(names):
             raise SchemaError(
                 f"{len(names)} attributes but {len(materialized)} columns"
@@ -485,6 +522,15 @@ class Relation:
             raise ArityError(
                 f"columns have unequal lengths {sorted(lengths)}"
             )
+        # zip reuses its result tuple while nothing keeps it, so hashing
+        # the rows allocates none (and an unhashable cell raises here).
+        hashes = set(map(hash, zip(*materialized)))
+        if materialized and len(hashes) == len(materialized[0]):
+            return cls._over(
+                names, {("col", p): column for p, column in enumerate(materialized)}
+            )
+        # A repeated hash: a duplicate row (1 / True / 1.0, -0.0 / 0.0) or
+        # a collision.  The dedupe tells them apart; born ordered.
         return cls._from_order(names, tuple(dict.fromkeys(zip(*materialized))))
 
     @classmethod
@@ -522,7 +568,8 @@ class Relation:
 
     def active_values(self) -> FrozenSet[Any]:
         """All values appearing anywhere in the relation."""
-        return frozenset(chain.from_iterable(self._row_order()))
+        columns = self._born_columns(range(self.arity))
+        return frozenset(chain.from_iterable(columns or self._row_order()))
 
     # ------------------------------------------------------------------
     # Unary algebra

@@ -12,7 +12,8 @@ Four contract groups:
   (``1 == True == 1.0``).
 * **Row stores** — whatever constructor and chain of algebra operations a
   relation came through, its ordered store and its set agree, whichever it
-  was born with, and every cached column, key list and index aligns.
+  was born with (or derived from the columns it was born as), and every
+  cached column, key list and index aligns.
 * **Process hygiene** — every cache holds plain values, so a relation
   pickles by default and arrives with its warm caches, answering the same.
 """
@@ -252,13 +253,19 @@ class TestKernelEquivalence:
 
 def constructed(draw, attributes, values):
     """A relation over *attributes* through any constructor of the family:
-    three are born ordered, ``_from_frozen`` is born a set."""
+    ``_from_frozen`` is born a set, ``from_columns`` of distinct rows as its
+    columns, and the others (``from_columns`` of repeated rows too) are
+    born ordered."""
     row = st.tuples(*([values] * len(attributes)))
     rows = draw(st.lists(row, max_size=12))
-    how = draw(st.sampled_from(("rows", "columns", "dicts", "frozen", "order")))
+    how = draw(
+        st.sampled_from(("rows", "columns", "distinct columns", "dicts", "frozen", "order"))
+    )
     if how == "rows":
         return Relation.from_rows(attributes, rows)
-    if how == "columns":
+    if how == "distinct columns":
+        rows = list(dict.fromkeys(rows))
+    if how in ("columns", "distinct columns"):
         columns = [[r[p] for r in rows] for p in range(len(attributes))]
         return Relation.from_columns(attributes, columns)
     if how == "dicts":
@@ -315,16 +322,31 @@ def derived_relations(draw, values=mixed_values_with_nan):
     return relation
 
 
+def born_as_columns(relation):
+    """True iff *relation* holds every column and neither row store."""
+    cache = relation._cache
+    return (
+        relation.arity > 0
+        and not {"order", "rows"} & set(cache)
+        and all(("col", p) in cache for p in range(relation.arity))
+    )
+
+
 class TestRowStoreInvariant:
     """A relation is born with one row store — distinct rows in order, or a
-    set — and derives the other at most once, on demand.  Whichever came
-    first, the two agree and everything cached aligns with the order."""
+    set — or as its columns, and derives the stores it lacks at most once,
+    on demand.  Whichever came first, they agree and everything cached
+    aligns with the order."""
 
     @settings(max_examples=200, deadline=None)
     @given(derived_relations())
     def test_the_two_stores_agree_and_every_cached_list_aligns(self, relation):
         born = set(relation._cache) & {"order", "rows"}
-        assert born  # at least one store, whatever the producer
+        # At least one store, or every column, whatever the producer.
+        assert born or born_as_columns(relation)
+        born_columns = [
+            relation._cache.get(("col", p)) for p in range(relation.arity)
+        ]
         assert len(relation) == relation.cardinality
         assert relation.is_empty() == (len(relation) == 0)
         order, rows = relation._row_order(), relation.rows
@@ -335,6 +357,9 @@ class TestRowStoreInvariant:
         assert relation._row_order() is order and relation.rows is rows  # once
         for position in range(relation.arity):
             column = relation._column(position)
+            # A column the relation already held is the one it keeps.
+            if born_columns[position] is not None:
+                assert column is born_columns[position]
             assert len(column) == len(order)
             assert all(map(is_, column, [row[position] for row in order]))
         every = tuple(range(relation.arity))
@@ -363,14 +388,16 @@ class TestRowStoreInvariant:
     @given(derived_relations(values=mixed_values))
     def test_pickling_round_trips_whichever_store_exists(self, relation):
         stores = set(relation._cache) & {"order", "rows"}
+        columns = born_as_columns(relation)
         clone = pickle.loads(pickle.dumps(relation))
         assert set(clone._cache) & {"order", "rows"} == stores
-        if "order" in stores:
+        assert born_as_columns(clone) == columns
+        if "order" in stores or columns:
             assert clone._row_order() == relation._row_order()  # order survives
         assert clone == relation and clone.attributes == relation.attributes
         assert len(clone) == len(relation) and hash(clone) == hash(relation)
 
-    @pytest.mark.parametrize("born", ["order", "rows"])
+    @pytest.mark.parametrize("born", ["order", "rows", "columns"])
     def test_threads_racing_the_lazy_fill_converge(self, born):
         # Both stores are published with setdefault, like every cache slot:
         # racers may each build the missing store, all of them get one object.
@@ -382,6 +409,9 @@ class TestRowStoreInvariant:
                 if born == "order":
                     relation = Relation.from_rows(("a", "b"), rows)
                     read = lambda r: r.rows  # noqa: E731
+                elif born == "columns":
+                    relation = Relation.from_columns(("a", "b"), list(zip(*rows)))
+                    read = Relation._row_order
                 else:
                     relation = Relation._from_frozen(("a", "b"), frozenset(rows))
                     read = Relation._row_order
@@ -413,6 +443,15 @@ class TestRowStoreInvariant:
         s = Relation.from_columns(("b", "c"), [[2, 1, 2], ["x", "y", "x"]])
         assert r._row_order() == ((3, 1), (1, 2), (2, 2))  # arrival order, deduped
         assert s._row_order() == ((2, "x"), (1, "y"))
+        # Distinct rows: born as the caller's columns, copied, and no row.
+        given_columns = [[2, 1, 2], ["x", "y", "z"]]
+        c = Relation.from_columns(("b", "c"), given_columns)
+        assert list(c._cache) == [("col", 0), ("col", 1)]
+        assert c._column(0) == given_columns[0] and c._column(0) is not given_columns[0]
+        len(c), c.active_values(), c._keys((1, 0)), c._key_set((0,))
+        c._counts((0, 1)), c.project(("c",)), c.semijoin(s.project(("b",)))
+        assert not {"order", "rows"} & set(c._cache)
+        assert c._row_order() == ((2, "x"), (1, "y"), (2, "z"))
         ordered = {
             "semijoin": r.semijoin(Relation.from_rows(("b",), [(2,)])),
             "antijoin": r.antijoin(Relation.from_rows(("b",), [(2,)])),
@@ -443,6 +482,110 @@ class TestRowStoreInvariant:
         fresh.project(("a",)), fresh.column("a"), fresh._index((0,)), fresh._key_set((1,))
         assert "rows" not in fresh._cache
         assert (3, 1) in fresh and "rows" in fresh._cache
+
+
+# Cells where the dedupe and a hash check could part: repeated values,
+# ``1`` / ``True`` / ``1.0`` and ``-0.0`` / ``0.0`` (equal, and of equal
+# hash), one shared NaN object and fresh NaN objects (each equal only to
+# itself), and mixed types.
+SHARED_NAN = float("nan")
+birth_values = st.one_of(
+    st.sampled_from([0, 1, True, 1.0, -0.0, 0.0, False, "a", "", None, SHARED_NAN]),
+    st.builds(float, st.just("nan")),
+    st.integers(-3, 3),
+)
+
+# Everything a relation derives from its rows, by name; each returns
+# (key list, values) so that keys compare by identity, as a hash table's
+# first-arriving key is the one it keeps.
+READERS = {
+    "order": lambda r, ps: (list(chain.from_iterable(r._row_order())), None),
+    "len": lambda r, ps: ([], len(r)),
+    "rows": lambda r, ps: ([], r.rows),
+    "column": lambda r, ps: (r._column(ps[0]) if ps else [], None),
+    "keys": lambda r, ps: (list(_flat(r._keys(ps), ps)), None),
+    "counts": lambda r, ps: (list(_flat(r._counts(ps), ps)), list(r._counts(ps).values())),
+    "key_set": lambda r, ps: ([], r._key_set(ps)),
+    "index": lambda r, ps: (
+        list(_flat(r._index(ps), ps)),
+        [list(chain.from_iterable(b)) for b in r._index(ps).values()],
+    ),
+}
+
+
+def _flat(keys, positions):
+    """The values of *keys* in order: a tuple key (two or no positions)
+    spread out, so each value is compared by identity."""
+    return keys if len(positions) == 1 else chain.from_iterable(keys)
+
+
+def same(left, right):
+    """Equal length and, value by value, the very same objects."""
+    return len(left) == len(right) and all(map(is_, left, right))
+
+
+class TestColumnarBirth:
+    """``from_columns(a, columns)`` is ``from_rows(a, zip(*columns))``: the
+    same rows in the same first-arrival order, whichever derived list is
+    read first, whether it was born as its columns or (a repeated hash)
+    deduplicated into an order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_from_columns_is_from_rows_of_the_zipped_columns(self, data):
+        arity = data.draw(st.integers(1, 3))
+        attributes = ("u", "v", "w")[:arity]
+        rows = data.draw(
+            st.lists(st.tuples(*[birth_values] * arity), max_size=10)
+        )
+        if rows and data.draw(st.booleans()):  # a true duplicate, same objects
+            rows.append(data.draw(st.sampled_from(rows)))
+        columns = [[row[p] for row in rows] for p in range(arity)]
+        born = Relation.from_columns(attributes, columns)
+        reference = Relation.from_rows(attributes, zip(*columns))
+        assert born_as_columns(born) or list(born._cache) == ["order"]
+        every = tuple(range(arity))
+        position_sets = [(p,) for p in every] + [every, every[::-1], ()]
+        reads = data.draw(
+            st.lists(
+                st.tuples(st.sampled_from(sorted(READERS)), st.sampled_from(position_sets)),
+                min_size=1,
+                max_size=8,
+            )
+        )
+        for name, positions in reads:
+            got_keys, got = READERS[name](born, positions)
+            want_keys, want = READERS[name](reference, positions)
+            assert same(got_keys, want_keys), (name, positions)
+            if name == "index":
+                assert all(map(same, got, want)), (name, positions)
+            else:
+                assert got == want, (name, positions)
+        assert born.rows == reference.rows and len(born) == len(reference)
+        assert same(
+            list(chain.from_iterable(born._row_order())),
+            list(chain.from_iterable(reference._row_order())),
+        )
+
+    def test_a_repeated_hash_is_deduplicated_into_an_order(self):
+        cases = {
+            "a true duplicate": ([1, 2, 1], ["x", "y", "x"], 2),
+            "1, True, 1.0": ([1, True, 1.0], ["x", "x", "x"], 1),
+            "-0.0 and 0.0": ([-0.0, 0.0], [5, 5], 1),
+            "one NaN object twice": ([SHARED_NAN, SHARED_NAN], [0, 0], 1),
+            "two NaN objects": ([float("nan"), float("nan")], [0, 0], 2),
+        }
+        for label, (first, second, distinct) in cases.items():
+            relation = Relation.from_columns(("a", "b"), [first, second])
+            born = "columns" if born_as_columns(relation) else "order"
+            assert born == ("columns" if distinct == len(first) else "order"), label
+            assert len(relation) == distinct, label
+            assert relation._row_order()[0][0] is first[0], label  # first arrival
+
+    def test_unhashable_cells_raise_type_error_at_construction(self):
+        for columns in ([[1, [2]]], [[1, 2], [3, {"k": 4}]], [[[1]], [[1]]]):
+            with pytest.raises(TypeError):
+                Relation.from_columns(("a", "b")[: len(columns)], columns)
 
 
 class TestProcessHygiene:

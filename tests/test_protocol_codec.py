@@ -13,6 +13,7 @@ neutralize), empty relations, and batches far beyond the service's
 ``batch_limit``.
 """
 
+import gc
 import json
 
 import pytest
@@ -360,3 +361,75 @@ class TestRejects:
         decoded = decode(encode(response))
         assert decoded == response
         assert decoded.error.detail["type"] == "ValueError"
+
+
+# ----------------------------------------------------------------------
+# Registration decode versus answer decode
+# ----------------------------------------------------------------------
+
+
+def layered_edges(layers=5, width=2000):
+    """``layers * width`` distinct edges, each node of a layer to one of
+    the next: what a registration of fresh data carries."""
+    source = [layer * width + node for layer in range(layers) for node in range(width)]
+    target = [
+        (layer + 1) * width + (node * 7 + layer) % width
+        for layer in range(layers)
+        for node in range(width)
+    ]
+    return source, target
+
+
+class TestRegistrationDecode:
+    def test_a_registration_builds_no_row_for_a_covered_count(self):
+        """A ``register_database`` relation is born as its columns, and a
+        planned covered count reads columns and key censuses only: no row
+        is built, and the decode allocates nothing that triggers the
+        cycle collector."""
+        from repro.engine import QueryEngine
+
+        source, target = layered_edges()
+        payload = {
+            "relations": {
+                "E": {
+                    "attributes": ["a", "b"],
+                    "columns": [source, target],
+                    "cardinality": len(source),
+                }
+            }
+        }
+        gc.collect()
+        before = gc.get_stats()[0]["collections"]
+        database = decode_database(payload)
+        assert gc.get_stats()[0]["collections"] == before
+        edges = database["E"]
+        assert len(edges) == 10_000
+
+        engine = QueryEngine()
+        query = parse_query("Q(b, c) :- E(a, b), E(b, c), E(c, d), E(d, e).")
+        rows = Relation.from_rows(("a", "b"), zip(source, target))
+        assert engine.count(query, database) == engine.count(
+            query, Database({"E": rows})
+        )
+        assert not {"order", "rows"} & set(edges._cache)
+        assert "counting : count-covered" in engine.explain(query, database)
+
+    def test_an_answer_is_born_as_its_rows(self):
+        # The client reads an answer's rows: decode_relation builds them
+        # once, and dedupes like any row-major birth.
+        payload = {"attributes": ["x", "y"], "columns": [[1, 2, 1], [3, 4, 3]], "cardinality": 3}
+        answer = decode_relation(payload)
+        assert list(answer._cache) == ["order"]
+        assert answer._row_order() == ((1, 3), (2, 4))
+        registered = decode_database({"relations": {"E": payload}})["E"]
+        assert registered == answer
+
+    @pytest.mark.parametrize(
+        "columns", [[[1, [2]], [3, 4]], [[1, 2], [3, {"k": 4}]], [[[1], [1]], [3, 3]]]
+    )
+    def test_unhashable_cells_are_bad_requests_either_way(self, columns):
+        payload = {"attributes": ["x", "y"], "columns": columns, "cardinality": 2}
+        for decode_one in (decode_relation, lambda p: decode_database({"relations": {"E": p}})):
+            with pytest.raises(ProtocolError) as excinfo:
+                decode_one(payload)
+            assert excinfo.value.code == "bad_request"

@@ -220,6 +220,9 @@ class TestErrorTaxonomy:
             "fewer columns than attributes": {**good, "columns": [[1, 2]]},
             "an array as a value": {**good, "columns": [[1, [2]], [2, 3]]},
             "an object as a value": {**good, "columns": [[1, {"k": 2}], [2, 3]]},
+            # Distinct rows are born as their columns, the hash check
+            # meeting the unhashable cell: refused all the same.
+            "an array in the last row": {**good, "columns": [[1, 2], [2, [3]]]},
         }
         labels = list(hostile)
 
@@ -630,7 +633,10 @@ class TestReviewRegressions:
         from repro.protocol.codec import encode
 
         async def main():
+            accepted = []
+
             async def hostile(reader, writer):
+                accepted.append(writer)
                 await reader.readline()
                 writer.write(
                     encode(
@@ -651,6 +657,12 @@ class TestReviewRegressions:
                 with pytest.raises(ConnectionError):
                     await asyncio.wait_for(client.ping(), timeout=10)
                 await client.aclose()
+                # The accepted side too: a stream server's handler leaves
+                # its transport open after the peer hangs up, and it would
+                # be collected unclosed in some later test.
+                for writer in accepted:
+                    writer.close()
+                    await writer.wait_closed()
 
         run(main())
 
